@@ -31,10 +31,10 @@ simply connected models, and TC <= 2 cat - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cohomology import CohClass, CohomologyRing, KunnethMap
+from .cohomology import CohClass, CohomologyRing, KunnethMap, ideal_powers_length
 from .linalg import ONE, SparseMatrix, Subspace, kernel
 from .massey import massey_triple, scan_triples
 
@@ -118,30 +118,6 @@ def zero_divisor_ideal(kmap: KunnethMap) -> dict:
     return {ell: sub for ell, sub in out.items() if sub.dim}
 
 
-def ideal_powers_length(ring: CohomologyRing, ideal: dict) -> int:
-    """Largest k with (span of k-fold products of the ideal) nonzero."""
-    degs = sorted(d for d, s in ideal.items() if s.dim)
-    if not degs:
-        return 0
-    current = {d: ideal[d] for d in degs}
-    k = 1
-    while True:
-        nxt = {}
-        for d1, sub in sorted(current.items()):
-            for d2 in degs:
-                d = d1 + d2
-                if d > ring.truncation:
-                    continue
-                prod = ring.product_span(d1, sub, d2, ideal[d2])
-                if prod.dim:
-                    acc = nxt.get(d)
-                    nxt[d] = prod if acc is None else acc.add(prod)
-        if not nxt:
-            return k
-        current = nxt
-        k += 1
-
-
 def _chain_search(ring: CohomologyRing, ideal: dict, k: int) -> tuple:
     """A k-tuple of ideal basis classes with nonzero product.
 
@@ -188,9 +164,7 @@ def cup_chain(ring: CohomologyRing) -> tuple:
     """(cup length, witness chain of classes, their product)."""
     ideal = {d: Subspace.full(ring.dim(d))
              for d in range(1, ring.truncation + 1) if ring.dim(d)}
-    k = ideal_powers_length(ring, ideal)
-    if k != ring.cup_length():
-        raise AssertionError("cup-length disagreement between power computations")
+    k = ring.cup_length()
     chain, prod = _chain_search(ring, ideal, k)
     return k, chain, prod
 
@@ -258,13 +232,19 @@ def _r2_round(ring: CohomologyRing, facts: dict) -> None:
                       "R2", ("product", f1.key, f2.key))
 
 
-def cat_weight_facts(ring: CohomologyRing, massey_cap: int = None) -> dict:
-    """Category-weight facts: R1 atoms, R3 Massey values, one R2 round."""
+def cat_weight_facts(ring: CohomologyRing, cosets: list = None) -> dict:
+    """Category-weight facts: R1 atoms, R3 Massey values, one R2 round.
+
+    ``cosets`` is the Massey scan to draw R3 facts from; by default every
+    triple of basis classes within the truncation.
+    """
     facts = {}
     for k in range(1, ring.truncation + 1):
         for i in range(ring.dim(k)):
             _add_fact(facts, "cat", ring.basis_class(k, i), 1, "R1", ("basis",))
-    for coset in scan_triples(ring, massey_cap):
+    if cosets is None:
+        cosets = scan_triples(ring)
+    for coset in cosets:
         if coset.is_nonzero():
             _add_fact(facts, "cat", coset.value, 2, "R3",
                       ("massey", _class_data(coset.alpha),
@@ -391,6 +371,11 @@ class BoundLedger:
     cat_facts: tuple  # WeightFacts sorted by key
     tc_facts: tuple
     certificates: tuple  # rule dictionaries, see replay_ledger
+    # Results the ledger was built from, kept for the report.  Both follow
+    # from the fields above (the scan from the ring and massey_cap, the
+    # product from zcl_witness), so they stay out of to_dict and equality.
+    massey_cosets: tuple = field(compare=False, repr=False)
+    zcl_product: CohClass = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         """Pure JSON payload (Fractions become strings)."""
@@ -432,6 +417,17 @@ def _fact_dict(f: WeightFact) -> dict:
 LOWER_RULES = ("cup-chain", "zcl-chain", "weighted-product", "massey-rudyak")
 UPPER_RULES = ("dimension", "james", "cat-product")
 
+# Fields each certificate rule carries besides rule, kind and bound.
+_CERT_FIELDS = {
+    "cup-chain": ("chain",),
+    "zcl-chain": ("chain",),
+    "weighted-product": ("factors", "product"),
+    "massey-rudyak": ("alpha", "beta", "gamma"),
+    "dimension": (),
+    "james": (),
+    "cat-product": ("cat_upper",),
+}
+
 
 def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
                  massey_cap: int = None) -> BoundLedger:
@@ -448,7 +444,8 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
     cl, cwit, _ = cup_chain(ring)
     certs.append({"rule": "cup-chain", "kind": "cat", "bound": cl + 1,
                   "chain": tuple(_class_data(c) for c in cwit)})
-    cat_facts = cat_weight_facts(ring, cap)
+    cosets = tuple(scan_triples(ring, cap))
+    cat_facts = cat_weight_facts(ring, cosets)
     wcat, cat_chain, cat_prod = weighted_lower_bound(ring, cat_facts)
     if cat_chain:
         certs.append({"rule": "weighted-product", "kind": "cat",
@@ -463,7 +460,7 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
         certs.append({"rule": "james", "kind": "cat", "bound": j})
         cat_upper = min(cat_upper, j)
 
-    zk, zwit, _ = zero_divisors_cup_length(kmap)
+    zk, zwit, zprod = zero_divisors_cup_length(kmap)
     certs.append({"rule": "zcl-chain", "kind": "tc", "bound": zk + 1,
                   "chain": tuple(_class_data(c) for c in zwit)})
     tc_facts = tc_weight_facts(ring, kmap, cat_facts)
@@ -504,6 +501,8 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
         cat_facts=tuple(cat_facts[key] for key in sorted(cat_facts)),
         tc_facts=tuple(tc_facts[key] for key in sorted(tc_facts)),
         certificates=tuple(certs),
+        massey_cosets=cosets,
+        zcl_product=zprod,
     )
 
 
@@ -583,6 +582,15 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
     for f in ledger.cat_facts + ledger.tc_facts:
         verify_fact(f)
 
+    def cert_fact(rule: str, kind: str, key) -> WeightFact:
+        f = fact_by_key.get(key)
+        if f is None:
+            raise ValueError(f"{rule} certificate names fact {key}, "
+                             "which is not in the fact pool")
+        if f.kind != kind:
+            raise ValueError(f"{rule} certificate for {kind} names the {f.kind} fact {key}")
+        return f
+
     def fold_chain(rg: CohomologyRing, chain) -> CohClass:
         out = rg.basis_class(0, 0)
         for deg, coords in chain:
@@ -592,7 +600,15 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
     lower = {"cat": [], "tc": []}
     upper = {"cat": [], "tc": []}
     for cert in ledger.certificates:
-        rule, kind, bound = cert["rule"], cert["kind"], cert["bound"]
+        rule = cert.get("rule")
+        if rule not in _CERT_FIELDS:
+            raise ValueError(f"unknown certificate rule {rule!r}")
+        missing = [k for k in ("kind", "bound") + _CERT_FIELDS[rule] if k not in cert]
+        if missing:
+            raise ValueError(f"{rule} certificate lacks {', '.join(missing)}")
+        kind, bound = cert["kind"], cert["bound"]
+        if kind not in lower:
+            raise ValueError(f"{rule} certificate has unknown kind {kind!r}")
         if rule == "cup-chain":
             prod = fold_chain(ring, cert["chain"])
             if prod.is_zero() or bound != len(cert["chain"]) + 1:
@@ -609,7 +625,7 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             if len(cert["chain"]) != ledger.zcl:
                 raise ValueError("zcl-chain length disagrees with the ledger")
         elif rule == "weighted-product":
-            facts = [fact_by_key[k] for k in cert["factors"]]
+            facts = [cert_fact(rule, kind, k) for k in cert["factors"]]
             rg = ring_of(kind)
             prod = fold_chain(rg, [_class_data(f.cls) for f in facts])
             if prod.is_zero():
@@ -619,9 +635,7 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             if bound != sum(f.weight for f in facts) + 1:
                 raise ValueError("weighted bound does not match the weights")
         elif rule == "massey-rudyak":
-            fa = fact_by_key[cert["alpha"]]
-            fb = fact_by_key[cert["beta"]]
-            fg = fact_by_key[cert["gamma"]]
+            fa, fb, fg = (cert_fact(rule, kind, cert[k]) for k in ("alpha", "beta", "gamma"))
             coset = massey_triple(ht, fa.cls, fb.cls, fg.cls)
             if not coset.is_nonzero():
                 raise ValueError("Massey certificate triple vanished on replay")
@@ -638,10 +652,12 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         elif rule == "cat-product":
             if cert["cat_upper"] != ledger.cat_upper or bound != 2 * ledger.cat_upper - 1:
                 raise ValueError("cat-product certificate failed replay")
-        else:
-            raise ValueError(f"unknown certificate rule {rule!r}")
         (lower if rule in LOWER_RULES else upper)[kind].append(bound)
 
+    for side, by_kind in (("lower", lower), ("upper", upper)):
+        for kind, found in by_kind.items():
+            if not found:
+                raise ValueError(f"ledger has no {side} certificate for {kind}")
     if max(lower["cat"]) != ledger.cat_lower or max(lower["tc"]) != ledger.tc_lower:
         raise ValueError("replayed lower bounds disagree with the ledger")
     if min(upper["cat"]) != ledger.cat_upper or min(upper["tc"]) != ledger.tc_upper:

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import report
-from .bounds import build_ledger
+from .bounds import build_ledger, zero_divisors_cup_length
 from .cohomology import CohomologyRing, KunnethMap
 from .dga import PresentationError, compile_cdga, tensor
 from .dsl import ParseError, parse_model
@@ -64,7 +64,7 @@ def build_ring(arg: str) -> CohomologyRing:
 
 
 def self_square(ring: CohomologyRing) -> KunnethMap:
-    t = tensor(ring.dga, ring.dga, check=False)
+    t = tensor(ring.dga, ring.dga)
     return KunnethMap(ring, ring, CohomologyRing(t))
 
 
@@ -114,8 +114,9 @@ def cmd_massey(args):
 
 def cmd_zcl(args):
     ring = build_ring(args.model)
-    kmap = self_square(ring)
-    payload = report.build_payload(ring, zcl=report.zcl_section(kmap))
+    k, chain, prod = zero_divisors_cup_length(self_square(ring))
+    witness = [(c.degree, c.coords) for c in chain]
+    payload = report.build_payload(ring, zcl=report.zcl_section(k, witness, prod))
     return 0, payload, report.render_text(payload)
 
 
@@ -125,8 +126,8 @@ def cmd_bounds(args):
     ledger = build_ledger(ring, kmap, massey_cap=args.max_massey_degree)
     payload = report.build_payload(
         ring,
-        massey=report.massey_section(ring, args.max_massey_degree),
-        zcl=report.zcl_section(kmap),
+        massey=report.massey_section(ring, ledger.massey_cosets),
+        zcl=report.zcl_section(ledger.zcl, ledger.zcl_witness, ledger.zcl_product),
         weights=report.weights_section(ledger),
         ledger=report.ledger_section(ledger),
     )

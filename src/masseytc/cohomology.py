@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .dga import DGA, Cochain, tensor_cochain
 from .linalg import (ONE, ZERO, PrefactoredSolver, SparseMatrix, Subspace,
-                     image, kernel, rank, solve, zero_vec)
+                     image, kernel, rank, zero_vec)
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,7 @@ class CohomologyRing:
                 f"model {dga.name} is declared simply connected but H^1 has "
                 f"dimension {self.dim(1)}")
         self._cup_memo = {}
+        self._cup_length = None
         self._boundary_solvers = {}
 
     # ------------------------------------------------------------- basics
@@ -250,28 +251,39 @@ class CohomologyRing:
     def cup_length(self) -> int:
         """Longest nonzero product of positive-degree classes, within the
         truncation; a lower bound for the untruncated cup length."""
-        current = {k: Subspace.full(self.dim(k))
-                   for k in range(1, self.truncation + 1) if self.dim(k)}
-        length = 0
-        while current:
-            length += 1
-            collected = {}
-            for k1, sub in sorted(current.items()):
-                for k2 in range(1, self.truncation + 1 - k1):
-                    if not self.dim(k2):
-                        continue
-                    nxt = self.product_span(k1, sub, k2)
-                    if nxt.is_zero():
-                        continue
-                    deg = k1 + k2
-                    prev = collected.get(deg)
-                    collected[deg] = nxt if prev is None else prev.add(nxt)
-            current = collected
-        return length
+        if self._cup_length is None:
+            self._cup_length = ideal_powers_length(
+                self, {k: Subspace.full(self.dim(k))
+                       for k in range(1, self.truncation + 1) if self.dim(k)})
+        return self._cup_length
 
 
-def cohomology(dga: DGA) -> CohomologyRing:
-    return CohomologyRing(dga)
+def ideal_powers_length(ring: CohomologyRing, ideal: dict) -> int:
+    """Largest k with (span of k-fold products of the ideal) nonzero.
+
+    ``ideal`` maps degrees to subspaces of the ring; the cup length is the
+    case of the whole positive part.
+    """
+    degs = sorted(d for d, s in ideal.items() if s.dim)
+    if not degs:
+        return 0
+    current = {d: ideal[d] for d in degs}
+    k = 1
+    while True:
+        nxt = {}
+        for d1, sub in sorted(current.items()):
+            for d2 in degs:
+                d = d1 + d2
+                if d > ring.truncation:
+                    continue
+                prod = ring.product_span(d1, sub, d2, ideal[d2])
+                if prod.dim:
+                    acc = nxt.get(d)
+                    nxt[d] = prod if acc is None else acc.add(prod)
+        if not nxt:
+            return k
+        current = nxt
+        k += 1
 
 
 # ------------------------------------------------------------------ Kunneth
@@ -307,6 +319,7 @@ class KunnethMap:
                 cols.append(self.cross(ha.basis_class(p, i),
                                        hb.basis_class(deg - p, j)).coords)
             self._matrices.append(SparseMatrix.from_columns(ht.dim(deg), cols))
+        self._solvers = {}
 
     def cross(self, a: CohClass, b: CohClass) -> CohClass:
         x = self.ha.representative(a)
@@ -348,9 +361,14 @@ class KunnethMap:
     def decompose(self, c: CohClass) -> dict:
         """Write a class of the tensor model as sum of cross products.
 
-        Returns {(p, i, j): coeff} over pairs of factor basis classes.
+        Returns {(p, i, j): coeff} over pairs of factor basis classes.  The
+        elimination for each degree is factored once and reused.
         """
-        coeffs = solve(self._matrices[c.degree], c.coords)
+        solver = self._solvers.get(c.degree)
+        if solver is None:
+            solver = PrefactoredSolver(self._matrices[c.degree])
+            self._solvers[c.degree] = solver
+        coeffs = solver.solve(c.coords)
         if coeffs is None:
             raise ValueError(f"class escapes the Kunneth image in degree {c.degree}")
         return {pair: v for pair, v in zip(self.pairs[c.degree], coeffs) if v}

@@ -39,12 +39,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError(f"vector length mismatch: {len(u)} != {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c, v: Vector) -> Vector:
     c = Fraction(c)
     return tuple(c * a for a in v)
@@ -280,7 +274,7 @@ class Subspace:
 
 def kernel(a: SparseMatrix) -> Subspace:
     """Null space of ``a`` as a canonical subspace of Q^cols."""
-    rows, rhs, pivot_cols = _row_reduce(a, None)
+    rows, pivot_cols = _row_reduce(a)
     pivot_of_col = {c: r for r, c in pivot_cols}
     free = [c for c in range(a.cols) if c not in pivot_of_col]
     gens = []
@@ -301,8 +295,7 @@ def image(a: SparseMatrix) -> Subspace:
 
 
 def rank(a: SparseMatrix) -> int:
-    _, _, pivot_cols = _row_reduce(a, None)
-    return len(pivot_cols)
+    return len(_row_reduce(a)[1])
 
 
 def solve(a: SparseMatrix, b: Vector) -> Optional[Vector]:
@@ -313,14 +306,15 @@ def solve(a: SparseMatrix, b: Vector) -> Optional[Vector]:
     """
     if len(b) != a.rows:
         raise ValueError(f"dimension mismatch: matrix has {a.rows} rows, rhs has {len(b)}")
-    rows, rhs, pivot_cols = _row_reduce(a, list(b))
+    rhs = a.cols  # the right-hand side rides along as one extra column
+    rows, pivot_cols = _row_reduce(a, [{rhs: Fraction(v)} if v else {} for v in b])
     used = {r for r, _ in pivot_cols}
     for r in range(a.rows):
-        if r not in used and rhs[r]:
+        if r not in used and rows[r].get(rhs):
             return None
     x = [ZERO] * a.cols
     for r, c in pivot_cols:
-        x[c] = rhs[r]
+        x[c] = rows[r].get(rhs, ZERO)
     return tuple(x)
 
 
@@ -329,55 +323,19 @@ class PrefactoredSolver:
 
     Row-reduces ``a`` once, remembering the row operations, so that each
     ``solve`` costs a sparse matrix-vector product instead of a fresh
-    elimination.  Answers agree with :func:`solve` exactly: the pivot columns
-    (hence the canonical free-variables-zero solution) depend only on the
-    matrix, not on the pivot row order.
+    elimination.  Answers agree with :func:`solve` exactly: both read the
+    same reduction, with the identity block here standing in for the
+    right-hand side there.
     """
 
     def __init__(self, a: SparseMatrix):
         self.rows = a.rows
         self.cols = a.cols
-        reduced = [dict(d) for d in a._row_dicts]
-        trans = [{r: ONE} for r in range(a.rows)]
-        pivots = []
-        used = set()
-        for c in range(a.cols):
-            piv = None
-            for r in range(a.rows):
-                if r not in used and reduced[r].get(c):
-                    piv = r
-                    break
-            if piv is None:
-                continue
-            used.add(piv)
-            pivots.append((piv, c))
-            inv = ONE / reduced[piv][c]
-            if inv != 1:
-                reduced[piv] = {k: v * inv for k, v in reduced[piv].items()}
-                trans[piv] = {k: v * inv for k, v in trans[piv].items()}
-            prow = reduced[piv]
-            trow = trans[piv]
-            for r in range(a.rows):
-                if r == piv:
-                    continue
-                factor = reduced[r].get(c)
-                if factor:
-                    target = reduced[r]
-                    for k, v in prow.items():
-                        nv = target.get(k, ZERO) - factor * v
-                        if nv:
-                            target[k] = nv
-                        else:
-                            target.pop(k, None)
-                    ttarget = trans[r]
-                    for k, v in trow.items():
-                        nv = ttarget.get(k, ZERO) - factor * v
-                        if nv:
-                            ttarget[k] = nv
-                        else:
-                            ttarget.pop(k, None)
-        self._trans = trans
-        self._col_of_pivot_row = {r: c for r, c in pivots}
+        rows, pivot_cols = _row_reduce(a, [{a.cols + r: ONE} for r in range(a.rows)])
+        # the identity block, carried through the reduction, is the transform
+        self._trans = [{k - a.cols: v for k, v in row.items() if k >= a.cols}
+                       for row in rows]
+        self._col_of_pivot_row = dict(pivot_cols)
 
     def solve(self, b: Sequence) -> Optional[Vector]:
         """Canonical solution of a x = b, or None when inconsistent."""
@@ -399,15 +357,21 @@ class PrefactoredSolver:
         return tuple(x)
 
 
-def _row_reduce(a: SparseMatrix, rhs_in):
+def _row_reduce(a: SparseMatrix, extra: Optional[Sequence[Mapping]] = None):
     """Full row reduction with deterministic pivoting.
 
-    Returns (rows as dicts, rhs list or None, [(pivot_row, pivot_col), ...]).
-    Pivot choice: scan columns left to right, take the lowest-index untouched
-    row with a nonzero coefficient.
+    ``extra`` gives each row further entries in columns ``a.cols`` and up
+    (a right-hand side, or an identity block that records the row
+    operations); they take part in every row operation but never hold a
+    pivot.  Pivot choice: scan the columns of ``a`` left to right, take the
+    lowest-index unused row with a nonzero coefficient.
+
+    Returns (rows as dicts, [(pivot_row, pivot_col), ...]).
     """
     rows = [dict(d) for d in a._row_dicts]
-    rhs = list(rhs_in) if rhs_in is not None else None
+    if extra is not None:
+        for row, more in zip(rows, extra):
+            row.update(more)
     pivot_cols = []
     used = set()
     for c in range(a.cols):
@@ -424,8 +388,6 @@ def _row_reduce(a: SparseMatrix, rhs_in):
         inv = ONE / prow[c]
         if inv != 1:
             rows[piv] = prow = {k: v * inv for k, v in prow.items()}
-            if rhs is not None:
-                rhs[piv] *= inv
         for r in range(a.rows):
             if r == piv:
                 continue
@@ -438,6 +400,4 @@ def _row_reduce(a: SparseMatrix, rhs_in):
                         target[k] = nv
                     else:
                         target.pop(k, None)
-                if rhs is not None and rhs[piv]:
-                    rhs[r] -= factor * rhs[piv]
-    return rows, rhs, pivot_cols
+    return rows, pivot_cols

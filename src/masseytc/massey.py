@@ -39,7 +39,6 @@ class MasseyCoset:
     value: Optional[CohClass]
     indeterminacy: Optional[Subspace]
     canonical: Optional[CohClass]
-    arity: int = 3
 
     @property
     def target_degree(self) -> int:
@@ -103,13 +102,11 @@ def massey_indeterminacy(ring: CohomologyRing, alpha: CohClass,
                          gamma: CohClass, q: int) -> Subspace:
     """alpha * H^(q+r-1) + H^(p+q-1) * gamma inside the target degree."""
     p, r = alpha.degree, gamma.degree
-    target = p + q + r - 1
     left = ring.product_span(
         p, Subspace.span(ring.dim(p), [alpha.coords]), q + r - 1)
     right = ring.product_span(
         p + q - 1, Subspace.full(ring.dim(p + q - 1)), r,
         Subspace.span(ring.dim(r), [gamma.coords]))
-    assert left.ambient == right.ambient == ring.dim(target)
     return left.add(right)
 
 

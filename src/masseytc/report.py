@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 
-from .bounds import BoundLedger, _fact_dict, _jsonify, zero_divisors_cup_length
-from .cohomology import CohClass, CohomologyRing, KunnethMap
-from .massey import MasseyCoset, scan_triples
+from .bounds import LOWER_RULES, BoundLedger, _fact_dict, _jsonify
+from .cohomology import CohClass, CohomologyRing
+from .massey import MasseyCoset
 
 PAYLOAD_KEYS = ("model", "cohomology", "massey", "zcl", "weights", "ledger")
 
@@ -96,9 +96,10 @@ def massey_entry(coset: MasseyCoset, label: str) -> dict:
     return entry
 
 
-def massey_section(ring: CohomologyRing, max_degree: int = None) -> list:
+def massey_section(ring: CohomologyRing, cosets) -> list:
+    """Entries for a scan of basis triples, labelled by their classes."""
     out = []
-    for coset in scan_triples(ring, max_degree):
+    for coset in cosets:
         label = "<{}, {}, {}>".format(
             ring.class_name(coset.alpha.degree, coset.alpha.coords.index(1)),
             ring.class_name(coset.beta.degree, coset.beta.coords.index(1)),
@@ -107,12 +108,12 @@ def massey_section(ring: CohomologyRing, max_degree: int = None) -> list:
     return out
 
 
-def zcl_section(kmap: KunnethMap) -> dict:
-    k, chain, prod = zero_divisors_cup_length(kmap)
+def zcl_section(zcl: int, witness, product: CohClass) -> dict:
+    """The zcl block; ``witness`` holds the chain as (degree, coords) pairs."""
     return {
-        "zcl": k,
-        "witness": [_class_json(c) for c in chain],
-        "product": _class_json(prod),
+        "zcl": zcl,
+        "witness": _jsonify(tuple(witness)),
+        "product": _class_json(product),
     }
 
 
@@ -142,9 +143,6 @@ def build_payload(ring: CohomologyRing, *, massey=None, zcl=None,
 
 def render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-_LOWER = ("cup-chain", "zcl-chain", "weighted-product", "massey-rudyak")
 
 
 def render_text(payload: dict) -> str:
@@ -204,5 +202,5 @@ def render_text(payload: dict) -> str:
         lines.append("certificates:")
         for c in led["certificates"]:
             lines.append(f"  {c['rule']} -> {c['kind']} "
-                         f"{'>=' if c['rule'] in _LOWER else '<='} {c['bound']}")
+                         f"{'>=' if c['rule'] in LOWER_RULES else '<='} {c['bound']}")
     return "\n".join(lines) + "\n"

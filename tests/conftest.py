@@ -68,7 +68,7 @@ def square_of(dgas):
 
     def get(name):
         if name not in cache:
-            cache[name] = tensor(dgas[name], dgas[name], check=False)
+            cache[name] = tensor(dgas[name], dgas[name])
         return cache[name]
 
     return get

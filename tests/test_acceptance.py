@@ -444,8 +444,8 @@ def test_acceptance_5_invariant_suites(rings, dgas, square_of, kunneth_of,
             assert replay_ledger(ledger_of(name), rings[name],
                                  kunneth_of(name))
 
-        # --- byte-identical machine reports: cached session objects versus
-        # a from-scratch ledger and fresh section computations
+        # --- byte-identical machine reports: the cached session ledger
+        # versus a from-scratch one, each with the sections it carries
         for name in GOLDEN:
             ring, kmap = rings[name], kunneth_of(name)
             led_a, led_b = ledger_of(name), build_ledger(ring, kmap)
@@ -453,8 +453,9 @@ def test_acceptance_5_invariant_suites(rings, dgas, square_of, kunneth_of,
             for led in (led_a, led_b):
                 payloads.append(report.build_payload(
                     ring,
-                    massey=report.massey_section(ring),
-                    zcl=report.zcl_section(kmap),
+                    massey=report.massey_section(ring, led.massey_cosets),
+                    zcl=report.zcl_section(led.zcl, led.zcl_witness,
+                                           led.zcl_product),
                     weights=report.weights_section(led),
                     ledger=report.ledger_section(led),
                 ))

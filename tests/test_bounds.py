@@ -8,10 +8,12 @@ the ledgers must reproduce them exactly and replay from their certificates.
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
 from masseytc.bounds import (
+    LOWER_RULES,
     WeightFact,
     bar,
     build_ledger,
@@ -455,6 +457,50 @@ def test_replay_rejects_fake_zero_divisor_chain(rings, kunneth_of, ledger_of):
     bad = dataclasses.replace(led, certificates=tuple(certs))
     with pytest.raises(ValueError):
         replay_ledger(bad, ring, km)
+
+
+# Fact keys of spheres8: H^1 of its square is zero, so no fact has the first.
+ABSENT_FACT = ("tc", 1, (Fraction(1),))
+CAT_FACT = ("cat", 3, (Fraction(1), Fraction(0)))
+TC_FACT = ("tc", 8, (Fraction(0), Fraction(1), Fraction(0), Fraction(-1)))
+
+
+def _edit_weighted(kind, edit):
+    """A forgery that edits the weighted-product certificate of one kind."""
+    return lambda certs: tuple(
+        edit(c) if c["rule"] == "weighted-product" and c["kind"] == kind else c
+        for c in certs)
+
+
+def _add_rudyak(key):
+    """A forgery that adds a Massey-Rudyak certificate on one fact."""
+    return lambda certs: certs + ({"rule": "massey-rudyak", "kind": "tc", "bound": 6,
+                                   "alpha": key, "beta": key, "gamma": key},)
+
+
+@pytest.mark.parametrize("forge, reason", [
+    pytest.param(_edit_weighted("tc", lambda c: {**c, "factors": (ABSENT_FACT,)}),
+                 "names fact .* not in the fact pool", id="weighted-unknown-fact"),
+    pytest.param(_add_rudyak(ABSENT_FACT),
+                 "names fact .* not in the fact pool", id="rudyak-unknown-fact"),
+    pytest.param(_edit_weighted("cat", lambda c: {**c, "factors": (TC_FACT,)}),
+                 "for cat names the tc fact", id="weighted-wrong-kind"),
+    pytest.param(_add_rudyak(CAT_FACT),
+                 "for tc names the cat fact", id="rudyak-wrong-kind"),
+    pytest.param(_edit_weighted("tc", lambda c: {k: v for k, v in c.items() if k != "product"}),
+                 "weighted-product certificate lacks product", id="missing-field"),
+    pytest.param(lambda certs: tuple(
+        c for c in certs if c["kind"] != "cat" or c["rule"] not in LOWER_RULES),
+        "no lower certificate for cat", id="no-lower"),
+    pytest.param(lambda certs: tuple(
+        c for c in certs if c["kind"] != "tc" or c["rule"] in LOWER_RULES),
+        "no upper certificate for tc", id="no-upper"),
+])
+def test_replay_names_the_forgery(rings, kunneth_of, ledger_of, forge, reason):
+    led = ledger_of("spheres8")
+    bad = dataclasses.replace(led, certificates=forge(led.certificates))
+    with pytest.raises(ValueError, match=reason):
+        replay_ledger(bad, rings["spheres8"], kunneth_of("spheres8"))
 
 
 def test_ledger_serializes_to_json(ledger_of):

@@ -1,12 +1,17 @@
 """Exit codes, output formats, and error reporting of the command line."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from masseytc.cli import main
+import masseytc
+from masseytc import report
+from masseytc.cli import build_parser, cmd_bounds, cmd_zcl, main
 from masseytc.report import PAYLOAD_KEYS
 
 S2_FILE_SRC = """\
@@ -30,6 +35,29 @@ algebra broken {
   d y = x*y
 }
 """
+
+
+# sha256 of the `bounds --json` and `bounds` text output of each golden
+# model, and of `zcl --json`: changes to how the reports are computed must
+# leave their bytes alone.
+BOUNDS_DIGESTS = {
+    "spheres8": ("10547667bffb9c85f3a7fe0bc0d5a5ed0da400f801659722e456c4f5ed118935",
+                 "4f9eb46bff4d77741158e39a53c7595735cd863260fb4df928eaf4d381871761"),
+    "borromean": ("f26e2c3b962d17776cb2b077d21808f50d5fb39f728bfdd4d00fbbf39dec68e3",
+                  "266f66b3be84934e115ad3f3ac275e7ff760a125c8fc3109104e3ac34c59bb85"),
+    "even7": ("ed04c0825c9990f79d41df8a381992db04f7d035153efb58ae9c8ee03e721cee",
+              "5eaa78b9cb067ed19c1d49e7d182644bb835024fd444d010f19e48d8c1adfcf3"),
+    "odd11": ("a7781b8ad81cb35cac72359d40d473fe9d73b190515d903fcc763917fd444b6f",
+              "5a14b7363ceb43f17b20a8d018f05d724ffd5a0646a5ba8daf1088ab48f99a42"),
+}
+ZCL_JSON_DIGESTS = {
+    "spheres8": "3b8dafe83ea5f58a1e59bacd2a51c63352a44e62fbea6bede157c67863c4bfa5",
+    "odd11": "01c494ee26013ea5f4d6c38417cddeda1dd4357189b5be46d6b0e24c9919ce48",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run(capsys, *argv):
@@ -180,8 +208,25 @@ def test_argparse_rejects_wrong_arity():
 
 
 def test_module_entry_point():
+    # the child process imports the same package as the tests
+    src = str(Path(masseytc.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "masseytc.cli", "validate", "even7"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "all axioms hold" in proc.stdout
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS_DIGESTS))
+def test_bounds_output_bytes_are_pinned(name):
+    code, payload, text = cmd_bounds(build_parser().parse_args(["bounds", name]))
+    assert code == 0
+    assert (_sha256(report.render_json(payload)), _sha256(text)) == BOUNDS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ZCL_JSON_DIGESTS))
+def test_zcl_json_bytes_are_pinned(name):
+    code, payload, _ = cmd_zcl(build_parser().parse_args(["zcl", name]))
+    assert code == 0
+    assert _sha256(report.render_json(payload)) == ZCL_JSON_DIGESTS[name]

@@ -225,6 +225,7 @@ def test_validate_flags_broken_tables():
 def test_tensor_dims_are_convolutions(s3, s2, m1):
     for a, b in [(s3, s3), (s2, s2), (s3, s2), (m1, s3)]:
         t = tensor(a, b)
+        assert t.validate() == []
         assert t.truncation == a.truncation + b.truncation
         for deg in range(t.truncation + 1):
             want = sum(a.dim(p) * b.dim(deg - p) for p in range(deg + 1))
@@ -233,6 +234,7 @@ def test_tensor_dims_are_convolutions(s3, s2, m1):
 
 def test_tensor_koszul_sign(s3):
     t = tensor(s3, s3)
+    assert t.validate() == []
     x1 = tensor_cochain(t, s3.basis_cochain(3, 0), s3.unit())   # x (x) 1
     onex = tensor_cochain(t, s3.unit(), s3.basis_cochain(3, 0))  # 1 (x) x
     xx = tensor_cochain(t, s3.basis_cochain(3, 0), s3.basis_cochain(3, 0))
@@ -244,6 +246,7 @@ def test_tensor_koszul_sign(s3):
 
 def test_tensor_differential(s2):
     t = tensor(s2, s2)
+    assert t.validate() == []
     a1 = tensor_cochain(t, s2.basis_cochain(2, 0), s2.unit())
     x1 = tensor_cochain(t, s2.basis_cochain(3, 0), s2.unit())
     onex = tensor_cochain(t, s2.unit(), s2.basis_cochain(3, 0))

@@ -6,15 +6,16 @@ import pytest
 
 from masseytc import report
 from masseytc.bounds import zero_divisors_cup_length
+from masseytc.massey import scan_triples
 from masseytc.report import PAYLOAD_KEYS
 
 
-def full_payload(name, rings, kunneth_of, ledger_of):
-    ring, kmap, led = rings[name], kunneth_of(name), ledger_of(name)
+def full_payload(name, rings, ledger_of):
+    ring, led = rings[name], ledger_of(name)
     return report.build_payload(
         ring,
-        massey=report.massey_section(ring),
-        zcl=report.zcl_section(kmap),
+        massey=report.massey_section(ring, led.massey_cosets),
+        zcl=report.zcl_section(led.zcl, led.zcl_witness, led.zcl_product),
         weights=report.weights_section(led),
         ledger=report.ledger_section(led),
     )
@@ -86,7 +87,8 @@ def test_ring_table_rendered_in_text(rings):
 
 
 def test_massey_section_entries(rings):
-    entries = report.massey_section(rings["spheres8"])
+    ring = rings["spheres8"]
+    entries = report.massey_section(ring, scan_triples(ring))
     assert len(entries) == 6
     by_label = {e["label"]: e for e in entries}
     e = by_label["<[a], [a], [b]>"]
@@ -110,10 +112,10 @@ def test_undefined_entry_keeps_null_fields(rings):
         assert e[key] is None
 
 
-def test_zcl_section_matches_direct_computation(kunneth_of):
-    kmap = kunneth_of("spheres8")
-    z = report.zcl_section(kmap)
-    k, chain, prod = zero_divisors_cup_length(kmap)
+def test_zcl_section_matches_direct_computation(kunneth_of, ledger_of):
+    led = ledger_of("spheres8")
+    z = report.zcl_section(led.zcl, led.zcl_witness, led.zcl_product)
+    k, chain, prod = zero_divisors_cup_length(kunneth_of("spheres8"))
     assert z["zcl"] == k == 2
     assert len(z["witness"]) == 2
     assert z["product"] == [prod.degree, [str(c) for c in prod.coords]]
@@ -136,15 +138,15 @@ def test_ledger_section_drops_the_fact_pools(ledger_of):
 
 
 @pytest.mark.parametrize("name", ["spheres8", "borromean", "even7"])
-def test_full_report_is_byte_deterministic(name, rings, kunneth_of, ledger_of):
-    a = full_payload(name, rings, kunneth_of, ledger_of)
-    b = full_payload(name, rings, kunneth_of, ledger_of)
+def test_full_report_is_byte_deterministic(name, rings, ledger_of):
+    a = full_payload(name, rings, ledger_of)
+    b = full_payload(name, rings, ledger_of)
     assert report.render_json(a) == report.render_json(b)
     assert report.render_text(a) == report.render_text(b)
 
 
-def test_json_rendering_is_canonical(rings, kunneth_of, ledger_of):
-    payload = full_payload("spheres8", rings, kunneth_of, ledger_of)
+def test_json_rendering_is_canonical(rings, ledger_of):
+    payload = full_payload("spheres8", rings, ledger_of)
     out = report.render_json(payload)
     assert out.endswith("\n")
     parsed = json.loads(out)
@@ -153,8 +155,8 @@ def test_json_rendering_is_canonical(rings, kunneth_of, ledger_of):
     assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out
 
 
-def test_text_report_lines(rings, kunneth_of, ledger_of):
-    txt = report.render_text(full_payload("spheres8", rings, kunneth_of, ledger_of))
+def test_text_report_lines(rings, ledger_of):
+    txt = report.render_text(full_payload("spheres8", rings, ledger_of))
     assert "model spheres8: truncation 8, space dimension 8, simply connected" in txt
     assert "H^* dimensions: 1 0 0 2 0 0 0 0 2" in txt
     assert "cat lower 3, cat upper 3" in txt
@@ -171,7 +173,7 @@ def test_text_report_skips_missing_sections(rings):
     assert txt.startswith("model s2:")
 
 
-def test_text_mentions_rudyak_certificate(rings, kunneth_of, ledger_of):
-    txt = report.render_text(full_payload("borromean", rings, kunneth_of, ledger_of))
+def test_text_mentions_rudyak_certificate(rings, ledger_of):
+    txt = report.render_text(full_payload("borromean", rings, ledger_of))
     assert "massey-rudyak -> tc >= 4" in txt
     assert "TC lower 4, TC upper 5" in txt
