@@ -25,7 +25,7 @@ from pathlib import Path
 from . import report
 from .bounds import build_ledger, zero_divisors_cup_length
 from .cohomology import CohomologyRing, KunnethMap
-from .dga import PresentationError, compile_cdga, tensor
+from .dga import PresentationError, compile_cdga
 from .dsl import ParseError, parse_model
 from .massey import massey_triple
 from .models import MODEL_SOURCES
@@ -61,11 +61,6 @@ def build_ring(arg: str) -> CohomologyRing:
         return CohomologyRing(compile_cdga(p))
     except (PresentationError, ValueError) as e:
         raise CliError(2, f"model {p.name}: {e}")
-
-
-def self_square(ring: CohomologyRing) -> KunnethMap:
-    t = tensor(ring.dga, ring.dga)
-    return KunnethMap(ring, ring, CohomologyRing(t))
 
 
 def cmd_validate(args):
@@ -114,7 +109,7 @@ def cmd_massey(args):
 
 def cmd_zcl(args):
     ring = build_ring(args.model)
-    k, chain, prod = zero_divisors_cup_length(self_square(ring))
+    k, chain, prod = zero_divisors_cup_length(KunnethMap(ring, ring))
     witness = [(c.degree, c.coords) for c in chain]
     payload = report.build_payload(ring, zcl=report.zcl_section(k, witness, prod))
     return 0, payload, report.render_text(payload)
@@ -122,7 +117,7 @@ def cmd_zcl(args):
 
 def cmd_bounds(args):
     ring = build_ring(args.model)
-    kmap = self_square(ring)
+    kmap = KunnethMap(ring, ring)
     ledger = build_ledger(ring, kmap, massey_cap=args.max_massey_degree)
     payload = report.build_payload(
         ring,

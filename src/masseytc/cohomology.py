@@ -7,9 +7,11 @@ reduced form, so ``class_of`` is a pure readout and equal classes always
 get identical coordinate vectors, independent of which representative the
 caller happened to supply.
 
-Products are computed on representatives and memoized per basis pair; the
-bilinear extension makes cup products, cup length, Kunneth comparisons and
-zero-divisor computations share one table.
+Products are held as a table of structure constants, one entry per basis
+pair: a ring multiplies its cached basis representatives once per entry,
+and the ring of a tensor model reads its entries off its factor rings'
+tables (see :class:`KunnethMap`).  Cup products, cup length, the Kunneth
+map and zero-divisor computations all extend that one table bilinearly.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dga import DGA, Cochain, tensor_cochain
-from .linalg import (ONE, ZERO, PrefactoredSolver, SparseMatrix, Subspace,
-                     image, kernel, rank, zero_vec)
+from .dga import DGA, Cochain, tensor, tensor_cochain
+from .linalg import ONE, ZERO, PrefactoredSolver, Subspace, image, kernel, zero_vec
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,14 @@ class CohClass:
 
 
 class CohomologyRing:
-    """H^*(A; Q) of a finite DGA, as explicit exact-arithmetic data."""
+    """H^*(A; Q) of a finite DGA, as explicit exact-arithmetic data.
 
-    def __init__(self, dga: DGA):
+    The ring of a tensor model A (x) B is built with ``factors``, the rings
+    of A and B: its basis is then indexed by ``pairs``, and its products
+    come from the factors' tables (see :class:`KunnethMap`).
+    """
+
+    def __init__(self, dga: DGA, factors: tuple = None):
         self.dga = dga
         n = dga.truncation
         self.cocycles = []
@@ -73,6 +79,14 @@ class CohomologyRing:
         self._cup_memo = {}
         self._cup_length = None
         self._boundary_solvers = {}
+        self.factors = factors
+        if factors is not None:
+            ha, hb = factors
+            self.pairs = tuple(
+                tuple((p, i, j) for p in range(k + 1)
+                      for i in range(ha.dim(p)) for j in range(hb.dim(k - p)))
+                for k in range(n + 1))
+            self._pair_index = [{t: i for i, t in enumerate(ps)} for ps in self.pairs]
 
     # ------------------------------------------------------------- basics
 
@@ -175,12 +189,34 @@ class CohomologyRing:
         deg = k1 + k2
         if deg > self.truncation or self.dim(deg) == 0:
             coords = zero_vec(self.dim(deg))
-        else:
-            prod = self.dga.mul(self.representative(self.basis_class(k1, i1)),
-                                self.representative(self.basis_class(k2, i2)))
+        elif self.factors is None:
+            prod = self.dga.mul(Cochain(k1, self.reps[k1].basis_vectors()[i1]),
+                                Cochain(k2, self.reps[k2].basis_vectors()[i2]))
             coords = self.class_of(prod).coords
+        else:
+            # (x1 (x) y1)(x2 (x) y2) = (-1)^{|y1||x2|} x1 x2 (x) y1 y2
+            ha, hb = self.factors
+            p1, a1, b1 = self.pairs[k1][i1]
+            p2, a2, b2 = self.pairs[k2][i2]
+            q1, q2 = k1 - p1, k2 - p2
+            coords = self.cross_coords(
+                p1 + p2, ha.cup_basis(p1, a1, p2, a2),
+                q1 + q2, hb.cup_basis(q1, b1, q2, b2),
+                -ONE if (q1 * p2) % 2 else ONE)
         self._cup_memo[key] = coords
         return coords
+
+    def cross_coords(self, p: int, xs, q: int, ys, sign=ONE) -> tuple:
+        """Coordinates of sign * x (x) y on the pair basis of a tensor ring,
+        for x in H^p of the first factor and y in H^q of the second."""
+        out = list(zero_vec(self.dim(p + q)))
+        index = self._pair_index[p + q]
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in enumerate(ys):
+                    if y:
+                        out[index[(p, i, j)]] = sign * x * y
+        return tuple(out)
 
     def cup(self, c1: CohClass, c2: CohClass) -> CohClass:
         deg = c1.degree + c2.degree
@@ -213,26 +249,11 @@ class CohomologyRing:
                      sub2: Subspace = None) -> Subspace:
         """Span of products (subspace of H^k1) * (subspace of H^k2), the
         second defaulting to all of H^k2; lives inside H^(k1+k2)."""
-        deg = k1 + k2
-        rights = (sub2.basis_vectors() if sub2 is not None
-                  else [self.basis_class(k2, j).coords for j in range(self.dim(k2))])
-        vectors = []
-        for w in sub.basis_vectors():
-            for r in rights:
-                out = list(zero_vec(self.dim(deg)))
-                for i, c in enumerate(w):
-                    if not c:
-                        continue
-                    for j, e in enumerate(r):
-                        if not e:
-                            continue
-                        ce = c * e
-                        for idx, v in enumerate(self.cup_basis(k1, i, k2, j)):
-                            if v:
-                                out[idx] += ce * v
-                if any(out):
-                    vectors.append(tuple(out))
-        return Subspace.span(self.dim(deg), vectors)
+        rights = (self.classes(k2) if sub2 is None
+                  else [CohClass(k2, v) for v in sub2.basis_vectors()])
+        vectors = [self.cup(CohClass(k1, w), r).coords
+                   for w in sub.basis_vectors() for r in rights]
+        return Subspace.span(self.dim(k1 + k2), vectors)
 
     # ------------------------------------------------------------ invariants
 
@@ -292,86 +313,67 @@ def ideal_powers_length(ring: CohomologyRing, ideal: dict) -> int:
 class KunnethMap:
     """The cross-product isomorphism H(A) (x) H(B) -> H(A (x) B).
 
-    Built on a tensor model whose factors are exactly the rings' models.
-    ``check`` certifies both that the map is a degreewise isomorphism and
-    that it is a ring map for the sign-twisted product on the source.
+    The canonical basis of H(A (x) B) is exactly {r_i (x) s_j}, in the
+    tensor model's (p, i, j) order, where r_i and s_j are the factors'
+    canonical representatives.  So the map is the identity on coordinates,
+    and the square's structure constants are the factors' ones with the
+    Koszul sign, which is how its ring is built.
+
+    Proof.  Let v != 0 be a boundary of A (x) B with leading position
+    (p, a, b).  Its (p, q) block is X + Y, where the columns of X lie in the
+    boundaries B_A and the rows of Y lie in B_B.  The rows before a vanish,
+    so either a is a pivot of B_A, or row a is a nonzero element of B_B and
+    b is a pivot of B_B.  Canonical representatives vanish at boundary
+    pivots, so every r (x) s is zero at (p, a, b).  Hence the r_i (x) s_j
+    lie in the canonical complement and are already in reduced echelon form
+    in pair order; they span it by a dimension count.  ``check`` verifies
+    the statement at the cochain level.
     """
 
-    def __init__(self, ha: CohomologyRing, hb: CohomologyRing, ht: CohomologyRing):
-        t = ht.dga
-        if t.factors is None or t.factors[0] is not ha.dga or t.factors[1] is not hb.dga:
-            raise ValueError("tensor model does not match the factor rings")
+    def __init__(self, ha: CohomologyRing, hb: CohomologyRing):
         self.ha = ha
         self.hb = hb
-        self.ht = ht
-        self.pairs = []
-        self._matrices = []
-        for deg in range(ht.truncation + 1):
-            ps = []
-            for p in range(deg + 1):
-                q = deg - p
-                for i in range(ha.dim(p)):
-                    for j in range(hb.dim(q)):
-                        ps.append((p, i, j))
-            self.pairs.append(tuple(ps))
-            cols = []
-            for (p, i, j) in ps:
-                cols.append(self.cross(ha.basis_class(p, i),
-                                       hb.basis_class(deg - p, j)).coords)
-            self._matrices.append(SparseMatrix.from_columns(ht.dim(deg), cols))
-        self._solvers = {}
+        self.ht = CohomologyRing(tensor(ha.dga, hb.dga), (ha, hb))
+        self.pairs = self.ht.pairs
 
     def cross(self, a: CohClass, b: CohClass) -> CohClass:
-        x = self.ha.representative(a)
-        y = self.hb.representative(b)
-        return self.ht.class_of(tensor_cochain(self.ht.dga, x, y))
+        return CohClass(a.degree + b.degree, self.ht.cross_coords(
+            a.degree, a.coords, b.degree, b.coords))
 
     def check(self) -> None:
-        """Raise unless the cross map is a degreewise ring isomorphism."""
-        for deg in range(self.ht.truncation + 1):
-            m = self._matrices[deg]
-            if m.cols != self.ht.dim(deg):
+        """Raise unless each canonical class of the square is represented by
+        r_i (x) s_j and the table products agree with cochain products."""
+        ht, t = self.ht, self.ht.dga
+        for deg in range(ht.truncation + 1):
+            reps = ht.reps[deg].basis_vectors()
+            if len(reps) != len(self.pairs[deg]):
                 raise ValueError(
                     f"Kunneth dimension mismatch in degree {deg}: "
-                    f"{m.cols} products vs H^{deg} of dimension {self.ht.dim(deg)}")
-            if rank(m) != m.cols:
-                raise ValueError(f"cross map is singular in degree {deg}")
-        # multiplicativity with the Koszul-twisted source product,
-        # (x1 x y1)(x2 x y2) = (-1)^{|y1||x2|} (x1 x2) x (y1 y2)
-        for deg1 in range(self.ht.truncation + 1):
-            for (p1, i1, j1) in self.pairs[deg1]:
-                q1 = deg1 - p1
-                x1 = self.ha.basis_class(p1, i1)
-                y1 = self.hb.basis_class(q1, j1)
-                left1 = self.cross(x1, y1)
-                for deg2 in range(self.ht.truncation + 1 - deg1):
-                    for (p2, i2, j2) in self.pairs[deg2]:
-                        q2 = deg2 - p2
-                        x2 = self.ha.basis_class(p2, i2)
-                        y2 = self.hb.basis_class(q2, j2)
-                        lhs = self.ht.cup(left1, self.cross(x2, y2))
-                        sign = -1 if (q1 * p2) % 2 else 1
-                        rhs = self.cross(self.ha.cup(x1, x2),
-                                         self.hb.cup(y1, y2)).scale(sign)
-                        if lhs != rhs:
+                    f"{len(self.pairs[deg])} products vs H^{deg} of dimension {len(reps)}")
+            for rep, (p, i, j) in zip(reps, self.pairs[deg]):
+                x = self.ha.representative(self.ha.basis_class(p, i))
+                y = self.hb.representative(self.hb.basis_class(deg - p, j))
+                if tensor_cochain(t, x, y).coords != rep:
+                    raise ValueError(f"class {(p, i, j)} of the square is not "
+                                     "represented by the cross product")
+        for k1 in range(ht.truncation + 1):
+            for k2 in range(ht.truncation + 1 - k1):
+                if not ht.dim(k1 + k2):
+                    continue
+                for i1, x in enumerate(ht.reps[k1].basis_vectors()):
+                    for i2, y in enumerate(ht.reps[k2].basis_vectors()):
+                        prod = t.mul(Cochain(k1, x), Cochain(k2, y))
+                        if ht.cup_basis(k1, i1, k2, i2) != ht.class_of(prod).coords:
                             raise ValueError(
-                                f"cross map is not multiplicative on "
-                                f"({p1},{i1})x({q1},{j1}) * ({p2},{i2})x({q2},{j2})")
+                                f"table product differs from the cochain product "
+                                f"on ({k1},{i1}) * ({k2},{i2})")
 
     def decompose(self, c: CohClass) -> dict:
         """Write a class of the tensor model as sum of cross products.
 
-        Returns {(p, i, j): coeff} over pairs of factor basis classes.  The
-        elimination for each degree is factored once and reused.
+        Returns {(p, i, j): coeff} over pairs of factor basis classes.
         """
-        solver = self._solvers.get(c.degree)
-        if solver is None:
-            solver = PrefactoredSolver(self._matrices[c.degree])
-            self._solvers[c.degree] = solver
-        coeffs = solver.solve(c.coords)
-        if coeffs is None:
-            raise ValueError(f"class escapes the Kunneth image in degree {c.degree}")
-        return {pair: v for pair, v in zip(self.pairs[c.degree], coeffs) if v}
+        return {pair: v for pair, v in zip(self.pairs[c.degree], c.coords) if v}
 
     def diagonal_map(self, c: CohClass) -> CohClass:
         """Multiplication map on a self-tensor: x (x) y -> x cup y."""

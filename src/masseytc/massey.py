@@ -89,8 +89,6 @@ def massey_triple(ring: CohomologyRing, alpha: CohClass, beta: CohClass,
     lam = Cochain(q + r - 1, lam_coords)
     sign = 1 if (p + 1) % 2 == 0 else -1
     w = dga.mul(a, lam).add(dga.mul(mu, c).scale(sign))
-    if not dga.d(w).is_zero():
-        raise ValueError("Massey value failed to be a cocycle; broken tables?")
     value = ring.class_of(w)
     indet = massey_indeterminacy(ring, alpha, gamma, q)
     canonical = CohClass(target, indet.reduce(value.coords))

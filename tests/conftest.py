@@ -1,15 +1,15 @@
 """Shared fixtures: golden models are compiled once per session.
 
 The tensor squares and their rings are expensive (hundreds of basis
-elements), so they hide behind factory fixtures that build on first use
-and cache for the rest of the session.
+elements), so each is built once, on first use, by the ``kunneth_of``
+factory; its ``.ht`` is the square's ring and ``.ht.dga`` its model.
 """
 
 import pytest
 
 from masseytc.bounds import build_ledger
 from masseytc.cohomology import CohomologyRing, KunnethMap
-from masseytc.dga import compile_cdga, tensor
+from masseytc.dga import compile_cdga
 from masseytc.dsl import parse_model
 from masseytc.models import golden_models
 
@@ -62,38 +62,13 @@ def rings(dgas):
 
 
 @pytest.fixture(scope="session")
-def square_of(dgas):
-    """Factory: the tensor square of a named model, cached."""
+def kunneth_of(rings):
+    """Factory: the Kunneth map of a named model's square, cached."""
     cache = {}
 
     def get(name):
         if name not in cache:
-            cache[name] = tensor(dgas[name], dgas[name])
-        return cache[name]
-
-    return get
-
-
-@pytest.fixture(scope="session")
-def square_ring_of(square_of):
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            cache[name] = CohomologyRing(square_of(name))
-        return cache[name]
-
-    return get
-
-
-@pytest.fixture(scope="session")
-def kunneth_of(rings, square_ring_of):
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            r = rings[name]
-            cache[name] = KunnethMap(r, r, square_ring_of(name))
+            cache[name] = KunnethMap(rings[name], rings[name])
         return cache[name]
 
     return get

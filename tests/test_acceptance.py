@@ -236,7 +236,7 @@ algebra even7pad {
 """
 
 
-def test_acceptance_5_invariant_suites(rings, dgas, square_of, kunneth_of,
+def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
                                        ledger_of):
     with criterion(5):
         rng = random.Random(60221023)
@@ -247,7 +247,7 @@ def test_acceptance_5_invariant_suites(rings, dgas, square_of, kunneth_of,
             assert dgas[name].validate() == []
         checked = 0
         for name in GOLDEN:
-            t = square_of(name)
+            t = kunneth_of(name).ht.dga
             degs = [k for k in range(t.truncation + 1) if t.dim(k)]
 
             def rand_cochain(k):

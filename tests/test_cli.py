@@ -230,3 +230,11 @@ def test_zcl_json_bytes_are_pinned(name):
     code, payload, _ = cmd_zcl(build_parser().parse_args(["zcl", name]))
     assert code == 0
     assert _sha256(report.render_json(payload)) == ZCL_JSON_DIGESTS[name]
+
+
+def test_readme_python_block_runs():
+    # the README's API example is executed as written, so it cannot drift
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text().split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```")[0], str(readme), "exec"), {})
