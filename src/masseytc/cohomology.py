@@ -7,11 +7,20 @@ reduced form, so ``class_of`` is a pure readout and equal classes always
 get identical coordinate vectors, independent of which representative the
 caller happened to supply.
 
-Products are held as a table of structure constants, one entry per basis
-pair: a ring multiplies its cached basis representatives once per entry,
-and the ring of a tensor model reads its entries off its factor rings'
-tables (see :class:`KunnethMap`).  Cup products, cup length, the Kunneth
-map and zero-divisor computations all extend that one table bilinearly.
+Each degree's cocycles, boundaries and canonical basis are computed the
+first time something needs them, by :meth:`CohomologyRing.part`.  A base
+ring ends up with every degree, since its dimensions are read off them.
+The ring of a tensor model takes its dimensions from the Kunneth pairs
+(see :class:`KunnethMap`), so the square eliminates only in the degrees
+where a Massey witness, ``class_of`` or ``KunnethMap.check`` works with
+cochains.
+
+Products are held as a sparse table of structure constants: one entry per
+basis pair, holding the product's nonzero (index, coefficient) pairs.  A
+ring multiplies its cached basis representatives once per entry, and the
+ring of a tensor model builds its entries from its factor rings' entries.
+Cup products, cup length, the Kunneth map and zero-divisor computations
+all extend that one table bilinearly.
 """
 
 from __future__ import annotations
@@ -46,47 +55,57 @@ class CohClass:
         return self.add(other.scale(-1))
 
 
+@dataclass(frozen=True)
+class DegreePart:
+    """The cocycles, the boundaries and the canonical class basis of one
+    degree, all as subspaces of that degree's cochains."""
+
+    cocycles: Subspace
+    boundaries: Subspace
+    reps: Subspace
+
+
 class CohomologyRing:
     """H^*(A; Q) of a finite DGA, as explicit exact-arithmetic data.
 
     The ring of a tensor model A (x) B is built with ``factors``, the rings
-    of A and B: its basis is then indexed by ``pairs``, and its products
-    come from the factors' tables (see :class:`KunnethMap`).
+    of A and B: its basis is then indexed by ``pairs``, its dimensions are
+    the numbers of pairs, and its products come from the factors' tables
+    (see :class:`KunnethMap`).
     """
 
     def __init__(self, dga: DGA, factors: tuple = None):
         self.dga = dga
-        n = dga.truncation
-        self.cocycles = []
-        self.boundaries = []
-        self.reps = []
-        for k in range(n + 1):
-            z = kernel(dga.diff[k])
-            b = image(dga.diff[k - 1]) if k > 0 else Subspace.zero(dga.dim(0))
-            if not z.contains_subspace(b):
-                raise ValueError(f"boundaries escape cocycles in degree {k}; d^2 != 0?")
-            reduced = [b.reduce(v) for v in z.basis_vectors()]
-            self.cocycles.append(z)
-            self.boundaries.append(b)
-            self.reps.append(Subspace.span(dga.dim(k), reduced))
-        self.cocycles = tuple(self.cocycles)
-        self.boundaries = tuple(self.boundaries)
-        self.reps = tuple(self.reps)
-        if dga.simply_connected and self.dim(1) != 0:
-            raise ValueError(
-                f"model {dga.name} is declared simply connected but H^1 has "
-                f"dimension {self.dim(1)}")
+        self.factors = factors
+        self._parts = {}
         self._cup_memo = {}
         self._cup_length = None
         self._boundary_solvers = {}
-        self.factors = factors
         if factors is not None:
             ha, hb = factors
             self.pairs = tuple(
                 tuple((p, i, j) for p in range(k + 1)
                       for i in range(ha.dim(p)) for j in range(hb.dim(k - p)))
-                for k in range(n + 1))
+                for k in range(dga.truncation + 1))
             self._pair_index = [{t: i for i, t in enumerate(ps)} for ps in self.pairs]
+        if dga.simply_connected and self.dim(1) != 0:
+            raise ValueError(
+                f"model {dga.name} is declared simply connected but H^1 has "
+                f"dimension {self.dim(1)}")
+
+    def part(self, k: int) -> DegreePart:
+        """Cocycles, boundaries and canonical basis of degree k; computed on
+        first use and memoized."""
+        hit = self._parts.get(k)
+        if hit is None:
+            dga = self.dga
+            z = kernel(dga.diff[k])
+            b = image(dga.diff[k - 1]) if k > 0 else Subspace.zero(dga.dim(0))
+            if not z.contains_subspace(b):
+                raise ValueError(f"boundaries escape cocycles in degree {k}; d^2 != 0?")
+            reps = Subspace.span(dga.dim(k), [b.reduce(v) for v in z.basis_vectors()])
+            hit = self._parts[k] = DegreePart(z, b, reps)
+        return hit
 
     # ------------------------------------------------------------- basics
 
@@ -95,9 +114,11 @@ class CohomologyRing:
         return self.dga.truncation
 
     def dim(self, k: int) -> int:
-        if 0 <= k <= self.truncation:
-            return self.reps[k].dim
-        return 0
+        if not 0 <= k <= self.truncation:
+            return 0
+        if self.factors is not None:
+            return len(self.pairs[k])
+        return self.part(k).reps.dim
 
     def dims(self) -> tuple:
         return tuple(self.dim(k) for k in range(self.truncation + 1))
@@ -122,7 +143,7 @@ class CohomologyRing:
     def representative(self, cls: CohClass) -> Cochain:
         if not (0 <= cls.degree <= self.truncation):
             return Cochain(cls.degree, ())
-        vecs = self.reps[cls.degree].basis_vectors()
+        vecs = self.part(cls.degree).reps.basis_vectors()
         out = list(zero_vec(self.dga.dim(cls.degree)))
         for c, v in zip(cls.coords, vecs):
             if c:
@@ -138,8 +159,8 @@ class CohomologyRing:
         if not dx.is_zero():
             raise ValueError(
                 f"not a cocycle: d({self.dga.render(x)}) = {self.dga.render(dx)}")
-        reduced = self.boundaries[k].reduce(x.coords)
-        coords = self.reps[k].coordinates_of(reduced)
+        part = self.part(k)
+        coords = part.reps.coordinates_of(part.boundaries.reduce(x.coords))
         if coords is None:
             raise ValueError(f"reduced cocycle escaped the class basis in degree {k}")
         return CohClass(k, coords)
@@ -181,57 +202,65 @@ class CohomologyRing:
     # ------------------------------------------------------------- products
 
     def cup_basis(self, k1: int, i1: int, k2: int, i2: int) -> tuple:
-        """Coordinates of the product of two basis classes; memoized."""
+        """The product of two basis classes as its nonzero (index,
+        coefficient) pairs, in index order; memoized."""
         key = (k1, i1, k2, i2)
         hit = self._cup_memo.get(key)
         if hit is not None:
             return hit
         deg = k1 + k2
-        if deg > self.truncation or self.dim(deg) == 0:
-            coords = zero_vec(self.dim(deg))
+        if self.dim(deg) == 0:
+            entry = ()
         elif self.factors is None:
-            prod = self.dga.mul(Cochain(k1, self.reps[k1].basis_vectors()[i1]),
-                                Cochain(k2, self.reps[k2].basis_vectors()[i2]))
-            coords = self.class_of(prod).coords
+            prod = self.dga.mul(Cochain(k1, self.part(k1).reps.basis_vectors()[i1]),
+                                Cochain(k2, self.part(k2).reps.basis_vectors()[i2]))
+            entry = tuple((i, c) for i, c in enumerate(self.class_of(prod).coords) if c)
         else:
             # (x1 (x) y1)(x2 (x) y2) = (-1)^{|y1||x2|} x1 x2 (x) y1 y2
             ha, hb = self.factors
             p1, a1, b1 = self.pairs[k1][i1]
             p2, a2, b2 = self.pairs[k2][i2]
             q1, q2 = k1 - p1, k2 - p2
-            coords = self.cross_coords(
-                p1 + p2, ha.cup_basis(p1, a1, p2, a2),
-                q1 + q2, hb.cup_basis(q1, b1, q2, b2),
-                -ONE if (q1 * p2) % 2 else ONE)
-        self._cup_memo[key] = coords
-        return coords
+            left = ha.cup_basis(p1, a1, p2, a2)
+            right = hb.cup_basis(q1, b1, q2, b2) if left else ()
+            index = self._pair_index[deg]
+            odd = (q1 * p2) % 2
+            entry = []
+            for ia, ca in left:
+                for jb, cb in right:
+                    c = ca * cb
+                    entry.append((index[(p1 + p2, ia, jb)], -c if odd else c))
+            entry = tuple(entry)
+        self._cup_memo[key] = entry
+        return entry
 
-    def cross_coords(self, p: int, xs, q: int, ys, sign=ONE) -> tuple:
-        """Coordinates of sign * x (x) y on the pair basis of a tensor ring,
-        for x in H^p of the first factor and y in H^q of the second."""
+    def cross_coords(self, p: int, xs, q: int, ys) -> tuple:
+        """Coordinates of x (x) y on the pair basis of a tensor ring, for x
+        in H^p of the first factor and y in H^q of the second."""
         out = list(zero_vec(self.dim(p + q)))
         index = self._pair_index[p + q]
         for i, x in enumerate(xs):
             if x:
                 for j, y in enumerate(ys):
                     if y:
-                        out[index[(p, i, j)]] = sign * x * y
+                        out[index[(p, i, j)]] = x * y
         return tuple(out)
 
     def cup(self, c1: CohClass, c2: CohClass) -> CohClass:
-        deg = c1.degree + c2.degree
-        out = list(zero_vec(self.dim(deg)))
-        for i1, a in enumerate(c1.coords):
-            if not a:
-                continue
-            for i2, b in enumerate(c2.coords):
-                if not b:
-                    continue
-                ab = a * b
-                for idx, v in enumerate(self.cup_basis(c1.degree, i1, c2.degree, i2)):
-                    if v:
+        return CohClass(c1.degree + c2.degree, self._cup_nonzero(
+            c1.degree, _nonzero(c1.coords), c2.degree, _nonzero(c2.coords)))
+
+    def _cup_nonzero(self, k1: int, left: list, k2: int, right: list) -> tuple:
+        """Coordinates of the product of two classes given by their nonzero
+        (index, coefficient) pairs."""
+        out = list(zero_vec(self.dim(k1 + k2)))
+        if out:
+            for i1, a in left:
+                for i2, b in right:
+                    ab = a * b
+                    for idx, v in self.cup_basis(k1, i1, k2, i2):
                         out[idx] += ab * v
-        return CohClass(deg, tuple(out))
+        return tuple(out)
 
     def cup_checked(self, c1: CohClass, c2: CohClass):
         """(product, truncated): the flag marks products the truncation hides.
@@ -249,10 +278,10 @@ class CohomologyRing:
                      sub2: Subspace = None) -> Subspace:
         """Span of products (subspace of H^k1) * (subspace of H^k2), the
         second defaulting to all of H^k2; lives inside H^(k1+k2)."""
-        rights = (self.classes(k2) if sub2 is None
-                  else [CohClass(k2, v) for v in sub2.basis_vectors()])
-        vectors = [self.cup(CohClass(k1, w), r).coords
-                   for w in sub.basis_vectors() for r in rights]
+        rights = ([[(i, ONE)] for i in range(self.dim(k2))] if sub2 is None
+                  else [_nonzero(v) for v in sub2.basis_vectors()])
+        lefts = [_nonzero(w) for w in sub.basis_vectors()]
+        vectors = [self._cup_nonzero(k1, left, k2, r) for left in lefts for r in rights]
         return Subspace.span(self.dim(k1 + k2), vectors)
 
     # ------------------------------------------------------------ invariants
@@ -307,6 +336,10 @@ def ideal_powers_length(ring: CohomologyRing, ideal: dict) -> int:
         k += 1
 
 
+def _nonzero(coords) -> list:
+    return [(i, c) for i, c in enumerate(coords) if c]
+
+
 # ------------------------------------------------------------------ Kunneth
 
 
@@ -316,8 +349,9 @@ class KunnethMap:
     The canonical basis of H(A (x) B) is exactly {r_i (x) s_j}, in the
     tensor model's (p, i, j) order, where r_i and s_j are the factors'
     canonical representatives.  So the map is the identity on coordinates,
-    and the square's structure constants are the factors' ones with the
-    Koszul sign, which is how its ring is built.
+    the square's dimensions are the numbers of pairs, and its structure
+    constants are the factors' ones with the Koszul sign.  That is how its
+    ring is built, so building the map runs no elimination.
 
     Proof.  Let v != 0 be a boundary of A (x) B with leading position
     (p, a, b).  Its (p, q) block is X + Y, where the columns of X lie in the
@@ -327,7 +361,8 @@ class KunnethMap:
     pivots, so every r (x) s is zero at (p, a, b).  Hence the r_i (x) s_j
     lie in the canonical complement and are already in reduced echelon form
     in pair order; they span it by a dimension count.  ``check`` verifies
-    the statement at the cochain level.
+    the statement at the cochain level, eliminating every degree of the
+    square.
     """
 
     def __init__(self, ha: CohomologyRing, hb: CohomologyRing):
@@ -345,7 +380,7 @@ class KunnethMap:
         r_i (x) s_j and the table products agree with cochain products."""
         ht, t = self.ht, self.ht.dga
         for deg in range(ht.truncation + 1):
-            reps = ht.reps[deg].basis_vectors()
+            reps = ht.part(deg).reps.basis_vectors()
             if len(reps) != len(self.pairs[deg]):
                 raise ValueError(
                     f"Kunneth dimension mismatch in degree {deg}: "
@@ -358,12 +393,16 @@ class KunnethMap:
                                      "represented by the cross product")
         for k1 in range(ht.truncation + 1):
             for k2 in range(ht.truncation + 1 - k1):
-                if not ht.dim(k1 + k2):
+                n = ht.dim(k1 + k2)
+                if not n:
                     continue
-                for i1, x in enumerate(ht.reps[k1].basis_vectors()):
-                    for i2, y in enumerate(ht.reps[k2].basis_vectors()):
+                for i1, x in enumerate(ht.part(k1).reps.basis_vectors()):
+                    for i2, y in enumerate(ht.part(k2).reps.basis_vectors()):
                         prod = t.mul(Cochain(k1, x), Cochain(k2, y))
-                        if ht.cup_basis(k1, i1, k2, i2) != ht.class_of(prod).coords:
+                        table = [ZERO] * n
+                        for idx, v in ht.cup_basis(k1, i1, k2, i2):
+                            table[idx] = v
+                        if tuple(table) != ht.class_of(prod).coords:
                             raise ValueError(
                                 f"table product differs from the cochain product "
                                 f"on ({k1},{i1}) * ({k2},{i2})")

@@ -616,11 +616,12 @@ def tensor(a: DGA, b: DGA) -> DGA:
                     right = b.mult.get((q1, b1, q2, b2))
                     if not right:
                         continue
-                    sign = -ONE if (q1 * p2) % 2 else ONE
+                    odd = (q1 * p2) % 2
                     entry = []
                     for ia, ca in left:
                         for jb, cb in right:
-                            entry.append((tindex[(p1 + p2, ia, jb)], sign * ca * cb))
+                            c = ca * cb
+                            entry.append((tindex[(p1 + p2, ia, jb)], -c if odd else c))
                     entry.sort()
                     mult[(n1, i1, n2, i2)] = tuple(entry)
 

@@ -297,7 +297,7 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
         r = rings["borromean"]
         u, v, w = (r.named_class(n) for n in ("u", "v", "w"))
         base = massey_triple(r, u, v, w)
-        cocycles = r.cocycles[1].basis_vectors()
+        cocycles = r.part(1).cocycles.basis_vectors()
         for _ in range(40):
             xi = r.dga.zero_cochain(1)
             eta = r.dga.zero_cochain(1)

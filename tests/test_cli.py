@@ -52,6 +52,8 @@ BOUNDS_DIGESTS = {
 }
 ZCL_JSON_DIGESTS = {
     "spheres8": "3b8dafe83ea5f58a1e59bacd2a51c63352a44e62fbea6bede157c67863c4bfa5",
+    "borromean": "c12f347ee71e4216fc9d4f6f28d81a2fca8baf15e4b6ed5d9a842f6df8d37bcd",
+    "even7": "bb0d80122040760854f9420a3cd90fd949725a6c3aec203e4d21fa1b6ef0e114",
     "odd11": "01c494ee26013ea5f4d6c38417cddeda1dd4357189b5be46d6b0e24c9919ce48",
 }
 

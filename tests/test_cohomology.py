@@ -10,6 +10,8 @@ import random
 import pytest
 import sympy
 
+import masseytc.cohomology
+from masseytc.bounds import build_ledger
 from masseytc.cohomology import CohomologyRing, KunnethMap
 from masseytc.dga import Generator, compile_cdga, normalize_presentation
 from masseytc.dsl import parse_model
@@ -52,8 +54,8 @@ def test_rank_nullity_internal(dgas, rings):
     for name, dga in dgas.items():
         ring = rings[name]
         for k in range(dga.truncation + 1):
-            z = ring.cocycles[k]
-            b = ring.boundaries[k]
+            z = ring.part(k).cocycles
+            b = ring.part(k).boundaries
             assert z.dim == dga.dim(k) - rank(dga.diff[k])
             assert b.dim == (rank(dga.diff[k - 1]) if k else 0)
             assert ring.dim(k) == z.dim - b.dim
@@ -159,7 +161,7 @@ def test_representative_roundtrip(rings):
                 c = ring.basis_class(k, i)
                 rep = ring.representative(c)
                 assert ring.class_of(rep) == c, (name, k, i)
-                assert ring.boundaries[k].reduce(rep.coords) == rep.coords
+                assert ring.part(k).boundaries.reduce(rep.coords) == rep.coords
 
 
 def test_cup_length(rings):
@@ -288,3 +290,35 @@ def test_kunneth_is_the_identity_on_mixed_squares(rings, first, second):
     assert k.ht.dims() == tuple(
         sum(rings[first].dim(p) * rings[second].dim(d - p) for p in range(d + 1))
         for d in range(k.ht.truncation + 1))
+
+
+@pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11"])
+def test_kunneth_is_the_identity_on_golden_squares(kunneth_of, name):
+    # the square's dimensions are read off the pairs; check() eliminates
+    # every degree of the square and ties them to its cohomology
+    kunneth_of(name).check()
+
+
+@pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11"])
+def test_square_eliminates_only_on_demand(rings, monkeypatch, name):
+    # only the Rudyak scan's Massey triples need the square's cochains, and
+    # only borromean computes any; each degree costs one kernel and one image
+    ring = rings[name]
+    ring.dims()
+    calls = []
+
+    def counted(fn):
+        def wrapper(m):
+            calls.append(fn.__name__)
+            return fn(m)
+        return wrapper
+
+    for fn in ("kernel", "image"):
+        monkeypatch.setattr(masseytc.cohomology, fn,
+                            counted(getattr(masseytc.cohomology, fn)))
+    kmap = KunnethMap(ring, ring)
+    build_ledger(ring, kmap)
+    if name == "borromean":
+        assert 0 < len(calls) < 2 * (kmap.ht.truncation + 1)
+    else:
+        assert calls == []
