@@ -143,11 +143,10 @@ class CohomologyRing:
     def representative(self, cls: CohClass) -> Cochain:
         if not (0 <= cls.degree <= self.truncation):
             return Cochain(cls.degree, ())
-        vecs = self.part(cls.degree).reps.basis_vectors()
         out = list(zero_vec(self.dga.dim(cls.degree)))
-        for c, v in zip(cls.coords, vecs):
+        for c, col in zip(cls.coords, self.part(cls.degree).reps.nonzero_columns):
             if c:
-                for i, x in enumerate(v):
+                for i, x in col:
                     out[i] += c * x
         return Cochain(cls.degree, tuple(out))
 
@@ -279,9 +278,9 @@ class CohomologyRing:
         """Span of products (subspace of H^k1) * (subspace of H^k2), the
         second defaulting to all of H^k2; lives inside H^(k1+k2)."""
         rights = ([[(i, ONE)] for i in range(self.dim(k2))] if sub2 is None
-                  else [_nonzero(v) for v in sub2.basis_vectors()])
-        lefts = [_nonzero(w) for w in sub.basis_vectors()]
-        vectors = [self._cup_nonzero(k1, left, k2, r) for left in lefts for r in rights]
+                  else sub2.nonzero_columns)
+        vectors = [self._cup_nonzero(k1, left, k2, r)
+                   for left in sub.nonzero_columns for r in rights]
         return Subspace.span(self.dim(k1 + k2), vectors)
 
     # ------------------------------------------------------------ invariants

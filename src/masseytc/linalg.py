@@ -7,11 +7,15 @@ strictly increase left to right, pivot entries are 1 and pivot rows vanish in
 every other column).  Two subspaces are equal iff their stored bases are
 structurally equal, and coset reduction has one canonical output, which is
 what the cohomology and Massey layers rely on.
+
+Vectors stay dense tuples at the API, but elimination walks nonzero entries
+only: the vector being reduced and each basis column are held as their
+nonzero (index, value) entries.  The reduced echelon basis of a span is
+unique, so the order of the operations cannot change a result.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -120,13 +124,6 @@ class SparseMatrix:
             rows[r][c] = v
         return tuple(rows)
 
-    def column(self, j: int) -> Vector:
-        col = [ZERO] * self.rows
-        for r, c, v in self.entries:
-            if c == j:
-                col[r] = v
-        return tuple(col)
-
     def columns(self) -> list:
         cols = [[ZERO] * self.rows for _ in range(self.cols)]
         for r, c, v in self.entries:
@@ -160,41 +157,43 @@ class SparseMatrix:
         return SparseMatrix.from_dict(self.rows, other.cols, data)
 
 
-def _reduce_in_place(w: list, basis: Sequence[Sequence], pivots: Sequence[int]) -> None:
-    """Eliminate the pivot coordinates of ``w`` against an echelon basis."""
-    for col, p in zip(basis, pivots):
-        c = w[p]
-        if c:
-            for i in range(p, len(w)):
-                ci = col[i]
-                if ci:
-                    w[i] -= c * ci
-
-
 def _echelon_columns(vectors: Iterable[Sequence], ambient: int):
-    """Reduced column echelon basis of the span of ``vectors``."""
-    basis: list = []
-    pivots: list = []
+    """Reduced column echelon basis of the span of ``vectors``: the pivots
+    in increasing order and, in the same order, each basis column as an
+    {index: nonzero value} dict."""
+    column_at = {}  # pivot -> column
     for v in vectors:
         if len(v) != ambient:
             raise ValueError(f"vector length {len(v)} != ambient {ambient}")
-        w = list(v)
-        _reduce_in_place(w, basis, pivots)
-        p = next((i for i, x in enumerate(w) if x), None)
-        if p is None:
+        w = {i: x for i, x in enumerate(v) if x}
+        # The basis vanishes at every other pivot, so each pivot coordinate
+        # of w keeps its value until that pivot's column is subtracted.
+        for p, c in [(p, c) for p, c in w.items() if p in column_at]:
+            for i, x in column_at[p].items():
+                x = w.get(i, ZERO) - c * x
+                if x:
+                    w[i] = x
+                else:
+                    del w[i]
+        if not w:
             continue
+        p = min(w)
         inv = ONE / w[p]
-        w = [x * inv for x in w]
-        for col in basis:
-            c = col[p]
+        if inv != 1:
+            w = {i: x * inv for i, x in w.items()}
+        # back-substitution: clear row p in the other columns
+        for col in column_at.values():
+            c = col.get(p)
             if c:
-                for i in range(p, ambient):
-                    if w[i]:
-                        col[i] -= c * w[i]
-        at = bisect_left(pivots, p)
-        basis.insert(at, w)
-        pivots.insert(at, p)
-    return [tuple(col) for col in basis], tuple(pivots)
+                for i, x in w.items():
+                    x = col.get(i, ZERO) - c * x
+                    if x:
+                        col[i] = x
+                    else:
+                        del col[i]
+        column_at[p] = w
+    pivots = tuple(sorted(column_at))
+    return pivots, [column_at[p] for p in pivots]
 
 
 @dataclass(frozen=True)
@@ -207,8 +206,10 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        cols, pivots = _echelon_columns(vectors, ambient)
-        return cls(ambient, SparseMatrix.from_columns(ambient, cols), pivots)
+        pivots, cols = _echelon_columns(vectors, ambient)
+        entries = sorted((r, c, Fraction(x))
+                         for c, col in enumerate(cols) for r, x in col.items())
+        return cls(ambient, SparseMatrix(ambient, len(cols), tuple(entries)), pivots)
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -226,50 +227,58 @@ class Subspace:
         return not self.pivots
 
     @cached_property
+    def nonzero_columns(self) -> tuple:
+        """Each basis vector as its nonzero (index, value) pairs, in index
+        order."""
+        cols = [[] for _ in self.pivots]
+        for r, c, x in self.basis.entries:
+            cols[c].append((r, x))
+        return tuple(tuple(col) for col in cols)
+
+    @cached_property
     def _columns(self) -> list:
         return self.basis.columns()
 
     def basis_vectors(self) -> list:
         return list(self._columns)
 
+    def _reduced(self, v: Sequence) -> list:
+        if len(v) != self.ambient:
+            raise ValueError(f"dimension mismatch: ambient {self.ambient}, vector {len(v)}")
+        # v's pivot coordinates are the coefficients: the basis vanishes at
+        # every other pivot, so subtracting one column leaves them alone.
+        w = list(v)
+        for p, col in zip(self.pivots, self.nonzero_columns):
+            c = v[p]
+            if c:
+                for i, x in col:
+                    w[i] -= c * x
+        return w
+
     def reduce(self, v: Vector) -> Vector:
         """Canonical representative of the coset v + self.
 
         Linear in v, idempotent, and zero exactly on members.
         """
-        if len(v) != self.ambient:
-            raise ValueError(f"dimension mismatch: ambient {self.ambient}, vector {len(v)}")
-        w = list(v)
-        _reduce_in_place(w, self._columns, self.pivots)
-        return tuple(w)
+        return tuple(self._reduced(v))
 
     def contains(self, v: Vector) -> bool:
-        return is_zero_vec(self.reduce(v))
+        return not any(self._reduced(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(col) for col in other._columns)
+        return all(self.contains(col) for col in other.basis.columns())
 
     def add(self, other: "Subspace") -> "Subspace":
         """Subspace sum."""
         if self.ambient != other.ambient:
             raise ValueError(f"ambient mismatch: {self.ambient} != {other.ambient}")
-        return Subspace.span(self.ambient, self._columns + other._columns)
+        return Subspace.span(self.ambient, self.basis.columns() + other.basis.columns())
 
     def coordinates_of(self, v: Vector) -> Optional[Vector]:
         """Coefficients of v over the echelon basis, or None if v is outside."""
-        w = list(v)
-        coeffs = []
-        for col, p in zip(self._columns, self.pivots):
-            c = w[p]
-            coeffs.append(c)
-            if c:
-                for i in range(p, len(w)):
-                    ci = col[i]
-                    if ci:
-                        w[i] -= c * ci
-        if any(w):
+        if any(self._reduced(v)):
             return None
-        return tuple(coeffs)
+        return tuple(v[p] for p in self.pivots)
 
 
 def kernel(a: SparseMatrix) -> Subspace:

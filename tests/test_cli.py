@@ -57,6 +57,31 @@ ZCL_JSON_DIGESTS = {
     "odd11": "01c494ee26013ea5f4d6c38417cddeda1dd4357189b5be46d6b0e24c9919ce48",
 }
 
+# The bench stress model for seed 1 (two-step nilpotent, 676-dimensional
+# square), with the sha256 of its `bounds --json` and `bounds` text output
+# and of its `zcl --json`: the zero-divisor ideal's powers in the square
+# are the largest eliminations any model here runs.
+STRESS_NIL_SRC = """\
+algebra stressnil {
+  field Q
+  truncate 3
+  space-dim 5
+  simply-connected false
+  generator x1 degree 1
+  generator x2 degree 1
+  generator x3 degree 1
+  generator y1 degree 1
+  generator y2 degree 1
+  d y1 = -3*x1*x2 - 1/2*x1*x3 + 3/2*x2*x3
+  d y2 = 2*x1*x2 + 3*x1*x3 + 3/2*x2*x3
+}
+"""
+STRESS_NIL_DIGESTS = (
+    "037ce762f31f4724caa368f4405b814529f685ea8723a603a8b8e11fdeea9302",
+    "26a8f25f8b128adb6e0407710152e357bd3e1a87ff8109166b7b1fcf7ccafa2e",
+    "291ca743da421550da0e0d1339c8ed903c8fd3bf896049943770442fbf1bdea8",
+)
+
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -232,6 +257,17 @@ def test_zcl_json_bytes_are_pinned(name):
     code, payload, _ = cmd_zcl(build_parser().parse_args(["zcl", name]))
     assert code == 0
     assert _sha256(report.render_json(payload)) == ZCL_JSON_DIGESTS[name]
+
+
+def test_stress_model_output_bytes_are_pinned(tmp_path):
+    path = tmp_path / "stressnil.mtc"
+    path.write_text(STRESS_NIL_SRC)
+    code, payload, text = cmd_bounds(build_parser().parse_args(["bounds", str(path)]))
+    assert code == 0
+    zcode, zpayload, _ = cmd_zcl(build_parser().parse_args(["zcl", str(path)]))
+    assert zcode == 0
+    assert (_sha256(report.render_json(payload)), _sha256(text),
+            _sha256(report.render_json(zpayload))) == STRESS_NIL_DIGESTS
 
 
 def test_readme_python_block_runs():

@@ -232,6 +232,121 @@ def test_reduce_is_idempotent_and_translation_invariant():
         assert s.contains(v) == is_zero_vec(r)
 
 
+def test_span_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError, match="vector length 2 != ambient 3"):
+        Subspace.span(3, [vec([1, 2])])
+    with pytest.raises(ValueError, match="vector length 4 != ambient 3"):
+        Subspace.span(3, [vec([1, 0, 0]), vec([0, 1, 0, 0])])
+
+
+def test_span_of_nothing_or_zeros_is_the_zero_subspace():
+    assert Subspace.span(0, []) == Subspace.zero(0)
+    assert Subspace.span(0, [(), ()]) == Subspace.zero(0)
+    assert Subspace.span(4, []) == Subspace.zero(4)
+    z = Subspace.span(4, [zero_vec(4)] * 3)
+    assert z == Subspace.zero(4)
+    assert z.dim == 0 and z.basis_vectors() == [] and z.nonzero_columns == ()
+    assert z.reduce(vec([1, 0, 2, 0])) == vec([1, 0, 2, 0])
+    assert z.coordinates_of(zero_vec(4)) == ()
+    assert z.coordinates_of(vec([0, 0, 0, 1])) is None
+
+
+def _sparse_fraction_vector(rng, ambient, start=0):
+    """A mostly-zero vector with fractional entries, zero before ``start``."""
+    v = [Fraction(0)] * ambient
+    for i in range(start, ambient):
+        if rng.random() < 0.15:
+            v[i] = Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.choice([1, 2, 3, 7]))
+    return v
+
+
+def _echelon_inputs(rng, ambient):
+    """Vectors that reach every branch of the sparse echelon: zero vectors,
+    duplicates, scalar multiples, combinations that reduce to exactly zero,
+    and pairs u + t*w, w fed in that order with u's pivot before w's, so
+    that back-substitution of w cancels all of t*w to exactly zero."""
+    vectors = []
+    for _ in range(rng.randint(0, ambient + 3)):
+        kind = rng.random() if vectors else 0.0
+        if kind < 0.4:
+            vectors.append(_sparse_fraction_vector(rng, ambient))
+        elif kind < 0.5:
+            vectors.append([Fraction(0)] * ambient)
+        elif kind < 0.6:
+            vectors.append(list(rng.choice(vectors)))
+        elif kind < 0.7:
+            c = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([2, 3]))
+            vectors.append([c * x for x in rng.choice(vectors)])
+        elif kind < 0.85:
+            combo = [Fraction(0)] * ambient
+            for g in rng.sample(vectors, min(3, len(vectors))):
+                c = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5]))
+                combo = [a + c * b for a, b in zip(combo, g)]
+            vectors.append(combo)
+        elif ambient >= 2:
+            a = rng.randrange(ambient - 1)
+            w = _sparse_fraction_vector(rng, ambient, a + 1)
+            w[rng.randrange(a + 1, ambient)] = Fraction(rng.choice([1, -2]), 3)
+            u = _sparse_fraction_vector(rng, ambient, a + 1)
+            u[a] = Fraction(rng.choice([3, -1]), 2)
+            t = Fraction(rng.choice([-7, 1, 4]), rng.choice([1, 3]))
+            vectors.append([x + t * y for x, y in zip(u, w)])
+            vectors.append(w)
+    return [tuple(v) for v in vectors]
+
+
+def _dense_reduce(cols, pivots, v):
+    """Reduction of v against an echelon basis, coordinate by coordinate."""
+    w = list(v)
+    coeffs = []
+    for col, p in zip(cols, pivots):
+        c = w[p]
+        coeffs.append(c)
+        w = [x - c * y for x, y in zip(w, col)]
+    return tuple(w), tuple(coeffs)
+
+
+def test_sparse_echelon_against_sympy_rref():
+    rng = random.Random(707)
+    dependent = 0
+    for trial in range(123):
+        ambient = trial % 41
+        vectors = _echelon_inputs(rng, ambient)
+        s = Subspace.span(ambient, vectors)
+        m = sympy.zeros(len(vectors), ambient)
+        for r, v in enumerate(vectors):
+            for c, x in enumerate(v):
+                m[r, c] = sympy.Rational(x.numerator, x.denominator)
+        rref, pivots = m.rref()
+        expect = [tuple(Fraction(int(x.p), int(x.q)) for x in rref.row(r))
+                  for r in range(len(pivots))]
+        assert s.basis_vectors() == expect
+        assert s.pivots == tuple(pivots)
+        assert s.nonzero_columns == tuple(
+            tuple((i, x) for i, x in enumerate(col) if x) for col in expect)
+        assert s == Subspace.span(ambient, list(reversed(vectors)))
+        dependent += len(vectors) > s.dim
+        # probes: members of the span, then mostly-zero vectors
+        for k in range(6):
+            if k < 3:
+                v = [Fraction(0)] * ambient
+                for col in expect:
+                    c = Fraction(rng.randint(-4, 4), rng.choice([1, 3]))
+                    v = [a + c * b for a, b in zip(v, col)]
+            else:
+                v = _sparse_fraction_vector(rng, ambient)
+            v = tuple(v)
+            reduced, coeffs = _dense_reduce(expect, s.pivots, v)
+            inside = not any(reduced)
+            assert inside or k >= 3
+            assert s.reduce(v) == reduced
+            assert s.contains(v) == inside
+            assert s.coordinates_of(v) == (coeffs if inside else None)
+            member = tuple(a - b for a, b in zip(v, reduced))
+            assert s.coordinates_of(member) == coeffs
+    assert dependent > 80
+
+
 def test_coordinates_roundtrip():
     s = Subspace.span(3, [vec([1, 2, 0]), vec([0, 1, 1])])
     v = vec_add(vec_scale(2, s.basis_vectors()[0]), vec_scale(-3, s.basis_vectors()[1]))
