@@ -118,6 +118,27 @@ def zero_divisor_ideal(kmap: KunnethMap) -> dict:
     return {ell: sub for ell, sub in out.items() if sub.dim}
 
 
+def indecomposables(ring: CohomologyRing) -> list:
+    """Basis classes that generate H^+ as an algebra.
+
+    In each degree d these are the e_j whose index j is not a pivot of the
+    decomposables D^d = sum_{0<i<d} H^i H^(d-i): unit vectors off the
+    pivots of an echelon basis span a complement of it.
+    """
+    out = []
+    for d in range(1, ring.truncation + 1):
+        n = ring.dim(d)
+        if not n:
+            continue
+        dec = Subspace.zero(n)
+        for i in range(1, d):
+            if ring.dim(i) and ring.dim(d - i):
+                dec = dec.add(ring.product_span(i, Subspace.full(ring.dim(i)), d - i))
+        pivots = set(dec.pivots)
+        out.extend(ring.basis_class(d, j) for j in range(n) if j not in pivots)
+    return out
+
+
 def _chain_search(ring: CohomologyRing, ideal: dict, k: int) -> tuple:
     """A k-tuple of ideal basis classes with nonzero product.
 
@@ -155,7 +176,9 @@ def _chain_search(ring: CohomologyRing, ideal: dict, k: int) -> tuple:
             picked.pop()
         return False
 
-    if not rec(0, None, 0):
+    found = rec(0, None, 0)
+    rec = None  # the closure holds itself, and the ring, through its cell
+    if not found:
         raise ValueError(f"no chain of length {k} although the ideal power is nonzero")
     return tuple(picked), result[0]
 
@@ -170,10 +193,22 @@ def cup_chain(ring: CohomologyRing) -> tuple:
 
 
 def zero_divisors_cup_length(kmap: KunnethMap) -> tuple:
-    """(zcl, witness chain of zero-divisors, their product)."""
-    ideal = zero_divisor_ideal(kmap)
-    k = ideal_powers_length(kmap.ht, ideal)
-    chain, prod = _chain_search(kmap.ht, ideal, k)
+    """(zcl, witness chain of zero-divisors, their product).
+
+    zcl is the largest k with I^k != 0, for I the zero-divisor ideal.  I is
+    generated by the bars of the indecomposables of H^+, so I^k != 0
+    exactly when some product of k such bars is nonzero, and the power
+    loop runs over their span instead of over I.  The witness is the first
+    chain among the basis classes of I itself, so it does not depend on
+    which generators were chosen.
+    """
+    ht = kmap.ht
+    bars = {}
+    for u in indecomposables(kmap.ha):
+        bars.setdefault(u.degree, []).append(bar(kmap, u).coords)
+    k = ideal_powers_length(
+        ht, {d: Subspace.span(ht.dim(d), vs) for d, vs in bars.items()})
+    chain, prod = _chain_search(ht, zero_divisor_ideal(kmap), k)
     return k, chain, prod
 
 
@@ -302,6 +337,7 @@ def weighted_lower_bound(ring: CohomologyRing, facts: dict) -> tuple:
         if f.cls.degree > top:
             continue
         rec(i, f.cls, f.weight, [f.key])
+    rec = None  # the closure holds itself, and the ring, through its cell
     return best[0], best[1], best[2]
 
 
@@ -379,6 +415,12 @@ class BoundLedger:
 
     def to_dict(self) -> dict:
         """Pure JSON payload (Fractions become strings)."""
+        return {**self.summary_dict(),
+                "cat_facts": [_fact_dict(f) for f in self.cat_facts],
+                "tc_facts": [_fact_dict(f) for f in self.tc_facts]}
+
+    def summary_dict(self) -> dict:
+        """The JSON payload without the two fact pools."""
         return {
             "model": self.model,
             "space_dim": self.space_dim,
@@ -392,8 +434,6 @@ class BoundLedger:
             "zcl_witness": _jsonify(self.zcl_witness),
             "cat": [self.cat_lower, self.cat_upper],
             "tc": [self.tc_lower, self.tc_upper],
-            "cat_facts": [_fact_dict(f) for f in self.cat_facts],
-            "tc_facts": [_fact_dict(f) for f in self.tc_facts],
             "certificates": _jsonify(self.certificates),
         }
 

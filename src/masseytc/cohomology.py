@@ -21,6 +21,12 @@ ring multiplies its cached basis representatives once per entry, and the
 ring of a tensor model builds its entries from its factor rings' entries.
 Cup products, cup length, the Kunneth map and zero-divisor computations
 all extend that one table bilinearly.
+
+Cup length and zcl are powers of an ideal, found by
+:func:`ideal_powers_length` from a generating set: all of H^+ for the cup
+length, and for zcl the bars 1 (x) u - u (x) 1 of the indecomposables u,
+a handful of classes where the zero-divisor ideal has hundreds of
+dimensions.
 """
 
 from __future__ import annotations
@@ -308,10 +314,13 @@ class CohomologyRing:
 
 
 def ideal_powers_length(ring: CohomologyRing, ideal: dict) -> int:
-    """Largest k with (span of k-fold products of the ideal) nonzero.
+    """Largest k with the k-th power of an ideal nonzero.
 
-    ``ideal`` maps degrees to subspaces of the ring; the cup length is the
-    case of the whole positive part.
+    ``ideal`` maps degrees to subspaces of the ring that together generate
+    the ideal I, and the loop finds the largest k with some k-fold product
+    of them nonzero.  That is the same k: I^k is the ring times the k-fold
+    products of generators, and the ring has a unit.  The cup length
+    passes all of H^+; zcl passes the bars of the indecomposables.
     """
     degs = sorted(d for d, s in ideal.items() if s.dim)
     if not degs:

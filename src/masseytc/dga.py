@@ -498,6 +498,7 @@ def compile_cdga(p: Presentation, check: bool = True) -> DGA:
             current.pop()
 
     enum(0, [], 0)
+    enum = None  # the closure holds itself through its cell
     monomials = tuple(tuple(sorted(ms, reverse=True)) for ms in by_degree)
     index = [{m: i for i, m in enumerate(ms)} for ms in monomials]
     basis = tuple(tuple(mono_name(m, names) for m in ms) for ms in monomials)
@@ -556,6 +557,7 @@ def compile_cdga(p: Presentation, check: bool = True) -> DGA:
                 terms = " + ".join(
                     f"{c}*{mono_name(m, names)}" for m, c in sorted(bad.items(), reverse=True))
                 raise PresentationError(f"d^2({g.name}) = {terms} != 0")
+    d_mono = None  # the closure holds itself, and its memo, through its cell
 
     return DGA(
         name=p.name,

@@ -125,8 +125,7 @@ def weights_section(ledger: BoundLedger) -> dict:
 
 
 def ledger_section(ledger: BoundLedger) -> dict:
-    full = ledger.to_dict()
-    return {k: v for k, v in full.items() if k not in ("cat_facts", "tc_facts")}
+    return ledger.summary_dict()
 
 
 def build_payload(ring: CohomologyRing, *, massey=None, zcl=None,

@@ -1,17 +1,20 @@
 """Exit codes, output formats, and error reporting of the command line."""
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import masseytc
 from masseytc import report
-from masseytc.cli import build_parser, cmd_bounds, cmd_zcl, main
+from masseytc.cli import build_parser, cmd_bounds, cmd_cohomology, cmd_zcl, main
+from masseytc.cohomology import CohomologyRing
 from masseytc.report import PAYLOAD_KEYS
 
 S2_FILE_SRC = """\
@@ -81,6 +84,22 @@ STRESS_NIL_DIGESTS = (
     "26a8f25f8b128adb6e0407710152e357bd3e1a87ff8109166b7b1fcf7ccafa2e",
     "291ca743da421550da0e0d1339c8ed903c8fd3bf896049943770442fbf1bdea8",
 )
+
+# sha256 of the `cohomology --json` and `cohomology` text output of each
+# golden model and of the stress model; its cup length runs the same
+# ideal-powers routine as zcl.
+COHOMOLOGY_DIGESTS = {
+    "spheres8": ("3454831d4b20f16110d4338b8490dcf045befe92ebc962f487e19a78eeaf7b60",
+                 "449f26235233570aaf0d984a10382b181a302c49c43e9f165e85b6f03737f71c"),
+    "borromean": ("3fa61115a3df1cc44b2fdb6cb11e6f6fd30a59da78c46d527a16eb19d450c2cc",
+                  "5b6d8bae85f85ca7383af7f912c692c7d9e71db4f2587b8721d7adf41b4ca48b"),
+    "even7": ("a34bb25160541562288e5ee39eceb33729ac267c2c7f8f1e5fb87c0381e98aaa",
+              "9ecf167936785a014fbb80a14f675e274bbe20bc6c376fbe38441c3a23c62591"),
+    "odd11": ("d6ccf3ed1050eaa7293298c1a60b3c628f1ac7d3d3a90673a8aa20170dce1fd9",
+              "adcfb98025fa861bd7fc466a1bc9df5d80640256179de97155fcd2e39c53ed0c"),
+    "stressnil": ("6562f9ab40d229bd53f973c625a1cd353201d688974ae70d01cfa509c75e2c67",
+                  "3cf7035d020c337b0ee91b86ac9d34d42c5ac09e91cfb49b12bc6e5858b8bc3a"),
+}
 
 
 def _sha256(text):
@@ -268,6 +287,39 @@ def test_stress_model_output_bytes_are_pinned(tmp_path):
     assert zcode == 0
     assert (_sha256(report.render_json(payload)), _sha256(text),
             _sha256(report.render_json(zpayload))) == STRESS_NIL_DIGESTS
+
+
+@pytest.mark.parametrize("name", sorted(COHOMOLOGY_DIGESTS))
+def test_cohomology_output_bytes_are_pinned(tmp_path, name):
+    model = name
+    if name == "stressnil":
+        model = tmp_path / "stressnil.mtc"
+        model.write_text(STRESS_NIL_SRC)
+    code, payload, text = cmd_cohomology(build_parser().parse_args(["cohomology", str(model)]))
+    assert code == 0
+    assert (_sha256(report.render_json(payload)), _sha256(text)) == COHOMOLOGY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["spheres8", "borromean"])
+def test_bounds_frees_its_rings_without_the_cyclic_collector(capsys, monkeypatch, name):
+    # every ring built during a `bounds` call is freed by reference counting
+    # when the call returns, so memory follows the work, not the collector
+    alive = []
+    init = CohomologyRing.__init__
+
+    def tracked(self, *args, **kwargs):
+        alive.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CohomologyRing, "__init__", tracked)
+    gc.disable()
+    try:
+        assert main(["bounds", name, "--json"]) == 0
+        assert len(alive) == 2  # the ring and its square
+        assert [r for r in alive if r() is not None] == []
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_readme_python_block_runs():

@@ -11,11 +11,18 @@ import pytest
 import sympy
 
 import masseytc.cohomology
-from masseytc.bounds import build_ledger
-from masseytc.cohomology import CohomologyRing, KunnethMap
+from masseytc.bounds import (
+    bar,
+    build_ledger,
+    indecomposables,
+    zero_divisor_ideal,
+    zero_divisors_cup_length,
+)
+from masseytc.cohomology import CohomologyRing, KunnethMap, ideal_powers_length
 from masseytc.dga import Generator, compile_cdga, normalize_presentation
 from masseytc.dsl import parse_model
-from masseytc.linalg import rank
+from masseytc.linalg import Subspace, rank
+from test_cli import STRESS_NIL_SRC
 
 
 def to_sympy(m):
@@ -322,3 +329,91 @@ def test_square_eliminates_only_on_demand(rings, monkeypatch, name):
         assert 0 < len(calls) < 2 * (kmap.ht.truncation + 1)
     else:
         assert calls == []
+
+
+# ------------------------------------------------- zcl from generator bars
+
+
+def _spans_by_degree(ring, classes):
+    vectors = {}
+    for c in classes:
+        vectors.setdefault(c.degree, []).append(c.coords)
+    return {d: Subspace.span(ring.dim(d), vs) for d, vs in vectors.items()}
+
+
+def _generator_bars(km):
+    return _spans_by_degree(km.ht, [bar(km, u) for u in indecomposables(km.ha)])
+
+
+def _stress_ring(plane):
+    # the bench's seed-1 stress model, and the same model with its killed
+    # plane through x1*x2
+    src = STRESS_NIL_SRC
+    if plane == "special":
+        src = src.replace("d y1 = -3*x1*x2 - 1/2*x1*x3 + 3/2*x2*x3", "d y1 = -3*x1*x2")
+        assert src != STRESS_NIL_SRC
+    return CohomologyRing(compile_cdga(parse_model(src)))
+
+
+def _assert_lengths_match_the_whole_ideal_loop(ring, km):
+    # the old calls raise the whole ideal, or all of H^+, to powers
+    ht = km.ht
+    assert zero_divisors_cup_length(km)[0] == ideal_powers_length(ht, zero_divisor_ideal(km))
+    positive = {k: Subspace.full(ring.dim(k))
+                for k in range(1, ring.truncation + 1) if ring.dim(k)}
+    old = ideal_powers_length(ring, positive)
+    assert ring.cup_length() == old
+    assert ideal_powers_length(ring, _spans_by_degree(ring, indecomposables(ring))) == old
+
+
+@pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11"])
+def test_zcl_matches_the_whole_ideal_on_golden_squares(rings, kunneth_of, name):
+    _assert_lengths_match_the_whole_ideal_loop(rings[name], kunneth_of(name))
+
+
+def test_zcl_matches_the_whole_ideal_on_random_squares():
+    for p in random_presentations(5501, 15):
+        ring = CohomologyRing(compile_cdga(p))
+        _assert_lengths_match_the_whole_ideal_loop(ring, KunnethMap(ring, ring))
+
+
+@pytest.mark.parametrize("plane", ["general", "special"])
+def test_zcl_matches_the_whole_ideal_on_stress_squares(plane):
+    ring = _stress_ring(plane)
+    _assert_lengths_match_the_whole_ideal_loop(ring, KunnethMap(ring, ring))
+
+
+def _ideal_generated_by(ht, gens):
+    out = {}
+    for ell in range(1, ht.truncation + 1):
+        span = Subspace.zero(ht.dim(ell))
+        for d, sub in gens.items():
+            if d <= ell:
+                span = span.add(ht.product_span(d, sub, ell - d))
+        if span.dim:
+            out[ell] = span
+    return out
+
+
+@pytest.mark.parametrize("name", ["spheres8", "odd11", "borromean"])
+def test_generator_bars_generate_the_zero_divisor_ideal(kunneth_of, name):
+    km = kunneth_of(name)
+    assert _ideal_generated_by(km.ht, _generator_bars(km)) == zero_divisor_ideal(km)
+
+
+def test_generator_bars_generate_the_zero_divisor_ideal_on_random_squares():
+    for p in random_presentations(5501, 15)[::4]:
+        ring = CohomologyRing(compile_cdga(p))
+        km = KunnethMap(ring, ring)
+        assert _ideal_generated_by(km.ht, _generator_bars(km)) == zero_divisor_ideal(km)
+
+
+def test_indecomposables_of_golden_rings(rings):
+    # degree and index of each generator: spheres8's degree-8 classes are
+    # Massey products, not products, and borromean's H^1 products are killed
+    want = {"spheres8": [(3, 0), (3, 1), (8, 0), (8, 1)],
+            "even7": [(2, 0), (2, 1), (5, 0), (5, 1)] + [(8, j) for j in range(6)],
+            "borromean": [(1, j) for j in range(3)] + [(2, j) for j in range(12)]}
+    for name, gens in want.items():
+        got = [(u.degree, u.coords.index(1)) for u in indecomposables(rings[name])]
+        assert got == gens, name
