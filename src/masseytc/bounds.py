@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cohomology import CohClass, CohomologyRing, KunnethMap, ideal_powers_length
+from .cohomology import CohClass, CohomologyRing, KunnethMap, _nonzero, ideal_powers_length
 from .linalg import ONE, SparseMatrix, Subspace, kernel
 from .massey import massey_triple, scan_triples
 
@@ -316,27 +316,32 @@ def weighted_lower_bound(ring: CohomologyRing, facts: dict) -> tuple:
     walks atoms in ascending key order, so the outcome is deterministic.
     """
     atoms = [facts[key] for key in sorted(facts)]
+    # each class's nonzero (index, coefficient) pairs are read once: an
+    # atom's before the search, a product's when it is formed
+    sparse = [_nonzero(f.cls.coords) for f in atoms]
     top = ring.top_nonzero_degree()
     best = [0, (), None]
 
-    def rec(start: int, cls: CohClass, weight: int, chain: list) -> None:
+    def rec(start: int, cls: CohClass, left: list, weight: int, chain: list) -> None:
         if weight > best[0]:
             best[0], best[1], best[2] = weight, tuple(chain), cls
         for i in range(start, len(atoms)):
             f = atoms[i]
-            if cls.degree + f.cls.degree > top:
+            deg = cls.degree + f.cls.degree
+            if deg > top:
                 continue
-            prod = ring.cup(cls, f.cls)
-            if prod.is_zero():
+            coords = ring._cup_nonzero(cls.degree, left, f.cls.degree, sparse[i])
+            prod_sparse = _nonzero(coords)
+            if not prod_sparse:
                 continue
             chain.append(f.key)
-            rec(i, prod, weight + f.weight, chain)
+            rec(i, CohClass(deg, coords), prod_sparse, weight + f.weight, chain)
             chain.pop()
 
     for i, f in enumerate(atoms):
         if f.cls.degree > top:
             continue
-        rec(i, f.cls, f.weight, [f.key])
+        rec(i, f.cls, sparse[i], f.weight, [f.key])
     rec = None  # the closure holds itself, and the ring, through its cell
     return best[0], best[1], best[2]
 

@@ -162,15 +162,17 @@ class DGA:
     ((idx, coeff), ...) in degree deg1+deg2; absent keys mean zero, and every
     pair whose degrees sum past the truncation is absent by construction.
     ``diff[k]`` is the matrix of d : C^k -> C^{k+1} (the top one has 0 rows).
-    Instances are immutable; build them with :func:`compile_cdga`,
-    :func:`tensor`, or directly from tables in tests.
+    Either table may be a lazy read-only view (see :func:`tensor`) that
+    computes an entry or a degree the first time it is read; absent keys
+    still mean zero.  Instances are immutable; build them with
+    :func:`compile_cdga`, :func:`tensor`, or directly from tables in tests.
     """
 
     name: str
     truncation: int
     basis: tuple  # tuple[tuple[str, ...], ...] indexed by degree 0..N
     mult: Mapping
-    diff: tuple  # tuple[SparseMatrix, ...] indexed by degree 0..N
+    diff: Sequence  # SparseMatrix per degree 0..N
     graded_commutative: bool = True
     unital: bool = True
     simply_connected: bool = False
@@ -577,12 +579,138 @@ def compile_cdga(p: Presentation, check: bool = True) -> DGA:
 # ---------------------------------------------------------------- tensor
 
 
+class _TensorProducts(Mapping):
+    """The product table of a (x) b as a read-only mapping.
+
+    An entry is computed from the factors' tables with the Koszul sign the
+    first time it is read, then memoized; absent keys, including keys out of
+    range, read as None from ``get`` and raise KeyError from ``[]``.
+    Iterating, ``items()`` and ``len()`` fill the whole table first.
+    ``index[k]`` maps a pair (p, i, j) to its position in degree k.
+    """
+
+    def __init__(self, a: DGA, b: DGA, pairs: tuple, index: list):
+        self.a, self.b, self.pairs, self.index = a, b, pairs, index
+        self._memo = {}
+        self._filled = False
+
+    def get(self, key, default=None):
+        entry = self._memo.get(key)
+        if entry is None and not self._filled:
+            entry = self._memo[key] = self._entry(*key)
+        return entry or default
+
+    def _entry(self, n1: int, i1: int, n2: int, i2: int) -> tuple:
+        """The sorted entry, or () for a zero product or a key out of range."""
+        pairs = self.pairs
+        if not (n1 >= 0 and n2 >= 0 and n1 + n2 < len(pairs)
+                and 0 <= i1 < len(pairs[n1]) and 0 <= i2 < len(pairs[n2])):
+            return ()
+        p1, a1, b1 = pairs[n1][i1]
+        p2, a2, b2 = pairs[n2][i2]
+        q1, q2 = n1 - p1, n2 - p2
+        left = self.a.mult.get((p1, a1, p2, a2))
+        if not left:
+            return ()
+        right = self.b.mult.get((q1, b1, q2, b2))
+        if not right:
+            return ()
+        tindex = self.index[n1 + n2]
+        odd = (q1 * p2) % 2
+        entry = []
+        for ia, ca in left:
+            for jb, cb in right:
+                c = ca * cb
+                entry.append((tindex[(p1 + p2, ia, jb)], -c if odd else c))
+        entry.sort()
+        return tuple(entry)
+
+    def _fill(self) -> None:
+        if self._filled:
+            return
+        pairs, n = self.pairs, len(self.pairs) - 1
+        table = {}
+        for n1 in range(n + 1):
+            for n2 in range(n + 1 - n1):
+                for i1 in range(len(pairs[n1])):
+                    for i2 in range(len(pairs[n2])):
+                        key = (n1, i1, n2, i2)
+                        entry = self._memo.get(key) or self._entry(*key)
+                        if entry:
+                            table[key] = entry
+        self._memo, self._filled = table, True
+
+    def __getitem__(self, key):
+        entry = self.get(key)
+        if entry is None:
+            raise KeyError(key)
+        return entry
+
+    def __contains__(self, key) -> bool:
+        return bool(self.get(key))
+
+    def __iter__(self):
+        self._fill()
+        return iter(self._memo)
+
+    def __len__(self) -> int:
+        self._fill()
+        return len(self._memo)
+
+
+class _TensorDifferentials(Sequence):
+    """The differentials of a (x) b as a read-only sequence indexed by
+    degree 0..N; degree k's matrix is built the first time it is read.
+    Negative indices and slices behave as on a tuple."""
+
+    def __init__(self, a: DGA, b: DGA, pairs: tuple, index: list):
+        self.a, self.b, self.pairs, self.index = a, b, pairs, index
+        self._built = [None] * len(pairs)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[d] for d in range(len(self))[k])
+        m = self._built[k]
+        if m is None:
+            m = self._built[k] = self._build(k % len(self))
+        return m
+
+    def _build(self, deg: int) -> SparseMatrix:
+        # d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy
+        a, b, pairs = self.a, self.b, self.pairs
+        n = len(pairs) - 1
+        data = {}
+        tindex = self.index[deg + 1] if deg + 1 <= n else {}
+        for col, (p, i, j) in enumerate(pairs[deg]):
+            q = deg - p
+            if p + 1 <= a.truncation:
+                for r, c, v in a.diff[p].entries:
+                    if c == i:
+                        key = (tindex[(p + 1, r, j)], col)
+                        data[key] = data.get(key, ZERO) + v
+            sign = -ONE if p % 2 else ONE
+            if q + 1 <= b.truncation:
+                for r, c, v in b.diff[q].entries:
+                    if c == j:
+                        key = (tindex[(p, i, r)], col)
+                        data[key] = data.get(key, ZERO) + sign * v
+        rows = len(pairs[deg + 1]) if deg + 1 <= n else 0
+        return SparseMatrix.from_dict(rows, len(pairs[deg]), data)
+
+
 def tensor(a: DGA, b: DGA) -> DGA:
     """Tensor product DGA with Koszul signs.
 
     (x (x) y) * (z (x) w) = (-1)^{|y||z|} xz (x) yw and
     d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy, truncated at N_a + N_b
     (every basis pair survives; truncation inside the factors propagates).
+    Only the basis and its (p, i, j) pairs are built here: ``mult`` and
+    ``diff`` are lazy read-only views that compute a product entry or a
+    degree's differential the first time something reads it, so a square
+    whose cochains nothing touches costs its basis only.
     The product of two DGAs meets the axioms when its factors do, so the
     exhaustive check is left to ``DGA.validate``.
     """
@@ -602,62 +730,19 @@ def tensor(a: DGA, b: DGA) -> DGA:
         pairs.append(tuple(ps))
         basis.append(tuple(names))
         pair_index.append({t: i for i, t in enumerate(ps)})
-
-    mult = {}
-    for n1 in range(n + 1):
-        for n2 in range(n + 1 - n1):
-            tdeg = n1 + n2
-            tindex = pair_index[tdeg]
-            for i1, (p1, a1, b1) in enumerate(pairs[n1]):
-                q1 = n1 - p1
-                for i2, (p2, a2, b2) in enumerate(pairs[n2]):
-                    q2 = n2 - p2
-                    left = a.mult.get((p1, a1, p2, a2))
-                    if not left:
-                        continue
-                    right = b.mult.get((q1, b1, q2, b2))
-                    if not right:
-                        continue
-                    odd = (q1 * p2) % 2
-                    entry = []
-                    for ia, ca in left:
-                        for jb, cb in right:
-                            c = ca * cb
-                            entry.append((tindex[(p1 + p2, ia, jb)], -c if odd else c))
-                    entry.sort()
-                    mult[(n1, i1, n2, i2)] = tuple(entry)
-
-    diff = []
-    for deg in range(n + 1):
-        data = {}
-        tindex = pair_index[deg + 1] if deg + 1 <= n else {}
-        for col, (p, i, j) in enumerate(pairs[deg]):
-            q = deg - p
-            if p + 1 <= a.truncation:
-                for r, c, v in a.diff[p].entries:
-                    if c == i:
-                        data[(tindex[(p + 1, r, j)], col)] = data.get(
-                            (tindex[(p + 1, r, j)], col), ZERO) + v
-            sign = -ONE if p % 2 else ONE
-            if q + 1 <= b.truncation:
-                for r, c, v in b.diff[q].entries:
-                    if c == j:
-                        key = (tindex[(p, i, r)], col)
-                        data[key] = data.get(key, ZERO) + sign * v
-        rows = len(pairs[deg + 1]) if deg + 1 <= n else 0
-        diff.append(SparseMatrix.from_dict(rows, len(pairs[deg]), data))
+    pairs = tuple(pairs)
 
     return DGA(
         name=f"{a.name}(x){b.name}",
         truncation=n,
         basis=tuple(basis),
-        mult=mult,
-        diff=tuple(diff),
+        mult=_TensorProducts(a, b, pairs, pair_index),
+        diff=_TensorDifferentials(a, b, pairs, pair_index),
         graded_commutative=a.graded_commutative and b.graded_commutative,
         unital=a.unital and b.unital,
         simply_connected=a.simply_connected and b.simply_connected,
         space_dim=(a.space_dim or 0) + (b.space_dim or 0),
-        pairs=tuple(pairs),
+        pairs=pairs,
         factors=(a, b),
     )
 
@@ -669,7 +754,7 @@ def tensor_cochain(t: DGA, x: Cochain, y: Cochain) -> Cochain:
     deg = x.degree + y.degree
     coords = [ZERO] * t.dim(deg)
     if deg <= t.truncation:
-        idx = {tr: i for i, tr in enumerate(t.pairs[deg])}
+        idx = t.mult.index[deg]
         for i, cx in enumerate(x.coords):
             if not cx:
                 continue

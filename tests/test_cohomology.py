@@ -11,6 +11,7 @@ import pytest
 import sympy
 
 import masseytc.cohomology
+import masseytc.dga
 from masseytc.bounds import (
     bar,
     build_ledger,
@@ -306,13 +307,16 @@ def test_kunneth_is_the_identity_on_golden_squares(kunneth_of, name):
     kunneth_of(name).check()
 
 
-@pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11"])
+@pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress"])
 def test_square_eliminates_only_on_demand(rings, monkeypatch, name):
     # only the Rudyak scan's Massey triples need the square's cochains, and
-    # only borromean computes any; each degree costs one kernel and one image
-    ring = rings[name]
+    # only borromean computes any; each degree costs one kernel and one
+    # image, and builds its differential and the products it reads
+    ring = rings[name] if name in rings else _stress_ring("general")
     ring.dims()
     calls = []
+    entries = []
+    degrees = []
 
     def counted(fn):
         def wrapper(m):
@@ -320,15 +324,29 @@ def test_square_eliminates_only_on_demand(rings, monkeypatch, name):
             return fn(m)
         return wrapper
 
+    def recorded(fn, log):
+        def wrapper(self, *args):
+            log.append(args)
+            return fn(self, *args)
+        return wrapper
+
     for fn in ("kernel", "image"):
         monkeypatch.setattr(masseytc.cohomology, fn,
                             counted(getattr(masseytc.cohomology, fn)))
+    products = masseytc.dga._TensorProducts
+    differentials = masseytc.dga._TensorDifferentials
+    monkeypatch.setattr(products, "_entry", recorded(products._entry, entries))
+    monkeypatch.setattr(differentials, "_build", recorded(differentials._build, degrees))
     kmap = KunnethMap(ring, ring)
     build_ledger(ring, kmap)
+    built_entries, built_degrees = len(entries), sorted(deg for deg, in degrees)
     if name == "borromean":
         assert 0 < len(calls) < 2 * (kmap.ht.truncation + 1)
+        assert built_degrees and built_degrees[-1] <= 3
+        assert 0 < built_entries < len(kmap.ht.dga.mult) / 10
     else:
         assert calls == []
+        assert built_entries == 0 and built_degrees == []
 
 
 # ------------------------------------------------- zcl from generator bars

@@ -258,6 +258,105 @@ def test_tensor_differential(s2):
     assert t.d(ax) == t.mul(a1, t.mul(onea, onea))
 
 
+def eager_tensor_tables(t):
+    """(mult, diff) of a tensor model built entry by entry, in full: the
+    oracle for the lazy tables of ``tensor``."""
+    (a, b), n, pairs = t.factors, t.truncation, t.pairs
+    pair_index = [{tr: i for i, tr in enumerate(ps)} for ps in pairs]
+    mult = {}
+    for n1 in range(n + 1):
+        for n2 in range(n + 1 - n1):
+            tindex = pair_index[n1 + n2]
+            for i1, (p1, a1, b1) in enumerate(pairs[n1]):
+                q1 = n1 - p1
+                for i2, (p2, a2, b2) in enumerate(pairs[n2]):
+                    q2 = n2 - p2
+                    left = a.mult.get((p1, a1, p2, a2))
+                    if not left:
+                        continue
+                    right = b.mult.get((q1, b1, q2, b2))
+                    if not right:
+                        continue
+                    odd = (q1 * p2) % 2
+                    entry = []
+                    for ia, ca in left:
+                        for jb, cb in right:
+                            c = ca * cb
+                            entry.append((tindex[(p1 + p2, ia, jb)], -c if odd else c))
+                    entry.sort()
+                    mult[(n1, i1, n2, i2)] = tuple(entry)
+    diff = []
+    for deg in range(n + 1):
+        data = {}
+        tindex = pair_index[deg + 1] if deg + 1 <= n else {}
+        for col, (p, i, j) in enumerate(pairs[deg]):
+            q = deg - p
+            if p + 1 <= a.truncation:
+                for r, c, v in a.diff[p].entries:
+                    if c == i:
+                        key = (tindex[(p + 1, r, j)], col)
+                        data[key] = data.get(key, 0) + v
+            sign = -1 if p % 2 else 1
+            if q + 1 <= b.truncation:
+                for r, c, v in b.diff[q].entries:
+                    if c == j:
+                        key = (tindex[(p, i, r)], col)
+                        data[key] = data.get(key, 0) + sign * v
+        rows = len(pairs[deg + 1]) if deg + 1 <= n else 0
+        diff.append(SparseMatrix.from_dict(rows, len(pairs[deg]), data))
+    return mult, tuple(diff)
+
+
+def _typed(x):
+    # a value with the type of every leaf, so equal values of other types differ
+    if isinstance(x, tuple):
+        return tuple, tuple(_typed(v) for v in x)
+    return type(x), x
+
+
+@pytest.mark.parametrize("first, second", [
+    ("spheres8", "spheres8"), ("borromean", "borromean"), ("even7", "even7"),
+    ("odd11", "odd11"), ("s2", "s3"), ("s3", "s2"), ("s3", "spheres8")])
+def test_lazy_tensor_tables_equal_the_eager_ones(dgas, first, second):
+    t = tensor(dgas[first], dgas[second])
+    mult, diff = eager_tensor_tables(t)
+    n = t.truncation
+    absent = next(key for key in (
+        (n1, i1, n2, i2) for n1 in range(n + 1) for n2 in range(n + 1 - n1)
+        for i1 in range(t.dim(n1)) for i2 in range(t.dim(n2))) if key not in mult)
+    out_of_range = [(0, t.dim(0), 0, 0), (0, -1, 0, 0), (-1, 0, 0, 0),
+                    (n, 0, 1, 0), (n + 1, 0, 0, 0)]
+    some = next(iter(mult))
+    # read before and after the table is filled: the memoized entry, the
+    # full table, and absent keys in both states
+    for filled in (False, True):
+        assert t.mult.get(some) == mult[some] and t.mult[some] == mult[some]
+        assert some in t.mult
+        for key in [absent] + out_of_range:
+            assert t.mult.get(key) is None
+            assert t.mult.get(key, "default") == "default"
+            assert key not in t.mult
+            with pytest.raises(KeyError):
+                t.mult[key]
+        if not filled:
+            lazy = dict(t.mult.items())
+    assert len(t.mult) == len(mult)
+    assert {k: _typed(v) for k, v in lazy.items()} == {k: _typed(v) for k, v in mult.items()}
+
+    assert len(t.diff) == n + 1 == len(diff)
+    lazy_diff = [t.diff[k] for k in range(n + 1)]
+    assert lazy_diff == list(diff)
+    for m, o in zip(lazy_diff, diff):
+        assert type(m) is SparseMatrix
+        assert (m.rows, m.cols, _typed(m.entries)) == (o.rows, o.cols, _typed(o.entries))
+    assert t.diff[-1] == diff[-1] and t.diff[-n - 1] == diff[0]
+    assert t.diff[1:3] == diff[1:3] and t.diff[::-2] == diff[::-2]
+    assert t.diff[n + 5:] == ()
+    for k in (n + 1, -n - 2):
+        with pytest.raises(IndexError):
+            t.diff[k]
+
+
 def test_tensor_validates(s3, s2):
     assert tensor(s3, s3).validate() == []
     assert tensor(s2, s2).validate() == []
