@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cohomology import CohClass, CohomologyRing, KunnethMap, _nonzero, ideal_powers_length
+from .cohomology import CohClass, CohomologyRing, KunnethMap, cup_chain, heaviest_chain
 from .linalg import ONE, SparseMatrix, Subspace, kernel
 from .massey import massey_triple, scan_triples
 
@@ -139,77 +139,23 @@ def indecomposables(ring: CohomologyRing) -> list:
     return out
 
 
-def _chain_search(ring: CohomologyRing, ideal: dict, k: int) -> tuple:
-    """A k-tuple of ideal basis classes with nonzero product.
-
-    The powers of an ideal are spanned by products of echelon basis
-    vectors, so when the k-th power is nonzero a witness chain exists among
-    them; the first one in the fixed search order is returned.
-    """
-    atoms = []
-    for d in sorted(ideal):
-        for v in ideal[d].basis_vectors():
-            atoms.append(CohClass(d, v))
-    if k == 0:
-        return (), ring.basis_class(0, 0)
-    if not atoms:
-        raise ValueError("empty ideal has no witness chains")
-    mind = min(a.degree for a in atoms)
-    picked = []
-    result = []
-
-    def rec(start: int, cls, depth: int) -> bool:
-        if depth == k:
-            result.append(cls)
-            return True
-        for i in range(start, len(atoms)):
-            a = atoms[i]
-            deg = a.degree if cls is None else cls.degree + a.degree
-            if deg + (k - depth - 1) * mind > ring.truncation:
-                continue
-            prod = a if cls is None else ring.cup(cls, a)
-            if prod.is_zero():
-                continue
-            picked.append(a)
-            if rec(i, prod, depth + 1):
-                return True
-            picked.pop()
-        return False
-
-    found = rec(0, None, 0)
-    rec = None  # the closure holds itself, and the ring, through its cell
-    if not found:
-        raise ValueError(f"no chain of length {k} although the ideal power is nonzero")
-    return tuple(picked), result[0]
-
-
-def cup_chain(ring: CohomologyRing) -> tuple:
-    """(cup length, witness chain of classes, their product)."""
-    ideal = {d: Subspace.full(ring.dim(d))
-             for d in range(1, ring.truncation + 1) if ring.dim(d)}
-    k = ring.cup_length()
-    chain, prod = _chain_search(ring, ideal, k)
-    return k, chain, prod
-
-
 def zero_divisors_cup_length(kmap: KunnethMap) -> tuple:
     """(zcl, witness chain of zero-divisors, their product).
 
     zcl is the largest k with I^k != 0, for I the zero-divisor ideal.  I is
     generated by the bars of the indecomposables of H^+, so I^k != 0
-    exactly when some product of k such bars is nonzero, and the power
-    loop runs over their span instead of over I.  The witness is the first
-    chain among the basis classes of I itself, so it does not depend on
-    which generators were chosen.
+    exactly when some product of k such bars is nonzero, and zcl is the
+    longest such product.  The witness is the first chain of that length
+    among the basis classes of I itself, so it does not depend on which
+    generators were chosen.
     """
     ht = kmap.ht
-    bars = {}
-    for u in indecomposables(kmap.ha):
-        bars.setdefault(u.degree, []).append(bar(kmap, u).coords)
-    k = ideal_powers_length(
-        ht, {d: Subspace.span(ht.dim(d), vs) for d, vs in bars.items()})
-    chain, prod = _chain_search(ht, zero_divisor_ideal(kmap), k)
-    return k, chain, prod
+    bars = [bar(kmap, u) for u in indecomposables(kmap.ha)]
+    k = heaviest_chain(ht, bars, [1] * len(bars))[0]
+    ideal = zero_divisor_ideal(kmap)
+    basis = [CohClass(d, v) for d in sorted(ideal) for v in ideal[d].basis_vectors()]
+    _, picked, prod = heaviest_chain(ht, basis, [1] * len(basis), goal=k)
+    return k, tuple(basis[i] for i in picked), prod
 
 
 # ------------------------------------------------------------ weight rules
@@ -312,38 +258,14 @@ def weighted_lower_bound(ring: CohomologyRing, facts: dict) -> tuple:
     """Heaviest nonzero product of weighted facts.
 
     Returns (best total weight, chain of fact keys, product class); the
-    associated bound is best + 1.  The search allows repeated facts and
-    walks atoms in ascending key order, so the outcome is deterministic.
+    associated bound is best + 1, and an empty chain has the unit as its
+    product.  This is :func:`heaviest_chain` over the facts in ascending
+    key order, repeats allowed, so the outcome is deterministic.
     """
     atoms = [facts[key] for key in sorted(facts)]
-    # each class's nonzero (index, coefficient) pairs are read once: an
-    # atom's before the search, a product's when it is formed
-    sparse = [_nonzero(f.cls.coords) for f in atoms]
-    top = ring.top_nonzero_degree()
-    best = [0, (), None]
-
-    def rec(start: int, cls: CohClass, left: list, weight: int, chain: list) -> None:
-        if weight > best[0]:
-            best[0], best[1], best[2] = weight, tuple(chain), cls
-        for i in range(start, len(atoms)):
-            f = atoms[i]
-            deg = cls.degree + f.cls.degree
-            if deg > top:
-                continue
-            coords = ring._cup_nonzero(cls.degree, left, f.cls.degree, sparse[i])
-            prod_sparse = _nonzero(coords)
-            if not prod_sparse:
-                continue
-            chain.append(f.key)
-            rec(i, CohClass(deg, coords), prod_sparse, weight + f.weight, chain)
-            chain.pop()
-
-    for i, f in enumerate(atoms):
-        if f.cls.degree > top:
-            continue
-        rec(i, f.cls, sparse[i], f.weight, [f.key])
-    rec = None  # the closure holds itself, and the ring, through its cell
-    return best[0], best[1], best[2]
+    best, picked, prod = heaviest_chain(ring, [f.cls for f in atoms],
+                                        [f.weight for f in atoms])
+    return best, tuple(atoms[i].key for i in picked), prod
 
 
 def rudyak_lower_bound(kmap: KunnethMap, facts: dict, best: int) -> tuple:
@@ -474,6 +396,10 @@ _CERT_FIELDS = {
 }
 
 
+# Entries each fact's evidence carries after its tag, see WeightFact.
+_EVIDENCE_ENTRIES = {"basis": 0, "bar": 1, "massey": 3, "product": 2, "transfer": 2}
+
+
 def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
                  massey_cap: int = None) -> BoundLedger:
     """Compute all bounds for one model and record their certificates."""
@@ -572,12 +498,23 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
     def fail(f, msg):
         raise ValueError(f"fact {f.key} failed replay: {msg}")
 
-    def verify_fact(f: WeightFact) -> None:
-        if f.key in verified:
-            return
-        rg = ring_of(f.kind)
+    def inputs_of(f: WeightFact) -> list:
+        # the pool facts f's evidence rests on, once its shape checks out
         if f.cls.is_zero() or f.cls.degree < 1:
             fail(f, "class is zero or of degree 0")
+        tag = f.inputs[0] if f.inputs else None
+        entries = _EVIDENCE_ENTRIES.get(tag)
+        if entries is not None and len(f.inputs) != entries + 1:
+            fail(f, f"{tag} evidence needs {entries} entries after its tag, "
+                    f"not {len(f.inputs) - 1}")
+        keys = {"product": f.inputs[1:], "transfer": f.inputs[1:2]}.get(tag, ())
+        found = [fact_by_key.get(key) for key in keys]
+        if None in found:
+            fail(f, f"{tag} evidence names a fact that is not in the fact pool")
+        return found
+
+    def verify_fact(f: WeightFact, inputs: list) -> None:
+        rg = ring_of(f.kind)
         tag = f.inputs[0] if f.inputs else None
         if f.rule == "R1" and tag == "basis":
             if f.kind != "cat" or f.weight != 1:
@@ -599,33 +536,37 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             if f.weight != 2:
                 fail(f, "R3 facts carry weight exactly 2")
         elif f.rule == "R2" and tag == "product":
-            f1 = fact_by_key.get(f.inputs[1])
-            f2 = fact_by_key.get(f.inputs[2])
-            if f1 is None or f2 is None:
-                fail(f, "product inputs are not in the fact pool")
-            verify_fact(f1)
-            verify_fact(f2)
+            f1, f2 = inputs
             prod = rg.cup(f1.cls, f2.cls)
             if _normalize_class(prod).coords != f.cls.coords:
                 fail(f, "product differs from the recorded class")
             if f.weight != f1.weight + f2.weight:
                 fail(f, "product weight is not the sum of its factors")
         elif f.rule == "R4-transfer" and tag == "transfer":
-            base = fact_by_key.get(f.inputs[1])
-            if base is None:
-                fail(f, "transfer input is not in the fact pool")
-            verify_fact(base)
-            transferred, reason = transfer_weight(ring, kmap, base, f.inputs[2])
+            transferred, reason = transfer_weight(ring, kmap, inputs[0], f.inputs[2])
             if transferred is None:
                 fail(f, f"transfer hypotheses fail on replay: {reason}")
             if transferred.cls.coords != f.cls.coords or transferred.weight != f.weight:
                 fail(f, "transfer reproduces a different fact")
         else:
             fail(f, f"unknown rule/evidence combination {f.rule}/{tag}")
-        verified.add(f.key)
 
-    for f in ledger.cat_facts + ledger.tc_facts:
-        verify_fact(f)
+    # a fact is verified after the facts its evidence names; ``path`` holds
+    # the facts still waiting on their inputs, innermost last
+    for fact in ledger.cat_facts + ledger.tc_facts:
+        path = [] if fact.key in verified else [fact]
+        while path:
+            f = path[-1]
+            inputs = inputs_of(f)
+            waiting = [g for g in inputs if g.key not in verified]
+            if not waiting:
+                verify_fact(f, inputs)
+                verified.add(f.key)
+                path.pop()
+            elif waiting[0].key in {g.key for g in path}:
+                fail(f, f"evidence leads back to fact {waiting[0].key}")
+            else:
+                path.append(waiting[0])
 
     def cert_fact(rule: str, kind: str, key) -> WeightFact:
         f = fact_by_key.get(key)

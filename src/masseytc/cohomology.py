@@ -22,11 +22,12 @@ ring of a tensor model builds its entries from its factor rings' entries.
 Cup products, cup length, the Kunneth map and zero-divisor computations
 all extend that one table bilinearly.
 
-Cup length and zcl are powers of an ideal, found by
-:func:`ideal_powers_length` from a generating set: all of H^+ for the cup
-length, and for zcl the bars 1 (x) u - u (x) 1 of the indecomposables u,
-a handful of classes where the zero-divisor ideal has hundreds of
-dimensions.
+Cup length, zcl and the weighted cat/TC bounds are all the heaviest
+nonzero product of chosen classes, found by one search,
+:func:`heaviest_chain`: unit weights over the basis of H^+ for the cup
+length, unit weights over the bars 1 (x) u - u (x) 1 of the
+indecomposables u for zcl (a handful of classes where the zero-divisor
+ideal has hundreds of dimensions), and fact weights for the bounds.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class CohomologyRing:
         self.factors = factors
         self._parts = {}
         self._cup_memo = {}
-        self._cup_length = None
+        self._cup_chain = None
         self._boundary_solvers = {}
         if factors is not None:
             ha, hb = factors
@@ -306,42 +307,75 @@ class CohomologyRing:
     def cup_length(self) -> int:
         """Longest nonzero product of positive-degree classes, within the
         truncation; a lower bound for the untruncated cup length."""
-        if self._cup_length is None:
-            self._cup_length = ideal_powers_length(
-                self, {k: Subspace.full(self.dim(k))
-                       for k in range(1, self.truncation + 1) if self.dim(k)})
-        return self._cup_length
+        return cup_chain(self)[0]
 
 
-def ideal_powers_length(ring: CohomologyRing, ideal: dict) -> int:
-    """Largest k with the k-th power of an ideal nonzero.
+def cup_chain(ring: CohomologyRing) -> tuple:
+    """(cup length, witness chain of classes, their product).
 
-    ``ideal`` maps degrees to subspaces of the ring that together generate
-    the ideal I, and the loop finds the largest k with some k-fold product
-    of them nonzero.  That is the same k: I^k is the ring times the k-fold
-    products of generators, and the ring has a unit.  The cup length
-    passes all of H^+; zcl passes the bars of the indecomposables.
+    A unit-weight :func:`heaviest_chain` over the basis classes of H^+, so
+    the witness is the first longest chain in ascending basis order.  The
+    search runs once per ring; the cup length reads the same result.
     """
-    degs = sorted(d for d, s in ideal.items() if s.dim)
-    if not degs:
-        return 0
-    current = {d: ideal[d] for d in degs}
-    k = 1
-    while True:
-        nxt = {}
-        for d1, sub in sorted(current.items()):
-            for d2 in degs:
-                d = d1 + d2
-                if d > ring.truncation:
-                    continue
-                prod = ring.product_span(d1, sub, d2, ideal[d2])
-                if prod.dim:
-                    acc = nxt.get(d)
-                    nxt[d] = prod if acc is None else acc.add(prod)
-        if not nxt:
-            return k
-        current = nxt
-        k += 1
+    if ring._cup_chain is None:
+        classes = [ring.basis_class(k, i) for k in range(1, ring.truncation + 1)
+                   for i in range(ring.dim(k))]
+        k, picked, prod = heaviest_chain(ring, classes, [1] * len(classes))
+        ring._cup_chain = (k, tuple(classes[i] for i in picked), prod)
+    return ring._cup_chain
+
+
+def heaviest_chain(ring: CohomologyRing, classes: list, weights: list,
+                   goal: int = None) -> tuple:
+    """Heaviest nonzero product of the given classes, repeats allowed.
+
+    Returns (weight, indices, product): the chain's total weight, the
+    positions in ``classes`` of its factors in ascending order, and their
+    product; the empty chain weighs 0 and its product is the unit.  Chains
+    are walked depth first in ascending list order, and the best chain is
+    replaced only by a strictly heavier one, so the first heaviest chain in
+    that order is returned.  A branch is skipped when filling every degree
+    left up to the top nonzero degree at the largest weight per degree of
+    any class cannot beat the best so far, and the walk stops once a chain
+    weighs ``goal``; neither changes the chain returned.  Weights are
+    positive.
+    """
+    if any(c.degree < 1 for c in classes):
+        raise ValueError("chain factors need positive degree")
+    top = ring.top_nonzero_degree()
+    rate = max((Fraction(w, c.degree) for c, w in zip(classes, weights)), default=0)
+    # each class's nonzero (index, coefficient) pairs are read once: a
+    # factor's before the walk, a product's when it is formed
+    sparse = [_nonzero(c.coords) for c in classes]
+    best = (0, (), ring.basis_class(0, 0))
+    # a frame is [next index, chain, degree, weight, product's nonzero
+    # pairs]; the first frame is the empty chain
+    stack = [[0, (), 0, 0, None]]
+    while stack:
+        frame = stack[-1]
+        i, chain, deg, weight, left = frame
+        if i == len(classes):
+            stack.pop()
+            continue
+        frame[0] = i + 1
+        c = classes[i]
+        d, w = deg + c.degree, weight + weights[i]
+        if d > top or w + (top - d) * rate <= best[0]:
+            continue
+        if left is None:
+            prod, pairs = c, sparse[i]
+        else:
+            prod = CohClass(d, ring._cup_nonzero(deg, left, c.degree, sparse[i]))
+            pairs = _nonzero(prod.coords)
+        if not pairs:
+            continue
+        chain += (i,)
+        if w > best[0]:
+            best = (w, chain, prod)
+            if goal is not None and w >= goal:
+                break
+        stack.append([i, chain, d, w, pairs])
+    return best
 
 
 def _nonzero(coords) -> list:

@@ -484,23 +484,14 @@ def compile_cdga(p: Presentation, check: bool = True) -> DGA:
     odd = [g.degree % 2 == 1 for g in canon]
     names = [g.name for g in canon]
 
+    # exponent prefixes of degree <= n, one generator at a time
+    prefixes = [((), 0)]
+    for gdeg, is_odd in zip(degrees, odd):
+        prefixes = [(mono + (e,), deg + e * gdeg) for mono, deg in prefixes
+                    for e in range(min((n - deg) // gdeg, 1 if is_odd else n) + 1)]
     by_degree: list = [[] for _ in range(n + 1)]
-
-    def enum(pos: int, current: list, deg: int):
-        if pos == len(canon):
-            by_degree[deg].append(tuple(current))
-            return
-        gdeg = degrees[pos]
-        cap = (n - deg) // gdeg
-        if odd[pos]:
-            cap = min(cap, 1)
-        for e in range(cap + 1):
-            current.append(e)
-            enum(pos + 1, current, deg + e * gdeg)
-            current.pop()
-
-    enum(0, [], 0)
-    enum = None  # the closure holds itself through its cell
+    for mono, deg in prefixes:
+        by_degree[deg].append(mono)
     monomials = tuple(tuple(sorted(ms, reverse=True)) for ms in by_degree)
     index = [{m: i for i, m in enumerate(ms)} for ms in monomials]
     basis = tuple(tuple(mono_name(m, names) for m in ms) for ms in monomials)

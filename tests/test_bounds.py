@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import masseytc.cohomology
 from masseytc.bounds import (
     LOWER_RULES,
     WeightFact,
@@ -19,7 +20,6 @@ from masseytc.bounds import (
     build_ledger,
     cat_weight_facts,
     cup_chain,
-    ideal_powers_length,
     james_upper,
     normalize_coords,
     replay_ledger,
@@ -30,8 +30,11 @@ from masseytc.bounds import (
     zero_divisor_ideal,
     zero_divisors_cup_length,
 )
-from masseytc.cohomology import CohClass
+from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap, heaviest_chain
+from masseytc.dga import compile_cdga
+from masseytc.linalg import Subspace
 from masseytc.massey import massey_triple
+from test_cohomology import _stress_ring, ideal_powers_length, random_presentations
 
 ALL_MODELS = ("spheres8", "borromean", "even7", "odd11", "s3", "s2", "point")
 
@@ -311,6 +314,129 @@ def test_even7_heaviest_chain_is_bar_u_bar_v_bar_alpha(rings, kunneth_of):
     assert prod in candidates
 
 
+def chain_search_oracle(ring, ideal, k):
+    """Oracle: the first k-tuple of ideal basis classes with nonzero
+    product, searched recursively in ascending order."""
+    atoms = []
+    for d in sorted(ideal):
+        for v in ideal[d].basis_vectors():
+            atoms.append(CohClass(d, v))
+    if k == 0:
+        return (), ring.basis_class(0, 0)
+    mind = min(a.degree for a in atoms)
+    picked = []
+    result = []
+
+    def rec(start, cls, depth):
+        if depth == k:
+            result.append(cls)
+            return True
+        for i in range(start, len(atoms)):
+            a = atoms[i]
+            deg = a.degree if cls is None else cls.degree + a.degree
+            if deg + (k - depth - 1) * mind > ring.truncation:
+                continue
+            prod = a if cls is None else ring.cup(cls, a)
+            if prod.is_zero():
+                continue
+            picked.append(a)
+            if rec(i, prod, depth + 1):
+                return True
+            picked.pop()
+        return False
+
+    assert rec(0, None, 0), f"no chain of length {k}"
+    return tuple(picked), result[0]
+
+
+def weighted_search_oracle(ring, facts):
+    """Oracle: the first heaviest nonzero product of facts in ascending key
+    order, by an unpruned recursive search; None for an empty chain."""
+    atoms = [facts[key] for key in sorted(facts)]
+    top = ring.top_nonzero_degree()
+    best = [0, (), None]
+
+    def rec(start, cls, weight, chain):
+        if weight > best[0]:
+            best[:] = weight, tuple(chain), cls
+        for i in range(start, len(atoms)):
+            f = atoms[i]
+            if cls.degree + f.cls.degree > top:
+                continue
+            prod = ring.cup(cls, f.cls)
+            if not prod.is_zero():
+                rec(i, prod, weight + f.weight, chain + [f.key])
+
+    for i, f in enumerate(atoms):
+        if f.cls.degree <= top:
+            rec(i, f.cls, f.weight, [f.key])
+    return tuple(best)
+
+
+def _assert_searches_match_the_oracles(ring, km):
+    ht = km.ht
+    positive = {k: Subspace.full(ring.dim(k))
+                for k in range(1, ring.truncation + 1) if ring.dim(k)}
+    cl = ideal_powers_length(ring, positive)
+    assert cup_chain(ring) == (cl, *chain_search_oracle(ring, positive, cl))
+    ideal = zero_divisor_ideal(km)
+    zk = ideal_powers_length(ht, ideal)
+    chain, prod = chain_search_oracle(ht, ideal, zk)
+    assert zero_divisors_cup_length(km) == (zk, chain, prod)
+    # the routine itself on the ideal's basis: stopping at the goal, or not,
+    # returns the same first longest chain
+    basis = [CohClass(d, v) for d in sorted(ideal) for v in ideal[d].basis_vectors()]
+    for goal in (None, zk):
+        w, picked, p = heaviest_chain(ht, basis, [1] * len(basis), goal=goal)
+        assert (w, tuple(basis[i] for i in picked), p) == (zk, chain, prod)
+    cat = cat_weight_facts(ring)
+    for rg, facts in ((ring, cat), (ht, tc_weight_facts(ring, km, cat))):
+        best, keys, prod = weighted_lower_bound(rg, facts)
+        assert keys
+        assert (best, keys, prod) == weighted_search_oracle(rg, facts)
+
+
+@pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11"])
+def test_chain_searches_match_the_oracles_on_golden_pools(rings, kunneth_of, name):
+    _assert_searches_match_the_oracles(rings[name], kunneth_of(name))
+
+
+@pytest.mark.parametrize("plane", ["general", "special"])
+def test_chain_searches_match_the_oracles_on_stress_pools(plane):
+    ring = _stress_ring(plane)
+    _assert_searches_match_the_oracles(ring, KunnethMap(ring, ring))
+
+
+def test_chain_searches_match_the_oracles_on_random_pools():
+    for p in random_presentations(7717, 25):
+        ring = CohomologyRing(compile_cdga(p))
+        _assert_searches_match_the_oracles(ring, KunnethMap(ring, ring))
+
+
+def test_heaviest_chain_of_nothing_is_the_unit(rings):
+    ring = rings["spheres8"]
+    assert heaviest_chain(ring, [], []) == (0, (), ring.basis_class(0, 0))
+    assert cup_chain(rings["point"]) == (0, (), rings["point"].basis_class(0, 0))
+    with pytest.raises(ValueError, match="positive degree"):
+        heaviest_chain(ring, [ring.basis_class(0, 0)], [1])
+
+
+def test_cup_length_search_runs_once_per_ring(dgas, monkeypatch):
+    searched = []
+    search = masseytc.cohomology.heaviest_chain
+
+    def recorded(ring, *args, **kwargs):
+        searched.append(ring)
+        return search(ring, *args, **kwargs)
+
+    monkeypatch.setattr(masseytc.cohomology, "heaviest_chain", recorded)
+    ring = CohomologyRing(dgas["even7"])
+    assert ring.cup_length() == 2
+    assert cup_chain(ring)[0] == 2 and ring.cup_length() == 2
+    build_ledger(ring, KunnethMap(ring, ring))
+    assert searched == [ring]
+
+
 # ------------------------------------------------------------- Massey rule
 
 
@@ -501,6 +627,41 @@ def test_replay_names_the_forgery(rings, kunneth_of, ledger_of, forge, reason):
     bad = dataclasses.replace(led, certificates=forge(led.certificates))
     with pytest.raises(ValueError, match=reason):
         replay_ledger(bad, rings["spheres8"], kunneth_of("spheres8"))
+
+
+def _edit_evidence(pool, tag, edit):
+    """A forgery that edits the evidence of the first fact with this tag."""
+    def forge(led):
+        facts = getattr(led, pool)
+        hit = next(f for f in facts if f.inputs[0] == tag)
+        return dataclasses.replace(led, **{pool: tuple(
+            dataclasses.replace(f, inputs=edit(f)) if f is hit else f for f in facts)})
+    return forge
+
+
+@pytest.mark.parametrize("forge, reason", [
+    pytest.param(_edit_evidence("cat_facts", "product", lambda f: f.inputs[:1]),
+                 "product evidence needs 2 entries after its tag, not 0",
+                 id="product-without-factors"),
+    pytest.param(_edit_evidence("tc_facts", "bar", lambda f: f.inputs[:1]),
+                 "bar evidence needs 1 entries after its tag, not 0", id="bar-without-class"),
+    pytest.param(_edit_evidence("tc_facts", "transfer", lambda f: f.inputs[:2]),
+                 "transfer evidence needs 2 entries after its tag, not 1",
+                 id="transfer-without-k"),
+    pytest.param(_edit_evidence("cat_facts", "massey", lambda f: f.inputs[:3]),
+                 "massey evidence needs 3 entries after its tag, not 2",
+                 id="massey-with-two-classes"),
+    pytest.param(_edit_evidence("cat_facts", "product",
+                                lambda f: ("product", ABSENT_FACT, f.inputs[2])),
+                 "product evidence names a fact that is not in the fact pool",
+                 id="product-of-an-absent-fact"),
+    pytest.param(_edit_evidence("cat_facts", "product",
+                                lambda f: ("product", f.key, f.inputs[2])),
+                 r"evidence leads back to fact \('cat', 7", id="product-of-itself"),
+])
+def test_replay_names_malformed_evidence(rings, kunneth_of, ledger_of, forge, reason):
+    with pytest.raises(ValueError, match="failed replay: " + reason):
+        replay_ledger(forge(ledger_of("even7")), rings["even7"], kunneth_of("even7"))
 
 
 def test_ledger_serializes_to_json(ledger_of):

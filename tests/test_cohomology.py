@@ -19,7 +19,7 @@ from masseytc.bounds import (
     zero_divisor_ideal,
     zero_divisors_cup_length,
 )
-from masseytc.cohomology import CohomologyRing, KunnethMap, ideal_powers_length
+from masseytc.cohomology import CohomologyRing, KunnethMap
 from masseytc.dga import Generator, compile_cdga, normalize_presentation
 from masseytc.dsl import parse_model
 from masseytc.linalg import Subspace, rank
@@ -350,6 +350,34 @@ def test_square_eliminates_only_on_demand(rings, monkeypatch, name):
 
 
 # ------------------------------------------------- zcl from generator bars
+
+
+def ideal_powers_length(ring, ideal):
+    """Oracle: the largest k with the k-th power of an ideal nonzero.
+
+    ``ideal`` maps degrees to subspaces that together generate the ideal;
+    the loop raises their span to powers until the product vanishes.
+    """
+    degs = sorted(d for d, s in ideal.items() if s.dim)
+    if not degs:
+        return 0
+    current = {d: ideal[d] for d in degs}
+    k = 1
+    while True:
+        nxt = {}
+        for d1, sub in sorted(current.items()):
+            for d2 in degs:
+                d = d1 + d2
+                if d > ring.truncation:
+                    continue
+                prod = ring.product_span(d1, sub, d2, ideal[d2])
+                if prod.dim:
+                    acc = nxt.get(d)
+                    nxt[d] = prod if acc is None else acc.add(prod)
+        if not nxt:
+            return k
+        current = nxt
+        k += 1
 
 
 def _spans_by_degree(ring, classes):
