@@ -133,7 +133,7 @@ def indecomposables(ring: CohomologyRing) -> list:
         dec = Subspace.zero(n)
         for i in range(1, d):
             if ring.dim(i) and ring.dim(d - i):
-                dec = dec.add(ring.product_span(i, Subspace.full(ring.dim(i)), d - i))
+                dec = dec.add(ring.products(i, d - i))
         pivots = set(dec.pivots)
         out.extend(ring.basis_class(d, j) for j in range(n) if j not in pivots)
     return out
@@ -184,10 +184,7 @@ def transfer_weight(ring: CohomologyRing, kmap: KunnethMap,
     if not (lo <= ell < hi):
         return None, f"degree {ell} misses the window [{lo}, {hi}) for weight {k}"
     for i in range(1, ell):
-        if not (ring.dim(i) and ring.dim(ell - i)):
-            continue
-        span = ring.product_span(i, Subspace.full(ring.dim(i)), ell - i)
-        if span.dim:
+        if ring.dim(i) and ring.dim(ell - i) and ring.products(i, ell - i).dim:
             return None, (f"cup products H^{i} * H^{ell - i} are nonzero, "
                           f"so degree {ell} is not product-free")
     b = bar(kmap, fact.cls)

@@ -13,7 +13,8 @@ MODEL is a built-in model name or a path to a model file.  Output is a
 human summary by default and canonical JSON with ``--json``.
 
 Exit status: 0 on success, 1 when a requested computation cannot be
-completed (an undefined Massey product), 2 on parse or validation errors.
+completed (an undefined Massey product), 2 on parse or validation errors
+and on model files that cannot be read as UTF-8 text.
 """
 
 from __future__ import annotations
@@ -48,7 +49,11 @@ def load_presentation(arg: str):
             known = ", ".join(sorted(MODEL_SOURCES))
             raise CliError(
                 2, f"{arg!r} is neither a built-in model ({known}) nor a file")
-        text, origin = path.read_text(), str(path)
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as e:
+            raise CliError(2, f"{path}: cannot read the model file: {e}")
+        origin = str(path)
     try:
         return parse_model(text)
     except (ParseError, PresentationError) as e:

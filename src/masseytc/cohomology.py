@@ -88,6 +88,7 @@ class CohomologyRing:
         self._cup_memo = {}
         self._cup_chain = None
         self._boundary_solvers = {}
+        self._products = {}
         if factors is not None:
             ha, hb = factors
             self.pairs = tuple(
@@ -143,9 +144,6 @@ class CohomologyRing:
         coords = [ZERO] * self.dim(k)
         coords[i] = ONE
         return CohClass(k, tuple(coords))
-
-    def classes(self, k: int) -> list:
-        return [self.basis_class(k, i) for i in range(self.dim(k))]
 
     def representative(self, cls: CohClass) -> Cochain:
         if not (0 <= cls.degree <= self.truncation):
@@ -279,6 +277,14 @@ class CohomologyRing:
         truncated = (c1.degree + c2.degree > self.truncation
                      and not c1.is_zero() and not c2.is_zero())
         return prod, truncated
+
+    def products(self, k1: int, k2: int) -> Subspace:
+        """Span of all products H^k1 * H^k2 in H^(k1+k2); memoized."""
+        hit = self._products.get((k1, k2))
+        if hit is None:
+            hit = self._products[(k1, k2)] = self.product_span(
+                k1, Subspace.full(self.dim(k1)), k2)
+        return hit
 
     def product_span(self, k1: int, sub: Subspace, k2: int,
                      sub2: Subspace = None) -> Subspace:

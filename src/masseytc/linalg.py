@@ -8,10 +8,20 @@ every other column).  Two subspaces are equal iff their stored bases are
 structurally equal, and coset reduction has one canonical output, which is
 what the cohomology and Massey layers rely on.
 
-Vectors stay dense tuples at the API, but elimination walks nonzero entries
-only: the vector being reduced and each basis column are held as their
-nonzero (index, value) entries.  The reduced echelon basis of a span is
-unique, so the order of the operations cannot change a result.
+There is one elimination routine, :func:`_echelon_columns`.  It walks
+nonzero entries only, and the reduced echelon basis of a span is unique,
+so the order of the operations cannot change a result.  Spans, sums and
+images eliminate their columns as they are.  Kernels and solves eliminate
+the columns of ``a`` with column j tagged by a unit entry at index
+``a.rows + a.cols - 1 - j``, past every row index.  A column that depends
+on the columns before it reduces to tags only, and since the tags of
+later columns come first, its pivot is its own tag: its tags are the
+kernel generator with that column 1 and every other dependent column 0.
+The other columns keep a pivot below ``a.rows``: their row parts are the
+echelon basis of the image, and, as every column vanishes at every other
+pivot, their tags are preimages that are zero on the dependent columns.
+So the canonical solution of ``a x = b`` is the unique one that is zero
+on every column that depends on the columns before it.
 """
 
 from __future__ import annotations
@@ -24,7 +34,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-Scalar = Fraction
 Vector = tuple  # tuple[Fraction, ...]
 
 
@@ -35,21 +44,6 @@ def vec(values: Iterable) -> Vector:
 
 def zero_vec(n: int) -> Vector:
     return (ZERO,) * n
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError(f"vector length mismatch: {len(u)} != {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
-
-
-def is_zero_vec(v: Vector) -> bool:
-    return not any(v)
 
 
 @dataclass(frozen=True)
@@ -157,15 +151,15 @@ class SparseMatrix:
         return SparseMatrix.from_dict(self.rows, other.cols, data)
 
 
-def _echelon_columns(vectors: Iterable[Sequence], ambient: int):
-    """Reduced column echelon basis of the span of ``vectors``: the pivots
-    in increasing order and, in the same order, each basis column as an
-    {index: nonzero value} dict."""
+def _echelon_columns(columns: Iterable):
+    """The one elimination routine: reduced column echelon basis of the span
+    of sparse columns, each given as {index: nonzero value} or its items.
+
+    Returns the pivots in increasing order and, in the same order, each
+    basis column as an {index: nonzero value} dict."""
     column_at = {}  # pivot -> column
-    for v in vectors:
-        if len(v) != ambient:
-            raise ValueError(f"vector length {len(v)} != ambient {ambient}")
-        w = {i: x for i, x in enumerate(v) if x}
+    for w in columns:
+        w = dict(w)
         # The basis vanishes at every other pivot, so each pivot coordinate
         # of w keeps its value until that pivot's column is subtracted.
         for p, c in [(p, c) for p, c in w.items() if p in column_at]:
@@ -196,6 +190,13 @@ def _echelon_columns(vectors: Iterable[Sequence], ambient: int):
     return pivots, [column_at[p] for p in pivots]
 
 
+def _column_dicts(a: SparseMatrix) -> list:
+    cols = [{} for _ in range(a.cols)]
+    for r, c, v in a.entries:
+        cols[c][r] = v
+    return cols
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of Q^ambient with a canonical echelon basis."""
@@ -206,7 +207,20 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        pivots, cols = _echelon_columns(vectors, ambient)
+        columns = []
+        for v in vectors:
+            if len(v) != ambient:
+                raise ValueError(f"vector length {len(v)} != ambient {ambient}")
+            columns.append([(i, x) for i, x in enumerate(v) if x])
+        return cls._spanned(ambient, columns)
+
+    @classmethod
+    def _spanned(cls, ambient: int, columns: Iterable) -> "Subspace":
+        """Span of sparse columns (see :func:`_echelon_columns`)."""
+        return cls._echelon(ambient, *_echelon_columns(columns))
+
+    @classmethod
+    def _echelon(cls, ambient: int, pivots: tuple, cols: list) -> "Subspace":
         entries = sorted((r, c, Fraction(x))
                          for c, col in enumerate(cols) for r, x in col.items())
         return cls(ambient, SparseMatrix(ambient, len(cols), tuple(entries)), pivots)
@@ -266,13 +280,22 @@ class Subspace:
         return not any(self._reduced(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(col) for col in other.basis.columns())
+        column_at = dict(zip(self.pivots, self.nonzero_columns))
+        for col in other.nonzero_columns:
+            # as in _reduced, col's pivot coordinates are the coefficients
+            w = dict(col)
+            for p, c in col:
+                for i, x in column_at.get(p, ()):
+                    w[i] = w.get(i, ZERO) - c * x
+            if any(w.values()):
+                return False
+        return True
 
     def add(self, other: "Subspace") -> "Subspace":
         """Subspace sum."""
         if self.ambient != other.ambient:
             raise ValueError(f"ambient mismatch: {self.ambient} != {other.ambient}")
-        return Subspace.span(self.ambient, self.basis.columns() + other.basis.columns())
+        return Subspace._spanned(self.ambient, self.nonzero_columns + other.nonzero_columns)
 
     def coordinates_of(self, v: Vector) -> Optional[Vector]:
         """Coefficients of v over the echelon basis, or None if v is outside."""
@@ -281,132 +304,70 @@ class Subspace:
         return tuple(v[p] for p in self.pivots)
 
 
+def _tagged_echelon(a: SparseMatrix) -> tuple:
+    """Eliminate the columns of ``a``, column j tagged by a unit entry at
+    index ``a.rows + a.cols - 1 - j``, and split the echelon basis.
+
+    Returns the image pivots, the image basis columns, their preimages and
+    the kernel generators, the last two as {column of a: value} dicts.
+    """
+    last = a.rows + a.cols - 1
+    cols = _column_dicts(a)
+    for j, col in enumerate(cols):
+        col[last - j] = ONE
+    pivots, cols = _echelon_columns(cols)
+    images, preimages, kernel_gens = [], [], []
+    for p, col in zip(pivots, cols):
+        tags = {last - i: x for i, x in col.items() if i >= a.rows}
+        if p < a.rows:
+            images.append({i: x for i, x in col.items() if i < a.rows})
+            preimages.append(tags)
+        else:
+            kernel_gens.append(tags)
+    return pivots[:len(images)], images, preimages, kernel_gens
+
+
 def kernel(a: SparseMatrix) -> Subspace:
     """Null space of ``a`` as a canonical subspace of Q^cols."""
-    rows, pivot_cols = _row_reduce(a)
-    pivot_of_col = {c: r for r, c in pivot_cols}
-    free = [c for c in range(a.cols) if c not in pivot_of_col]
-    gens = []
-    for f in free:
-        x = [ZERO] * a.cols
-        x[f] = ONE
-        for r, c in pivot_cols:
-            coeff = rows[r].get(f)
-            if coeff:
-                x[c] = -coeff
-        gens.append(tuple(x))
-    return Subspace.span(a.cols, gens)
+    return Subspace._spanned(a.cols, _tagged_echelon(a)[3])
 
 
 def image(a: SparseMatrix) -> Subspace:
     """Column space of ``a`` as a canonical subspace of Q^rows."""
-    return Subspace.span(a.rows, a.columns())
+    return Subspace._spanned(a.rows, _column_dicts(a))
 
 
 def rank(a: SparseMatrix) -> int:
-    return len(_row_reduce(a)[1])
+    return len(_echelon_columns(_column_dicts(a))[0])
 
 
 def solve(a: SparseMatrix, b: Vector) -> Optional[Vector]:
-    """Canonical solution of a x = b, or None when inconsistent.
-
-    Free variables are set to zero under the fixed left-to-right pivoting,
-    so the answer is unique and reproducible.
-    """
-    if len(b) != a.rows:
-        raise ValueError(f"dimension mismatch: matrix has {a.rows} rows, rhs has {len(b)}")
-    rhs = a.cols  # the right-hand side rides along as one extra column
-    rows, pivot_cols = _row_reduce(a, [{rhs: Fraction(v)} if v else {} for v in b])
-    used = {r for r, _ in pivot_cols}
-    for r in range(a.rows):
-        if r not in used and rows[r].get(rhs):
-            return None
-    x = [ZERO] * a.cols
-    for r, c in pivot_cols:
-        x[c] = rows[r].get(rhs, ZERO)
-    return tuple(x)
+    """Canonical solution of a x = b, or None when inconsistent: the unique
+    solution that is zero on every column of ``a`` that depends on the
+    columns before it."""
+    return PrefactoredSolver(a).solve(b)
 
 
 class PrefactoredSolver:
-    """Shared elimination for many solves against one matrix.
+    """One elimination of ``a`` shared by many solves against it.
 
-    Row-reduces ``a`` once, remembering the row operations, so that each
-    ``solve`` costs a sparse matrix-vector product instead of a fresh
-    elimination.  Answers agree with :func:`solve` exactly: both read the
-    same reduction, with the identity block here standing in for the
-    right-hand side there.
+    Keeps the canonical basis of the image and, for each basis column, its
+    preimage, so that each ``solve`` costs one reduction against the image.
     """
 
     def __init__(self, a: SparseMatrix):
-        self.rows = a.rows
         self.cols = a.cols
-        rows, pivot_cols = _row_reduce(a, [{a.cols + r: ONE} for r in range(a.rows)])
-        # the identity block, carried through the reduction, is the transform
-        self._trans = [{k - a.cols: v for k, v in row.items() if k >= a.cols}
-                       for row in rows]
-        self._col_of_pivot_row = dict(pivot_cols)
+        pivots, images, self._preimages, _ = _tagged_echelon(a)
+        self._image = Subspace._echelon(a.rows, pivots, images)
 
     def solve(self, b: Sequence) -> Optional[Vector]:
         """Canonical solution of a x = b, or None when inconsistent."""
-        if len(b) != self.rows:
-            raise ValueError(f"dimension mismatch: matrix has {self.rows} rows, rhs has {len(b)}")
-        b = [Fraction(v) for v in b]
+        coeffs = self._image.coordinates_of(b)
+        if coeffs is None:
+            return None
         x = [ZERO] * self.cols
-        for r in range(self.rows):
-            tb = ZERO
-            for i, v in self._trans[r].items():
-                bi = b[i]
-                if bi:
-                    tb += v * bi
-            c = self._col_of_pivot_row.get(r)
-            if c is not None:
-                x[c] = tb
-            elif tb:
-                return None
+        for c, pre in zip(coeffs, self._preimages):
+            if c:
+                for j, v in pre.items():
+                    x[j] += c * v
         return tuple(x)
-
-
-def _row_reduce(a: SparseMatrix, extra: Optional[Sequence[Mapping]] = None):
-    """Full row reduction with deterministic pivoting.
-
-    ``extra`` gives each row further entries in columns ``a.cols`` and up
-    (a right-hand side, or an identity block that records the row
-    operations); they take part in every row operation but never hold a
-    pivot.  Pivot choice: scan the columns of ``a`` left to right, take the
-    lowest-index unused row with a nonzero coefficient.
-
-    Returns (rows as dicts, [(pivot_row, pivot_col), ...]).
-    """
-    rows = [dict(d) for d in a._row_dicts]
-    if extra is not None:
-        for row, more in zip(rows, extra):
-            row.update(more)
-    pivot_cols = []
-    used = set()
-    for c in range(a.cols):
-        piv = None
-        for r in range(a.rows):
-            if r not in used and rows[r].get(c):
-                piv = r
-                break
-        if piv is None:
-            continue
-        used.add(piv)
-        pivot_cols.append((piv, c))
-        prow = rows[piv]
-        inv = ONE / prow[c]
-        if inv != 1:
-            rows[piv] = prow = {k: v * inv for k, v in prow.items()}
-        for r in range(a.rows):
-            if r == piv:
-                continue
-            factor = rows[r].get(c)
-            if factor:
-                target = rows[r]
-                for k, v in prow.items():
-                    nv = target.get(k, ZERO) - factor * v
-                    if nv:
-                        target[k] = nv
-                    else:
-                        target.pop(k, None)
-    return rows, pivot_cols

@@ -20,6 +20,7 @@ from masseytc.bounds import (
     build_ledger,
     cat_weight_facts,
     cup_chain,
+    indecomposables,
     james_upper,
     normalize_coords,
     replay_ledger,
@@ -435,6 +436,26 @@ def test_cup_length_search_runs_once_per_ring(dgas, monkeypatch):
     assert cup_chain(ring)[0] == 2 and ring.cup_length() == 2
     build_ledger(ring, KunnethMap(ring, ring))
     assert searched == [ring]
+
+
+def test_full_product_spans_are_computed_once_per_ring(dgas, monkeypatch):
+    spans = []
+    product_span = CohomologyRing.product_span
+
+    def recorded(self, k1, sub, k2, sub2=None):
+        spans.append((k1, k2))
+        return product_span(self, k1, sub, k2, sub2)
+
+    monkeypatch.setattr(CohomologyRing, "product_span", recorded)
+    ring = CohomologyRing(dgas["even7"])
+    km = KunnethMap(ring, ring)
+    first = indecomposables(ring)
+    assert indecomposables(ring) == first
+    facts = [WeightFact("cat", ring.basis_class(d, i), 3, "R1", ("class",))
+             for d in range(1, ring.truncation + 1) for i in range(ring.dim(d))]
+    reasons = [transfer_weight(ring, km, f, k)[1] for f in facts for k in (1, 2, 3)]
+    assert None in reasons and any(r and "product-free" in r for r in reasons)
+    assert spans and len(spans) == len(set(spans))
 
 
 # ------------------------------------------------------------- Massey rule

@@ -13,7 +13,7 @@ import pytest
 
 import masseytc
 from masseytc import report
-from masseytc.cli import build_parser, cmd_bounds, cmd_cohomology, cmd_zcl, main
+from masseytc.cli import build_parser, cmd_bounds, cmd_cohomology, cmd_massey, cmd_zcl, main
 from masseytc.cohomology import CohomologyRing
 from masseytc.report import PAYLOAD_KEYS
 
@@ -99,6 +99,31 @@ COHOMOLOGY_DIGESTS = {
               "adcfb98025fa861bd7fc466a1bc9df5d80640256179de97155fcd2e39c53ed0c"),
     "stressnil": ("6562f9ab40d229bd53f973c625a1cd353201d688974ae70d01cfa509c75e2c67",
                   "3cf7035d020c337b0ee91b86ac9d34d42c5ac09e91cfb49b12bc6e5858b8bc3a"),
+}
+
+# Exit code and sha256 of the `massey --json` output of the golden Massey
+# queries: each value is built from the canonical witness solves d mu = ab
+# and d lam = bc, so a change to which solution is canonical can move
+# these bytes.
+MASSEY_JSON_DIGESTS = {
+    ("spheres8", "a", "a", "b"):
+        (0, "46acd7bad212b050ad175c96f55eb93398fcbaae453b551ff72c1453499bbbf9"),
+    ("spheres8", "b", "a", "b"):
+        (0, "c7a84da9666f142d465f7464c9acad0d3c745afe86ecbed99454d74d1e85b30d"),
+    ("borromean", "u", "v", "w"):
+        (0, "141a4966cc1ab30ae253966071854082c77402a268cd415c54d76a185a0e2258"),
+    ("borromean", "u", "w", "v"):
+        (0, "d9b41ff936d39c28ab26360f6e9b731329048d9c25e188e18b114eb3a8a51571"),
+    ("even7", "alpha", "alpha", "beta"):
+        (0, "eff8dbe85ad1c98b0d37ff3aca5cb557ec9075154d3a67855d412e41f2a64080"),
+    ("even7", "beta", "beta", "alpha"):
+        (0, "853a18ad3e79eceb919d973c14fca13bfaf5622d0c30380d960b804b67d3fef3"),
+    ("even7", "alpha", "alpha", "alpha"):
+        (0, "96faf643bc4173b080e62b725296e23b27081fe2580863a2333a23b81061b342"),
+    ("even7", "u", "u", "u"):
+        (1, "0866f78c5747924f7394ebfcf2c786566300661f1bf1ba6050e5073e20cd658d"),
+    ("odd11", "alpha", "alpha", "beta"):
+        (0, "1519c7e07ee894a9eece5ee5050916de5fd27b17d6a8ae502b1684397cf0b55d"),
 }
 
 
@@ -208,6 +233,15 @@ def test_parse_error_reports_position(capsys, tmp_path):
     assert str(path) in err
 
 
+def test_unreadable_model_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "binary.mtc"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, "bounds", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: cannot read the model file: ")
+    assert "codec can't decode" in err
+
+
 def test_zcl_command(capsys):
     code, out, _ = run(capsys, "zcl", "spheres8")
     assert code == 0
@@ -298,6 +332,12 @@ def test_cohomology_output_bytes_are_pinned(tmp_path, name):
     code, payload, text = cmd_cohomology(build_parser().parse_args(["cohomology", str(model)]))
     assert code == 0
     assert (_sha256(report.render_json(payload)), _sha256(text)) == COHOMOLOGY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("query", sorted(MASSEY_JSON_DIGESTS))
+def test_massey_json_bytes_are_pinned(query):
+    code, payload, _ = cmd_massey(build_parser().parse_args(["massey", *query]))
+    assert (code, _sha256(report.render_json(payload))) == MASSEY_JSON_DIGESTS[query]
 
 
 @pytest.mark.parametrize("name", ["spheres8", "borromean"])

@@ -2,6 +2,9 @@
 
 The independent oracle for ranks/kernels/solvability is sympy's exact
 rational Matrix routines; the implementation under test never imports sympy.
+A second oracle is the row reduction that ``linalg`` used before every
+elimination went through ``_echelon_columns``: kernel bases, ranks and
+canonical solutions must agree with it exactly.
 """
 
 import random
@@ -10,20 +13,34 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from masseytc import linalg
 from masseytc.linalg import (
+    ONE,
+    ZERO,
     PrefactoredSolver,
     SparseMatrix,
     Subspace,
     image,
-    is_zero_vec,
     kernel,
     rank,
     solve,
     vec,
-    vec_add,
-    vec_scale,
     zero_vec,
 )
+
+
+def vec_add(u, v):
+    assert len(u) == len(v)
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_scale(c, v):
+    c = Fraction(c)
+    return tuple(c * a for a in v)
+
+
+def is_zero_vec(v):
+    return not any(v)
 
 
 def to_sympy(a: SparseMatrix) -> sympy.Matrix:
@@ -230,6 +247,8 @@ def test_reduce_is_idempotent_and_translation_invariant():
             member = vec_add(member, vec_scale(rng.randint(-3, 3), col))
         assert s.reduce(vec_add(v, member)) == r
         assert s.contains(v) == is_zero_vec(r)
+        assert s.contains_subspace(s) and s.contains_subspace(Subspace.span(ambient, [member]))
+        assert s.contains_subspace(Subspace.span(ambient, [member, v])) == s.contains(v)
 
 
 def test_span_rejects_a_vector_of_the_wrong_length():
@@ -363,3 +382,153 @@ def test_matrix_compose_matches_apply():
         ab = a.compose(b)
         x = vec([rng.randint(-3, 3) for _ in range(k)])
         assert ab.apply(x) == a.apply(b.apply(x))
+
+
+# ------------------------------------------------- the row-reduction oracle
+
+
+def _row_reduce_oracle(a: SparseMatrix, extra=None):
+    """Full row reduction: scan the columns left to right and take the
+    lowest-index unused row with a nonzero entry as the pivot.  ``extra``
+    gives each row further entries past column ``a.cols`` that ride along
+    with every row operation but never hold a pivot.
+
+    Returns (rows as dicts, [(pivot_row, pivot_col), ...])."""
+    rows = [dict() for _ in range(a.rows)]
+    for r, c, v in a.entries:
+        rows[r][c] = v
+    if extra is not None:
+        for row, more in zip(rows, extra):
+            row.update(more)
+    pivot_cols = []
+    used = set()
+    for c in range(a.cols):
+        piv = next((r for r in range(a.rows) if r not in used and rows[r].get(c)), None)
+        if piv is None:
+            continue
+        used.add(piv)
+        pivot_cols.append((piv, c))
+        inv = ONE / rows[piv][c]
+        rows[piv] = prow = {k: v * inv for k, v in rows[piv].items()}
+        for r in range(a.rows):
+            factor = rows[r].get(c) if r != piv else None
+            if factor:
+                target = rows[r]
+                for k, v in prow.items():
+                    nv = target.get(k, ZERO) - factor * v
+                    if nv:
+                        target[k] = nv
+                    else:
+                        target.pop(k, None)
+    return rows, pivot_cols
+
+
+def kernel_oracle(a: SparseMatrix) -> Subspace:
+    """One generator per free column f: x_f = 1, the other free columns 0."""
+    rows, pivot_cols = _row_reduce_oracle(a)
+    pivot_of_col = {c: r for r, c in pivot_cols}
+    gens = []
+    for f in range(a.cols):
+        if f in pivot_of_col:
+            continue
+        x = [ZERO] * a.cols
+        x[f] = ONE
+        for r, c in pivot_cols:
+            x[c] = -rows[r].get(f, ZERO)
+        gens.append(tuple(x))
+    return Subspace.span(a.cols, gens)
+
+
+def solve_oracle(a: SparseMatrix, b):
+    """The solution that is zero on every free column, or None."""
+    rhs = a.cols  # the right-hand side rides along as one extra column
+    rows, pivot_cols = _row_reduce_oracle(a, [{rhs: Fraction(v)} if v else {} for v in b])
+    used = {r for r, _ in pivot_cols}
+    if any(rows[r].get(rhs) for r in range(a.rows) if r not in used):
+        return None
+    x = [ZERO] * a.cols
+    for r, c in pivot_cols:
+        x[c] = rows[r].get(rhs, ZERO)
+    return tuple(x)
+
+
+def _matrix_with_dependent_columns(rng: random.Random, rows: int, cols: int) -> SparseMatrix:
+    """A random matrix in which some columns are combinations of (or equal
+    to, or zero like) earlier ones, so dependent columns sit ahead of
+    later pivot columns."""
+    columns = []
+    for c in range(cols):
+        if columns and rng.random() < 0.4:
+            col = [ZERO] * rows
+            for g in rng.sample(columns, rng.randint(0, min(2, len(columns)))):
+                t = Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+                col = [x + t * y for x, y in zip(col, g)]
+        else:
+            col = [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 5]))
+                   if rng.random() < 0.5 else ZERO for _ in range(rows)]
+        columns.append(col)
+    return SparseMatrix.from_columns(rows, columns)
+
+
+def test_eliminations_match_the_row_reduction_oracle():
+    rng = random.Random(9090)
+    seen = {"empty": 0, "dependent-ahead": 0, "solved": 0, "inconsistent": 0}
+    for trial in range(600):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        if trial % 5 == 0:
+            a = random_matrix(rng, rows, cols)
+        else:
+            a = _matrix_with_dependent_columns(rng, rows, cols)
+        seen["empty"] += rows == 0 or cols == 0
+        _, pivot_cols = _row_reduce_oracle(a)
+        pivot_set = {c for _, c in pivot_cols}
+        free = [c for c in range(cols) if c not in pivot_set]
+        seen["dependent-ahead"] += any(f < c for f in free for c in pivot_set)
+
+        k, k_expect = kernel(a), kernel_oracle(a)
+        assert (k.basis.entries, k.pivots) == (k_expect.basis.entries, k_expect.pivots)
+        assert rank(a) == len(pivot_cols) == image(a).dim
+
+        solver = PrefactoredSolver(a)
+        for probe in range(4):
+            if probe % 2:
+                b = a.apply(vec([rng.randint(-2, 2) for _ in range(cols)]))
+            else:
+                b = vec([rng.choice([0, 0, 1, -2, Fraction(1, 3)]) for _ in range(rows)])
+            expect = solve_oracle(a, b)
+            assert solve(a, b) == expect
+            assert solver.solve(b) == expect
+            if expect is None:
+                seen["inconsistent"] += 1
+                continue
+            seen["solved"] += 1
+            assert a.apply(expect) == b
+            assert all(expect[c] == 0 for c in free)
+    assert seen["empty"] > 100 and seen["dependent-ahead"] > 150
+    assert seen["solved"] > 1000 and seen["inconsistent"] > 300, seen
+
+
+def test_every_elimination_goes_through_the_echelon_routine(monkeypatch):
+    assert not hasattr(linalg, "_row_reduce")
+    inner = linalg._echelon_columns
+    calls = []
+
+    def counted(columns):
+        calls.append(1)
+        return inner(columns)
+
+    monkeypatch.setattr(linalg, "_echelon_columns", counted)
+    a = SparseMatrix.from_rows([[1, 2, 3], [2, 4, 7]])
+    b = vec([1, 2])
+    runs = {
+        "kernel": lambda: kernel(a),
+        "image": lambda: image(a),
+        "rank": lambda: rank(a),
+        "solve": lambda: solve(a, b),
+        "PrefactoredSolver": lambda: PrefactoredSolver(a).solve(b),
+        "Subspace.span": lambda: Subspace.span(2, a.columns()),
+    }
+    for name, run in runs.items():
+        before = len(calls)
+        run()
+        assert len(calls) > before, f"{name} did not reach _echelon_columns"
