@@ -35,16 +35,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cohomology import CohClass, CohomologyRing, KunnethMap, cup_chain, heaviest_chain
-from .linalg import ONE, SparseMatrix, Subspace, kernel
+from .linalg import ONE, ZERO, SparseMatrix, Subspace, kernel
 from .massey import massey_triple, scan_triples
 
 
 def normalize_coords(coords) -> tuple:
-    """Projective normalization: scale so the first nonzero entry is 1."""
+    """Projective normalization: scale so the first nonzero entry is 1;
+    zeros become the shared ``ZERO``, cheap to compare in a fact key."""
     for c in coords:
         if c:
             inv = ONE / c
-            return tuple(v * inv for v in coords)
+            return tuple(v * inv if v else ZERO for v in coords)
     return tuple(coords)
 
 
@@ -82,11 +83,11 @@ def _add_fact(facts: dict, kind: str, cls: CohClass, weight: int,
     nc = _normalize_class(cls)
     if nc.is_zero():
         return None
+    key = (kind, nc.degree, nc.coords)  # hashed once, unless replaced
     fact = WeightFact(kind, nc, weight, rule, inputs)
-    old = facts.get(fact.key)
-    if old is None or weight > old.weight:
-        facts[fact.key] = fact
-    return fact.key
+    if facts.setdefault(key, fact).weight < weight:
+        facts[key] = fact
+    return key
 
 
 # ------------------------------------------------------------ zero-divisors
@@ -108,13 +109,17 @@ def zero_divisor_ideal(kmap: KunnethMap) -> dict:
     ring and the chain arithmetic below never leaves the tensor truncation.
     """
     ht, ha = kmap.ht, kmap.ha
+    if ha is not kmap.hb:
+        raise ValueError("zero-divisors need a self-tensor ring")
     out = {}
     for ell in range(1, ht.truncation + 1):
         n = ht.dim(ell)
         if n == 0:
             continue
-        cols = [kmap.diagonal_map(ht.basis_class(ell, i)).coords for i in range(n)]
-        out[ell] = kernel(SparseMatrix.from_columns(ha.dim(ell), cols))
+        # column (p, i, j) is e_i * e_j, read off the table
+        data = {(idx, col): x for col, (p, i, j) in enumerate(ht.pairs[ell])
+                for idx, x in ha.cup_basis(p, i, ell - p, j)}
+        out[ell] = kernel(SparseMatrix.from_dict(ha.dim(ell), n, data))
     return {ell: sub for ell, sub in out.items() if sub.dim}
 
 
@@ -197,7 +202,7 @@ def transfer_weight(ring: CohomologyRing, kmap: KunnethMap,
 def _r2_round(ring: CohomologyRing, facts: dict) -> None:
     # one round of pairwise products; longer chains are explored by the
     # weighted search, this just seeds composite facts (and Massey middles)
-    base = [facts[key] for key in sorted(facts)]
+    base = [f for _, f in sorted(facts.items())]  # unique keys: no fact compared
     for i, f1 in enumerate(base):
         for f2 in base[i:]:
             deg = f1.cls.degree + f2.cls.degree
@@ -239,8 +244,7 @@ def tc_weight_facts(ring: CohomologyRing, kmap: KunnethMap,
         for i in range(ring.dim(k)):
             e = ring.basis_class(k, i)
             _add_fact(facts, "tc", bar(kmap, e), 1, "R1", ("bar", _class_data(e)))
-    for key in sorted(cat_facts):
-        f = cat_facts[key]
+    for _, f in sorted(cat_facts.items()):
         for k in range(f.weight, 0, -1):
             transferred, _ = transfer_weight(ring, kmap, f, k)
             if transferred is not None:
@@ -259,7 +263,7 @@ def weighted_lower_bound(ring: CohomologyRing, facts: dict) -> tuple:
     product.  This is :func:`heaviest_chain` over the facts in ascending
     key order, repeats allowed, so the outcome is deterministic.
     """
-    atoms = [facts[key] for key in sorted(facts)]
+    atoms = [f for _, f in sorted(facts.items())]
     best, picked, prod = heaviest_chain(ring, [f.cls for f in atoms],
                                         [f.weight for f in atoms])
     return best, tuple(atoms[i].key for i in picked), prod
@@ -274,7 +278,7 @@ def rudyak_lower_bound(kmap: KunnethMap, facts: dict, best: int) -> tuple:
     already hold.  Returns (possibly improved bound, certificate or None).
     """
     ht = kmap.ht
-    pool = [facts[key] for key in sorted(facts)]
+    pool = [f for _, f in sorted(facts.items())]
     bars = [f for f in pool if f.inputs and f.inputs[0] in ("bar", "transfer")]
     cert = None
     for beta in pool:
@@ -402,7 +406,9 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
     """Compute all bounds for one model and record their certificates."""
     if kmap.ha is not ring or kmap.hb is not ring:
         raise ValueError("the Kunneth map must square the given ring")
-    cap = ring.truncation if massey_cap is None else massey_cap
+    if massey_cap is not None and massey_cap < 0:
+        raise ValueError(f"the Massey degree cap must be non-negative, not {massey_cap}")
+    cap = ring.truncation if massey_cap is None else min(massey_cap, ring.truncation)
     space_dim = ring.dga.space_dim
     if space_dim is None:
         space_dim = ring.truncation
@@ -466,8 +472,8 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
         cat_upper=cat_upper,
         tc_lower=tc_lower,
         tc_upper=tc_upper,
-        cat_facts=tuple(cat_facts[key] for key in sorted(cat_facts)),
-        tc_facts=tuple(tc_facts[key] for key in sorted(tc_facts)),
+        cat_facts=tuple(f for _, f in sorted(cat_facts.items())),
+        tc_facts=tuple(f for _, f in sorted(tc_facts.items())),
         certificates=tuple(certs),
         massey_cosets=cosets,
         zcl_product=zprod,

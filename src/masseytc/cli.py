@@ -143,6 +143,14 @@ COMMANDS = {
 }
 
 
+def degree(text: str) -> int:
+    """A degree cap given on the command line: a non-negative integer."""
+    cap = int(text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative degree, not {cap}")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -170,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", parents=[common],
                        help="certified lower/upper bounds for cat and TC")
     b.add_argument("model")
-    b.add_argument("--max-massey-degree", type=int, default=None,
+    b.add_argument("--max-massey-degree", type=degree, default=None,
                    metavar="N", help="cap the total degree of scanned triples")
     return parser
 

@@ -20,7 +20,9 @@ basis pair, holding the product's nonzero (index, coefficient) pairs.  A
 ring multiplies its cached basis representatives once per entry, and the
 ring of a tensor model builds its entries from its factor rings' entries.
 Cup products, cup length, the Kunneth map and zero-divisor computations
-all extend that one table bilinearly.
+all extend that one table bilinearly, on nonzero pairs only: a product
+is formed from its factors' pairs and returned as pairs, and becomes a
+dense :class:`CohClass` only where a caller needs one.
 
 Cup length, zcl and the weighted cat/TC bounds are all the heaviest
 nonzero product of chosen classes, found by one search,
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .dga import DGA, Cochain, tensor, tensor_cochain
 from .linalg import ONE, ZERO, PrefactoredSolver, Subspace, image, kernel, zero_vec
@@ -45,6 +48,11 @@ class CohClass:
 
     degree: int
     coords: tuple
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """The nonzero (index, coefficient) pairs, in index order."""
+        return tuple((i, c) for i, c in enumerate(self.coords) if c)
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -141,8 +149,13 @@ class CohomologyRing:
         return CohClass(k, zero_vec(self.dim(k)))
 
     def basis_class(self, k: int, i: int) -> CohClass:
+        return self.class_from_pairs(k, [(i, ONE)])
+
+    def class_from_pairs(self, k: int, pairs) -> CohClass:
+        """The class of H^k with these nonzero pairs; the rest are ``ZERO``."""
         coords = [ZERO] * self.dim(k)
-        coords[i] = ONE
+        for i, c in pairs:
+            coords[i] = c
         return CohClass(k, tuple(coords))
 
     def representative(self, cls: CohClass) -> Cochain:
@@ -251,20 +264,20 @@ class CohomologyRing:
         return tuple(out)
 
     def cup(self, c1: CohClass, c2: CohClass) -> CohClass:
-        return CohClass(c1.degree + c2.degree, self._cup_nonzero(
-            c1.degree, _nonzero(c1.coords), c2.degree, _nonzero(c2.coords)))
+        return self.class_from_pairs(c1.degree + c2.degree, self._cup_nonzero(
+            c1.degree, c1.pairs, c2.degree, c2.pairs))
 
-    def _cup_nonzero(self, k1: int, left: list, k2: int, right: list) -> tuple:
-        """Coordinates of the product of two classes given by their nonzero
-        (index, coefficient) pairs."""
-        out = list(zero_vec(self.dim(k1 + k2)))
-        if out:
+    def _cup_nonzero(self, k1: int, left: list, k2: int, right: list) -> list:
+        """The product of two classes given by their nonzero (index,
+        coefficient) pairs, as its own nonzero pairs in index order."""
+        out = {}
+        if self.dim(k1 + k2):
             for i1, a in left:
                 for i2, b in right:
                     ab = a * b
                     for idx, v in self.cup_basis(k1, i1, k2, i2):
-                        out[idx] += ab * v
-        return tuple(out)
+                        out[idx] = out.get(idx, ZERO) + ab * v
+        return sorted((idx, v) for idx, v in out.items() if v)
 
     def cup_checked(self, c1: CohClass, c2: CohClass):
         """(product, truncated): the flag marks products the truncation hides.
@@ -292,9 +305,9 @@ class CohomologyRing:
         second defaulting to all of H^k2; lives inside H^(k1+k2)."""
         rights = ([[(i, ONE)] for i in range(self.dim(k2))] if sub2 is None
                   else sub2.nonzero_columns)
-        vectors = [self._cup_nonzero(k1, left, k2, r)
-                   for left in sub.nonzero_columns for r in rights]
-        return Subspace.span(self.dim(k1 + k2), vectors)
+        return Subspace._spanned(self.dim(k1 + k2), (
+            self._cup_nonzero(k1, left, k2, r)
+            for left in sub.nonzero_columns for r in rights))
 
     # ------------------------------------------------------------ invariants
 
@@ -350,9 +363,6 @@ def heaviest_chain(ring: CohomologyRing, classes: list, weights: list,
         raise ValueError("chain factors need positive degree")
     top = ring.top_nonzero_degree()
     rate = max((Fraction(w, c.degree) for c, w in zip(classes, weights)), default=0)
-    # each class's nonzero (index, coefficient) pairs are read once: a
-    # factor's before the walk, a product's when it is formed
-    sparse = [_nonzero(c.coords) for c in classes]
     best = (0, (), ring.basis_class(0, 0))
     # a frame is [next index, chain, degree, weight, product's nonzero
     # pairs]; the first frame is the empty chain
@@ -369,23 +379,18 @@ def heaviest_chain(ring: CohomologyRing, classes: list, weights: list,
         if d > top or w + (top - d) * rate <= best[0]:
             continue
         if left is None:
-            prod, pairs = c, sparse[i]
+            pairs = c.pairs
         else:
-            prod = CohClass(d, ring._cup_nonzero(deg, left, c.degree, sparse[i]))
-            pairs = _nonzero(prod.coords)
+            pairs = ring._cup_nonzero(deg, left, c.degree, c.pairs)
         if not pairs:
             continue
         chain += (i,)
         if w > best[0]:
-            best = (w, chain, prod)
+            best = (w, chain, c if left is None else ring.class_from_pairs(d, pairs))
             if goal is not None and w >= goal:
                 break
         stack.append([i, chain, d, w, pairs])
     return best
-
-
-def _nonzero(coords) -> list:
-    return [(i, c) for i, c in enumerate(coords) if c]
 
 
 # ------------------------------------------------------------------ Kunneth
@@ -466,8 +471,8 @@ class KunnethMap:
         """Multiplication map on a self-tensor: x (x) y -> x cup y."""
         if self.ha is not self.hb:
             raise ValueError("diagonal map needs both factors to be the same ring")
-        out = self.ha.zero_class(c.degree)
-        for (p, i, j), v in sorted(self.decompose(c).items()):
-            out = out.add(self.ha.cup(self.ha.basis_class(p, i),
-                                      self.ha.basis_class(c.degree - p, j)).scale(v))
-        return out
+        k, out = c.degree, {}
+        for (p, i, j), v in self.decompose(c).items():
+            for idx, x in self.ha.cup_basis(p, i, k - p, j):
+                out[idx] = out.get(idx, ZERO) + v * x
+        return self.ha.class_from_pairs(k, [(idx, x) for idx, x in out.items() if x])

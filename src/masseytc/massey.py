@@ -23,7 +23,7 @@ from typing import Optional
 
 from .cohomology import CohClass, CohomologyRing, KunnethMap
 from .dga import Cochain, tensor_cochain
-from .linalg import Subspace, kernel, SparseMatrix
+from .linalg import ONE, Subspace, kernel, SparseMatrix
 
 
 @dataclass(frozen=True)
@@ -157,15 +157,15 @@ def massey_value_from_cocycles(ring: CohomologyRing, a: Cochain, b: Cochain,
 
 def left_annihilator(ring: CohomologyRing, k: int, cls: CohClass) -> Subspace:
     """Classes xi in H^k with xi * cls = 0 (kernel of cup on the right)."""
-    cols = [ring.cup(ring.basis_class(k, i), cls).coords
-            for i in range(ring.dim(k))]
-    return kernel(SparseMatrix.from_columns(ring.dim(k + cls.degree), cols))
+    data = {(idx, i): x for i in range(ring.dim(k))
+            for idx, x in ring._cup_nonzero(k, [(i, ONE)], cls.degree, cls.pairs)}
+    return kernel(SparseMatrix.from_dict(ring.dim(k + cls.degree), ring.dim(k), data))
 
 
 def right_annihilator(ring: CohomologyRing, k: int, cls: CohClass) -> Subspace:
-    cols = [ring.cup(cls, ring.basis_class(k, i)).coords
-            for i in range(ring.dim(k))]
-    return kernel(SparseMatrix.from_columns(ring.dim(k + cls.degree), cols))
+    data = {(idx, i): x for i in range(ring.dim(k))
+            for idx, x in ring._cup_nonzero(cls.degree, cls.pairs, k, [(i, ONE)])}
+    return kernel(SparseMatrix.from_dict(ring.dim(k + cls.degree), ring.dim(k), data))
 
 
 def scan_triples(ring: CohomologyRing, max_degree: int = None) -> list:

@@ -562,6 +562,18 @@ def test_ledger_massey_cap(rings, kunneth_of):
     assert replay_ledger(led, ring, km)
 
 
+def test_ledger_massey_cap_is_checked_and_clamped(rings, kunneth_of, ledger_of):
+    # a negative cap is refused; a cap past the truncation scans what the
+    # default does, so the ledger records the truncation and equals it
+    ring, km = rings["borromean"], kunneth_of("borromean")
+    with pytest.raises(ValueError, match="non-negative"):
+        build_ledger(ring, km, massey_cap=-1)
+    led = build_ledger(ring, km, massey_cap=ring.truncation + 5)
+    assert led.massey_cap == ring.truncation
+    assert led == ledger_of("borromean")
+    assert replay_ledger(led, ring, km)
+
+
 def test_ledger_requires_matching_square(rings, kunneth_of):
     with pytest.raises(ValueError):
         build_ledger(rings["s2"], kunneth_of("s3"))

@@ -274,6 +274,15 @@ def test_bounds_massey_cap_flag(capsys):
     assert payload["massey"] == []  # no triples fit below total degree 2
 
 
+def test_bounds_rejects_a_negative_massey_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "spheres8", "--max-massey-degree", "-3", "--json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--max-massey-degree: expected a non-negative degree, not -3" in err
+
+
 def test_quiet_suppresses_output(capsys):
     code, out, err = run(capsys, "massey", "spheres8", "a", "a", "b", "--quiet")
     assert code == 0 and out == "" and err == ""
