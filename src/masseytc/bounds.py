@@ -275,13 +275,17 @@ def rudyak_lower_bound(kmap: KunnethMap, facts: dict, best: int) -> tuple:
     Outer slots run over bar-type facts (plain bars and transferred ones),
     the middle slot over the whole pool, and a triple is only computed when
     wgt(beta) + min(wgt(alpha), wgt(gamma)) + 1 would beat the bound we
-    already hold.  Returns (possibly improved bound, certificate or None).
+    already hold; a beta that cannot beat it with the heaviest bars is
+    skipped whole.  Returns (possibly improved bound, certificate or None).
     """
     ht = kmap.ht
     pool = [f for _, f in sorted(facts.items())]
     bars = [f for f in pool if f.inputs and f.inputs[0] in ("bar", "transfer")]
+    top = max((f.weight for f in bars), default=0)
     cert = None
     for beta in pool:
+        if beta.weight + top + 1 <= best:
+            continue  # no triple with this middle slot can beat the bound
         for ia, alpha in enumerate(bars):
             for gamma in bars[ia:]:  # mirrored triples agree up to sign
                 potential = beta.weight + min(alpha.weight, gamma.weight) + 1
@@ -312,6 +316,10 @@ def james_upper(space_dim: int, connectivity: int) -> int:
 
 
 # ------------------------------------------------------------------ ledger
+
+
+class InconsistentBounds(ValueError):
+    """A certified lower bound exceeds an upper bound from ``space-dim``."""
 
 
 @dataclass(frozen=True)
@@ -453,9 +461,9 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
                   "cat_upper": cat_upper})
 
     if cat_lower > cat_upper:
-        raise ValueError(f"inconsistent category bounds [{cat_lower}, {cat_upper}]")
+        raise InconsistentBounds(f"inconsistent category bounds [{cat_lower}, {cat_upper}]")
     if tc_lower > tc_upper:
-        raise ValueError(f"inconsistent TC bounds [{tc_lower}, {tc_upper}]")
+        raise InconsistentBounds(f"inconsistent TC bounds [{tc_lower}, {tc_upper}]")
 
     return BoundLedger(
         model=ring.dga.name,

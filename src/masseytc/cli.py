@@ -13,8 +13,9 @@ MODEL is a built-in model name or a path to a model file.  Output is a
 human summary by default and canonical JSON with ``--json``.
 
 Exit status: 0 on success, 1 when a requested computation cannot be
-completed (an undefined Massey product), 2 on parse or validation errors
-and on model files that cannot be read as UTF-8 text.
+completed (an undefined Massey product), 2 on parse or validation errors,
+on model files that cannot be read as UTF-8 text and on a declared
+``space-dim`` too small for the bounds the ring certifies.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import report
-from .bounds import build_ledger, zero_divisors_cup_length
+from .bounds import InconsistentBounds, build_ledger, zero_divisors_cup_length
 from .cohomology import CohomologyRing, KunnethMap
 from .dga import PresentationError, compile_cdga
 from .dsl import ParseError, parse_model
@@ -123,7 +124,10 @@ def cmd_zcl(args):
 def cmd_bounds(args):
     ring = build_ring(args.model)
     kmap = KunnethMap(ring, ring)
-    ledger = build_ledger(ring, kmap, massey_cap=args.max_massey_degree)
+    try:
+        ledger = build_ledger(ring, kmap, massey_cap=args.max_massey_degree)
+    except InconsistentBounds as e:
+        raise CliError(2, f"model {ring.dga.name}: {e}, space-dim {ring.dga.space_dim} too small")
     payload = report.build_payload(
         ring,
         massey=report.massey_section(ring, ledger.massey_cosets),

@@ -18,7 +18,9 @@ cochains.
 Products are held as a sparse table of structure constants: one entry per
 basis pair, holding the product's nonzero (index, coefficient) pairs.  A
 ring multiplies its cached basis representatives once per entry, and the
-ring of a tensor model builds its entries from its factor rings' entries.
+ring of a tensor model builds its entries from its factor rings' entries
+by the Koszul rule of :class:`masseytc.dga.PairBasis`, shared with the
+cochain square.
 Cup products, cup length, the Kunneth map and zero-divisor computations
 all extend that one table bilinearly, on nonzero pairs only: a product
 is formed from its factors' pairs and returned as pairs, and becomes a
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .dga import DGA, Cochain, tensor, tensor_cochain
+from .dga import DGA, Cochain, PairBasis, tensor, tensor_cochain
 from .linalg import ONE, ZERO, PrefactoredSolver, Subspace, image, kernel, zero_vec
 
 
@@ -98,12 +100,7 @@ class CohomologyRing:
         self._boundary_solvers = {}
         self._products = {}
         if factors is not None:
-            ha, hb = factors
-            self.pairs = tuple(
-                tuple((p, i, j) for p in range(k + 1)
-                      for i in range(ha.dim(p)) for j in range(hb.dim(k - p)))
-                for k in range(dga.truncation + 1))
-            self._pair_index = [{t: i for i, t in enumerate(ps)} for ps in self.pairs]
+            self.pairs = PairBasis(dga.truncation, factors[0].dim, factors[1].dim)
         if dga.simply_connected and self.dim(1) != 0:
             raise ValueError(
                 f"model {dga.name} is declared simply connected but H^1 has "
@@ -233,35 +230,10 @@ class CohomologyRing:
                                 Cochain(k2, self.part(k2).reps.basis_vectors()[i2]))
             entry = tuple((i, c) for i, c in enumerate(self.class_of(prod).coords) if c)
         else:
-            # (x1 (x) y1)(x2 (x) y2) = (-1)^{|y1||x2|} x1 x2 (x) y1 y2
-            ha, hb = self.factors
-            p1, a1, b1 = self.pairs[k1][i1]
-            p2, a2, b2 = self.pairs[k2][i2]
-            q1, q2 = k1 - p1, k2 - p2
-            left = ha.cup_basis(p1, a1, p2, a2)
-            right = hb.cup_basis(q1, b1, q2, b2) if left else ()
-            index = self._pair_index[deg]
-            odd = (q1 * p2) % 2
-            entry = []
-            for ia, ca in left:
-                for jb, cb in right:
-                    c = ca * cb
-                    entry.append((index[(p1 + p2, ia, jb)], -c if odd else c))
-            entry = tuple(entry)
+            entry = self.pairs.product(k1, i1, k2, i2, self.factors[0].cup_basis,
+                                       self.factors[1].cup_basis)
         self._cup_memo[key] = entry
         return entry
-
-    def cross_coords(self, p: int, xs, q: int, ys) -> tuple:
-        """Coordinates of x (x) y on the pair basis of a tensor ring, for x
-        in H^p of the first factor and y in H^q of the second."""
-        out = list(zero_vec(self.dim(p + q)))
-        index = self._pair_index[p + q]
-        for i, x in enumerate(xs):
-            if x:
-                for j, y in enumerate(ys):
-                    if y:
-                        out[index[(p, i, j)]] = x * y
-        return tuple(out)
 
     def cup(self, c1: CohClass, c2: CohClass) -> CohClass:
         return self.class_from_pairs(c1.degree + c2.degree, self._cup_nonzero(
@@ -284,11 +256,12 @@ class CohomologyRing:
 
         A product whose degree exceeds the truncation is reported as zero but
         is not certified by the model; the flag is False when either factor
-        is already zero, since then the product vanishes for honest reasons.
+        is a zero class within the truncation, since then the product
+        vanishes for honest reasons (a factor above it is no known zero).
         """
         prod = self.cup(c1, c2)
         truncated = (c1.degree + c2.degree > self.truncation
-                     and not c1.is_zero() and not c2.is_zero())
+                     and not any(c.degree <= self.truncation and c.is_zero() for c in (c1, c2)))
         return prod, truncated
 
     def products(self, k1: int, k2: int) -> Subspace:
@@ -399,12 +372,13 @@ def heaviest_chain(ring: CohomologyRing, classes: list, weights: list,
 class KunnethMap:
     """The cross-product isomorphism H(A) (x) H(B) -> H(A (x) B).
 
-    The canonical basis of H(A (x) B) is exactly {r_i (x) s_j}, in the
-    tensor model's (p, i, j) order, where r_i and s_j are the factors'
-    canonical representatives.  So the map is the identity on coordinates,
-    the square's dimensions are the numbers of pairs, and its structure
-    constants are the factors' ones with the Koszul sign.  That is how its
-    ring is built, so building the map runs no elimination.
+    The canonical basis of H(A (x) B) is exactly {r_i (x) s_j}, where r_i
+    and s_j are the factors' canonical representatives, in the order of the
+    :class:`~masseytc.dga.PairBasis` shared with the cochain square.  So
+    the map is the identity on coordinates, the square's dimensions are the
+    numbers of pairs, and its structure constants are the factors' ones by
+    the Koszul rule of ``PairBasis.product``.  That is how its ring is
+    built, so building the map runs no elimination.
 
     Proof.  Let v != 0 be a boundary of A (x) B with leading position
     (p, a, b).  Its (p, q) block is X + Y, where the columns of X lie in the
@@ -425,40 +399,48 @@ class KunnethMap:
         self.pairs = self.ht.pairs
 
     def cross(self, a: CohClass, b: CohClass) -> CohClass:
-        return CohClass(a.degree + b.degree, self.ht.cross_coords(
+        return CohClass(a.degree + b.degree, self.pairs.coords(
             a.degree, a.coords, b.degree, b.coords))
 
     def check(self) -> None:
         """Raise unless each canonical class of the square is represented by
-        r_i (x) s_j and the table products agree with cochain products."""
+        r_i (x) s_j, and the cochain products of these follow the Koszul
+        rule, written here on its own, and agree with the table products."""
         ht, t = self.ht, self.ht.dga
+        crosses = []  # per degree, (r_i (x) s_j, r_i, s_j) for each pair
         for deg in range(ht.truncation + 1):
             reps = ht.part(deg).reps.basis_vectors()
             if len(reps) != len(self.pairs[deg]):
                 raise ValueError(
                     f"Kunneth dimension mismatch in degree {deg}: "
                     f"{len(self.pairs[deg])} products vs H^{deg} of dimension {len(reps)}")
-            for rep, (p, i, j) in zip(reps, self.pairs[deg]):
-                x = self.ha.representative(self.ha.basis_class(p, i))
-                y = self.hb.representative(self.hb.basis_class(deg - p, j))
-                if tensor_cochain(t, x, y).coords != rep:
-                    raise ValueError(f"class {(p, i, j)} of the square is not "
+            crosses.append([(Cochain(deg, rep), self.ha.representative(self.ha.basis_class(p, i)),
+                             self.hb.representative(self.hb.basis_class(deg - p, j)))
+                            for rep, (p, i, j) in zip(reps, self.pairs[deg])])
+            for pair, (xy, x, y) in zip(self.pairs[deg], crosses[deg]):
+                if tensor_cochain(t, x, y) != xy:
+                    raise ValueError(f"class {pair} of the square is not "
                                      "represented by the cross product")
         for k1 in range(ht.truncation + 1):
             for k2 in range(ht.truncation + 1 - k1):
                 n = ht.dim(k1 + k2)
                 if not n:
                     continue
-                for i1, x in enumerate(ht.part(k1).reps.basis_vectors()):
-                    for i2, y in enumerate(ht.part(k2).reps.basis_vectors()):
-                        prod = t.mul(Cochain(k1, x), Cochain(k2, y))
+                for i1, (xy1, x1, y1) in enumerate(crosses[k1]):
+                    for i2, (xy2, x2, y2) in enumerate(crosses[k2]):
+                        # (x1 (x) y1)(x2 (x) y2) = (-1)^{|y1||x2|} x1 x2 (x) y1 y2
+                        sign = -1 if y1.degree * x2.degree % 2 else 1
+                        prod = t.mul(xy1, xy2)
                         table = [ZERO] * n
                         for idx, v in ht.cup_basis(k1, i1, k2, i2):
                             table[idx] = v
+                        if prod != tensor_cochain(t, self.ha.dga.mul(x1, x2).scale(sign),
+                                                  self.hb.dga.mul(y1, y2)):
+                            raise ValueError(f"cochain product breaks the Koszul sign "
+                                             f"on ({k1},{i1}) * ({k2},{i2})")
                         if tuple(table) != ht.class_of(prod).coords:
-                            raise ValueError(
-                                f"table product differs from the cochain product "
-                                f"on ({k1},{i1}) * ({k2},{i2})")
+                            raise ValueError(f"table product differs from the cochain "
+                                             f"product on ({k1},{i1}) * ({k2},{i2})")
 
     def decompose(self, c: CohClass) -> dict:
         """Write a class of the tensor model as sum of cross products.

@@ -179,7 +179,7 @@ class DGA:
     space_dim: Optional[int] = None
     presentation: Optional[Presentation] = None
     monomials: Optional[tuple] = None  # per-degree Monomial tuples (compiled models)
-    pairs: Optional[tuple] = None      # per-degree (p, i, j) tuples (tensor models)
+    pairs: Optional[tuple] = None      # PairBasis (tensor models)
     factors: Optional[tuple] = None    # (A, B) for tensor models
 
     def dim(self, k: int) -> int:
@@ -570,18 +570,67 @@ def compile_cdga(p: Presentation, check: bool = True) -> DGA:
 # ---------------------------------------------------------------- tensor
 
 
+class PairBasis(tuple):
+    """The basis of a tensor product A (x) B: degree k lists the pairs
+    (p, i, j) of basis element i of A^p and j of B^(k-p), ordered by p, i,
+    then j, and ``index[k]`` maps a pair to its position.  The one home of
+    this layout, of the Koszul product rule and of x (x) y: the cochain
+    square (:func:`tensor`) and the cohomology square
+    (``CohomologyRing(dga, factors)``) both read them from here."""
+
+    def __new__(cls, n: int, dim_a, dim_b):
+        self = super().__new__(cls, (
+            tuple((p, i, j) for p in range(k + 1)
+                  for i in range(dim_a(p)) for j in range(dim_b(k - p)))
+            for k in range(n + 1)))
+        self.index = [{t: i for i, t in enumerate(ps)} for ps in self]
+        return self
+
+    def product(self, n1: int, i1: int, n2: int, i2: int, left, right) -> tuple:
+        """Pair i1 of degree n1 times pair i2 of degree n2 as sorted (index,
+        coefficient) pairs, () for zero or out of range, by
+        (x1 (x) y1)(x2 (x) y2) = (-1)^{|y1||x2|} x1 x2 (x) y1 y2, where
+        ``left(p1, a1, p2, a2)`` and ``right(q1, b1, q2, b2)`` give the
+        factors' sparse product entries."""
+        if not (n1 >= 0 and n2 >= 0 and n1 + n2 < len(self)
+                and 0 <= i1 < len(self[n1]) and 0 <= i2 < len(self[n2])):
+            return ()
+        p1, a1, b1 = self[n1][i1]
+        p2, a2, b2 = self[n2][i2]
+        q1, q2 = n1 - p1, n2 - p2
+        xs = left(p1, a1, p2, a2)
+        ys = right(q1, b1, q2, b2) if xs else None
+        if not ys:
+            return ()
+        index, odd = self.index[n1 + n2], (q1 * p2) % 2
+        return tuple(sorted((index[(p1 + p2, ia, jb)], -ca * cb if odd else ca * cb)
+                            for ia, ca in xs for jb, cb in ys))
+
+    def coords(self, p: int, xs, q: int, ys) -> tuple:
+        """Coordinates of x (x) y for x of degree p and y of degree q, given
+        by their coordinates in the factors; () above the top degree."""
+        if p + q >= len(self):
+            return ()
+        index, out = self.index[p + q], [ZERO] * len(self[p + q])
+        right = [(j, y) for j, y in enumerate(ys) if y]
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in right:
+                    out[index[(p, i, j)]] = x * y
+        return tuple(out)
+
+
 class _TensorProducts(Mapping):
     """The product table of a (x) b as a read-only mapping.
 
-    An entry is computed from the factors' tables with the Koszul sign the
-    first time it is read, then memoized; absent keys, including keys out of
-    range, read as None from ``get`` and raise KeyError from ``[]``.
-    Iterating, ``items()`` and ``len()`` fill the whole table first.
-    ``index[k]`` maps a pair (p, i, j) to its position in degree k.
+    An entry is computed by :meth:`PairBasis.product` from the factors'
+    tables the first time it is read, then memoized; absent keys, including
+    keys out of range, read as None from ``get`` and raise KeyError from
+    ``[]``.  Iterating, ``items()`` and ``len()`` fill the whole table first.
     """
 
-    def __init__(self, a: DGA, b: DGA, pairs: tuple, index: list):
-        self.a, self.b, self.pairs, self.index = a, b, pairs, index
+    def __init__(self, a: DGA, b: DGA, pairs: PairBasis):
+        self.a, self.b, self.pairs = a, b, pairs
         self._memo = {}
         self._filled = False
 
@@ -593,28 +642,9 @@ class _TensorProducts(Mapping):
 
     def _entry(self, n1: int, i1: int, n2: int, i2: int) -> tuple:
         """The sorted entry, or () for a zero product or a key out of range."""
-        pairs = self.pairs
-        if not (n1 >= 0 and n2 >= 0 and n1 + n2 < len(pairs)
-                and 0 <= i1 < len(pairs[n1]) and 0 <= i2 < len(pairs[n2])):
-            return ()
-        p1, a1, b1 = pairs[n1][i1]
-        p2, a2, b2 = pairs[n2][i2]
-        q1, q2 = n1 - p1, n2 - p2
-        left = self.a.mult.get((p1, a1, p2, a2))
-        if not left:
-            return ()
-        right = self.b.mult.get((q1, b1, q2, b2))
-        if not right:
-            return ()
-        tindex = self.index[n1 + n2]
-        odd = (q1 * p2) % 2
-        entry = []
-        for ia, ca in left:
-            for jb, cb in right:
-                c = ca * cb
-                entry.append((tindex[(p1 + p2, ia, jb)], -c if odd else c))
-        entry.sort()
-        return tuple(entry)
+        left, right = self.a.mult, self.b.mult
+        return self.pairs.product(n1, i1, n2, i2, lambda *key: left.get(key),
+                                  lambda *key: right.get(key))
 
     def _fill(self) -> None:
         if self._filled:
@@ -654,8 +684,8 @@ class _TensorDifferentials(Sequence):
     degree 0..N; degree k's matrix is built the first time it is read.
     Negative indices and slices behave as on a tuple."""
 
-    def __init__(self, a: DGA, b: DGA, pairs: tuple, index: list):
-        self.a, self.b, self.pairs, self.index = a, b, pairs, index
+    def __init__(self, a: DGA, b: DGA, pairs: PairBasis):
+        self.a, self.b, self.pairs = a, b, pairs
         self._built = [None] * len(pairs)
 
     def __len__(self) -> int:
@@ -674,7 +704,7 @@ class _TensorDifferentials(Sequence):
         a, b, pairs = self.a, self.b, self.pairs
         n = len(pairs) - 1
         data = {}
-        tindex = self.index[deg + 1] if deg + 1 <= n else {}
+        tindex = pairs.index[deg + 1] if deg + 1 <= n else {}
         for col, (p, i, j) in enumerate(pairs[deg]):
             q = deg - p
             if p + 1 <= a.truncation:
@@ -698,37 +728,21 @@ def tensor(a: DGA, b: DGA) -> DGA:
     (x (x) y) * (z (x) w) = (-1)^{|y||z|} xz (x) yw and
     d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy, truncated at N_a + N_b
     (every basis pair survives; truncation inside the factors propagates).
-    Only the basis and its (p, i, j) pairs are built here: ``mult`` and
+    Only the basis, a :class:`PairBasis`, is built here: ``mult`` and
     ``diff`` are lazy read-only views that compute a product entry or a
     degree's differential the first time something reads it, so a square
-    whose cochains nothing touches costs its basis only.
-    The product of two DGAs meets the axioms when its factors do, so the
-    exhaustive check is left to ``DGA.validate``.
+    whose cochains nothing touches costs its basis only.  The product of
+    two DGAs meets the axioms when its factors do, so the exhaustive check
+    is left to ``DGA.validate``.
     """
-    n = a.truncation + b.truncation
-    pairs = []
-    basis = []
-    pair_index = []
-    for deg in range(n + 1):
-        ps = []
-        names = []
-        for p in range(deg + 1):
-            q = deg - p
-            for i in range(a.dim(p)):
-                for j in range(b.dim(q)):
-                    ps.append((p, i, j))
-                    names.append(f"{a.basis[p][i]}(x){b.basis[q][j]}")
-        pairs.append(tuple(ps))
-        basis.append(tuple(names))
-        pair_index.append({t: i for i, t in enumerate(ps)})
-    pairs = tuple(pairs)
-
+    pairs = PairBasis(a.truncation + b.truncation, a.dim, b.dim)
     return DGA(
         name=f"{a.name}(x){b.name}",
-        truncation=n,
-        basis=tuple(basis),
-        mult=_TensorProducts(a, b, pairs, pair_index),
-        diff=_TensorDifferentials(a, b, pairs, pair_index),
+        truncation=len(pairs) - 1,
+        basis=tuple(tuple(f"{a.basis[p][i]}(x){b.basis[k - p][j]}" for p, i, j in ps)
+                    for k, ps in enumerate(pairs)),
+        mult=_TensorProducts(a, b, pairs),
+        diff=_TensorDifferentials(a, b, pairs),
         graded_commutative=a.graded_commutative and b.graded_commutative,
         unital=a.unital and b.unital,
         simply_connected=a.simply_connected and b.simply_connected,
@@ -742,14 +756,5 @@ def tensor_cochain(t: DGA, x: Cochain, y: Cochain) -> Cochain:
     """The pure tensor x (x) y as a cochain of the tensor model ``t``."""
     if t.pairs is None:
         raise ValueError("not a tensor model")
-    deg = x.degree + y.degree
-    coords = [ZERO] * t.dim(deg)
-    if deg <= t.truncation:
-        idx = t.mult.index[deg]
-        for i, cx in enumerate(x.coords):
-            if not cx:
-                continue
-            for j, cy in enumerate(y.coords):
-                if cy:
-                    coords[idx[(x.degree, i, j)]] = cx * cy
-    return Cochain(deg, tuple(coords))
+    return Cochain(x.degree + y.degree,
+                   t.pairs.coords(x.degree, x.coords, y.degree, y.coords))

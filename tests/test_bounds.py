@@ -484,6 +484,43 @@ def test_rudyak_cannot_beat_the_weighted_bounds(rings, kunneth_of):
         assert best == current and cert is None
 
 
+def rudyak_scan_oracle(kmap, facts, best):
+    """Oracle: the Massey rule scan weighing every (beta, alpha, gamma),
+    with no early skip of a beta that cannot beat the bound."""
+    pool = [f for _, f in sorted(facts.items())]
+    bars = [f for f in pool if f.inputs and f.inputs[0] in ("bar", "transfer")]
+    cert = None
+    for beta in pool:
+        for ia, alpha in enumerate(bars):
+            for gamma in bars[ia:]:
+                potential = beta.weight + min(alpha.weight, gamma.weight) + 1
+                if potential <= best:
+                    continue
+                target = alpha.cls.degree + beta.cls.degree + gamma.cls.degree - 1
+                if target > kmap.ht.truncation:
+                    continue
+                if massey_triple(kmap.ht, alpha.cls, beta.cls, gamma.cls).is_nonzero():
+                    best = potential
+                    cert = {"rule": "massey-rudyak", "kind": "tc", "bound": best,
+                            "alpha": alpha.key, "beta": beta.key, "gamma": gamma.key}
+    return best, cert
+
+
+@pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress"])
+def test_rudyak_skip_matches_the_unskipped_scan(rings, kunneth_of, name):
+    # from the bound the ledger starts the scan at, and from one below it,
+    # where fewer betas are skipped
+    if name == "stress":
+        ring = _stress_ring("general")
+        km = KunnethMap(ring, ring)
+    else:
+        ring, km = rings[name], kunneth_of(name)
+    facts = tc_weight_facts(ring, km, cat_weight_facts(ring))
+    start = max(zero_divisors_cup_length(km)[0], weighted_lower_bound(km.ht, facts)[0]) + 1
+    for best in (start, start - 1):
+        assert rudyak_lower_bound(km, facts, best) == rudyak_scan_oracle(km, facts, best)
+
+
 def test_explicit_triple_of_zero_divisors(rings, kunneth_of):
     # <bar u, +/- bar v * bar g2, bar w> on the borromean square: defined,
     # zero indeterminacy, value -/+ (g1 x g2 + g2 x g1)

@@ -257,6 +257,19 @@ def test_bounds_on_a_file_model(capsys, tmp_path):
     assert "TC lower 3, TC upper 3" in out
 
 
+def test_bounds_with_a_too_small_space_dim_is_an_input_error(capsys, tmp_path):
+    # the ring certifies cat >= 3 (x^2 survives), a 1-dimensional space
+    # allows at most 1
+    path = tmp_path / "tight.mdl"
+    path.write_text("algebra tight {\n  truncate 4\n  space-dim 1\n"
+                    "  simply-connected true\n  generator x degree 2\n}\n")
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "bounds", str(path), *extra)
+        assert code == 2 and out == ""
+        assert err == ("error: model tight: inconsistent category bounds [3, 1], "
+                       "space-dim 1 too small\n")
+
+
 def test_bounds_json_is_byte_identical_across_runs(capsys):
     _, first, _ = run(capsys, "bounds", "spheres8", "--json")
     _, second, _ = run(capsys, "bounds", "spheres8", "--json")

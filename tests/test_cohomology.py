@@ -12,6 +12,7 @@ import sympy
 
 import masseytc.cohomology
 import masseytc.dga
+from masseytc import report
 from masseytc.bounds import (
     bar,
     build_ledger,
@@ -162,6 +163,24 @@ def test_cup_checked_flags_truncation(rings):
     assert prod.is_zero() and not truncated
 
 
+def test_cup_checked_flags_a_factor_above_the_truncation():
+    # big = x*y has degree 5 > N = 4: its empty coordinates are not a known
+    # zero, so no product with it is certified
+    ring = CohomologyRing(compile_cdga(parse_model(
+        "algebra big {\n  truncate 4\n  generator x degree 3\n"
+        "  generator y degree 2\n  alias big = x*y\n}\n")))
+    big, y = ring.named_class("big"), ring.named_class("y")
+    assert big.degree == 5 and big.is_zero()
+    for left, right in ((big, y), (y, big), (big, big)):
+        assert ring.cup_checked(left, right)[1]
+    _, truncated = ring.cup_checked(ring.zero_class(2), big)
+    assert not truncated
+    rows = {(r["left"], r["right"]): r for r in report.cohomology_section(ring)["ring_table"]}
+    assert rows[("big", "y")]["truncated"] and rows[("big", "y")]["value"] is None
+    assert rows[("x", "y")] == {"left": "x", "right": "y", "degree": 5,
+                                "value": None, "truncated": True}
+
+
 def test_representative_roundtrip(rings):
     for name, ring in rings.items():
         for k in range(ring.truncation + 1):
@@ -305,6 +324,34 @@ def test_kunneth_is_the_identity_on_golden_squares(kunneth_of, name):
     # the square's dimensions are read off the pairs; check() eliminates
     # every degree of the square and ties them to its cohomology
     kunneth_of(name).check()
+
+
+def test_both_squares_multiply_and_cross_through_the_pair_basis(dgas, monkeypatch):
+    # the cochain square and the cohomology square share one pair layout,
+    # one Koszul product rule and one x (x) y: each caller reaches them
+    calls = {"product": 0, "coords": 0}
+
+    def counted(name):
+        fn = getattr(masseytc.dga.PairBasis, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return fn(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(masseytc.dga.PairBasis, name, counted(name))
+    assert not hasattr(CohomologyRing, "cross_coords")
+    ring = CohomologyRing(dgas["spheres8"])
+    km = KunnethMap(ring, ring)
+    t, a = km.ht.dga, ring.basis_class(3, 0)
+    assert isinstance(t.pairs, masseytc.dga.PairBasis) and km.pairs is km.ht.pairs
+    assert t.mult.get((3, 0, 3, 1)) and calls == {"product": 1, "coords": 0}
+    assert km.ht.cup_basis(3, 0, 3, 3) and calls == {"product": 2, "coords": 0}
+    rep = ring.representative(a)
+    assert not masseytc.dga.tensor_cochain(t, rep, rep).is_zero()
+    assert calls == {"product": 2, "coords": 1}
+    assert not km.cross(a, a).is_zero() and calls == {"product": 2, "coords": 2}
 
 
 @pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress"])
