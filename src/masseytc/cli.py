@@ -69,6 +69,26 @@ def build_ring(arg: str) -> CohomologyRing:
         raise CliError(2, f"model {p.name}: {e}")
 
 
+def output(args, payload: dict, render_text) -> str:
+    """What a command prints, rendered only in the form that is printed:
+    nothing under ``--quiet``, else JSON under ``--json``, else text.
+    Every command returns (exit status, payload, this output)."""
+    if args.quiet:
+        return ""
+    return report.render_json(payload) if args.json else render_text(payload)
+
+
+def validation_text(payload: dict) -> str:
+    violations = payload["violations"]
+    lines = [f"model {payload['model']}: " +
+             ("all axioms hold" if not violations
+              else f"{len(violations)} violation(s)")]
+    for v in violations:
+        where = ", ".join(str(x) for x in v["location"])
+        lines.append(f"  {v['axiom']} at ({where}): {v['message']}")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_validate(args):
     p = load_presentation(args.model)
     dga = compile_cdga(p, check=False)
@@ -81,19 +101,13 @@ def cmd_validate(args):
             for v in violations
         ],
     }
-    lines = [f"model {p.name}: " +
-             ("all axioms hold" if not violations
-              else f"{len(violations)} violation(s)")]
-    for v in violations:
-        where = ", ".join(str(x) for x in v.location)
-        lines.append(f"  {v.axiom} at ({where}): {v.message}")
-    return (0 if not violations else 2), payload, "\n".join(lines) + "\n"
+    return (0 if not violations else 2), payload, output(args, payload, validation_text)
 
 
 def cmd_cohomology(args):
     ring = build_ring(args.model)
     payload = report.build_payload(ring)
-    return 0, payload, report.render_text(payload)
+    return 0, payload, output(args, payload, report.render_text)
 
 
 def cmd_massey(args):
@@ -110,7 +124,7 @@ def cmd_massey(args):
         raise CliError(2, str(e))
     label = "<{}, {}, {}>".format(*args.classes)
     payload = report.build_payload(ring, massey=[report.massey_entry(coset, label)])
-    return (0 if coset.defined else 1), payload, report.render_text(payload)
+    return (0 if coset.defined else 1), payload, output(args, payload, report.render_text)
 
 
 def cmd_zcl(args):
@@ -118,7 +132,7 @@ def cmd_zcl(args):
     k, chain, prod = zero_divisors_cup_length(KunnethMap(ring, ring))
     witness = [(c.degree, c.coords) for c in chain]
     payload = report.build_payload(ring, zcl=report.zcl_section(k, witness, prod))
-    return 0, payload, report.render_text(payload)
+    return 0, payload, output(args, payload, report.render_text)
 
 
 def cmd_bounds(args):
@@ -135,16 +149,7 @@ def cmd_bounds(args):
         weights=report.weights_section(ledger),
         ledger=report.ledger_section(ledger),
     )
-    return 0, payload, report.render_text(payload)
-
-
-COMMANDS = {
-    "validate": cmd_validate,
-    "cohomology": cmd_cohomology,
-    "massey": cmd_massey,
-    "zcl": cmd_zcl,
-    "bounds": cmd_bounds,
-}
+    return 0, payload, output(args, payload, report.render_text)
 
 
 def degree(text: str) -> int:
@@ -155,47 +160,54 @@ def degree(text: str) -> int:
     return cap
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit canonical JSON instead of text")
-    common.add_argument("--quiet", action="store_true",
-                        help="suppress output; communicate via exit status")
+COMMANDS = {
+    "validate": (cmd_validate, "check the DGA axioms"),
+    "cohomology": (cmd_cohomology, "cohomology ring summary"),
+    "massey": (cmd_massey, "Massey triple product of three named classes"),
+    "zcl": (cmd_zcl, "zero-divisors cup length"),
+    "bounds": (cmd_bounds, "certified lower/upper bounds for cat and TC"),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The command line parser.  When ``argv`` starts with a command, only
+    that command's subparser is built, since parsing ``argv`` needs no
+    other; otherwise (no command, an unknown one, or ``-h``) all are.
+    Help, usage and error texts are the same either way."""
     parser = argparse.ArgumentParser(
         prog="masseytc",
         description="Exact cohomology, Massey products, and certified "
                     "category/TC bounds for finite rational DGA models.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    v = sub.add_parser("validate", parents=[common],
-                       help="check the DGA axioms")
-    v.add_argument("model")
-    c = sub.add_parser("cohomology", parents=[common],
-                       help="cohomology ring summary")
-    c.add_argument("model")
-    m = sub.add_parser("massey", parents=[common],
-                       help="Massey triple product of three named classes")
-    m.add_argument("model")
-    m.add_argument("classes", nargs=3, metavar="CLASS")
-    z = sub.add_parser("zcl", parents=[common],
-                       help="zero-divisors cup length")
-    z.add_argument("model")
-    b = sub.add_parser("bounds", parents=[common],
-                       help="certified lower/upper bounds for cat and TC")
-    b.add_argument("model")
-    b.add_argument("--max-massey-degree", type=degree, default=None,
-                   metavar="N", help="cap the total degree of scanned triples")
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    # a lone subparser still lists every command in the usage line
+    listed = {"metavar": "{" + ",".join(COMMANDS) + "}"} if only else {}
+    sub = parser.add_subparsers(dest="command", required=True, **listed)
+    for name, (_, help_line) in COMMANDS.items():
+        if only not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("--json", action="store_true",
+                       help="emit canonical JSON instead of text")
+        p.add_argument("--quiet", action="store_true",
+                       help="suppress output; communicate via exit status")
+        p.add_argument("model")
+        if name == "massey":
+            p.add_argument("classes", nargs=3, metavar="CLASS")
+        if name == "bounds":
+            p.add_argument("--max-massey-degree", type=degree, default=None,
+                           metavar="N", help="cap the total degree of scanned triples")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
-        code, payload, text = COMMANDS[args.command](args)
+        code, payload, out = COMMANDS[args.command][0](args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    if not args.quiet:
-        sys.stdout.write(report.render_json(payload) if args.json else text)
+    sys.stdout.write(out)
     return code
 
 

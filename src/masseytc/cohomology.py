@@ -8,12 +8,14 @@ get identical coordinate vectors, independent of which representative the
 caller happened to supply.
 
 Each degree's cocycles, boundaries and canonical basis are computed the
-first time something needs them, by :meth:`CohomologyRing.part`.  A base
-ring ends up with every degree, since its dimensions are read off them.
-The ring of a tensor model takes its dimensions from the Kunneth pairs
-(see :class:`KunnethMap`), so the square eliminates only in the degrees
-where a Massey witness, ``class_of`` or ``KunnethMap.check`` works with
-cochains.
+first time something needs them, by :meth:`CohomologyRing.part`.  Each
+differential d_k is eliminated once, and that one elimination gives the
+cocycles of degree k, the boundaries of degree k+1 and the boundary
+solves in degree k.  A base ring ends up with every degree, since its
+dimensions are read off them.  The ring of a tensor model takes its
+dimensions from the Kunneth pairs (see :class:`KunnethMap`), so the
+square eliminates only in the degrees where a Massey witness,
+``class_of`` or ``KunnethMap.check`` works with cochains.
 
 Products are held as a sparse table of structure constants: one entry per
 basis pair, holding the product's nonzero (index, coefficient) pairs.  A
@@ -41,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .dga import DGA, Cochain, PairBasis, tensor, tensor_cochain
-from .linalg import ONE, ZERO, PrefactoredSolver, Subspace, image, kernel, zero_vec
+from .linalg import ONE, ZERO, PrefactoredSolver, Subspace, kernel, zero_vec
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,10 @@ class CohomologyRing:
         self.dga = dga
         self.factors = factors
         self._parts = {}
+        self._solvers = {}
+        self._named = {}
         self._cup_memo = {}
         self._cup_chain = None
-        self._boundary_solvers = {}
         self._products = {}
         if factors is not None:
             self.pairs = PairBasis(dga.truncation, factors[0].dim, factors[1].dim)
@@ -113,11 +116,19 @@ class CohomologyRing:
         if hit is None:
             dga = self.dga
             z = kernel(dga.diff[k])
-            b = image(dga.diff[k - 1]) if k > 0 else Subspace.zero(dga.dim(0))
+            b = self._solver(k - 1).image if k > 0 else Subspace.zero(dga.dim(0))
             if not z.contains_subspace(b):
                 raise ValueError(f"boundaries escape cocycles in degree {k}; d^2 != 0?")
             reps = Subspace.span(dga.dim(k), [b.reduce(v) for v in z.basis_vectors()])
             hit = self._parts[k] = DegreePart(z, b, reps)
+        return hit
+
+    def _solver(self, k: int) -> PrefactoredSolver:
+        """The image of d_k and the solves against it, read off the
+        elimination of d_k that ``kernel`` made or will make; memoized."""
+        hit = self._solvers.get(k)
+        if hit is None:
+            hit = self._solvers[k] = PrefactoredSolver(self.dga.diff[k])
         return hit
 
     # ------------------------------------------------------------- basics
@@ -183,35 +194,51 @@ class CohomologyRing:
         """Canonical cochain in degree k whose differential has the given
         degree-(k+1) coordinates, or None when the target is not a boundary.
 
-        The elimination for each degree is factored once and reused, which
-        keeps repeated Massey-style witness solves cheap.
+        Solves read the elimination of d_k that also gave the cocycles, so
+        repeated Massey-style witness solves cost one reduction each.
         """
         if not (0 <= k <= self.truncation):
             return None
-        solver = self._boundary_solvers.get(k)
-        if solver is None:
-            solver = PrefactoredSolver(self.dga.diff[k])
-            self._boundary_solvers[k] = solver
-        return solver.solve(coords)
+        return self._solver(k).solve(coords)
 
     def class_name(self, k: int, i: int) -> str:
         return f"[{self.dga.render(self.representative(self.basis_class(k, i)))}]"
 
     def named_class(self, name: str) -> CohClass:
-        """Resolve a generator or alias name to its cohomology class."""
+        """Resolve a generator or alias name to its cohomology class.
+
+        Raises ValueError for an unknown name, a cochain that is not a
+        cocycle, or a class above the truncation, whose coordinates the
+        model does not know.  Each name is resolved once per ring; a
+        refusal is remembered too.
+        """
+        hit = self._named.get(name)
+        if hit is None:
+            try:
+                hit = self._resolve(name)
+            except ValueError as e:
+                hit = str(e)
+            self._named[name] = hit
+        if isinstance(hit, str):
+            raise ValueError(hit)
+        return hit
+
+    def _resolve(self, name: str) -> CohClass:
         p = self.dga.presentation
         if p is None:
             raise ValueError(f"model {self.dga.name} has no named classes")
-        for aname, poly in p.aliases:
-            if aname == name:
-                return self.class_of(self.dga.cochain_from_poly(poly))
-        for g in p.generators:
-            if g.name == name:
-                mono = tuple(1 if h.name == name else 0
-                             for h in p.canonical_generators())
-                return self.class_of(self.dga.cochain_from_poly({mono: ONE}))
-        known = [a for a, _ in p.aliases] + [g.name for g in p.generators]
-        raise ValueError(f"unknown class name {name!r}; known: {', '.join(known)}")
+        poly = next((poly for alias, poly in p.aliases if alias == name), None)
+        if poly is None and name in {g.name for g in p.generators}:
+            poly = {tuple(1 if h.name == name else 0
+                          for h in p.canonical_generators()): ONE}
+        if poly is None:
+            known = [a for a, _ in p.aliases] + [g.name for g in p.generators]
+            raise ValueError(f"unknown class name {name!r}; known: {', '.join(known)}")
+        x = self.dga.cochain_from_poly(poly)
+        if x.degree > self.truncation:
+            raise ValueError(f"class {name!r} has degree {x.degree}, above the "
+                             f"truncation {self.truncation}")
+        return self.class_of(x)
 
     # ------------------------------------------------------------- products
 

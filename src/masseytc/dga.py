@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import ONE, ZERO, SparseMatrix, zero_vec
@@ -83,7 +84,7 @@ def mono_mul(m1: Monomial, m2: Monomial, odd: Sequence[bool]):
             if e1:
                 count_after += 1
     sign = -ONE if swaps % 2 else ONE
-    return sign, tuple(a + b for a, b in zip(m1, m2))
+    return sign, tuple(map(add, m1, m2))
 
 
 def poly_add_scaled(target: Polynomial, src: Polynomial, c: Fraction) -> None:
@@ -162,9 +163,11 @@ class DGA:
     ((idx, coeff), ...) in degree deg1+deg2; absent keys mean zero, and every
     pair whose degrees sum past the truncation is absent by construction.
     ``diff[k]`` is the matrix of d : C^k -> C^{k+1} (the top one has 0 rows).
-    Either table may be a lazy read-only view (see :func:`tensor`) that
-    computes an entry or a degree the first time it is read; absent keys
-    still mean zero.  Instances are immutable; build them with
+    Either table may be a lazy read-only view that computes an entry or a
+    degree the first time it is read: the product table of
+    :func:`compile_cdga` and :func:`tensor` is one, and so are the
+    differentials of :func:`tensor`; absent keys still mean zero.
+    Instances are immutable; build them with
     :func:`compile_cdga`, :func:`tensor`, or directly from tables in tests.
     """
 
@@ -469,6 +472,9 @@ def normalize_presentation(
 def compile_cdga(p: Presentation, check: bool = True) -> DGA:
     """Compile a free graded-commutative presentation into explicit tables.
 
+    The differentials are built here; the product table is lazy, each entry
+    computed from the monomials the first time it is read.
+
     With ``check=True`` (the default) a presentation whose differential does
     not square to zero on the generators, within the truncation, raises
     PresentationError.  That is the only axiom left to check: the product is
@@ -496,17 +502,12 @@ def compile_cdga(p: Presentation, check: bool = True) -> DGA:
     index = [{m: i for i, m in enumerate(ms)} for ms in monomials]
     basis = tuple(tuple(mono_name(m, names) for m in ms) for ms in monomials)
 
-    mult = {}
-    for k1 in range(n + 1):
-        for k2 in range(n + 1 - k1):
-            tdeg = k1 + k2
-            for i1, m1 in enumerate(monomials[k1]):
-                for i2, m2 in enumerate(monomials[k2]):
-                    sm = mono_mul(m1, m2, odd)
-                    if sm is None:
-                        continue
-                    s, m = sm
-                    mult[(k1, i1, k2, i2)] = ((index[tdeg][m], s),)
+    def product(k1: int, i1: int, k2: int, i2: int) -> tuple:
+        sm = mono_mul(monomials[k1][i1], monomials[k2][i2], odd)
+        if sm is None:
+            return ()
+        s, m = sm
+        return ((index[k1 + k2][m], s),)
 
     dgen = {names[i]: p.differentials.get(names[i], {}) for i in range(len(canon))}
     unit_mono = tuple(0 for _ in canon)
@@ -556,7 +557,7 @@ def compile_cdga(p: Presentation, check: bool = True) -> DGA:
         name=p.name,
         truncation=n,
         basis=basis,
-        mult=mult,
+        mult=_LazyProducts(product, [len(ms) for ms in monomials]),
         diff=diff,
         graded_commutative=True,
         unital=True,
@@ -588,13 +589,11 @@ class PairBasis(tuple):
 
     def product(self, n1: int, i1: int, n2: int, i2: int, left, right) -> tuple:
         """Pair i1 of degree n1 times pair i2 of degree n2 as sorted (index,
-        coefficient) pairs, () for zero or out of range, by
+        coefficient) pairs, () for zero, by
         (x1 (x) y1)(x2 (x) y2) = (-1)^{|y1||x2|} x1 x2 (x) y1 y2, where
         ``left(p1, a1, p2, a2)`` and ``right(q1, b1, q2, b2)`` give the
-        factors' sparse product entries."""
-        if not (n1 >= 0 and n2 >= 0 and n1 + n2 < len(self)
-                and 0 <= i1 < len(self[n1]) and 0 <= i2 < len(self[n2])):
-            return ()
+        factors' sparse product entries.  Both pairs must exist and their
+        degrees sum to at most the top degree."""
         p1, a1, b1 = self[n1][i1]
         p2, a2, b2 = self[n2][i2]
         q1, q2 = n1 - p1, n2 - p2
@@ -620,46 +619,51 @@ class PairBasis(tuple):
         return tuple(out)
 
 
-class _TensorProducts(Mapping):
-    """The product table of a (x) b as a read-only mapping.
+class _LazyProducts(Mapping):
+    """A product table as a read-only mapping from (deg1, idx1, deg2, idx2)
+    to the sorted sparse product, for the basis with ``dims[k]`` elements
+    in degree k = 0..N.
 
-    An entry is computed by :meth:`PairBasis.product` from the factors'
-    tables the first time it is read, then memoized; absent keys, including
-    keys out of range, read as None from ``get`` and raise KeyError from
-    ``[]``.  Iterating, ``items()`` and ``len()`` fill the whole table first.
+    ``entry(n1, i1, n2, i2)`` computes one entry, () for a zero product,
+    and is called only on keys within range; an entry is computed the first
+    time it is read, then memoized.  Absent keys, including keys out of
+    range, read as None from ``get`` and raise KeyError from ``[]``.
+    Iterating, ``items()`` and ``len()`` fill the whole table first; once it
+    is full, ``get`` is the table dict's own.
     """
 
-    def __init__(self, a: DGA, b: DGA, pairs: PairBasis):
-        self.a, self.b, self.pairs = a, b, pairs
+    def __init__(self, entry, dims):
+        self._entry, self.dims = entry, tuple(dims)
         self._memo = {}
         self._filled = False
 
     def get(self, key, default=None):
         entry = self._memo.get(key)
         if entry is None and not self._filled:
-            entry = self._memo[key] = self._entry(*key)
+            n1, i1, n2, i2 = key
+            dims = self.dims
+            if (0 <= n1 and 0 <= n2 and n1 + n2 < len(dims)
+                    and 0 <= i1 < dims[n1] and 0 <= i2 < dims[n2]):
+                entry = self._entry(n1, i1, n2, i2)
+            else:
+                entry = ()
+            self._memo[key] = entry
         return entry or default
-
-    def _entry(self, n1: int, i1: int, n2: int, i2: int) -> tuple:
-        """The sorted entry, or () for a zero product or a key out of range."""
-        left, right = self.a.mult, self.b.mult
-        return self.pairs.product(n1, i1, n2, i2, lambda *key: left.get(key),
-                                  lambda *key: right.get(key))
 
     def _fill(self) -> None:
         if self._filled:
             return
-        pairs, n = self.pairs, len(self.pairs) - 1
+        dims, entry = self.dims, self._entry
         table = {}
-        for n1 in range(n + 1):
-            for n2 in range(n + 1 - n1):
-                for i1 in range(len(pairs[n1])):
-                    for i2 in range(len(pairs[n2])):
-                        key = (n1, i1, n2, i2)
-                        entry = self._memo.get(key) or self._entry(*key)
-                        if entry:
-                            table[key] = entry
+        for n1 in range(len(dims)):
+            for n2 in range(len(dims) - n1):
+                for i1 in range(dims[n1]):
+                    for i2 in range(dims[n2]):
+                        e = entry(n1, i1, n2, i2)
+                        if e:
+                            table[n1, i1, n2, i2] = e
         self._memo, self._filled = table, True
+        self.get = table.get
 
     def __getitem__(self, key):
         entry = self.get(key)
@@ -677,6 +681,10 @@ class _TensorProducts(Mapping):
     def __len__(self) -> int:
         self._fill()
         return len(self._memo)
+
+    def items(self):
+        self._fill()
+        return self._memo.items()
 
 
 class _TensorDifferentials(Sequence):
@@ -736,12 +744,18 @@ def tensor(a: DGA, b: DGA) -> DGA:
     is left to ``DGA.validate``.
     """
     pairs = PairBasis(a.truncation + b.truncation, a.dim, b.dim)
+    left, right = a.mult.get, b.mult.get
+
+    def product(n1: int, i1: int, n2: int, i2: int) -> tuple:
+        return pairs.product(n1, i1, n2, i2, lambda *key: left(key),
+                             lambda *key: right(key))
+
     return DGA(
         name=f"{a.name}(x){b.name}",
         truncation=len(pairs) - 1,
         basis=tuple(tuple(f"{a.basis[p][i]}(x){b.basis[k - p][j]}" for p, i, j in ps)
                     for k, ps in enumerate(pairs)),
-        mult=_TensorProducts(a, b, pairs),
+        mult=_LazyProducts(product, [len(ps) for ps in pairs]),
         diff=_TensorDifferentials(a, b, pairs),
         graded_commutative=a.graded_commutative and b.graded_commutative,
         unital=a.unital and b.unital,

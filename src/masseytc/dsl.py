@@ -25,6 +25,7 @@ from fractions import Fraction
 from .dga import Generator, Presentation, PresentationError, normalize_presentation
 
 _SYMBOLS = "{}=*/+-"
+_DIGITS = "0123456789"  # ASCII only: str.isdigit() also admits "²", which int() refuses
 
 
 class ParseError(ValueError):
@@ -61,10 +62,10 @@ def _tokenize(text: str):
         elif c == "#":
             while i < n and text[i] != "\n":
                 i += 1
-        elif c.isdigit():
+        elif c in _DIGITS:
             start = i
             startcol = col
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
                 col += 1
             tokens.append(_Token("INT", int(text[start:i]), line, startcol))

@@ -11,8 +11,9 @@ what the cohomology and Massey layers rely on.
 There is one elimination routine, :func:`_echelon_columns`.  It walks
 nonzero entries only, and the reduced echelon basis of a span is unique,
 so the order of the operations cannot change a result.  Spans, sums and
-images eliminate their columns as they are.  Kernels and solves eliminate
-the columns of ``a`` with column j tagged by a unit entry at index
+images eliminate their columns as they are.  Kernels and solves share
+one elimination of a matrix, made on first use and kept with it: the
+columns of ``a``, column j tagged by a unit entry at index
 ``a.rows + a.cols - 1 - j``, past every row index.  A column that depends
 on the columns before it reduces to tags only, and since the tags of
 later columns come first, its pivot is its own tag: its tags are the
@@ -110,6 +111,12 @@ class SparseMatrix:
 
     def is_zero(self) -> bool:
         return not self.entries
+
+    @cached_property
+    def _tagged(self) -> tuple:
+        """This matrix's tagged elimination (see :func:`_tagged_echelon`),
+        shared by its kernel and every solver built on it."""
+        return _tagged_echelon(self)
 
     @cached_property
     def _row_dicts(self) -> tuple:
@@ -329,7 +336,7 @@ def _tagged_echelon(a: SparseMatrix) -> tuple:
 
 def kernel(a: SparseMatrix) -> Subspace:
     """Null space of ``a`` as a canonical subspace of Q^cols."""
-    return Subspace._spanned(a.cols, _tagged_echelon(a)[3])
+    return Subspace._spanned(a.cols, a._tagged[3])
 
 
 def image(a: SparseMatrix) -> Subspace:
@@ -351,18 +358,20 @@ def solve(a: SparseMatrix, b: Vector) -> Optional[Vector]:
 class PrefactoredSolver:
     """One elimination of ``a`` shared by many solves against it.
 
-    Keeps the canonical basis of the image and, for each basis column, its
-    preimage, so that each ``solve`` costs one reduction against the image.
+    Keeps ``image``, the canonical basis of the column space of ``a``, and
+    for each basis column its preimage, so that each ``solve`` costs one
+    reduction against the image.  The elimination is the one
+    :func:`kernel` reads for the same matrix.
     """
 
     def __init__(self, a: SparseMatrix):
         self.cols = a.cols
-        pivots, images, self._preimages, _ = _tagged_echelon(a)
-        self._image = Subspace._echelon(a.rows, pivots, images)
+        pivots, images, self._preimages, _ = a._tagged
+        self.image = Subspace._echelon(a.rows, pivots, images)
 
     def solve(self, b: Sequence) -> Optional[Vector]:
         """Canonical solution of a x = b, or None when inconsistent."""
-        coeffs = self._image.coordinates_of(b)
+        coeffs = self.image.coordinates_of(b)
         if coeffs is None:
             return None
         x = [ZERO] * self.cols

@@ -1,5 +1,6 @@
 """Exit codes, output formats, and error reporting of the command line."""
 
+import argparse
 import gc
 import hashlib
 import json
@@ -307,6 +308,142 @@ def test_argparse_rejects_wrong_arity():
     with pytest.raises(SystemExit) as exc:
         main(["massey", "spheres8", "a", "b"])
     assert exc.value.code == 2
+
+
+# stdout and stderr of the parser's own calls, as argparse prints them at
+# 80 columns: help, usage and errors do not depend on which subparsers a
+# call builds
+CLI_TEXTS = [
+    (['--help'], 0,
+     ('usage: masseytc [-h] {validate,cohomology,massey,zcl,bounds} ...\n'
+      '\n'
+      'Exact cohomology, Massey products, and certified category/TC bounds for finite\n'
+      'rational DGA models.\n'
+      '\n'
+      'positional arguments:\n'
+      '  {validate,cohomology,massey,zcl,bounds}\n'
+      '    validate            check the DGA axioms\n'
+      '    cohomology          cohomology ring summary\n'
+      '    massey              Massey triple product of three named classes\n'
+      '    zcl                 zero-divisors cup length\n'
+      '    bounds              certified lower/upper bounds for cat and TC\n'
+      '\n'
+      'options:\n'
+      '  -h, --help            show this help message and exit\n'),
+     ""),
+    (['massey', '--help'], 0,
+     ('usage: masseytc massey [-h] [--json] [--quiet] model CLASS CLASS CLASS\n'
+      '\n'
+      'positional arguments:\n'
+      '  model\n'
+      '  CLASS\n'
+      '\n'
+      'options:\n'
+      '  -h, --help  show this help message and exit\n'
+      '  --json      emit canonical JSON instead of text\n'
+      '  --quiet     suppress output; communicate via exit status\n'),
+     ""),
+    (['bounds', '--help'], 0,
+     ('usage: masseytc bounds [-h] [--json] [--quiet] [--max-massey-degree N] model\n'
+      '\n'
+      'positional arguments:\n'
+      '  model\n'
+      '\n'
+      'options:\n'
+      '  -h, --help            show this help message and exit\n'
+      '  --json                emit canonical JSON instead of text\n'
+      '  --quiet               suppress output; communicate via exit status\n'
+      '  --max-massey-degree N\n'
+      '                        cap the total degree of scanned triples\n'),
+     ""),
+    (['frobnicate', 'spheres8'], 2,
+     "",
+     ('usage: masseytc [-h] {validate,cohomology,massey,zcl,bounds} ...\n'
+      "masseytc: error: argument command: invalid choice: 'frobnicate' "
+      "(choose from 'validate', 'cohomology', 'massey', 'zcl', 'bounds')\n")),
+    ([], 2,
+     "",
+     ('usage: masseytc [-h] {validate,cohomology,massey,zcl,bounds} ...\n'
+      'masseytc: error: the following arguments are required: command\n')),
+    (['massey', 'spheres8', 'a', 'b'], 2,
+     "",
+     ('usage: masseytc massey [-h] [--json] [--quiet] model CLASS CLASS CLASS\n'
+      'masseytc massey: error: the following arguments are required: CLASS\n')),
+    (['bounds', 'spheres8', '--frob'], 2,
+     "",
+     ('usage: masseytc [-h] {validate,cohomology,massey,zcl,bounds} ...\n'
+      'masseytc: error: unrecognized arguments: --frob\n')),
+    (['-h'], 0,
+     ('usage: masseytc [-h] {validate,cohomology,massey,zcl,bounds} ...\n'
+      '\n'
+      'Exact cohomology, Massey products, and certified category/TC bounds for finite\n'
+      'rational DGA models.\n'
+      '\n'
+      'positional arguments:\n'
+      '  {validate,cohomology,massey,zcl,bounds}\n'
+      '    validate            check the DGA axioms\n'
+      '    cohomology          cohomology ring summary\n'
+      '    massey              Massey triple product of three named classes\n'
+      '    zcl                 zero-divisors cup length\n'
+      '    bounds              certified lower/upper bounds for cat and TC\n'
+      '\n'
+      'options:\n'
+      '  -h, --help            show this help message and exit\n'),
+     ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", CLI_TEXTS,
+                         ids=[" ".join(t[0]) or "no-command" for t in CLI_TEXTS])
+def test_parser_texts_are_pinned(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+def test_a_command_builds_only_its_own_subparser(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["massey", "spheres8", "a", "a", "b", "--quiet"]) == 0
+    assert built == ["massey"]
+    built.clear()
+    build_parser()
+    assert built == ["validate", "cohomology", "massey", "zcl", "bounds"]
+
+
+@pytest.mark.parametrize("flag", ["--json", None])
+def test_a_command_renders_only_what_it_prints(capsys, monkeypatch, flag):
+    rendered = []
+    for name in ("render_json", "render_text"):
+        fn = getattr(report, name)
+        monkeypatch.setattr(report, name,
+                            lambda p, fn=fn, name=name: rendered.append(name) or fn(p))
+    argv = ["massey", "spheres8", "a", "a", "b"] + ([flag] if flag else [])
+    assert main(argv) == 0
+    assert rendered == ["render_json" if flag else "render_text"]
+    assert main(argv + ["--quiet"]) == 0
+    assert len(rendered) == 1 and capsys.readouterr().out
+
+
+@pytest.mark.parametrize("query", sorted(MASSEY_JSON_DIGESTS))
+def test_a_cold_massey_query_eliminates_each_differential_once(monkeypatch, query):
+    from masseytc import cli, linalg
+    tagged, compile_cdga = linalg._tagged_echelon, cli.compile_cdga
+    dgas, eliminated = [], []  # keeps every matrix alive, so ids are not reused
+    monkeypatch.setattr(linalg, "_tagged_echelon", lambda m: eliminated.append(m) or tagged(m))
+    monkeypatch.setattr(cli, "compile_cdga", lambda p: dgas.append(compile_cdga(p)) or dgas[-1])
+    main(["massey", *query, "--quiet"])
+    (dga,) = dgas
+    diffs = {id(m) for m in dga.diff}
+    assert eliminated and all(id(m) in diffs for m in eliminated)
+    assert len({id(m) for m in eliminated}) == len(eliminated)
 
 
 def test_module_entry_point():

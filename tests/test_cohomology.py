@@ -12,6 +12,7 @@ import sympy
 
 import masseytc.cohomology
 import masseytc.dga
+import masseytc.linalg
 from masseytc import report
 from masseytc.bounds import (
     bar,
@@ -21,7 +22,8 @@ from masseytc.bounds import (
     zero_divisors_cup_length,
 )
 from masseytc.cohomology import CohomologyRing, KunnethMap
-from masseytc.dga import Generator, compile_cdga, normalize_presentation
+from masseytc.cli import main
+from masseytc.dga import Cochain, Generator, compile_cdga, normalize_presentation
 from masseytc.dsl import parse_model
 from masseytc.linalg import Subspace, rank
 from test_cli import STRESS_NIL_SRC
@@ -164,21 +166,64 @@ def test_cup_checked_flags_truncation(rings):
 
 
 def test_cup_checked_flags_a_factor_above_the_truncation():
-    # big = x*y has degree 5 > N = 4: its empty coordinates are not a known
-    # zero, so no product with it is certified
+    # a class of degree 5 > N = 4 has no coordinates the model knows: its
+    # empty coordinates are not a known zero, so no product with it is
+    # certified
     ring = CohomologyRing(compile_cdga(parse_model(
         "algebra big {\n  truncate 4\n  generator x degree 3\n"
         "  generator y degree 2\n  alias big = x*y\n}\n")))
-    big, y = ring.named_class("big"), ring.named_class("y")
+    big, y = ring.class_of(Cochain(5, ())), ring.named_class("y")
     assert big.degree == 5 and big.is_zero()
     for left, right in ((big, y), (y, big), (big, big)):
         assert ring.cup_checked(left, right)[1]
     _, truncated = ring.cup_checked(ring.zero_class(2), big)
     assert not truncated
     rows = {(r["left"], r["right"]): r for r in report.cohomology_section(ring)["ring_table"]}
-    assert rows[("big", "y")]["truncated"] and rows[("big", "y")]["value"] is None
     assert rows[("x", "y")] == {"left": "x", "right": "y", "degree": 5,
                                 "value": None, "truncated": True}
+
+
+BIG_SRC = """\
+algebra big {
+  truncate 4
+  generator x degree 2
+  generator y degree 3
+  alias big = x*y
+}
+"""
+
+
+def test_a_named_class_above_the_truncation_is_refused(tmp_path, capsys):
+    # big = x*y has degree 5 > N = 4: the model knows none of its
+    # coordinates, so it is neither a class nor a zero
+    ring = CohomologyRing(compile_cdga(parse_model(BIG_SRC)))
+    for _ in range(2):  # the refusal is remembered, and raised again
+        with pytest.raises(ValueError, match="degree 5, above the truncation 4"):
+            ring.named_class("big")
+    section = report.cohomology_section(ring)
+    assert sorted(section["named_classes"]) == ["x", "y"]
+    assert all("big" not in (r["left"], r["right"]) for r in section["ring_table"])
+    path = tmp_path / "big.mdl"
+    path.write_text(BIG_SRC)
+    assert main(["massey", str(path), "big", "x", "x"]) == 2
+    assert capsys.readouterr().err == (
+        "error: class 'big' has degree 5, above the truncation 4\n")
+
+
+def test_named_classes_are_resolved_once_per_ring(dgas, monkeypatch):
+    # the massey command resolves its three names, and the cohomology
+    # section every name again: each costs one resolution
+    ring = CohomologyRing(dgas["even7"])
+    calls = []
+    resolve = ring._resolve
+    monkeypatch.setattr(ring, "_resolve", lambda name: calls.append(name) or resolve(name))
+    alpha = ring.named_class("alpha")
+    assert ring.named_class("alpha") is alpha and calls == ["alpha"]
+    report.cohomology_section(ring)
+    report.cohomology_section(ring)
+    p = ring.dga.presentation
+    names = [a for a, _ in p.aliases] + [g.name for g in p.generators]
+    assert sorted(calls) == sorted(names)  # refusals included: x, y, z
 
 
 def test_representative_roundtrip(rings):
@@ -357,19 +402,14 @@ def test_both_squares_multiply_and_cross_through_the_pair_basis(dgas, monkeypatc
 @pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress"])
 def test_square_eliminates_only_on_demand(rings, monkeypatch, name):
     # only the Rudyak scan's Massey triples need the square's cochains, and
-    # only borromean computes any; each degree costs one kernel and one
-    # image, and builds its differential and the products it reads
+    # only borromean computes any; each degree's differential is eliminated
+    # at most once, and each degree builds its differential and the
+    # products it reads
     ring = rings[name] if name in rings else _stress_ring("general")
     ring.dims()
-    calls = []
+    eliminated = []
     entries = []
     degrees = []
-
-    def counted(fn):
-        def wrapper(m):
-            calls.append(fn.__name__)
-            return fn(m)
-        return wrapper
 
     def recorded(fn, log):
         def wrapper(self, *args):
@@ -377,22 +417,34 @@ def test_square_eliminates_only_on_demand(rings, monkeypatch, name):
             return fn(self, *args)
         return wrapper
 
-    for fn in ("kernel", "image"):
-        monkeypatch.setattr(masseytc.cohomology, fn,
-                            counted(getattr(masseytc.cohomology, fn)))
-    products = masseytc.dga._TensorProducts
+    tagged = masseytc.linalg._tagged_echelon
+    monkeypatch.setattr(masseytc.linalg, "_tagged_echelon",
+                        lambda m: eliminated.append(m) or tagged(m))
+    products = masseytc.dga._LazyProducts
+    init = products.__init__
+
+    def recording_init(self, entry, dims):
+        init(self, lambda *key: entries.append(key) or entry(*key), dims)
+
     differentials = masseytc.dga._TensorDifferentials
-    monkeypatch.setattr(products, "_entry", recorded(products._entry, entries))
+    monkeypatch.setattr(products, "__init__", recording_init)
     monkeypatch.setattr(differentials, "_build", recorded(differentials._build, degrees))
     kmap = KunnethMap(ring, ring)
     build_ledger(ring, kmap)
     built_entries, built_degrees = len(entries), sorted(deg for deg, in degrees)
+    # ``eliminated`` keeps every matrix alive, so ids are not reused;
+    # kernels of other maps (the zero-divisor ideal's) are not counted
+    square = {id(kmap.ht.dga.diff[deg]) for deg in built_degrees}
+    base = {id(m) for m in ring.dga.diff}
+    assert not any(id(m) in base for m in eliminated)
+    eliminated = [m for m in eliminated if id(m) in square]
     if name == "borromean":
-        assert 0 < len(calls) < 2 * (kmap.ht.truncation + 1)
+        assert 0 < len(eliminated) <= kmap.ht.truncation + 1
+        assert len({id(m) for m in eliminated}) == len(eliminated)
         assert built_degrees and built_degrees[-1] <= 3
         assert 0 < built_entries < len(kmap.ht.dga.mult) / 10
     else:
-        assert calls == []
+        assert eliminated == []
         assert built_entries == 0 and built_degrees == []
 
 

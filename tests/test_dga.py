@@ -258,6 +258,70 @@ def test_tensor_differential(s2):
     assert t.d(ax) == t.mul(a1, t.mul(onea, onea))
 
 
+def eager_compiled_table(dga):
+    """The product table of a compiled model, built in full from its
+    monomials: each product is sorted into canonical generator order by
+    adjacent swaps, an odd generator met twice is zero, and the sign counts
+    the swaps of two odd generators.  The oracle for the lazy table of
+    ``compile_cdga``."""
+    gens = dga.presentation.canonical_generators()
+    odd = [g.degree % 2 for g in gens]
+    index = [{m: i for i, m in enumerate(ms)} for ms in dga.monomials]
+
+    def word(m):
+        return [g for g, e in enumerate(m) for _ in range(e)]
+
+    mult = {}
+    n = dga.truncation
+    for k1 in range(n + 1):
+        for k2 in range(n + 1 - k1):
+            for i1, m1 in enumerate(dga.monomials[k1]):
+                for i2, m2 in enumerate(dga.monomials[k2]):
+                    w = word(m1) + word(m2)
+                    if any(odd[g] and w.count(g) > 1 for g in w):
+                        continue
+                    sign = 1
+                    for i in range(len(w)):
+                        for j in range(len(w) - 1 - i):
+                            if w[j] > w[j + 1]:
+                                if odd[w[j]] and odd[w[j + 1]]:
+                                    sign = -sign
+                                w[j], w[j + 1] = w[j + 1], w[j]
+                    m = tuple(w.count(g) for g in range(len(gens)))
+                    mult[(k1, i1, k2, i2)] = ((index[k1 + k2][m], Fraction(sign)),)
+    return mult
+
+
+def test_lazy_compiled_table_equals_the_eager_one(presentations):
+    mixed = make("mixed", [("a", 1), ("b", 1), ("c", 2), ("x", 3), ("y", 3)],
+                 {"x": [(1, ["c", "c"])]}, 7)
+    for dga in [compile_cdga(p) for p in presentations.values()] + [mixed]:
+        mult = eager_compiled_table(dga)
+        n = dga.truncation
+        out_of_range = [(0, dga.dim(0), 0, 0), (0, -1, 0, 0), (-1, 0, 0, 0),
+                        (n, 0, 1, 0), (n + 1, 0, 0, 0)]
+        absent = [(n1, i1, n2, i2) for n1 in range(n + 1) for n2 in range(n + 1 - n1)
+                  for i1 in range(dga.dim(n1)) for i2 in range(dga.dim(n2))
+                  if (n1, i1, n2, i2) not in mult][:3]
+        some = list(mult)[::7]
+        # read before and after the table is filled
+        for filled in (False, True):
+            for key in some:
+                assert dga.mult.get(key) == mult[key] and dga.mult[key] == mult[key]
+                assert key in dga.mult
+            for key in absent + out_of_range:
+                assert dga.mult.get(key) is None
+                assert dga.mult.get(key, "default") == "default"
+                assert key not in dga.mult
+                with pytest.raises(KeyError):
+                    dga.mult[key]
+            if not filled:
+                lazy = dict(dga.mult.items())
+        assert len(dga.mult) == len(mult)
+        assert {k: _typed(v) for k, v in lazy.items()} == {
+            k: _typed(v) for k, v in mult.items()}, dga.name
+
+
 def eager_tensor_tables(t):
     """(mult, diff) of a tensor model built entry by entry, in full: the
     oracle for the lazy tables of ``tensor``."""

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from masseytc.cli import main
 from masseytc.dga import PresentationError
 from masseytc.dsl import ParseError, parse_model, print_model
 from masseytc.models import MODEL_SOURCES, golden_models, model_names
@@ -98,6 +99,22 @@ def test_parse_error_positions():
         parse_model("algebra t {\n  wibble 3\n}")
     assert exc.value.line == 2
     assert "wibble" in str(exc.value)
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff13"])
+def test_a_non_ascii_digit_is_a_located_parse_error(tmp_path, capsys, digit):
+    # superscript two, Arabic-Indic three, fullwidth three: str.isdigit()
+    # admits each, and int() refuses the first; only 0-9 make numbers
+    text = f"algebra t {{\n  truncate 3\n  generator a degree {digit}\n}}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert (exc.value.line, exc.value.col) == (3, 22)
+    assert repr(digit) in str(exc.value)
+    path = tmp_path / "digit.mdl"
+    path.write_text(text, encoding="utf-8")
+    assert main(["cohomology", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 3, col 22: unexpected character {digit!r}\n")
 
 
 def test_parse_errors():

@@ -518,17 +518,34 @@ def test_every_elimination_goes_through_the_echelon_routine(monkeypatch):
         return inner(columns)
 
     monkeypatch.setattr(linalg, "_echelon_columns", counted)
-    a = SparseMatrix.from_rows([[1, 2, 3], [2, 4, 7]])
+
+    def fresh():
+        # a matrix keeps its kernel-and-solve elimination, so each run
+        # gets a new, equal one
+        return SparseMatrix.from_rows([[1, 2, 3], [2, 4, 7]])
+
     b = vec([1, 2])
     runs = {
-        "kernel": lambda: kernel(a),
-        "image": lambda: image(a),
-        "rank": lambda: rank(a),
-        "solve": lambda: solve(a, b),
-        "PrefactoredSolver": lambda: PrefactoredSolver(a).solve(b),
-        "Subspace.span": lambda: Subspace.span(2, a.columns()),
+        "kernel": lambda: kernel(fresh()),
+        "image": lambda: image(fresh()),
+        "rank": lambda: rank(fresh()),
+        "solve": lambda: solve(fresh(), b),
+        "PrefactoredSolver": lambda: PrefactoredSolver(fresh()).solve(b),
+        "Subspace.span": lambda: Subspace.span(2, fresh().columns()),
     }
     for name, run in runs.items():
         before = len(calls)
         run()
         assert len(calls) > before, f"{name} did not reach _echelon_columns"
+
+
+def test_a_matrix_is_eliminated_once_for_its_kernel_and_solves(monkeypatch):
+    inner = linalg._tagged_echelon
+    calls = []
+    monkeypatch.setattr(linalg, "_tagged_echelon", lambda m: calls.append(m) or inner(m))
+    a = SparseMatrix.from_rows([[1, 2, 3], [2, 4, 7]])
+    k = kernel(a)
+    solver = PrefactoredSolver(a)
+    assert solver.solve(vec([1, 2])) == solve(a, vec([1, 2]))
+    assert kernel(a) == k and solver.image == image(a)
+    assert calls == [a]
