@@ -14,8 +14,8 @@ cocycles of degree k, the boundaries of degree k+1 and the boundary
 solves in degree k.  A base ring ends up with every degree, since its
 dimensions are read off them.  The ring of a tensor model takes its
 dimensions from the Kunneth pairs (see :class:`KunnethMap`), so the
-square eliminates only in the degrees where a Massey witness,
-``class_of`` or ``KunnethMap.check`` works with cochains.
+square eliminates only in the degrees where a Massey witness or
+``class_of`` works with cochains.
 
 Products are held as a sparse table of structure constants: one entry per
 basis pair, holding the product's nonzero (index, coefficient) pairs.  A
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .dga import DGA, Cochain, PairBasis, tensor, tensor_cochain
+from .dga import DGA, Cochain, PairBasis, tensor
 from .linalg import ONE, ZERO, PrefactoredSolver, Subspace, kernel, zero_vec
 
 
@@ -153,9 +153,6 @@ class CohomologyRing:
                 return k
         return 0
 
-    def zero_class(self, k: int) -> CohClass:
-        return CohClass(k, zero_vec(self.dim(k)))
-
     def basis_class(self, k: int, i: int) -> CohClass:
         return self.class_from_pairs(k, [(i, ONE)])
 
@@ -207,10 +204,11 @@ class CohomologyRing:
     def named_class(self, name: str) -> CohClass:
         """Resolve a generator or alias name to its cohomology class.
 
-        Raises ValueError for an unknown name, a cochain that is not a
-        cocycle, or a class above the truncation, whose coordinates the
-        model does not know.  Each name is resolved once per ring; a
-        refusal is remembered too.
+        Raises ValueError for an unknown name, an alias that is zero as a
+        polynomial and so has no degree, a cochain that is not a cocycle,
+        or a class above the truncation, whose coordinates the model does
+        not know.  Each name is resolved once per ring; a refusal is
+        remembered too.
         """
         hit = self._named.get(name)
         if hit is None:
@@ -234,6 +232,8 @@ class CohomologyRing:
         if poly is None:
             known = [a for a, _ in p.aliases] + [g.name for g in p.generators]
             raise ValueError(f"unknown class name {name!r}; known: {', '.join(known)}")
+        if not poly:
+            raise ValueError(f"class {name!r} is zero as a polynomial, so it has no degree")
         x = self.dga.cochain_from_poly(poly)
         if x.degree > self.truncation:
             raise ValueError(f"class {name!r} has degree {x.degree}, above the "
@@ -414,9 +414,9 @@ class KunnethMap:
     b is a pivot of B_B.  Canonical representatives vanish at boundary
     pivots, so every r (x) s is zero at (p, a, b).  Hence the r_i (x) s_j
     lie in the canonical complement and are already in reduced echelon form
-    in pair order; they span it by a dimension count.  ``check`` verifies
-    the statement at the cochain level, eliminating every degree of the
-    square.
+    in pair order; they span it by a dimension count.  The tests verify
+    the statement at the cochain level with ``check_kunneth`` in
+    ``tests/oracles.py``, which eliminates every degree of the square.
     """
 
     def __init__(self, ha: CohomologyRing, hb: CohomologyRing):
@@ -428,46 +428,6 @@ class KunnethMap:
     def cross(self, a: CohClass, b: CohClass) -> CohClass:
         return CohClass(a.degree + b.degree, self.pairs.coords(
             a.degree, a.coords, b.degree, b.coords))
-
-    def check(self) -> None:
-        """Raise unless each canonical class of the square is represented by
-        r_i (x) s_j, and the cochain products of these follow the Koszul
-        rule, written here on its own, and agree with the table products."""
-        ht, t = self.ht, self.ht.dga
-        crosses = []  # per degree, (r_i (x) s_j, r_i, s_j) for each pair
-        for deg in range(ht.truncation + 1):
-            reps = ht.part(deg).reps.basis_vectors()
-            if len(reps) != len(self.pairs[deg]):
-                raise ValueError(
-                    f"Kunneth dimension mismatch in degree {deg}: "
-                    f"{len(self.pairs[deg])} products vs H^{deg} of dimension {len(reps)}")
-            crosses.append([(Cochain(deg, rep), self.ha.representative(self.ha.basis_class(p, i)),
-                             self.hb.representative(self.hb.basis_class(deg - p, j)))
-                            for rep, (p, i, j) in zip(reps, self.pairs[deg])])
-            for pair, (xy, x, y) in zip(self.pairs[deg], crosses[deg]):
-                if tensor_cochain(t, x, y) != xy:
-                    raise ValueError(f"class {pair} of the square is not "
-                                     "represented by the cross product")
-        for k1 in range(ht.truncation + 1):
-            for k2 in range(ht.truncation + 1 - k1):
-                n = ht.dim(k1 + k2)
-                if not n:
-                    continue
-                for i1, (xy1, x1, y1) in enumerate(crosses[k1]):
-                    for i2, (xy2, x2, y2) in enumerate(crosses[k2]):
-                        # (x1 (x) y1)(x2 (x) y2) = (-1)^{|y1||x2|} x1 x2 (x) y1 y2
-                        sign = -1 if y1.degree * x2.degree % 2 else 1
-                        prod = t.mul(xy1, xy2)
-                        table = [ZERO] * n
-                        for idx, v in ht.cup_basis(k1, i1, k2, i2):
-                            table[idx] = v
-                        if prod != tensor_cochain(t, self.ha.dga.mul(x1, x2).scale(sign),
-                                                  self.hb.dga.mul(y1, y2)):
-                            raise ValueError(f"cochain product breaks the Koszul sign "
-                                             f"on ({k1},{i1}) * ({k2},{i2})")
-                        if tuple(table) != ht.class_of(prod).coords:
-                            raise ValueError(f"table product differs from the cochain "
-                                             f"product on ({k1},{i1}) * ({k2},{i2})")
 
     def decompose(self, c: CohClass) -> dict:
         """Write a class of the tensor model as sum of cross products.

@@ -764,11 +764,3 @@ def tensor(a: DGA, b: DGA) -> DGA:
         pairs=pairs,
         factors=(a, b),
     )
-
-
-def tensor_cochain(t: DGA, x: Cochain, y: Cochain) -> Cochain:
-    """The pure tensor x (x) y as a cochain of the tensor model ``t``."""
-    if t.pairs is None:
-        raise ValueError("not a tensor model")
-    return Cochain(x.degree + y.degree,
-                   t.pairs.coords(x.degree, x.coords, y.degree, y.coords))

@@ -1,4 +1,4 @@
-"""A small text format for presenting models, plus its printer.
+"""A small text format for presenting models, and its parser.
 
     algebra NAME {
       field Q
@@ -261,49 +261,3 @@ def parse_model(text: str) -> Presentation:
     syntax and PresentationError on semantic problems (degrees, d^2)."""
     return _Parser(text).parse_model()
 
-
-# -------------------------------------------------------------------- print
-
-
-def _poly_to_dsl(poly, names) -> str:
-    if not poly:
-        return "0"
-    parts = []
-    for mono in sorted(poly, reverse=True):
-        c = poly[mono]
-        factors = []
-        for nm, e in zip(names, mono):
-            factors.extend([nm] * e)
-        body = "*".join(factors)
-        mag = abs(c)
-        if body and mag == 1:
-            piece = body
-        elif body:
-            piece = f"{mag}*{body}"
-        else:
-            piece = str(mag)
-        if not parts:
-            parts.append(piece if c > 0 else f"-{piece}")
-        else:
-            parts.append(f"{'+' if c > 0 else '-'} {piece}")
-    return " ".join(parts)
-
-
-def print_model(p: Presentation) -> str:
-    """Render a presentation back to the text format (round-trips)."""
-    names = [g.name for g in p.canonical_generators()]
-    lines = [f"algebra {p.name} {{"]
-    lines.append("  field Q")
-    lines.append(f"  truncate {p.truncation}")
-    lines.append(f"  space-dim {p.space_dim}")
-    lines.append(f"  simply-connected {'true' if p.simply_connected else 'false'}")
-    for g in p.generators:
-        lines.append(f"  generator {g.name} degree {g.degree}")
-    for g in p.generators:
-        poly = p.differentials.get(g.name)
-        if poly:
-            lines.append(f"  d {g.name} = {_poly_to_dsl(poly, names)}")
-    for aname, poly in p.aliases:
-        lines.append(f"  alias {aname} = {_poly_to_dsl(poly, names)}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -38,11 +38,6 @@ ONE = Fraction(1)
 Vector = tuple  # tuple[Fraction, ...]
 
 
-def vec(values: Iterable) -> Vector:
-    """Coerce an iterable of numbers into an exact rational vector."""
-    return tuple(Fraction(x) for x in values)
-
-
 def zero_vec(n: int) -> Vector:
     return (ZERO,) * n
 
@@ -76,30 +71,6 @@ class SparseMatrix:
             (r, c, Fraction(v)) for (r, c), v in sorted(data.items()) if v != 0
         )
         return cls(rows, cols, entries)
-
-    @classmethod
-    def from_rows(cls, rows_data: Sequence[Sequence]) -> "SparseMatrix":
-        nrows = len(rows_data)
-        ncols = len(rows_data[0]) if rows_data else 0
-        data = {}
-        for r, row in enumerate(rows_data):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for c, x in enumerate(row):
-                if x:
-                    data[(r, c)] = Fraction(x)
-        return cls.from_dict(nrows, ncols, data)
-
-    @classmethod
-    def from_columns(cls, rows: int, columns: Sequence[Vector]) -> "SparseMatrix":
-        data = {}
-        for c, col in enumerate(columns):
-            if len(col) != rows:
-                raise ValueError(f"column {c} has length {len(col)}, expected {rows}")
-            for r, x in enumerate(col):
-                if x:
-                    data[(r, c)] = Fraction(x)
-        return cls.from_dict(rows, len(columns), data)
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":

@@ -98,10 +98,6 @@ algebra odd11 {
 }
 
 
-def model_names() -> list:
-    return sorted(MODEL_SOURCES)
-
-
 def golden_models() -> dict:
     """Parse every built-in model; keys are the registry names."""
     return {name: parse_model(src) for name, src in MODEL_SOURCES.items()}

@@ -1,9 +1,11 @@
-"""The benchmark's layer tracer still fits the engine.
+"""The benchmark's layer tracer and output checker still fit the engine.
 
 ``bench/layertrace.py`` patches engine functions by name.  These tests load
 it by path and check that every name it traces resolves, that a traced
 ``bounds`` run prints the same bytes as an untraced one, and that
-``uninstall`` puts every binding back.
+``uninstall`` puts every binding back.  ``bench/checks.py`` reads engine
+names to recompute and replay what each op printed; it must pass the
+golden outputs.
 """
 
 import contextlib
@@ -12,24 +14,29 @@ import importlib.util
 import io
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from masseytc import cli
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("layertrace_under_test", TRACER)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"{name}_under_test", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def bounds_json():
+def call(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["bounds", "spheres8", "--json"])
+        code = cli.main(argv)
     return code, out.getvalue()
+
+
+def bounds_json():
+    return call(["bounds", "spheres8", "--json"])
 
 
 def bindings():
@@ -47,14 +54,14 @@ def bindings():
 
 
 def test_every_traced_name_resolves():
-    layertrace = load_tracer()
+    layertrace = load_bench("layertrace")
     for mod, path, _ in layertrace.SPANS + layertrace.COUNTERS:
         owner, attr = layertrace._resolve(importlib.import_module(f"masseytc.{mod}"), path)
         assert callable(vars(owner).get(attr)), f"{mod}.{path}"
 
 
 def test_traced_bounds_prints_the_same_bytes_and_uninstall_restores():
-    layertrace = load_tracer()
+    layertrace = load_bench("layertrace")
     untraced = bounds_json()
     before = bindings()
     tracer = layertrace.Tracer()
@@ -75,3 +82,27 @@ def test_traced_bounds_prints_the_same_bytes_and_uninstall_restores():
     assert counts["bounds.search_calls"] == 2
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_the_bench_checker_passes_the_golden_outputs(monkeypatch):
+    checks, inputs = load_bench("checks"), load_bench("inputs")
+    engine = SimpleNamespace(**{m: importlib.import_module(f"masseytc.{m}") for m in (
+        "bounds", "cli", "cohomology", "dga", "massey", "report")})
+    checker = checks.Checker(engine)
+    for query in inputs.GOLDEN_QUERIES:
+        code, out = call(["massey", *query, "--json"])
+        assert checker.massey(query, query[0], code, out) == [], query
+    captured = []
+    build = engine.bounds.build_ledger
+
+    def build_ledger(ring, kmap, *args, **kwargs):
+        ledger = build(ring, kmap, *args, **kwargs)
+        captured.append((ledger, ring, kmap))
+        return ledger
+
+    monkeypatch.setattr(cli, "build_ledger", build_ledger)
+    for name, (cat, tc) in checks.GOLDEN_BOUNDS.items():
+        captured.clear()
+        code, out = call(["bounds", name, "--json"])
+        assert checker.bounds(name, code, out, captured[:], {"cat": cat, "tc": tc}) == []
+    assert checker._verified  # a defined query was recomputed, not only pinned

@@ -14,8 +14,17 @@ import pytest
 
 import masseytc
 from masseytc import report
-from masseytc.cli import build_parser, cmd_bounds, cmd_cohomology, cmd_massey, cmd_zcl, main
+from masseytc.cli import (
+    build_parser,
+    cmd_bounds,
+    cmd_cohomology,
+    cmd_massey,
+    cmd_zcl,
+    load_presentation,
+    main,
+)
 from masseytc.cohomology import CohomologyRing
+from masseytc.dga import compile_cdga
 from masseytc.report import PAYLOAD_KEYS
 
 S2_FILE_SRC = """\
@@ -185,6 +194,25 @@ def test_massey_unknown_class_name(capsys):
     code, out, err = run(capsys, "massey", "even7", "nope", "u", "u")
     assert code == 2 and out == ""
     assert "unknown class name 'nope'" in err
+
+
+@pytest.mark.parametrize("poly", ["0", "x*x"])  # x is odd, so x*x = 0
+def test_a_zero_alias_is_refused_by_name(capsys, monkeypatch, tmp_path, poly):
+    path = tmp_path / "zero.mtc"
+    path.write_text("algebra zero {\n  truncate 4\n  generator x degree 1\n"
+                    f"  generator y degree 1\n  alias z = {poly}\n}}\n")
+    message = "class 'z' is zero as a polynomial, so it has no degree"
+    code, out, err = run(capsys, "massey", str(path), "z", "x", "x")
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+    ring = CohomologyRing(compile_cdga(load_presentation(str(path))))
+    calls = []
+    resolve = ring._resolve
+    monkeypatch.setattr(ring, "_resolve", lambda name: calls.append(name) or resolve(name))
+    for _ in range(2):  # the refusal is remembered, and raised again
+        with pytest.raises(ValueError, match=message):
+            ring.named_class("z")
+    assert calls == ["z"]
+    assert sorted(report.cohomology_section(ring)["named_classes"]) == ["x", "y"]
 
 
 def test_unknown_model(capsys):

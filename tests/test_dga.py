@@ -19,9 +19,9 @@ from masseytc.dga import (
     compile_cdga,
     normalize_presentation,
     tensor,
-    tensor_cochain,
 )
 from masseytc.linalg import SparseMatrix
+from oracles import tensor_cochain
 
 
 def make(name, gens, diffs, n, aliases=(), sc=True, space_dim=None):

@@ -6,8 +6,9 @@ import pytest
 
 from masseytc.cli import main
 from masseytc.dga import PresentationError
-from masseytc.dsl import ParseError, parse_model, print_model
-from masseytc.models import MODEL_SOURCES, golden_models, model_names
+from masseytc.dsl import ParseError, parse_model
+from masseytc.models import MODEL_SOURCES, golden_models
+from oracles import model_names, print_model
 
 
 def test_registry_contents():

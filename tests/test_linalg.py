@@ -24,9 +24,9 @@ from masseytc.linalg import (
     kernel,
     rank,
     solve,
-    vec,
     zero_vec,
 )
+from oracles import from_columns, from_rows, vec
 
 
 def vec_add(u, v):
@@ -71,18 +71,18 @@ def test_solve_identity():
 
 
 def test_solve_scalar_equation():
-    a = SparseMatrix.from_rows([[2]])
+    a = from_rows([[2]])
     assert solve(a, vec([3])) == (Fraction(3, 2),)
 
 
 def test_solve_inconsistent():
-    a = SparseMatrix.from_rows([[1, 0], [1, 0]])
+    a = from_rows([[1, 0], [1, 0]])
     assert solve(a, vec([1, 2])) is None
 
 
 def test_solve_free_variables_are_zero():
     # x + y = 1 has the canonical solution (1, 0)
-    a = SparseMatrix.from_rows([[1, 1]])
+    a = from_rows([[1, 1]])
     assert solve(a, vec([1])) == vec([1, 0])
 
 
@@ -146,14 +146,14 @@ def test_kernel_of_zero_map_is_everything():
 
 
 def test_kernel_single_row():
-    a = SparseMatrix.from_rows([[1, 1]])
+    a = from_rows([[1, 1]])
     k = kernel(a)
     assert k.dim == 1
     assert k.basis_vectors() == [vec([1, -1])]
 
 
 def test_image_spans_columns():
-    a = SparseMatrix.from_rows([[1, 2], [0, 0]])
+    a = from_rows([[1, 2], [0, 0]])
     im = image(a)
     assert im.dim == 1
     assert im.contains(vec([3, 0]))
@@ -467,7 +467,7 @@ def _matrix_with_dependent_columns(rng: random.Random, rows: int, cols: int) -> 
             col = [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 5]))
                    if rng.random() < 0.5 else ZERO for _ in range(rows)]
         columns.append(col)
-    return SparseMatrix.from_columns(rows, columns)
+    return from_columns(rows, columns)
 
 
 def test_eliminations_match_the_row_reduction_oracle():
@@ -522,7 +522,7 @@ def test_every_elimination_goes_through_the_echelon_routine(monkeypatch):
     def fresh():
         # a matrix keeps its kernel-and-solve elimination, so each run
         # gets a new, equal one
-        return SparseMatrix.from_rows([[1, 2, 3], [2, 4, 7]])
+        return from_rows([[1, 2, 3], [2, 4, 7]])
 
     b = vec([1, 2])
     runs = {
@@ -543,7 +543,7 @@ def test_a_matrix_is_eliminated_once_for_its_kernel_and_solves(monkeypatch):
     inner = linalg._tagged_echelon
     calls = []
     monkeypatch.setattr(linalg, "_tagged_echelon", lambda m: calls.append(m) or inner(m))
-    a = SparseMatrix.from_rows([[1, 2, 3], [2, 4, 7]])
+    a = from_rows([[1, 2, 3], [2, 4, 7]])
     k = kernel(a)
     solver = PrefactoredSolver(a)
     assert solver.solve(vec([1, 2])) == solve(a, vec([1, 2]))

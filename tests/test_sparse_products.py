@@ -22,8 +22,8 @@ from masseytc.bounds import (
 from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap
 from masseytc.dga import compile_cdga
 from masseytc.dsl import parse_model
-from masseytc.linalg import ONE, ZERO, SparseMatrix, Subspace, kernel, zero_vec
-from masseytc.massey import left_annihilator, right_annihilator
+from masseytc.linalg import ONE, ZERO, Subspace, kernel, zero_vec
+from oracles import from_columns, left_annihilator, right_annihilator, zero_class
 from test_cli import STRESS_NIL_SRC
 
 GOLDEN = ["spheres8", "borromean", "even7", "odd11"]
@@ -74,7 +74,7 @@ def dense_cup(ring, c1, c2):
 def dense_diagonal_map(km, c):
     """The dense multiplication map: a sum of scaled dense basis products."""
     ha = km.ha
-    out = ha.zero_class(c.degree)
+    out = zero_class(ha, c.degree)
     for (p, i, j), v in sorted(km.decompose(c).items()):
         out = out.add(dense_cup(ha, ha.basis_class(p, i),
                                 ha.basis_class(c.degree - p, j)).scale(v))
@@ -91,7 +91,7 @@ def dense_zero_divisor_ideal(km):
         if n == 0:
             continue
         cols = [dense_diagonal_map(km, ht.basis_class(ell, i)).coords for i in range(n)]
-        out[ell] = kernel(SparseMatrix.from_columns(ha.dim(ell), cols))
+        out[ell] = kernel(from_columns(ha.dim(ell), cols))
     return {ell: sub for ell, sub in out.items() if sub.dim}
 
 
@@ -99,7 +99,7 @@ def dense_annihilator(ring, k, cls, left):
     cols = [(dense_cup(ring, ring.basis_class(k, i), cls) if left
              else dense_cup(ring, cls, ring.basis_class(k, i))).coords
             for i in range(ring.dim(k))]
-    return kernel(SparseMatrix.from_columns(ring.dim(k + cls.degree), cols))
+    return kernel(from_columns(ring.dim(k + cls.degree), cols))
 
 
 def random_class(ring, rng, k):
