@@ -33,9 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from .cohomology import CohClass, CohomologyRing, KunnethMap, cup_chain, heaviest_chain
-from .linalg import ONE, ZERO, SparseMatrix, Subspace, kernel
+from .linalg import ONE, ZERO, Subspace, kernel
 from .massey import massey_triple, scan_triples
 
 
@@ -108,18 +109,10 @@ def zero_divisor_ideal(kmap: KunnethMap) -> dict:
     there is a zero-divisor; that is the honest answer for the truncated
     ring and the chain arithmetic below never leaves the tensor truncation.
     """
-    ht, ha = kmap.ht, kmap.ha
-    if ha is not kmap.hb:
+    if kmap.ha is not kmap.hb:
         raise ValueError("zero-divisors need a self-tensor ring")
-    out = {}
-    for ell in range(1, ht.truncation + 1):
-        n = ht.dim(ell)
-        if n == 0:
-            continue
-        # column (p, i, j) is e_i * e_j, read off the table
-        data = {(idx, col): x for col, (p, i, j) in enumerate(ht.pairs[ell])
-                for idx, x in ha.cup_basis(p, i, ell - p, j)}
-        out[ell] = kernel(SparseMatrix.from_dict(ha.dim(ell), n, data))
+    out = {ell: kernel(kmap.multiplication(ell))
+           for ell in range(1, kmap.ht.truncation + 1) if kmap.ht.dim(ell)}
     return {ell: sub for ell, sub in out.items() if sub.dim}
 
 
@@ -409,6 +402,20 @@ _CERT_FIELDS = {
 _EVIDENCE_ENTRIES = {"basis": 0, "bar": 1, "massey": 3, "product": 2, "transfer": 2}
 
 
+def _recorded_class(rg: CohomologyRing, data, record: str) -> CohClass:
+    """The class a record gives as (degree, coords), once its degree is in
+    1..N of ``rg`` and it has exactly dim(degree) coordinates; otherwise a
+    ValueError that names ``record``."""
+    try:
+        deg, coords = data
+        if isinstance(deg, int) and 1 <= deg <= rg.truncation and len(coords) == rg.dim(deg):
+            return CohClass(deg, tuple(coords))
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{record} is not a class of degree 1..{rg.truncation} "
+                     "with one coordinate per basis class")
+
+
 def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
                  massey_cap: int = None) -> BoundLedger:
     """Compute all bounds for one model and record their certificates."""
@@ -504,6 +511,12 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
     def ring_of(kind: str) -> CohomologyRing:
         return ring if kind == "cat" else ht
 
+    def fact_at(key):
+        try:
+            return fact_by_key.get(key)
+        except TypeError:  # an unhashable key names no fact
+            return None
+
     verified = set()
 
     def fail(f, msg):
@@ -511,15 +524,16 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
 
     def inputs_of(f: WeightFact) -> list:
         # the pool facts f's evidence rests on, once its shape checks out
-        if f.cls.is_zero() or f.cls.degree < 1:
-            fail(f, "class is zero or of degree 0")
+        _recorded_class(ring_of(f.kind), _class_data(f.cls), f"the class of fact {f.key}")
+        if f.cls.is_zero():
+            fail(f, "class is zero")
         tag = f.inputs[0] if f.inputs else None
         entries = _EVIDENCE_ENTRIES.get(tag)
         if entries is not None and len(f.inputs) != entries + 1:
             fail(f, f"{tag} evidence needs {entries} entries after its tag, "
                     f"not {len(f.inputs) - 1}")
         keys = {"product": f.inputs[1:], "transfer": f.inputs[1:2]}.get(tag, ())
-        found = [fact_by_key.get(key) for key in keys]
+        found = [fact_at(key) for key in keys]
         if None in found:
             fail(f, f"{tag} evidence names a fact that is not in the fact pool")
         return found
@@ -531,14 +545,14 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             if f.kind != "cat" or f.weight != 1:
                 fail(f, "R1 basis facts are category weight 1")
         elif f.rule == "R1" and tag == "bar":
-            deg, coords = f.inputs[1]
-            b = bar(kmap, CohClass(deg, coords))
+            b = bar(kmap, _recorded_class(ring, f.inputs[1], f"the bar evidence of fact {f.key}"))
             if _normalize_class(b).coords != f.cls.coords or f.weight != 1:
                 fail(f, "bar does not reproduce the recorded class at weight 1")
             if not kmap.diagonal_map(f.cls).is_zero():
                 fail(f, "recorded class is not a zero-divisor")
         elif f.rule == "R3" and tag == "massey":
-            classes = [CohClass(d, c) for d, c in f.inputs[1:]]
+            classes = [_recorded_class(rg, x, f"the massey evidence of fact {f.key}")
+                       for x in f.inputs[1:]]
             coset = massey_triple(rg, *classes)
             if not coset.is_nonzero():
                 fail(f, "Massey triple is not defined and nonzero")
@@ -580,7 +594,7 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
                 path.append(waiting[0])
 
     def cert_fact(rule: str, kind: str, key) -> WeightFact:
-        f = fact_by_key.get(key)
+        f = fact_at(key)
         if f is None:
             raise ValueError(f"{rule} certificate names fact {key}, "
                              "which is not in the fact pool")
@@ -588,15 +602,20 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             raise ValueError(f"{rule} certificate for {kind} names the {f.kind} fact {key}")
         return f
 
-    def fold_chain(rg: CohomologyRing, chain) -> CohClass:
-        out = rg.basis_class(0, 0)
-        for deg, coords in chain:
-            out = rg.cup(out, CohClass(deg, coords))
-        return out
+    def chain_classes(rg: CohomologyRing, chain, rule: str) -> list:
+        if not isinstance(chain, (list, tuple)):
+            raise ValueError(f"the chain of the {rule} certificate is not a list of classes")
+        return [_recorded_class(rg, c, f"factor {i} of the {rule} certificate")
+                for i, c in enumerate(chain)]
+
+    def fold_chain(rg: CohomologyRing, chain: list) -> CohClass:
+        return reduce(rg.cup, chain, rg.basis_class(0, 0))
 
     lower = {"cat": [], "tc": []}
     upper = {"cat": [], "tc": []}
     for cert in ledger.certificates:
+        if not isinstance(cert, dict):
+            raise ValueError(f"certificate {cert!r} is not a rule dictionary")
         rule = cert.get("rule")
         if rule not in _CERT_FIELDS:
             raise ValueError(f"unknown certificate rule {rule!r}")
@@ -607,27 +626,29 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         if kind not in lower:
             raise ValueError(f"{rule} certificate has unknown kind {kind!r}")
         if rule == "cup-chain":
-            prod = fold_chain(ring, cert["chain"])
-            if prod.is_zero() or bound != len(cert["chain"]) + 1:
+            chain = chain_classes(ring, cert["chain"], rule)
+            if fold_chain(ring, chain).is_zero() or bound != len(chain) + 1:
                 raise ValueError("cup-chain certificate failed replay")
-            if len(cert["chain"]) != ledger.cup_length:
+            if len(chain) != ledger.cup_length:
                 raise ValueError("cup-chain length disagrees with the ledger")
         elif rule == "zcl-chain":
-            for deg, coords in cert["chain"]:
-                if not kmap.diagonal_map(CohClass(deg, coords)).is_zero():
+            chain = chain_classes(ht, cert["chain"], rule)
+            for c in chain:
+                if not kmap.diagonal_map(c).is_zero():
                     raise ValueError("zcl-chain factor is not a zero-divisor")
-            prod = fold_chain(ht, cert["chain"])
-            if prod.is_zero() or bound != len(cert["chain"]) + 1:
+            if fold_chain(ht, chain).is_zero() or bound != len(chain) + 1:
                 raise ValueError("zcl-chain certificate failed replay")
-            if len(cert["chain"]) != ledger.zcl:
+            if len(chain) != ledger.zcl:
                 raise ValueError("zcl-chain length disagrees with the ledger")
         elif rule == "weighted-product":
             facts = [cert_fact(rule, kind, k) for k in cert["factors"]]
             rg = ring_of(kind)
-            prod = fold_chain(rg, [_class_data(f.cls) for f in facts])
+            prod = fold_chain(rg, [f.cls for f in facts])
             if prod.is_zero():
                 raise ValueError("weighted product vanished on replay")
-            if _class_data(prod) != tuple(cert["product"]):
+            recorded = _recorded_class(rg, cert["product"],
+                                       f"the product of the {kind} {rule} certificate")
+            if prod != recorded:
                 raise ValueError("weighted product differs from the record")
             if bound != sum(f.weight for f in facts) + 1:
                 raise ValueError("weighted bound does not match the weights")

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .dga import DGA, Cochain, PairBasis, tensor
-from .linalg import ONE, ZERO, PrefactoredSolver, Subspace, kernel, zero_vec
+from .linalg import ONE, ZERO, PrefactoredSolver, SparseMatrix, Subspace, kernel, zero_vec
 
 
 @dataclass(frozen=True)
@@ -424,6 +424,7 @@ class KunnethMap:
         self.hb = hb
         self.ht = CohomologyRing(tensor(ha.dga, hb.dga), (ha, hb))
         self.pairs = self.ht.pairs
+        self._multiplication = {}
 
     def cross(self, a: CohClass, b: CohClass) -> CohClass:
         return CohClass(a.degree + b.degree, self.pairs.coords(
@@ -436,12 +437,18 @@ class KunnethMap:
         """
         return {pair: v for pair, v in zip(self.pairs[c.degree], c.coords) if v}
 
+    def multiplication(self, k: int) -> SparseMatrix:
+        """The multiplication map H^k(A (x) A) -> H^k(A), x (x) y -> x cup y,
+        of a self-tensor: column (p, i, j) is e_i cup e_j; memoized."""
+        if self.ha is not self.hb:
+            raise ValueError("the multiplication map needs both factors to be the same ring")
+        hit = self._multiplication.get(k)
+        if hit is None:
+            ha = self.ha
+            hit = self._multiplication[k] = SparseMatrix(ha.dim(k), self.ht.dim(k), tuple(
+                ha.cup_basis(p, i, k - p, j) for p, i, j in self.pairs[k]))
+        return hit
+
     def diagonal_map(self, c: CohClass) -> CohClass:
         """Multiplication map on a self-tensor: x (x) y -> x cup y."""
-        if self.ha is not self.hb:
-            raise ValueError("diagonal map needs both factors to be the same ring")
-        k, out = c.degree, {}
-        for (p, i, j), v in self.decompose(c).items():
-            for idx, x in self.ha.cup_basis(p, i, k - p, j):
-                out[idx] = out.get(idx, ZERO) + v * x
-        return self.ha.class_from_pairs(k, [(idx, x) for idx, x in out.items() if x])
+        return CohClass(c.degree, self.multiplication(c.degree).apply(c.coords))

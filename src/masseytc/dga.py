@@ -176,8 +176,6 @@ class DGA:
     basis: tuple  # tuple[tuple[str, ...], ...] indexed by degree 0..N
     mult: Mapping
     diff: Sequence  # SparseMatrix per degree 0..N
-    graded_commutative: bool = True
-    unital: bool = True
     simply_connected: bool = False
     space_dim: Optional[int] = None
     presentation: Optional[Presentation] = None
@@ -319,17 +317,16 @@ class DGA:
                 out.append(Violation(
                     "d-squared", (k,), f"d_{k + 1} o d_{k} is nonzero"))
 
-        if self.unital:
-            if self.dim(0) != 1:
-                out.append(Violation("unit", (0,), f"degree 0 has dimension {self.dim(0)}"))
-            else:
-                one = self.unit()
-                for k in range(n + 1):
-                    for i in range(self.dim(k)):
-                        e = self.basis_cochain(k, i)
-                        if self.mul(one, e) != e or self.mul(e, one) != e:
-                            out.append(Violation(
-                                "unit", (k, self.basis[k][i]), "unit law fails"))
+        if self.dim(0) != 1:
+            out.append(Violation("unit", (0,), f"degree 0 has dimension {self.dim(0)}"))
+        else:
+            one = self.unit()
+            for k in range(n + 1):
+                for i in range(self.dim(k)):
+                    e = self.basis_cochain(k, i)
+                    if self.mul(one, e) != e or self.mul(e, one) != e:
+                        out.append(Violation(
+                            "unit", (k, self.basis[k][i]), "unit law fails"))
 
         for k1 in range(n + 1):
             for k2 in range(n + 1 - k1):
@@ -348,13 +345,12 @@ class DGA:
                                 out.append(Violation(
                                     "leibniz", (self.basis[k1][i1], self.basis[k2][i2]),
                                     f"d(x*y) != dx*y + (-1)^{k1} x*dy"))
-                        if self.graded_commutative:
-                            csign = -ONE if (k1 * k2) % 2 else ONE
-                            if self.mul(x, y) != self.mul(y, x).scale(csign):
-                                out.append(Violation(
-                                    "commutativity",
-                                    (self.basis[k1][i1], self.basis[k2][i2]),
-                                    f"x*y != (-1)^({k1}*{k2}) y*x"))
+                        csign = -ONE if (k1 * k2) % 2 else ONE
+                        if self.mul(x, y) != self.mul(y, x).scale(csign):
+                            out.append(Violation(
+                                "commutativity",
+                                (self.basis[k1][i1], self.basis[k2][i2]),
+                                f"x*y != (-1)^({k1}*{k2}) y*x"))
 
         for k1 in range(n + 1):
             for i1 in range(self.dim(k1)):
@@ -531,14 +527,10 @@ def compile_cdga(p: Presentation, check: bool = True) -> DGA:
 
     diff = []
     for k in range(n + 1):
-        data = {}
         target = index[k + 1] if k + 1 <= n else {}
-        for j, m in enumerate(monomials[k]):
-            for tm, c in d_mono(m).items():
-                if tm in target:
-                    data[(target[tm], j)] = c
-        rows = len(monomials[k + 1]) if k + 1 <= n else 0
-        diff.append(SparseMatrix.from_dict(rows, len(monomials[k]), data))
+        diff.append(SparseMatrix(len(target), len(monomials[k]), tuple(
+            tuple(sorted((target[tm], c) for tm, c in d_mono(m).items() if tm in target))
+            for m in monomials[k])))
     diff = tuple(diff)
 
     if check:
@@ -559,8 +551,6 @@ def compile_cdga(p: Presentation, check: bool = True) -> DGA:
         basis=basis,
         mult=_LazyProducts(product, [len(ms) for ms in monomials]),
         diff=diff,
-        graded_commutative=True,
-        unital=True,
         simply_connected=p.simply_connected,
         space_dim=p.space_dim,
         presentation=p,
@@ -708,26 +698,19 @@ class _TensorDifferentials(Sequence):
         return m
 
     def _build(self, deg: int) -> SparseMatrix:
-        # d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy
+        # d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy; in pair order the
+        # rows (p, i, *) of x (x) dy come before the rows (p + 1, *, j) of
+        # dx (x) y, so each column is built in row order
         a, b, pairs = self.a, self.b, self.pairs
-        n = len(pairs) - 1
-        data = {}
-        tindex = pairs.index[deg + 1] if deg + 1 <= n else {}
-        for col, (p, i, j) in enumerate(pairs[deg]):
-            q = deg - p
-            if p + 1 <= a.truncation:
-                for r, c, v in a.diff[p].entries:
-                    if c == i:
-                        key = (tindex[(p + 1, r, j)], col)
-                        data[key] = data.get(key, ZERO) + v
-            sign = -ONE if p % 2 else ONE
-            if q + 1 <= b.truncation:
-                for r, c, v in b.diff[q].entries:
-                    if c == j:
-                        key = (tindex[(p, i, r)], col)
-                        data[key] = data.get(key, ZERO) + sign * v
-        rows = len(pairs[deg + 1]) if deg + 1 <= n else 0
-        return SparseMatrix.from_dict(rows, len(pairs[deg]), data)
+        tindex = pairs.index[deg + 1] if deg + 1 < len(pairs) else {}
+        cols = []
+        for p, i, j in pairs[deg]:
+            odd = p % 2
+            cols.append(tuple(
+                [(tindex[(p, i, r)], -v if odd else v)
+                 for r, v in b.diff[deg - p].nonzero_columns[j]]
+                + [(tindex[(p + 1, r, j)], v) for r, v in a.diff[p].nonzero_columns[i]]))
+        return SparseMatrix(len(tindex), len(pairs[deg]), tuple(cols))
 
 
 def tensor(a: DGA, b: DGA) -> DGA:
@@ -757,8 +740,6 @@ def tensor(a: DGA, b: DGA) -> DGA:
                     for k, ps in enumerate(pairs)),
         mult=_LazyProducts(product, [len(ps) for ps in pairs]),
         diff=_TensorDifferentials(a, b, pairs),
-        graded_commutative=a.graded_commutative and b.graded_commutative,
-        unital=a.unital and b.unital,
         simply_connected=a.simply_connected and b.simply_connected,
         space_dim=(a.space_dim or 0) + (b.space_dim or 0),
         pairs=pairs,

@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of ``Fraction``; matrices are immutable sparse triple
-lists.  Everything is deterministic: a subspace is stored in reduced column
-echelon form (the pivot of a column is its first nonzero coordinate, pivots
-strictly increase left to right, pivot entries are 1 and pivot rows vanish in
-every other column).  Two subspaces are equal iff their stored bases are
-structurally equal, and coset reduction has one canonical output, which is
-what the cohomology and Massey layers rely on.
+Vectors are tuples of ``Fraction``; a matrix is immutable and holds its
+nonzero columns, the form the elimination reads and returns.  Everything
+is deterministic: a subspace is stored in reduced column echelon form (the
+pivot of a column is its first nonzero coordinate, pivots strictly increase
+left to right, pivot entries are 1 and pivot rows vanish in every other
+column), as the matrix of its basis.  Two subspaces are equal iff their
+stored bases are structurally equal, and coset reduction has one canonical
+output, which is what the cohomology and Massey layers rely on.
 
 There is one elimination routine, :func:`_echelon_columns`.  It walks
 nonzero entries only, and the reduced echelon basis of a span is unique,
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -46,42 +47,40 @@ def zero_vec(n: int) -> Vector:
 class SparseMatrix:
     """Immutable rows x cols matrix over Q.
 
-    ``entries`` holds (row, col, value) triples in row-major order with no
-    zeros and no duplicates, so structural equality is matrix equality.
+    ``nonzero_columns`` holds, for each column, its nonzero (row, value)
+    pairs in strictly increasing row order, so structural equality is
+    matrix equality.  That is the form :func:`_echelon_columns` reads and
+    returns.
     """
 
     rows: int
     cols: int
-    entries: tuple  # tuple[tuple[int, int, Fraction], ...]
+    nonzero_columns: tuple  # tuple[tuple[tuple[int, Fraction], ...], ...]
 
     def __post_init__(self):
-        last = (-1, -1)
-        for r, c, v in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
-            if v == 0:
-                raise ValueError(f"explicit zero stored at ({r},{c})")
-            if (r, c) <= last:
-                raise ValueError("entries not in strict row-major order")
-            last = (r, c)
-
-    @classmethod
-    def from_dict(cls, rows: int, cols: int, data: Mapping) -> "SparseMatrix":
-        entries = tuple(
-            (r, c, Fraction(v)) for (r, c), v in sorted(data.items()) if v != 0
-        )
-        return cls(rows, cols, entries)
+        if len(self.nonzero_columns) != self.cols:
+            raise ValueError(f"{len(self.nonzero_columns)} columns given for {self.cols}")
+        for c, col in enumerate(self.nonzero_columns):
+            last = -1
+            for r, v in col:
+                if not 0 <= r < self.rows:
+                    raise ValueError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
+                if v == 0:
+                    raise ValueError(f"explicit zero stored at ({r},{c})")
+                if r <= last:
+                    raise ValueError(f"rows of column {c} do not strictly increase")
+                last = r
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, tuple((i, i, ONE) for i in range(n)))
+        return cls(n, n, tuple(((i, ONE),) for i in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "SparseMatrix":
-        return cls(rows, cols, ())
+        return cls(rows, cols, ((),) * cols)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.nonzero_columns)
 
     @cached_property
     def _tagged(self) -> tuple:
@@ -89,44 +88,34 @@ class SparseMatrix:
         shared by its kernel and every solver built on it."""
         return _tagged_echelon(self)
 
-    @cached_property
-    def _row_dicts(self) -> tuple:
-        rows = [dict() for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            rows[r][c] = v
-        return tuple(rows)
-
     def columns(self) -> list:
-        cols = [[ZERO] * self.rows for _ in range(self.cols)]
-        for r, c, v in self.entries:
-            cols[c][r] = v
-        return [tuple(col) for col in cols]
+        """Each column as a dense vector."""
+        out = []
+        for col in self.nonzero_columns:
+            v = [ZERO] * self.rows
+            for r, x in col:
+                v[r] = x
+            out.append(tuple(v))
+        return out
 
     def apply(self, x: Vector) -> Vector:
         """Matrix-vector product."""
         if len(x) != self.cols:
             raise ValueError(f"dimension mismatch: matrix has {self.cols} columns, vector has {len(x)}")
         out = [ZERO] * self.rows
-        for r, c, v in self.entries:
-            xc = x[c]
+        for xc, col in zip(x, self.nonzero_columns):
             if xc:
-                out[r] += v * xc
+                for r, v in col:
+                    out[r] += v * xc
         return tuple(out)
 
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
         """self @ other."""
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} != {other.rows}")
-        data = {}
-        rows_of_self = self._row_dicts
-        for r2, c2, v2 in other.entries:
-            # contribution of other[r2][c2] to column c2 of the product
-            for r1 in range(self.rows):
-                v1 = rows_of_self[r1].get(r2)
-                if v1:
-                    key = (r1, c2)
-                    data[key] = data.get(key, ZERO) + v1 * v2
-        return SparseMatrix.from_dict(self.rows, other.cols, data)
+        return SparseMatrix(self.rows, other.cols, tuple(
+            tuple((r, v) for r, v in enumerate(self.apply(col)) if v)
+            for col in other.columns()))
 
 
 def _echelon_columns(columns: Iterable):
@@ -168,13 +157,6 @@ def _echelon_columns(columns: Iterable):
     return pivots, [column_at[p] for p in pivots]
 
 
-def _column_dicts(a: SparseMatrix) -> list:
-    cols = [{} for _ in range(a.cols)]
-    for r, c, v in a.entries:
-        cols[c][r] = v
-    return cols
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of Q^ambient with a canonical echelon basis."""
@@ -189,7 +171,7 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient:
                 raise ValueError(f"vector length {len(v)} != ambient {ambient}")
-            columns.append([(i, x) for i, x in enumerate(v) if x])
+            columns.append([(i, Fraction(x)) for i, x in enumerate(v) if x])
         return cls._spanned(ambient, columns)
 
     @classmethod
@@ -199,9 +181,8 @@ class Subspace:
 
     @classmethod
     def _echelon(cls, ambient: int, pivots: tuple, cols: list) -> "Subspace":
-        entries = sorted((r, c, Fraction(x))
-                         for c, col in enumerate(cols) for r, x in col.items())
-        return cls(ambient, SparseMatrix(ambient, len(cols), tuple(entries)), pivots)
+        return cls(ambient, SparseMatrix(ambient, len(cols), tuple(
+            tuple(sorted(col.items())) for col in cols)), pivots)
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -218,14 +199,11 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.pivots
 
-    @cached_property
+    @property
     def nonzero_columns(self) -> tuple:
         """Each basis vector as its nonzero (index, value) pairs, in index
         order."""
-        cols = [[] for _ in self.pivots]
-        for r, c, x in self.basis.entries:
-            cols[c].append((r, x))
-        return tuple(tuple(col) for col in cols)
+        return self.basis.nonzero_columns
 
     @cached_property
     def _columns(self) -> list:
@@ -290,10 +268,8 @@ def _tagged_echelon(a: SparseMatrix) -> tuple:
     the kernel generators, the last two as {column of a: value} dicts.
     """
     last = a.rows + a.cols - 1
-    cols = _column_dicts(a)
-    for j, col in enumerate(cols):
-        col[last - j] = ONE
-    pivots, cols = _echelon_columns(cols)
+    pivots, cols = _echelon_columns(
+        col + ((last - j, ONE),) for j, col in enumerate(a.nonzero_columns))
     images, preimages, kernel_gens = [], [], []
     for p, col in zip(pivots, cols):
         tags = {last - i: x for i, x in col.items() if i >= a.rows}
@@ -312,11 +288,11 @@ def kernel(a: SparseMatrix) -> Subspace:
 
 def image(a: SparseMatrix) -> Subspace:
     """Column space of ``a`` as a canonical subspace of Q^rows."""
-    return Subspace._spanned(a.rows, _column_dicts(a))
+    return Subspace._spanned(a.rows, a.nonzero_columns)
 
 
 def rank(a: SparseMatrix) -> int:
-    return len(_echelon_columns(_column_dicts(a))[0])
+    return len(_echelon_columns(a.nonzero_columns)[0])
 
 
 def solve(a: SparseMatrix, b: Vector) -> Optional[Vector]:

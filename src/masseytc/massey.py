@@ -78,18 +78,10 @@ def massey_triple(ring: CohomologyRing, alpha: CohClass, beta: CohClass,
     if not bc.is_zero():
         return _undefined(alpha, beta, gamma, "beta*gamma is nonzero")
 
-    dga = ring.dga
-    a = ring.representative(alpha)
-    b = ring.representative(beta)
-    c = ring.representative(gamma)
-    mu_coords = ring.solve_boundary(p + q - 1, dga.mul(a, b).coords)
-    lam_coords = ring.solve_boundary(q + r - 1, dga.mul(b, c).coords)
-    if mu_coords is None or lam_coords is None:
+    witnesses = _witnesses(ring, *map(ring.representative, (alpha, beta, gamma)))
+    if witnesses is None:
         raise ValueError("boundary witness missing although the class product vanishes")
-    mu = Cochain(p + q - 1, mu_coords)
-    lam = Cochain(q + r - 1, lam_coords)
-    sign = 1 if (p + 1) % 2 == 0 else -1
-    w = dga.mul(a, lam).add(dga.mul(mu, c).scale(sign))
+    mu, lam, w = witnesses
     value = ring.class_of(w)
     indet = massey_indeterminacy(ring, alpha, gamma, q)
     canonical = CohClass(target, indet.reduce(value.coords))
@@ -118,21 +110,29 @@ def massey_value_from_cocycles(ring: CohomologyRing, a: Cochain, b: Cochain,
     to :func:`massey_triple` to confirm the coset does not move when the
     representatives do.
     """
-    dga = ring.dga
     for x in (a, b, c):
-        if not dga.d(x).is_zero():
+        if not ring.dga.d(x).is_zero():
             raise ValueError(f"degree-{x.degree} representative is not a cocycle")
-    ab = dga.mul(a, b)
-    bc = dga.mul(b, c)
-    mu_coords = ring.solve_boundary(ab.degree - 1, ab.coords)
-    lam_coords = ring.solve_boundary(bc.degree - 1, bc.coords)
-    if mu_coords is None or lam_coords is None:
+    witnesses = _witnesses(ring, a, b, c)
+    if witnesses is None:
         raise ValueError("a defining product is not a coboundary")
-    mu = Cochain(ab.degree - 1, mu_coords)
-    lam = Cochain(bc.degree - 1, lam_coords)
-    sign = 1 if (a.degree + 1) % 2 == 0 else -1
-    w = dga.mul(a, lam).add(dga.mul(mu, c).scale(sign))
+    w = witnesses[2]
     return w, ring.class_of(w)
+
+
+def _witnesses(ring: CohomologyRing, a: Cochain, b: Cochain, c: Cochain):
+    """(mu, lam, w) for cocycles a, b, c: the canonical solutions of
+    d mu = a*b and d lam = b*c, and w = a*lam + (-1)^(|a|+1) mu*c; None
+    when a*b or b*c is not a coboundary."""
+    dga = ring.dga
+    ab, bc = dga.mul(a, b), dga.mul(b, c)
+    mu = ring.solve_boundary(ab.degree - 1, ab.coords)
+    lam = ring.solve_boundary(bc.degree - 1, bc.coords)
+    if mu is None or lam is None:
+        return None
+    mu, lam = Cochain(ab.degree - 1, mu), Cochain(bc.degree - 1, lam)
+    sign = 1 if (a.degree + 1) % 2 == 0 else -1
+    return mu, lam, dga.mul(a, lam).add(dga.mul(mu, c).scale(sign))
 
 
 def scan_triples(ring: CohomologyRing, max_degree: int = None) -> list:

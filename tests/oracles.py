@@ -4,8 +4,9 @@ The engine in ``src/`` keeps what its commands, ledger replay and the
 benchmark call.  The checks below verify its constructions on instances
 and are kept here, next to the tests that use them:
 
-* exact-vector and matrix constructors (``vec``, ``from_rows``,
-  ``from_columns``) and the registry names of the built-in models;
+* exact-vector and matrix constructors (``vec``, ``from_dict``,
+  ``from_rows``, ``from_columns``) and the registry names of the built-in
+  models;
 * ``print_model``, the printer of the model text format, which the parser
   round-trip tests read back;
 * ``tensor_cochain`` and ``check_kunneth``, the cochain-level check that
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap
 from masseytc.dga import DGA, Cochain, Presentation
@@ -39,6 +40,16 @@ def vec(values: Iterable) -> Vector:
     return tuple(Fraction(x) for x in values)
 
 
+def from_dict(rows: int, cols: int, data: Mapping) -> SparseMatrix:
+    """The rows x cols matrix with entry ``data[(r, c)]`` at (r, c); absent
+    keys and zero values are zero."""
+    columns = [[] for _ in range(cols)]
+    for (r, c), v in sorted(data.items()):
+        if v:
+            columns[c].append((r, Fraction(v)))
+    return SparseMatrix(rows, cols, tuple(map(tuple, columns)))
+
+
 def from_rows(rows_data: Sequence[Sequence]) -> SparseMatrix:
     nrows = len(rows_data)
     ncols = len(rows_data[0]) if rows_data else 0
@@ -49,7 +60,7 @@ def from_rows(rows_data: Sequence[Sequence]) -> SparseMatrix:
         for c, x in enumerate(row):
             if x:
                 data[(r, c)] = Fraction(x)
-    return SparseMatrix.from_dict(nrows, ncols, data)
+    return from_dict(nrows, ncols, data)
 
 
 def from_columns(rows: int, columns: Sequence[Vector]) -> SparseMatrix:
@@ -60,7 +71,7 @@ def from_columns(rows: int, columns: Sequence[Vector]) -> SparseMatrix:
         for r, x in enumerate(col):
             if x:
                 data[(r, c)] = Fraction(x)
-    return SparseMatrix.from_dict(rows, len(columns), data)
+    return from_dict(rows, len(columns), data)
 
 
 # ------------------------------------------------------------ models and text
@@ -200,13 +211,13 @@ def left_annihilator(ring: CohomologyRing, k: int, cls: CohClass) -> Subspace:
     """Classes xi in H^k with xi * cls = 0 (kernel of cup on the right)."""
     data = {(idx, i): x for i in range(ring.dim(k))
             for idx, x in ring._cup_nonzero(k, [(i, ONE)], cls.degree, cls.pairs)}
-    return kernel(SparseMatrix.from_dict(ring.dim(k + cls.degree), ring.dim(k), data))
+    return kernel(from_dict(ring.dim(k + cls.degree), ring.dim(k), data))
 
 
 def right_annihilator(ring: CohomologyRing, k: int, cls: CohClass) -> Subspace:
     data = {(idx, i): x for i in range(ring.dim(k))
             for idx, x in ring._cup_nonzero(cls.degree, cls.pairs, k, [(i, ONE)])}
-    return kernel(SparseMatrix.from_dict(ring.dim(k + cls.degree), ring.dim(k), data))
+    return kernel(from_dict(ring.dim(k + cls.degree), ring.dim(k), data))
 
 
 # ------------------------------------------------------- identity checking

@@ -742,3 +742,53 @@ def test_ledger_serializes_to_json(ledger_of):
     assert back["cat"] == [4, 4] and back["tc"] == [6, 7]
     assert back["zcl"] == 3 and back["cup_length"] == 2
     assert all(isinstance(c, str) for f in back["cat_facts"] for c in f["coords"])
+
+
+def _edit_certs(rule, edit):
+    """A forgery that edits every certificate of one rule."""
+    return lambda led: dataclasses.replace(led, certificates=tuple(
+        edit(c) if c["rule"] == rule else c for c in led.certificates))
+
+
+def _edit_first_tc_fact(edit):
+    """A forgery that edits the first tc fact."""
+    return lambda led: dataclasses.replace(
+        led, tc_facts=(edit(led.tc_facts[0]),) + led.tc_facts[1:])
+
+
+@pytest.mark.parametrize("forge, reason", [
+    pytest.param(_edit_certs("zcl-chain", lambda c: {
+        **c, "chain": tuple((d, coords[:-1]) for d, coords in c["chain"])}),
+        "factor 0 of the zcl-chain certificate is not a class",
+        id="zcl-factors-drop-a-coordinate"),
+    pytest.param(_edit_first_tc_fact(lambda f: dataclasses.replace(
+        f, cls=CohClass(99, f.cls.coords))),
+        r"the class of fact \('tc', 99, .* is not a class of degree 1\.\.4",
+        id="tc-fact-at-degree-99"),
+    pytest.param(_edit_certs("cup-chain", lambda c: {
+        **c, "chain": ((1, (Fraction(1),) * 99),) + tuple(c["chain"][1:])}),
+        "factor 0 of the cup-chain certificate is not a class",
+        id="cup-chain-class-of-99-coordinates"),
+    pytest.param(_edit_certs("cup-chain", lambda c: {**c, "chain": 5}),
+                 "the chain of the cup-chain certificate is not a list", id="chain-given-as-5"),
+    pytest.param(_edit_certs("weighted-product", lambda c: {
+        **c, "factors": [list(k) for k in c["factors"]]}),
+        "names fact .* not in the fact pool", id="certificate-keys-as-lists"),
+    pytest.param(_edit_evidence("tc_facts", "product", lambda f: (
+        "product", list(f.inputs[1]), f.inputs[2])),
+        "product evidence names a fact that is not in the fact pool", id="evidence-keys-as-lists"),
+    pytest.param(_edit_evidence("tc_facts", "bar", lambda f: ("bar", (99, f.inputs[1][1]))),
+                 "the bar evidence of fact .* is not a class", id="bar-evidence-at-degree-99"),
+    pytest.param(_edit_certs("weighted-product", lambda c: {
+        **c, "product": (c["product"][0], c["product"][1][:-1])}),
+        "the product of the (cat|tc) weighted-product certificate is not a class",
+        id="product-drops-a-coordinate"),
+    pytest.param(lambda led: dataclasses.replace(
+        led, certificates=led.certificates + ("cup-chain",)),
+        "certificate 'cup-chain' is not a rule dictionary", id="certificate-is-a-string"),
+])
+def test_replay_names_malformed_class_records(rings, kunneth_of, ledger_of, forge, reason):
+    # each of these replayed as valid or fell over with a stray
+    # IndexError, TypeError or AttributeError before the records were checked
+    with pytest.raises(ValueError, match=reason):
+        replay_ledger(forge(ledger_of("borromean")), rings["borromean"], kunneth_of("borromean"))

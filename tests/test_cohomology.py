@@ -32,8 +32,9 @@ from test_cli import STRESS_NIL_SRC
 
 def to_sympy(m):
     out = sympy.zeros(m.rows, m.cols)
-    for r, c, v in m.entries:
-        out[r, c] = sympy.Rational(v.numerator, v.denominator)
+    for c, col in enumerate(m.columns()):
+        for r, v in enumerate(col):
+            out[r, c] = sympy.Rational(v.numerator, v.denominator)
     return out
 
 

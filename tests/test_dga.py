@@ -21,7 +21,7 @@ from masseytc.dga import (
     tensor,
 )
 from masseytc.linalg import SparseMatrix
-from oracles import tensor_cochain
+from oracles import from_dict, tensor_cochain
 
 
 def make(name, gens, diffs, n, aliases=(), sc=True, space_dim=None):
@@ -119,7 +119,7 @@ def test_m1_differential(m1):
 def test_m3e_differential_matrix(m3e):
     # columns x, y, z against rows a^2, a*b, b^2
     d3 = m3e.diff[3]
-    assert d3 == SparseMatrix.from_dict(3, 3, {(0, 0): 1, (2, 1): 1, (1, 2): 1})
+    assert d3 == from_dict(3, 3, {(0, 0): 1, (2, 1): 1, (1, 2): 1})
     ax = m3e.basis_cochain(5, 0)
     assert m3e.render(m3e.d(ax)) == "a^3"
 
@@ -356,18 +356,18 @@ def eager_tensor_tables(t):
         for col, (p, i, j) in enumerate(pairs[deg]):
             q = deg - p
             if p + 1 <= a.truncation:
-                for r, c, v in a.diff[p].entries:
-                    if c == i:
+                for r, v in enumerate(a.diff[p].columns()[i]):
+                    if v:
                         key = (tindex[(p + 1, r, j)], col)
                         data[key] = data.get(key, 0) + v
             sign = -1 if p % 2 else 1
             if q + 1 <= b.truncation:
-                for r, c, v in b.diff[q].entries:
-                    if c == j:
+                for r, v in enumerate(b.diff[q].columns()[j]):
+                    if v:
                         key = (tindex[(p, i, r)], col)
                         data[key] = data.get(key, 0) + sign * v
         rows = len(pairs[deg + 1]) if deg + 1 <= n else 0
-        diff.append(SparseMatrix.from_dict(rows, len(pairs[deg]), data))
+        diff.append(from_dict(rows, len(pairs[deg]), data))
     return mult, tuple(diff)
 
 
@@ -412,7 +412,8 @@ def test_lazy_tensor_tables_equal_the_eager_ones(dgas, first, second):
     assert lazy_diff == list(diff)
     for m, o in zip(lazy_diff, diff):
         assert type(m) is SparseMatrix
-        assert (m.rows, m.cols, _typed(m.entries)) == (o.rows, o.cols, _typed(o.entries))
+        assert (m.rows, m.cols, _typed(m.nonzero_columns)) == \
+            (o.rows, o.cols, _typed(o.nonzero_columns))
     assert t.diff[-1] == diff[-1] and t.diff[-n - 1] == diff[0]
     assert t.diff[1:3] == diff[1:3] and t.diff[::-2] == diff[::-2]
     assert t.diff[n + 5:] == ()

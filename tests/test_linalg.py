@@ -26,7 +26,7 @@ from masseytc.linalg import (
     solve,
     zero_vec,
 )
-from oracles import from_columns, from_rows, vec
+from oracles import from_columns, from_dict, from_rows, vec
 
 
 def vec_add(u, v):
@@ -45,8 +45,9 @@ def is_zero_vec(v):
 
 def to_sympy(a: SparseMatrix) -> sympy.Matrix:
     m = sympy.zeros(a.rows, a.cols)
-    for r, c, v in a.entries:
-        m[r, c] = sympy.Rational(v.numerator, v.denominator)
+    for c, col in enumerate(a.columns()):
+        for r, v in enumerate(col):
+            m[r, c] = sympy.Rational(v.numerator, v.denominator)
     return m
 
 
@@ -59,7 +60,7 @@ def random_matrix(rng: random.Random, rows: int, cols: int) -> SparseMatrix:
                 den = rng.choice([1, 1, 1, 2, 3])
                 if num:
                     data[(r, c)] = Fraction(num, den)
-    return SparseMatrix.from_dict(rows, cols, data)
+    return from_dict(rows, cols, data)
 
 
 # ---------------------------------------------------------------- solve
@@ -382,6 +383,30 @@ def test_matrix_compose_matches_apply():
         ab = a.compose(b)
         x = vec([rng.randint(-3, 3) for _ in range(k)])
         assert ab.apply(x) == a.apply(b.apply(x))
+        assert to_sympy(ab) == to_sympy(a) * to_sympy(b)
+
+
+def test_sparse_matrix_holds_its_nonzero_columns():
+    a = SparseMatrix(3, 2, (((0, ONE), (2, Fraction(-1, 2))), ()))
+    assert a.columns() == [vec([1, 0, Fraction(-1, 2)]), vec([0, 0, 0])]
+    assert a == from_rows([[1, 0], [0, 0], [Fraction(-1, 2), 0]])
+    assert a.apply(vec([2, 5])) == vec([2, 0, -1])
+    assert not a.is_zero() and SparseMatrix.zero(3, 2).is_zero()
+
+
+@pytest.mark.parametrize("columns, reason", [
+    pytest.param((((0, ONE),),), "1 columns given for 2", id="wrong-column-count"),
+    pytest.param((((2, ONE),), ()), r"entry \(2,0\) outside 2x2", id="row-past-the-end"),
+    pytest.param(((), ((-1, ONE),)), r"entry \(-1,1\) outside 2x2", id="negative-row"),
+    pytest.param((((0, ZERO),), ()), r"explicit zero stored at \(0,0\)", id="explicit-zero"),
+    pytest.param(((), ((1, ONE), (0, ONE))), "rows of column 1 do not strictly increase",
+                 id="decreasing-rows"),
+    pytest.param(((), ((1, ONE), (1, ONE))), "rows of column 1 do not strictly increase",
+                 id="repeated-row"),
+])
+def test_sparse_matrix_refuses_malformed_columns(columns, reason):
+    with pytest.raises(ValueError, match=reason):
+        SparseMatrix(2, 2, columns)
 
 
 # ------------------------------------------------- the row-reduction oracle
@@ -395,8 +420,10 @@ def _row_reduce_oracle(a: SparseMatrix, extra=None):
 
     Returns (rows as dicts, [(pivot_row, pivot_col), ...])."""
     rows = [dict() for _ in range(a.rows)]
-    for r, c, v in a.entries:
-        rows[r][c] = v
+    for c, col in enumerate(a.columns()):
+        for r, v in enumerate(col):
+            if v:
+                rows[r][c] = v
     if extra is not None:
         for row, more in zip(rows, extra):
             row.update(more)
@@ -486,7 +513,7 @@ def test_eliminations_match_the_row_reduction_oracle():
         seen["dependent-ahead"] += any(f < c for f in free for c in pivot_set)
 
         k, k_expect = kernel(a), kernel_oracle(a)
-        assert (k.basis.entries, k.pivots) == (k_expect.basis.entries, k_expect.pivots)
+        assert k.basis == k_expect.basis and k.pivots == k_expect.pivots
         assert rank(a) == len(pivot_cols) == image(a).dim
 
         solver = PrefactoredSolver(a)

@@ -359,7 +359,7 @@ def test_the_oracles_live_with_the_tests():
         dga: ["tensor_cochain"],
         dsl: ["print_model", "_poly_to_dsl"],
         linalg: ["vec"],
-        linalg.SparseMatrix: ["from_rows", "from_columns"],
+        linalg.SparseMatrix: ["from_rows", "from_columns", "from_dict"],
         models: ["model_names"],
     }
     for owner, names in moved.items():
