@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .cohomology import CohClass, CohomologyRing, KunnethMap, cup_chain, heaviest_chain
-from .linalg import ONE, ZERO, Subspace, kernel
+from .linalg import ZERO, Subspace, inverse, kernel, scalar
 from .massey import massey_triple, scan_triples
 
 
@@ -45,8 +45,8 @@ def normalize_coords(coords) -> tuple:
     zeros become the shared ``ZERO``, cheap to compare in a fact key."""
     for c in coords:
         if c:
-            inv = ONE / c
-            return tuple(v * inv if v else ZERO for v in coords)
+            inv = inverse(c)
+            return tuple(scalar(v * inv) if v else ZERO for v in coords)
     return tuple(coords)
 
 
@@ -343,7 +343,7 @@ class BoundLedger:
     zcl_product: CohClass = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        """Pure JSON payload (Fractions become strings)."""
+        """Pure JSON payload (coefficients become strings)."""
         return {**self.summary_dict(),
                 "cat_facts": [_fact_dict(f) for f in self.cat_facts],
                 "tc_facts": [_fact_dict(f) for f in self.tc_facts]}
@@ -367,10 +367,19 @@ class BoundLedger:
         }
 
 
+def _is_rational(x) -> bool:
+    """Whether x may be a coordinate: an int (not a bool) or a Fraction."""
+    return type(x) is int or type(x) is Fraction
+
+
 def _jsonify(x):
-    if isinstance(x, Fraction):
-        return str(x)
+    """The JSON form of a record, with every coefficient a string.  A tuple
+    of scalars is a coordinate vector; every other number (a degree, a
+    weight, a bound, a transfer's k) sits beside a string or a tuple and
+    stays a number."""
     if isinstance(x, (tuple, list)):
+        if all(map(_is_rational, x)):
+            return [str(v) for v in x]
         return [_jsonify(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _jsonify(v) for k, v in x.items()}
@@ -404,16 +413,17 @@ _EVIDENCE_ENTRIES = {"basis": 0, "bar": 1, "massey": 3, "product": 2, "transfer"
 
 def _recorded_class(rg: CohomologyRing, data, record: str) -> CohClass:
     """The class a record gives as (degree, coords), once its degree is in
-    1..N of ``rg`` and it has exactly dim(degree) coordinates; otherwise a
-    ValueError that names ``record``."""
+    1..N of ``rg`` and it has exactly dim(degree) coordinates, each an int
+    or a Fraction; otherwise a ValueError that names ``record``."""
     try:
         deg, coords = data
-        if isinstance(deg, int) and 1 <= deg <= rg.truncation and len(coords) == rg.dim(deg):
-            return CohClass(deg, tuple(coords))
+        if (isinstance(deg, int) and 1 <= deg <= rg.truncation and len(coords) == rg.dim(deg)
+                and all(map(_is_rational, coords))):
+            return CohClass(deg, tuple(scalar(c) for c in coords))
     except (TypeError, ValueError):
         pass
     raise ValueError(f"{record} is not a class of degree 1..{rg.truncation} "
-                     "with one coordinate per basis class")
+                     "with one rational coordinate per basis class")
 
 
 def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
@@ -568,6 +578,8 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             if f.weight != f1.weight + f2.weight:
                 fail(f, "product weight is not the sum of its factors")
         elif f.rule == "R4-transfer" and tag == "transfer":
+            if type(f.inputs[2]) is not int:
+                fail(f, f"transfer evidence gives k as {f.inputs[2]!r}, not an integer")
             transferred, reason = transfer_weight(ring, kmap, inputs[0], f.inputs[2])
             if transferred is None:
                 fail(f, f"transfer hypotheses fail on replay: {reason}")
@@ -617,13 +629,13 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         if not isinstance(cert, dict):
             raise ValueError(f"certificate {cert!r} is not a rule dictionary")
         rule = cert.get("rule")
-        if rule not in _CERT_FIELDS:
+        if not isinstance(rule, str) or rule not in _CERT_FIELDS:
             raise ValueError(f"unknown certificate rule {rule!r}")
         missing = [k for k in ("kind", "bound") + _CERT_FIELDS[rule] if k not in cert]
         if missing:
             raise ValueError(f"{rule} certificate lacks {', '.join(missing)}")
         kind, bound = cert["kind"], cert["bound"]
-        if kind not in lower:
+        if not isinstance(kind, str) or kind not in lower:
             raise ValueError(f"{rule} certificate has unknown kind {kind!r}")
         if rule == "cup-chain":
             chain = chain_classes(ring, cert["chain"], rule)
@@ -641,6 +653,9 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             if len(chain) != ledger.zcl:
                 raise ValueError("zcl-chain length disagrees with the ledger")
         elif rule == "weighted-product":
+            if not isinstance(cert["factors"], (list, tuple)):
+                raise ValueError(f"the factors of the {kind} {rule} certificate "
+                                 "are not a list of fact keys")
             facts = [cert_fact(rule, kind, k) for k in cert["factors"]]
             rg = ring_of(kind)
             prod = fold_chain(rg, [f.cls for f in facts])

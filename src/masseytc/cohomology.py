@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .dga import DGA, Cochain, PairBasis, tensor
-from .linalg import ONE, ZERO, PrefactoredSolver, SparseMatrix, Subspace, kernel, zero_vec
+from .linalg import ONE, ZERO, PrefactoredSolver, SparseMatrix, Subspace, kernel, scalar, zero_vec
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,14 @@ class CohClass:
         return not any(self.coords)
 
     def scale(self, c) -> "CohClass":
-        c = Fraction(c)
-        return CohClass(self.degree, tuple(c * x for x in self.coords))
+        c = scalar(c)
+        return CohClass(self.degree, tuple(scalar(c * x) for x in self.coords))
 
     def add(self, other: "CohClass") -> "CohClass":
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
-        return CohClass(self.degree, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return CohClass(self.degree, tuple(scalar(a + b)
+                                           for a, b in zip(self.coords, other.coords)))
 
     def sub(self, other: "CohClass") -> "CohClass":
         return self.add(other.scale(-1))
@@ -171,7 +172,7 @@ class CohomologyRing:
             if c:
                 for i, x in col:
                     out[i] += c * x
-        return Cochain(cls.degree, tuple(out))
+        return Cochain(cls.degree, tuple([scalar(x) for x in out]))
 
     def class_of(self, x: Cochain) -> CohClass:
         k = x.degree
@@ -276,7 +277,7 @@ class CohomologyRing:
                     ab = a * b
                     for idx, v in self.cup_basis(k1, i1, k2, i2):
                         out[idx] = out.get(idx, ZERO) + ab * v
-        return sorted((idx, v) for idx, v in out.items() if v)
+        return sorted((idx, scalar(v)) for idx, v in out.items() if v)
 
     def cup_checked(self, c1: CohClass, c2: CohClass):
         """(product, truncated): the flag marks products the truncation hides.
@@ -363,6 +364,8 @@ def heaviest_chain(ring: CohomologyRing, classes: list, weights: list,
         raise ValueError("chain factors need positive degree")
     top = ring.top_nonzero_degree()
     rate = max((Fraction(w, c.degree) for c, w in zip(classes, weights)), default=0)
+    # w + (top - d) * rate <= best, in integers
+    num, den = rate.numerator, rate.denominator
     best = (0, (), ring.basis_class(0, 0))
     # a frame is [next index, chain, degree, weight, product's nonzero
     # pairs]; the first frame is the empty chain
@@ -376,7 +379,7 @@ def heaviest_chain(ring: CohomologyRing, classes: list, weights: list,
         frame[0] = i + 1
         c = classes[i]
         d, w = deg + c.degree, weight + weights[i]
-        if d > top or w + (top - d) * rate <= best[0]:
+        if d > top or w * den + (top - d) * num <= best[0] * den:
             continue
         if left is None:
             pairs = c.pairs

@@ -19,14 +19,13 @@ costs (-1)^{|x||y|}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .linalg import ONE, ZERO, SparseMatrix, zero_vec
+from .linalg import ONE, ZERO, SparseMatrix, scalar, zero_vec
 
 Monomial = tuple  # exponent tuple over the canonical generator order
-Polynomial = dict  # Monomial -> Fraction, no zero values
+Polynomial = dict  # Monomial -> scalar (see linalg.scalar), no zero values
 
 
 class PresentationError(ValueError):
@@ -87,13 +86,13 @@ def mono_mul(m1: Monomial, m2: Monomial, odd: Sequence[bool]):
     return sign, tuple(map(add, m1, m2))
 
 
-def poly_add_scaled(target: Polynomial, src: Polynomial, c: Fraction) -> None:
+def poly_add_scaled(target: Polynomial, src: Polynomial, c) -> None:
     if not c:
         return
     for m, v in src.items():
         nv = target.get(m, ZERO) + c * v
         if nv:
-            target[m] = nv
+            target[m] = scalar(nv)
         else:
             target.pop(m, None)
 
@@ -108,7 +107,7 @@ def poly_mul(p: Polynomial, q: Polynomial, odd: Sequence[bool]) -> Polynomial:
             s, m = sm
             nv = out.get(m, ZERO) + s * c1 * c2
             if nv:
-                out[m] = nv
+                out[m] = scalar(nv)
             else:
                 out.pop(m, None)
     return out
@@ -130,19 +129,20 @@ def mono_name(m: Monomial, names: Sequence[str]) -> str:
 @dataclass(frozen=True)
 class Cochain:
     degree: int
-    coords: tuple  # tuple[Fraction, ...] over the basis of that degree
+    coords: tuple  # scalars (see linalg.scalar) over the basis of that degree
 
     def is_zero(self) -> bool:
         return not any(self.coords)
 
     def scale(self, c) -> "Cochain":
-        c = Fraction(c)
-        return Cochain(self.degree, tuple(c * x for x in self.coords))
+        c = scalar(c)
+        return Cochain(self.degree, tuple(scalar(c * x) for x in self.coords))
 
     def add(self, other: "Cochain") -> "Cochain":
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
-        return Cochain(self.degree, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Cochain(self.degree, tuple(scalar(a + b)
+                                          for a, b in zip(self.coords, other.coords)))
 
     def sub(self, other: "Cochain") -> "Cochain":
         return self.add(other.scale(-1))
@@ -195,7 +195,7 @@ class DGA:
         return Cochain(degree, zero_vec(self.dim(degree)))
 
     def cochain(self, degree: int, coords: Iterable) -> Cochain:
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple([scalar(c) for c in coords])
         if len(coords) != self.dim(degree):
             raise ValueError(
                 f"degree {degree} has dimension {self.dim(degree)}, got {len(coords)} coordinates")
@@ -230,7 +230,7 @@ class DGA:
                     cc = c1 * c2
                     for idx, s in entry:
                         out[idx] += cc * s
-        return Cochain(deg, tuple(out))
+        return Cochain(deg, tuple([scalar(x) for x in out]))
 
     def d(self, x: Cochain) -> Cochain:
         k = x.degree
@@ -408,7 +408,7 @@ def normalize_presentation(
         out: Polynomial = {}
         for coeff, factors in terms:
             m = tuple(0 for _ in canon)
-            c = Fraction(coeff)
+            c = scalar(coeff)
             ok = True
             for f in factors:
                 if f not in order:
@@ -424,7 +424,7 @@ def normalize_presentation(
                 continue
             nv = out.get(m, ZERO) + c
             if nv:
-                out[m] = nv
+                out[m] = scalar(nv)
             else:
                 out.pop(m, None)
         return out
@@ -592,7 +592,7 @@ class PairBasis(tuple):
         if not ys:
             return ()
         index, odd = self.index[n1 + n2], (q1 * p2) % 2
-        return tuple(sorted((index[(p1 + p2, ia, jb)], -ca * cb if odd else ca * cb)
+        return tuple(sorted((index[(p1 + p2, ia, jb)], scalar(-ca * cb if odd else ca * cb))
                             for ia, ca in xs for jb, cb in ys))
 
     def coords(self, p: int, xs, q: int, ys) -> tuple:
@@ -605,7 +605,7 @@ class PairBasis(tuple):
         for i, x in enumerate(xs):
             if x:
                 for j, y in right:
-                    out[index[(p, i, j)]] = x * y
+                    out[index[(p, i, j)]] = scalar(x * y)
         return tuple(out)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dga import Generator, Presentation, PresentationError, normalize_presentation
+from .linalg import scalar
 
 _SYMBOLS = "{}=*/+-"
 _DIGITS = "0123456789"  # ASCII only: str.isdigit() also admits "²", which int() refuses
@@ -142,7 +143,7 @@ class _Parser:
 
     def parse_term(self, sign: int):
         t = self.peek()
-        coeff = Fraction(sign)
+        coeff = sign
         factors = []
         if t.kind == "INT":
             self.next()
@@ -152,7 +153,7 @@ class _Parser:
                 den = self.expect("INT", "a denominator").value
                 if den == 0:
                     raise ParseError("zero denominator", t.line, t.col)
-                coeff *= Fraction(num, den)
+                coeff = scalar(Fraction(sign * num, den))
             else:
                 coeff *= num
             if self.peek().kind == "*":

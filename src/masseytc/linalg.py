@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of ``Fraction``; a matrix is immutable and holds its
-nonzero columns, the form the elimination reads and returns.  Everything
-is deterministic: a subspace is stored in reduced column echelon form (the
-pivot of a column is its first nonzero coordinate, pivots strictly increase
-left to right, pivot entries are 1 and pivot rows vanish in every other
-column), as the matrix of its basis.  Two subspaces are equal iff their
+A coefficient is a scalar (see :func:`scalar`): an ``int`` when it is
+integral and a ``Fraction`` only when it has a denominator, never a float
+or a bool, so most arithmetic stays on Python ints.  Vectors are tuples of
+scalars; a matrix is immutable and holds its nonzero columns, the form the
+elimination reads and returns.  Everything is deterministic: a subspace is
+stored in reduced column echelon form (the pivot of a column is its first
+nonzero coordinate, pivots strictly increase left to right, pivot entries
+are 1 and pivot rows vanish in every other column), as the matrix of its
+basis.  Two subspaces are equal iff their
 stored bases are structurally equal, and coset reduction has one canonical
 output, which is what the cohomology and Massey layers rely on.
 
@@ -33,10 +36,29 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
-Vector = tuple  # tuple[Fraction, ...]
+Vector = tuple  # tuple of scalars
+
+
+def scalar(x):
+    """The rational ``x`` as a coefficient: an ``int`` when it is integral,
+    else a ``Fraction``.  ``x`` is anything ``Fraction(x)`` takes: an int,
+    a bool, a Fraction, a float or a string such as ``"3/2"``."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def inverse(x):
+    """The exact reciprocal of a nonzero rational, as a scalar; the one
+    division in the package."""
+    if type(x) is int and (x == 1 or x == -1):
+        return x
+    return scalar(1 / Fraction(x))
 
 
 def zero_vec(n: int) -> Vector:
@@ -55,7 +77,7 @@ class SparseMatrix:
 
     rows: int
     cols: int
-    nonzero_columns: tuple  # tuple[tuple[tuple[int, Fraction], ...], ...]
+    nonzero_columns: tuple  # tuple[tuple[tuple[int, scalar], ...], ...]
 
     def __post_init__(self):
         if len(self.nonzero_columns) != self.cols:
@@ -107,7 +129,7 @@ class SparseMatrix:
             if xc:
                 for r, v in col:
                     out[r] += v * xc
-        return tuple(out)
+        return tuple([scalar(x) for x in out])
 
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
         """self @ other."""
@@ -133,15 +155,15 @@ def _echelon_columns(columns: Iterable):
             for i, x in column_at[p].items():
                 x = w.get(i, ZERO) - c * x
                 if x:
-                    w[i] = x
+                    w[i] = scalar(x)
                 else:
                     del w[i]
         if not w:
             continue
         p = min(w)
-        inv = ONE / w[p]
+        inv = inverse(w[p])
         if inv != 1:
-            w = {i: x * inv for i, x in w.items()}
+            w = {i: scalar(x * inv) for i, x in w.items()}
         # back-substitution: clear row p in the other columns
         for col in column_at.values():
             c = col.get(p)
@@ -149,7 +171,7 @@ def _echelon_columns(columns: Iterable):
                 for i, x in w.items():
                     x = col.get(i, ZERO) - c * x
                     if x:
-                        col[i] = x
+                        col[i] = scalar(x)
                     else:
                         del col[i]
         column_at[p] = w
@@ -171,7 +193,7 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient:
                 raise ValueError(f"vector length {len(v)} != ambient {ambient}")
-            columns.append([(i, Fraction(x)) for i, x in enumerate(v) if x])
+            columns.append([(i, scalar(x)) for i, x in enumerate(v) if x])
         return cls._spanned(ambient, columns)
 
     @classmethod
@@ -222,7 +244,7 @@ class Subspace:
             c = v[p]
             if c:
                 for i, x in col:
-                    w[i] -= c * x
+                    w[i] = scalar(w[i] - c * x)
         return w
 
     def reduce(self, v: Vector) -> Vector:
@@ -326,4 +348,4 @@ class PrefactoredSolver:
             if c:
                 for j, v in pre.items():
                     x[j] += c * v
-        return tuple(x)
+        return tuple([scalar(v) for v in x])

@@ -60,11 +60,23 @@ def _ring_table(ring: CohomologyRing, classes: dict) -> list:
     ``truncated`` marks pairs whose product degree falls outside the model
     window: the zero recorded there is forced by the truncation, not by the
     ring, so ``value`` is left as None rather than claiming a vanishing.
+    Each unordered pair is multiplied once: b*a = (-1)^(|a||b|) a*b by
+    graded commutativity, and the flag does not depend on the order.
     """
+    names = sorted(classes)
+    products = {}
+    for i, left in enumerate(names):
+        a = classes[left]
+        for right in names[i:]:
+            b = classes[right]
+            prod, truncated = products[left, right] = ring.cup_checked(a, b)
+            if right != left:
+                sign = -1 if (a.degree * b.degree) % 2 else 1
+                products[right, left] = prod.scale(sign), truncated
     table = []
-    for left in sorted(classes):
-        for right in sorted(classes):
-            prod, truncated = ring.cup_checked(classes[left], classes[right])
+    for left in names:
+        for right in names:
+            prod, truncated = products[left, right]
             table.append({
                 "left": left,
                 "right": right,

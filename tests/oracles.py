@@ -35,9 +35,16 @@ from masseytc.models import MODEL_SOURCES
 # ------------------------------------------------------------ linear algebra
 
 
+def exact(x):
+    """The rational x by the engine's scalar rule, written out apart from
+    it: an int when integral, else a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def vec(values: Iterable) -> Vector:
     """Coerce an iterable of numbers into an exact rational vector."""
-    return tuple(Fraction(x) for x in values)
+    return tuple(exact(x) for x in values)
 
 
 def from_dict(rows: int, cols: int, data: Mapping) -> SparseMatrix:
@@ -46,7 +53,7 @@ def from_dict(rows: int, cols: int, data: Mapping) -> SparseMatrix:
     columns = [[] for _ in range(cols)]
     for (r, c), v in sorted(data.items()):
         if v:
-            columns[c].append((r, Fraction(v)))
+            columns[c].append((r, exact(v)))
     return SparseMatrix(rows, cols, tuple(map(tuple, columns)))
 
 
@@ -59,7 +66,7 @@ def from_rows(rows_data: Sequence[Sequence]) -> SparseMatrix:
             raise ValueError("ragged rows")
         for c, x in enumerate(row):
             if x:
-                data[(r, c)] = Fraction(x)
+                data[(r, c)] = exact(x)
     return from_dict(nrows, ncols, data)
 
 
@@ -70,7 +77,7 @@ def from_columns(rows: int, columns: Sequence[Vector]) -> SparseMatrix:
             raise ValueError(f"column {c} has length {len(col)}, expected {rows}")
         for r, x in enumerate(col):
             if x:
-                data[(r, c)] = Fraction(x)
+                data[(r, c)] = exact(x)
     return from_dict(rows, len(columns), data)
 
 
@@ -448,3 +455,23 @@ def verify_external_vanishing(kmap: KunnethMap,
     if coset.defined and not coset.contains_zero():
         raise ValueError("explicit primitive contradicts the generic coset")
     return ExternalWitness(x, y, z, mu, lam, w, primitive, coset)
+
+
+# ------------------------------------------------------------------ reports
+
+
+def ring_table_all_pairs(ring: CohomologyRing, classes: dict) -> list:
+    """The ring table of ``report.cohomology_section`` with every ordered
+    pair of named classes multiplied, the mirrored pairs included."""
+    table = []
+    for left in sorted(classes):
+        for right in sorted(classes):
+            prod, truncated = ring.cup_checked(classes[left], classes[right])
+            table.append({
+                "left": left,
+                "right": right,
+                "degree": classes[left].degree + classes[right].degree,
+                "value": None if truncated else [prod.degree, [str(c) for c in prod.coords]],
+                "truncated": truncated,
+            })
+    return table

@@ -792,3 +792,37 @@ def test_replay_names_malformed_class_records(rings, kunneth_of, ledger_of, forg
     # IndexError, TypeError or AttributeError before the records were checked
     with pytest.raises(ValueError, match=reason):
         replay_ledger(forge(ledger_of("borromean")), rings["borromean"], kunneth_of("borromean"))
+
+
+def _coords_as(convert):
+    """A forgery that rewrites every coordinate of the cup-chain classes."""
+    return _edit_certs("cup-chain", lambda c: {**c, "chain": tuple(
+        (d, tuple(convert(x) for x in coords)) for d, coords in c["chain"])})
+
+
+@pytest.mark.parametrize("forge, reason", [
+    pytest.param(_coords_as(float), "factor 0 of the cup-chain certificate is not a class "
+                 "of degree 1..8 with one rational coordinate", id="float-coordinates"),
+    pytest.param(_coords_as(str), "factor 0 of the cup-chain certificate is not a class",
+                 id="string-coordinates"),
+    pytest.param(_edit_evidence("tc_facts", "transfer",
+                                lambda f: f.inputs[:2] + (str(f.inputs[2]),)),
+                 r"failed replay: transfer evidence gives k as '\d+', not an integer",
+                 id="transfer-k-as-a-string"),
+    pytest.param(lambda led: dataclasses.replace(led, certificates=led.certificates + (
+        {"rule": ["cup-chain"], "kind": "cat", "bound": 1},)),
+        r"unknown certificate rule \['cup-chain'\]", id="rule-as-a-list"),
+    pytest.param(_edit_certs("dimension", lambda c: {**c, "kind": ["cat"]}),
+                 r"dimension certificate has unknown kind \['cat'\]", id="kind-as-a-list"),
+    pytest.param(_edit_certs("weighted-product", lambda c: {**c, "factors": 5}),
+                 "the factors of the (cat|tc) weighted-product certificate are not a list",
+                 id="factors-given-as-5"),
+])
+def test_replay_names_non_rational_and_malformed_fields(rings, kunneth_of, ledger_of,
+                                                        forge, reason):
+    # without type checks the float coordinates replayed as valid
+    # (0.5 == Fraction(1, 2)) and the others fell over with a stray TypeError
+    led = ledger_of("even7")
+    assert replay_ledger(led, rings["even7"], kunneth_of("even7"))
+    with pytest.raises(ValueError, match=reason):
+        replay_ledger(forge(led), rings["even7"], kunneth_of("even7"))

@@ -21,7 +21,7 @@ from masseytc.dga import (
     tensor,
 )
 from masseytc.linalg import SparseMatrix
-from oracles import from_dict, tensor_cochain
+from oracles import exact, from_dict, tensor_cochain
 
 
 def make(name, gens, diffs, n, aliases=(), sc=True, space_dim=None):
@@ -288,7 +288,7 @@ def eager_compiled_table(dga):
                                     sign = -sign
                                 w[j], w[j + 1] = w[j + 1], w[j]
                     m = tuple(w.count(g) for g in range(len(gens)))
-                    mult[(k1, i1, k2, i2)] = ((index[k1 + k2][m], Fraction(sign)),)
+                    mult[(k1, i1, k2, i2)] = ((index[k1 + k2][m], sign),)
     return mult
 
 
@@ -345,7 +345,7 @@ def eager_tensor_tables(t):
                     entry = []
                     for ia, ca in left:
                         for jb, cb in right:
-                            c = ca * cb
+                            c = exact(ca * cb)
                             entry.append((tindex[(p1 + p2, ia, jb)], -c if odd else c))
                     entry.sort()
                     mult[(n1, i1, n2, i2)] = tuple(entry)

@@ -435,7 +435,7 @@ def _row_reduce_oracle(a: SparseMatrix, extra=None):
             continue
         used.add(piv)
         pivot_cols.append((piv, c))
-        inv = ONE / rows[piv][c]
+        inv = Fraction(1) / rows[piv][c]
         rows[piv] = prow = {k: v * inv for k, v in rows[piv].items()}
         for r in range(a.rows):
             factor = rows[r].get(c) if r != piv else None

@@ -6,8 +6,27 @@ import pytest
 
 from masseytc import report
 from masseytc.bounds import zero_divisors_cup_length
+from masseytc.cohomology import CohomologyRing
+from masseytc.dga import compile_cdga
+from masseytc.dsl import parse_model
 from masseytc.massey import scan_triples
+from masseytc.models import MODEL_SOURCES
 from masseytc.report import PAYLOAD_KEYS
+from oracles import ring_table_all_pairs
+from test_bench_tracer import load_bench
+
+# the generated models of the massey-cli benchmark workload at seed 1
+MASSEY_CLI_MODELS = load_bench("inputs").massey_inputs(1)[0]
+# none of those has a nonzero product of two odd classes; the 3-torus does
+T3_SRC = """\
+algebra t3 {
+  truncate 3
+  generator x degree 1
+  generator y degree 1
+  generator z degree 1
+  alias w = x*y + 1/2*y*z
+}
+"""
 
 
 def full_payload(name, rings, ledger_of):
@@ -75,6 +94,25 @@ def test_ring_table_products_and_truncation_flags(rings):
     h8 = report.cohomology_section(rings["spheres8"])
     assert all(not e["truncated"] and e["value"][1] in (["0"], [])
                for e in h8["ring_table"])
+
+
+@pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "t3"]
+                         + sorted(MASSEY_CLI_MODELS))
+def test_ring_table_matches_the_all_pairs_oracle(name):
+    text = {**MODEL_SOURCES, **MASSEY_CLI_MODELS, "t3": T3_SRC}[name]
+    ring = CohomologyRing(compile_cdga(parse_model(text)))
+    calls = []
+    cup_checked = ring.cup_checked
+    ring.cup_checked = lambda a, b: calls.append((a, b)) or cup_checked(a, b)
+    try:
+        h = report.cohomology_section(ring)
+    finally:
+        del ring.cup_checked
+    classes = {n: ring.named_class(n) for n in h["named_classes"]}
+    n = len(classes)
+    assert n >= 2
+    assert len(calls) == n * (n + 1) // 2  # each unordered pair once
+    assert h["ring_table"] == ring_table_all_pairs(ring, classes)
 
 
 def test_ring_table_rendered_in_text(rings):
