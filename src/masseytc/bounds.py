@@ -22,9 +22,12 @@ plus the Massey rule on the tensor ring: a defined nonzero triple
 
   TC >= wgt(beta) + min(wgt(alpha), wgt(gamma)) + 1 .
 
-A nonzero product of weighted facts with total weight W certifies
-cat >= W + 1 (or TC >= W + 1 on the tensor ring); cup-length and
-zero-divisors cup-length are the all-weights-one special case.  Upper
+A fact pool holds only atoms: R1 classes, R3 Massey values and R4
+transfers.  R2 lives in chains: a nonzero product of pool facts with
+total weight W certifies cat >= W + 1 (or TC >= W + 1 on the tensor
+ring), and the middle slot beta of the Massey rule is such a chain too.
+Cup-length and zero-divisors cup-length are the all-weights-one special
+case.  Upper
 bounds are dimensional: cat <= dim + 1 always, cat <= the James bound for
 simply connected models, and TC <= 2 cat - 1.
 """
@@ -65,13 +68,14 @@ class WeightFact:
     ``cls`` is stored projectively normalized; weights are invariant under
     nonzero scaling, so scalar multiples share one fact.  ``inputs`` is the
     rule-specific evidence: ("basis",), ("bar", base class data),
-    ("massey", a, b, c), ("product", key, key) or ("transfer", key, k).
+    ("massey", a, b, c) or ("transfer", key, k).  Products of facts are
+    never facts; they appear only as chains of keys in a certificate.
     """
 
     kind: str  # "cat" on the base ring, "tc" on the self-tensor ring
     cls: CohClass
     weight: int
-    rule: str  # "R1" | "R2" | "R3" | "R4-transfer"
+    rule: str  # "R1" | "R3" | "R4-transfer"
     inputs: tuple
 
     @property
@@ -80,15 +84,14 @@ class WeightFact:
 
 
 def _add_fact(facts: dict, kind: str, cls: CohClass, weight: int,
-              rule: str, inputs: tuple):
+              rule: str, inputs: tuple) -> None:
     nc = _normalize_class(cls)
     if nc.is_zero():
-        return None
+        return
     key = (kind, nc.degree, nc.coords)  # hashed once, unless replaced
     fact = WeightFact(kind, nc, weight, rule, inputs)
     if facts.setdefault(key, fact).weight < weight:
         facts[key] = fact
-    return key
 
 
 # ------------------------------------------------------------ zero-divisors
@@ -192,24 +195,8 @@ def transfer_weight(ring: CohomologyRing, kmap: KunnethMap,
                       ("transfer", fact.key, k)), None
 
 
-def _r2_round(ring: CohomologyRing, facts: dict) -> None:
-    # one round of pairwise products; longer chains are explored by the
-    # weighted search, this just seeds composite facts (and Massey middles)
-    base = [f for _, f in sorted(facts.items())]  # unique keys: no fact compared
-    for i, f1 in enumerate(base):
-        for f2 in base[i:]:
-            deg = f1.cls.degree + f2.cls.degree
-            if deg > ring.truncation:
-                continue
-            prod = ring.cup(f1.cls, f2.cls)
-            if prod.is_zero():
-                continue
-            _add_fact(facts, f1.kind, prod, f1.weight + f2.weight,
-                      "R2", ("product", f1.key, f2.key))
-
-
 def cat_weight_facts(ring: CohomologyRing, cosets: list = None) -> dict:
-    """Category-weight facts: R1 atoms, R3 Massey values, one R2 round.
+    """Category-weight atoms: R1 basis classes and R3 Massey values.
 
     ``cosets`` is the Massey scan to draw R3 facts from; by default every
     triple of basis classes within the truncation.
@@ -225,13 +212,12 @@ def cat_weight_facts(ring: CohomologyRing, cosets: list = None) -> dict:
             _add_fact(facts, "cat", coset.value, 2, "R3",
                       ("massey", _class_data(coset.alpha),
                        _class_data(coset.beta), _class_data(coset.gamma)))
-    _r2_round(ring, facts)
     return facts
 
 
 def tc_weight_facts(ring: CohomologyRing, kmap: KunnethMap,
                     cat_facts: dict) -> dict:
-    """TC-weight facts on the self-tensor ring: bars, transfers, R2 round."""
+    """TC-weight atoms on the self-tensor ring: bars and R4 transfers."""
     facts = {}
     for k in range(1, ring.truncation + 1):
         for i in range(ring.dim(k)):
@@ -244,7 +230,6 @@ def tc_weight_facts(ring: CohomologyRing, kmap: KunnethMap,
                 _add_fact(facts, "tc", transferred.cls, transferred.weight,
                           transferred.rule, transferred.inputs)
                 break
-    _r2_round(kmap.ht, facts)
     return facts
 
 
@@ -265,33 +250,41 @@ def weighted_lower_bound(ring: CohomologyRing, facts: dict) -> tuple:
 def rudyak_lower_bound(kmap: KunnethMap, facts: dict, best: int) -> tuple:
     """Massey rule on the tensor ring, scanning for strict improvements.
 
-    Outer slots run over bar-type facts (plain bars and transferred ones),
-    the middle slot over the whole pool, and a triple is only computed when
-    wgt(beta) + min(wgt(alpha), wgt(gamma)) + 1 would beat the bound we
-    already hold; a beta that cannot beat it with the heaviest bars is
-    skipped whole.  Returns (possibly improved bound, certificate or None).
+    Outer slots run over bar-type facts (plain bars and transferred ones).
+    The middle slot beta runs over the pool's atoms, then over the nonzero
+    products of two atoms, whose weight is the sum of the two (rule R2).
+    A beta that cannot beat the bound we already hold even with the
+    heaviest bars is skipped before it is multiplied, and a triple is only
+    computed when wgt(beta) + min(wgt(alpha), wgt(gamma)) + 1 would beat
+    it.  Returns (possibly improved bound, certificate or None); the
+    certificate records beta as its chain of fact keys.
     """
     ht = kmap.ht
     pool = [f for _, f in sorted(facts.items())]
-    bars = [f for f in pool if f.inputs and f.inputs[0] in ("bar", "transfer")]
+    bars = [f for f in pool if f.inputs[0] in ("bar", "transfer")]
     top = max((f.weight for f in bars), default=0)
+    chains = [(f,) for f in pool] + [(f, g) for i, f in enumerate(pool) for g in pool[i:]]
     cert = None
-    for beta in pool:
-        if beta.weight + top + 1 <= best:
+    for betas in chains:
+        weight = sum(f.weight for f in betas)
+        if weight + top + 1 <= best:
             continue  # no triple with this middle slot can beat the bound
+        beta = reduce(ht.cup, (f.cls for f in betas))
+        if beta.is_zero():
+            continue
         for ia, alpha in enumerate(bars):
             for gamma in bars[ia:]:  # mirrored triples agree up to sign
-                potential = beta.weight + min(alpha.weight, gamma.weight) + 1
+                potential = weight + min(alpha.weight, gamma.weight) + 1
                 if potential <= best:
                     continue
-                target = alpha.cls.degree + beta.cls.degree + gamma.cls.degree - 1
+                target = alpha.cls.degree + beta.degree + gamma.cls.degree - 1
                 if target > ht.truncation:
                     continue
-                coset = massey_triple(ht, alpha.cls, beta.cls, gamma.cls)
+                coset = massey_triple(ht, alpha.cls, beta, gamma.cls)
                 if coset.is_nonzero():
                     best = potential
                     cert = {"rule": "massey-rudyak", "kind": "tc", "bound": best,
-                            "alpha": alpha.key, "beta": beta.key,
+                            "alpha": alpha.key, "beta": tuple(f.key for f in betas),
                             "gamma": gamma.key}
     return best, cert
 
@@ -408,7 +401,7 @@ _CERT_FIELDS = {
 
 
 # Entries each fact's evidence carries after its tag, see WeightFact.
-_EVIDENCE_ENTRIES = {"basis": 0, "bar": 1, "massey": 3, "product": 2, "transfer": 2}
+_EVIDENCE_ENTRIES = {"basis": 0, "bar": 1, "massey": 3, "transfer": 2}
 
 
 def _recorded_class(rg: CohomologyRing, data, record: str) -> CohClass:
@@ -527,14 +520,12 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         except TypeError:  # an unhashable key names no fact
             return None
 
-    verified = set()
-
     def fail(f, msg):
         raise ValueError(f"fact {f.key} failed replay: {msg}")
 
-    def inputs_of(f: WeightFact) -> list:
-        # the pool facts f's evidence rests on, once its shape checks out
-        _recorded_class(ring_of(f.kind), _class_data(f.cls), f"the class of fact {f.key}")
+    def verify_fact(f: WeightFact) -> None:
+        rg = ring_of(f.kind)
+        _recorded_class(rg, _class_data(f.cls), f"the class of fact {f.key}")
         if f.cls.is_zero():
             fail(f, "class is zero")
         tag = f.inputs[0] if f.inputs else None
@@ -542,15 +533,6 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         if entries is not None and len(f.inputs) != entries + 1:
             fail(f, f"{tag} evidence needs {entries} entries after its tag, "
                     f"not {len(f.inputs) - 1}")
-        keys = {"product": f.inputs[1:], "transfer": f.inputs[1:2]}.get(tag, ())
-        found = [fact_at(key) for key in keys]
-        if None in found:
-            fail(f, f"{tag} evidence names a fact that is not in the fact pool")
-        return found
-
-    def verify_fact(f: WeightFact, inputs: list) -> None:
-        rg = ring_of(f.kind)
-        tag = f.inputs[0] if f.inputs else None
         if f.rule == "R1" and tag == "basis":
             if f.kind != "cat" or f.weight != 1:
                 fail(f, "R1 basis facts are category weight 1")
@@ -570,40 +552,24 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
                 fail(f, "Massey value differs from the recorded class")
             if f.weight != 2:
                 fail(f, "R3 facts carry weight exactly 2")
-        elif f.rule == "R2" and tag == "product":
-            f1, f2 = inputs
-            prod = rg.cup(f1.cls, f2.cls)
-            if _normalize_class(prod).coords != f.cls.coords:
-                fail(f, "product differs from the recorded class")
-            if f.weight != f1.weight + f2.weight:
-                fail(f, "product weight is not the sum of its factors")
         elif f.rule == "R4-transfer" and tag == "transfer":
+            # the source is replayed in its own turn; it must be a cat
+            # fact, and a transfer is a tc fact, so no evidence loops
+            source = fact_at(f.inputs[1])
+            if source is None:
+                fail(f, "transfer evidence names a fact that is not in the fact pool")
             if type(f.inputs[2]) is not int:
                 fail(f, f"transfer evidence gives k as {f.inputs[2]!r}, not an integer")
-            transferred, reason = transfer_weight(ring, kmap, inputs[0], f.inputs[2])
+            transferred, reason = transfer_weight(ring, kmap, source, f.inputs[2])
             if transferred is None:
                 fail(f, f"transfer hypotheses fail on replay: {reason}")
-            if transferred.cls.coords != f.cls.coords or transferred.weight != f.weight:
+            if transferred.key != f.key or transferred.weight != f.weight:
                 fail(f, "transfer reproduces a different fact")
         else:
             fail(f, f"unknown rule/evidence combination {f.rule}/{tag}")
 
-    # a fact is verified after the facts its evidence names; ``path`` holds
-    # the facts still waiting on their inputs, innermost last
     for fact in ledger.cat_facts + ledger.tc_facts:
-        path = [] if fact.key in verified else [fact]
-        while path:
-            f = path[-1]
-            inputs = inputs_of(f)
-            waiting = [g for g in inputs if g.key not in verified]
-            if not waiting:
-                verify_fact(f, inputs)
-                verified.add(f.key)
-                path.pop()
-            elif waiting[0].key in {g.key for g in path}:
-                fail(f, f"evidence leads back to fact {waiting[0].key}")
-            else:
-                path.append(waiting[0])
+        verify_fact(fact)
 
     def cert_fact(rule: str, kind: str, key) -> WeightFact:
         f = fact_at(key)
@@ -613,6 +579,12 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         if f.kind != kind:
             raise ValueError(f"{rule} certificate for {kind} names the {f.kind} fact {key}")
         return f
+
+    def cert_facts(rule: str, kind: str, keys, field: str) -> list:
+        if not isinstance(keys, (list, tuple)):
+            raise ValueError(f"the {field} of the {kind} {rule} certificate "
+                             "are not a list of fact keys")
+        return [cert_fact(rule, kind, key) for key in keys]
 
     def chain_classes(rg: CohomologyRing, chain, rule: str) -> list:
         if not isinstance(chain, (list, tuple)):
@@ -653,10 +625,7 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             if len(chain) != ledger.zcl:
                 raise ValueError("zcl-chain length disagrees with the ledger")
         elif rule == "weighted-product":
-            if not isinstance(cert["factors"], (list, tuple)):
-                raise ValueError(f"the factors of the {kind} {rule} certificate "
-                                 "are not a list of fact keys")
-            facts = [cert_fact(rule, kind, k) for k in cert["factors"]]
+            facts = cert_facts(rule, kind, cert["factors"], "factors")
             rg = ring_of(kind)
             prod = fold_chain(rg, [f.cls for f in facts])
             if prod.is_zero():
@@ -668,11 +637,16 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             if bound != sum(f.weight for f in facts) + 1:
                 raise ValueError("weighted bound does not match the weights")
         elif rule == "massey-rudyak":
-            fa, fb, fg = (cert_fact(rule, kind, cert[k]) for k in ("alpha", "beta", "gamma"))
-            coset = massey_triple(ht, fa.cls, fb.cls, fg.cls)
+            if kind != "tc":
+                raise ValueError(f"{rule} certificates bound tc, not {kind}")
+            fa, fg = (cert_fact(rule, kind, cert[k]) for k in ("alpha", "gamma"))
+            betas = cert_facts(rule, kind, cert["beta"], "beta keys")
+            if not betas:
+                raise ValueError(f"the beta of the {kind} {rule} certificate is an empty chain")
+            coset = massey_triple(ht, fa.cls, fold_chain(ht, [f.cls for f in betas]), fg.cls)
             if not coset.is_nonzero():
                 raise ValueError("Massey certificate triple vanished on replay")
-            if bound != fb.weight + min(fa.weight, fg.weight) + 1:
+            if bound != sum(f.weight for f in betas) + min(fa.weight, fg.weight) + 1:
                 raise ValueError("Massey bound does not match the weights")
         elif rule == "dimension":
             if bound != ledger.space_dim + 1:

@@ -103,6 +103,7 @@ class CohomologyRing:
         self._cup_memo = {}
         self._cup_chain = None
         self._products = {}
+        self._multiples = {}
         if factors is not None:
             self.pairs = PairBasis(dga.truncation, factors[0].dim, factors[1].dim)
         if dga.simply_connected and self.dim(1) != 0:
@@ -298,6 +299,16 @@ class CohomologyRing:
         if hit is None:
             hit = self._products[(k1, k2)] = self.product_span(
                 k1, Subspace.full(self.dim(k1)), k2)
+        return hit
+
+    def multiples(self, cls: CohClass, k: int) -> Subspace:
+        """Span of cls * H^k in H^(|cls|+k), which by graded commutativity
+        is also the span of H^k * cls; memoized per class and degree."""
+        key = (cls.degree, cls.coords, k)
+        hit = self._multiples.get(key)
+        if hit is None:
+            hit = self._multiples[key] = self.product_span(
+                cls.degree, Subspace.span(self.dim(cls.degree), [cls.coords]), k)
         return hit
 
     def product_span(self, k1: int, sub: Subspace, k2: int,

@@ -93,12 +93,7 @@ def massey_indeterminacy(ring: CohomologyRing, alpha: CohClass,
                          gamma: CohClass, q: int) -> Subspace:
     """alpha * H^(q+r-1) + H^(p+q-1) * gamma inside the target degree."""
     p, r = alpha.degree, gamma.degree
-    left = ring.product_span(
-        p, Subspace.span(ring.dim(p), [alpha.coords]), q + r - 1)
-    right = ring.product_span(
-        p + q - 1, Subspace.full(ring.dim(p + q - 1)), r,
-        Subspace.span(ring.dim(r), [gamma.coords]))
-    return left.add(right)
+    return ring.multiples(alpha, q + r - 1).add(ring.multiples(gamma, p + q - 1))
 
 
 def massey_value_from_cocycles(ring: CohomologyRing, a: Cochain, b: Cochain,

@@ -2,16 +2,19 @@
 
 A payload always carries the same six top-level keys -- model, cohomology,
 massey, zcl, weights, ledger -- with None for anything that was not
-computed.  All leaves are JSON-native (rationals become strings), the JSON
-rendering sorts keys, and nothing in a payload depends on the environment,
-so equal inputs give byte-identical output.
+computed.  All leaves are JSON-native (rationals become strings), except
+the weight facts: the weights section holds the ledger's facts, and only
+the JSON rendering writes each one out, so the text rendering never pays
+for their coordinates.  The JSON rendering sorts keys, and nothing in a
+payload depends on the environment, so equal inputs give byte-identical
+output.
 """
 
 from __future__ import annotations
 
 import json
 
-from .bounds import LOWER_RULES, BoundLedger, _fact_dict, _jsonify
+from .bounds import LOWER_RULES, BoundLedger, WeightFact, _fact_dict, _jsonify
 from .cohomology import CohClass, CohomologyRing
 from .massey import MasseyCoset
 
@@ -130,10 +133,8 @@ def zcl_section(zcl: int, witness, product: CohClass) -> dict:
 
 
 def weights_section(ledger: BoundLedger) -> dict:
-    return {
-        "cat": [_fact_dict(f) for f in ledger.cat_facts],
-        "tc": [_fact_dict(f) for f in ledger.tc_facts],
-    }
+    """Both fact pools, as the ledger holds them; see :func:`render_json`."""
+    return {"cat": ledger.cat_facts, "tc": ledger.tc_facts}
 
 
 def ledger_section(ledger: BoundLedger) -> dict:
@@ -152,8 +153,14 @@ def build_payload(ring: CohomologyRing, *, massey=None, zcl=None,
     }
 
 
+def _fact_json(x) -> dict:
+    if not isinstance(x, WeightFact):
+        raise TypeError(f"{type(x).__name__} is not part of a payload")
+    return _fact_dict(x)
+
+
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, default=_fact_json) + "\n"
 
 
 def render_text(payload: dict) -> str:
@@ -203,7 +210,7 @@ def render_text(payload: dict) -> str:
     if w is not None:
         for kind, title in (("cat", "category"), ("tc", "TC")):
             facts = w[kind]
-            top = max((f["weight"] for f in facts), default=0)
+            top = max((f.weight for f in facts), default=0)
             lines.append(f"{title} weight facts: {len(facts)} (max weight {top})")
     led = payload["ledger"]
     if led is not None:

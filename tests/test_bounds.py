@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import masseytc.cohomology
+import masseytc.massey
 from masseytc.bounds import (
     LOWER_RULES,
     WeightFact,
@@ -177,6 +178,10 @@ def test_cup_chain_agrees_with_ring(rings):
 # ------------------------------------------------------------- fact pools
 
 
+def _normalize(cls):
+    return CohClass(cls.degree, normalize_coords(cls.coords))
+
+
 def pool_shape(facts):
     return sorted((f.cls.degree, f.weight, f.rule) for f in facts.values())
 
@@ -186,9 +191,9 @@ def test_cat_fact_pools_frozen(rings):
         [(3, 1, "R1"), (3, 1, "R1"), (8, 2, "R3"), (8, 2, "R3")]
     assert pool_shape(cat_weight_facts(rings["even7"])) == \
         [(2, 1, "R1"), (2, 1, "R1"), (5, 2, "R3"), (5, 2, "R3"),
-         (7, 3, "R2")] + [(8, 1, "R1")] * 6
+         (7, 1, "R1")] + [(8, 1, "R1")] * 6
     assert pool_shape(cat_weight_facts(rings["odd11"])) == \
-        [(3, 1, "R1"), (3, 1, "R1"), (8, 2, "R3"), (8, 2, "R3"), (11, 3, "R2")]
+        [(3, 1, "R1"), (3, 1, "R1"), (8, 2, "R3"), (8, 2, "R3"), (11, 1, "R1")]
     shape = pool_shape(cat_weight_facts(rings["borromean"]))
     assert shape.count((1, 1, "R1")) == 3
     assert shape.count((2, 1, "R1")) == 6
@@ -236,9 +241,15 @@ def test_transfer_success_spheres8_window(rings, kunneth_of):
 
 def test_transfer_named_failures(rings, kunneth_of):
     ring, km = rings["even7"], kunneth_of("even7")
-    facts = cat_weight_facts(ring)
+    # mu = alpha * v has category weight 1 + 2 = 3 by the chain of the
+    # two pool atoms; the pool itself keeps mu as a weight-1 basis atom
     mu = ring.named_class("mu")
-    fact = facts[("cat", 7, normalize_coords(mu.coords))]
+    facts = cat_weight_facts(ring)
+    assert facts[("cat", 7, normalize_coords(mu.coords))].weight == 1
+    alpha, v = (facts[("cat", c.degree, normalize_coords(c.coords))]
+                for c in (ring.named_class("alpha"), ring.named_class("v")))
+    assert _normalize(ring.cup(alpha.cls, v.cls)) == _normalize(mu)
+    fact = WeightFact("cat", _normalize(mu), alpha.weight + v.weight, "R1", ("basis",))
     assert fact.weight == 3
     moved, reason = transfer_weight(ring, km, fact, 3)
     assert moved is None and "H^2 * H^5" in reason
@@ -262,13 +273,26 @@ def test_transfer_named_failures(rings, kunneth_of):
 def test_tc_fact_pools_frozen(rings, kunneth_of):
     ring, km = rings["spheres8"], kunneth_of("spheres8")
     shape = pool_shape(tc_weight_facts(ring, km, cat_weight_facts(ring)))
-    assert shape == [(3, 1, "R1"), (3, 1, "R1"), (6, 2, "R2"),
-                     (8, 2, "R4-transfer"), (8, 2, "R4-transfer"),
-                     (11, 3, "R2"), (11, 3, "R2"), (11, 3, "R2"), (11, 3, "R2"),
-                     (16, 4, "R2"), (16, 4, "R2"), (16, 4, "R2")]
+    assert shape == [(3, 1, "R1"), (3, 1, "R1"),
+                     (8, 2, "R4-transfer"), (8, 2, "R4-transfer")]
     ring, km = rings["s2"], kunneth_of("s2")
-    assert pool_shape(tc_weight_facts(ring, km, cat_weight_facts(ring))) == \
-        [(2, 1, "R1"), (4, 2, "R2")]
+    assert pool_shape(tc_weight_facts(ring, km, cat_weight_facts(ring))) == [(2, 1, "R1")]
+
+
+@pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress"])
+def test_pools_hold_only_atoms(ledger_of, name):
+    # products of facts live in certificate chains: every factor of a
+    # weighted product and every beta of a Massey certificate is an atom
+    if name == "stress":
+        ring = _stress_ring("general")
+        led = build_ledger(ring, KunnethMap(ring, ring))
+    else:
+        led = ledger_of(name)
+    pool = {f.key: f for f in led.cat_facts + led.tc_facts}
+    assert {f.rule for f in pool.values()} <= {"R1", "R3", "R4-transfer"}
+    chains = [c["factors"] for c in led.certificates if c["rule"] == "weighted-product"]
+    chains += [c["beta"] for c in led.certificates if c["rule"] == "massey-rudyak"]
+    assert chains and all(key in pool for keys in chains for key in keys)
 
 
 # ---------------------------------------------------------- weighted search
@@ -458,6 +482,33 @@ def test_full_product_spans_are_computed_once_per_ring(dgas, monkeypatch):
     assert spans and len(spans) == len(set(spans))
 
 
+@pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11"])
+def test_indeterminacy_spans_are_computed_once_per_ring(dgas, monkeypatch, name):
+    # every Massey triple of a scan, on the ring or its square, shares the
+    # spans alpha * H^k and H^k * gamma with the triples around it
+    spans, inside = [], []
+    product_span = CohomologyRing.product_span
+    indeterminacy = masseytc.massey.massey_indeterminacy
+
+    def recorded(self, k1, sub, k2, sub2=None):
+        if inside:
+            spans.append((id(self), k1, sub.basis, k2, sub2 and sub2.basis))
+        return product_span(self, k1, sub, k2, sub2)
+
+    def traced(*args):
+        inside.append(True)
+        try:
+            return indeterminacy(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(CohomologyRing, "product_span", recorded)
+    monkeypatch.setattr(masseytc.massey, "massey_indeterminacy", traced)
+    ring = CohomologyRing(dgas[name])
+    build_ledger(ring, KunnethMap(ring, ring))
+    assert spans and len(spans) == len(set(spans))
+
+
 # ------------------------------------------------------------- Massey rule
 
 
@@ -467,11 +518,13 @@ def test_rudyak_improves_borromean(rings, kunneth_of):
     best, cert = rudyak_lower_bound(km, facts, 3)
     assert best == 4 and cert is not None
     fa = facts[cert["alpha"]]
-    fb = facts[cert["beta"]]
+    betas = [facts[key] for key in cert["beta"]]
     fg = facts[cert["gamma"]]
-    assert (fa.weight, fb.weight, fg.weight) == (1, 2, 1)
-    assert fb.rule == "R2"
-    coset = massey_triple(km.ht, fa.cls, fb.cls, fg.cls)
+    # beta is the product of two bars, a chain of weight 1 + 1
+    assert (fa.weight, [f.weight for f in betas], fg.weight) == (1, [1, 1], 1)
+    assert all(f.rule == "R1" and f.inputs[0] == "bar" for f in betas)
+    beta = km.ht.cup(betas[0].cls, betas[1].cls)
+    coset = massey_triple(km.ht, fa.cls, beta, fg.cls)
     assert coset.is_nonzero()
 
 
@@ -486,23 +539,31 @@ def test_rudyak_cannot_beat_the_weighted_bounds(rings, kunneth_of):
 
 def rudyak_scan_oracle(kmap, facts, best):
     """Oracle: the Massey rule scan weighing every (beta, alpha, gamma),
+    beta running over the atoms and then over every nonzero product of two,
     with no early skip of a beta that cannot beat the bound."""
     pool = [f for _, f in sorted(facts.items())]
     bars = [f for f in pool if f.inputs and f.inputs[0] in ("bar", "transfer")]
+    chains = [(f,) for f in pool]
+    chains += [(f, g) for i, f in enumerate(pool) for g in pool[i:]]
     cert = None
-    for beta in pool:
+    for betas in chains:
+        beta = betas[0].cls if len(betas) == 1 else kmap.ht.cup(betas[0].cls, betas[1].cls)
+        if beta.is_zero():
+            continue
+        weight = sum(f.weight for f in betas)
         for ia, alpha in enumerate(bars):
             for gamma in bars[ia:]:
-                potential = beta.weight + min(alpha.weight, gamma.weight) + 1
+                potential = weight + min(alpha.weight, gamma.weight) + 1
                 if potential <= best:
                     continue
-                target = alpha.cls.degree + beta.cls.degree + gamma.cls.degree - 1
+                target = alpha.cls.degree + beta.degree + gamma.cls.degree - 1
                 if target > kmap.ht.truncation:
                     continue
-                if massey_triple(kmap.ht, alpha.cls, beta.cls, gamma.cls).is_nonzero():
+                if massey_triple(kmap.ht, alpha.cls, beta, gamma.cls).is_nonzero():
                     best = potential
                     cert = {"rule": "massey-rudyak", "kind": "tc", "bound": best,
-                            "alpha": alpha.key, "beta": beta.key, "gamma": gamma.key}
+                            "alpha": alpha.key, "beta": tuple(f.key for f in betas),
+                            "gamma": gamma.key}
     return best, cert
 
 
@@ -709,10 +770,16 @@ def _edit_evidence(pool, tag, edit):
     return forge
 
 
+def _with_product_fact(led):
+    """The ledger plus a fact as the old pairwise-product round wrote it:
+    the degree-7 class as the product of a degree-2 and a degree-5 fact."""
+    by_degree = {f.cls.degree: f for f in led.cat_facts}
+    product = dataclasses.replace(by_degree[7], weight=3, rule="R2", inputs=(
+        "product", by_degree[2].key, by_degree[5].key))
+    return dataclasses.replace(led, cat_facts=led.cat_facts + (product,))
+
+
 @pytest.mark.parametrize("forge, reason", [
-    pytest.param(_edit_evidence("cat_facts", "product", lambda f: f.inputs[:1]),
-                 "product evidence needs 2 entries after its tag, not 0",
-                 id="product-without-factors"),
     pytest.param(_edit_evidence("tc_facts", "bar", lambda f: f.inputs[:1]),
                  "bar evidence needs 1 entries after its tag, not 0", id="bar-without-class"),
     pytest.param(_edit_evidence("tc_facts", "transfer", lambda f: f.inputs[:2]),
@@ -721,17 +788,52 @@ def _edit_evidence(pool, tag, edit):
     pytest.param(_edit_evidence("cat_facts", "massey", lambda f: f.inputs[:3]),
                  "massey evidence needs 3 entries after its tag, not 2",
                  id="massey-with-two-classes"),
-    pytest.param(_edit_evidence("cat_facts", "product",
-                                lambda f: ("product", ABSENT_FACT, f.inputs[2])),
-                 "product evidence names a fact that is not in the fact pool",
-                 id="product-of-an-absent-fact"),
-    pytest.param(_edit_evidence("cat_facts", "product",
-                                lambda f: ("product", f.key, f.inputs[2])),
-                 r"evidence leads back to fact \('cat', 7", id="product-of-itself"),
+    pytest.param(_edit_evidence("tc_facts", "transfer",
+                                lambda f: ("transfer", ABSENT_FACT, f.inputs[2])),
+                 "transfer evidence names a fact that is not in the fact pool",
+                 id="transfer-of-an-absent-fact"),
+    pytest.param(_edit_evidence("tc_facts", "transfer",
+                                lambda f: ("transfer", f.key, f.inputs[2])),
+                 "transfer hypotheses fail on replay: only category-weight facts transfer",
+                 id="transfer-of-itself"),
+    pytest.param(_with_product_fact, "unknown rule/evidence combination R2/product",
+                 id="product-fact"),
 ])
 def test_replay_names_malformed_evidence(rings, kunneth_of, ledger_of, forge, reason):
     with pytest.raises(ValueError, match="failed replay: " + reason):
         replay_ledger(forge(ledger_of("even7")), rings["even7"], kunneth_of("even7"))
+
+
+# a cat fact of borromean: the basis class u
+BORROMEAN_CAT_FACT = ("cat", 1, (1, 0, 0))
+
+
+@pytest.mark.parametrize("edit, reason", [
+    pytest.param(lambda c: {**c, "beta": 5},
+                 "the beta keys of the tc massey-rudyak certificate are not a list",
+                 id="beta-not-a-list"),
+    pytest.param(lambda c: {**c, "beta": ()},
+                 "the beta of the tc massey-rudyak certificate is an empty chain",
+                 id="beta-empty"),
+    pytest.param(lambda c: {**c, "beta": c["beta"] + (ABSENT_FACT,)},
+                 "names fact .* not in the fact pool", id="beta-names-an-absent-fact"),
+    pytest.param(lambda c: {**c, "beta": c["beta"][:1] + (BORROMEAN_CAT_FACT,)},
+                 "for tc names the cat fact", id="beta-names-a-cat-fact"),
+    pytest.param(lambda c: {**c, "beta": [list(key) for key in c["beta"]]},
+                 "names fact .* not in the fact pool", id="beta-keys-as-lists"),
+    pytest.param(lambda c: {**c, "kind": "cat", "alpha": BORROMEAN_CAT_FACT,
+                            "beta": (BORROMEAN_CAT_FACT,), "gamma": BORROMEAN_CAT_FACT},
+                 "massey-rudyak certificates bound tc, not cat", id="rudyak-on-cat-facts"),
+    pytest.param(lambda c: {**c, "bound": c["bound"] + 1},
+                 "Massey bound does not match the weights", id="rudyak-bound-inflated"),
+])
+def test_replay_names_malformed_beta_chains(rings, kunneth_of, ledger_of, edit, reason):
+    # borromean's TC >= 4 rests on a Massey triple whose beta is a chain
+    led = ledger_of("borromean")
+    bad = _edit_certs("massey-rudyak", edit)(led)
+    assert bad != led
+    with pytest.raises(ValueError, match=reason):
+        replay_ledger(bad, rings["borromean"], kunneth_of("borromean"))
 
 
 def test_ledger_serializes_to_json(ledger_of):
@@ -774,9 +876,9 @@ def _edit_first_tc_fact(edit):
     pytest.param(_edit_certs("weighted-product", lambda c: {
         **c, "factors": [list(k) for k in c["factors"]]}),
         "names fact .* not in the fact pool", id="certificate-keys-as-lists"),
-    pytest.param(_edit_evidence("tc_facts", "product", lambda f: (
-        "product", list(f.inputs[1]), f.inputs[2])),
-        "product evidence names a fact that is not in the fact pool", id="evidence-keys-as-lists"),
+    pytest.param(lambda led: dataclasses.replace(led, tc_facts=led.tc_facts + (WeightFact(
+        "tc", led.tc_facts[0].cls, 1, "R4-transfer", ("transfer", list(led.cat_facts[0].key), 1)),)),
+        "transfer evidence names a fact that is not in the fact pool", id="evidence-keys-as-lists"),
     pytest.param(_edit_evidence("tc_facts", "bar", lambda f: ("bar", (99, f.inputs[1][1]))),
                  "the bar evidence of fact .* is not a class", id="bar-evidence-at-degree-99"),
     pytest.param(_edit_certs("weighted-product", lambda c: {

