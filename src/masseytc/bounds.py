@@ -1,14 +1,19 @@
 """Certified bounds for LS-category and topological complexity.
 
-Everything here is normalized ("cat of a point is 1, TC of a point is 1")
-and computed inside a truncated model, so the lower bounds are honest
-statements about the ring and the recorded certificates replay without any
-reference to how they were found.
+Both are the Schwarz genus of a fibration p, bounded below through the
+ideal ker p*: cat for the based path fibration, where ker p* = H^+, and TC
+for the free path fibration, where ker p* = ker mu, the zero-divisors of
+mu: H (x) H -> H.  One lower-bound block serves both, keyed by kind ("cat"
+on H, "tc" on H (x) H), and ``_RULES`` records the kind each certificate
+rule bounds.  Everything is normalized ("cat of a point is 1, TC of a
+point is 1") and computed inside a truncated model, so the lower bounds
+are honest statements about the ring and the recorded certificates replay
+without any reference to how they were found.
 
-Lower bounds come from four weight rules on cohomology classes:
+Lower bounds come from four weight rules on classes of ker p*:
 
-  R1  positive classes have category weight >= 1; zero-divisors of the
-      self-tensor ring have TC weight >= 1,
+  R1  the basis classes of H^+ have category weight >= 1, and their bars
+      1 (x) u - u (x) 1, which span ker mu as an ideal, TC weight >= 1,
   R2  weights add along cup products,
   R3  any class lying in a defined Massey triple product has category
       weight >= 2,
@@ -27,9 +32,8 @@ transfers.  R2 lives in chains: a nonzero product of pool facts with
 total weight W certifies cat >= W + 1 (or TC >= W + 1 on the tensor
 ring), and the middle slot beta of the Massey rule is such a chain too.
 Cup-length and zero-divisors cup-length are the all-weights-one special
-case.  Upper
-bounds are dimensional: cat <= dim + 1 always, cat <= the James bound for
-simply connected models, and TC <= 2 cat - 1.
+case.  Upper bounds are dimensional: cat <= dim + 1 always, cat <= the
+James bound for simply connected models, and TC <= 2 cat - 1.
 """
 
 from __future__ import annotations
@@ -202,9 +206,8 @@ def cat_weight_facts(ring: CohomologyRing, cosets: list = None) -> dict:
     triple of basis classes within the truncation.
     """
     facts = {}
-    for k in range(1, ring.truncation + 1):
-        for i in range(ring.dim(k)):
-            _add_fact(facts, "cat", ring.basis_class(k, i), 1, "R1", ("basis",))
+    for e in ring.positive_basis():
+        _add_fact(facts, "cat", e, 1, "R1", ("basis",))
     if cosets is None:
         cosets = scan_triples(ring)
     for coset in cosets:
@@ -219,10 +222,8 @@ def tc_weight_facts(ring: CohomologyRing, kmap: KunnethMap,
                     cat_facts: dict) -> dict:
     """TC-weight atoms on the self-tensor ring: bars and R4 transfers."""
     facts = {}
-    for k in range(1, ring.truncation + 1):
-        for i in range(ring.dim(k)):
-            e = ring.basis_class(k, i)
-            _add_fact(facts, "tc", bar(kmap, e), 1, "R1", ("bar", _class_data(e)))
+    for e in ring.positive_basis():
+        _add_fact(facts, "tc", bar(kmap, e), 1, "R1", ("bar", _class_data(e)))
     for _, f in sorted(cat_facts.items()):
         for k in range(f.weight, 0, -1):
             transferred, _ = transfer_weight(ring, kmap, f, k)
@@ -250,19 +251,18 @@ def weighted_lower_bound(ring: CohomologyRing, facts: dict) -> tuple:
 def rudyak_lower_bound(kmap: KunnethMap, facts: dict, best: int) -> tuple:
     """Massey rule on the tensor ring, scanning for strict improvements.
 
-    Outer slots run over bar-type facts (plain bars and transferred ones).
-    The middle slot beta runs over the pool's atoms, then over the nonzero
-    products of two atoms, whose weight is the sum of the two (rule R2).
-    A beta that cannot beat the bound we already hold even with the
-    heaviest bars is skipped before it is multiplied, and a triple is only
-    computed when wgt(beta) + min(wgt(alpha), wgt(gamma)) + 1 would beat
-    it.  Returns (possibly improved bound, certificate or None); the
+    Outer slots run over the pool's facts, which are all bars (plain or
+    transferred).  The middle slot beta runs over the pool's atoms, then
+    over the nonzero products of two atoms, whose weight is the sum of the
+    two (rule R2).  A beta that cannot beat the bound we already hold even
+    with the heaviest bars is skipped before it is multiplied, and a triple
+    is only computed when wgt(beta) + min(wgt(alpha), wgt(gamma)) + 1 would
+    beat it.  Returns (possibly improved bound, certificate or None); the
     certificate records beta as its chain of fact keys.
     """
     ht = kmap.ht
     pool = [f for _, f in sorted(facts.items())]
-    bars = [f for f in pool if f.inputs[0] in ("bar", "transfer")]
-    top = max((f.weight for f in bars), default=0)
+    top = max((f.weight for f in pool), default=0)
     chains = [(f,) for f in pool] + [(f, g) for i, f in enumerate(pool) for g in pool[i:]]
     cert = None
     for betas in chains:
@@ -272,8 +272,8 @@ def rudyak_lower_bound(kmap: KunnethMap, facts: dict, best: int) -> tuple:
         beta = reduce(ht.cup, (f.cls for f in betas))
         if beta.is_zero():
             continue
-        for ia, alpha in enumerate(bars):
-            for gamma in bars[ia:]:  # mirrored triples agree up to sign
+        for ia, alpha in enumerate(pool):
+            for gamma in pool[ia:]:  # mirrored triples agree up to sign
                 potential = weight + min(alpha.weight, gamma.weight) + 1
                 if potential <= best:
                     continue
@@ -385,19 +385,18 @@ def _fact_dict(f: WeightFact) -> dict:
             "rule": f.rule, "inputs": _jsonify(f.inputs)}
 
 
-LOWER_RULES = ("cup-chain", "zcl-chain", "weighted-product", "massey-rudyak")
-UPPER_RULES = ("dimension", "james", "cat-product")
-
-# Fields each certificate rule carries besides rule, kind and bound.
-_CERT_FIELDS = {
-    "cup-chain": ("chain",),
-    "zcl-chain": ("chain",),
-    "weighted-product": ("factors", "product"),
-    "massey-rudyak": ("alpha", "beta", "gamma"),
-    "dimension": (),
-    "james": (),
-    "cat-product": ("cat_upper",),
+# Each certificate rule: the kind it bounds (None for either), the side of
+# the bound, and the fields it carries besides rule, kind and bound.
+_RULES = {
+    "cup-chain": ("cat", "lower", ("chain",)),
+    "zcl-chain": ("tc", "lower", ("chain",)),
+    "weighted-product": (None, "lower", ("factors", "product")),
+    "massey-rudyak": ("tc", "lower", ("alpha", "beta", "gamma")),
+    "dimension": ("cat", "upper", ()),
+    "james": ("cat", "upper", ()),
+    "cat-product": ("tc", "upper", ("cat_upper",)),
 }
+LOWER_RULES = tuple(rule for rule, (_, side, _) in _RULES.items() if side == "lower")
 
 
 # Entries each fact's evidence carries after its tag, see WeightFact.
@@ -419,6 +418,25 @@ def _recorded_class(rg: CohomologyRing, data, record: str) -> CohClass:
                      "with one rational coordinate per basis class")
 
 
+def _space_dim(ring: CohomologyRing) -> int:
+    """The model's declared dimension, or its truncation when it has none."""
+    return ring.truncation if ring.dga.space_dim is None else ring.dga.space_dim
+
+
+def _lower_block(kind: str, rg: CohomologyRing, length: int, witness: tuple,
+                 facts: dict, certs: list) -> int:
+    """One fibration's lower bound on the ring ``rg`` of ker p*: certify its
+    longest chain in ker p* (cup length or zcl, with its ``witness``) and
+    its heaviest product of ``facts``, and return the larger bound."""
+    certs.append({"rule": "cup-chain" if kind == "cat" else "zcl-chain", "kind": kind,
+                  "bound": length + 1, "chain": tuple(_class_data(c) for c in witness)})
+    weight, chain, prod = weighted_lower_bound(rg, facts)
+    if chain:
+        certs.append({"rule": "weighted-product", "kind": kind, "bound": weight + 1,
+                      "factors": chain, "product": _class_data(prod)})
+    return max(length + 1, weight + 1)
+
+
 def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
                  massey_cap: int = None) -> BoundLedger:
     """Compute all bounds for one model and record their certificates."""
@@ -427,23 +445,14 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
     if massey_cap is not None and massey_cap < 0:
         raise ValueError(f"the Massey degree cap must be non-negative, not {massey_cap}")
     cap = ring.truncation if massey_cap is None else min(massey_cap, ring.truncation)
-    space_dim = ring.dga.space_dim
-    if space_dim is None:
-        space_dim = ring.truncation
+    space_dim = _space_dim(ring)
     conn = ring.connectivity()
     certs = []
 
     cl, cwit, _ = cup_chain(ring)
-    certs.append({"rule": "cup-chain", "kind": "cat", "bound": cl + 1,
-                  "chain": tuple(_class_data(c) for c in cwit)})
     cosets = tuple(scan_triples(ring, cap))
     cat_facts = cat_weight_facts(ring, cosets)
-    wcat, cat_chain, cat_prod = weighted_lower_bound(ring, cat_facts)
-    if cat_chain:
-        certs.append({"rule": "weighted-product", "kind": "cat",
-                      "bound": wcat + 1, "factors": cat_chain,
-                      "product": _class_data(cat_prod)})
-    cat_lower = max(cl + 1, wcat + 1)
+    cat_lower = _lower_block("cat", ring, cl, cwit, cat_facts, certs)
 
     cat_upper = space_dim + 1
     certs.append({"rule": "dimension", "kind": "cat", "bound": cat_upper})
@@ -453,15 +462,8 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
         cat_upper = min(cat_upper, j)
 
     zk, zwit, zprod = zero_divisors_cup_length(kmap)
-    certs.append({"rule": "zcl-chain", "kind": "tc", "bound": zk + 1,
-                  "chain": tuple(_class_data(c) for c in zwit)})
     tc_facts = tc_weight_facts(ring, kmap, cat_facts)
-    wtc, tc_chain, tc_prod = weighted_lower_bound(kmap.ht, tc_facts)
-    if tc_chain:
-        certs.append({"rule": "weighted-product", "kind": "tc",
-                      "bound": wtc + 1, "factors": tc_chain,
-                      "product": _class_data(tc_prod)})
-    tc_lower = max(zk + 1, wtc + 1)
+    tc_lower = _lower_block("tc", kmap.ht, zk, zwit, tc_facts, certs)
     tc_lower, rud_cert = rudyak_lower_bound(kmap, tc_facts, tc_lower)
     if rud_cert is not None:
         certs.append(rud_cert)
@@ -507,12 +509,11 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
     rule and each certificate's product or triple is recomputed.
     """
     ht = kmap.ht
-    fact_by_key = {}
-    for f in ledger.cat_facts + ledger.tc_facts:
-        fact_by_key[f.key] = f
-
-    def ring_of(kind: str) -> CohomologyRing:
-        return ring if kind == "cat" else ht
+    if type(ledger.space_dim) is not int or ledger.space_dim != _space_dim(ring):
+        raise ValueError(f"space_dim {ledger.space_dim!r} is not the model's {_space_dim(ring)}")
+    if type(ledger.connectivity) is not int or ledger.connectivity != ring.connectivity():
+        raise ValueError("connectivity changed under replay")
+    fact_by_key = {f.key: f for f in ledger.cat_facts + ledger.tc_facts}
 
     def fact_at(key):
         try:
@@ -524,7 +525,7 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         raise ValueError(f"fact {f.key} failed replay: {msg}")
 
     def verify_fact(f: WeightFact) -> None:
-        rg = ring_of(f.kind)
+        rg = ring if f.kind == "cat" else ht
         _recorded_class(rg, _class_data(f.cls), f"the class of fact {f.key}")
         if f.cls.is_zero():
             fail(f, "class is zero")
@@ -595,38 +596,35 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
     def fold_chain(rg: CohomologyRing, chain: list) -> CohClass:
         return reduce(rg.cup, chain, rg.basis_class(0, 0))
 
-    lower = {"cat": [], "tc": []}
-    upper = {"cat": [], "tc": []}
+    found = {(kind, side): [] for kind in ("cat", "tc") for side in ("lower", "upper")}
     for cert in ledger.certificates:
         if not isinstance(cert, dict):
             raise ValueError(f"certificate {cert!r} is not a rule dictionary")
         rule = cert.get("rule")
-        if not isinstance(rule, str) or rule not in _CERT_FIELDS:
+        if not isinstance(rule, str) or rule not in _RULES:
             raise ValueError(f"unknown certificate rule {rule!r}")
-        missing = [k for k in ("kind", "bound") + _CERT_FIELDS[rule] if k not in cert]
+        bounds_kind, side, fields = _RULES[rule]
+        missing = [k for k in ("kind", "bound") + fields if k not in cert]
         if missing:
             raise ValueError(f"{rule} certificate lacks {', '.join(missing)}")
         kind, bound = cert["kind"], cert["bound"]
-        if not isinstance(kind, str) or kind not in lower:
+        if not isinstance(kind, str) or kind not in ("cat", "tc"):
             raise ValueError(f"{rule} certificate has unknown kind {kind!r}")
-        if rule == "cup-chain":
-            chain = chain_classes(ring, cert["chain"], rule)
-            if fold_chain(ring, chain).is_zero() or bound != len(chain) + 1:
-                raise ValueError("cup-chain certificate failed replay")
-            if len(chain) != ledger.cup_length:
-                raise ValueError("cup-chain length disagrees with the ledger")
-        elif rule == "zcl-chain":
-            chain = chain_classes(ht, cert["chain"], rule)
-            for c in chain:
-                if not kmap.diagonal_map(c).is_zero():
-                    raise ValueError("zcl-chain factor is not a zero-divisor")
-            if fold_chain(ht, chain).is_zero() or bound != len(chain) + 1:
-                raise ValueError("zcl-chain certificate failed replay")
-            if len(chain) != ledger.zcl:
-                raise ValueError("zcl-chain length disagrees with the ledger")
+        if bounds_kind not in (None, kind):
+            raise ValueError(f"{rule} certificates bound {bounds_kind}, not {kind}")
+        if type(bound) is not int:
+            raise ValueError(f"{rule} certificate gives its bound as {bound!r}, not an integer")
+        rg = ring if kind == "cat" else ht
+        if rule in ("cup-chain", "zcl-chain"):
+            chain = chain_classes(rg, cert["chain"], rule)
+            if kind == "tc" and not all(kmap.diagonal_map(c).is_zero() for c in chain):
+                raise ValueError("zcl-chain factor is not a zero-divisor")
+            if fold_chain(rg, chain).is_zero() or bound != len(chain) + 1:
+                raise ValueError(f"{rule} certificate failed replay")
+            if len(chain) != (ledger.cup_length if kind == "cat" else ledger.zcl):
+                raise ValueError(f"{rule} length disagrees with the ledger")
         elif rule == "weighted-product":
             facts = cert_facts(rule, kind, cert["factors"], "factors")
-            rg = ring_of(kind)
             prod = fold_chain(rg, [f.cls for f in facts])
             if prod.is_zero():
                 raise ValueError("weighted product vanished on replay")
@@ -637,8 +635,6 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             if bound != sum(f.weight for f in facts) + 1:
                 raise ValueError("weighted bound does not match the weights")
         elif rule == "massey-rudyak":
-            if kind != "tc":
-                raise ValueError(f"{rule} certificates bound tc, not {kind}")
             fa, fg = (cert_fact(rule, kind, cert[k]) for k in ("alpha", "gamma"))
             betas = cert_facts(rule, kind, cert["beta"], "beta keys")
             if not betas:
@@ -652,21 +648,20 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             if bound != ledger.space_dim + 1:
                 raise ValueError("dimension certificate failed replay")
         elif rule == "james":
-            if ring.connectivity() != ledger.connectivity:
-                raise ValueError("connectivity changed under replay")
             if bound != james_upper(ledger.space_dim, ledger.connectivity):
                 raise ValueError("James certificate failed replay")
         elif rule == "cat-product":
             if cert["cat_upper"] != ledger.cat_upper or bound != 2 * ledger.cat_upper - 1:
                 raise ValueError("cat-product certificate failed replay")
-        (lower if rule in LOWER_RULES else upper)[kind].append(bound)
+        found[kind, side].append(bound)
 
-    for side, by_kind in (("lower", lower), ("upper", upper)):
-        for kind, found in by_kind.items():
-            if not found:
+    for kind in ("cat", "tc"):
+        lower, upper = getattr(ledger, f"{kind}_lower"), getattr(ledger, f"{kind}_upper")
+        for side, pick, recorded in (("lower", max, lower), ("upper", min, upper)):
+            if not found[kind, side]:
                 raise ValueError(f"ledger has no {side} certificate for {kind}")
-    if max(lower["cat"]) != ledger.cat_lower or max(lower["tc"]) != ledger.tc_lower:
-        raise ValueError("replayed lower bounds disagree with the ledger")
-    if min(upper["cat"]) != ledger.cat_upper or min(upper["tc"]) != ledger.tc_upper:
-        raise ValueError("replayed upper bounds disagree with the ledger")
+            if pick(found[kind, side]) != recorded:
+                raise ValueError(f"replayed {side} bounds disagree with the ledger")
+        if lower > upper:
+            raise ValueError(f"the {kind} lower bound {lower} exceeds its upper bound {upper}")
     return True

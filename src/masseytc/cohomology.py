@@ -158,6 +158,11 @@ class CohomologyRing:
     def basis_class(self, k: int, i: int) -> CohClass:
         return self.class_from_pairs(k, [(i, ONE)])
 
+    def positive_basis(self) -> list:
+        """The basis classes of H^+, in ascending degree and index."""
+        return [self.basis_class(k, i) for k in range(1, self.truncation + 1)
+                for i in range(self.dim(k))]
+
     def class_from_pairs(self, k: int, pairs) -> CohClass:
         """The class of H^k with these nonzero pairs; the rest are ``ZERO``."""
         coords = [ZERO] * self.dim(k)
@@ -349,8 +354,7 @@ def cup_chain(ring: CohomologyRing) -> tuple:
     search runs once per ring; the cup length reads the same result.
     """
     if ring._cup_chain is None:
-        classes = [ring.basis_class(k, i) for k in range(1, ring.truncation + 1)
-                   for i in range(ring.dim(k))]
+        classes = ring.positive_basis()
         k, picked, prod = heaviest_chain(ring, classes, [1] * len(classes))
         ring._cup_chain = (k, tuple(classes[i] for i in picked), prod)
     return ring._cup_chain

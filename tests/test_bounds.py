@@ -7,6 +7,7 @@ the ledgers must reproduce them exactly and replay from their certificates.
 """
 
 import dataclasses
+import functools
 import json
 from fractions import Fraction
 
@@ -15,7 +16,9 @@ import pytest
 import masseytc.cohomology
 import masseytc.massey
 from masseytc.bounds import (
+    _RULES,
     LOWER_RULES,
+    InconsistentBounds,
     WeightFact,
     bar,
     build_ledger,
@@ -34,8 +37,10 @@ from masseytc.bounds import (
 )
 from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap, heaviest_chain
 from masseytc.dga import compile_cdga
+from masseytc.dsl import parse_model
 from masseytc.linalg import Subspace
 from masseytc.massey import massey_triple
+from conftest import S2_SRC
 from test_cohomology import _stress_ring, ideal_powers_length, random_presentations
 
 ALL_MODELS = ("spheres8", "borromean", "even7", "odd11", "s3", "s2", "point")
@@ -284,8 +289,7 @@ def test_pools_hold_only_atoms(ledger_of, name):
     # products of facts live in certificate chains: every factor of a
     # weighted product and every beta of a Massey certificate is an atom
     if name == "stress":
-        ring = _stress_ring("general")
-        led = build_ledger(ring, KunnethMap(ring, ring))
+        led = _stress_ledger()[2]
     else:
         led = ledger_of(name)
     pool = {f.key: f for f in led.cat_facts + led.tc_facts}
@@ -735,6 +739,14 @@ def _add_rudyak(key):
                                    "alpha": key, "beta": key, "gamma": key},)
 
 
+def _flipped_copy(rule):
+    """A forgery that appends a copy of one certificate with its kind flipped."""
+    def forge(certs):
+        c = next(c for c in certs if c["rule"] == rule)
+        return certs + ({**c, "kind": "tc" if c["kind"] == "cat" else "cat"},)
+    return forge
+
+
 @pytest.mark.parametrize("forge, reason", [
     pytest.param(_edit_weighted("tc", lambda c: {**c, "factors": (ABSENT_FACT,)}),
                  "names fact .* not in the fact pool", id="weighted-unknown-fact"),
@@ -752,6 +764,18 @@ def _add_rudyak(key):
     pytest.param(lambda certs: tuple(
         c for c in certs if c["kind"] != "tc" or c["rule"] in LOWER_RULES),
         "no upper certificate for tc", id="no-upper"),
+    # before replay read each rule's kind, the first four replayed as
+    # valid and the james copy failed as an upper-bound disagreement
+    pytest.param(_flipped_copy("cup-chain"), "cup-chain certificates bound cat, not tc",
+                 id="cup-chain-as-tc"),
+    pytest.param(_flipped_copy("zcl-chain"), "zcl-chain certificates bound tc, not cat",
+                 id="zcl-chain-as-cat"),
+    pytest.param(_flipped_copy("dimension"), "dimension certificates bound cat, not tc",
+                 id="dimension-as-tc"),
+    pytest.param(_flipped_copy("cat-product"), "cat-product certificates bound tc, not cat",
+                 id="cat-product-as-cat"),
+    pytest.param(_flipped_copy("james"), "james certificates bound cat, not tc",
+                 id="james-as-tc"),
 ])
 def test_replay_names_the_forgery(rings, kunneth_of, ledger_of, forge, reason):
     led = ledger_of("spheres8")
@@ -888,6 +912,13 @@ def _edit_first_tc_fact(edit):
     pytest.param(lambda led: dataclasses.replace(
         led, certificates=led.certificates + ("cup-chain",)),
         "certificate 'cup-chain' is not a rule dictionary", id="certificate-is-a-string"),
+    # the dimension certificate copied to tc: TC <= 3 beside TC >= 4
+    pytest.param(lambda led: dataclasses.replace(led, tc_upper=3, certificates=(
+        *led.certificates, {"rule": "dimension", "kind": "tc", "bound": 3})),
+        "dimension certificates bound cat, not tc", id="dimension-copied-to-tc"),
+    # borromean has no james certificate, whose replay checked connectivity
+    pytest.param(lambda led: dataclasses.replace(led, connectivity=1),
+                 "connectivity changed under replay", id="connectivity-forged"),
 ])
 def test_replay_names_malformed_class_records(rings, kunneth_of, ledger_of, forge, reason):
     # each of these replayed as valid or fell over with a stray
@@ -919,12 +950,94 @@ def _coords_as(convert):
     pytest.param(_edit_certs("weighted-product", lambda c: {**c, "factors": 5}),
                  "the factors of the (cat|tc) weighted-product certificate are not a list",
                  id="factors-given-as-5"),
+    pytest.param(lambda led: dataclasses.replace(led, certificates=tuple(
+        {**c, "bound": float(c["bound"])} for c in led.certificates)),
+        r"cup-chain certificate gives its bound as 3\.0, not an integer", id="bounds-as-floats"),
+    pytest.param(lambda led: dataclasses.replace(led, space_dim=7.0),
+                 r"space_dim 7\.0 is not the model's 7", id="space-dim-as-a-float"),
+    pytest.param(lambda led: dataclasses.replace(led, connectivity=1.0),
+                 "connectivity changed under replay", id="connectivity-as-a-float"),
 ])
 def test_replay_names_non_rational_and_malformed_fields(rings, kunneth_of, ledger_of,
                                                         forge, reason):
-    # without type checks the float coordinates replayed as valid
+    # without type checks the float coordinates and bounds replayed as valid
     # (0.5 == Fraction(1, 2)) and the others fell over with a stray TypeError
     led = ledger_of("even7")
     assert replay_ledger(led, rings["even7"], kunneth_of("even7"))
     with pytest.raises(ValueError, match=reason):
         replay_ledger(forge(led), rings["even7"], kunneth_of("even7"))
+
+
+# ------------------------------------------------- one path, two fibrations
+
+
+@functools.lru_cache(maxsize=None)
+def _stress_ledger():
+    ring = _stress_ring("general")
+    km = KunnethMap(ring, ring)
+    return ring, km, build_ledger(ring, km)
+
+
+def test_both_fibrations_take_one_lower_bound_path(rings, kunneth_of, ledger_of):
+    # cat is the genus of the based path fibration (ker p* = H^+ in H), TC
+    # of the free one (ker p* = ker mu in H (x) H): each lower bound is the
+    # longer of the chain in ker p* and the heaviest weighted product, and
+    # on the tc side the Massey rule may raise it
+    emitted = set()
+    for name in ("spheres8", "borromean", "even7", "odd11", "stress"):
+        if name == "stress":
+            ring, km, led = _stress_ledger()
+        else:
+            ring, km, led = rings[name], kunneth_of(name), ledger_of(name)
+        cat = cat_weight_facts(ring, led.massey_cosets)
+        tc = tc_weight_facts(ring, km, cat)
+        for kind, rg, length, facts, lower in (
+                ("cat", ring, cup_chain(ring)[0], cat, led.cat_lower),
+                ("tc", km.ht, zero_divisors_cup_length(km)[0], tc, led.tc_lower)):
+            block = max(length + 1, weighted_lower_bound(rg, facts)[0] + 1)
+            assert block == max(c["bound"] for c in led.certificates if c["kind"] == kind
+                                and c["rule"] in ("cup-chain", "zcl-chain", "weighted-product"))
+            if kind == "tc":
+                block = rudyak_lower_bound(km, facts, block)[0]
+            assert lower == block, (name, kind)
+        for c in led.certificates:
+            assert _RULES[c["rule"]][0] in (None, c["kind"]), (name, c["rule"])
+            emitted.add(c["rule"])
+        assert replay_ledger(led, ring, km)
+    assert emitted == set(_RULES)
+
+
+def _with_space_dim(led, space_dim):
+    """The ledger with its space_dim and every upper bound rewritten to match."""
+    cat_upper = space_dim + 1
+    if any(c["rule"] == "james" for c in led.certificates):
+        cat_upper = min(cat_upper, james_upper(space_dim, led.connectivity))
+    rewritten = {"dimension": {"bound": space_dim + 1},
+                 "james": {"bound": cat_upper},
+                 "cat-product": {"bound": 2 * cat_upper - 1, "cat_upper": cat_upper}}
+    return dataclasses.replace(
+        led, space_dim=space_dim, cat_upper=cat_upper, tc_upper=2 * cat_upper - 1,
+        certificates=tuple({**c, **rewritten.get(c["rule"], {})} for c in led.certificates))
+
+
+def test_replay_checks_the_recorded_space_dim():
+    # the stress model declares space-dim 5; before replay checked it, the
+    # ledger forged to space-dim 2 replayed as cat = 3 and TC = 5 exactly
+    ring, km, led = _stress_ledger()
+    bad = _with_space_dim(led, 2)
+    assert (bad.cat_lower, bad.cat_upper, bad.tc_lower, bad.tc_upper) == (3, 3, 5, 5)
+    with pytest.raises(ValueError, match="space_dim 2 is not the model's 5"):
+        replay_ledger(bad, ring, km)
+
+
+def test_replay_refuses_a_lower_bound_above_the_upper_bound(ledger_of):
+    # s2 declared at space-dim 0: its ring still certifies cat >= 2 and
+    # TC >= 3, so build_ledger refuses it, and replay refuses the s2 ledger
+    # rewritten to the declared dimension although each certificate holds
+    ring = CohomologyRing(compile_cdga(parse_model(S2_SRC.replace("space-dim 2", "space-dim 0"))))
+    km = KunnethMap(ring, ring)
+    with pytest.raises(InconsistentBounds):
+        build_ledger(ring, km)
+    bad = _with_space_dim(ledger_of("s2"), 0)
+    with pytest.raises(ValueError, match="the cat lower bound 2 exceeds its upper bound 1"):
+        replay_ledger(bad, ring, km)
