@@ -42,8 +42,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
-from .cohomology import CohClass, CohomologyRing, KunnethMap, cup_chain, heaviest_chain
-from .linalg import ZERO, Subspace, inverse, kernel, scalar
+from .cohomology import (CohClass, CohomologyRing, KunnethMap, SparseClass, cup_chain,
+                         heaviest_chain)
+from .linalg import ONE, ZERO, SparseMatrix, Subspace, inverse, scalar
+from .linalg import kernel  # noqa: F401  bench/tests/test_bench_trace.py reads bounds.kernel
 from .massey import massey_triple, scan_triples
 
 
@@ -110,17 +112,33 @@ def bar(kmap: KunnethMap, cls: CohClass) -> CohClass:
 
 
 def zero_divisor_ideal(kmap: KunnethMap) -> dict:
-    """Kernel of the multiplication map per positive degree.
+    """Kernel of the multiplication map m per positive degree, in closed form.
 
+    Every generator has positive degree, so H^0 = Q*1.  In degree l the
+    last m.rows pairs are (l, i, 0), and m is the identity on them, so each
+    earlier pair t gives the kernel vector e_t - m(e_t), with m(e_t) placed
+    on that last block.
+    Proof.  A vector's first nonzero entry is its 1 at t, and it is zero at
+    every other earlier pair: the pivots are the earlier pairs and the basis
+    is reduced.  m is onto, so these n - m.rows vectors span its kernel.
     Degrees above the base truncation have zero target, so everything up
     there is a zero-divisor; that is the honest answer for the truncated
     ring and the chain arithmetic below never leaves the tensor truncation.
     """
     if kmap.ha is not kmap.hb:
         raise ValueError("zero-divisors need a self-tensor ring")
-    out = {ell: kernel(kmap.multiplication(ell))
-           for ell in range(1, kmap.ht.truncation + 1) if kmap.ht.dim(ell)}
-    return {ell: sub for ell, sub in out.items() if sub.dim}
+    if kmap.ha.dim(0) != 1:
+        raise ValueError(f"the closed-form zero-divisor ideal needs H^0 = Q, "
+                         f"not of dimension {kmap.ha.dim(0)}")
+    out = {}
+    for ell in range(1, kmap.ht.truncation + 1):
+        m = kmap.multiplication(ell)
+        s = m.cols - m.rows  # the pairs before the block (ell, i, 0)
+        if s:
+            cols = tuple(((t, ONE),) + tuple((s + i, -v) for i, v in m.nonzero_columns[t])
+                         for t in range(s))
+            out[ell] = Subspace(m.cols, SparseMatrix(m.cols, s, cols), tuple(range(s)))
+    return out
 
 
 def indecomposables(ring: CohomologyRing) -> list:
@@ -158,9 +176,9 @@ def zero_divisors_cup_length(kmap: KunnethMap) -> tuple:
     bars = [bar(kmap, u) for u in indecomposables(kmap.ha)]
     k = heaviest_chain(ht, bars, [1] * len(bars))[0]
     ideal = zero_divisor_ideal(kmap)
-    basis = [CohClass(d, v) for d in sorted(ideal) for v in ideal[d].basis_vectors()]
+    basis = [SparseClass(d, col) for d in sorted(ideal) for col in ideal[d].nonzero_columns]
     _, picked, prod = heaviest_chain(ht, basis, [1] * len(basis), goal=k)
-    return k, tuple(basis[i] for i in picked), prod
+    return k, tuple(ht.class_from_pairs(*basis[i]) for i in picked), prod
 
 
 # ------------------------------------------------------------ weight rules
@@ -513,6 +531,10 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         raise ValueError(f"space_dim {ledger.space_dim!r} is not the model's {_space_dim(ring)}")
     if type(ledger.connectivity) is not int or ledger.connectivity != ring.connectivity():
         raise ValueError("connectivity changed under replay")
+    for name in ("cat_lower", "cat_upper", "tc_lower", "tc_upper", "cup_length", "zcl"):
+        value = getattr(ledger, name)
+        if type(value) is not int:
+            raise ValueError(f"the ledger gives {name} as {value!r}, not an integer")
     fact_by_key = {f.key: f for f in ledger.cat_facts + ledger.tc_facts}
 
     def fact_at(key):
@@ -525,6 +547,8 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         raise ValueError(f"fact {f.key} failed replay: {msg}")
 
     def verify_fact(f: WeightFact) -> None:
+        if type(f.weight) is not int:
+            fail(f, f"weight {f.weight!r} is not an integer")
         rg = ring if f.kind == "cat" else ht
         _recorded_class(rg, _class_data(f.cls), f"the class of fact {f.key}")
         if f.cls.is_zero():
@@ -651,6 +675,9 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             if bound != james_upper(ledger.space_dim, ledger.connectivity):
                 raise ValueError("James certificate failed replay")
         elif rule == "cat-product":
+            if type(cert["cat_upper"]) is not int:
+                raise ValueError(f"cat-product certificate gives cat_upper as "
+                                 f"{cert['cat_upper']!r}, not an integer")
             if cert["cat_upper"] != ledger.cat_upper or bound != 2 * ledger.cat_upper - 1:
                 raise ValueError("cat-product certificate failed replay")
         found[kind, side].append(bound)

@@ -33,7 +33,14 @@ nonzero product of chosen classes, found by one search,
 :func:`heaviest_chain`: unit weights over the basis of H^+ for the cup
 length, unit weights over the bars 1 (x) u - u (x) 1 of the
 indecomposables u for zcl (a handful of classes where the zero-divisor
-ideal has hundreds of dimensions), and fact weights for the bounds.
+ideal has hundreds of dimensions), and fact weights for the bounds.  The
+zcl witness is then searched over the basis columns of the ideal, written
+down in closed form, as :class:`SparseClass` pairs; only the chain found
+becomes dense.
+
+Each basis class's name, its rendered representative, is made once per
+ring, since a report labels every Massey triple of a scan by the names
+of its three basis classes.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .dga import DGA, Cochain, PairBasis, tensor
 from .linalg import ONE, ZERO, PrefactoredSolver, SparseMatrix, Subspace, kernel, scalar, zero_vec
@@ -75,6 +83,15 @@ class CohClass:
         return self.add(other.scale(-1))
 
 
+class SparseClass(NamedTuple):
+    """A class given by its degree and its nonzero (index, coefficient)
+    pairs in index order, such as a column of a subspace's basis; it reads
+    like a :class:`CohClass` in :func:`heaviest_chain`."""
+
+    degree: int
+    pairs: tuple
+
+
 @dataclass(frozen=True)
 class DegreePart:
     """The cocycles, the boundaries and the canonical class basis of one
@@ -100,6 +117,7 @@ class CohomologyRing:
         self._parts = {}
         self._solvers = {}
         self._named = {}
+        self._names = {}
         self._cup_memo = {}
         self._cup_chain = None
         self._products = {}
@@ -206,7 +224,13 @@ class CohomologyRing:
         return self._solver(k).solve(coords)
 
     def class_name(self, k: int, i: int) -> str:
-        return f"[{self.dga.render(self.representative(self.basis_class(k, i)))}]"
+        """The basis class e_i of H^k as its rendered representative, such
+        as ``[x1*x2]``; rendered once per ring and memoized."""
+        hit = self._names.get((k, i))
+        if hit is None:
+            hit = self._names[k, i] = (
+                f"[{self.dga.render(self.representative(self.basis_class(k, i)))}]")
+        return hit
 
     def named_class(self, name: str) -> CohClass:
         """Resolve a generator or alias name to its cohomology class.
@@ -364,16 +388,19 @@ def heaviest_chain(ring: CohomologyRing, classes: list, weights: list,
                    goal: int = None) -> tuple:
     """Heaviest nonzero product of the given classes, repeats allowed.
 
+    A class is anything with a ``degree`` and nonzero ``pairs``: a
+    :class:`CohClass`, or a :class:`SparseClass` when the classes are many
+    and sparse, as the basis columns of the zero-divisor ideal are.
     Returns (weight, indices, product): the chain's total weight, the
     positions in ``classes`` of its factors in ascending order, and their
-    product; the empty chain weighs 0 and its product is the unit.  Chains
-    are walked depth first in ascending list order, and the best chain is
-    replaced only by a strictly heavier one, so the first heaviest chain in
-    that order is returned.  A branch is skipped when filling every degree
-    left up to the top nonzero degree at the largest weight per degree of
-    any class cannot beat the best so far, and the walk stops once a chain
-    weighs ``goal``; neither changes the chain returned.  Weights are
-    positive.
+    product, a :class:`CohClass`; the empty chain weighs 0 and its product
+    is the unit.  Chains are walked depth first in ascending list order,
+    and the best chain is replaced only by a strictly heavier one, so the
+    first heaviest chain in that order is returned.  A branch is skipped
+    when filling every degree left up to the top nonzero degree at the
+    largest weight per degree of any class cannot beat the best so far,
+    and the walk stops once a chain weighs ``goal``; neither changes the
+    chain returned.  Weights are positive.
     """
     if any(c.degree < 1 for c in classes):
         raise ValueError("chain factors need positive degree")
@@ -404,7 +431,7 @@ def heaviest_chain(ring: CohomologyRing, classes: list, weights: list,
             continue
         chain += (i,)
         if w > best[0]:
-            best = (w, chain, c if left is None else ring.class_from_pairs(d, pairs))
+            best = (w, chain, ring.class_from_pairs(d, pairs))
             if goal is not None and w >= goal:
                 break
         stack.append([i, chain, d, w, pairs])

@@ -9,11 +9,13 @@ the ledgers must reproduce them exactly and replay from their certificates.
 import dataclasses
 import functools
 import json
+import types
 from fractions import Fraction
 
 import pytest
 
 import masseytc.cohomology
+import masseytc.linalg
 import masseytc.massey
 from masseytc.bounds import (
     _RULES,
@@ -38,7 +40,7 @@ from masseytc.bounds import (
 from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap, heaviest_chain
 from masseytc.dga import compile_cdga
 from masseytc.dsl import parse_model
-from masseytc.linalg import Subspace
+from masseytc.linalg import Subspace, kernel
 from masseytc.massey import massey_triple
 from conftest import S2_SRC
 from test_cohomology import _stress_ring, ideal_powers_length, random_presentations
@@ -117,6 +119,48 @@ def test_zero_divisor_ideal_dims_frozen(kunneth_of):
     assert {d: s.dim for d, s in zero_divisor_ideal(km).items()} == \
         {2: 2, 4: 4, 5: 2, 7: 9, 8: 6, 9: 4, 10: 28, 12: 4, 13: 24,
          14: 1, 15: 12, 16: 36}
+
+
+def _square_of(kunneth_of, name):
+    if name == "stress":
+        ring = _stress_ring("general")
+        return KunnethMap(ring, ring)
+    return kunneth_of(name)
+
+
+@pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress", "s2"])
+def test_closed_form_ideal_is_the_kernel_of_the_multiplication_map(kunneth_of, name):
+    km = _square_of(kunneth_of, name)
+    maps = [km.multiplication(ell) for ell in range(1, km.ht.truncation + 1)]
+    if name == "stress":
+        assert any(type(v) is Fraction for m in maps for col in m.nonzero_columns for _, v in col)
+    kernels = {ell: kernel(m) for ell, m in enumerate(maps, 1)}
+    assert zero_divisor_ideal(km) == {ell: sub for ell, sub in kernels.items() if sub.dim}
+
+
+@pytest.mark.parametrize("name", ["even7", "stress"])
+def test_closed_form_ideal_runs_no_elimination(kunneth_of, monkeypatch, name):
+    km = _square_of(kunneth_of, name)
+    for ell in range(1, km.ht.truncation + 1):
+        km.multiplication(ell)
+    eliminations = []
+    echelon = masseytc.linalg._echelon_columns
+
+    def recorded(columns):
+        eliminations.append(columns)
+        return echelon(columns)
+
+    monkeypatch.setattr(masseytc.linalg, "_echelon_columns", recorded)
+    assert zero_divisor_ideal(km)
+    assert eliminations == []
+
+
+def test_closed_form_ideal_needs_a_connected_ring():
+    # H^0 of two points: the unit is not the only class of degree 0
+    two_points = types.SimpleNamespace(dim=lambda k: 2)
+    km = types.SimpleNamespace(ha=two_points, hb=two_points)
+    with pytest.raises(ValueError, match=r"needs H\^0 = Q, not of dimension 2"):
+        zero_divisor_ideal(km)
 
 
 def test_zero_divisor_ideal_members_multiply_to_zero(kunneth_of):
@@ -957,6 +1001,28 @@ def _coords_as(convert):
                  r"space_dim 7\.0 is not the model's 7", id="space-dim-as-a-float"),
     pytest.param(lambda led: dataclasses.replace(led, connectivity=1.0),
                  "connectivity changed under replay", id="connectivity-as-a-float"),
+    # these replayed as valid, since 4.0 == 4 and True == 1
+    pytest.param(lambda led: dataclasses.replace(led, cat_upper=4.0, tc_lower=6.0),
+                 r"the ledger gives cat_upper as 4\.0, not an integer",
+                 id="cat-upper-and-tc-lower-as-floats"),
+    pytest.param(lambda led: dataclasses.replace(led, cat_lower=4.0),
+                 r"the ledger gives cat_lower as 4\.0", id="cat-lower-as-a-float"),
+    pytest.param(lambda led: dataclasses.replace(led, tc_lower=6.0),
+                 r"the ledger gives tc_lower as 6\.0", id="tc-lower-as-a-float"),
+    pytest.param(lambda led: dataclasses.replace(led, tc_upper=7.0),
+                 r"the ledger gives tc_upper as 7\.0", id="tc-upper-as-a-float"),
+    pytest.param(lambda led: dataclasses.replace(led, cup_length=2.0),
+                 r"the ledger gives cup_length as 2\.0", id="cup-length-as-a-float"),
+    pytest.param(lambda led: dataclasses.replace(led, zcl=3.0),
+                 r"the ledger gives zcl as 3\.0", id="zcl-as-a-float"),
+    pytest.param(_edit_certs("cat-product", lambda c: {**c, "cat_upper": 4.0}),
+                 r"cat-product certificate gives cat_upper as 4\.0, not an integer",
+                 id="cat-product-cat-upper-as-a-float"),
+    pytest.param(lambda led: dataclasses.replace(led, cat_facts=(dataclasses.replace(
+        led.cat_facts[0], weight=True),) + led.cat_facts[1:]),
+        r"failed replay: weight True is not an integer", id="fact-weight-as-a-bool"),
+    pytest.param(_edit_first_tc_fact(lambda f: dataclasses.replace(f, weight=float(f.weight))),
+                 r"failed replay: weight 1\.0 is not an integer", id="fact-weight-as-a-float"),
 ])
 def test_replay_names_non_rational_and_malformed_fields(rings, kunneth_of, ledger_of,
                                                         forge, reason):

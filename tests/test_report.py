@@ -1,19 +1,21 @@
 """Payload shape and byte-determinism of the report renderings."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from masseytc import report
+from masseytc import cli, report
 from masseytc.bounds import zero_divisors_cup_length
 from masseytc.cohomology import CohomologyRing
-from masseytc.dga import compile_cdga
+from masseytc.dga import DGA, compile_cdga
 from masseytc.dsl import parse_model
 from masseytc.massey import scan_triples
 from masseytc.models import MODEL_SOURCES
 from masseytc.report import PAYLOAD_KEYS
 from oracles import ring_table_all_pairs
 from test_bench_tracer import load_bench
+from test_cli import STRESS_NIL_SRC
 
 # the generated models of the massey-cli benchmark workload at seed 1
 MASSEY_CLI_MODELS = load_bench("inputs").massey_inputs(1)[0]
@@ -217,3 +219,24 @@ def test_text_mentions_rudyak_certificate(rings, ledger_of):
     txt = report.render_text(full_payload("borromean", rings, ledger_of))
     assert "massey-rudyak -> tc >= 4" in txt
     assert "TC lower 4, TC upper 5" in txt
+
+
+@pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress"])
+def test_class_names_are_rendered_once_per_ring(monkeypatch, capsys, tmp_path, name):
+    # the basis labels and the Massey labels of a bounds report name the
+    # same basis classes, a triple's three slots among them
+    renders = Counter()
+    render = DGA.render
+
+    def recorded(self, x):
+        renders[self.name, x.degree, x.coords] += 1
+        return render(self, x)
+
+    monkeypatch.setattr(DGA, "render", recorded)
+    model = name
+    if name == "stress":
+        model = tmp_path / "stressnil.mtc"
+        model.write_text(STRESS_NIL_SRC)
+    assert cli.main(["bounds", str(model), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["massey"]
+    assert renders and max(renders.values()) == 1
