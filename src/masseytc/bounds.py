@@ -42,29 +42,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
-from .cohomology import (CohClass, CohomologyRing, KunnethMap, SparseClass, cup_chain,
-                         heaviest_chain)
-from .linalg import ONE, ZERO, SparseMatrix, Subspace, inverse, scalar
+from .cohomology import CohClass, CohomologyRing, KunnethMap, cup_chain, heaviest_chain
+from .linalg import ONE, SparseMatrix, Subspace, inverse
 from .linalg import kernel  # noqa: F401  bench/tests/test_bench_trace.py reads bounds.kernel
 from .massey import massey_triple, scan_triples
 
 
-def normalize_coords(coords) -> tuple:
-    """Projective normalization: scale so the first nonzero entry is 1;
-    zeros become the shared ``ZERO``, cheap to compare in a fact key."""
-    for c in coords:
-        if c:
-            inv = inverse(c)
-            return tuple(scalar(v * inv) if v else ZERO for v in coords)
-    return tuple(coords)
-
-
 def _normalize_class(cls: CohClass) -> CohClass:
-    return CohClass(cls.degree, normalize_coords(cls.coords))
+    """The multiple whose first nonzero coefficient is 1; zero stays zero."""
+    return cls.scale(inverse(cls.pairs[0][1])) if cls.pairs else cls
 
 
 def _class_data(cls: CohClass) -> tuple:
-    return (cls.degree, tuple(cls.coords))
+    return (cls.degree, cls.coords)
 
 
 @dataclass(frozen=True)
@@ -176,9 +166,10 @@ def zero_divisors_cup_length(kmap: KunnethMap) -> tuple:
     bars = [bar(kmap, u) for u in indecomposables(kmap.ha)]
     k = heaviest_chain(ht, bars, [1] * len(bars))[0]
     ideal = zero_divisor_ideal(kmap)
-    basis = [SparseClass(d, col) for d in sorted(ideal) for col in ideal[d].nonzero_columns]
+    basis = [CohClass(d, ideal[d].ambient, col)
+             for d in sorted(ideal) for col in ideal[d].nonzero_columns]
     _, picked, prod = heaviest_chain(ht, basis, [1] * len(basis), goal=k)
-    return k, tuple(ht.class_from_pairs(*basis[i]) for i in picked), prod
+    return k, tuple(basis[i] for i in picked), prod
 
 
 # ------------------------------------------------------------ weight rules
@@ -429,7 +420,7 @@ def _recorded_class(rg: CohomologyRing, data, record: str) -> CohClass:
         deg, coords = data
         if (isinstance(deg, int) and 1 <= deg <= rg.truncation and len(coords) == rg.dim(deg)
                 and all(map(_is_rational, coords))):
-            return CohClass(deg, tuple(scalar(c) for c in coords))
+            return CohClass.from_coords(deg, coords)
     except (TypeError, ValueError):
         pass
     raise ValueError(f"{record} is not a class of degree 1..{rg.truncation} "
@@ -546,13 +537,19 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
     def fail(f, msg):
         raise ValueError(f"fact {f.key} failed replay: {msg}")
 
-    def verify_fact(f: WeightFact) -> None:
+    def verify_fact(f: WeightFact, kind: str) -> None:
+        if f.kind != kind:
+            fail(f, f"a {f.kind} fact sits in the {kind} pool")
         if type(f.weight) is not int:
             fail(f, f"weight {f.weight!r} is not an integer")
-        rg = ring if f.kind == "cat" else ht
-        _recorded_class(rg, _class_data(f.cls), f"the class of fact {f.key}")
-        if f.cls.is_zero():
+        if not isinstance(f.inputs, tuple):
+            fail(f, f"evidence {f.inputs!r} is not a tuple")
+        rg = ring if kind == "cat" else ht
+        cls = _recorded_class(rg, _class_data(f.cls), f"the class of fact {f.key}")
+        if cls.is_zero():
             fail(f, "class is zero")
+        if _normalize_class(cls) != f.cls:
+            fail(f, "class is not stored normalized, as canonical pairs")
         tag = f.inputs[0] if f.inputs else None
         entries = _EVIDENCE_ENTRIES.get(tag)
         if entries is not None and len(f.inputs) != entries + 1:
@@ -563,7 +560,7 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
                 fail(f, "R1 basis facts are category weight 1")
         elif f.rule == "R1" and tag == "bar":
             b = bar(kmap, _recorded_class(ring, f.inputs[1], f"the bar evidence of fact {f.key}"))
-            if _normalize_class(b).coords != f.cls.coords or f.weight != 1:
+            if _normalize_class(b) != f.cls or f.weight != 1:
                 fail(f, "bar does not reproduce the recorded class at weight 1")
             if not kmap.diagonal_map(f.cls).is_zero():
                 fail(f, "recorded class is not a zero-divisor")
@@ -573,7 +570,7 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             coset = massey_triple(rg, *classes)
             if not coset.is_nonzero():
                 fail(f, "Massey triple is not defined and nonzero")
-            if _normalize_class(coset.value).coords != f.cls.coords:
+            if _normalize_class(coset.value) != f.cls:
                 fail(f, "Massey value differs from the recorded class")
             if f.weight != 2:
                 fail(f, "R3 facts carry weight exactly 2")
@@ -593,8 +590,15 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         else:
             fail(f, f"unknown rule/evidence combination {f.rule}/{tag}")
 
-    for fact in ledger.cat_facts + ledger.tc_facts:
-        verify_fact(fact)
+    for kind in ("cat", "tc"):
+        pool = getattr(ledger, f"{kind}_facts")
+        for fact in pool:
+            verify_fact(fact, kind)
+        for a, b in zip(pool, pool[1:]):
+            if a.key == b.key:
+                raise ValueError(f"fact {b.key} is listed twice in the {kind} pool")
+            if a.key > b.key:
+                raise ValueError(f"the {kind} pool is not sorted by key at fact {b.key}")
 
     def cert_fact(rule: str, kind: str, key) -> WeightFact:
         f = fact_at(key)

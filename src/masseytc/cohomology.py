@@ -11,8 +11,8 @@ Each degree's cocycles, boundaries and canonical basis are computed the
 first time something needs them, by :meth:`CohomologyRing.part`.  Each
 differential d_k is eliminated once, and that one elimination gives the
 cocycles of degree k, the boundaries of degree k+1 and the boundary
-solves in degree k.  A base ring ends up with every degree, since its
-dimensions are read off them.  The ring of a tensor model takes its
+solves in degree k.  A base ring computes every degree when it is built,
+since its dimensions are read off them.  The ring of a tensor model takes its
 dimensions from the Kunneth pairs (see :class:`KunnethMap`), so the
 square eliminates only in the degrees where a Massey witness or
 ``class_of`` works with cochains.
@@ -24,9 +24,11 @@ ring of a tensor model builds its entries from its factor rings' entries
 by the Koszul rule of :class:`masseytc.dga.PairBasis`, shared with the
 cochain square.
 Cup products, cup length, the Kunneth map and zero-divisor computations
-all extend that one table bilinearly, on nonzero pairs only: a product
-is formed from its factors' pairs and returned as pairs, and becomes a
-dense :class:`CohClass` only where a caller needs one.
+all extend that one table bilinearly, on nonzero pairs only.  A
+:class:`CohClass` stores its nonzero pairs too, so a product is formed
+from its factors' pairs and kept as pairs; dense coordinates are built
+only where a caller indexes them: a fact key, a payload, a coset
+reduction.
 
 Cup length, zcl and the weighted cat/TC bounds are all the heaviest
 nonzero product of chosen classes, found by one search,
@@ -35,8 +37,7 @@ length, unit weights over the bars 1 (x) u - u (x) 1 of the
 indecomposables u for zcl (a handful of classes where the zero-divisor
 ideal has hundreds of dimensions), and fact weights for the bounds.  The
 zcl witness is then searched over the basis columns of the ideal, written
-down in closed form, as :class:`SparseClass` pairs; only the chain found
-becomes dense.
+down in closed form, each column read as a class as it stands.
 
 Each basis class's name, its rendered representative, is made once per
 ring, since a report labels every Massey triple of a scan by the names
@@ -48,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 from .dga import DGA, Cochain, PairBasis, tensor
 from .linalg import ONE, ZERO, PrefactoredSolver, SparseMatrix, Subspace, kernel, scalar, zero_vec
@@ -56,40 +56,47 @@ from .linalg import ONE, ZERO, PrefactoredSolver, SparseMatrix, Subspace, kernel
 
 @dataclass(frozen=True)
 class CohClass:
-    """A cohomology class as coordinates over the canonical basis of H^k."""
+    """A class of H^k: its degree, ``dim`` = dim H^k and its nonzero
+    (index, coefficient) pairs over the canonical basis, indices strictly
+    increasing and each coefficient a :func:`~masseytc.linalg.scalar`, so
+    that equal classes are equal records; ``coords`` is derived from them."""
 
     degree: int
-    coords: tuple
+    dim: int
+    pairs: tuple
+
+    @classmethod
+    def from_coords(cls, degree: int, coords) -> "CohClass":
+        """The class with these dense coordinates over the basis of H^degree."""
+        return cls(degree, len(coords), tuple((i, scalar(c)) for i, c in enumerate(coords) if c))
 
     @cached_property
-    def pairs(self) -> tuple:
-        """The nonzero (index, coefficient) pairs, in index order."""
-        return tuple((i, c) for i, c in enumerate(self.coords) if c)
+    def coords(self) -> tuple:
+        """The dense coordinates, one per basis class of H^degree."""
+        out = [ZERO] * self.dim
+        for i, c in self.pairs:
+            out[i] = c
+        return tuple(out)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.pairs
 
     def scale(self, c) -> "CohClass":
         c = scalar(c)
-        return CohClass(self.degree, tuple(scalar(c * x) for x in self.coords))
+        return CohClass(self.degree, self.dim,
+                        tuple((i, scalar(c * x)) for i, x in self.pairs) if c else ())
 
     def add(self, other: "CohClass") -> "CohClass":
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
-        return CohClass(self.degree, tuple(scalar(a + b)
-                                           for a, b in zip(self.coords, other.coords)))
+        out = dict(self.pairs)
+        for i, c in other.pairs:
+            out[i] = out.get(i, ZERO) + c
+        return CohClass(self.degree, self.dim,
+                        tuple(sorted((i, scalar(c)) for i, c in out.items() if c)))
 
     def sub(self, other: "CohClass") -> "CohClass":
         return self.add(other.scale(-1))
-
-
-class SparseClass(NamedTuple):
-    """A class given by its degree and its nonzero (index, coefficient)
-    pairs in index order, such as a column of a subspace's basis; it reads
-    like a :class:`CohClass` in :func:`heaviest_chain`."""
-
-    degree: int
-    pairs: tuple
 
 
 @dataclass(frozen=True)
@@ -122,8 +129,11 @@ class CohomologyRing:
         self._cup_chain = None
         self._products = {}
         self._multiples = {}
-        if factors is not None:
+        if factors is None:
+            self._dims = tuple(self.part(k).reps.dim for k in range(dga.truncation + 1))
+        else:
             self.pairs = PairBasis(dga.truncation, factors[0].dim, factors[1].dim)
+            self._dims = tuple(map(len, self.pairs))
         if dga.simply_connected and self.dim(1) != 0:
             raise ValueError(
                 f"model {dga.name} is declared simply connected but H^1 has "
@@ -158,14 +168,11 @@ class CohomologyRing:
         return self.dga.truncation
 
     def dim(self, k: int) -> int:
-        if not 0 <= k <= self.truncation:
-            return 0
-        if self.factors is not None:
-            return len(self.pairs[k])
-        return self.part(k).reps.dim
+        dims = self._dims
+        return dims[k] if 0 <= k < len(dims) else 0
 
     def dims(self) -> tuple:
-        return tuple(self.dim(k) for k in range(self.truncation + 1))
+        return self._dims
 
     def top_nonzero_degree(self) -> int:
         for k in range(self.truncation, -1, -1):
@@ -174,34 +181,27 @@ class CohomologyRing:
         return 0
 
     def basis_class(self, k: int, i: int) -> CohClass:
-        return self.class_from_pairs(k, [(i, ONE)])
+        return CohClass(k, self.dim(k), ((i, ONE),))
 
     def positive_basis(self) -> list:
         """The basis classes of H^+, in ascending degree and index."""
         return [self.basis_class(k, i) for k in range(1, self.truncation + 1)
                 for i in range(self.dim(k))]
 
-    def class_from_pairs(self, k: int, pairs) -> CohClass:
-        """The class of H^k with these nonzero pairs; the rest are ``ZERO``."""
-        coords = [ZERO] * self.dim(k)
-        for i, c in pairs:
-            coords[i] = c
-        return CohClass(k, tuple(coords))
-
     def representative(self, cls: CohClass) -> Cochain:
         if not (0 <= cls.degree <= self.truncation):
             return Cochain(cls.degree, ())
         out = list(zero_vec(self.dga.dim(cls.degree)))
-        for c, col in zip(cls.coords, self.part(cls.degree).reps.nonzero_columns):
-            if c:
-                for i, x in col:
-                    out[i] += c * x
+        cols = self.part(cls.degree).reps.nonzero_columns
+        for i, c in cls.pairs:
+            for j, x in cols[i]:
+                out[j] += c * x
         return Cochain(cls.degree, tuple([scalar(x) for x in out]))
 
     def class_of(self, x: Cochain) -> CohClass:
         k = x.degree
         if not (0 <= k <= self.truncation):
-            return CohClass(k, ())
+            return CohClass(k, 0, ())
         dx = self.dga.d(x)
         if not dx.is_zero():
             raise ValueError(
@@ -210,7 +210,7 @@ class CohomologyRing:
         coords = part.reps.coordinates_of(part.boundaries.reduce(x.coords))
         if coords is None:
             raise ValueError(f"reduced cocycle escaped the class basis in degree {k}")
-        return CohClass(k, coords)
+        return CohClass.from_coords(k, coords)
 
     def solve_boundary(self, k: int, coords) -> "tuple | None":
         """Canonical cochain in degree k whose differential has the given
@@ -286,7 +286,7 @@ class CohomologyRing:
         elif self.factors is None:
             prod = self.dga.mul(Cochain(k1, self.part(k1).reps.basis_vectors()[i1]),
                                 Cochain(k2, self.part(k2).reps.basis_vectors()[i2]))
-            entry = tuple((i, c) for i, c in enumerate(self.class_of(prod).coords) if c)
+            entry = self.class_of(prod).pairs
         else:
             entry = self.pairs.product(k1, i1, k2, i2, self.factors[0].cup_basis,
                                        self.factors[1].cup_basis)
@@ -294,8 +294,9 @@ class CohomologyRing:
         return entry
 
     def cup(self, c1: CohClass, c2: CohClass) -> CohClass:
-        return self.class_from_pairs(c1.degree + c2.degree, self._cup_nonzero(
-            c1.degree, c1.pairs, c2.degree, c2.pairs))
+        k = c1.degree + c2.degree
+        return CohClass(k, self.dim(k), tuple(self._cup_nonzero(
+            c1.degree, c1.pairs, c2.degree, c2.pairs)))
 
     def _cup_nonzero(self, k1: int, left: list, k2: int, right: list) -> list:
         """The product of two classes given by their nonzero (index,
@@ -333,19 +334,16 @@ class CohomologyRing:
     def multiples(self, cls: CohClass, k: int) -> Subspace:
         """Span of cls * H^k in H^(|cls|+k), which by graded commutativity
         is also the span of H^k * cls; memoized per class and degree."""
-        key = (cls.degree, cls.coords, k)
+        key = (cls.degree, cls.pairs, k)
         hit = self._multiples.get(key)
         if hit is None:
             hit = self._multiples[key] = self.product_span(
-                cls.degree, Subspace.span(self.dim(cls.degree), [cls.coords]), k)
+                cls.degree, Subspace._spanned(self.dim(cls.degree), [cls.pairs]), k)
         return hit
 
-    def product_span(self, k1: int, sub: Subspace, k2: int,
-                     sub2: Subspace = None) -> Subspace:
-        """Span of products (subspace of H^k1) * (subspace of H^k2), the
-        second defaulting to all of H^k2; lives inside H^(k1+k2)."""
-        rights = ([[(i, ONE)] for i in range(self.dim(k2))] if sub2 is None
-                  else sub2.nonzero_columns)
+    def product_span(self, k1: int, sub: Subspace, k2: int) -> Subspace:
+        """Span of products (subspace of H^k1) * H^k2, inside H^(k1+k2)."""
+        rights = [[(i, ONE)] for i in range(self.dim(k2))]
         return Subspace._spanned(self.dim(k1 + k2), (
             self._cup_nonzero(k1, left, k2, r)
             for left in sub.nonzero_columns for r in rights))
@@ -388,15 +386,13 @@ def heaviest_chain(ring: CohomologyRing, classes: list, weights: list,
                    goal: int = None) -> tuple:
     """Heaviest nonzero product of the given classes, repeats allowed.
 
-    A class is anything with a ``degree`` and nonzero ``pairs``: a
-    :class:`CohClass`, or a :class:`SparseClass` when the classes are many
-    and sparse, as the basis columns of the zero-divisor ideal are.
-    Returns (weight, indices, product): the chain's total weight, the
-    positions in ``classes`` of its factors in ascending order, and their
-    product, a :class:`CohClass`; the empty chain weighs 0 and its product
-    is the unit.  Chains are walked depth first in ascending list order,
-    and the best chain is replaced only by a strictly heavier one, so the
-    first heaviest chain in that order is returned.  A branch is skipped
+    The search multiplies the classes' nonzero pairs and builds a
+    :class:`CohClass` only for a new best chain.  Returns (weight, indices,
+    product): the chain's total weight, the positions in ``classes`` of its
+    factors in ascending order, and their product; the empty chain weighs 0
+    and its product is the unit.  Chains are walked depth first in
+    ascending list order, and the best chain is replaced only by a strictly
+    heavier one, so the first heaviest chain in that order is returned.  A branch is skipped
     when filling every degree left up to the top nonzero degree at the
     largest weight per degree of any class cannot beat the best so far,
     and the walk stops once a chain weighs ``goal``; neither changes the
@@ -431,7 +427,7 @@ def heaviest_chain(ring: CohomologyRing, classes: list, weights: list,
             continue
         chain += (i,)
         if w > best[0]:
-            best = (w, chain, ring.class_from_pairs(d, pairs))
+            best = (w, chain, CohClass(d, ring.dim(d), tuple(pairs)))
             if goal is not None and w >= goal:
                 break
         stack.append([i, chain, d, w, pairs])
@@ -472,7 +468,7 @@ class KunnethMap:
         self._multiplication = {}
 
     def cross(self, a: CohClass, b: CohClass) -> CohClass:
-        return CohClass(a.degree + b.degree, self.pairs.coords(
+        return CohClass.from_coords(a.degree + b.degree, self.pairs.coords(
             a.degree, a.coords, b.degree, b.coords))
 
     def decompose(self, c: CohClass) -> dict:
@@ -480,7 +476,7 @@ class KunnethMap:
 
         Returns {(p, i, j): coeff} over pairs of factor basis classes.
         """
-        return {pair: v for pair, v in zip(self.pairs[c.degree], c.coords) if v}
+        return {self.pairs[c.degree][i]: v for i, v in c.pairs}
 
     def multiplication(self, k: int) -> SparseMatrix:
         """The multiplication map H^k(A (x) A) -> H^k(A), x (x) y -> x cup y,
@@ -496,4 +492,4 @@ class KunnethMap:
 
     def diagonal_map(self, c: CohClass) -> CohClass:
         """Multiplication map on a self-tensor: x (x) y -> x cup y."""
-        return CohClass(c.degree, self.multiplication(c.degree).apply(c.coords))
+        return CohClass.from_coords(c.degree, self.multiplication(c.degree).apply(c.coords))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dga import Generator, Presentation, PresentationError, normalize_presentation
+from .dga import Generator, Presentation, normalize_presentation
 from .linalg import scalar
 
 _SYMBOLS = "{}=*/+-"

@@ -84,7 +84,7 @@ def massey_triple(ring: CohomologyRing, alpha: CohClass, beta: CohClass,
     mu, lam, w = witnesses
     value = ring.class_of(w)
     indet = massey_indeterminacy(ring, alpha, gamma, q)
-    canonical = CohClass(target, indet.reduce(value.coords))
+    canonical = CohClass.from_coords(target, indet.reduce(value.coords))
     return MasseyCoset(alpha, beta, gamma, True, None, mu, lam, w,
                        value, indet, canonical)
 

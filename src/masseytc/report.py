@@ -22,7 +22,7 @@ PAYLOAD_KEYS = ("model", "cohomology", "massey", "zcl", "weights", "ledger")
 
 
 def _class_json(cls: CohClass) -> list:
-    return [cls.degree, _jsonify(tuple(cls.coords))]
+    return [cls.degree, _jsonify(cls.coords)]
 
 
 def model_section(ring: CohomologyRing) -> dict:
@@ -115,10 +115,9 @@ def massey_section(ring: CohomologyRing, cosets) -> list:
     """Entries for a scan of basis triples, labelled by their classes."""
     out = []
     for coset in cosets:
-        label = "<{}, {}, {}>".format(
-            ring.class_name(coset.alpha.degree, coset.alpha.coords.index(1)),
-            ring.class_name(coset.beta.degree, coset.beta.coords.index(1)),
-            ring.class_name(coset.gamma.degree, coset.gamma.coords.index(1)))
+        label = "<{}, {}, {}>".format(*(
+            ring.class_name(c.degree, c.pairs[0][0])
+            for c in (coset.alpha, coset.beta, coset.gamma)))
         out.append(massey_entry(coset, label))
     return out
 

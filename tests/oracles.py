@@ -144,7 +144,39 @@ def tensor_cochain(t: DGA, x: Cochain, y: Cochain) -> Cochain:
 
 
 def zero_class(ring: CohomologyRing, k: int) -> CohClass:
-    return CohClass(k, zero_vec(ring.dim(k)))
+    return CohClass.from_coords(k, zero_vec(ring.dim(k)))
+
+
+def is_canonical(cls: CohClass) -> bool:
+    """Whether a class's stored pairs are canonical: indices strictly
+    increasing below ``cls.dim``, each coefficient a nonzero rational in
+    the engine's scalar form."""
+    last = -1
+    for i, c in cls.pairs:
+        if not (type(i) is int and last < i < cls.dim) or not c or exact(c) != c \
+                or type(exact(c)) is not type(c):
+            return False
+        last = i
+    return True
+
+
+def dense_scale(coords: Vector, c) -> Vector:
+    """c times a dense coordinate vector, entry by entry."""
+    return tuple(exact(c * x) for x in coords)
+
+
+def dense_add(a: Vector, b: Vector) -> Vector:
+    """The entrywise sum of two dense coordinate vectors of one length."""
+    return tuple(exact(x + y) for x, y in zip(a, b, strict=True))
+
+
+def span_of_products(ring: CohomologyRing, k1: int, sub1: Subspace, k2: int,
+                     sub2: Subspace) -> Subspace:
+    """Span of the products (subspace of H^k1) * (subspace of H^k2) in
+    H^(k1+k2), one cup per pair of basis vectors."""
+    return Subspace._spanned(ring.dim(k1 + k2), [
+        ring.cup(CohClass(k1, sub1.ambient, a), CohClass(k2, sub2.ambient, b)).pairs
+        for a in sub1.nonzero_columns for b in sub2.nonzero_columns])
 
 
 def check_kunneth(kmap: KunnethMap) -> None:
@@ -268,7 +300,7 @@ def verify_multi_identities(ring: CohomologyRing, alpha: CohClass,
             c = rng.randint(-3, 3)
             if c:
                 coords = [x + c * y for x, y in zip(coords, v)]
-        return CohClass(degree, tuple(coords))
+        return CohClass.from_coords(degree, tuple(coords))
 
     prime = random_in(left_annihilator(ring, p, beta), p)
     base2 = massey_triple(ring, prime, beta, gamma)
@@ -338,9 +370,8 @@ def verify_internal_product(ring: CohomologyRing, alpha: CohClass,
     ind = big.indeterminacy
     report["value-match"] = (ind.contains(lhs.sub(big.value).coords)
                              or ind.contains(lhs.add(big.value).coords))
-    moved = ring.product_span(
-        base.target_degree, base.indeterminacy, extra.degree,
-        Subspace.span(ring.dim(extra.degree), [extra.coords]))
+    moved = span_of_products(ring, base.target_degree, base.indeterminacy, extra.degree,
+                             Subspace.span(ring.dim(extra.degree), [extra.coords]))
     report["indeterminacy-carried"] = ind.contains_subspace(moved)
     return report
 
@@ -368,7 +399,7 @@ def verify_external_product(kmap: KunnethMap, a1: CohClass, b1: CohClass,
     ind = big.indeterminacy
     report["value-match"] = (ind.contains(lhs.sub(big.value).coords)
                              or ind.contains(lhs.add(big.value).coords))
-    crossed = [kmap.cross(CohClass(base.target_degree, tuple(v)), prod2).coords
+    crossed = [kmap.cross(CohClass.from_coords(base.target_degree, tuple(v)), prod2).coords
                for v in base.indeterminacy.basis_vectors()]
     moved = Subspace.span(kmap.ht.dim(big.target_degree), crossed)
     report["indeterminacy-carried"] = ind.contains_subspace(moved)

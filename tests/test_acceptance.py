@@ -318,7 +318,7 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
             ring = rings[name]
             n = ring.dim(deg)
             for _ in range(34):
-                trip = [CohClass(deg, tuple(rng.randint(-3, 3)
+                trip = [CohClass.from_coords(deg, tuple(rng.randint(-3, 3)
                                             for _ in range(n)))
                         for _ in range(3)]
                 rep = verify_multi_identities(ring, *trip, rng)
@@ -393,7 +393,7 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
         one = ring.basis_class(0, 0)
 
         def h1():
-            return CohClass(1, tuple(rng.randint(-3, 3) for _ in range(3)))
+            return CohClass.from_coords(1, tuple(rng.randint(-3, 3) for _ in range(3)))
 
         for _ in range(30):
             trip = [h1() for _ in range(3)]
@@ -426,7 +426,7 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
         e7one = ring.basis_class(0, 0)
 
         def h2():
-            return CohClass(2, (rng.randint(-3, 3), rng.randint(-3, 3)))
+            return CohClass.from_coords(2, (rng.randint(-3, 3), rng.randint(-3, 3)))
 
         others = [ring.named_class("u"), ring.named_class("v"),
                   ring.named_class("alpha"), ring.named_class("beta"), e7one]

@@ -22,13 +22,13 @@ from masseytc.bounds import (
     LOWER_RULES,
     InconsistentBounds,
     WeightFact,
+    _normalize_class,
     bar,
     build_ledger,
     cat_weight_facts,
     cup_chain,
     indecomposables,
     james_upper,
-    normalize_coords,
     replay_ledger,
     rudyak_lower_bound,
     tc_weight_facts,
@@ -108,7 +108,7 @@ def test_zero_divisor_ideal_small(kunneth_of):
     assert {d: s.dim for d, s in ideal.items()} == {2: 1, 4: 1}
     # degree 2 kernel is exactly the bar
     ba = bar(km, km.ha.named_class("a"))
-    assert ideal[2].contains(normalize_coords(ba.coords))
+    assert ideal[2].contains(_normalize_class(ba).coords)
 
 
 def test_zero_divisor_ideal_dims_frozen(kunneth_of):
@@ -168,7 +168,7 @@ def test_zero_divisor_ideal_members_multiply_to_zero(kunneth_of):
         km = kunneth_of(name)
         for d, sub in zero_divisor_ideal(km).items():
             for v in sub.basis_vectors():
-                assert km.diagonal_map(CohClass(d, v)).is_zero()
+                assert km.diagonal_map(CohClass.from_coords(d, v)).is_zero()
 
 
 def test_zcl_values(kunneth_of):
@@ -227,10 +227,6 @@ def test_cup_chain_agrees_with_ring(rings):
 # ------------------------------------------------------------- fact pools
 
 
-def _normalize(cls):
-    return CohClass(cls.degree, normalize_coords(cls.coords))
-
-
 def pool_shape(facts):
     return sorted((f.cls.degree, f.weight, f.rule) for f in facts.values())
 
@@ -258,7 +254,7 @@ def test_massey_values_become_weight_two_facts(rings):
     deg5 = {f.cls.coords: f for f in facts.values() if f.cls.degree == 5}
     u = ring.named_class("u")
     v = ring.named_class("v")
-    assert set(deg5) == {normalize_coords(u.coords), normalize_coords(v.coords)}
+    assert set(deg5) == {_normalize_class(u).coords, _normalize_class(v).coords}
     for f in deg5.values():
         assert f.weight == 2 and f.rule == "R3" and f.inputs[0] == "massey"
 
@@ -270,11 +266,11 @@ def test_transfer_success_even7(rings, kunneth_of):
     ring, km = rings["even7"], kunneth_of("even7")
     facts = cat_weight_facts(ring)
     u = ring.named_class("u")
-    fact = facts[("cat", 5, normalize_coords(u.coords))]
+    fact = facts[("cat", 5, _normalize_class(u).coords)]
     moved, reason = transfer_weight(ring, km, fact, 2)
     assert reason is None
     assert moved.weight == 2 and moved.rule == "R4-transfer"
-    assert moved.cls.coords == normalize_coords(bar(km, fact.cls).coords)
+    assert moved.cls.coords == _normalize_class(bar(km, fact.cls)).coords
     assert km.diagonal_map(moved.cls).is_zero()
 
 
@@ -294,11 +290,11 @@ def test_transfer_named_failures(rings, kunneth_of):
     # two pool atoms; the pool itself keeps mu as a weight-1 basis atom
     mu = ring.named_class("mu")
     facts = cat_weight_facts(ring)
-    assert facts[("cat", 7, normalize_coords(mu.coords))].weight == 1
-    alpha, v = (facts[("cat", c.degree, normalize_coords(c.coords))]
+    assert facts[("cat", 7, _normalize_class(mu).coords)].weight == 1
+    alpha, v = (facts[("cat", c.degree, _normalize_class(c).coords)]
                 for c in (ring.named_class("alpha"), ring.named_class("v")))
-    assert _normalize(ring.cup(alpha.cls, v.cls)) == _normalize(mu)
-    fact = WeightFact("cat", _normalize(mu), alpha.weight + v.weight, "R1", ("basis",))
+    assert _normalize_class(ring.cup(alpha.cls, v.cls)) == _normalize_class(mu)
+    fact = WeightFact("cat", _normalize_class(mu), alpha.weight + v.weight, "R1", ("basis",))
     assert fact.weight == 3
     moved, reason = transfer_weight(ring, km, fact, 3)
     assert moved is None and "H^2 * H^5" in reason
@@ -393,7 +389,7 @@ def chain_search_oracle(ring, ideal, k):
     atoms = []
     for d in sorted(ideal):
         for v in ideal[d].basis_vectors():
-            atoms.append(CohClass(d, v))
+            atoms.append(CohClass.from_coords(d, v))
     if k == 0:
         return (), ring.basis_class(0, 0)
     mind = min(a.degree for a in atoms)
@@ -458,7 +454,7 @@ def _assert_searches_match_the_oracles(ring, km):
     assert zero_divisors_cup_length(km) == (zk, chain, prod)
     # the routine itself on the ideal's basis: stopping at the goal, or not,
     # returns the same first longest chain
-    basis = [CohClass(d, v) for d in sorted(ideal) for v in ideal[d].basis_vectors()]
+    basis = [CohClass.from_coords(d, v) for d in sorted(ideal) for v in ideal[d].basis_vectors()]
     for goal in (None, zk):
         w, picked, p = heaviest_chain(ht, basis, [1] * len(basis), goal=goal)
         assert (w, tuple(basis[i] for i in picked), p) == (zk, chain, prod)
@@ -514,9 +510,9 @@ def test_full_product_spans_are_computed_once_per_ring(dgas, monkeypatch):
     spans = []
     product_span = CohomologyRing.product_span
 
-    def recorded(self, k1, sub, k2, sub2=None):
+    def recorded(self, k1, sub, k2):
         spans.append((k1, k2))
-        return product_span(self, k1, sub, k2, sub2)
+        return product_span(self, k1, sub, k2)
 
     monkeypatch.setattr(CohomologyRing, "product_span", recorded)
     ring = CohomologyRing(dgas["even7"])
@@ -538,10 +534,10 @@ def test_indeterminacy_spans_are_computed_once_per_ring(dgas, monkeypatch, name)
     product_span = CohomologyRing.product_span
     indeterminacy = masseytc.massey.massey_indeterminacy
 
-    def recorded(self, k1, sub, k2, sub2=None):
+    def recorded(self, k1, sub, k2):
         if inside:
-            spans.append((id(self), k1, sub.basis, k2, sub2 and sub2.basis))
-        return product_span(self, k1, sub, k2, sub2)
+            spans.append((id(self), k1, sub.basis, k2))
+        return product_span(self, k1, sub, k2)
 
     def traced(*args):
         inside.append(True)
@@ -926,13 +922,22 @@ def _edit_first_tc_fact(edit):
         led, tc_facts=(edit(led.tc_facts[0]),) + led.tc_facts[1:])
 
 
+def _scaled_uncited_basis_fact(led):
+    """The ledger with its first R1 cat fact that no certificate cites
+    tripled, so its class is no longer normalized."""
+    cited = {key for c in led.certificates for key in c.get("factors", ())}
+    hit = next(f for f in led.cat_facts if f.rule == "R1" and f.key not in cited)
+    return dataclasses.replace(led, cat_facts=tuple(
+        dataclasses.replace(f, cls=f.cls.scale(3)) if f is hit else f for f in led.cat_facts))
+
+
 @pytest.mark.parametrize("forge, reason", [
     pytest.param(_edit_certs("zcl-chain", lambda c: {
         **c, "chain": tuple((d, coords[:-1]) for d, coords in c["chain"])}),
         "factor 0 of the zcl-chain certificate is not a class",
         id="zcl-factors-drop-a-coordinate"),
     pytest.param(_edit_first_tc_fact(lambda f: dataclasses.replace(
-        f, cls=CohClass(99, f.cls.coords))),
+        f, cls=CohClass.from_coords(99, f.cls.coords))),
         r"the class of fact \('tc', 99, .* is not a class of degree 1\.\.4",
         id="tc-fact-at-degree-99"),
     pytest.param(_edit_certs("cup-chain", lambda c: {
@@ -963,6 +968,23 @@ def _edit_first_tc_fact(edit):
     # borromean has no james certificate, whose replay checked connectivity
     pytest.param(lambda led: dataclasses.replace(led, connectivity=1),
                  "connectivity changed under replay", id="connectivity-forged"),
+    # malformed pools: the first fell over with a stray TypeError, the
+    # next four replayed as valid
+    pytest.param(_edit_first_tc_fact(lambda f: dataclasses.replace(f, inputs=5)),
+                 "failed replay: evidence 5 is not a tuple", id="evidence-given-as-5"),
+    pytest.param(lambda led: dataclasses.replace(
+        led, cat_facts=led.cat_facts[1:], tc_facts=led.tc_facts + led.cat_facts[:1]),
+        "failed replay: a cat fact sits in the tc pool", id="cat-fact-in-the-tc-pool"),
+    pytest.param(lambda led: dataclasses.replace(led, tc_facts=led.tc_facts + led.tc_facts[-1:]),
+                 "fact .* is listed twice in the tc pool", id="fact-listed-twice"),
+    pytest.param(lambda led: dataclasses.replace(led, tc_facts=led.tc_facts[::-1]),
+                 "the tc pool is not sorted by key", id="pool-in-reverse-order"),
+    pytest.param(_scaled_uncited_basis_fact, "failed replay: class is not stored normalized",
+                 id="uncited-basis-fact-tripled"),
+    pytest.param(_edit_first_tc_fact(lambda f: dataclasses.replace(
+        f, cls=CohClass(f.cls.degree, f.cls.dim, f.cls.pairs[::-1]))),
+        "failed replay: class is not stored normalized, as canonical pairs",
+        id="pairs-out-of-order"),
 ])
 def test_replay_names_malformed_class_records(rings, kunneth_of, ledger_of, forge, reason):
     # each of these replayed as valid or fell over with a stray

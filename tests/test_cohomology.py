@@ -26,7 +26,7 @@ from masseytc.cli import main
 from masseytc.dga import Cochain, Generator, compile_cdga, normalize_presentation
 from masseytc.dsl import parse_model
 from masseytc.linalg import Subspace, rank
-from oracles import check_kunneth, tensor_cochain, zero_class
+from oracles import check_kunneth, span_of_products, tensor_cochain, zero_class
 from test_cli import STRESS_NIL_SRC
 
 
@@ -471,7 +471,7 @@ def ideal_powers_length(ring, ideal):
                 d = d1 + d2
                 if d > ring.truncation:
                     continue
-                prod = ring.product_span(d1, sub, d2, ideal[d2])
+                prod = span_of_products(ring, d1, sub, d2, ideal[d2])
                 if prod.dim:
                     acc = nxt.get(d)
                     nxt[d] = prod if acc is None else acc.add(prod)

@@ -194,9 +194,9 @@ def test_multi_identities_randomized(rings):
         n = r.dim(deg)
         for _ in range(12):
             coords = lambda: tuple(rng.randint(-3, 3) for _ in range(n))
-            alpha = CohClass(deg, coords())
-            beta = CohClass(deg, coords())
-            gamma = CohClass(deg, coords())
+            alpha = CohClass.from_coords(deg, coords())
+            beta = CohClass.from_coords(deg, coords())
+            gamma = CohClass.from_coords(deg, coords())
             # every pairwise product in these degrees vanishes, so defined
             rep = verify_multi_identities(r, alpha, beta, gamma, rng)
             assert all(rep.values()), (name, rep)
@@ -227,7 +227,7 @@ def test_external_vanishing_randomized(rings, kunneth_of):
     one = r.basis_class(0, 0)
 
     def h1():
-        return CohClass(1, tuple(rng.randint(-3, 3) for _ in range(3)))
+        return CohClass.from_coords(1, tuple(rng.randint(-3, 3) for _ in range(3)))
 
     for _ in range(40):
         if rng.random() < 0.5:

@@ -2,8 +2,10 @@
 ``Fraction`` only when it has a denominator, never a float or a bool.
 
 Checks the rule on everything a ring, its square and a ledger keep (the
-Massey scan and the zcl product included), the JSON form of coordinates,
-and that no float division is left in the engine.
+Massey scan and the zcl product included), and that every class kept
+there stores its pairs in canonical form; the JSON form of coordinates;
+and, on the engine's source, that no float division is left and no
+import is unused.
 """
 
 import ast
@@ -20,6 +22,7 @@ from masseytc.dsl import parse_model
 from masseytc.linalg import SparseMatrix, Subspace, inverse, scalar
 from masseytc.massey import MasseyCoset
 from masseytc.models import MODEL_SOURCES
+from oracles import is_canonical
 from test_cli import STRESS_NIL_SRC
 
 
@@ -27,28 +30,32 @@ def is_scalar(x) -> bool:
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
-def numbers(x):
-    """Every number held in x, through the engine's containers."""
+def numbers(x, classes: list):
+    """Every number held in x, through the engine's containers; each class
+    met on the way is appended to ``classes``."""
     if isinstance(x, (tuple, list)):
         for v in x:
-            yield from numbers(v)
+            yield from numbers(v, classes)
     elif isinstance(x, dict):
         for k, v in x.items():
-            yield from numbers(k)
-            yield from numbers(v)
+            yield from numbers(k, classes)
+            yield from numbers(v, classes)
     elif isinstance(x, SparseMatrix):
-        yield from numbers(x.nonzero_columns)
+        yield from numbers(x.nonzero_columns, classes)
     elif isinstance(x, Subspace):
-        yield from numbers((x.basis, x.pivots))
+        yield from numbers((x.basis, x.pivots), classes)
     elif isinstance(x, DegreePart):
-        yield from numbers((x.cocycles, x.boundaries, x.reps))
-    elif isinstance(x, (CohClass, Cochain)):
-        yield from numbers((x.degree, x.coords))
+        yield from numbers((x.cocycles, x.boundaries, x.reps), classes)
+    elif isinstance(x, CohClass):
+        classes.append(x)
+        yield from numbers((x.degree, x.dim, x.pairs), classes)
+    elif isinstance(x, Cochain):
+        yield from numbers((x.degree, x.coords), classes)
     elif isinstance(x, MasseyCoset):  # all but the defined flag, a bool
         yield from numbers((x.alpha, x.beta, x.gamma, x.mu, x.lam, x.value_cochain,
-                            x.value, x.indeterminacy, x.canonical))
+                            x.value, x.indeterminacy, x.canonical), classes)
     elif isinstance(x, WeightFact):
-        yield from numbers((x.cls, x.weight, x.inputs))
+        yield from numbers((x.cls, x.weight, x.inputs), classes)
     elif not (isinstance(x, str) or x is None):
         yield x
 
@@ -63,7 +70,8 @@ def dga_tables(dga) -> list:
 
 def ring_tables(ring) -> list:
     solvers = [(s.image, s._preimages) for s in ring._solvers.values()]
-    return [ring._parts, ring._cup_memo, solvers]
+    return [ring._parts, ring._cup_memo, solvers, ring._named, ring._cup_chain,
+            ring._multiples]
 
 
 @pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress"])
@@ -80,10 +88,14 @@ def test_every_kept_value_is_an_int_or_a_proper_fraction(name):
             + ring_tables(kmap.ht)
             + [ledger.cat_facts, ledger.tc_facts, ledger.certificates,
                ledger.massey_cosets, ledger.zcl_product])
-    values = list(numbers(kept))
+    classes = []
+    values = list(numbers(kept, classes))
     bad = [v for v in values if not is_scalar(v)]
     assert not bad, f"{len(bad)} values break the rule, e.g. {bad[:3]!r}"
     assert len(values) > 500
+    bad = [c for c in classes if not is_canonical(c)]
+    assert not bad, f"{len(bad)} classes are not canonical, e.g. {bad[:3]!r}"
+    assert len(classes) > 30
     if name == "stress":  # its differentials have coefficients such as 3/2
         assert sum(type(v) is Fraction for v in values) > 500
 
@@ -112,7 +124,7 @@ def test_jsonify_writes_coordinates_as_strings_and_keeps_numbers():
         "product": [6, ["2", "0", "1/3"]]}
     witness = ((2, (1, -2)), (3, (Fraction(2, 3),)))
     assert _jsonify(witness) == [[2, ["1", "-2"]], [3, ["2/3"]]]
-    fact = WeightFact("tc", CohClass(3, (1, Fraction(3, 2))), 2, "R4-transfer",
+    fact = WeightFact("tc", CohClass.from_coords(3, (1, Fraction(3, 2))), 2, "R4-transfer",
                       ("transfer", ("cat", 3, (2, 0)), 2))
     assert _fact_dict(fact) == {
         "kind": "tc", "degree": 3, "coords": ["1", "3/2"], "weight": 2,
@@ -160,3 +172,30 @@ def test_bounds_and_massey_call_no_kernel():
     assert kernel_calls(ast.parse("kernel(m) + linalg.kernel(m)")) == [1, 1]
     assert {name: kernel_calls(ast.parse((src / name).read_text()))
             for name in ("bounds.py", "massey.py")} == {"bounds.py": [], "massey.py": []}
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of every name a module imports and never reads; an
+    import marked ``noqa: F401`` is kept on purpose and skipped."""
+    tree, lines = ast.parse(source), source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or any("noqa: F401" in line
+                       for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_engine_imports_only_what_it_reads():
+    assert unused_imports("import os.path\nfrom a import b, c as d  # noqa: F401\n"
+                          "from e import (f,\n  g)\nprint(g, os)\n") == [(3, "f")]
+    src = Path(masseytc.__file__).parent
+    found = {path.name: unused_imports(path.read_text()) for path in sorted(src.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}

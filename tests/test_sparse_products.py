@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 
 from masseytc.bounds import (
+    _normalize_class,
     cat_weight_facts,
-    normalize_coords,
     tc_weight_facts,
     weighted_lower_bound,
     zero_divisor_ideal,
@@ -23,7 +23,8 @@ from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap
 from masseytc.dga import compile_cdga
 from masseytc.dsl import parse_model
 from masseytc.linalg import ONE, ZERO, Subspace, kernel, zero_vec
-from oracles import from_columns, left_annihilator, right_annihilator, zero_class
+from oracles import (dense_add, dense_scale, from_columns, is_canonical, left_annihilator,
+                     right_annihilator, zero_class)
 from test_cli import STRESS_NIL_SRC
 
 GOLDEN = ["spheres8", "borromean", "even7", "odd11"]
@@ -67,7 +68,7 @@ def dense_cup_nonzero(ring, k1, left, k2, right):
 
 
 def dense_cup(ring, c1, c2):
-    return CohClass(c1.degree + c2.degree, dense_cup_nonzero(
+    return CohClass.from_coords(c1.degree + c2.degree, dense_cup_nonzero(
         ring, c1.degree, _pairs(c1.coords), c2.degree, _pairs(c2.coords)))
 
 
@@ -106,7 +107,7 @@ def random_class(ring, rng, k):
     # about half the coordinates are zero, so leading zeros are common
     coords = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                    if rng.random() < 0.5 else ZERO for _ in range(ring.dim(k)))
-    return CohClass(k, coords)
+    return CohClass.from_coords(k, coords)
 
 
 def _degrees(ring):
@@ -142,7 +143,7 @@ def test_products_match_the_dense_oracle(rings, kunneth_of, stress_square, name)
                                                for _ in range(2)])
             span = ring.product_span(k1, sub, k2)
             assert span == Subspace.span(ring.dim(k1 + k2), [
-                dense_cup(ring, CohClass(k1, v), ring.basis_class(k2, j)).coords
+                dense_cup(ring, CohClass.from_coords(k1, v), ring.basis_class(k2, j)).coords
                 for v in sub.basis_vectors() for j in range(ring.dim(k2))])
 
 
@@ -170,7 +171,7 @@ def test_multiplication_map_matches_the_dense_oracle(kunneth_of, stress_square, 
     assert zero_divisor_ideal(km) == dense_zero_divisor_ideal(km)
 
 
-def test_normalize_coords_matches_plain_scaling():
+def test_normalize_class_matches_plain_scaling():
     rng = random.Random(4711)
     vectors = [(), (ZERO,), (ZERO,) * 5, (Fraction(0),) * 3,
                (ZERO, ZERO, Fraction(-2, 3), ZERO, Fraction(5)),
@@ -184,7 +185,7 @@ def test_normalize_coords_matches_plain_scaling():
             for i in range(n)))
     leading_zeros = all_zero = 0
     for v in vectors:
-        got = normalize_coords(v)
+        got = _normalize_class(CohClass.from_coords(1, v)).coords
         first = next((c for c in v if c), None)
         if first is None:
             assert got == tuple(v)
@@ -225,3 +226,33 @@ def test_zcl_and_weighted_searches_form_no_dense_products(
     assert calls == ["cup"]  # the wrapper is live
     assert zk >= 1 and wcat >= 1 and wtc >= zk
     assert not (zprod.is_zero() or cat_prod.is_zero() or tc_prod.is_zero())
+
+
+def test_class_arithmetic_matches_dense_coordinates():
+    rng = random.Random(1907)
+
+    def coefficient():
+        # zeros, ints, proper fractions and integral Fractions such as 4/2
+        return rng.choice([ZERO, ZERO, rng.randint(-3, 3),
+                           Fraction(rng.randint(-6, 6), rng.randint(1, 3))])
+
+    checked = equal = 0
+    for _ in range(400):
+        k, n = rng.randint(0, 4), rng.randint(0, 6)
+        a, b = (CohClass.from_coords(k, [coefficient() for _ in range(n)]) for _ in range(2))
+        c = coefficient()
+        for cls, want in [(a, a.coords), (a.scale(c), dense_scale(a.coords, c)),
+                          (a.add(b), dense_add(a.coords, b.coords)),
+                          (a.sub(b), dense_add(a.coords, dense_scale(b.coords, -1)))]:
+            assert is_canonical(cls) and (cls.degree, cls.dim) == (k, n)
+            assert cls.coords == want and all(x is ZERO for x in cls.coords if not x)
+            assert cls.is_zero() == (not any(want))
+            checked += 1
+        twin = CohClass.from_coords(k, [Fraction(x) * 2 / 2 for x in a.coords])
+        assert twin == a and hash(twin) == hash(a)
+        assert (a == b) == (a.coords == b.coords)
+        assert a.sub(a).is_zero() and a.add(b) == b.add(a)
+        equal += a == b
+    assert checked == 1600 and equal >= 50
+    with pytest.raises(ValueError, match="degree mismatch"):
+        CohClass.from_coords(1, (1,)).add(CohClass.from_coords(2, (1,)))
