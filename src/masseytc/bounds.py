@@ -526,6 +526,12 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         value = getattr(ledger, name)
         if type(value) is not int:
             raise ValueError(f"the ledger gives {name} as {value!r}, not an integer")
+    for f in ledger.cat_facts + ledger.tc_facts:  # a key holds both, so check them first
+        if f.kind not in ("cat", "tc"):
+            raise ValueError(f"a fact has kind {f.kind!r}, not 'cat' or 'tc'")
+        if type(f.cls) is not CohClass:
+            raise ValueError(f"a {f.kind} fact holds its class as a {type(f.cls).__name__}, "
+                             "not a CohClass")
     fact_by_key = {f.key: f for f in ledger.cat_facts + ledger.tc_facts}
 
     def fact_at(key):

@@ -25,10 +25,12 @@ by the Koszul rule of :class:`masseytc.dga.PairBasis`, shared with the
 cochain square.
 Cup products, cup length, the Kunneth map and zero-divisor computations
 all extend that one table bilinearly, on nonzero pairs only.  A
-:class:`CohClass` stores its nonzero pairs too, so a product is formed
-from its factors' pairs and kept as pairs; dense coordinates are built
-only where a caller indexes them: a fact key, a payload, a coset
-reduction.
+:class:`CohClass`, like a cochain, is a
+:class:`~masseytc.linalg.GradedVector` that stores its nonzero pairs, so
+a product is formed from its factors' pairs and kept as pairs, and so are
+representatives, ``class_of`` readouts, boundary solves and cross
+products.  Dense coordinates are built only where a caller reads
+``coords``: the fact keys and the payload.
 
 Cup length, zcl and the weighted cat/TC bounds are all the heaviest
 nonzero product of chosen classes, found by one search,
@@ -48,55 +50,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .dga import DGA, Cochain, PairBasis, tensor
-from .linalg import ONE, ZERO, PrefactoredSolver, SparseMatrix, Subspace, kernel, scalar, zero_vec
+from .linalg import (ONE, GradedVector, PrefactoredSolver, SparseMatrix, Subspace, bilinear,
+                     kernel)
 
 
-@dataclass(frozen=True)
-class CohClass:
-    """A class of H^k: its degree, ``dim`` = dim H^k and its nonzero
-    (index, coefficient) pairs over the canonical basis, indices strictly
-    increasing and each coefficient a :func:`~masseytc.linalg.scalar`, so
-    that equal classes are equal records; ``coords`` is derived from them."""
-
-    degree: int
-    dim: int
-    pairs: tuple
-
-    @classmethod
-    def from_coords(cls, degree: int, coords) -> "CohClass":
-        """The class with these dense coordinates over the basis of H^degree."""
-        return cls(degree, len(coords), tuple((i, scalar(c)) for i, c in enumerate(coords) if c))
-
-    @cached_property
-    def coords(self) -> tuple:
-        """The dense coordinates, one per basis class of H^degree."""
-        out = [ZERO] * self.dim
-        for i, c in self.pairs:
-            out[i] = c
-        return tuple(out)
-
-    def is_zero(self) -> bool:
-        return not self.pairs
-
-    def scale(self, c) -> "CohClass":
-        c = scalar(c)
-        return CohClass(self.degree, self.dim,
-                        tuple((i, scalar(c * x)) for i, x in self.pairs) if c else ())
-
-    def add(self, other: "CohClass") -> "CohClass":
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
-        out = dict(self.pairs)
-        for i, c in other.pairs:
-            out[i] = out.get(i, ZERO) + c
-        return CohClass(self.degree, self.dim,
-                        tuple(sorted((i, scalar(c)) for i, c in out.items() if c)))
-
-    def sub(self, other: "CohClass") -> "CohClass":
-        return self.add(other.scale(-1))
+class CohClass(GradedVector):
+    """A class of H^k: ``dim`` = dim H^k and its nonzero (index,
+    coefficient) pairs over the canonical basis (see
+    :class:`~masseytc.linalg.GradedVector`)."""
 
 
 @dataclass(frozen=True)
@@ -149,7 +112,7 @@ class CohomologyRing:
             b = self._solver(k - 1).image if k > 0 else Subspace.zero(dga.dim(0))
             if not z.contains_subspace(b):
                 raise ValueError(f"boundaries escape cocycles in degree {k}; d^2 != 0?")
-            reps = Subspace.span(dga.dim(k), [b.reduce(v) for v in z.basis_vectors()])
+            reps = Subspace._spanned(dga.dim(k), map(b.reduce_pairs, z.nonzero_columns))
             hit = self._parts[k] = DegreePart(z, b, reps)
         return hit
 
@@ -189,14 +152,10 @@ class CohomologyRing:
                 for i in range(self.dim(k))]
 
     def representative(self, cls: CohClass) -> Cochain:
-        if not (0 <= cls.degree <= self.truncation):
-            return Cochain(cls.degree, ())
-        out = list(zero_vec(self.dga.dim(cls.degree)))
-        cols = self.part(cls.degree).reps.nonzero_columns
-        for i, c in cls.pairs:
-            for j, x in cols[i]:
-                out[j] += c * x
-        return Cochain(cls.degree, tuple([scalar(x) for x in out]))
+        k = cls.degree
+        if not (0 <= k <= self.truncation):
+            return Cochain(k, 0, ())
+        return Cochain(k, self.dga.dim(k), self.part(k).reps.basis.apply(cls.pairs))
 
     def class_of(self, x: Cochain) -> CohClass:
         k = x.degree
@@ -207,21 +166,23 @@ class CohomologyRing:
             raise ValueError(
                 f"not a cocycle: d({self.dga.render(x)}) = {self.dga.render(dx)}")
         part = self.part(k)
-        coords = part.reps.coordinates_of(part.boundaries.reduce(x.coords))
-        if coords is None:
+        pairs = part.reps.coordinates_of(part.boundaries.reduce_pairs(x.pairs))
+        if pairs is None:
             raise ValueError(f"reduced cocycle escaped the class basis in degree {k}")
-        return CohClass.from_coords(k, coords)
+        return CohClass(k, self.dim(k), pairs)
 
-    def solve_boundary(self, k: int, coords) -> "tuple | None":
-        """Canonical cochain in degree k whose differential has the given
-        degree-(k+1) coordinates, or None when the target is not a boundary.
+    def solve_boundary(self, x: Cochain) -> "Cochain | None":
+        """The canonical cochain whose differential is x, or None when x is
+        not a boundary.
 
         Solves read the elimination of d_k that also gave the cocycles, so
         repeated Massey-style witness solves cost one reduction each.
         """
+        k = x.degree - 1
         if not (0 <= k <= self.truncation):
             return None
-        return self._solver(k).solve(coords)
+        pairs = self._solver(k).solve(x.pairs)
+        return None if pairs is None else Cochain(k, self.dga.dim(k), pairs)
 
     def class_name(self, k: int, i: int) -> str:
         """The basis class e_i of H^k as its rendered representative, such
@@ -284,8 +245,9 @@ class CohomologyRing:
         if self.dim(deg) == 0:
             entry = ()
         elif self.factors is None:
-            prod = self.dga.mul(Cochain(k1, self.part(k1).reps.basis_vectors()[i1]),
-                                Cochain(k2, self.part(k2).reps.basis_vectors()[i2]))
+            prod = self.dga.mul(
+                Cochain(k1, self.dga.dim(k1), self.part(k1).reps.nonzero_columns[i1]),
+                Cochain(k2, self.dga.dim(k2), self.part(k2).reps.nonzero_columns[i2]))
             entry = self.class_of(prod).pairs
         else:
             entry = self.pairs.product(k1, i1, k2, i2, self.factors[0].cup_basis,
@@ -295,20 +257,15 @@ class CohomologyRing:
 
     def cup(self, c1: CohClass, c2: CohClass) -> CohClass:
         k = c1.degree + c2.degree
-        return CohClass(k, self.dim(k), tuple(self._cup_nonzero(
-            c1.degree, c1.pairs, c2.degree, c2.pairs)))
+        return CohClass(k, self.dim(k), self._cup_nonzero(
+            c1.degree, c1.pairs, c2.degree, c2.pairs))
 
-    def _cup_nonzero(self, k1: int, left: list, k2: int, right: list) -> list:
+    def _cup_nonzero(self, k1: int, left: tuple, k2: int, right: tuple) -> tuple:
         """The product of two classes given by their nonzero (index,
         coefficient) pairs, as its own nonzero pairs in index order."""
-        out = {}
-        if self.dim(k1 + k2):
-            for i1, a in left:
-                for i2, b in right:
-                    ab = a * b
-                    for idx, v in self.cup_basis(k1, i1, k2, i2):
-                        out[idx] = out.get(idx, ZERO) + ab * v
-        return sorted((idx, scalar(v)) for idx, v in out.items() if v)
+        if not self.dim(k1 + k2):
+            return ()
+        return bilinear(k1, left, k2, right, self.cup_basis)
 
     def cup_checked(self, c1: CohClass, c2: CohClass):
         """(product, truncated): the flag marks products the truncation hides.
@@ -427,7 +384,7 @@ def heaviest_chain(ring: CohomologyRing, classes: list, weights: list,
             continue
         chain += (i,)
         if w > best[0]:
-            best = (w, chain, CohClass(d, ring.dim(d), tuple(pairs)))
+            best = (w, chain, CohClass(d, ring.dim(d), pairs))
             if goal is not None and w >= goal:
                 break
         stack.append([i, chain, d, w, pairs])
@@ -468,8 +425,8 @@ class KunnethMap:
         self._multiplication = {}
 
     def cross(self, a: CohClass, b: CohClass) -> CohClass:
-        return CohClass.from_coords(a.degree + b.degree, self.pairs.coords(
-            a.degree, a.coords, b.degree, b.coords))
+        k = a.degree + b.degree
+        return CohClass(k, self.ht.dim(k), self.pairs.cross(a.degree, a.pairs, b.degree, b.pairs))
 
     def decompose(self, c: CohClass) -> dict:
         """Write a class of the tensor model as sum of cross products.
@@ -492,4 +449,5 @@ class KunnethMap:
 
     def diagonal_map(self, c: CohClass) -> CohClass:
         """Multiplication map on a self-tensor: x (x) y -> x cup y."""
-        return CohClass.from_coords(c.degree, self.multiplication(c.degree).apply(c.coords))
+        m = self.multiplication(c.degree)
+        return CohClass(c.degree, m.rows, m.apply(c.pairs))

@@ -14,6 +14,11 @@ a degree, monomials are listed in descending lexicographic order of their
 exponent tuples, so e.g. the degree-8 basis of a model with generators
 a3, b3, z5 reads (a*z, b*z).  Signs are pure Koszul: reordering x past y
 costs (-1)^{|x||y|}.
+
+A :class:`Cochain` is a :class:`~masseytc.linalg.GradedVector`: its degree,
+the dimension of that degree and its nonzero (index, coefficient) pairs.
+Products, differentials, rendering and cochains of polynomials all read
+and return those pairs; ``DGA.cochain`` builds one from dense coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .linalg import ONE, ZERO, SparseMatrix, scalar, zero_vec
+from .linalg import ONE, ZERO, GradedVector, SparseMatrix, bilinear, scalar
 
 Monomial = tuple  # exponent tuple over the canonical generator order
 Polynomial = dict  # Monomial -> scalar (see linalg.scalar), no zero values
@@ -126,26 +131,10 @@ def mono_name(m: Monomial, names: Sequence[str]) -> str:
 # ---------------------------------------------------------------- the DGA
 
 
-@dataclass(frozen=True)
-class Cochain:
-    degree: int
-    coords: tuple  # scalars (see linalg.scalar) over the basis of that degree
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def scale(self, c) -> "Cochain":
-        c = scalar(c)
-        return Cochain(self.degree, tuple(scalar(c * x) for x in self.coords))
-
-    def add(self, other: "Cochain") -> "Cochain":
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
-        return Cochain(self.degree, tuple(scalar(a + b)
-                                          for a, b in zip(self.coords, other.coords)))
-
-    def sub(self, other: "Cochain") -> "Cochain":
-        return self.add(other.scale(-1))
+class Cochain(GradedVector):
+    """A cochain of degree k: ``dim`` = dim C^k and its nonzero (index,
+    coefficient) pairs over the basis of C^k (see
+    :class:`~masseytc.linalg.GradedVector`)."""
 
 
 @dataclass(frozen=True)
@@ -192,51 +181,39 @@ class DGA:
         return sum(len(b) for b in self.basis)
 
     def zero_cochain(self, degree: int) -> Cochain:
-        return Cochain(degree, zero_vec(self.dim(degree)))
+        return Cochain(degree, self.dim(degree), ())
 
     def cochain(self, degree: int, coords: Iterable) -> Cochain:
-        coords = tuple([scalar(c) for c in coords])
+        """The cochain with these dense coordinates."""
+        coords = tuple(coords)
         if len(coords) != self.dim(degree):
             raise ValueError(
                 f"degree {degree} has dimension {self.dim(degree)}, got {len(coords)} coordinates")
-        return Cochain(degree, coords)
+        return Cochain.from_coords(degree, coords)
 
     def basis_cochain(self, degree: int, idx: int) -> Cochain:
-        coords = [ZERO] * self.dim(degree)
-        coords[idx] = ONE
-        return Cochain(degree, tuple(coords))
+        if not 0 <= idx < self.dim(degree):
+            raise IndexError(f"degree {degree} has no basis element {idx}")
+        return Cochain(degree, self.dim(degree), ((idx, ONE),))
 
     def unit(self) -> Cochain:
         if self.dim(0) != 1:
             raise ValueError("degree 0 is not one-dimensional")
-        return Cochain(0, (ONE,))
+        return Cochain(0, 1, ((0, ONE),))
 
     def mul(self, x: Cochain, y: Cochain) -> Cochain:
         """Product of two cochains; zero above the truncation degree."""
         deg = x.degree + y.degree
         n = self.dim(deg)
-        if n == 0:
-            return Cochain(deg, ())
-        out = [ZERO] * n
-        mult = self.mult
-        for i1, c1 in enumerate(x.coords):
-            if not c1:
-                continue
-            for i2, c2 in enumerate(y.coords):
-                if not c2:
-                    continue
-                entry = mult.get((x.degree, i1, y.degree, i2))
-                if entry:
-                    cc = c1 * c2
-                    for idx, s in entry:
-                        out[idx] += cc * s
-        return Cochain(deg, tuple([scalar(x) for x in out]))
+        get = self.mult.get
+        return Cochain(deg, n, bilinear(x.degree, x.pairs, y.degree, y.pairs,
+                                        lambda *key: get(key)) if n else ())
 
     def d(self, x: Cochain) -> Cochain:
         k = x.degree
         if not (0 <= k <= self.truncation):
-            return Cochain(k + 1, ())
-        return Cochain(k + 1, self.diff[k].apply(x.coords))
+            return Cochain(k + 1, 0, ())
+        return Cochain(k + 1, self.dim(k + 1), self.diff[k].apply(x.pairs))
 
     def cochain_from_poly(self, poly: Polynomial) -> Cochain:
         """Cochain of a homogeneous polynomial (compiled models only)."""
@@ -250,20 +227,16 @@ class DGA:
         if len(degs) > 1:
             raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degs)}")
         k = degs.pop()
-        coords = [ZERO] * self.dim(k)
-        if k <= self.truncation:
-            index = {m: i for i, m in enumerate(self.monomials[k])}
-            for m, c in poly.items():
-                coords[index[m]] = c
-        return Cochain(k, tuple(coords))
+        if k > self.truncation:
+            return Cochain(k, 0, ())
+        index = {m: i for i, m in enumerate(self.monomials[k])}
+        return Cochain(k, self.dim(k), tuple(sorted((index[m], c) for m, c in poly.items())))
 
     def render(self, x: Cochain) -> str:
         """Human-readable form of a cochain over the named basis."""
         parts = []
-        names = self.basis[x.degree] if 0 <= x.degree <= self.truncation else ()
-        for name, c in zip(names, x.coords):
-            if not c:
-                continue
+        for i, c in x.pairs:
+            name = self.basis[x.degree][i]
             if c == 1:
                 parts.append(f"+ {name}" if parts else name)
             elif c == -1:
@@ -567,7 +540,9 @@ class PairBasis(tuple):
     then j, and ``index[k]`` maps a pair to its position.  The one home of
     this layout, of the Koszul product rule and of x (x) y: the cochain
     square (:func:`tensor`) and the cohomology square
-    (``CohomologyRing(dga, factors)``) both read them from here."""
+    (``CohomologyRing(dga, factors)``) both read them from here.  Factor
+    entries come as sorted pairs, and positions follow (p, i, j), so a
+    product or a cross product comes out sorted as it is formed."""
 
     def __new__(cls, n: int, dim_a, dim_b):
         self = super().__new__(cls, (
@@ -578,7 +553,7 @@ class PairBasis(tuple):
         return self
 
     def product(self, n1: int, i1: int, n2: int, i2: int, left, right) -> tuple:
-        """Pair i1 of degree n1 times pair i2 of degree n2 as sorted (index,
+        """Pair i1 of degree n1 times pair i2 of degree n2 as (index,
         coefficient) pairs, () for zero, by
         (x1 (x) y1)(x2 (x) y2) = (-1)^{|y1||x2|} x1 x2 (x) y1 y2, where
         ``left(p1, a1, p2, a2)`` and ``right(q1, b1, q2, b2)`` give the
@@ -592,21 +567,16 @@ class PairBasis(tuple):
         if not ys:
             return ()
         index, odd = self.index[n1 + n2], (q1 * p2) % 2
-        return tuple(sorted((index[(p1 + p2, ia, jb)], scalar(-ca * cb if odd else ca * cb))
-                            for ia, ca in xs for jb, cb in ys))
+        return tuple((index[(p1 + p2, ia, jb)], scalar(-ca * cb if odd else ca * cb))
+                     for ia, ca in xs for jb, cb in ys)
 
-    def coords(self, p: int, xs, q: int, ys) -> tuple:
-        """Coordinates of x (x) y for x of degree p and y of degree q, given
-        by their coordinates in the factors; () above the top degree."""
+    def cross(self, p: int, xs, q: int, ys) -> tuple:
+        """The pairs of x (x) y for x of degree p and y of degree q, given by
+        their pairs in the factors; () above the top degree."""
         if p + q >= len(self):
             return ()
-        index, out = self.index[p + q], [ZERO] * len(self[p + q])
-        right = [(j, y) for j, y in enumerate(ys) if y]
-        for i, x in enumerate(xs):
-            if x:
-                for j, y in right:
-                    out[index[(p, i, j)]] = scalar(x * y)
-        return tuple(out)
+        index = self.index[p + q]
+        return tuple((index[(p, i, j)], scalar(x * y)) for i, x in xs for j, y in ys)
 
 
 class _LazyProducts(Mapping):

@@ -2,9 +2,16 @@
 
 A coefficient is a scalar (see :func:`scalar`): an ``int`` when it is
 integral and a ``Fraction`` only when it has a denominator, never a float
-or a bool, so most arithmetic stays on Python ints.  Vectors are tuples of
-scalars; a matrix is immutable and holds its nonzero columns, the form the
-elimination reads and returns.  Everything is deterministic: a subspace is
+or a bool, so most arithmetic stays on Python ints.  A vector is held as
+its nonzero (index, value) pairs in increasing index order, and a
+:class:`GradedVector` (a cochain, a cohomology class) adds its degree and
+dimension; a matrix is immutable and holds its nonzero columns in that
+form, which the elimination reads and returns.  The product of a matrix
+with a vector, the coset reduction and the solves read and return pairs.
+The dense forms (``Subspace.span``, ``reduce``, ``contains`` and
+``basis_vectors``, ``SparseMatrix.columns``, :func:`solve`,
+:func:`zero_vec` and ``GradedVector.coords``) only convert and call them.
+Everything is deterministic: a subspace is
 stored in reduced column echelon form (the pivot of a column is its first
 nonzero coordinate, pivots strictly increase left to right, pivot entries
 are 1 and pivot rows vanish in every other column), as the matrix of its
@@ -31,6 +38,7 @@ on every column that depends on the columns before it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -63,6 +71,91 @@ def inverse(x):
 
 def zero_vec(n: int) -> Vector:
     return (ZERO,) * n
+
+
+def sparse(v: Sequence, n: int) -> tuple:
+    """The nonzero pairs of a dense vector of length ``n``."""
+    if len(v) != n:
+        raise ValueError(f"vector length {len(v)} != ambient {n}")
+    return tuple((i, scalar(x)) for i, x in enumerate(v) if x)
+
+
+def dense(n: int, pairs) -> Vector:
+    """The dense vector of length ``n`` with these nonzero pairs."""
+    out = [ZERO] * n
+    for i, x in pairs:
+        out[i] = x
+    return tuple(out)
+
+
+def _canonical(sums: dict) -> tuple:
+    """The nonzero entries of an {index: value} dict as pairs."""
+    return tuple(sorted((i, scalar(x)) for i, x in sums.items() if x))
+
+
+def _check_indices(pairs, n: int) -> None:
+    """Refuse an index outside 0..n-1; as pairs are sorted, two decide."""
+    if pairs and not (0 <= pairs[0][0] and pairs[-1][0] < n):
+        raise ValueError(f"dimension mismatch: indices {pairs[0][0]}..{pairs[-1][0]} "
+                         f"reach outside 0..{n - 1}")
+
+
+def bilinear(k1: int, left, k2: int, right, entry) -> tuple:
+    """The sum of a * b * entry(k1, i, k2, j) over the pairs (i, a) of
+    ``left`` and (j, b) of ``right``, where ``entry`` gives a product of
+    basis elements as its pairs, or a falsy value for zero."""
+    out = {}
+    for i, a in left:
+        for j, b in right:
+            e = entry(k1, i, k2, j)
+            if e:
+                ab = a * b
+                for idx, v in e:
+                    out[idx] = out.get(idx, ZERO) + ab * v
+    return _canonical(out)
+
+
+@dataclass(frozen=True)
+class GradedVector:
+    """A vector of one degree: the degree, ``dim``, the dimension of that
+    degree, and the nonzero (index, value) pairs, indices strictly
+    increasing and each value a :func:`scalar`, so that equal vectors are
+    equal records; ``coords`` is derived from them.  Cochains and
+    cohomology classes are subclasses that add nothing, and records of
+    different types never compare equal."""
+
+    degree: int
+    dim: int
+    pairs: tuple
+
+    @classmethod
+    def from_coords(cls, degree: int, coords):
+        """The vector with these dense coordinates in this degree."""
+        return cls(degree, len(coords), sparse(coords, len(coords)))
+
+    @cached_property
+    def coords(self) -> Vector:
+        """The dense coordinates, one per basis element of the degree."""
+        return dense(self.dim, self.pairs)
+
+    def is_zero(self) -> bool:
+        return not self.pairs
+
+    def scale(self, c):
+        c = scalar(c)
+        return type(self)(self.degree, self.dim,
+                          tuple((i, scalar(c * x)) for i, x in self.pairs) if c else ())
+
+    def add(self, other):
+        if self.degree != other.degree:
+            raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
+        out = dict(self.pairs)
+        for i, c in other.pairs:
+            out[i] = out.get(i, ZERO) + c
+        return type(self)(self.degree, self.dim, _canonical(out))
+
+    def sub(self, other):
+        return self.add(other.scale(-1))
 
 
 @dataclass(frozen=True)
@@ -112,32 +205,24 @@ class SparseMatrix:
 
     def columns(self) -> list:
         """Each column as a dense vector."""
-        out = []
-        for col in self.nonzero_columns:
-            v = [ZERO] * self.rows
-            for r, x in col:
-                v[r] = x
-            out.append(tuple(v))
-        return out
+        return [dense(self.rows, col) for col in self.nonzero_columns]
 
-    def apply(self, x: Vector) -> Vector:
-        """Matrix-vector product."""
-        if len(x) != self.cols:
-            raise ValueError(f"dimension mismatch: matrix has {self.cols} columns, vector has {len(x)}")
-        out = [ZERO] * self.rows
-        for xc, col in zip(x, self.nonzero_columns):
-            if xc:
-                for r, v in col:
-                    out[r] += v * xc
-        return tuple([scalar(x) for x in out])
+    def apply(self, x: tuple) -> tuple:
+        """Matrix-vector product, x and the result given as pairs: the one
+        sparse linear combination of columns."""
+        _check_indices(x, self.cols)
+        out = {}
+        columns = self.nonzero_columns
+        for j, c in x:
+            for r, v in columns[j]:
+                out[r] = out.get(r, ZERO) + c * v
+        return _canonical(out)
 
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
         """self @ other."""
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} != {other.rows}")
-        return SparseMatrix(self.rows, other.cols, tuple(
-            tuple((r, v) for r, v in enumerate(self.apply(col)) if v)
-            for col in other.columns()))
+        return SparseMatrix(self.rows, other.cols, tuple(map(self.apply, other.nonzero_columns)))
 
 
 def _echelon_columns(columns: Iterable):
@@ -189,12 +274,7 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        columns = []
-        for v in vectors:
-            if len(v) != ambient:
-                raise ValueError(f"vector length {len(v)} != ambient {ambient}")
-            columns.append([(i, scalar(x)) for i, x in enumerate(v) if x])
-        return cls._spanned(ambient, columns)
+        return cls._spanned(ambient, [sparse(v, ambient) for v in vectors])
 
     @classmethod
     def _spanned(cls, ambient: int, columns: Iterable) -> "Subspace":
@@ -227,47 +307,38 @@ class Subspace:
         order."""
         return self.basis.nonzero_columns
 
-    @cached_property
-    def _columns(self) -> list:
+    def basis_vectors(self) -> list:
         return self.basis.columns()
 
-    def basis_vectors(self) -> list:
-        return list(self._columns)
+    @cached_property
+    def _column_at(self) -> dict:
+        return dict(zip(self.pivots, self.nonzero_columns))
 
-    def _reduced(self, v: Sequence) -> list:
-        if len(v) != self.ambient:
-            raise ValueError(f"dimension mismatch: ambient {self.ambient}, vector {len(v)}")
-        # v's pivot coordinates are the coefficients: the basis vanishes at
-        # every other pivot, so subtracting one column leaves them alone.
-        w = list(v)
-        for p, col in zip(self.pivots, self.nonzero_columns):
-            c = v[p]
-            if c:
-                for i, x in col:
-                    w[i] = scalar(w[i] - c * x)
-        return w
-
-    def reduce(self, v: Vector) -> Vector:
-        """Canonical representative of the coset v + self.
+    def reduce_pairs(self, v: tuple) -> tuple:
+        """Canonical representative of the coset v + self, v and the result
+        given as pairs: the one coset reduction.
 
         Linear in v, idempotent, and zero exactly on members.
         """
-        return tuple(self._reduced(v))
+        _check_indices(v, self.ambient)
+        # v's pivot coordinates are the coefficients: the basis vanishes at
+        # every other pivot, so subtracting one column leaves them alone.
+        w = dict(v)
+        column_at = self._column_at
+        for p, c in v:
+            for i, x in column_at.get(p, ()):
+                w[i] = w.get(i, ZERO) - c * x
+        return _canonical(w)
+
+    def reduce(self, v: Vector) -> Vector:
+        """:meth:`reduce_pairs` on a dense vector."""
+        return dense(self.ambient, self.reduce_pairs(sparse(v, self.ambient)))
 
     def contains(self, v: Vector) -> bool:
-        return not any(self._reduced(v))
+        return not self.reduce_pairs(sparse(v, self.ambient))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        column_at = dict(zip(self.pivots, self.nonzero_columns))
-        for col in other.nonzero_columns:
-            # as in _reduced, col's pivot coordinates are the coefficients
-            w = dict(col)
-            for p, c in col:
-                for i, x in column_at.get(p, ()):
-                    w[i] = w.get(i, ZERO) - c * x
-            if any(w.values()):
-                return False
-        return True
+        return not any(map(self.reduce_pairs, other.nonzero_columns))
 
     def add(self, other: "Subspace") -> "Subspace":
         """Subspace sum."""
@@ -275,19 +346,22 @@ class Subspace:
             raise ValueError(f"ambient mismatch: {self.ambient} != {other.ambient}")
         return Subspace._spanned(self.ambient, self.nonzero_columns + other.nonzero_columns)
 
-    def coordinates_of(self, v: Vector) -> Optional[Vector]:
-        """Coefficients of v over the echelon basis, or None if v is outside."""
-        if any(self._reduced(v)):
+    def coordinates_of(self, v: tuple) -> Optional[tuple]:
+        """Coefficients of v over the echelon basis, or None if v is
+        outside; v and the coefficients are given as pairs."""
+        if self.reduce_pairs(v):
             return None
-        return tuple(v[p] for p in self.pivots)
+        pivots, column_at = self.pivots, self._column_at
+        return tuple((bisect_left(pivots, i), c) for i, c in v if i in column_at)
 
 
 def _tagged_echelon(a: SparseMatrix) -> tuple:
     """Eliminate the columns of ``a``, column j tagged by a unit entry at
     index ``a.rows + a.cols - 1 - j``, and split the echelon basis.
 
-    Returns the image pivots, the image basis columns, their preimages and
-    the kernel generators, the last two as {column of a: value} dicts.
+    Returns the image pivots, the image basis columns as {row: value}
+    dicts, their preimages as matrix columns and the kernel generators as
+    {column of a: value} dicts.
     """
     last = a.rows + a.cols - 1
     pivots, cols = _echelon_columns(
@@ -297,7 +371,7 @@ def _tagged_echelon(a: SparseMatrix) -> tuple:
         tags = {last - i: x for i, x in col.items() if i >= a.rows}
         if p < a.rows:
             images.append({i: x for i, x in col.items() if i < a.rows})
-            preimages.append(tags)
+            preimages.append(tuple(sorted(tags.items())))
         else:
             kernel_gens.append(tags)
     return pivots[:len(images)], images, preimages, kernel_gens
@@ -320,32 +394,27 @@ def rank(a: SparseMatrix) -> int:
 def solve(a: SparseMatrix, b: Vector) -> Optional[Vector]:
     """Canonical solution of a x = b, or None when inconsistent: the unique
     solution that is zero on every column of ``a`` that depends on the
-    columns before it."""
-    return PrefactoredSolver(a).solve(b)
+    columns before it.  ``b`` and the solution are dense."""
+    x = PrefactoredSolver(a).solve(sparse(b, a.rows))
+    return None if x is None else dense(a.cols, x)
 
 
 class PrefactoredSolver:
     """One elimination of ``a`` shared by many solves against it.
 
     Keeps ``image``, the canonical basis of the column space of ``a``, and
-    for each basis column its preimage, so that each ``solve`` costs one
-    reduction against the image.  The elimination is the one
-    :func:`kernel` reads for the same matrix.
+    the matrix of the preimages of its basis columns, so that each
+    ``solve`` costs one reduction against the image and one product.  The
+    elimination is the one :func:`kernel` reads for the same matrix.
     """
 
     def __init__(self, a: SparseMatrix):
-        self.cols = a.cols
-        pivots, images, self._preimages, _ = a._tagged
+        pivots, images, preimages, _ = a._tagged
         self.image = Subspace._echelon(a.rows, pivots, images)
+        self._preimages = SparseMatrix(a.cols, len(preimages), tuple(preimages))
 
-    def solve(self, b: Sequence) -> Optional[Vector]:
-        """Canonical solution of a x = b, or None when inconsistent."""
+    def solve(self, b: tuple) -> Optional[tuple]:
+        """Canonical solution of a x = b, or None when inconsistent; b and
+        the solution are given as pairs."""
         coeffs = self.image.coordinates_of(b)
-        if coeffs is None:
-            return None
-        x = [ZERO] * self.cols
-        for c, pre in zip(coeffs, self._preimages):
-            if c:
-                for j, v in pre.items():
-                    x[j] += c * v
-        return tuple([scalar(v) for v in x])
+        return None if coeffs is None else self._preimages.apply(coeffs)

@@ -84,7 +84,7 @@ def massey_triple(ring: CohomologyRing, alpha: CohClass, beta: CohClass,
     mu, lam, w = witnesses
     value = ring.class_of(w)
     indet = massey_indeterminacy(ring, alpha, gamma, q)
-    canonical = CohClass.from_coords(target, indet.reduce(value.coords))
+    canonical = CohClass(target, value.dim, indet.reduce_pairs(value.pairs))
     return MasseyCoset(alpha, beta, gamma, True, None, mu, lam, w,
                        value, indet, canonical)
 
@@ -120,12 +120,9 @@ def _witnesses(ring: CohomologyRing, a: Cochain, b: Cochain, c: Cochain):
     d mu = a*b and d lam = b*c, and w = a*lam + (-1)^(|a|+1) mu*c; None
     when a*b or b*c is not a coboundary."""
     dga = ring.dga
-    ab, bc = dga.mul(a, b), dga.mul(b, c)
-    mu = ring.solve_boundary(ab.degree - 1, ab.coords)
-    lam = ring.solve_boundary(bc.degree - 1, bc.coords)
+    mu, lam = ring.solve_boundary(dga.mul(a, b)), ring.solve_boundary(dga.mul(b, c))
     if mu is None or lam is None:
         return None
-    mu, lam = Cochain(ab.degree - 1, mu), Cochain(bc.degree - 1, lam)
     sign = 1 if (a.degree + 1) % 2 == 0 else -1
     return mu, lam, dga.mul(a, lam).add(dga.mul(mu, c).scale(sign))
 

@@ -139,8 +139,8 @@ def tensor_cochain(t: DGA, x: Cochain, y: Cochain) -> Cochain:
     """The pure tensor x (x) y as a cochain of the tensor model ``t``."""
     if t.pairs is None:
         raise ValueError("not a tensor model")
-    return Cochain(x.degree + y.degree,
-                   t.pairs.coords(x.degree, x.coords, y.degree, y.coords))
+    k = x.degree + y.degree
+    return Cochain(k, t.dim(k), t.pairs.cross(x.degree, x.pairs, y.degree, y.pairs))
 
 
 def zero_class(ring: CohomologyRing, k: int) -> CohClass:
@@ -193,7 +193,7 @@ def check_kunneth(kmap: KunnethMap) -> None:
             raise ValueError(
                 f"Kunneth dimension mismatch in degree {deg}: "
                 f"{len(kmap.pairs[deg])} products vs H^{deg} of dimension {len(reps)}")
-        crosses.append([(Cochain(deg, rep), kmap.ha.representative(kmap.ha.basis_class(p, i)),
+        crosses.append([(Cochain.from_coords(deg, rep), kmap.ha.representative(kmap.ha.basis_class(p, i)),
                          kmap.hb.representative(kmap.hb.basis_class(deg - p, j)))
                         for rep, (p, i, j) in zip(reps, kmap.pairs[deg])])
         for pair, (xy, x, y) in zip(kmap.pairs[deg], crosses[deg]):
@@ -454,11 +454,11 @@ def verify_external_vanishing(kmap: KunnethMap,
 
     def boundary_witness(ring: CohomologyRing, rhs: Cochain) -> Cochain:
         if rhs.degree - 1 > ring.truncation:
-            return Cochain(rhs.degree - 1, ())  # everything is zero up here
-        coords = ring.solve_boundary(rhs.degree - 1, rhs.coords)
-        if coords is None:
+            return Cochain(rhs.degree - 1, 0, ())  # everything is zero up here
+        witness = ring.solve_boundary(rhs)
+        if witness is None:
             raise ValueError("witness solve failed although the hypothesis held")
-        return Cochain(rhs.degree - 1, coords)
+        return witness
 
     mu1 = boundary_witness(ha, da.mul(ra1, rb1).scale(sgn_mu))
     lam2 = boundary_witness(hb, db.mul(rb2, rc2).scale(sgn_lam))

@@ -38,7 +38,7 @@ from masseytc.bounds import (
     zero_divisors_cup_length,
 )
 from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap, heaviest_chain
-from masseytc.dga import compile_cdga
+from masseytc.dga import Cochain, compile_cdga
 from masseytc.dsl import parse_model
 from masseytc.linalg import Subspace, kernel
 from masseytc.massey import massey_triple
@@ -985,6 +985,19 @@ def _scaled_uncited_basis_fact(led):
         f, cls=CohClass(f.cls.degree, f.cls.dim, f.cls.pairs[::-1]))),
         "failed replay: class is not stored normalized, as canonical pairs",
         id="pairs-out-of-order"),
+    # these fell over with a TypeError while the facts were indexed, an
+    # AttributeError, and a misleading "not stored normalized"
+    pytest.param(_edit_first_tc_fact(lambda f: dataclasses.replace(f, kind=["tc"])),
+                 r"a fact has kind \['tc'\], not 'cat' or 'tc'",
+                 id="kind-given-as-a-list"),
+    pytest.param(_edit_first_tc_fact(lambda f: dataclasses.replace(
+        f, cls=(f.cls.degree, f.cls.coords))),
+        "a tc fact holds its class as a tuple, not a CohClass",
+        id="class-given-as-degree-and-coords"),
+    pytest.param(_edit_first_tc_fact(lambda f: dataclasses.replace(
+        f, cls=Cochain(f.cls.degree, f.cls.dim, f.cls.pairs))),
+        "a tc fact holds its class as a Cochain, not a CohClass",
+        id="class-given-as-a-cochain"),
 ])
 def test_replay_names_malformed_class_records(rings, kunneth_of, ledger_of, forge, reason):
     # each of these replayed as valid or fell over with a stray

@@ -174,7 +174,7 @@ def test_cup_checked_flags_a_factor_above_the_truncation():
     ring = CohomologyRing(compile_cdga(parse_model(
         "algebra big {\n  truncate 4\n  generator x degree 3\n"
         "  generator y degree 2\n  alias big = x*y\n}\n")))
-    big, y = ring.class_of(Cochain(5, ())), ring.named_class("y")
+    big, y = ring.class_of(Cochain.from_coords(5, ())), ring.named_class("y")
     assert big.degree == 5 and big.is_zero()
     for left, right in ((big, y), (y, big), (big, big)):
         assert ring.cup_checked(left, right)[1]
@@ -376,7 +376,7 @@ def test_kunneth_is_the_identity_on_golden_squares(kunneth_of, name):
 def test_both_squares_multiply_and_cross_through_the_pair_basis(dgas, monkeypatch):
     # the cochain square and the cohomology square share one pair layout,
     # one Koszul product rule and one x (x) y: each caller reaches them
-    calls = {"product": 0, "coords": 0}
+    calls = {"product": 0, "cross": 0}
 
     def counted(name):
         fn = getattr(masseytc.dga.PairBasis, name)
@@ -393,12 +393,12 @@ def test_both_squares_multiply_and_cross_through_the_pair_basis(dgas, monkeypatc
     km = KunnethMap(ring, ring)
     t, a = km.ht.dga, ring.basis_class(3, 0)
     assert isinstance(t.pairs, masseytc.dga.PairBasis) and km.pairs is km.ht.pairs
-    assert t.mult.get((3, 0, 3, 1)) and calls == {"product": 1, "coords": 0}
-    assert km.ht.cup_basis(3, 0, 3, 3) and calls == {"product": 2, "coords": 0}
+    assert t.mult.get((3, 0, 3, 1)) and calls == {"product": 1, "cross": 0}
+    assert km.ht.cup_basis(3, 0, 3, 3) and calls == {"product": 2, "cross": 0}
     rep = ring.representative(a)
     assert not tensor_cochain(t, rep, rep).is_zero()
-    assert calls == {"product": 2, "coords": 1}
-    assert not km.cross(a, a).is_zero() and calls == {"product": 2, "coords": 2}
+    assert calls == {"product": 2, "cross": 1}
+    assert not km.cross(a, a).is_zero() and calls == {"product": 2, "cross": 2}
 
 
 @pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress"])

@@ -26,7 +26,39 @@ from masseytc.linalg import (
     solve,
     zero_vec,
 )
-from oracles import from_columns, from_dict, from_rows, vec
+from oracles import exact, from_columns, from_dict, from_rows, vec
+
+
+def pairs(v):
+    """The nonzero (index, value) pairs of a dense vector, the form the
+    sparse entry points read."""
+    return tuple((i, exact(x)) for i, x in enumerate(v) if x)
+
+
+def dense(n, p):
+    """The dense vector of length n with the pairs p; None stays None."""
+    if p is None:
+        return None
+    out = [ZERO] * n
+    for i, x in p:
+        out[i] = x
+    return tuple(out)
+
+
+def apply(a: SparseMatrix, x):
+    """``a.apply`` on a dense vector."""
+    return dense(a.rows, a.apply(pairs(x)))
+
+
+def solved(solver: PrefactoredSolver, cols: int, b):
+    """``solver.solve`` on a dense right-hand side, for a matrix with
+    ``cols`` columns."""
+    return dense(cols, solver.solve(pairs(b)))
+
+
+def coordinates(s: Subspace, v):
+    """``s.coordinates_of`` on a dense vector."""
+    return dense(s.dim, s.coordinates_of(pairs(v)))
 
 
 def vec_add(u, v):
@@ -104,16 +136,27 @@ def test_prefactored_solver_matches_solve():
         for _ in range(4):
             b = vec([rng.randint(-3, 3) for _ in range(rows)])
             expect = solve(a, b)
-            got = solver.solve(b)
+            got = solved(solver, cols, b)
             assert got == expect
             if expect is None:
                 nones += 1
             else:
                 agreements += 1
-                assert a.apply(got) == b
+                assert apply(a, got) == b
     assert agreements > 40 and nones > 20
     with pytest.raises(ValueError):
-        PrefactoredSolver(SparseMatrix.identity(2)).solve(vec([1, 2, 3]))
+        PrefactoredSolver(SparseMatrix.identity(2)).solve(((2, 3),))
+
+
+@pytest.mark.parametrize("index", [2, -1])
+def test_sparse_entry_points_refuse_an_index_outside_their_dimension(index):
+    # the pairs are sorted, so the first and last index decide
+    a = SparseMatrix.identity(2)
+    for run in (lambda x: a.apply(x), lambda x: Subspace.full(2).reduce_pairs(x),
+                lambda x: Subspace.zero(2).coordinates_of(x),
+                lambda x: PrefactoredSolver(a).solve(x)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            run(((index, 1),) if index < 0 else ((0, 1), (index, 1)))
 
 
 def test_solve_randomized_against_sympy():
@@ -133,7 +176,7 @@ def test_solve_randomized_against_sympy():
             inconsistent_seen += 1
         else:
             assert sol != [], "we produced a solution for an inconsistent system"
-            assert a.apply(x) == b
+            assert apply(a, x) == b
             consistent_seen += 1
     assert consistent_seen > 10 and inconsistent_seen > 10
 
@@ -172,7 +215,7 @@ def test_rank_nullity_randomized():
         assert k.dim + im.dim == cols == k.dim + rank(a)
         assert im.dim == to_sympy(a).rank()
         for col in k.basis_vectors():
-            assert is_zero_vec(a.apply(col))
+            assert is_zero_vec(apply(a, col))
         # sympy nullspace spans the same space
         null = to_sympy(a).nullspace()
         assert len(null) == k.dim
@@ -267,8 +310,8 @@ def test_span_of_nothing_or_zeros_is_the_zero_subspace():
     assert z == Subspace.zero(4)
     assert z.dim == 0 and z.basis_vectors() == [] and z.nonzero_columns == ()
     assert z.reduce(vec([1, 0, 2, 0])) == vec([1, 0, 2, 0])
-    assert z.coordinates_of(zero_vec(4)) == ()
-    assert z.coordinates_of(vec([0, 0, 0, 1])) is None
+    assert coordinates(z, zero_vec(4)) == ()
+    assert coordinates(z, vec([0, 0, 0, 1])) is None
 
 
 def _sparse_fraction_vector(rng, ambient, start=0):
@@ -361,17 +404,17 @@ def test_sparse_echelon_against_sympy_rref():
             assert inside or k >= 3
             assert s.reduce(v) == reduced
             assert s.contains(v) == inside
-            assert s.coordinates_of(v) == (coeffs if inside else None)
+            assert coordinates(s, v) == (coeffs if inside else None)
             member = tuple(a - b for a, b in zip(v, reduced))
-            assert s.coordinates_of(member) == coeffs
+            assert coordinates(s, member) == coeffs
     assert dependent > 80
 
 
 def test_coordinates_roundtrip():
     s = Subspace.span(3, [vec([1, 2, 0]), vec([0, 1, 1])])
     v = vec_add(vec_scale(2, s.basis_vectors()[0]), vec_scale(-3, s.basis_vectors()[1]))
-    assert s.coordinates_of(v) == vec([2, -3])
-    assert s.coordinates_of(vec([1, 0, 0])) is None
+    assert coordinates(s, v) == vec([2, -3])
+    assert coordinates(s, vec([1, 0, 0])) is None
 
 
 def test_matrix_compose_matches_apply():
@@ -382,7 +425,7 @@ def test_matrix_compose_matches_apply():
         b = random_matrix(rng, m, k)
         ab = a.compose(b)
         x = vec([rng.randint(-3, 3) for _ in range(k)])
-        assert ab.apply(x) == a.apply(b.apply(x))
+        assert apply(ab, x) == apply(a, apply(b, x))
         assert to_sympy(ab) == to_sympy(a) * to_sympy(b)
 
 
@@ -390,7 +433,7 @@ def test_sparse_matrix_holds_its_nonzero_columns():
     a = SparseMatrix(3, 2, (((0, ONE), (2, Fraction(-1, 2))), ()))
     assert a.columns() == [vec([1, 0, Fraction(-1, 2)]), vec([0, 0, 0])]
     assert a == from_rows([[1, 0], [0, 0], [Fraction(-1, 2), 0]])
-    assert a.apply(vec([2, 5])) == vec([2, 0, -1])
+    assert apply(a, vec([2, 5])) == vec([2, 0, -1])
     assert not a.is_zero() and SparseMatrix.zero(3, 2).is_zero()
 
 
@@ -519,17 +562,17 @@ def test_eliminations_match_the_row_reduction_oracle():
         solver = PrefactoredSolver(a)
         for probe in range(4):
             if probe % 2:
-                b = a.apply(vec([rng.randint(-2, 2) for _ in range(cols)]))
+                b = apply(a, vec([rng.randint(-2, 2) for _ in range(cols)]))
             else:
                 b = vec([rng.choice([0, 0, 1, -2, Fraction(1, 3)]) for _ in range(rows)])
             expect = solve_oracle(a, b)
             assert solve(a, b) == expect
-            assert solver.solve(b) == expect
+            assert solved(solver, cols, b) == expect
             if expect is None:
                 seen["inconsistent"] += 1
                 continue
             seen["solved"] += 1
-            assert a.apply(expect) == b
+            assert apply(a, expect) == b
             assert all(expect[c] == 0 for c in free)
     assert seen["empty"] > 100 and seen["dependent-ahead"] > 150
     assert seen["solved"] > 1000 and seen["inconsistent"] > 300, seen
@@ -557,7 +600,7 @@ def test_every_elimination_goes_through_the_echelon_routine(monkeypatch):
         "image": lambda: image(fresh()),
         "rank": lambda: rank(fresh()),
         "solve": lambda: solve(fresh(), b),
-        "PrefactoredSolver": lambda: PrefactoredSolver(fresh()).solve(b),
+        "PrefactoredSolver": lambda: PrefactoredSolver(fresh()).solve(pairs(b)),
         "Subspace.span": lambda: Subspace.span(2, fresh().columns()),
     }
     for name, run in runs.items():
@@ -573,6 +616,6 @@ def test_a_matrix_is_eliminated_once_for_its_kernel_and_solves(monkeypatch):
     a = from_rows([[1, 2, 3], [2, 4, 7]])
     k = kernel(a)
     solver = PrefactoredSolver(a)
-    assert solver.solve(vec([1, 2])) == solve(a, vec([1, 2]))
+    assert solved(solver, a.cols, vec([1, 2])) == solve(a, vec([1, 2]))
     assert kernel(a) == k and solver.image == image(a)
     assert calls == [a]

@@ -2,10 +2,11 @@
 ``Fraction`` only when it has a denominator, never a float or a bool.
 
 Checks the rule on everything a ring, its square and a ledger keep (the
-Massey scan and the zcl product included), and that every class kept
-there stores its pairs in canonical form; the JSON form of coordinates;
-and, on the engine's source, that no float division is left and no
-import is unused.
+Massey scan and the zcl product included), and that every class and
+cochain kept there stores its pairs in canonical form; the JSON form of
+coordinates; and, on the engine's source, that no float division is left,
+that no module but ``linalg`` builds a dense vector, that cochains and
+classes add nothing to their shared record, and that no import is unused.
 """
 
 import ast
@@ -19,7 +20,7 @@ from masseytc.bounds import WeightFact, _fact_dict, _jsonify, build_ledger
 from masseytc.cohomology import CohClass, CohomologyRing, DegreePart, KunnethMap
 from masseytc.dga import Cochain, compile_cdga
 from masseytc.dsl import parse_model
-from masseytc.linalg import SparseMatrix, Subspace, inverse, scalar
+from masseytc.linalg import GradedVector, SparseMatrix, Subspace, inverse, scalar
 from masseytc.massey import MasseyCoset
 from masseytc.models import MODEL_SOURCES
 from oracles import is_canonical
@@ -46,11 +47,9 @@ def numbers(x, classes: list):
         yield from numbers((x.basis, x.pivots), classes)
     elif isinstance(x, DegreePart):
         yield from numbers((x.cocycles, x.boundaries, x.reps), classes)
-    elif isinstance(x, CohClass):
+    elif isinstance(x, GradedVector):  # a class or a cochain
         classes.append(x)
         yield from numbers((x.degree, x.dim, x.pairs), classes)
-    elif isinstance(x, Cochain):
-        yield from numbers((x.degree, x.coords), classes)
     elif isinstance(x, MasseyCoset):  # all but the defined flag, a bool
         yield from numbers((x.alpha, x.beta, x.gamma, x.mu, x.lam, x.value_cochain,
                             x.value, x.indeterminacy, x.canonical), classes)
@@ -157,6 +156,44 @@ def test_only_linalg_inverse_divides():
     assert "inverse" in in_linalg
     assert [where for where in in_linalg if where != "inverse"] == []
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def dense_vectors(tree) -> list:
+    """Lines where a module builds a dense vector: ``[ZERO] * n``,
+    ``(ZERO,) * n`` or a call of ``zero_vec``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            if any(isinstance(side, (ast.List, ast.Tuple)) and len(side.elts) == 1
+                   and getattr(side.elts[0], "id", None) == "ZERO"
+                   for side in (node.left, node.right)):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Call) and "zero_vec" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_linalg_builds_dense_vectors():
+    # every other module reads and returns nonzero pairs; linalg's dense
+    # adapters are the one place a dense vector is made
+    assert dense_vectors(ast.parse("[ZERO] * n\nn * (ZERO,)\nzero_vec(3)\n"
+                                   "linalg.zero_vec(1)\n[1] * n\n[ZERO, ZERO] * 2\n")) == [1, 2, 3, 4]
+    src = Path(masseytc.__file__).parent
+    found = {path.name: dense_vectors(ast.parse(path.read_text()))
+             for path in sorted(src.glob("*.py")) if path.name != "linalg.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_cochains_and_classes_add_nothing_to_the_shared_record():
+    src = Path(masseytc.__file__).parent
+    for module, name in (("dga.py", "Cochain"), ("cohomology.py", "CohClass")):
+        tree = ast.parse((src / module).read_text())
+        node = next(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == name)
+        assert [base.id for base in node.bases] == ["GradedVector"] and not node.decorator_list
+        # the docstring is the whole body: no method, field or attribute
+        assert len(node.body) == 1 and isinstance(node.body[0].value.value, str), name
+    assert issubclass(Cochain, GradedVector) and issubclass(CohClass, GradedVector)
 
 
 def kernel_calls(tree) -> list:
