@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .cohomology import CohClass, CohomologyRing, KunnethMap, cup_chain, heaviest_chain
-from .linalg import ONE, SparseMatrix, Subspace, inverse
+from .linalg import Subspace, inverse
 from .linalg import kernel  # noqa: F401  bench/tests/test_bench_trace.py reads bounds.kernel
 from .massey import massey_triple, scan_triples
 
@@ -93,42 +93,21 @@ def _add_fact(facts: dict, kind: str, cls: CohClass, weight: int,
 # ------------------------------------------------------------ zero-divisors
 
 
-def bar(kmap: KunnethMap, cls: CohClass) -> CohClass:
-    """The basic zero-divisor 1 (x) u - u (x) 1 of a self-tensor ring."""
-    if kmap.ha is not kmap.hb:
-        raise ValueError("zero-divisors need a self-tensor ring")
-    one = kmap.ha.basis_class(0, 0)
-    return kmap.cross(one, cls).sub(kmap.cross(cls, one))
-
-
-def zero_divisor_ideal(kmap: KunnethMap) -> dict:
-    """Kernel of the multiplication map m per positive degree, in closed form.
-
-    Every generator has positive degree, so H^0 = Q*1.  In degree l the
-    last m.rows pairs are (l, i, 0), and m is the identity on them, so each
-    earlier pair t gives the kernel vector e_t - m(e_t), with m(e_t) placed
-    on that last block.
-    Proof.  A vector's first nonzero entry is its 1 at t, and it is zero at
-    every other earlier pair: the pivots are the earlier pairs and the basis
-    is reduced.  m is onto, so these n - m.rows vectors span its kernel.
-    Degrees above the base truncation have zero target, so everything up
-    there is a zero-divisor; that is the honest answer for the truncated
-    ring and the chain arithmetic below never leaves the tensor truncation.
-    """
+def _unit(kmap: KunnethMap) -> CohClass:
+    """The unit 1 of the base ring of a self-tensor ring.  The bars generate
+    the zero-divisor ideal only when H^0 = Q*1, so any other H^0 is refused."""
     if kmap.ha is not kmap.hb:
         raise ValueError("zero-divisors need a self-tensor ring")
     if kmap.ha.dim(0) != 1:
-        raise ValueError(f"the closed-form zero-divisor ideal needs H^0 = Q, "
+        raise ValueError(f"the zero-divisor ideal needs H^0 = Q, "
                          f"not of dimension {kmap.ha.dim(0)}")
-    out = {}
-    for ell in range(1, kmap.ht.truncation + 1):
-        m = kmap.multiplication(ell)
-        s = m.cols - m.rows  # the pairs before the block (ell, i, 0)
-        if s:
-            cols = tuple(((t, ONE),) + tuple((s + i, -v) for i, v in m.nonzero_columns[t])
-                         for t in range(s))
-            out[ell] = Subspace(m.cols, SparseMatrix(m.cols, s, cols), tuple(range(s)))
-    return out
+    return kmap.ha.basis_class(0, 0)
+
+
+def bar(kmap: KunnethMap, cls: CohClass) -> CohClass:
+    """The basic zero-divisor 1 (x) u - u (x) 1 of a self-tensor ring."""
+    one = _unit(kmap)
+    return kmap.cross(one, cls).sub(kmap.cross(cls, one))
 
 
 def indecomposables(ring: CohomologyRing) -> list:
@@ -158,18 +137,13 @@ def zero_divisors_cup_length(kmap: KunnethMap) -> tuple:
     zcl is the largest k with I^k != 0, for I the zero-divisor ideal.  I is
     generated by the bars of the indecomposables of H^+, so I^k != 0
     exactly when some product of k such bars is nonzero, and zcl is the
-    longest such product.  The witness is the first chain of that length
-    among the basis classes of I itself, so it does not depend on which
-    generators were chosen.
+    longest such product.  The witness is the first longest chain of those
+    bars in ascending degree and basis order.
     """
-    ht = kmap.ht
+    _unit(kmap)  # refuse a ring the bars do not cover before any search
     bars = [bar(kmap, u) for u in indecomposables(kmap.ha)]
-    k = heaviest_chain(ht, bars, [1] * len(bars))[0]
-    ideal = zero_divisor_ideal(kmap)
-    basis = [CohClass(d, ideal[d].ambient, col)
-             for d in sorted(ideal) for col in ideal[d].nonzero_columns]
-    _, picked, prod = heaviest_chain(ht, basis, [1] * len(basis), goal=k)
-    return k, tuple(basis[i] for i in picked), prod
+    k, picked, prod = heaviest_chain(kmap.ht, bars, [1] * len(bars))
+    return k, tuple(bars[i] for i in picked), prod
 
 
 # ------------------------------------------------------------ weight rules
@@ -374,23 +348,34 @@ def _is_rational(x) -> bool:
     return type(x) is int or type(x) is Fraction
 
 
+def _class_json(cls: CohClass) -> list:
+    """[degree, coordinates], every coordinate a string, written from the
+    class's nonzero pairs."""
+    coords = ["0"] * cls.dim
+    for i, c in cls.pairs:
+        coords[i] = str(c)
+    return [cls.degree, coords]
+
+
 def _jsonify(x):
     """The JSON form of a record, with every coefficient a string.  A tuple
-    of scalars is a coordinate vector; every other number (a degree, a
-    weight, a bound, a transfer's k) sits beside a string or a tuple and
-    stays a number."""
+    of scalars is a coordinate vector and a class is [degree, coordinates];
+    every other number (a degree, a weight, a bound, a transfer's k) sits
+    beside a string or a tuple and stays a number."""
     if isinstance(x, (tuple, list)):
         if all(map(_is_rational, x)):
             return [str(v) for v in x]
         return [_jsonify(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _jsonify(v) for k, v in x.items()}
+    if isinstance(x, CohClass):
+        return _class_json(x)
     return x
 
 
 def _fact_dict(f: WeightFact) -> dict:
-    return {"kind": f.kind, "degree": f.cls.degree,
-            "coords": _jsonify(f.cls.coords), "weight": f.weight,
+    degree, coords = _class_json(f.cls)
+    return {"kind": f.kind, "degree": degree, "coords": coords, "weight": f.weight,
             "rule": f.rule, "inputs": _jsonify(f.inputs)}
 
 

@@ -130,8 +130,7 @@ def cmd_massey(args):
 def cmd_zcl(args):
     ring = build_ring(args.model)
     k, chain, prod = zero_divisors_cup_length(KunnethMap(ring, ring))
-    witness = [(c.degree, c.coords) for c in chain]
-    payload = report.build_payload(ring, zcl=report.zcl_section(k, witness, prod))
+    payload = report.build_payload(ring, zcl=report.zcl_section(k, chain, prod))
     return 0, payload, output(args, payload, report.render_text)
 
 

@@ -30,16 +30,15 @@ all extend that one table bilinearly, on nonzero pairs only.  A
 a product is formed from its factors' pairs and kept as pairs, and so are
 representatives, ``class_of`` readouts, boundary solves and cross
 products.  Dense coordinates are built only where a caller reads
-``coords``: the fact keys and the payload.
+``coords``: the fact keys and the ledger's records.
 
 Cup length, zcl and the weighted cat/TC bounds are all the heaviest
 nonzero product of chosen classes, found by one search,
 :func:`heaviest_chain`: unit weights over the basis of H^+ for the cup
 length, unit weights over the bars 1 (x) u - u (x) 1 of the
 indecomposables u for zcl (a handful of classes where the zero-divisor
-ideal has hundreds of dimensions), and fact weights for the bounds.  The
-zcl witness is then searched over the basis columns of the ideal, written
-down in closed form, each column read as a class as it stands.
+ideal has hundreds of dimensions; the first longest chain of bars is the
+zcl witness), and fact weights for the bounds.
 
 Each basis class's name, its rendered representative, is made once per
 ring, since a report labels every Massey triple of a scan by the names

@@ -5,24 +5,20 @@ massey, zcl, weights, ledger -- with None for anything that was not
 computed.  All leaves are JSON-native (rationals become strings), except
 the weight facts: the weights section holds the ledger's facts, and only
 the JSON rendering writes each one out, so the text rendering never pays
-for their coordinates.  The JSON rendering sorts keys, and nothing in a
-payload depends on the environment, so equal inputs give byte-identical
-output.
+for their coordinates.  The JSON rendering sorts keys and writes one
+compact line, and nothing in a payload depends on the environment, so
+equal inputs give byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
 
-from .bounds import LOWER_RULES, BoundLedger, WeightFact, _fact_dict, _jsonify
+from .bounds import LOWER_RULES, BoundLedger, WeightFact, _class_json, _fact_dict, _jsonify
 from .cohomology import CohClass, CohomologyRing
 from .massey import MasseyCoset
 
 PAYLOAD_KEYS = ("model", "cohomology", "massey", "zcl", "weights", "ledger")
-
-
-def _class_json(cls: CohClass) -> list:
-    return [cls.degree, _jsonify(cls.coords)]
 
 
 def model_section(ring: CohomologyRing) -> dict:
@@ -123,7 +119,8 @@ def massey_section(ring: CohomologyRing, cosets) -> list:
 
 
 def zcl_section(zcl: int, witness, product: CohClass) -> dict:
-    """The zcl block; ``witness`` holds the chain as (degree, coords) pairs."""
+    """The zcl block; ``witness`` holds the chain as classes or as the
+    ledger's (degree, coords) records."""
     return {
         "zcl": zcl,
         "witness": _jsonify(tuple(witness)),
@@ -159,7 +156,10 @@ def _fact_json(x) -> dict:
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, default=_fact_json) + "\n"
+    """One line with no whitespace between tokens, then a newline.  With no
+    ``indent`` CPython encodes through its C encoder."""
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True,
+                      default=_fact_json) + "\n"
 
 
 def render_text(payload: dict) -> str:

@@ -12,6 +12,10 @@ and are kept here, next to the tests that use them:
 * ``tensor_cochain`` and ``check_kunneth``, the cochain-level check that
   each canonical class of a square is a cross product of canonical
   representatives and that cochain products follow the Koszul rule;
+* ``zero_divisor_ideal``, the kernel of the multiplication map of a
+  square in closed form, and ``zcl_by_ideal_search``, which picks the zcl
+  witness by a second chain search over the ideal's basis, as the engine
+  did before it kept the witness of its search over the bars;
 * the Massey identity checks (``verify_multi_identities``, the internal and
   external product checks), witness-level values
   (``massey_value_from_witnesses``), the annihilators the identity checks
@@ -25,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap
+from masseytc.bounds import bar, indecomposables
+from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap, heaviest_chain
 from masseytc.dga import DGA, Cochain, Presentation
 from masseytc.linalg import ONE, ZERO, SparseMatrix, Subspace, Vector, kernel, zero_vec
 from masseytc.massey import MasseyCoset, massey_triple
@@ -486,6 +491,52 @@ def verify_external_vanishing(kmap: KunnethMap,
     if coset.defined and not coset.contains_zero():
         raise ValueError("explicit primitive contradicts the generic coset")
     return ExternalWitness(x, y, z, mu, lam, w, primitive, coset)
+
+
+# ------------------------------------------------------------ zero-divisors
+
+
+def zero_divisor_ideal(kmap: KunnethMap) -> dict:
+    """Kernel of the multiplication map m per positive degree, in closed form.
+
+    Every generator has positive degree, so H^0 = Q*1.  In degree l the
+    last m.rows pairs are (l, i, 0), and m is the identity on them, so each
+    earlier pair t gives the kernel vector e_t - m(e_t), with m(e_t) placed
+    on that last block.
+    Proof.  A vector's first nonzero entry is its 1 at t, and it is zero at
+    every other earlier pair: the pivots are the earlier pairs and the basis
+    is reduced.  m is onto, so these n - m.rows vectors span its kernel.
+    Degrees above the base truncation have zero target, so everything up
+    there is a zero-divisor; that is the honest answer for the truncated
+    ring.
+    """
+    if kmap.ha is not kmap.hb:
+        raise ValueError("zero-divisors need a self-tensor ring")
+    if kmap.ha.dim(0) != 1:
+        raise ValueError(f"the closed-form zero-divisor ideal needs H^0 = Q, "
+                         f"not of dimension {kmap.ha.dim(0)}")
+    out = {}
+    for ell in range(1, kmap.ht.truncation + 1):
+        m = kmap.multiplication(ell)
+        s = m.cols - m.rows  # the pairs before the block (ell, i, 0)
+        if s:
+            cols = tuple(((t, ONE),) + tuple((s + i, -v) for i, v in m.nonzero_columns[t])
+                         for t in range(s))
+            out[ell] = Subspace(m.cols, SparseMatrix(m.cols, s, cols), tuple(range(s)))
+    return out
+
+
+def zcl_by_ideal_search(kmap: KunnethMap) -> tuple:
+    """(zcl, witness, product) by two searches: zcl from the bars of the
+    indecomposables, then the witness as the first chain of that length
+    among the basis classes of the zero-divisor ideal."""
+    bars = [bar(kmap, u) for u in indecomposables(kmap.ha)]
+    k = heaviest_chain(kmap.ht, bars, [1] * len(bars))[0]
+    ideal = zero_divisor_ideal(kmap)
+    basis = [CohClass(d, ideal[d].ambient, col)
+             for d in sorted(ideal) for col in ideal[d].nonzero_columns]
+    _, picked, prod = heaviest_chain(kmap.ht, basis, [1] * len(basis), goal=k)
+    return k, tuple(basis[i] for i in picked), prod
 
 
 # ------------------------------------------------------------------ reports

@@ -34,7 +34,6 @@ from masseytc.bounds import (
     tc_weight_facts,
     transfer_weight,
     weighted_lower_bound,
-    zero_divisor_ideal,
     zero_divisors_cup_length,
 )
 from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap, heaviest_chain
@@ -42,7 +41,10 @@ from masseytc.dga import Cochain, compile_cdga
 from masseytc.dsl import parse_model
 from masseytc.linalg import Subspace, kernel
 from masseytc.massey import massey_triple
+from masseytc.models import MODEL_SOURCES
 from conftest import S2_SRC
+from oracles import zcl_by_ideal_search, zero_divisor_ideal
+from test_cli import STRESS_NIL_SRC
 from test_cohomology import _stress_ring, ideal_powers_length, random_presentations
 
 ALL_MODELS = ("spheres8", "borromean", "even7", "odd11", "s3", "s2", "point")
@@ -156,11 +158,14 @@ def test_closed_form_ideal_runs_no_elimination(kunneth_of, monkeypatch, name):
 
 
 def test_closed_form_ideal_needs_a_connected_ring():
-    # H^0 of two points: the unit is not the only class of degree 0
+    # H^0 of two points: the unit is not the only class of degree 0, so
+    # neither the ideal nor the bars that generate it are the ones for H^0 = Q
     two_points = types.SimpleNamespace(dim=lambda k: 2)
     km = types.SimpleNamespace(ha=two_points, hb=two_points)
-    with pytest.raises(ValueError, match=r"needs H\^0 = Q, not of dimension 2"):
-        zero_divisor_ideal(km)
+    for zero_divisors in (zero_divisor_ideal, zero_divisors_cup_length,
+                          functools.partial(bar, cls=None)):
+        with pytest.raises(ValueError, match=r"needs H\^0 = Q, not of dimension 2"):
+            zero_divisors(km)
 
 
 def test_zero_divisor_ideal_members_multiply_to_zero(kunneth_of):
@@ -188,6 +193,47 @@ def test_zcl_witness_replays(kunneth_of):
             out = km.ht.cup(out, cls)
         assert out == prod
         assert k == 0 or not prod.is_zero()
+
+
+POLY4_SRC = """\
+algebra poly4 {
+  truncate 8
+  space-dim 8
+  simply-connected true
+  generator a0 degree 2
+  generator a1 degree 2
+  generator a2 degree 2
+  generator a3 degree 2
+  generator z degree 3
+  d z = a0*a1
+}
+"""
+WITNESS_MODELS = {
+    "stress": STRESS_NIL_SRC,
+    "borromean-at-4": MODEL_SOURCES["borromean"].replace("truncate 2", "truncate 4")
+                                                .replace("space-dim 2", "space-dim 4"),
+    "poly4-at-8": POLY4_SRC,
+}
+
+
+@pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", *WITNESS_MODELS])
+def test_zcl_witness_is_the_one_the_ideal_search_picked(kunneth_of, name):
+    # the bar of a basis class e_j is the ideal's basis column at the pair
+    # (0, 0, j), among the first of its degree, so the old search over the
+    # ideal's basis and the one over the bars agree unless the former's
+    # first longest chain uses another column; on these models it does not
+    if name in WITNESS_MODELS:
+        ring = CohomologyRing(compile_cdga(parse_model(WITNESS_MODELS[name])))
+        km = KunnethMap(ring, ring)
+    else:
+        km = kunneth_of(name)
+        ring = km.ha
+    k, chain, prod = zero_divisors_cup_length(km)
+    assert (k, chain, prod) == zcl_by_ideal_search(km)
+    assert k == len(chain) > 0 and not prod.is_zero()
+    ledger = build_ledger(ring, km)
+    assert ledger.zcl_witness == tuple((c.degree, c.coords) for c in chain)
+    assert replay_ledger(ledger, ring, km)
 
 
 def test_explicit_zcl_chains(rings, kunneth_of):

@@ -54,26 +54,25 @@ algebra broken {
 # model, and of `zcl --json`: changes to how the reports are computed must
 # leave their bytes alone.
 BOUNDS_DIGESTS = {
-    "spheres8": ("e6452e13680758986fcaedfbacb874b7aef76d7590cad83bb98b06e7628008f7",
+    "spheres8": ("ea0fbf5460d12f525b95fc689bcaea020dc9a1359dce70183d54fedd39953aa5",
                  "fef3a09f3170acb8053577199b8a624a17f32ea453d3f822dff628152c902aa8"),
-    "borromean": ("05c8d5bb0d60291792e8564a8b8f2068e1d97751d47ba89ec72a9ff9d107094a",
+    "borromean": ("9b4482d8b844ef37e0518e136539815e00b5a5179d145068f0659d85fada9324",
                   "9f6228e9a780bdb547805d4dddcde7cf034cef9ab96afd8fbed83dae0d0f85d1"),
-    "even7": ("0022c7b2fc0614adb1689f8ef97e31d6105a7c15427893336d54ee8f749820f3",
+    "even7": ("fa5f6d31567f6ec1f84b83acd1d8f5fa591aff59fc7289f4ba179102deede4d5",
               "a00a2d4f355d39e0590bccef4e835a1be1b3e1b14edd6fb7595d71487edc2525"),
-    "odd11": ("762c27191cdb06a4cb2d7e1ce23dbf5d21d0397eecbfdc06df21744e3ed913b3",
+    "odd11": ("8c859bd5ff7b5d397c3f35043bb6d3873726766d3b187f43e3650be9fb6876db",
               "8e47e01b2996a04a7de531a9a4c59100436bf66874124d4e728d0833330f6526"),
 }
 ZCL_JSON_DIGESTS = {
-    "spheres8": "3b8dafe83ea5f58a1e59bacd2a51c63352a44e62fbea6bede157c67863c4bfa5",
-    "borromean": "c12f347ee71e4216fc9d4f6f28d81a2fca8baf15e4b6ed5d9a842f6df8d37bcd",
-    "even7": "bb0d80122040760854f9420a3cd90fd949725a6c3aec203e4d21fa1b6ef0e114",
-    "odd11": "01c494ee26013ea5f4d6c38417cddeda1dd4357189b5be46d6b0e24c9919ce48",
+    "spheres8": "0f31e268d7c743413edf532ea13c76805f5cf5c2189e8181c764ccad401634d4",
+    "borromean": "e23b9a40d881702e30d9933c80a1f1ae684d55fcd76df12695643d0e8c4b1c0a",
+    "even7": "cc3ff35f73937932cf38a37765a42b356a06d9a91b0a84fa5391fa3fc5d4fe83",
+    "odd11": "3a9e8f7b37b20a2e7792dd1043112f2cef313be6de6d77ec59a9c015839af12e",
 }
 
 # The bench stress model for seed 1 (two-step nilpotent, 676-dimensional
 # square), with the sha256 of its `bounds --json` and `bounds` text output
-# and of its `zcl --json`: the zero-divisor ideal's powers in the square
-# are the largest eliminations any model here runs.
+# and of its `zcl --json`.
 STRESS_NIL_SRC = """\
 algebra stressnil {
   field Q
@@ -90,24 +89,23 @@ algebra stressnil {
 }
 """
 STRESS_NIL_DIGESTS = (
-    "231f823799ef16cb9913c55db16b623637e33c2719ed26518a2e75c9b4ed9b67",
+    "431cf8277a8abcc7f24f1453236393f5e706160a7c866754685a3c4e1617685d",
     "efb27077fd9ab7aac6b4c05181410b34db4fdeb0db3dc1768662cb5452405951",
-    "291ca743da421550da0e0d1339c8ed903c8fd3bf896049943770442fbf1bdea8",
+    "e4877c75a43dc288bc33c6ca111ebb4a12b8cad7d2e777e098a74fe6c5828cc5",
 )
 
 # sha256 of the `cohomology --json` and `cohomology` text output of each
-# golden model and of the stress model; its cup length runs the same
-# ideal-powers routine as zcl.
+# golden model and of the stress model.
 COHOMOLOGY_DIGESTS = {
-    "spheres8": ("3454831d4b20f16110d4338b8490dcf045befe92ebc962f487e19a78eeaf7b60",
+    "spheres8": ("b67a4c519549f8c39ba8bf30642257756c42fd74736054be38eb87450f24675c",
                  "449f26235233570aaf0d984a10382b181a302c49c43e9f165e85b6f03737f71c"),
-    "borromean": ("3fa61115a3df1cc44b2fdb6cb11e6f6fd30a59da78c46d527a16eb19d450c2cc",
+    "borromean": ("23e2e2e6ca86835a5d056c0552fcddd72e6d9055bc468cd5b13e0642debef8a3",
                   "5b6d8bae85f85ca7383af7f912c692c7d9e71db4f2587b8721d7adf41b4ca48b"),
-    "even7": ("a34bb25160541562288e5ee39eceb33729ac267c2c7f8f1e5fb87c0381e98aaa",
+    "even7": ("06a5303a9e10048d8e678906f84e432a098073ed9165385824ee601c81168d19",
               "9ecf167936785a014fbb80a14f675e274bbe20bc6c376fbe38441c3a23c62591"),
-    "odd11": ("d6ccf3ed1050eaa7293298c1a60b3c628f1ac7d3d3a90673a8aa20170dce1fd9",
+    "odd11": ("e7fb28f58db10b0fcd97c307dbe32a56c74e3153c8062511137e7f6cce741e3f",
               "adcfb98025fa861bd7fc466a1bc9df5d80640256179de97155fcd2e39c53ed0c"),
-    "stressnil": ("6562f9ab40d229bd53f973c625a1cd353201d688974ae70d01cfa509c75e2c67",
+    "stressnil": ("f529c4b155cffa82a644347b9b0b493696931abaf038209f66890b9ac9744aa7",
                   "3cf7035d020c337b0ee91b86ac9d34d42c5ac09e91cfb49b12bc6e5858b8bc3a"),
 }
 
@@ -117,23 +115,23 @@ COHOMOLOGY_DIGESTS = {
 # these bytes.
 MASSEY_JSON_DIGESTS = {
     ("spheres8", "a", "a", "b"):
-        (0, "46acd7bad212b050ad175c96f55eb93398fcbaae453b551ff72c1453499bbbf9"),
+        (0, "b9f3c2a52bbfef43033375abfb0aef80192ad4e91b1f3d808f5729fc47acf2f4"),
     ("spheres8", "b", "a", "b"):
-        (0, "c7a84da9666f142d465f7464c9acad0d3c745afe86ecbed99454d74d1e85b30d"),
+        (0, "ecb22358f0a0d4c974e1b023373a13b97751d15fb187b45363fbae4bc6fe3e6a"),
     ("borromean", "u", "v", "w"):
-        (0, "141a4966cc1ab30ae253966071854082c77402a268cd415c54d76a185a0e2258"),
+        (0, "61d490c1e71398c74f65533700c0a3cc98adb7cf8eb22ffbaf81165032f280f5"),
     ("borromean", "u", "w", "v"):
-        (0, "d9b41ff936d39c28ab26360f6e9b731329048d9c25e188e18b114eb3a8a51571"),
+        (0, "4335e5c5ab44907a30b142211c2ee1824f9dc4fdd07b81a72bcc61bef31e88df"),
     ("even7", "alpha", "alpha", "beta"):
-        (0, "eff8dbe85ad1c98b0d37ff3aca5cb557ec9075154d3a67855d412e41f2a64080"),
+        (0, "315c70234cba4b161d2ea07f619d1d14f0e8d249bdec197df3f54225cf0f5a24"),
     ("even7", "beta", "beta", "alpha"):
-        (0, "853a18ad3e79eceb919d973c14fca13bfaf5622d0c30380d960b804b67d3fef3"),
+        (0, "8723f88a597d8cef1982718a6e5310002ba46d4fe0bf3377e4c915e351491dbb"),
     ("even7", "alpha", "alpha", "alpha"):
-        (0, "96faf643bc4173b080e62b725296e23b27081fe2580863a2333a23b81061b342"),
+        (0, "2fe00889c3a6cca38043e00b2c3242328eb06548880c1175f9c5b856bddb178e"),
     ("even7", "u", "u", "u"):
-        (1, "0866f78c5747924f7394ebfcf2c786566300661f1bf1ba6050e5073e20cd658d"),
+        (1, "64f9ec506fcaeaa7930dfba4a6397fb8c8d6d28b24eaea2f6895f8f061c8e98c"),
     ("odd11", "alpha", "alpha", "beta"):
-        (0, "1519c7e07ee894a9eece5ee5050916de5fd27b17d6a8ae502b1684397cf0b55d"),
+        (0, "08fb26d5acd3c5a6602f7ffb6e1f1e29c8353957f2429cf627504095ccbfe059"),
 }
 
 

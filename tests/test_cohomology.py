@@ -18,7 +18,6 @@ from masseytc.bounds import (
     bar,
     build_ledger,
     indecomposables,
-    zero_divisor_ideal,
     zero_divisors_cup_length,
 )
 from masseytc.cohomology import CohomologyRing, KunnethMap
@@ -26,7 +25,8 @@ from masseytc.cli import main
 from masseytc.dga import Cochain, Generator, compile_cdga, normalize_presentation
 from masseytc.dsl import parse_model
 from masseytc.linalg import Subspace, rank
-from oracles import check_kunneth, span_of_products, tensor_cochain, zero_class
+from oracles import (check_kunneth, span_of_products, tensor_cochain, zero_class,
+                     zero_divisor_ideal)
 from test_cli import STRESS_NIL_SRC
 
 

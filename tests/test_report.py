@@ -190,11 +190,12 @@ def test_full_report_is_byte_deterministic(name, rings, ledger_of):
 def test_json_rendering_is_canonical(rings, ledger_of):
     payload = full_payload("spheres8", rings, ledger_of)
     out = report.render_json(payload)
-    assert out.endswith("\n")
+    # one compact line: its only newline is the final one
+    assert out.endswith("\n") and out.count("\n") == 1
     parsed = json.loads(out)
     assert set(parsed.keys()) == set(PAYLOAD_KEYS)
     # canonical form: re-serializing the parse gives the same bytes
-    assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out
+    assert json.dumps(parsed, separators=(",", ":"), sort_keys=True) + "\n" == out
 
 
 def test_text_report_lines(rings, ledger_of):

@@ -6,7 +6,8 @@ Massey scan and the zcl product included), and that every class and
 cochain kept there stores its pairs in canonical form; the JSON form of
 coordinates; and, on the engine's source, that no float division is left,
 that no module but ``linalg`` builds a dense vector, that cochains and
-classes add nothing to their shared record, and that no import is unused.
+classes add nothing to their shared record, that no ``json.dumps`` passes
+``indent``, and that no import is unused.
 """
 
 import ast
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import masseytc
-from masseytc.bounds import WeightFact, _fact_dict, _jsonify, build_ledger
+from masseytc.bounds import WeightFact, _class_json, _fact_dict, _jsonify, build_ledger
 from masseytc.cohomology import CohClass, CohomologyRing, DegreePart, KunnethMap
 from masseytc.dga import Cochain, compile_cdga
 from masseytc.dsl import parse_model
@@ -95,6 +96,9 @@ def test_every_kept_value_is_an_int_or_a_proper_fraction(name):
     bad = [c for c in classes if not is_canonical(c)]
     assert not bad, f"{len(bad)} classes are not canonical, e.g. {bad[:3]!r}"
     assert len(classes) > 30
+    # the JSON form written from the pairs is the dense one, entry by entry
+    bad = [c for c in classes if _class_json(c) != [c.degree, [str(v) for v in c.coords]]]
+    assert not bad, f"{len(bad)} classes are written wrongly, e.g. {bad[:3]!r}"
     if name == "stress":  # its differentials have coefficients such as 3/2
         assert sum(type(v) is Fraction for v in values) > 500
 
@@ -123,6 +127,8 @@ def test_jsonify_writes_coordinates_as_strings_and_keeps_numbers():
         "product": [6, ["2", "0", "1/3"]]}
     witness = ((2, (1, -2)), (3, (Fraction(2, 3),)))
     assert _jsonify(witness) == [[2, ["1", "-2"]], [3, ["2/3"]]]
+    chain = (CohClass.from_coords(2, (0, Fraction(-1, 2), 0, 7)), CohClass(1, 2, ()))
+    assert _jsonify(chain) == [[2, ["0", "-1/2", "0", "7"]], [1, ["0", "0"]]]
     fact = WeightFact("tc", CohClass.from_coords(3, (1, Fraction(3, 2))), 2, "R4-transfer",
                       ("transfer", ("cat", 3, (2, 0)), 2))
     assert _fact_dict(fact) == {
@@ -204,11 +210,28 @@ def kernel_calls(tree) -> list:
 
 def test_bounds_and_massey_call_no_kernel():
     # both modules import kernel only so that the bench tracer can wrap it
-    # there; the zero-divisor ideal is written down in closed form
+    # there
     src = Path(masseytc.__file__).parent
     assert kernel_calls(ast.parse("kernel(m) + linalg.kernel(m)")) == [1, 1]
     assert {name: kernel_calls(ast.parse((src / name).read_text()))
             for name in ("bounds.py", "massey.py")} == {"bounds.py": [], "massey.py": []}
+
+
+def indented_dumps(tree) -> list:
+    """Lines of every ``json.dumps`` call that passes ``indent``."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and "dumps" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                  and any(k.arg == "indent" for k in node.keywords))
+
+
+def test_no_json_dumps_passes_indent():
+    # CPython encodes through its C encoder only when indent is None
+    assert indented_dumps(ast.parse("json.dumps(x, indent=2)\ndumps(x, indent=None)\n"
+                                    "json.dumps(x, separators=(',', ':'))\n")) == [1, 2]
+    src = Path(masseytc.__file__).parent
+    found = {path.name: indented_dumps(ast.parse(path.read_text()))
+             for path in sorted(src.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def unused_imports(source: str) -> list:

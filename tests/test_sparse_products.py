@@ -1,8 +1,8 @@
 """The sparse product paths against the dense code they replaced.
 
-Products, the multiplication map of a square, the zero-divisor ideal, the
-annihilators and the fact keys all work on nonzero (index, coefficient)
-pairs.  The oracles here are the dense versions: every product is a full
+Products, the multiplication map of a square, the closed-form zero-divisor
+ideal of ``tests/oracles.py``, the annihilators and the fact keys all work
+on nonzero (index, coefficient) pairs.  The oracles here are the dense versions: every product is a full
 coordinate vector of its degree, summed entry by entry.
 """
 
@@ -16,7 +16,6 @@ from masseytc.bounds import (
     cat_weight_facts,
     tc_weight_facts,
     weighted_lower_bound,
-    zero_divisor_ideal,
     zero_divisors_cup_length,
 )
 from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap
@@ -24,7 +23,7 @@ from masseytc.dga import Cochain, compile_cdga
 from masseytc.dsl import parse_model
 from masseytc.linalg import ONE, ZERO, Subspace, kernel, zero_vec
 from oracles import (dense_add, dense_scale, from_columns, is_canonical, left_annihilator,
-                     right_annihilator, zero_class)
+                     right_annihilator, zero_class, zero_divisor_ideal)
 from test_cli import STRESS_NIL_SRC
 
 GOLDEN = ["spheres8", "borromean", "even7", "odd11"]
