@@ -32,7 +32,23 @@ transfers.  R2 lives in chains: a nonzero product of pool facts with
 total weight W certifies cat >= W + 1 (or TC >= W + 1 on the tensor
 ring), and the middle slot beta of the Massey rule is such a chain too.
 Cup-length and zero-divisors cup-length are the all-weights-one special
-case.  Upper bounds are dimensional: cat <= dim + 1 always, cat <= the
+case.
+
+Each chain search stops at a proven ceiling, which returns the same
+chain, since a search keeps its first heaviest chain:
+
+  zcl <= 2 cl  (cl the cup length).  ker mu lies in H^+ (x) H + H (x) H^+,
+      as mu is the identity on H^0 (x) H^0 = Q and maps the rest to H^+,
+      so a product of k zero-divisors expands into terms
+      +-(a_1...a_k) (x) (b_1...b_k) with at least k positive factors in
+      all, each side multiplied in the truncated H.  For k > 2 cl one
+      side has more than cl positive factors and vanishes.
+  weight <= m * (largest fact weight), where m is cl for cat facts and
+      zcl for tc facts.  Every cat fact lies in H^+, and every tc fact,
+      a bar or a transfer, lies in ker mu = I with I^(zcl+1) = 0, so a
+      nonzero product of facts has at most m factors.
+
+Upper bounds are dimensional: cat <= dim + 1 always, cat <= the
 James bound for simply connected models, and TC <= 2 cat - 1.
 """
 
@@ -138,11 +154,13 @@ def zero_divisors_cup_length(kmap: KunnethMap) -> tuple:
     generated by the bars of the indecomposables of H^+, so I^k != 0
     exactly when some product of k such bars is nonzero, and zcl is the
     longest such product.  The witness is the first longest chain of those
-    bars in ascending degree and basis order.
+    bars in ascending degree and basis order.  The search stops once a
+    chain reaches the ceiling zcl <= 2 * cup length (module docstring).
     """
     _unit(kmap)  # refuse a ring the bars do not cover before any search
     bars = [bar(kmap, u) for u in indecomposables(kmap.ha)]
-    k, picked, prod = heaviest_chain(kmap.ht, bars, [1] * len(bars))
+    k, picked, prod = heaviest_chain(kmap.ht, bars, [1] * len(bars),
+                                     goal=2 * cup_chain(kmap.ha)[0])
     return k, tuple(bars[i] for i in picked), prod
 
 
@@ -217,17 +235,22 @@ def tc_weight_facts(ring: CohomologyRing, kmap: KunnethMap,
     return facts
 
 
-def weighted_lower_bound(ring: CohomologyRing, facts: dict) -> tuple:
+def weighted_lower_bound(ring: CohomologyRing, facts: dict, length: int = None) -> tuple:
     """Heaviest nonzero product of weighted facts.
 
     Returns (best total weight, chain of fact keys, product class); the
     associated bound is best + 1, and an empty chain has the unit as its
     product.  This is :func:`heaviest_chain` over the facts in ascending
     key order, repeats allowed, so the outcome is deterministic.
+    ``length`` is the most factors a nonzero product of facts can have
+    (cup length for cat facts, zcl for tc facts, see the module
+    docstring); the search stops once a chain weighs ``length`` times the
+    largest fact weight.
     """
     atoms = [f for _, f in sorted(facts.items())]
-    best, picked, prod = heaviest_chain(ring, [f.cls for f in atoms],
-                                        [f.weight for f in atoms])
+    weights = [f.weight for f in atoms]
+    goal = None if length is None else length * max(weights, default=0)
+    best, picked, prod = heaviest_chain(ring, [f.cls for f in atoms], weights, goal)
     return best, tuple(atoms[i].key for i in picked), prod
 
 
@@ -403,7 +426,7 @@ def _recorded_class(rg: CohomologyRing, data, record: str) -> CohClass:
     or a Fraction; otherwise a ValueError that names ``record``."""
     try:
         deg, coords = data
-        if (isinstance(deg, int) and 1 <= deg <= rg.truncation and len(coords) == rg.dim(deg)
+        if (type(deg) is int and 1 <= deg <= rg.truncation and len(coords) == rg.dim(deg)
                 and all(map(_is_rational, coords))):
             return CohClass.from_coords(deg, coords)
     except (TypeError, ValueError):
@@ -424,7 +447,7 @@ def _lower_block(kind: str, rg: CohomologyRing, length: int, witness: tuple,
     its heaviest product of ``facts``, and return the larger bound."""
     certs.append({"rule": "cup-chain" if kind == "cat" else "zcl-chain", "kind": kind,
                   "bound": length + 1, "chain": tuple(_class_data(c) for c in witness)})
-    weight, chain, prod = weighted_lower_bound(rg, facts)
+    weight, chain, prod = weighted_lower_bound(rg, facts, length)
     if chain:
         certs.append({"rule": "weighted-product", "kind": kind, "bound": weight + 1,
                       "factors": chain, "product": _class_data(prod)})

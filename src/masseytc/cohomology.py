@@ -52,7 +52,7 @@ from fractions import Fraction
 
 from .dga import DGA, Cochain, PairBasis, tensor
 from .linalg import (ONE, GradedVector, PrefactoredSolver, SparseMatrix, Subspace, bilinear,
-                     kernel)
+                     kernel, scalar)
 
 
 class CohClass(GradedVector):
@@ -264,6 +264,12 @@ class CohomologyRing:
         coefficient) pairs, as its own nonzero pairs in index order."""
         if not self.dim(k1 + k2):
             return ()
+        if len(left) == 1 and len(right) == 1:
+            # one table entry, already canonical: scaled once, if at all
+            (i, a), (j, b) = left[0], right[0]
+            entry = self.cup_basis(k1, i, k2, j)
+            ab = a * b
+            return entry if ab == 1 else tuple((idx, scalar(ab * v)) for idx, v in entry)
         return bilinear(k1, left, k2, right, self.cup_basis)
 
     def cup_checked(self, c1: CohClass, c2: CohClass):
@@ -351,8 +357,11 @@ def heaviest_chain(ring: CohomologyRing, classes: list, weights: list,
     heavier one, so the first heaviest chain in that order is returned.  A branch is skipped
     when filling every degree left up to the top nonzero degree at the
     largest weight per degree of any class cannot beat the best so far,
-    and the walk stops once a chain weighs ``goal``; neither changes the
-    chain returned.  Weights are positive.
+    and the walk stops once a chain weighs ``goal``.  Weights are positive.
+
+    ``goal`` must be a ceiling: at least the weight of every nonzero
+    chain.  Only then does stopping change nothing, since no later chain
+    could be strictly heavier; a lower goal may return a lighter chain.
     """
     if any(c.degree < 1 for c in classes):
         raise ValueError("chain factors need positive degree")

@@ -11,9 +11,13 @@ witnesses and the coset gets a canonical representative: the value reduced
 modulo the indeterminacy subspace.  The product is nonzero (as a coset)
 exactly when that canonical representative is nonzero.
 
-Truncation honesty: when a required product or the target degree falls
-outside the truncation window the triple is reported as undefined with an
-explicit obstruction string instead of silently computing garbage.
+Truncation honesty: when the target degree falls outside the truncation
+window the triple is reported as undefined with an explicit obstruction
+string instead of silently computing garbage.  The target is the only
+degree that can fall outside it: every degree is at least 1, so the
+defining products [a][b] and [b][c] sit at or below the target degree.
+A triple stops at its first obstruction: a nonzero [a][b] settles it
+before [b][c] is formed.
 """
 
 from __future__ import annotations
@@ -68,14 +72,10 @@ def massey_triple(ring: CohomologyRing, alpha: CohClass, beta: CohClass,
     if target > ring.truncation:
         return _undefined(alpha, beta, gamma,
                           f"target degree {target} exceeds truncation {ring.truncation}")
-    ab, ab_trunc = ring.cup_checked(alpha, beta)
-    bc, bc_trunc = ring.cup_checked(beta, gamma)
-    if ab_trunc or bc_trunc:
-        return _undefined(alpha, beta, gamma,
-                          "a defining product is not visible within the truncation")
-    if not ab.is_zero():
+    # every degree is at least 1, so p + q and q + r are at most the target
+    if not ring.cup(alpha, beta).is_zero():
         return _undefined(alpha, beta, gamma, "alpha*beta is nonzero")
-    if not bc.is_zero():
+    if not ring.cup(beta, gamma).is_zero():
         return _undefined(alpha, beta, gamma, "beta*gamma is nonzero")
 
     witnesses = _witnesses(ring, *map(ring.representative, (alpha, beta, gamma)))

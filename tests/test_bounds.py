@@ -44,6 +44,7 @@ from masseytc.massey import massey_triple
 from masseytc.models import MODEL_SOURCES
 from conftest import S2_SRC
 from oracles import zcl_by_ideal_search, zero_divisor_ideal
+from test_bench_tracer import load_bench
 from test_cli import STRESS_NIL_SRC
 from test_cohomology import _stress_ring, ideal_powers_length, random_presentations
 
@@ -526,6 +527,75 @@ def test_chain_searches_match_the_oracles_on_random_pools():
     for p in random_presentations(7717, 25):
         ring = CohomologyRing(compile_cdga(p))
         _assert_searches_match_the_oracles(ring, KunnethMap(ring, ring))
+
+
+T2_SRC = """\
+algebra t2 {
+  truncate 3
+  generator x degree 1
+  generator y degree 1
+}
+"""
+CEILING_MODELS = {
+    **{f"stress-seed{seed}": load_bench("inputs").stress_nil_model(seed) for seed in (1, 2, 3)},
+    "borromean-at-3": MODEL_SOURCES["borromean"].replace("truncate 2", "truncate 3")
+                                                .replace("space-dim 2", "space-dim 3"),
+    "t2": T2_SRC,
+    "s2": S2_SRC,
+}
+
+
+@pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", *CEILING_MODELS])
+def test_chain_searches_stop_at_their_ceilings_with_the_same_chain(kunneth_of, name):
+    # zcl <= 2 cl, and a nonzero product of facts has at most cl (cat) or
+    # zcl (tc) factors; a search stopped at such a ceiling returns the
+    # chain and product of the search run to its end
+    if name in CEILING_MODELS:
+        ring = CohomologyRing(compile_cdga(parse_model(CEILING_MODELS[name])))
+        km = KunnethMap(ring, ring)
+    else:
+        km = kunneth_of(name)
+        ring = km.ha
+    cl = cup_chain(ring)[0]
+    bars = [bar(km, u) for u in indecomposables(ring)]
+    zcl, picked, prod = heaviest_chain(km.ht, bars, [1] * len(bars))
+    assert heaviest_chain(km.ht, bars, [1] * len(bars), goal=2 * cl) == (zcl, picked, prod)
+    assert zero_divisors_cup_length(km) == (zcl, tuple(bars[i] for i in picked), prod)
+    assert zcl <= 2 * cl
+    cat = cat_weight_facts(ring)
+    for rg, facts, length in ((ring, cat, cl), (km.ht, tc_weight_facts(ring, km, cat), zcl)):
+        atoms = [f for _, f in sorted(facts.items())]
+        classes, weights = [f.cls for f in atoms], [f.weight for f in atoms]
+        ceiling = length * max(weights)
+        best = heaviest_chain(rg, classes, weights)
+        assert best == heaviest_chain(rg, classes, weights, goal=ceiling)
+        assert best[0] <= ceiling
+        assert weighted_lower_bound(rg, facts, length) == weighted_lower_bound(rg, facts)
+
+
+def test_ceilings_cut_the_products_of_the_stress_ledger(monkeypatch):
+    # on the bench's seed-1 stress model the zcl and weighted TC searches
+    # reach their ceilings early; run to the end, they form three times
+    # as many basis products
+    cup_basis = CohomologyRing.cup_basis
+
+    def products_in_ledger():
+        ring = _stress_ring("general")
+        km = KunnethMap(ring, ring)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(CohomologyRing, "cup_basis",
+                      lambda self, *key: calls.append(key) or cup_basis(self, *key))
+            ledger = build_ledger(ring, km)
+        return len(calls), ledger
+
+    capped, ledger = products_in_ledger()
+    search = masseytc.bounds.heaviest_chain
+    monkeypatch.setattr(masseytc.bounds, "heaviest_chain",
+                        lambda ring, classes, weights, goal=None: search(ring, classes, weights))
+    uncapped, same = products_in_ledger()
+    assert same == ledger
+    assert 2 * capped <= uncapped
 
 
 def test_heaviest_chain_of_nothing_is_the_unit(rings):
@@ -1044,6 +1114,10 @@ def _scaled_uncited_basis_fact(led):
         f, cls=Cochain(f.cls.degree, f.cls.dim, f.cls.pairs))),
         "a tc fact holds its class as a Cochain, not a CohClass",
         id="class-given-as-a-cochain"),
+    # True passed the degree check, as a bool is an int, and replayed as 1
+    pytest.param(_edit_certs("cup-chain", lambda c: {**c, "chain": ((True, (1, 0, 0)),)}),
+                 "factor 0 of the cup-chain certificate is not a class",
+                 id="degree-given-as-True"),
 ])
 def test_replay_names_malformed_class_records(rings, kunneth_of, ledger_of, forge, reason):
     # each of these replayed as valid or fell over with a stray
