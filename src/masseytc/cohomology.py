@@ -7,15 +7,17 @@ reduced form, so ``class_of`` is a pure readout and equal classes always
 get identical coordinate vectors, independent of which representative the
 caller happened to supply.
 
-Each degree's cocycles, boundaries and canonical basis are computed the
-first time something needs them, by :meth:`CohomologyRing.part`.  Each
-differential d_k is eliminated once, and that one elimination gives the
-cocycles of degree k, the boundaries of degree k+1 and the boundary
-solves in degree k.  A base ring computes every degree when it is built,
-since its dimensions are read off them.  The ring of a tensor model takes its
-dimensions from the Kunneth pairs (see :class:`KunnethMap`), so the
-square eliminates only in the degrees where a Massey witness or
-``class_of`` works with cochains.
+Each degree's boundaries and canonical basis are computed the first time
+something needs them, by :meth:`CohomologyRing.part`; its cocycles only
+when something reads them.  Each differential d_k is eliminated at most
+once, and that one elimination gives the cocycles of degree k, the
+boundaries of degree k+1 and the boundary solves in degree k.  A base
+ring computes every degree when it is built, since its dimensions are
+read off them.  The ring of a tensor model takes its dimensions from the
+Kunneth pairs and its canonical basis from its factors, the cross
+products r_i (x) s_j (see :class:`KunnethMap`).  So the square eliminates
+d_k only for what a Massey witness needs: the solves in degree k and the
+boundaries of degree k+1 that ``class_of`` reduces by.
 
 Products are held as a sparse table of structure constants: one entry per
 basis pair, holding the product's nonzero (index, coefficient) pairs.  A
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .dga import DGA, Cochain, PairBasis, tensor
 from .linalg import (ONE, GradedVector, PrefactoredSolver, SparseMatrix, Subspace, bilinear,
@@ -63,12 +66,17 @@ class CohClass(GradedVector):
 
 @dataclass(frozen=True)
 class DegreePart:
-    """The cocycles, the boundaries and the canonical class basis of one
-    degree, all as subspaces of that degree's cochains."""
+    """The boundaries and the canonical class basis of one degree, as
+    subspaces of that degree's cochains, and the differential d_k leaving
+    it.  The cocycles, the kernel of d_k, are computed on first read."""
 
-    cocycles: Subspace
     boundaries: Subspace
     reps: Subspace
+    diff: SparseMatrix
+
+    @cached_property
+    def cocycles(self) -> Subspace:
+        return kernel(self.diff)
 
 
 class CohomologyRing:
@@ -76,7 +84,8 @@ class CohomologyRing:
 
     The ring of a tensor model A (x) B is built with ``factors``, the rings
     of A and B: its basis is then indexed by ``pairs``, its dimensions are
-    the numbers of pairs, and its products come from the factors' tables
+    the numbers of pairs, its class representatives are the cross products
+    of the factors' ones, and its products come from the factors' tables
     (see :class:`KunnethMap`).
     """
 
@@ -95,25 +104,44 @@ class CohomologyRing:
             self._dims = tuple(self.part(k).reps.dim for k in range(dga.truncation + 1))
         else:
             self.pairs = PairBasis(dga.truncation, factors[0].dim, factors[1].dim)
-            self._dims = tuple(map(len, self.pairs))
+            self._dims = tuple(map(self.pairs.dim, range(dga.truncation + 1)))
         if dga.simply_connected and self.dim(1) != 0:
             raise ValueError(
                 f"model {dga.name} is declared simply connected but H^1 has "
                 f"dimension {self.dim(1)}")
 
     def part(self, k: int) -> DegreePart:
-        """Cocycles, boundaries and canonical basis of degree k; computed on
-        first use and memoized."""
+        """Boundaries and canonical basis of degree k; computed on first use
+        and memoized.  The boundaries are the image of d_(k-1); the basis
+        is the cocycles reduced modulo them, or for the ring of a tensor
+        model the cross products of its factors' representatives (see
+        :class:`KunnethMap`)."""
         hit = self._parts.get(k)
         if hit is None:
             dga = self.dga
-            z = kernel(dga.diff[k])
             b = self._solver(k - 1).image if k > 0 else Subspace.zero(dga.dim(0))
-            if not z.contains_subspace(b):
+            dk = dga.diff[k]
+            if any(map(dk.apply, b.nonzero_columns)):
                 raise ValueError(f"boundaries escape cocycles in degree {k}; d^2 != 0?")
-            reps = Subspace._spanned(dga.dim(k), map(b.reduce_pairs, z.nonzero_columns))
-            hit = self._parts[k] = DegreePart(z, b, reps)
+            if self.factors is None:
+                reps = Subspace._spanned(dga.dim(k), map(b.reduce_pairs,
+                                                          kernel(dk).nonzero_columns))
+            else:
+                reps = self._cross_reps(k)
+            hit = self._parts[k] = DegreePart(b, reps, dk)
         return hit
+
+    def _cross_reps(self, k: int) -> Subspace:
+        """The r_i (x) s_j of degree k in pair order, as a subspace whose
+        pivot columns are the pairs of the factors' pivots."""
+        (ha, hb), cross, n = self.factors, self.dga.pairs.cross, self.dga.dim(k)
+        cols = []
+        for p, _, _, _ in self.pairs.blocks(k):
+            rights = hb.part(k - p).reps.nonzero_columns
+            cols += [cross(p, x, k - p, y)
+                     for x in ha.part(p).reps.nonzero_columns for y in rights]
+        return Subspace(n, SparseMatrix(n, len(cols), tuple(cols)),
+                        tuple(col[0][0] for col in cols))
 
     def _solver(self, k: int) -> PrefactoredSolver:
         """The image of d_k and the solves against it, read off the
@@ -411,7 +439,10 @@ class KunnethMap:
     the map is the identity on coordinates, the square's dimensions are the
     numbers of pairs, and its structure constants are the factors' ones by
     the Koszul rule of ``PairBasis.product``.  That is how its ring is
-    built, so building the map runs no elimination.
+    built, so building the map runs no elimination, and
+    ``CohomologyRing.part`` relies on this proof for the square: it takes
+    the r_i (x) s_j as the canonical basis as they are, and eliminates no
+    d_k to find them.
 
     Proof.  Let v != 0 be a boundary of A (x) B with leading position
     (p, a, b).  Its (p, q) block is X + Y, where the columns of X lie in the
@@ -422,7 +453,8 @@ class KunnethMap:
     lie in the canonical complement and are already in reduced echelon form
     in pair order; they span it by a dimension count.  The tests verify
     the statement at the cochain level with ``check_kunneth`` in
-    ``tests/oracles.py``, which eliminates every degree of the square.
+    ``tests/oracles.py``, which eliminates every degree of the square
+    itself and compares the canonical complement it finds with ``part``.
     """
 
     def __init__(self, ha: CohomologyRing, hb: CohomologyRing):
@@ -441,7 +473,7 @@ class KunnethMap:
 
         Returns {(p, i, j): coeff} over pairs of factor basis classes.
         """
-        return {self.pairs[c.degree][i]: v for i, v in c.pairs}
+        return {self.pairs.pair(c.degree, i): v for i, v in c.pairs}
 
     def multiplication(self, k: int) -> SparseMatrix:
         """The multiplication map H^k(A (x) A) -> H^k(A), x (x) y -> x cup y,
@@ -450,9 +482,10 @@ class KunnethMap:
             raise ValueError("the multiplication map needs both factors to be the same ring")
         hit = self._multiplication.get(k)
         if hit is None:
-            ha = self.ha
-            hit = self._multiplication[k] = SparseMatrix(ha.dim(k), self.ht.dim(k), tuple(
-                ha.cup_basis(p, i, k - p, j) for p, i, j in self.pairs[k]))
+            cup = self.ha.cup_basis
+            hit = self._multiplication[k] = SparseMatrix(self.ha.dim(k), self.ht.dim(k), tuple(
+                cup(p, i, k - p, j) for p, _, rows, width in self.pairs.blocks(k)
+                for i in range(rows) for j in range(width)))
         return hit
 
     def diagonal_map(self, c: CohClass) -> CohClass:

@@ -19,10 +19,17 @@ A :class:`Cochain` is a :class:`~masseytc.linalg.GradedVector`: its degree,
 the dimension of that degree and its nonzero (index, coefficient) pairs.
 Products, differentials, rendering and cochains of polynomials all read
 and return those pairs; ``DGA.cochain`` builds one from dense coordinates.
+
+The tensor square A (x) B (:func:`tensor`) costs what it touches.  Its
+basis is a :class:`PairBasis`: one start per non-empty block, built from
+the factors' nonzero degrees, so a pair's position is arithmetic and no
+pair or name is stored.  Its product entries, differentials and basis
+names are computed per entry or per degree on first read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -155,30 +162,32 @@ class DGA:
     Either table may be a lazy read-only view that computes an entry or a
     degree the first time it is read: the product table of
     :func:`compile_cdga` and :func:`tensor` is one, and so are the
-    differentials of :func:`tensor`; absent keys still mean zero.
+    differentials and the basis names of :func:`tensor`; absent keys still
+    mean zero.  A tensor model reads its dimensions off ``pairs``, so its
+    names are rendered only when something reads them.
     Instances are immutable; build them with
     :func:`compile_cdga`, :func:`tensor`, or directly from tables in tests.
     """
 
     name: str
     truncation: int
-    basis: tuple  # tuple[tuple[str, ...], ...] indexed by degree 0..N
+    basis: Sequence  # tuple[str, ...] per degree 0..N
     mult: Mapping
     diff: Sequence  # SparseMatrix per degree 0..N
     simply_connected: bool = False
     space_dim: Optional[int] = None
     presentation: Optional[Presentation] = None
     monomials: Optional[tuple] = None  # per-degree Monomial tuples (compiled models)
-    pairs: Optional[tuple] = None      # PairBasis (tensor models)
+    pairs: Optional[Sequence] = None   # PairBasis (tensor models)
     factors: Optional[tuple] = None    # (A, B) for tensor models
 
     def dim(self, k: int) -> int:
         if 0 <= k <= self.truncation:
-            return len(self.basis[k])
+            return len(self.basis[k]) if self.pairs is None else self.pairs.dim(k)
         return 0
 
     def total_dim(self) -> int:
-        return sum(len(b) for b in self.basis)
+        return sum(map(self.dim, range(self.truncation + 1)))
 
     def zero_cochain(self, degree: int) -> Cochain:
         return Cochain(degree, self.dim(degree), ())
@@ -534,23 +543,69 @@ def compile_cdga(p: Presentation, check: bool = True) -> DGA:
 # ---------------------------------------------------------------- tensor
 
 
-class PairBasis(tuple):
+class PairBasis(Sequence):
     """The basis of a tensor product A (x) B: degree k lists the pairs
     (p, i, j) of basis element i of A^p and j of B^(k-p), ordered by p, i,
-    then j, and ``index[k]`` maps a pair to its position.  The one home of
-    this layout, of the Koszul product rule and of x (x) y: the cochain
-    square (:func:`tensor`) and the cohomology square
-    (``CohomologyRing(dga, factors)``) both read them from here.  Factor
-    entries come as sorted pairs, and positions follow (p, i, j), so a
-    product or a cross product comes out sorted as it is formed."""
+    then j.  The one home of this layout, of the Koszul product rule and
+    of x (x) y: the cochain square (:func:`tensor`) and the cohomology
+    square (``CohomologyRing(dga, factors)``) both read them from here.
 
-    def __new__(cls, n: int, dim_a, dim_b):
-        self = super().__new__(cls, (
-            tuple((p, i, j) for p in range(k + 1)
-                  for i in range(dim_a(p)) for j in range(dim_b(k - p)))
-            for k in range(n + 1)))
-        self.index = [{t: i for i, t in enumerate(ps)} for ps in self]
-        return self
+    Only the non-empty blocks are kept, built from the factors' nonzero
+    degrees: in degree k, block p starts at ``start[k, p]``, and pair
+    (p, i, j) sits at ``start[k, p] + i * dim_b(k - p) + j``.  A position
+    maps back to its pair by one bisect over that degree's block starts
+    and a divmod (:meth:`pair`).
+    ``dim(k)`` counts degree k's pairs, and ``pairs[k]`` lists them,
+    generated when asked.  Factor entries come as sorted pairs, and
+    positions follow (p, i, j), so a product or a cross product comes out
+    sorted as it is formed."""
+
+    def __init__(self, n: int, dim_a, dim_b):
+        self._dim_b = db = [dim_b(q) for q in range(n + 1)]
+        nonzero_b = [q for q in range(n + 1) if db[q]]
+        # degree -> (the block starts, the blocks as (p, start, rows, width))
+        self.start, self._dims, self._blocks = {}, {}, {}
+        for p in range(n + 1):
+            rows = dim_a(p)
+            if not rows:
+                continue
+            for q in nonzero_b:
+                k = p + q
+                if k > n:
+                    break
+                # p ascends, so each degree's blocks arrive in order
+                s = self.start[k, p] = self._dims.get(k, 0)
+                self._dims[k] = s + rows * db[q]
+                starts, blocks = self._blocks.setdefault(k, ([], []))
+                starts.append(s)
+                blocks.append((p, s, rows, db[q]))
+
+    def __len__(self) -> int:
+        return len(self._dim_b)
+
+    def __getitem__(self, k: int) -> tuple:
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError(f"degree {k} outside 0..{len(self) - 1}")
+        return tuple((p, i, j) for p, _, rows, width in self.blocks(k)
+                     for i in range(rows) for j in range(width))
+
+    def dim(self, k: int) -> int:
+        """The number of pairs in degree k."""
+        return self._dims.get(k, 0)
+
+    def blocks(self, k: int) -> Sequence:
+        """Degree k's non-empty blocks in order, each as (p, start,
+        dim_a(p), dim_b(k - p))."""
+        return self._blocks.get(k, ((), ()))[1]
+
+    def pair(self, k: int, pos: int) -> tuple:
+        """The pair (p, i, j) at a position of degree k."""
+        starts, blocks = self._blocks[k]
+        p, s, _, width = blocks[bisect_right(starts, pos) - 1]
+        i, j = divmod(pos - s, width)
+        return p, i, j
 
     def product(self, n1: int, i1: int, n2: int, i2: int, left, right) -> tuple:
         """Pair i1 of degree n1 times pair i2 of degree n2 as (index,
@@ -559,24 +614,32 @@ class PairBasis(tuple):
         ``left(p1, a1, p2, a2)`` and ``right(q1, b1, q2, b2)`` give the
         factors' sparse product entries.  Both pairs must exist and their
         degrees sum to at most the top degree."""
-        p1, a1, b1 = self[n1][i1]
-        p2, a2, b2 = self[n2][i2]
+        # pair() twice, inlined: products are the square's hot path
+        starts, blocks = self._blocks[n1]
+        p1, s1, _, w1 = blocks[bisect_right(starts, i1) - 1]
+        starts, blocks = self._blocks[n2]
+        p2, s2, _, w2 = blocks[bisect_right(starts, i2) - 1]
+        (a1, b1), (a2, b2) = divmod(i1 - s1, w1), divmod(i2 - s2, w2)
         q1, q2 = n1 - p1, n2 - p2
         xs = left(p1, a1, p2, a2)
         ys = right(q1, b1, q2, b2) if xs else None
         if not ys:
             return ()
-        index, odd = self.index[n1 + n2], (q1 * p2) % 2
-        return tuple((index[(p1 + p2, ia, jb)], scalar(-ca * cb if odd else ca * cb))
-                     for ia, ca in xs for jb, cb in ys)
+        base, width = self.start[n1 + n2, p1 + p2], self._dim_b[q1 + q2]
+        sign = -1 if (q1 * p2) % 2 else 1
+        out = []  # a loop, not a generator: most entries have one term
+        for ia, ca in xs:
+            for jb, cb in ys:
+                out.append((base + ia * width + jb, scalar(sign * ca * cb)))
+        return tuple(out)
 
     def cross(self, p: int, xs, q: int, ys) -> tuple:
         """The pairs of x (x) y for x of degree p and y of degree q, given by
         their pairs in the factors; () above the top degree."""
-        if p + q >= len(self):
+        if not (xs and ys) or p + q >= len(self):
             return ()
-        index = self.index[p + q]
-        return tuple((index[(p, i, j)], scalar(x * y)) for i, x in xs for j, y in ys)
+        base, width = self.start[p + q, p], self._dim_b[q]
+        return tuple((base + i * width + j, scalar(x * y)) for i, x in xs for j, y in ys)
 
 
 class _LazyProducts(Mapping):
@@ -647,14 +710,15 @@ class _LazyProducts(Mapping):
         return self._memo.items()
 
 
-class _TensorDifferentials(Sequence):
-    """The differentials of a (x) b as a read-only sequence indexed by
-    degree 0..N; degree k's matrix is built the first time it is read.
-    Negative indices and slices behave as on a tuple."""
+class _LazyDegrees(Sequence):
+    """A read-only sequence indexed by degree 0..N whose item for degree k
+    is ``build(k)``, computed the first time it is read and then kept: the
+    differentials and the basis names of :func:`tensor`.  Negative indices
+    and slices behave as on a tuple."""
 
-    def __init__(self, a: DGA, b: DGA, pairs: PairBasis):
-        self.a, self.b, self.pairs = a, b, pairs
-        self._built = [None] * len(pairs)
+    def __init__(self, build, n: int):
+        self._build = build
+        self._built = [None] * (n + 1)
 
     def __len__(self) -> int:
         return len(self._built)
@@ -662,25 +726,10 @@ class _TensorDifferentials(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return tuple(self[d] for d in range(len(self))[k])
-        m = self._built[k]
-        if m is None:
-            m = self._built[k] = self._build(k % len(self))
-        return m
-
-    def _build(self, deg: int) -> SparseMatrix:
-        # d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy; in pair order the
-        # rows (p, i, *) of x (x) dy come before the rows (p + 1, *, j) of
-        # dx (x) y, so each column is built in row order
-        a, b, pairs = self.a, self.b, self.pairs
-        tindex = pairs.index[deg + 1] if deg + 1 < len(pairs) else {}
-        cols = []
-        for p, i, j in pairs[deg]:
-            odd = p % 2
-            cols.append(tuple(
-                [(tindex[(p, i, r)], -v if odd else v)
-                 for r, v in b.diff[deg - p].nonzero_columns[j]]
-                + [(tindex[(p + 1, r, j)], v) for r, v in a.diff[p].nonzero_columns[i]]))
-        return SparseMatrix(len(tindex), len(pairs[deg]), tuple(cols))
+        item = self._built[k]
+        if item is None:
+            item = self._built[k] = self._build(k % len(self))
+        return item
 
 
 def tensor(a: DGA, b: DGA) -> DGA:
@@ -689,27 +738,50 @@ def tensor(a: DGA, b: DGA) -> DGA:
     (x (x) y) * (z (x) w) = (-1)^{|y||z|} xz (x) yw and
     d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy, truncated at N_a + N_b
     (every basis pair survives; truncation inside the factors propagates).
-    Only the basis, a :class:`PairBasis`, is built here: ``mult`` and
-    ``diff`` are lazy read-only views that compute a product entry or a
-    degree's differential the first time something reads it, so a square
-    whose cochains nothing touches costs its basis only.  The product of
-    two DGAs meets the axioms when its factors do, so the exhaustive check
-    is left to ``DGA.validate``.
+    Only the block layout of the basis, a :class:`PairBasis`, is built
+    here: ``mult``, ``diff`` and the basis names are lazy read-only views
+    that compute a product entry, a degree's differential or a degree's
+    names the first time something reads them, so a square whose cochains
+    nothing touches costs its blocks only.  Only error messages render
+    square cochains, so only they read the names.  The product of two DGAs
+    meets the axioms when its factors do, so the exhaustive check is left
+    to ``DGA.validate``.
     """
-    pairs = PairBasis(a.truncation + b.truncation, a.dim, b.dim)
+    n = a.truncation + b.truncation
+    pairs = PairBasis(n, a.dim, b.dim)
     left, right = a.mult.get, b.mult.get
 
     def product(n1: int, i1: int, n2: int, i2: int) -> tuple:
         return pairs.product(n1, i1, n2, i2, lambda *key: left(key),
                              lambda *key: right(key))
 
+    def differential(deg: int) -> SparseMatrix:
+        # d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy.  The rows of x (x) dy
+        # lie in block p of degree deg + 1 and those of dx (x) y in block
+        # p + 1, which comes after it, so each column is built in row order;
+        # a block that is absent receives no entries.
+        cols = []
+        for p, _, rows, width in pairs.blocks(deg):
+            q, odd = deg - p, p % 2
+            dx, dy = a.diff[p].nonzero_columns, b.diff[q].nonzero_columns
+            low, high = pairs.start.get((deg + 1, p), 0), pairs.start.get((deg + 1, p + 1), 0)
+            low_width = b.dim(q + 1)
+            for i in range(rows):
+                base = low + i * low_width
+                cols.extend(tuple([(base + r, -v if odd else v) for r, v in dy[j]]
+                                  + [(high + r * width + j, v) for r, v in dx[i]])
+                            for j in range(width))
+        return SparseMatrix(pairs.dim(deg + 1), pairs.dim(deg), tuple(cols))
+
+    def names(k: int) -> tuple:
+        return tuple(f"{a.basis[p][i]}(x){b.basis[k - p][j]}" for p, i, j in pairs[k])
+
     return DGA(
         name=f"{a.name}(x){b.name}",
-        truncation=len(pairs) - 1,
-        basis=tuple(tuple(f"{a.basis[p][i]}(x){b.basis[k - p][j]}" for p, i, j in ps)
-                    for k, ps in enumerate(pairs)),
-        mult=_LazyProducts(product, [len(ps) for ps in pairs]),
-        diff=_TensorDifferentials(a, b, pairs),
+        truncation=n,
+        basis=_LazyDegrees(names, n),
+        mult=_LazyProducts(product, [pairs.dim(k) for k in range(n + 1)]),
+        diff=_LazyDegrees(differential, n),
         simply_connected=a.simply_connected and b.simply_connected,
         space_dim=(a.space_dim or 0) + (b.space_dim or 0),
         pairs=pairs,

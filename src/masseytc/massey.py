@@ -9,7 +9,10 @@ modulo |a| H^(|b|+|c|-1) + H^(|a|+|b|-1) |c|.  Witness cochains come from
 the deterministic solver, so equal inputs always produce identical
 witnesses and the coset gets a canonical representative: the value reduced
 modulo the indeterminacy subspace.  The product is nonzero (as a coset)
-exactly when that canonical representative is nonzero.
+exactly when that canonical representative is nonzero.  The indeterminacy
+and the canonical representative are computed on first read; a zero value
+needs neither, so a scan that only asks whether its triples are nonzero
+builds the indeterminacy of its nonzero values alone.
 
 Truncation honesty: when the target degree falls outside the truncation
 window the triple is reported as undefined with an explicit obstruction
@@ -22,7 +25,8 @@ before [b][c] is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .cohomology import CohClass, CohomologyRing
@@ -33,6 +37,10 @@ from .linalg import kernel  # noqa: F401  bench/tests/test_bench_trace.py reads 
 
 @dataclass(frozen=True)
 class MasseyCoset:
+    """A triple <alpha, beta, gamma>: its witnesses and value when defined,
+    else the obstruction; ``indeterminacy`` and ``canonical`` are computed
+    from ``ring`` on first read."""
+
     alpha: CohClass
     beta: CohClass
     gamma: CohClass
@@ -42,25 +50,37 @@ class MasseyCoset:
     lam: Optional[Cochain]
     value_cochain: Optional[Cochain]
     value: Optional[CohClass]
-    indeterminacy: Optional[Subspace]
-    canonical: Optional[CohClass]
+    ring: Optional[CohomologyRing] = field(default=None, repr=False, compare=False)
 
     @property
     def target_degree(self) -> int:
         return self.alpha.degree + self.beta.degree + self.gamma.degree - 1
 
+    @cached_property
+    def indeterminacy(self) -> Optional[Subspace]:
+        if not self.defined:
+            return None
+        return massey_indeterminacy(self.ring, self.alpha, self.gamma, self.beta.degree)
+
+    @cached_property
+    def canonical(self) -> Optional[CohClass]:
+        """The value reduced modulo the indeterminacy."""
+        if not self.defined:
+            return None
+        value = self.value
+        return CohClass(value.degree, value.dim, self.indeterminacy.reduce_pairs(value.pairs))
+
     def contains_zero(self) -> bool:
         if not self.defined:
             raise ValueError(f"product is not defined: {self.obstruction}")
-        return self.canonical.is_zero()
+        return not self.is_nonzero()
 
     def is_nonzero(self) -> bool:
-        return self.defined and not self.canonical.is_zero()
+        return self.defined and not self.value.is_zero() and not self.canonical.is_zero()
 
 
 def _undefined(alpha, beta, gamma, obstruction):
-    return MasseyCoset(alpha, beta, gamma, False, obstruction,
-                       None, None, None, None, None, None)
+    return MasseyCoset(alpha, beta, gamma, False, obstruction, None, None, None, None)
 
 
 def massey_triple(ring: CohomologyRing, alpha: CohClass, beta: CohClass,
@@ -82,11 +102,7 @@ def massey_triple(ring: CohomologyRing, alpha: CohClass, beta: CohClass,
     if witnesses is None:
         raise ValueError("boundary witness missing although the class product vanishes")
     mu, lam, w = witnesses
-    value = ring.class_of(w)
-    indet = massey_indeterminacy(ring, alpha, gamma, q)
-    canonical = CohClass(target, value.dim, indet.reduce_pairs(value.pairs))
-    return MasseyCoset(alpha, beta, gamma, True, None, mu, lam, w,
-                       value, indet, canonical)
+    return MasseyCoset(alpha, beta, gamma, True, None, mu, lam, w, ring.class_of(w), ring)
 
 
 def massey_indeterminacy(ring: CohomologyRing, alpha: CohClass,

@@ -9,9 +9,13 @@ and are kept here, next to the tests that use them:
   models;
 * ``print_model``, the printer of the model text format, which the parser
   round-trip tests read back;
-* ``tensor_cochain`` and ``check_kunneth``, the cochain-level check that
-  each canonical class of a square is a cross product of canonical
-  representatives and that cochain products follow the Koszul rule;
+* ``tensor_cochain`` and ``check_kunneth``, the cochain-level check, by
+  an elimination of every degree of the square, that each canonical class
+  of a square is a cross product of canonical representatives and that
+  cochain products follow the Koszul rule;
+* ``TuplePairBasis``, the pair layout of a square held as a tuple of every
+  pair and a position dict per degree, as the engine once built it: the
+  oracle for ``PairBasis``'s block arithmetic;
 * ``zero_divisor_ideal``, the kernel of the multiplication map of a
   square in closed form, and ``zcl_by_ideal_search``, which picks the zcl
   witness by a second chain search over the ideal's basis, as the engine
@@ -32,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 from masseytc.bounds import bar, indecomposables
 from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap, heaviest_chain
 from masseytc.dga import DGA, Cochain, Presentation
-from masseytc.linalg import ONE, ZERO, SparseMatrix, Subspace, Vector, kernel, zero_vec
+from masseytc.linalg import ONE, ZERO, SparseMatrix, Subspace, Vector, image, kernel, zero_vec
 from masseytc.massey import MasseyCoset, massey_triple
 from masseytc.models import MODEL_SOURCES
 
@@ -184,24 +188,75 @@ def span_of_products(ring: CohomologyRing, k1: int, sub1: Subspace, k2: int,
         for a in sub1.nonzero_columns for b in sub2.nonzero_columns])
 
 
+class TuplePairBasis(tuple):
+    """The pairs (p, i, j) of each degree k of A (x) B, ordered by p, i,
+    then j, as one tuple per degree, and ``index[k]`` mapping a pair to its
+    position: the layout ``PairBasis`` computes by arithmetic, built by
+    walking every (k, p)."""
+
+    def __new__(cls, n: int, dim_a, dim_b):
+        self = super().__new__(cls, (
+            tuple((p, i, j) for p in range(k + 1)
+                  for i in range(dim_a(p)) for j in range(dim_b(k - p)))
+            for k in range(n + 1)))
+        self.index = [{t: i for i, t in enumerate(ps)} for ps in self]
+        return self
+
+    def product(self, n1: int, i1: int, n2: int, i2: int, left, right) -> tuple:
+        """``PairBasis.product`` by tuple lookups, the Koszul sign written
+        out on its own."""
+        p1, a1, b1 = self[n1][i1]
+        p2, a2, b2 = self[n2][i2]
+        q1, q2 = n1 - p1, n2 - p2
+        xs = left(p1, a1, p2, a2)
+        ys = right(q1, b1, q2, b2) if xs else None
+        if not ys:
+            return ()
+        sign = -1 if (q1 * p2) % 2 else 1
+        index = self.index[n1 + n2]
+        return tuple(sorted((index[(p1 + p2, ia, jb)], exact(sign * ca * cb))
+                            for ia, ca in xs for jb, cb in ys))
+
+    def cross(self, p: int, xs, q: int, ys) -> tuple:
+        """``PairBasis.cross`` by tuple lookups."""
+        if p + q >= len(self):
+            return ()
+        index = self.index[p + q]
+        return tuple(sorted((index[(p, i, j)], exact(x * y)) for i, x in xs for j, y in ys))
+
+
 def check_kunneth(kmap: KunnethMap) -> None:
     """Raise unless each canonical class of the square is represented by
     r_i (x) s_j, and the cochain products of these follow the Koszul
     rule, written here on its own, and agree with the table products.
 
-    This eliminates every degree of the square."""
+    This eliminates every degree of the square itself: the kernel of d_k,
+    the image of d_(k-1) and the canonical complement of the one in the
+    other, which must equal the class basis and the boundaries the ring
+    holds, since the ring builds its basis from the cross products."""
     ht, t = kmap.ht, kmap.ht.dga
     crosses = []  # per degree, (r_i (x) s_j, r_i, s_j) for each pair
     for deg in range(ht.truncation + 1):
-        reps = ht.part(deg).reps.basis_vectors()
-        if len(reps) != len(kmap.pairs[deg]):
+        cocycles = kernel(t.diff[deg])
+        boundaries = image(t.diff[deg - 1]) if deg else Subspace.zero(t.dim(0))
+        if not cocycles.contains_subspace(boundaries):
+            raise ValueError(f"boundaries escape cocycles in degree {deg} of the square")
+        canonical = Subspace._spanned(t.dim(deg), map(boundaries.reduce_pairs,
+                                                      cocycles.nonzero_columns))
+        pairs = kmap.pairs[deg]
+        if canonical.dim != len(pairs):
             raise ValueError(
                 f"Kunneth dimension mismatch in degree {deg}: "
-                f"{len(kmap.pairs[deg])} products vs H^{deg} of dimension {len(reps)}")
-        crosses.append([(Cochain.from_coords(deg, rep), kmap.ha.representative(kmap.ha.basis_class(p, i)),
+                f"{len(pairs)} products vs H^{deg} of dimension {canonical.dim}")
+        part = ht.part(deg)
+        if part.reps != canonical or part.boundaries != boundaries:
+            raise ValueError(f"the square's class basis in degree {deg} is not the "
+                             "canonical complement of its boundaries")
+        crosses.append([(Cochain(deg, t.dim(deg), rep),
+                         kmap.ha.representative(kmap.ha.basis_class(p, i)),
                          kmap.hb.representative(kmap.hb.basis_class(deg - p, j)))
-                        for rep, (p, i, j) in zip(reps, kmap.pairs[deg])])
-        for pair, (xy, x, y) in zip(kmap.pairs[deg], crosses[deg]):
+                        for rep, (p, i, j) in zip(canonical.nonzero_columns, pairs)])
+        for pair, (xy, x, y) in zip(pairs, crosses[deg]):
             if tensor_cochain(t, x, y) != xy:
                 raise ValueError(f"class {pair} of the square is not "
                                  "represented by the cross product")

@@ -46,7 +46,7 @@ from conftest import S2_SRC
 from oracles import zcl_by_ideal_search, zero_divisor_ideal
 from test_bench_tracer import load_bench
 from test_cli import STRESS_NIL_SRC
-from test_cohomology import _stress_ring, ideal_powers_length, random_presentations
+from test_cohomology import POLY4_SRC, _stress_ring, ideal_powers_length, random_presentations
 
 ALL_MODELS = ("spheres8", "borromean", "even7", "odd11", "s3", "s2", "point")
 
@@ -196,19 +196,6 @@ def test_zcl_witness_replays(kunneth_of):
         assert k == 0 or not prod.is_zero()
 
 
-POLY4_SRC = """\
-algebra poly4 {
-  truncate 8
-  space-dim 8
-  simply-connected true
-  generator a0 degree 2
-  generator a1 degree 2
-  generator a2 degree 2
-  generator a3 degree 2
-  generator z degree 3
-  d z = a0*a1
-}
-"""
 WITNESS_MODELS = {
     "stress": STRESS_NIL_SRC,
     "borromean-at-4": MODEL_SOURCES["borromean"].replace("truncate 2", "truncate 4")

@@ -24,7 +24,7 @@ from masseytc.cli import (
     main,
 )
 from masseytc.cohomology import CohomologyRing
-from masseytc.dga import compile_cdga
+from masseytc.dga import PairBasis, compile_cdga
 from masseytc.report import PAYLOAD_KEYS
 
 S2_FILE_SRC = """\
@@ -565,6 +565,36 @@ def test_bounds_frees_its_rings_without_the_cyclic_collector(capsys, monkeypatch
     finally:
         gc.enable()
     capsys.readouterr()
+
+
+def test_the_squares_lay_out_a_block_per_pair_of_nonzero_degrees(capsys, monkeypatch,
+                                                                 tmp_path):
+    # a circle truncated at 2000: only degrees 0 and 1 of the model and of
+    # its cohomology are nonzero, so each square of the 4000-degree `bounds`
+    # run keeps at most 2 x 2 blocks and reads each factor dimension once
+    # per degree, where a walk over every (k, p) would read millions
+    built = []
+    init = PairBasis.__init__
+
+    def counted(self, n, dim_a, dim_b):
+        reads = []
+
+        def counting(dim):
+            return lambda k: reads.append(k) or dim(k)
+
+        init(self, n, counting(dim_a), counting(dim_b))
+        nonzero = [sum(1 for k in range(n + 1) if dim(k)) for dim in (dim_a, dim_b)]
+        built.append((n, len(self.start), nonzero[0] * nonzero[1], len(reads)))
+
+    monkeypatch.setattr(PairBasis, "__init__", counted)
+    model = tmp_path / "circle.mtc"
+    model.write_text("algebra circle {\n  truncate 2000\n  space-dim 1\n"
+                     "  generator t degree 1\n}\n")
+    assert main(["bounds", str(model), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ledger"]["zcl"] == 1
+    assert len(built) == 2  # the cochain square and the cohomology square
+    for n, blocks, most, reads in built:
+        assert n == 4000 and 0 < blocks <= most == 4 and reads <= 2 * (n + 1)
 
 
 def test_readme_python_block_runs():

@@ -6,6 +6,7 @@ so the kernel/image machinery never grades its own homework.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 import sympy
@@ -28,6 +29,20 @@ from masseytc.linalg import Subspace, rank
 from oracles import (check_kunneth, span_of_products, tensor_cochain, zero_class,
                      zero_divisor_ideal)
 from test_cli import STRESS_NIL_SRC
+
+POLY4_SRC = """\
+algebra poly4 {
+  truncate 8
+  space-dim 8
+  simply-connected true
+  generator a0 degree 2
+  generator a1 degree 2
+  generator a2 degree 2
+  generator a3 degree 2
+  generator z degree 3
+  d z = a0*a1
+}
+"""
 
 
 def to_sympy(m):
@@ -404,20 +419,14 @@ def test_both_squares_multiply_and_cross_through_the_pair_basis(dgas, monkeypatc
 @pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress"])
 def test_square_eliminates_only_on_demand(rings, monkeypatch, name):
     # only the Rudyak scan's Massey triples need the square's cochains, and
-    # only borromean computes any; each degree's differential is eliminated
-    # at most once, and each degree builds its differential and the
-    # products it reads
+    # only borromean computes any.  Its class basis comes from the factors,
+    # so only the witness solves and the boundaries of the target degree
+    # eliminate: d_0, d_1 and d_2, each once.  d_3 is built, for the
+    # cocycle check of the value, and never eliminated; no name is rendered
     ring = rings[name] if name in rings else _stress_ring("general")
     ring.dims()
     eliminated = []
     entries = []
-    degrees = []
-
-    def recorded(fn, log):
-        def wrapper(self, *args):
-            log.append(args)
-            return fn(self, *args)
-        return wrapper
 
     tagged = masseytc.linalg._tagged_echelon
     monkeypatch.setattr(masseytc.linalg, "_tagged_echelon",
@@ -428,26 +437,43 @@ def test_square_eliminates_only_on_demand(rings, monkeypatch, name):
     def recording_init(self, entry, dims):
         init(self, lambda *key: entries.append(key) or entry(*key), dims)
 
-    differentials = masseytc.dga._TensorDifferentials
     monkeypatch.setattr(products, "__init__", recording_init)
-    monkeypatch.setattr(differentials, "_build", recorded(differentials._build, degrees))
     kmap = KunnethMap(ring, ring)
     build_ledger(ring, kmap)
-    built_entries, built_degrees = len(entries), sorted(deg for deg, in degrees)
-    # ``eliminated`` keeps every matrix alive, so ids are not reused;
-    # kernels of other maps (the zero-divisor ideal's) are not counted
-    square = {id(kmap.ht.dga.diff[deg]) for deg in built_degrees}
-    base = {id(m) for m in ring.dga.diff}
-    assert not any(id(m) in base for m in eliminated)
-    eliminated = [m for m in eliminated if id(m) in square]
+    t = kmap.ht.dga
+    built = {deg for deg, m in enumerate(t.diff._built) if m is not None}
+    # ``eliminated`` keeps every matrix alive, so ids are not reused
+    ids = [id(m) for m in eliminated]
+    assert len(ids) == len(set(ids))
+    assert not any(id(m) in ids for m in ring.dga.diff)
+    square = {deg for deg in built if id(t.diff[deg]) in ids}
+    assert all(names is None for names in t.basis._built)
     if name == "borromean":
-        assert 0 < len(eliminated) <= kmap.ht.truncation + 1
-        assert len({id(m) for m in eliminated}) == len(eliminated)
-        assert built_degrees and built_degrees[-1] <= 3
-        assert 0 < built_entries < len(kmap.ht.dga.mult) / 10
+        assert square == {0, 1, 2} and built == {0, 1, 2, 3}
+        assert len(eliminated) == 3
+        assert 0 < len(entries) < len(t.mult) / 10
     else:
-        assert eliminated == []
-        assert built_entries == 0 and built_degrees == []
+        assert eliminated == [] and square == set()
+        assert entries == [] and built == set()
+
+
+def test_kunneth_map_costs_its_blocks_only():
+    # building the map lays out both squares' blocks and their counts, and
+    # nothing per pair: poly4 at truncate 10 has 25,921 cochain pairs
+    ring = CohomologyRing(compile_cdga(parse_model(POLY4_SRC.replace(
+        "8\n", "10\n"))))
+    assert ring.truncation == 10
+    tracemalloc.start()
+    try:
+        kmap = KunnethMap(ring, ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    t = kmap.ht.dga
+    assert t.total_dim() == 25_921
+    assert peak < 2**20
+    assert all(names is None for names in t.basis._built)
+    assert all(m is None for m in t.diff._built)
 
 
 # ------------------------------------------------- zcl from generator bars

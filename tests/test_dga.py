@@ -11,17 +11,21 @@ from fractions import Fraction
 
 import pytest
 
+from masseytc.cohomology import CohomologyRing, KunnethMap
 from masseytc.dga import (
     DGA,
     Cochain,
     Generator,
+    PairBasis,
     PresentationError,
     compile_cdga,
     normalize_presentation,
     tensor,
 )
+from masseytc.dsl import parse_model
 from masseytc.linalg import SparseMatrix
-from oracles import exact, from_dict, tensor_cochain
+from oracles import TuplePairBasis, exact, from_dict, tensor_cochain
+from test_cli import STRESS_NIL_SRC
 
 
 def make(name, gens, diffs, n, aliases=(), sc=True, space_dim=None):
@@ -420,6 +424,105 @@ def test_lazy_tensor_tables_equal_the_eager_ones(dgas, first, second):
     for k in (n + 1, -n - 2):
         with pytest.raises(IndexError):
             t.diff[k]
+
+
+# ------------------------------------------------------------ pair layout
+
+
+def _nonzero_degrees(dim, n):
+    return sum(1 for k in range(n + 1) if dim(k))
+
+
+def _assert_layout(pb, oracle, blocks_at_most):
+    """PairBasis against the tuple-and-dict oracle: the pairs of every
+    degree, every position and its round trip, and the blocks kept."""
+    assert len(pb) == len(oracle) and list(pb) == list(oracle)
+    for k, pairs in enumerate(oracle):
+        assert pb[k] == pairs and pb.dim(k) == len(pairs)
+        for pos, (p, i, j) in enumerate(pairs):
+            # e_i (x) e_j sits at the pair's position, which maps back to it
+            assert pb.cross(p, ((i, 1),), k - p, ((j, 1),)) == ((pos, 1),)
+            assert pb.pair(k, pos) == (p, i, j) and oracle.index[k][p, i, j] == pos
+    assert pb[-1] == oracle[-1]
+    assert len(pb.start) <= blocks_at_most
+
+
+def _sample_keys(pb, rng, count):
+    """``count`` seeded (n1, i1, n2, i2) with both pairs present and
+    n1 + n2 at most the top degree, or none when no such key exists."""
+    degrees = [k for k in range(len(pb)) if pb.dim(k)]
+    sums = [(n1, n2) for n1 in degrees for n2 in degrees if n1 + n2 < len(pb)]
+    return [(n1, rng.randrange(pb.dim(n1)), n2, rng.randrange(pb.dim(n2)))
+            for n1, n2 in (rng.choice(sums) for _ in range(count if sums else 0))]
+
+
+def _seeded_entries(rng, dim):
+    """A product table of a factor with ``dim(k)`` basis elements in degree
+    k: each entry a seeded sparse vector, fixed once first read."""
+    memo = {}
+
+    def entry(k1, i1, k2, i2):
+        key = (k1, i1, k2, i2)
+        if key not in memo:
+            n = dim(k1 + k2)
+            memo[key] = tuple((i, rng.choice((1, -2, Fraction(1, 2), Fraction(-3, 2))))
+                              for i in sorted(rng.sample(range(n), min(n, rng.randint(0, 2)))))
+        return memo[key]
+    return entry
+
+
+def _seeded_pairs(rng, n):
+    return tuple((i, rng.choice((1, -1, 3, Fraction(2, 3))))
+                 for i in sorted(rng.sample(range(n), min(n, rng.randint(0, 3)))))
+
+
+def test_pair_layout_matches_the_tuple_oracle_on_random_dims():
+    # factor dimensions with zero degrees, so that whole degrees and blocks
+    # of the square are empty; products and crosses by seeded entries
+    rng = random.Random(6607)
+    for _ in range(60):
+        na, nb = rng.randint(0, 6), rng.randint(0, 6)
+        da = [rng.choice((0, 0, 1, 2, 3)) for _ in range(na + 1)]
+        db = [rng.choice((0, 0, 1, 2, 3)) for _ in range(nb + 1)]
+        dim_a = lambda p, da=da: da[p] if 0 <= p < len(da) else 0  # noqa: E731
+        dim_b = lambda q, db=db: db[q] if 0 <= q < len(db) else 0  # noqa: E731
+        n = na + nb
+        pb, oracle = PairBasis(n, dim_a, dim_b), TuplePairBasis(n, dim_a, dim_b)
+        _assert_layout(pb, oracle, _nonzero_degrees(dim_a, n) * _nonzero_degrees(dim_b, n))
+        left, right = _seeded_entries(rng, dim_a), _seeded_entries(rng, dim_b)
+        for key in _sample_keys(pb, rng, 40):
+            assert _typed(pb.product(*key, left, right)) == _typed(
+                oracle.product(*key, left, right)), key
+        for _ in range(40):
+            p, q = rng.randint(0, n), rng.randint(0, n)
+            xs, ys = _seeded_pairs(rng, dim_a(p)), _seeded_pairs(rng, dim_b(q))
+            assert _typed(pb.cross(p, xs, q, ys)) == _typed(oracle.cross(p, xs, q, ys))
+
+
+@pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress"])
+def test_pair_layout_matches_the_tuple_oracle_on_the_squares(dgas, name):
+    # both squares of a model, the cochain one and the cohomology one: the
+    # layout, and products through the factors' tables, sampled
+    d = compile_cdga(parse_model(STRESS_NIL_SRC)) if name == "stress" else dgas[name]
+    ring = CohomologyRing(d)
+    kmap = KunnethMap(ring, ring)
+    rng = random.Random(name)
+    squares = ((kmap.ht.dga.pairs, d.dim, lambda *key: d.mult.get(key)),
+               (kmap.pairs, ring.dim, ring.cup_basis))
+    for pb, dim, entry in squares:
+        n = len(pb) - 1
+        oracle = TuplePairBasis(n, dim, dim)
+        _assert_layout(pb, oracle, _nonzero_degrees(dim, n) ** 2)
+        products = [(pb.product(*key, entry, entry), oracle.product(*key, entry, entry))
+                    for key in _sample_keys(pb, rng, 300)]
+        assert all(_typed(got) == _typed(want) for got, want in products)
+        assert sum(1 for got, _ in products if got) > 10
+    pb, oracle = kmap.ht.dga.pairs, TuplePairBasis(kmap.ht.truncation, d.dim, d.dim)
+    reps = [(p, x) for p in range(ring.truncation + 1)
+            for x in ring.part(p).reps.nonzero_columns]
+    for p, x in reps:
+        for q, y in reps:
+            assert _typed(pb.cross(p, x, q, y)) == _typed(oracle.cross(p, x, q, y))
 
 
 def test_tensor_validates(s3, s2):

@@ -9,7 +9,8 @@ import random
 
 import pytest
 
-from masseytc import cohomology, dga, dsl, linalg, massey, models
+from masseytc import bounds, cohomology, dga, dsl, linalg, massey, models
+from masseytc.bounds import cat_weight_facts, rudyak_lower_bound, tc_weight_facts
 from masseytc.cohomology import CohClass
 from masseytc.linalg import Subspace
 from masseytc.massey import massey_triple, massey_value_from_cocycles, scan_triples
@@ -126,6 +127,58 @@ def test_scan_triples(rings):
     rb = rings["borromean"]
     nonzero = [m for m in scan_triples(rb) if m.is_nonzero()]
     assert nonzero  # the linking is visible from basis classes alone
+
+
+GOLDEN = ("spheres8", "borromean", "even7", "odd11")
+
+
+def test_a_zero_value_settles_is_nonzero_without_the_indeterminacy(rings, monkeypatch):
+    # alpha * H + H * gamma is built on first read of the indeterminacy or
+    # the canonical value, which a zero value does not need
+    calls = []
+    indeterminacy = massey.massey_indeterminacy
+    monkeypatch.setattr(massey, "massey_indeterminacy",
+                        lambda *args: calls.append(args) or indeterminacy(*args))
+    cosets = [c for name in GOLDEN for c in scan_triples(rings[name])]
+    zeros = [c for c in cosets if c.defined and c.value.is_zero()]
+    assert zeros and calls == []
+    assert not any(c.is_nonzero() for c in zeros)
+    assert all(c.contains_zero() for c in zeros) and calls == []
+    nonzero = next(c for c in cosets if c.defined and not c.value.is_zero())
+    nonzero.is_nonzero()
+    assert len(calls) == 1
+    nonzero.is_nonzero()
+    assert nonzero.indeterminacy is nonzero.indeterminacy and len(calls) == 1
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_lazy_indeterminacy_and_canonical_equal_the_eager_formula(rings, kunneth_of,
+                                                                  monkeypatch, name):
+    # the golden scans, and on borromean the Rudyak scan's triples in the
+    # square as well, against alpha * H^(q+r-1) + H^(p+q-1) * gamma and the
+    # value reduced modulo it, computed apart from the coset
+    ring = rings[name]
+    cosets = [(ring, c) for c in scan_triples(ring)]
+    if name == "borromean":
+        rudyak = []
+        triple = bounds.massey_triple
+        monkeypatch.setattr(bounds, "massey_triple",
+                            lambda r, *cls: rudyak.append((r, triple(r, *cls))) or rudyak[-1][1])
+        km = kunneth_of(name)
+        assert rudyak_lower_bound(km, tc_weight_facts(ring, km, cat_weight_facts(ring)), 3)[0] == 4
+        assert rudyak and all(r is km.ht for r, _ in rudyak)
+        cosets += rudyak
+    assert any(c.is_nonzero() for _, c in cosets)
+    for r, c in cosets:
+        if not c.defined:
+            assert c.indeterminacy is None and c.canonical is None and not c.is_nonzero()
+            continue
+        p, q, s = c.alpha.degree, c.beta.degree, c.gamma.degree
+        indet = r.product_span(p, Subspace._spanned(r.dim(p), [c.alpha.pairs]), q + s - 1).add(
+            r.product_span(s, Subspace._spanned(r.dim(s), [c.gamma.pairs]), p + q - 1))
+        canonical = CohClass(c.value.degree, c.value.dim, indet.reduce_pairs(c.value.pairs))
+        assert c.indeterminacy == indet and c.canonical == canonical
+        assert c.is_nonzero() == (not canonical.is_zero())
 
 
 def test_annihilators(rings):
