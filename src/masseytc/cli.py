@@ -168,39 +168,52 @@ COMMANDS = {
 }
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The command line parser.  When ``argv`` starts with a command, only
-    that command's subparser is built, since parsing ``argv`` needs no
-    other; otherwise (no command, an unknown one, or ``-h``) all are.
-    Help, usage and error texts are the same either way."""
+def add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    """The options and arguments of one command."""
+    p.add_argument("--json", action="store_true",
+                   help="emit canonical JSON instead of text")
+    p.add_argument("--quiet", action="store_true",
+                   help="suppress output; communicate via exit status")
+    p.add_argument("model")
+    if name == "massey":
+        p.add_argument("classes", nargs=3, metavar="CLASS")
+    if name == "bounds":
+        p.add_argument("--max-massey-degree", type=degree, default=None,
+                       metavar="N", help="cap the total degree of scanned triples")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, with a subparser per command."""
     parser = argparse.ArgumentParser(
         prog="masseytc",
         description="Exact cohomology, Massey products, and certified "
                     "category/TC bounds for finite rational DGA models.")
-    only = argv[0] if argv and argv[0] in COMMANDS else None
-    # a lone subparser still lists every command in the usage line
-    listed = {"metavar": "{" + ",".join(COMMANDS) + "}"} if only else {}
-    sub = parser.add_subparsers(dest="command", required=True, **listed)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line) in COMMANDS.items():
-        if only not in (None, name):
-            continue
-        p = sub.add_parser(name, help=help_line)
-        p.add_argument("--json", action="store_true",
-                       help="emit canonical JSON instead of text")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress output; communicate via exit status")
-        p.add_argument("model")
-        if name == "massey":
-            p.add_argument("classes", nargs=3, metavar="CLASS")
-        if name == "bounds":
-            p.add_argument("--max-massey-degree", type=degree, default=None,
-                           metavar="N", help="cap the total degree of scanned triples")
+        add_arguments(sub.add_parser(name, help=help_line), name)
     return parser
+
+
+def parse(argv: list) -> argparse.Namespace:
+    """The parsed command line.  When ``argv`` starts with a command, only
+    that command's parser is built, as the subparser it would be, and it
+    parses the rest.  The full parser parses everything else -- no command,
+    an unknown one, a top-level ``-h`` -- and any call that leaves
+    arguments over, so the ``unrecognized arguments`` error prints the
+    top-level usage.  Help, usage and error texts are the same either way."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"masseytc {argv[0]}")
+        add_arguments(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = parse(argv)
     try:
         code, payload, out = COMMANDS[args.command][0](args)
     except CliError as e:

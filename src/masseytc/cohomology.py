@@ -1,17 +1,19 @@
 """Cohomology rings of finite DGAs, with canonical class representatives.
 
 Every degree gets a canonical complement of the boundaries inside the
-cocycles: reduce each kernel basis vector modulo the image subspace and
-re-echelonize.  The resulting basis vectors are themselves cocycles in
-reduced form, so ``class_of`` is a pure readout and equal classes always
-get identical coordinate vectors, independent of which representative the
-caller happened to supply.
+cocycles: the reduced echelon basis of the cocycles reduced modulo the
+boundaries.  It is read off the canonical basis of the cocycles with no
+further elimination, as the kernel vectors whose pivots are not boundary
+pivots (proved in :meth:`CohomologyRing.part`).  These basis vectors are
+cocycles in reduced form, so ``class_of`` is a pure readout and equal
+classes always get identical coordinate vectors, independent of which
+representative the caller happened to supply.
 
 Each degree's boundaries and canonical basis are computed the first time
-something needs them, by :meth:`CohomologyRing.part`; its cocycles only
-when something reads them.  Each differential d_k is eliminated at most
-once, and that one elimination gives the cocycles of degree k, the
-boundaries of degree k+1 and the boundary solves in degree k.  A base
+something needs them, by :meth:`CohomologyRing.part`.  Each differential
+d_k is eliminated at most once, and that one elimination gives the
+cocycles of degree k, the boundaries of degree k+1 and the boundary
+solves in degree k; a degree with no cochains eliminates nothing.  A base
 ring computes every degree when it is built, since its dimensions are
 read off them.  The ring of a tensor model takes its dimensions from the
 Kunneth pairs and its canonical basis from its factors, the cross
@@ -50,7 +52,6 @@ of its three basis classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .dga import DGA, Cochain, PairBasis, tensor
@@ -68,15 +69,21 @@ class CohClass(GradedVector):
 class DegreePart:
     """The boundaries and the canonical class basis of one degree, as
     subspaces of that degree's cochains, and the differential d_k leaving
-    it.  The cocycles, the kernel of d_k, are computed on first read."""
+    it.  The cocycles, the kernel of d_k, are the ones a base ring read
+    its class basis off; the ring of a tensor model computes them on first
+    read."""
 
     boundaries: Subspace
     reps: Subspace
     diff: SparseMatrix
+    _cocycles: Subspace | None = None
 
     @cached_property
     def cocycles(self) -> Subspace:
-        return kernel(self.diff)
+        return kernel(self.diff) if self._cocycles is None else self._cocycles
+
+
+_EMPTY = Subspace.zero(0)  # every subspace of a degree with no cochains
 
 
 class CohomologyRing:
@@ -100,6 +107,7 @@ class CohomologyRing:
         self._cup_chain = None
         self._products = {}
         self._multiples = {}
+        self._indeterminacies = {}  # see massey.massey_indeterminacy
         if factors is None:
             self._dims = tuple(self.part(k).reps.dim for k in range(dga.truncation + 1))
         else:
@@ -112,23 +120,45 @@ class CohomologyRing:
 
     def part(self, k: int) -> DegreePart:
         """Boundaries and canonical basis of degree k; computed on first use
-        and memoized.  The boundaries are the image of d_(k-1); the basis
-        is the cocycles reduced modulo them, or for the ring of a tensor
-        model the cross products of its factors' representatives (see
-        :class:`KunnethMap`)."""
+        and memoized.  The boundaries are the image of d_(k-1).  A degree
+        with no cochains eliminates nothing.  The ring of a tensor model
+        takes the cross products of its factors' representatives as its
+        basis (see :class:`KunnethMap`).
+
+        A base ring reads its basis off the canonical basis of the cocycles
+        Z = ker d_k: it keeps the basis vectors of Z whose pivots are not
+        pivots of the boundaries B.  Proof that these are the canonical
+        complement, the reduced echelon basis of the cocycles reduced
+        modulo B.  The pivots of a subspace are the first nonzero indices
+        of its members, so B in Z gives pivots(B) in pivots(Z).  A basis
+        vector of Z vanishes at every other pivot of Z, so one whose pivot
+        is not in pivots(B) vanishes at every pivot of B and is its own
+        reduction modulo B.  There are dim Z - dim B of them, with distinct
+        pivots, and reduction modulo B maps Z onto the complement with
+        kernel B, so they span it; they are in reduced echelon form, and
+        that form is unique.
+        """
         hit = self._parts.get(k)
         if hit is None:
             dga = self.dga
-            b = self._solver(k - 1).image if k > 0 else Subspace.zero(dga.dim(0))
-            dk = dga.diff[k]
+            n, dk = dga.dim(k), dga.diff[k]
+            if not n:
+                hit = self._parts[k] = DegreePart(_EMPTY, _EMPTY, dk, _EMPTY)
+                return hit
+            b = self._solver(k - 1).image if k > 0 and dga.dim(k - 1) else Subspace.zero(n)
             if any(map(dk.apply, b.nonzero_columns)):
                 raise ValueError(f"boundaries escape cocycles in degree {k}; d^2 != 0?")
             if self.factors is None:
-                reps = Subspace._spanned(dga.dim(k), map(b.reduce_pairs,
-                                                          kernel(dk).nonzero_columns))
+                z = kernel(dk)
+                bounded = set(b.pivots)
+                kept = [i for i, p in enumerate(z.pivots) if p not in bounded]
+                cols = z.nonzero_columns
+                reps = Subspace(n, SparseMatrix(n, len(kept), tuple(cols[i] for i in kept)),
+                                tuple(z.pivots[i] for i in kept))
+                hit = DegreePart(b, reps, dk, z)
             else:
-                reps = self._cross_reps(k)
-            hit = self._parts[k] = DegreePart(b, reps, dk)
+                hit = DegreePart(b, self._cross_reps(k), dk)
+            self._parts[k] = hit
         return hit
 
     def _cross_reps(self, k: int) -> Subspace:
@@ -192,6 +222,10 @@ class CohomologyRing:
         if not dx.is_zero():
             raise ValueError(
                 f"not a cocycle: d({self.dga.render(x)}) = {self.dga.render(dx)}")
+        return self._class_of_cocycle(x)
+
+    def _class_of_cocycle(self, x: Cochain) -> CohClass:
+        k = x.degree
         part = self.part(k)
         pairs = part.reps.coordinates_of(part.boundaries.reduce_pairs(x.pairs))
         if pairs is None:
@@ -227,37 +261,53 @@ class CohomologyRing:
         polynomial and so has no degree, a cochain that is not a cocycle,
         or a class above the truncation, whose coordinates the model does
         not know.  Each name is resolved once per ring; a refusal is
-        remembered too.
+        remembered too, and its message is rendered only when it is raised.
         """
-        hit = self._named.get(name)
-        if hit is None:
-            try:
-                hit = self._resolve(name)
-            except ValueError as e:
-                hit = str(e)
-            self._named[name] = hit
-        if isinstance(hit, str):
-            raise ValueError(hit)
+        hit = self._lookup(name)
+        if not isinstance(hit, CohClass):
+            raise ValueError(hit())
         return hit
 
-    def _resolve(self, name: str) -> CohClass:
+    def named_classes(self) -> dict:
+        """The class of every alias and then every generator name that has
+        one, in the presentation's order; refusals are skipped unrendered."""
         p = self.dga.presentation
         if p is None:
-            raise ValueError(f"model {self.dga.name} has no named classes")
+            return {}
+        names = [a for a, _ in p.aliases] + [g.name for g in p.generators]
+        return {name: hit for name in names if isinstance(hit := self._lookup(name), CohClass)}
+
+    def _lookup(self, name: str):
+        hit = self._named.get(name)
+        if hit is None:
+            hit = self._named[name] = self._resolve(name)
+        return hit
+
+    def _resolve(self, name: str):
+        """The class of a name, or its refusal as a function that renders
+        the message."""
+        dga = self.dga
+        p = dga.presentation
+        if p is None:
+            return lambda: f"model {dga.name} has no named classes"
         poly = next((poly for alias, poly in p.aliases if alias == name), None)
-        if poly is None and name in {g.name for g in p.generators}:
-            poly = {tuple(1 if h.name == name else 0
-                          for h in p.canonical_generators()): ONE}
         if poly is None:
-            known = [a for a, _ in p.aliases] + [g.name for g in p.generators]
-            raise ValueError(f"unknown class name {name!r}; known: {', '.join(known)}")
+            gens = p.canonical_generators()
+            i = next((i for i, g in enumerate(gens) if g.name == name), None)
+            if i is None:
+                known = [a for a, _ in p.aliases] + [g.name for g in p.generators]
+                return lambda: f"unknown class name {name!r}; known: {', '.join(known)}"
+            poly = {tuple(1 if j == i else 0 for j in range(len(gens))): ONE}
         if not poly:
-            raise ValueError(f"class {name!r} is zero as a polynomial, so it has no degree")
-        x = self.dga.cochain_from_poly(poly)
+            return lambda: f"class {name!r} is zero as a polynomial, so it has no degree"
+        x = dga.cochain_from_poly(poly)
         if x.degree > self.truncation:
-            raise ValueError(f"class {name!r} has degree {x.degree}, above the "
-                             f"truncation {self.truncation}")
-        return self.class_of(x)
+            return lambda: (f"class {name!r} has degree {x.degree}, above the "
+                            f"truncation {self.truncation}")
+        dx = dga.d(x)
+        if not dx.is_zero():
+            return lambda: f"not a cocycle: d({dga.render(x)}) = {dga.render(dx)}"
+        return self._class_of_cocycle(x)
 
     # ------------------------------------------------------------- products
 
@@ -394,9 +444,12 @@ def heaviest_chain(ring: CohomologyRing, classes: list, weights: list,
     if any(c.degree < 1 for c in classes):
         raise ValueError("chain factors need positive degree")
     top = ring.top_nonzero_degree()
-    rate = max((Fraction(w, c.degree) for c, w in zip(classes, weights)), default=0)
-    # w + (top - d) * rate <= best, in integers
-    num, den = rate.numerator, rate.denominator
+    # the largest weight per degree, num / den, compared in integers
+    num, den = 0, 1
+    for c, w in zip(classes, weights):
+        if w * den > num * c.degree:
+            num, den = w, c.degree
+    # w + (top - d) * num / den <= best, in integers
     best = (0, (), ring.basis_class(0, 0))
     # a frame is [next index, chain, degree, weight, product's nonzero
     # pairs]; the first frame is the empty chain

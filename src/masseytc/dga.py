@@ -66,8 +66,13 @@ class Presentation:
     simply_connected: bool = False
     aliases: tuple = ()  # tuple[(alias_name, Polynomial), ...]
 
+    def __post_init__(self):
+        # the canonical order, sorted once per presentation
+        object.__setattr__(self, "_canonical", tuple(
+            sorted(self.generators, key=lambda g: (g.degree, g.name))))
+
     def canonical_generators(self) -> tuple:
-        return tuple(sorted(self.generators, key=lambda g: (g.degree, g.name)))
+        return self._canonical
 
 
 # ---------------------------------------------------------------- monomials
@@ -96,33 +101,6 @@ def mono_mul(m1: Monomial, m2: Monomial, odd: Sequence[bool]):
                 count_after += 1
     sign = -ONE if swaps % 2 else ONE
     return sign, tuple(map(add, m1, m2))
-
-
-def poly_add_scaled(target: Polynomial, src: Polynomial, c) -> None:
-    if not c:
-        return
-    for m, v in src.items():
-        nv = target.get(m, ZERO) + c * v
-        if nv:
-            target[m] = scalar(nv)
-        else:
-            target.pop(m, None)
-
-
-def poly_mul(p: Polynomial, q: Polynomial, odd: Sequence[bool]) -> Polynomial:
-    out: Polynomial = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            sm = mono_mul(m1, m2, odd)
-            if sm is None:
-                continue
-            s, m = sm
-            nv = out.get(m, ZERO) + s * c1 * c2
-            if nv:
-                out[m] = scalar(nv)
-            else:
-                out.pop(m, None)
-    return out
 
 
 def mono_name(m: Monomial, names: Sequence[str]) -> str:
@@ -178,6 +156,7 @@ class DGA:
     space_dim: Optional[int] = None
     presentation: Optional[Presentation] = None
     monomials: Optional[tuple] = None  # per-degree Monomial tuples (compiled models)
+    index: Optional[tuple] = None      # per-degree {Monomial: position} (compiled models)
     pairs: Optional[Sequence] = None   # PairBasis (tensor models)
     factors: Optional[tuple] = None    # (A, B) for tensor models
 
@@ -226,19 +205,18 @@ class DGA:
 
     def cochain_from_poly(self, poly: Polynomial) -> Cochain:
         """Cochain of a homogeneous polynomial (compiled models only)."""
-        if self.monomials is None:
+        if self.index is None:
             raise ValueError("not a compiled monomial model")
         if not poly:
             raise ValueError("zero polynomial has no degree; use zero_cochain")
-        gens = self.presentation.canonical_generators()
-        degrees = [g.degree for g in gens]
+        degrees = [g.degree for g in self.presentation.canonical_generators()]
         degs = {mono_degree(m, degrees) for m in poly}
         if len(degs) > 1:
             raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degs)}")
         k = degs.pop()
         if k > self.truncation:
             return Cochain(k, 0, ())
-        index = {m: i for i, m in enumerate(self.monomials[k])}
+        index = self.index[k]
         return Cochain(k, self.dim(k), tuple(sorted((index[m], c) for m, c in poly.items())))
 
     def render(self, x: Cochain) -> str:
@@ -450,8 +428,13 @@ def normalize_presentation(
 def compile_cdga(p: Presentation, check: bool = True) -> DGA:
     """Compile a free graded-commutative presentation into explicit tables.
 
-    The differentials are built here; the product table is lazy, each entry
-    computed from the monomials the first time it is read.
+    The differentials are built here, each column in closed form by the
+    Leibniz rule: d(a*g^e*b) = (-1)^|a| e * a*g^(e-1)*dg*b, summed over the
+    factors g^e of the monomial whose generator has a nonzero differential,
+    with the Koszul signs of :func:`mono_mul`.  The product table is lazy,
+    each entry computed from the monomials the first time it is read.  The
+    per-degree monomial index built here is kept on the model, so
+    :meth:`DGA.cochain_from_poly` looks monomials up without rebuilding it.
 
     With ``check=True`` (the default) a presentation whose differential does
     not square to zero on the generators, within the truncation, raises
@@ -487,45 +470,43 @@ def compile_cdga(p: Presentation, check: bool = True) -> DGA:
         s, m = sm
         return ((index[k1 + k2][m], s),)
 
-    dgen = {names[i]: p.differentials.get(names[i], {}) for i in range(len(canon))}
-    unit_mono = tuple(0 for _ in canon)
-    memo: dict = {unit_mono: {}}
+    dgen = [p.differentials.get(name, {}) for name in names]
+    moving = [i for i, dg in enumerate(dgen) if dg]
+    zero = (0,) * len(canon)
 
-    def d_mono(m: Monomial) -> Polynomial:
-        cached = memo.get(m)
-        if cached is not None:
-            return cached
-        i = next(idx for idx, e in enumerate(m) if e)
-        g_mono = tuple(1 if j == i else 0 for j in range(len(canon)))
-        rest = tuple(e - 1 if j == i else e for j, e in enumerate(m))
-        # d(g * rest) = dg * rest + (-1)^{|g|} g * d(rest)
+    def d_poly(m: Monomial) -> Polynomial:
+        # d(a*g^e*b) = (-1)^|a| e * a*g^(e-1)*dg*b, summed over the factors
+        # g^e of m whose generator has a nonzero differential
         out: Polynomial = {}
-        g_poly = {g_mono: ONE}
-        poly_add_scaled(out, poly_mul(dgen[names[i]], {rest: ONE}, odd), ONE)
-        sign = -ONE if degrees[i] % 2 else ONE
-        poly_add_scaled(out, poly_mul(g_poly, d_mono(rest), odd), sign)
-        memo[m] = out
-        return out
+        for i in moving:
+            e = m[i]
+            if not e:
+                continue
+            left, right = m[:i] + (e - 1,) + zero[i + 1:], zero[:i + 1] + m[i + 1:]
+            c0 = -e if sum(m[j] for j in range(i) if odd[j]) % 2 else e
+            for t, c in dgen[i].items():
+                lt = mono_mul(left, t, odd)
+                ltr = lt and mono_mul(lt[1], right, odd)
+                if ltr:
+                    mono = ltr[1]
+                    out[mono] = out.get(mono, ZERO) + c0 * lt[0] * ltr[0] * c
+        return {mono: scalar(c) for mono, c in out.items() if c}
 
-    diff = []
-    for k in range(n + 1):
-        target = index[k + 1] if k + 1 <= n else {}
-        diff.append(SparseMatrix(len(target), len(monomials[k]), tuple(
-            tuple(sorted((target[tm], c) for tm, c in d_mono(m).items() if tm in target))
-            for m in monomials[k])))
-    diff = tuple(diff)
+    diff = tuple(SparseMatrix(len(monomials[k + 1]), len(monomials[k]), tuple(
+        tuple(sorted((index[k + 1][t], c) for t, c in d_poly(m).items()))
+        for m in monomials[k])) for k in range(n)) + (SparseMatrix.zero(0, len(monomials[n])),)
 
     if check:
-        for g in canon:
+        for i in moving:
             dd: Polynomial = {}
-            for m, c in dgen[g.name].items():
-                poly_add_scaled(dd, d_mono(m), c)
-            bad = {m: c for m, c in dd.items() if mono_degree(m, degrees) <= n}
+            for m, c in dgen[i].items():
+                for t, v in d_poly(m).items():
+                    dd[t] = dd.get(t, ZERO) + c * v
+            bad = {m: scalar(c) for m, c in dd.items() if c and mono_degree(m, degrees) <= n}
             if bad:
                 terms = " + ".join(
                     f"{c}*{mono_name(m, names)}" for m, c in sorted(bad.items(), reverse=True))
-                raise PresentationError(f"d^2({g.name}) = {terms} != 0")
-    d_mono = None  # the closure holds itself, and its memo, through its cell
+                raise PresentationError(f"d^2({names[i]}) = {terms} != 0")
 
     return DGA(
         name=p.name,
@@ -537,6 +518,7 @@ def compile_cdga(p: Presentation, check: bool = True) -> DGA:
         space_dim=p.space_dim,
         presentation=p,
         monomials=monomials,
+        index=index,
     )
 
 

@@ -378,7 +378,10 @@ def _tagged_echelon(a: SparseMatrix) -> tuple:
 
 
 def kernel(a: SparseMatrix) -> Subspace:
-    """Null space of ``a`` as a canonical subspace of Q^cols."""
+    """Null space of ``a`` as a canonical subspace of Q^cols; that of a
+    zero matrix is the whole space, with no elimination."""
+    if a.is_zero():
+        return Subspace.full(a.cols)
     return Subspace._spanned(a.cols, a._tagged[3])
 
 

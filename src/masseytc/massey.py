@@ -12,7 +12,8 @@ modulo the indeterminacy subspace.  The product is nonzero (as a coset)
 exactly when that canonical representative is nonzero.  The indeterminacy
 and the canonical representative are computed on first read; a zero value
 needs neither, so a scan that only asks whether its triples are nonzero
-builds the indeterminacy of its nonzero values alone.
+builds the indeterminacy of its nonzero values alone, and triples that
+share alpha, gamma and the degree of beta share one indeterminacy.
 
 Truncation honesty: when the target degree falls outside the truncation
 window the triple is reported as undefined with an explicit obstruction
@@ -107,9 +108,15 @@ def massey_triple(ring: CohomologyRing, alpha: CohClass, beta: CohClass,
 
 def massey_indeterminacy(ring: CohomologyRing, alpha: CohClass,
                          gamma: CohClass, q: int) -> Subspace:
-    """alpha * H^(q+r-1) + H^(p+q-1) * gamma inside the target degree."""
-    p, r = alpha.degree, gamma.degree
-    return ring.multiples(alpha, q + r - 1).add(ring.multiples(gamma, p + q - 1))
+    """alpha * H^(q+r-1) + H^(p+q-1) * gamma inside the target degree;
+    memoized on the ring per alpha, gamma and q, like ``multiples``."""
+    key = (alpha.degree, alpha.pairs, gamma.degree, gamma.pairs, q)
+    hit = ring._indeterminacies.get(key)
+    if hit is None:
+        p, r = alpha.degree, gamma.degree
+        hit = ring._indeterminacies[key] = ring.multiples(alpha, q + r - 1).add(
+            ring.multiples(gamma, p + q - 1))
+    return hit
 
 
 def massey_value_from_cocycles(ring: CohomologyRing, a: Cochain, b: Cochain,

@@ -33,14 +33,7 @@ def model_section(ring: CohomologyRing) -> dict:
 
 
 def cohomology_section(ring: CohomologyRing) -> dict:
-    classes = {}
-    p = ring.dga.presentation
-    if p is not None:
-        for name in [a for a, _ in p.aliases] + [g.name for g in p.generators]:
-            try:
-                classes[name] = ring.named_class(name)
-            except ValueError:
-                continue  # generators with nonzero differential have no class
+    classes = ring.named_classes()  # generators with nonzero differential have no class
     return {
         "dims": list(ring.dims()),
         "connectivity": ring.connectivity(),

@@ -9,6 +9,10 @@ and are kept here, next to the tests that use them:
   models;
 * ``print_model``, the printer of the model text format, which the parser
   round-trip tests read back;
+* ``differentials_by_recursion``, the recursive compile of a model's
+  differentials that the closed form replaced, and ``reps_by_reduction``,
+  the class basis found by reducing the kernel modulo the boundaries and
+  eliminating again, which reading it off the kernel replaced;
 * ``tensor_cochain`` and ``check_kunneth``, the cochain-level check, by
   an elimination of every degree of the square, that each canonical class
   of a square is a cross product of canonical representatives and that
@@ -35,7 +39,7 @@ from typing import Iterable, Mapping, Sequence
 
 from masseytc.bounds import bar, indecomposables
 from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap, heaviest_chain
-from masseytc.dga import DGA, Cochain, Presentation
+from masseytc.dga import DGA, Cochain, Presentation, mono_mul
 from masseytc.linalg import ONE, ZERO, SparseMatrix, Subspace, Vector, image, kernel, zero_vec
 from masseytc.massey import MasseyCoset, massey_triple
 from masseytc.models import MODEL_SOURCES
@@ -139,6 +143,72 @@ def print_model(p: Presentation) -> str:
         lines.append(f"  alias {aname} = {_poly_to_dsl(poly, names)}")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ------------------------------------------------ differentials and classes
+
+
+def _poly_mul(p, q, odd):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            sm = mono_mul(m1, m2, odd)
+            if sm is None:
+                continue
+            s, m = sm
+            out[m] = exact(out.get(m, ZERO) + s * c1 * c2)
+    return {m: c for m, c in out.items() if c}
+
+
+def _poly_add_scaled(target, src, c) -> None:
+    for m, v in src.items():
+        nv = exact(target.get(m, ZERO) + c * v)
+        if nv:
+            target[m] = nv
+        else:
+            target.pop(m, None)
+
+
+def differentials_by_recursion(dga: DGA) -> tuple:
+    """The differentials of a compiled model by the recursion
+    d(g * rest) = dg * rest + (-1)^|g| g * d(rest), g the first generator
+    of a monomial, with every monomial's polynomial memoized, as the
+    compiler once built them: the oracle for its closed form."""
+    canon = dga.presentation.canonical_generators()
+    degrees = [g.degree for g in canon]
+    odd = [d % 2 == 1 for d in degrees]
+    dgen = [dga.presentation.differentials.get(g.name, {}) for g in canon]
+    memo = {(0,) * len(canon): {}}
+
+    def d_mono(m):
+        if m not in memo:
+            i = next(idx for idx, e in enumerate(m) if e)
+            g_mono = tuple(1 if j == i else 0 for j in range(len(canon)))
+            rest = tuple(e - 1 if j == i else e for j, e in enumerate(m))
+            out = {}
+            _poly_add_scaled(out, _poly_mul(dgen[i], {rest: ONE}, odd), ONE)
+            _poly_add_scaled(out, _poly_mul({g_mono: ONE}, d_mono(rest), odd),
+                             -ONE if degrees[i] % 2 else ONE)
+            memo[m] = out
+        return memo[m]
+
+    n, monomials = dga.truncation, dga.monomials
+    diff = []
+    for k in range(n + 1):
+        target = {m: i for i, m in enumerate(monomials[k + 1])} if k < n else {}
+        diff.append(SparseMatrix(len(target), len(monomials[k]), tuple(
+            tuple(sorted((target[t], c) for t, c in d_mono(m).items() if t in target))
+            for m in monomials[k])))
+    return tuple(diff)
+
+
+def reps_by_reduction(ring: CohomologyRing, k: int) -> Subspace:
+    """The class basis of degree k of a base ring as the engine once built
+    it: every canonical kernel vector of d_k reduced modulo the boundaries,
+    then eliminated again."""
+    b = ring.part(k).boundaries
+    return Subspace._spanned(ring.dga.dim(k), map(b.reduce_pairs,
+                                                  kernel(ring.dga.diff[k]).nonzero_columns))
 
 
 # ------------------------------------------------------- cochains and Kunneth

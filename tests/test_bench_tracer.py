@@ -5,13 +5,16 @@ it by path and check that every name it traces resolves, that a traced
 ``bounds`` run prints the same bytes as an untraced one, and that
 ``uninstall`` puts every binding back.  ``bench/checks.py`` reads engine
 names to recompute and replay what each op printed; it must pass the
-golden outputs.
+golden outputs.  The massey-cli workload's seed-1 traffic is pinned by
+one digest over every call's exit code and output.
 """
 
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import io
+import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -106,3 +109,25 @@ def test_the_bench_checker_passes_the_golden_outputs(monkeypatch):
         code, out = call(["bounds", name, "--json"])
         assert checker.bounds(name, code, out, captured[:], {"cat": cat, "tc": tc}) == []
     assert checker._verified  # a defined query was recomputed, not only pinned
+
+
+# sha256 over the exit code, stdout and stderr of each of the 34 seed-1
+# massey-cli queries, text and then --json, one JSON line per call
+MASSEY_CLI_SEED1_DIGEST = "e01bf66b2daf9555cf37565c1e7a6e99e7285f141ab768aca9566d6aca7b42c7"
+
+
+def test_the_massey_cli_traffic_is_byte_identical(tmp_path):
+    models, queries = load_bench("inputs").massey_inputs(1)
+    assert len(queries) == 34
+    paths = {}
+    for name, text in models.items():
+        paths[name] = tmp_path / f"{name}.mtc"
+        paths[name].write_text(text)
+    digest = hashlib.sha256()
+    for model, *classes in queries:
+        for flags in ([], ["--json"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["massey", str(paths.get(model, model)), *classes, *flags])
+            digest.update(json.dumps([code, out.getvalue(), err.getvalue()]).encode() + b"\n")
+    assert digest.hexdigest() == MASSEY_CLI_SEED1_DIGEST

@@ -416,6 +416,24 @@ CLI_TEXTS = [
       'options:\n'
       '  -h, --help            show this help message and exit\n'),
      ""),
+    # a command's own parser hands every call with arguments left over,
+    # and every error, to the texts the full parser prints
+    (['massey', 'spheres8', 'a', 'a', 'b', 'c'], 2,
+     "",
+     ('usage: masseytc [-h] {validate,cohomology,massey,zcl,bounds} ...\n'
+      'masseytc: error: unrecognized arguments: c\n')),
+    (['bounds', 'spheres8', '--max-massey-degree', 'x'], 2,
+     "",
+     ('usage: masseytc bounds [-h] [--json] [--quiet] [--max-massey-degree N] model\n'
+      "masseytc bounds: error: argument --max-massey-degree: invalid degree value: 'x'\n")),
+    (['massey', '--frob', 'spheres8', 'a', 'a', 'b'], 2,
+     "",
+     ('usage: masseytc [-h] {validate,cohomology,massey,zcl,bounds} ...\n'
+      'masseytc: error: unrecognized arguments: --frob\n')),
+    (['massey', 'spheres8', 'a', 'a', 'b', '--js', '--frob'], 2,
+     "",
+     ('usage: masseytc [-h] {validate,cohomology,massey,zcl,bounds} ...\n'
+      'masseytc: error: unrecognized arguments: --frob\n')),
 ]
 
 
@@ -428,20 +446,21 @@ def test_parser_texts_are_pinned(capsys, monkeypatch, argv, code, out, err):
     assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
 
 
-def test_a_command_builds_only_its_own_subparser(monkeypatch):
+def test_a_command_builds_exactly_one_parser(monkeypatch):
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def counted(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert main(["massey", "spheres8", "a", "a", "b", "--quiet"]) == 0
-    assert built == ["massey"]
+    assert built == ["masseytc massey"]
     built.clear()
     build_parser()
-    assert built == ["validate", "cohomology", "massey", "zcl", "bounds"]
+    assert built == ["masseytc"] + [f"masseytc {name}" for name in
+                                    ("validate", "cohomology", "massey", "zcl", "bounds")]
 
 
 @pytest.mark.parametrize("flag", ["--json", None])

@@ -544,6 +544,23 @@ def test_zcl_matches_the_whole_ideal_on_golden_squares(rings, kunneth_of, name):
     _assert_lengths_match_the_whole_ideal_loop(rings[name], kunneth_of(name))
 
 
+def test_empty_degrees_eliminate_nothing(monkeypatch):
+    # a circle: every degree past 1 has no cochains, so building its ring
+    # runs the one elimination routine as often at truncate 2000 as at 3
+    runs = []
+    echelon = masseytc.linalg._echelon_columns
+    monkeypatch.setattr(masseytc.linalg, "_echelon_columns",
+                        lambda columns: runs.append(1) or echelon(columns))
+    counts = []
+    for n in (3, 2000):
+        runs.clear()
+        ring = CohomologyRing(compile_cdga(parse_model(
+            f"algebra circle {{\n  truncate {n}\n  generator t degree 1\n}}\n")))
+        assert ring.dims() == (1, 1) + (0,) * (n - 1)
+        counts.append(len(runs))
+    assert counts[0] == counts[1] <= 3
+
+
 def test_zcl_matches_the_whole_ideal_on_random_squares():
     for p in random_presentations(5501, 15):
         ring = CohomologyRing(compile_cdga(p))

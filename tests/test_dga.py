@@ -23,9 +23,13 @@ from masseytc.dga import (
     tensor,
 )
 from masseytc.dsl import parse_model
-from masseytc.linalg import SparseMatrix
-from oracles import TuplePairBasis, exact, from_dict, tensor_cochain
+from masseytc.linalg import SparseMatrix, kernel
+from masseytc.models import MODEL_SOURCES
+from oracles import (TuplePairBasis, differentials_by_recursion, exact, from_dict,
+                     reps_by_reduction, tensor_cochain)
+from test_bench_tracer import load_bench
 from test_cli import STRESS_NIL_SRC
+from test_cohomology import POLY4_SRC
 
 
 def make(name, gens, diffs, n, aliases=(), sc=True, space_dim=None):
@@ -546,9 +550,10 @@ def test_random_free_models_validate():
     assert compiled == 60
 
 
-def test_random_models_with_differential_validate():
-    # one generator carries a random differential supported on closed ones,
-    # so d^2 = 0 holds by construction and compile must always succeed
+def random_differential_models():
+    """Seeded random models: one generator carries a random differential
+    supported on closed ones, so d^2 = 0 holds by construction and compile
+    must always succeed."""
     rng = random.Random(977)
     built = 0
     for _ in range(50):
@@ -568,10 +573,45 @@ def test_random_models_with_differential_validate():
         if not cands:
             continue
         terms = [(rng.choice([1, -1, 2]), rng.choice(cands))]
-        dga = make(f"randd{built}", gens + [("t", top_deg)], {"t": terms}, n, sc=False)
+        yield make(f"randd{built}", gens + [("t", top_deg)], {"t": terms}, n, sc=False)
+        built += 1
+
+
+def test_random_models_with_differential_validate():
+    built = 0
+    for dga in random_differential_models():
         assert dga.validate() == []
         built += 1
     assert built >= 30
+
+
+def oracle_models() -> list:
+    """The models the closed-form compile and the class basis read off the
+    kernel are checked on: the seeded random ones, the golden ones, the
+    models the benchmark generates for seeds 1-3, and poly4 at truncate 8."""
+    inputs = load_bench("inputs")
+    texts = list(MODEL_SOURCES.values()) + [POLY4_SRC]
+    for seed in (1, 2, 3):
+        texts += [inputs.stress_nil_model(seed), *inputs.massey_inputs(seed)[0].values()]
+    return list(random_differential_models()) + [compile_cdga(parse_model(t)) for t in texts]
+
+
+def test_closed_form_differentials_equal_the_recursive_ones():
+    models = oracle_models()
+    assert len(models) >= 30 + 4 + 1 + 3 * 7
+    for dga in models:
+        assert tuple(dga.diff) == differentials_by_recursion(dga), dga.name
+
+
+def test_the_class_basis_read_off_the_kernel_is_the_reduced_one():
+    # the kernel vectors whose pivots are not boundary pivots against every
+    # kernel vector reduced modulo the boundaries and eliminated again
+    for dga in oracle_models():
+        ring = CohomologyRing(dga)
+        for k in range(dga.truncation + 1):
+            part = ring.part(k)
+            assert part.reps == reps_by_reduction(ring, k), (dga.name, k)
+            assert part.cocycles == kernel(dga.diff[k]), (dga.name, k)
 
 
 def test_random_cochain_leibniz_and_bilinearity(m3e):

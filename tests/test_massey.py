@@ -181,6 +181,31 @@ def test_lazy_indeterminacy_and_canonical_equal_the_eager_formula(rings, kunneth
         assert c.is_nonzero() == (not canonical.is_zero())
 
 
+def test_each_indeterminacy_sum_is_formed_once(monkeypatch):
+    # a bounds run reads the indeterminacy of every defined triple, in the
+    # ring and in the square; triples sharing alpha, gamma and |beta| share
+    # one sum, so each key's Subspace.add runs once
+    sums = []
+    add = Subspace.add
+    monkeypatch.setattr(Subspace, "add", lambda a, b: sums.append((a, b)) or add(a, b))
+    keys = 0
+    for name in GOLDEN:
+        ring = cohomology.CohomologyRing(dga.compile_cdga(dsl.parse_model(
+            models.MODEL_SOURCES[name])))
+        kmap = cohomology.KunnethMap(ring, ring)
+        sums.clear()
+        ledger = bounds.build_ledger(ring, kmap)
+        defined = [c for c in ledger.massey_cosets if c.defined]
+        assert [c.indeterminacy.dim for c in defined]  # as the report reads them
+        rings = (ring, kmap.ht)
+        multiples = {id(m) for r in rings for m in r._multiples.values()}
+        formed = [(a, b) for a, b in sums if id(a) in multiples and id(b) in multiples]
+        memo = [s for r in rings for s in r._indeterminacies.values()]
+        assert len(formed) == len({(id(a), id(b)) for a, b in formed}) == len(memo)
+        keys += len(memo)
+    assert keys == 24
+
+
 def test_annihilators(rings):
     r = rings["even7"]
     beta = r.named_class("beta")
