@@ -337,15 +337,9 @@ class BoundLedger:
     certificates: tuple  # rule dictionaries, see replay_ledger
     # Results the ledger was built from, kept for the report.  Both follow
     # from the fields above (the scan from the ring and massey_cap, the
-    # product from zcl_witness), so they stay out of to_dict and equality.
+    # product from zcl_witness), so they stay out of summary_dict and equality.
     massey_cosets: tuple = field(compare=False, repr=False)
     zcl_product: CohClass = field(compare=False, repr=False)
-
-    def to_dict(self) -> dict:
-        """Pure JSON payload (coefficients become strings)."""
-        return {**self.summary_dict(),
-                "cat_facts": [_fact_dict(f) for f in self.cat_facts],
-                "tc_facts": [_fact_dict(f) for f in self.tc_facts]}
 
     def summary_dict(self) -> dict:
         """The JSON payload without the two fact pools."""

@@ -52,7 +52,6 @@ of its three basis classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .dga import DGA, Cochain, PairBasis, tensor
 from .linalg import (ONE, GradedVector, PrefactoredSolver, SparseMatrix, Subspace, bilinear,
@@ -68,19 +67,11 @@ class CohClass(GradedVector):
 @dataclass(frozen=True)
 class DegreePart:
     """The boundaries and the canonical class basis of one degree, as
-    subspaces of that degree's cochains, and the differential d_k leaving
-    it.  The cocycles, the kernel of d_k, are the ones a base ring read
-    its class basis off; the ring of a tensor model computes them on first
-    read."""
+    subspaces of that degree's cochains.  A base ring reads the class
+    basis off the cocycles, ``kernel(d_k)``; the cocycles are not kept."""
 
     boundaries: Subspace
     reps: Subspace
-    diff: SparseMatrix
-    _cocycles: Subspace | None = None
-
-    @cached_property
-    def cocycles(self) -> Subspace:
-        return kernel(self.diff) if self._cocycles is None else self._cocycles
 
 
 _EMPTY = Subspace.zero(0)  # every subspace of a degree with no cochains
@@ -113,6 +104,7 @@ class CohomologyRing:
         else:
             self.pairs = PairBasis(dga.truncation, factors[0].dim, factors[1].dim)
             self._dims = tuple(map(self.pairs.dim, range(dga.truncation + 1)))
+        self._top = max((k for k, n in enumerate(self._dims) if n), default=0)
         if dga.simply_connected and self.dim(1) != 0:
             raise ValueError(
                 f"model {dga.name} is declared simply connected but H^1 has "
@@ -143,7 +135,7 @@ class CohomologyRing:
             dga = self.dga
             n, dk = dga.dim(k), dga.diff[k]
             if not n:
-                hit = self._parts[k] = DegreePart(_EMPTY, _EMPTY, dk, _EMPTY)
+                hit = self._parts[k] = DegreePart(_EMPTY, _EMPTY)
                 return hit
             b = self._solver(k - 1).image if k > 0 and dga.dim(k - 1) else Subspace.zero(n)
             if any(map(dk.apply, b.nonzero_columns)):
@@ -155,9 +147,9 @@ class CohomologyRing:
                 cols = z.nonzero_columns
                 reps = Subspace(n, SparseMatrix(n, len(kept), tuple(cols[i] for i in kept)),
                                 tuple(z.pivots[i] for i in kept))
-                hit = DegreePart(b, reps, dk, z)
+                hit = DegreePart(b, reps)
             else:
-                hit = DegreePart(b, self._cross_reps(k), dk)
+                hit = DegreePart(b, self._cross_reps(k))
             self._parts[k] = hit
         return hit
 
@@ -195,18 +187,15 @@ class CohomologyRing:
         return self._dims
 
     def top_nonzero_degree(self) -> int:
-        for k in range(self.truncation, -1, -1):
-            if self.dim(k):
-                return k
-        return 0
+        return self._top
 
     def basis_class(self, k: int, i: int) -> CohClass:
         return CohClass(k, self.dim(k), ((i, ONE),))
 
     def positive_basis(self) -> list:
         """The basis classes of H^+, in ascending degree and index."""
-        return [self.basis_class(k, i) for k in range(1, self.truncation + 1)
-                for i in range(self.dim(k))]
+        return [CohClass(k, n, ((i, ONE),)) for k, n in enumerate(self._dims[1:], 1)
+                for i in range(n)]
 
     def representative(self, cls: CohClass) -> Cochain:
         k = cls.degree

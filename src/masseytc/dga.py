@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import add
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import ONE, ZERO, GradedVector, SparseMatrix, bilinear, scalar
 
@@ -168,17 +168,6 @@ class DGA:
     def total_dim(self) -> int:
         return sum(map(self.dim, range(self.truncation + 1)))
 
-    def zero_cochain(self, degree: int) -> Cochain:
-        return Cochain(degree, self.dim(degree), ())
-
-    def cochain(self, degree: int, coords: Iterable) -> Cochain:
-        """The cochain with these dense coordinates."""
-        coords = tuple(coords)
-        if len(coords) != self.dim(degree):
-            raise ValueError(
-                f"degree {degree} has dimension {self.dim(degree)}, got {len(coords)} coordinates")
-        return Cochain.from_coords(degree, coords)
-
     def basis_cochain(self, degree: int, idx: int) -> Cochain:
         if not 0 <= idx < self.dim(degree):
             raise IndexError(f"degree {degree} has no basis element {idx}")
@@ -208,7 +197,7 @@ class DGA:
         if self.index is None:
             raise ValueError("not a compiled monomial model")
         if not poly:
-            raise ValueError("zero polynomial has no degree; use zero_cochain")
+            raise ValueError("zero polynomial has no degree")
         degrees = [g.degree for g in self.presentation.canonical_generators()]
         degs = {mono_degree(m, degrees) for m in poly}
         if len(degs) > 1:

@@ -8,9 +8,8 @@ its nonzero (index, value) pairs in increasing index order, and a
 dimension; a matrix is immutable and holds its nonzero columns in that
 form, which the elimination reads and returns.  The product of a matrix
 with a vector, the coset reduction and the solves read and return pairs.
-The dense forms (``Subspace.span``, ``reduce``, ``contains`` and
-``basis_vectors``, ``SparseMatrix.columns``, :func:`solve`,
-:func:`zero_vec` and ``GradedVector.coords``) only convert and call them.
+The dense forms (``Subspace.reduce``, :func:`solve` and
+``GradedVector.coords``) only convert and call them.
 Everything is deterministic: a subspace is
 stored in reduced column echelon form (the pivot of a column is its first
 nonzero coordinate, pivots strictly increase left to right, pivot entries
@@ -67,10 +66,6 @@ def inverse(x):
     if type(x) is int and (x == 1 or x == -1):
         return x
     return scalar(1 / Fraction(x))
-
-
-def zero_vec(n: int) -> Vector:
-    return (ZERO,) * n
 
 
 def sparse(v: Sequence, n: int) -> tuple:
@@ -203,10 +198,6 @@ class SparseMatrix:
         shared by its kernel and every solver built on it."""
         return _tagged_echelon(self)
 
-    def columns(self) -> list:
-        """Each column as a dense vector."""
-        return [dense(self.rows, col) for col in self.nonzero_columns]
-
     def apply(self, x: tuple) -> tuple:
         """Matrix-vector product, x and the result given as pairs: the one
         sparse linear combination of columns."""
@@ -273,10 +264,6 @@ class Subspace:
     pivots: tuple
 
     @classmethod
-    def span(cls, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        return cls._spanned(ambient, [sparse(v, ambient) for v in vectors])
-
-    @classmethod
     def _spanned(cls, ambient: int, columns: Iterable) -> "Subspace":
         """Span of sparse columns (see :func:`_echelon_columns`)."""
         return cls._echelon(ambient, *_echelon_columns(columns))
@@ -307,9 +294,6 @@ class Subspace:
         order."""
         return self.basis.nonzero_columns
 
-    def basis_vectors(self) -> list:
-        return self.basis.columns()
-
     @cached_property
     def _column_at(self) -> dict:
         return dict(zip(self.pivots, self.nonzero_columns))
@@ -333,12 +317,6 @@ class Subspace:
     def reduce(self, v: Vector) -> Vector:
         """:meth:`reduce_pairs` on a dense vector."""
         return dense(self.ambient, self.reduce_pairs(sparse(v, self.ambient)))
-
-    def contains(self, v: Vector) -> bool:
-        return not self.reduce_pairs(sparse(v, self.ambient))
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return not any(map(self.reduce_pairs, other.nonzero_columns))
 
     def add(self, other: "Subspace") -> "Subspace":
         """Subspace sum."""

@@ -71,11 +71,6 @@ class MasseyCoset:
         value = self.value
         return CohClass(value.degree, value.dim, self.indeterminacy.reduce_pairs(value.pairs))
 
-    def contains_zero(self) -> bool:
-        if not self.defined:
-            raise ValueError(f"product is not defined: {self.obstruction}")
-        return not self.is_nonzero()
-
     def is_nonzero(self) -> bool:
         return self.defined and not self.value.is_zero() and not self.canonical.is_zero()
 

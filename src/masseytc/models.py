@@ -22,8 +22,6 @@ cohomology.  The junk degree-8 classes this introduces never meet any
 reported invariant (all their products leave the truncation window).
 """
 
-from .dsl import parse_model
-
 MODEL_SOURCES = {
     "spheres8": """\
 algebra spheres8 {
@@ -96,8 +94,3 @@ algebra odd11 {
 }
 """,
 }
-
-
-def golden_models() -> dict:
-    """Parse every built-in model; keys are the registry names."""
-    return {name: parse_model(src) for name, src in MODEL_SOURCES.items()}

@@ -1,5 +1,8 @@
 """Shared fixtures: golden models are compiled once per session.
 
+``golden_models`` parses the built-in models; the fixtures and the parser
+tests read it.
+
 The tensor squares and their rings are expensive (hundreds of basis
 elements), so each is built once, on first use, by the ``kunneth_of``
 factory; its ``.ht`` is the square's ring and ``.ht.dga`` its model.
@@ -11,7 +14,7 @@ from masseytc.bounds import build_ledger
 from masseytc.cohomology import CohomologyRing, KunnethMap
 from masseytc.dga import compile_cdga
 from masseytc.dsl import parse_model
-from masseytc.models import golden_models
+from masseytc.models import MODEL_SOURCES
 
 S3_SRC = """\
 algebra s3 {
@@ -40,6 +43,11 @@ algebra point {
   simply-connected true
 }
 """
+
+
+def golden_models() -> dict:
+    """Parse every built-in model; keys are the registry names."""
+    return {name: parse_model(src) for name, src in MODEL_SOURCES.items()}
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,10 @@ benchmark call.  The checks below verify its constructions on instances
 and are kept here, next to the tests that use them:
 
 * exact-vector and matrix constructors (``vec``, ``from_dict``,
-  ``from_rows``, ``from_columns``) and the registry names of the built-in
-  models;
+  ``from_rows``, ``from_columns``), subspace conveniences the engine
+  does not need (``span`` and ``contains`` on dense vectors,
+  ``basis_vectors``, ``contains_subspace``) and the registry names of the
+  built-in models;
 * ``print_model``, the printer of the model text format, which the parser
   round-trip tests read back;
 * ``differentials_by_recursion``, the recursive compile of a model's
@@ -40,7 +42,8 @@ from typing import Iterable, Mapping, Sequence
 from masseytc.bounds import bar, indecomposables
 from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap, heaviest_chain
 from masseytc.dga import DGA, Cochain, Presentation, mono_mul
-from masseytc.linalg import ONE, ZERO, SparseMatrix, Subspace, Vector, image, kernel, zero_vec
+from masseytc.linalg import (ONE, ZERO, SparseMatrix, Subspace, Vector, dense, image, kernel,
+                             sparse)
 from masseytc.massey import MasseyCoset, massey_triple
 from masseytc.models import MODEL_SOURCES
 
@@ -92,6 +95,25 @@ def from_columns(rows: int, columns: Sequence[Vector]) -> SparseMatrix:
             if x:
                 data[(r, c)] = exact(x)
     return from_dict(rows, len(columns), data)
+
+
+def span(ambient: int, vectors: Iterable[Sequence]) -> Subspace:
+    """The span of dense vectors of length ``ambient``."""
+    return Subspace._spanned(ambient, [sparse(v, ambient) for v in vectors])
+
+
+def basis_vectors(s: Subspace) -> list:
+    """The echelon basis of ``s`` as dense vectors."""
+    return [dense(s.ambient, col) for col in s.nonzero_columns]
+
+
+def contains(s: Subspace, v: Sequence) -> bool:
+    """Whether the dense vector v lies in ``s``."""
+    return not s.reduce_pairs(sparse(v, s.ambient))
+
+
+def contains_subspace(s: Subspace, other: Subspace) -> bool:
+    return not any(map(s.reduce_pairs, other.nonzero_columns))
 
 
 # ------------------------------------------------------------ models and text
@@ -223,7 +245,7 @@ def tensor_cochain(t: DGA, x: Cochain, y: Cochain) -> Cochain:
 
 
 def zero_class(ring: CohomologyRing, k: int) -> CohClass:
-    return CohClass.from_coords(k, zero_vec(ring.dim(k)))
+    return CohClass(k, ring.dim(k), ())
 
 
 def is_canonical(cls: CohClass) -> bool:
@@ -309,7 +331,7 @@ def check_kunneth(kmap: KunnethMap) -> None:
     for deg in range(ht.truncation + 1):
         cocycles = kernel(t.diff[deg])
         boundaries = image(t.diff[deg - 1]) if deg else Subspace.zero(t.dim(0))
-        if not cocycles.contains_subspace(boundaries):
+        if not contains_subspace(cocycles, boundaries):
             raise ValueError(f"boundaries escape cocycles in degree {deg} of the square")
         canonical = Subspace._spanned(t.dim(deg), map(boundaries.reduce_pairs,
                                                       cocycles.nonzero_columns))
@@ -426,7 +448,7 @@ def verify_multi_identities(ring: CohomologyRing, alpha: CohClass,
 
     def random_in(sub: Subspace, degree: int) -> CohClass:
         coords = [0] * sub.ambient
-        for v in sub.basis_vectors():
+        for v in basis_vectors(sub):
             c = rng.randint(-3, 3)
             if c:
                 coords = [x + c * y for x, y in zip(coords, v)]
@@ -452,8 +474,8 @@ def verify_multi_identities(ring: CohomologyRing, alpha: CohClass,
     xi_cls = random_in(Subspace.full(ring.dim(p + q - 1)), p + q - 1)
     xi = ring.representative(xi_cls)
     if p + q - 2 >= 0 and dga.dim(p + q - 2):
-        pre = dga.cochain(p + q - 2,
-                          [rng.randint(-2, 2) for _ in range(dga.dim(p + q - 2))])
+        pre = Cochain.from_coords(p + q - 2,
+                                  [rng.randint(-2, 2) for _ in range(dga.dim(p + q - 2))])
         xi = xi.add(dga.d(pre))
     w2, val2 = massey_value_from_witnesses(ring, alpha, beta, gamma,
                                            base.mu.add(xi), base.lam)
@@ -461,7 +483,7 @@ def verify_multi_identities(ring: CohomologyRing, alpha: CohClass,
     shift_ok = w2.sub(base.value_cochain) == dga.mul(xi, c_rep).scale(sign)
     report["mu-shift"] = (
         shift_ok
-        and base.indeterminacy.contains(val2.sub(base.value).coords)
+        and not base.indeterminacy.reduce_pairs(val2.sub(base.value).pairs)
         and base.indeterminacy.reduce(val2.coords) == base.canonical.coords)
 
     eta_cls = random_in(Subspace.full(ring.dim(q + r - 1)), q + r - 1)
@@ -471,7 +493,7 @@ def verify_multi_identities(ring: CohomologyRing, alpha: CohClass,
     a_rep = ring.representative(alpha)
     report["lam-shift"] = (
         w3.sub(base.value_cochain) == dga.mul(a_rep, eta)
-        and base.indeterminacy.contains(val3.sub(base.value).coords)
+        and not base.indeterminacy.reduce_pairs(val3.sub(base.value).pairs)
         and base.indeterminacy.reduce(val3.coords) == base.canonical.coords)
     return report
 
@@ -498,11 +520,11 @@ def verify_internal_product(ring: CohomologyRing, alpha: CohClass,
     extra = ring.cup(ap, ring.cup(bp, cp))
     lhs = ring.cup(base.value, extra)
     ind = big.indeterminacy
-    report["value-match"] = (ind.contains(lhs.sub(big.value).coords)
-                             or ind.contains(lhs.add(big.value).coords))
+    report["value-match"] = (not ind.reduce_pairs(lhs.sub(big.value).pairs)
+                             or not ind.reduce_pairs(lhs.add(big.value).pairs))
     moved = span_of_products(ring, base.target_degree, base.indeterminacy, extra.degree,
-                             Subspace.span(ring.dim(extra.degree), [extra.coords]))
-    report["indeterminacy-carried"] = ind.contains_subspace(moved)
+                             Subspace._spanned(ring.dim(extra.degree), [extra.pairs]))
+    report["indeterminacy-carried"] = contains_subspace(ind, moved)
     return report
 
 
@@ -527,12 +549,13 @@ def verify_external_product(kmap: KunnethMap, a1: CohClass, b1: CohClass,
     prod2 = kmap.hb.cup(a2, kmap.hb.cup(b2, c2))
     lhs = kmap.cross(base.value, prod2)
     ind = big.indeterminacy
-    report["value-match"] = (ind.contains(lhs.sub(big.value).coords)
-                             or ind.contains(lhs.add(big.value).coords))
-    crossed = [kmap.cross(CohClass.from_coords(base.target_degree, tuple(v)), prod2).coords
-               for v in base.indeterminacy.basis_vectors()]
-    moved = Subspace.span(kmap.ht.dim(big.target_degree), crossed)
-    report["indeterminacy-carried"] = ind.contains_subspace(moved)
+    report["value-match"] = (not ind.reduce_pairs(lhs.sub(big.value).pairs)
+                             or not ind.reduce_pairs(lhs.add(big.value).pairs))
+    n = base.indeterminacy.ambient
+    crossed = [kmap.cross(CohClass(base.target_degree, n, col), prod2).pairs
+               for col in base.indeterminacy.nonzero_columns]
+    moved = Subspace._spanned(kmap.ht.dim(big.target_degree), crossed)
+    report["indeterminacy-carried"] = contains_subspace(ind, moved)
     return report
 
 
@@ -613,7 +636,7 @@ def verify_external_vanishing(kmap: KunnethMap,
 
     coset = massey_triple(ht, kmap.cross(a1, a2), kmap.cross(b1, b2),
                           kmap.cross(c1, c2))
-    if coset.defined and not coset.contains_zero():
+    if coset.is_nonzero():
         raise ValueError("explicit primitive contradicts the generic coset")
     return ExternalWitness(x, y, z, mu, lam, w, primitive, coset)
 

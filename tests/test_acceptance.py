@@ -19,9 +19,9 @@ from masseytc.bounds import (
     zero_divisors_cup_length,
 )
 from masseytc.cohomology import CohClass, CohomologyRing
-from masseytc.dga import compile_cdga
+from masseytc.dga import Cochain, compile_cdga
 from masseytc.dsl import parse_model
-from masseytc.linalg import rank
+from masseytc.linalg import kernel, rank
 from masseytc.massey import massey_triple, massey_value_from_cocycles
 from masseytc import report
 from oracles import (
@@ -124,7 +124,7 @@ def test_acceptance_2_three_torsion_free_loops_space(
         middle = ht.cup(bar(kmap, v), bar(kmap, g2)).scale(-1)
         theta = massey_triple(ht, bar(kmap, u), middle, bar(kmap, w))
         assert theta.defined
-        if theta.contains_zero():
+        if not theta.is_nonzero():
             # enlarged indeterminacy swallowed the class; fall back to the
             # stepwise identities and say so instead of passing silently
             print("ACCEPTANCE 2: FALLBACK - theta contains zero, "
@@ -176,8 +176,8 @@ def test_acceptance_3_heavy_weight_pair_models(rings, kunneth_of, ledger_of):
             taab = massey_triple(r, alpha, alpha, beta)
             tbba = massey_triple(r, beta, beta, alpha)
             assert taab.defined and tbba.defined
-            assert taab.indeterminacy.contains(u.sub(taab.value).coords)
-            assert tbba.indeterminacy.contains(v.sub(tbba.value).coords)
+            assert not taab.indeterminacy.reduce_pairs(u.sub(taab.value).pairs)
+            assert not tbba.indeterminacy.reduce_pairs(v.sub(tbba.value).pairs)
 
             kmap = kunneth_of(name)
             zk, _, zprod = zero_divisors_cup_length(kmap)
@@ -252,8 +252,8 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
             degs = [k for k in range(t.truncation + 1) if t.dim(k)]
 
             def rand_cochain(k):
-                return t.cochain(k, [rng.randint(-3, 3)
-                                     for _ in range(t.dim(k))])
+                return Cochain.from_coords(k, [rng.randint(-3, 3)
+                                               for _ in range(t.dim(k))])
 
             for _ in range(30):
                 p = rng.choice(degs)
@@ -279,7 +279,7 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
         # classes finally have more than one cocycle representative
         pad = CohomologyRing(compile_cdga(parse_model(PADDED_SRC)))
         assert pad.dims()[:8] == rings["even7"].dims()[:8]
-        f_bdy = pad.dga.d(pad.dga.cochain(
+        f_bdy = pad.dga.d(Cochain.from_coords(
             1, [1] + [0] * (pad.dga.dim(1) - 1)))
         alpha, beta = pad.named_class("alpha"), pad.named_class("beta")
         independent = 0
@@ -298,13 +298,14 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
         r = rings["borromean"]
         u, v, w = (r.named_class(n) for n in ("u", "v", "w"))
         base = massey_triple(r, u, v, w)
-        cocycles = r.part(1).cocycles.basis_vectors()
+        n1 = r.dga.dim(1)
+        cocycles = kernel(r.dga.diff[1]).nonzero_columns
         for _ in range(40):
-            xi = r.dga.zero_cochain(1)
-            eta = r.dga.zero_cochain(1)
-            for vec in cocycles:
-                xi = xi.add(r.dga.cochain(1, vec).scale(rng.randint(-2, 2)))
-                eta = eta.add(r.dga.cochain(1, vec).scale(rng.randint(-2, 2)))
+            xi = Cochain(1, n1, ())
+            eta = Cochain(1, n1, ())
+            for col in cocycles:
+                xi = xi.add(Cochain(1, n1, col).scale(rng.randint(-2, 2)))
+                eta = eta.add(Cochain(1, n1, col).scale(rng.randint(-2, 2)))
             _, val = massey_value_from_witnesses(
                 r, u, v, w, base.mu.add(xi), base.lam.add(eta))
             assert (base.indeterminacy.reduce(val.coords)
@@ -419,7 +420,7 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
             wit = verify_external_vanishing(km, h1(), h1(), c1, a2, h1(), h1())
             assert km.ht.dga.d(wit.primitive) == wit.value_cochain
             if wit.coset.defined:
-                assert wit.coset.contains_zero()
+                assert not wit.coset.is_nonzero()
             instances += 1
         km = kunneth_of("even7")
         ring = rings["even7"]
@@ -436,7 +437,7 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
                 rng.choice(others), h2(), h2())
             assert km.ht.dga.d(wit.primitive) == wit.value_cochain
             if wit.coset.defined:
-                assert wit.coset.contains_zero()
+                assert not wit.coset.is_nonzero()
             instances += 1
         assert instances >= 100
 

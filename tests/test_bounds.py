@@ -17,6 +17,7 @@ import pytest
 import masseytc.cohomology
 import masseytc.linalg
 import masseytc.massey
+from masseytc import report
 from masseytc.bounds import (
     _RULES,
     LOWER_RULES,
@@ -111,7 +112,7 @@ def test_zero_divisor_ideal_small(kunneth_of):
     assert {d: s.dim for d, s in ideal.items()} == {2: 1, 4: 1}
     # degree 2 kernel is exactly the bar
     ba = bar(km, km.ha.named_class("a"))
-    assert ideal[2].contains(_normalize_class(ba).coords)
+    assert not ideal[2].reduce_pairs(_normalize_class(ba).pairs)
 
 
 def test_zero_divisor_ideal_dims_frozen(kunneth_of):
@@ -173,8 +174,8 @@ def test_zero_divisor_ideal_members_multiply_to_zero(kunneth_of):
     for name in ALL_MODELS:
         km = kunneth_of(name)
         for d, sub in zero_divisor_ideal(km).items():
-            for v in sub.basis_vectors():
-                assert km.diagonal_map(CohClass.from_coords(d, v)).is_zero()
+            for col in sub.nonzero_columns:
+                assert km.diagonal_map(CohClass(d, sub.ambient, col)).is_zero()
 
 
 def test_zcl_values(kunneth_of):
@@ -422,8 +423,8 @@ def chain_search_oracle(ring, ideal, k):
     product, searched recursively in ascending order."""
     atoms = []
     for d in sorted(ideal):
-        for v in ideal[d].basis_vectors():
-            atoms.append(CohClass.from_coords(d, v))
+        for col in ideal[d].nonzero_columns:
+            atoms.append(CohClass(d, ideal[d].ambient, col))
     if k == 0:
         return (), ring.basis_class(0, 0)
     mind = min(a.degree for a in atoms)
@@ -488,7 +489,8 @@ def _assert_searches_match_the_oracles(ring, km):
     assert zero_divisors_cup_length(km) == (zk, chain, prod)
     # the routine itself on the ideal's basis: stopping at the goal, or not,
     # returns the same first longest chain
-    basis = [CohClass.from_coords(d, v) for d in sorted(ideal) for v in ideal[d].basis_vectors()]
+    basis = [CohClass(d, ideal[d].ambient, col) for d in sorted(ideal)
+             for col in ideal[d].nonzero_columns]
     for goal in (None, zk):
         w, picked, p = heaviest_chain(ht, basis, [1] * len(basis), goal=goal)
         assert (w, tuple(basis[i] for i in picked), p) == (zk, chain, prod)
@@ -1005,12 +1007,11 @@ def test_replay_names_malformed_beta_chains(rings, kunneth_of, ledger_of, edit, 
 
 def test_ledger_serializes_to_json(ledger_of):
     led = ledger_of("even7")
-    payload = led.to_dict()
-    text = json.dumps(payload, sort_keys=True)
-    back = json.loads(text)
-    assert back["cat"] == [4, 4] and back["tc"] == [6, 7]
-    assert back["zcl"] == 3 and back["cup_length"] == 2
-    assert all(isinstance(c, str) for f in back["cat_facts"] for c in f["coords"])
+    back = json.loads(report.render_json({"ledger": report.ledger_section(led),
+                                          "weights": report.weights_section(led)}))
+    assert back["ledger"]["cat"] == [4, 4] and back["ledger"]["tc"] == [6, 7]
+    assert back["ledger"]["zcl"] == 3 and back["ledger"]["cup_length"] == 2
+    assert all(isinstance(c, str) for f in back["weights"]["cat"] for c in f["coords"])
 
 
 def _edit_certs(rule, edit):

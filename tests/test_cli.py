@@ -70,6 +70,19 @@ ZCL_JSON_DIGESTS = {
     "odd11": "3a9e8f7b37b20a2e7792dd1043112f2cef313be6de6d77ec59a9c015839af12e",
 }
 
+# sha256 of `bounds --json --max-massey-degree 3` and `5` on each golden
+# model: the cap bounds the Massey scan, and neither cap may move a byte.
+CAPPED_BOUNDS_JSON_DIGESTS = {
+    ("spheres8", "3"): "14c581281316571b8446f8ef30737cea786731e7e1456f09161ed692afe965e1",
+    ("spheres8", "5"): "5f8f223d2224d17d9573b1d2e1d105e51c6e47de130a98c560873321d78ed24c",
+    ("borromean", "3"): "9b4482d8b844ef37e0518e136539815e00b5a5179d145068f0659d85fada9324",
+    ("borromean", "5"): "9b4482d8b844ef37e0518e136539815e00b5a5179d145068f0659d85fada9324",
+    ("even7", "3"): "60c1ecc7738a5402232d4160c39651f01e591347b79211ba06969b7cb1ef6102",
+    ("even7", "5"): "2ee1f899ada7c31fed4749da2aa65f70ece6927eb6f7d587d2c0ae5dcb7a8e54",
+    ("odd11", "3"): "8a291ff8eeb798ed76c1225ec07c6e0e1a02311cd3330aa7e3a826aa0a96e80c",
+    ("odd11", "5"): "2bca4bd49e1c9a72ee94e30664b3f10cc383ab034962aa00e149c6c054911069",
+}
+
 # The bench stress model for seed 1 (two-step nilpotent, 676-dimensional
 # square), with the sha256 of its `bounds --json` and `bounds` text output
 # and of its `zcl --json`.
@@ -507,6 +520,15 @@ def test_bounds_output_bytes_are_pinned(name):
     code, payload, text = cmd_bounds(build_parser().parse_args(["bounds", name]))
     assert code == 0
     assert (_sha256(report.render_json(payload)), _sha256(text)) == BOUNDS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("query", sorted(CAPPED_BOUNDS_JSON_DIGESTS))
+def test_capped_bounds_json_bytes_are_pinned(query):
+    name, cap = query
+    argv = ["bounds", name, "--max-massey-degree", cap, "--json"]
+    code, payload, _ = cmd_bounds(build_parser().parse_args(argv))
+    assert code == 0
+    assert _sha256(report.render_json(payload)) == CAPPED_BOUNDS_JSON_DIGESTS[query]
 
 
 @pytest.mark.parametrize("name", ["spheres8", "borromean"])

@@ -25,8 +25,8 @@ from masseytc.dga import (
 from masseytc.dsl import parse_model
 from masseytc.linalg import SparseMatrix, kernel
 from masseytc.models import MODEL_SOURCES
-from oracles import (TuplePairBasis, differentials_by_recursion, exact, from_dict,
-                     reps_by_reduction, tensor_cochain)
+from oracles import (TuplePairBasis, contains_subspace, differentials_by_recursion, exact,
+                     from_dict, reps_by_reduction, tensor_cochain)
 from test_bench_tracer import load_bench
 from test_cli import STRESS_NIL_SRC
 from test_cohomology import POLY4_SRC
@@ -172,9 +172,9 @@ def test_unit_and_render(m1):
             e = m1.basis_cochain(k, i)
             assert m1.mul(one, e) == e
             assert m1.mul(e, one) == e
-    x = m1.cochain(8, [Fraction(1, 2), -3])
+    x = Cochain.from_coords(8, [Fraction(1, 2), -3])
     assert m1.render(x) == "1/2*a*z - 3*b*z"
-    assert m1.render(m1.zero_cochain(4)) == "0"
+    assert m1.render(Cochain(4, m1.dim(4), ())) == "0"
 
 
 def test_golden_models_validate(m1, m3e, s3, s2):
@@ -364,16 +364,14 @@ def eager_tensor_tables(t):
         for col, (p, i, j) in enumerate(pairs[deg]):
             q = deg - p
             if p + 1 <= a.truncation:
-                for r, v in enumerate(a.diff[p].columns()[i]):
-                    if v:
-                        key = (tindex[(p + 1, r, j)], col)
-                        data[key] = data.get(key, 0) + v
+                for r, v in a.diff[p].nonzero_columns[i]:
+                    key = (tindex[(p + 1, r, j)], col)
+                    data[key] = data.get(key, 0) + v
             sign = -1 if p % 2 else 1
             if q + 1 <= b.truncation:
-                for r, v in enumerate(b.diff[q].columns()[j]):
-                    if v:
-                        key = (tindex[(p, i, r)], col)
-                        data[key] = data.get(key, 0) + sign * v
+                for r, v in b.diff[q].nonzero_columns[j]:
+                    key = (tindex[(p, i, r)], col)
+                    data[key] = data.get(key, 0) + sign * v
         rows = len(pairs[deg + 1]) if deg + 1 <= n else 0
         diff.append(from_dict(rows, len(pairs[deg]), data))
     return mult, tuple(diff)
@@ -611,7 +609,7 @@ def test_the_class_basis_read_off_the_kernel_is_the_reduced_one():
         for k in range(dga.truncation + 1):
             part = ring.part(k)
             assert part.reps == reps_by_reduction(ring, k), (dga.name, k)
-            assert part.cocycles == kernel(dga.diff[k]), (dga.name, k)
+            assert contains_subspace(kernel(dga.diff[k]), part.reps), (dga.name, k)
 
 
 def test_random_cochain_leibniz_and_bilinearity(m3e):
@@ -620,11 +618,11 @@ def test_random_cochain_leibniz_and_bilinearity(m3e):
     for _ in range(100):
         k1 = rng.randint(0, n - 1)
         k2 = rng.randint(0, n - 1 - k1) if k1 < n - 1 else 0
-        x = m3e.cochain(k1, [rng.randint(-3, 3) for _ in range(m3e.dim(k1))])
-        y = m3e.cochain(k2, [rng.randint(-3, 3) for _ in range(m3e.dim(k2))])
+        x = Cochain.from_coords(k1, [rng.randint(-3, 3) for _ in range(m3e.dim(k1))])
+        y = Cochain.from_coords(k2, [rng.randint(-3, 3) for _ in range(m3e.dim(k2))])
         sign = -1 if k1 % 2 else 1
         lhs = m3e.d(m3e.mul(x, y))
         rhs = m3e.mul(m3e.d(x), y).add(m3e.mul(x, m3e.d(y)).scale(sign))
         assert lhs == rhs
-        z = m3e.cochain(k2, [rng.randint(-3, 3) for _ in range(m3e.dim(k2))])
+        z = Cochain.from_coords(k2, [rng.randint(-3, 3) for _ in range(m3e.dim(k2))])
         assert m3e.mul(x, y.add(z)) == m3e.mul(x, y).add(m3e.mul(x, z))

@@ -7,7 +7,8 @@ import pytest
 from masseytc.cli import main
 from masseytc.dga import PresentationError
 from masseytc.dsl import ParseError, parse_model
-from masseytc.models import MODEL_SOURCES, golden_models
+from conftest import golden_models
+from masseytc.models import MODEL_SOURCES
 from oracles import model_names, print_model
 
 

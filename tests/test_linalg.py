@@ -24,9 +24,18 @@ from masseytc.linalg import (
     kernel,
     rank,
     solve,
-    zero_vec,
 )
-from oracles import exact, from_columns, from_dict, from_rows, vec
+from oracles import (
+    basis_vectors,
+    contains,
+    contains_subspace,
+    exact,
+    from_columns,
+    from_dict,
+    from_rows,
+    span,
+    vec,
+)
 
 
 def pairs(v):
@@ -77,8 +86,8 @@ def is_zero_vec(v):
 
 def to_sympy(a: SparseMatrix) -> sympy.Matrix:
     m = sympy.zeros(a.rows, a.cols)
-    for c, col in enumerate(a.columns()):
-        for r, v in enumerate(col):
+    for c, col in enumerate(a.nonzero_columns):
+        for r, v in col:
             m[r, c] = sympy.Rational(v.numerator, v.denominator)
     return m
 
@@ -193,15 +202,15 @@ def test_kernel_single_row():
     a = from_rows([[1, 1]])
     k = kernel(a)
     assert k.dim == 1
-    assert k.basis_vectors() == [vec([1, -1])]
+    assert basis_vectors(k) == [vec([1, -1])]
 
 
 def test_image_spans_columns():
     a = from_rows([[1, 2], [0, 0]])
     im = image(a)
     assert im.dim == 1
-    assert im.contains(vec([3, 0]))
-    assert not im.contains(vec([0, 1]))
+    assert contains(im, vec([3, 0]))
+    assert not contains(im, vec([0, 1]))
 
 
 def test_rank_nullity_randomized():
@@ -214,14 +223,14 @@ def test_rank_nullity_randomized():
         im = image(a)
         assert k.dim + im.dim == cols == k.dim + rank(a)
         assert im.dim == to_sympy(a).rank()
-        for col in k.basis_vectors():
+        for col in basis_vectors(k):
             assert is_zero_vec(apply(a, col))
         # sympy nullspace spans the same space
         null = to_sympy(a).nullspace()
         assert len(null) == k.dim
         for v in null:
             w = vec([Fraction(int(x.p), int(x.q)) for x in v])
-            assert k.contains(w)
+            assert contains(k, w)
 
 
 # ---------------------------------------------------------------- subspaces
@@ -232,16 +241,16 @@ def test_span_is_canonical_under_generator_shuffling():
     for _ in range(100):
         ambient = rng.randint(1, 6)
         gens = [vec([rng.randint(-3, 3) for _ in range(ambient)]) for _ in range(rng.randint(0, 5))]
-        s1 = Subspace.span(ambient, gens)
+        s1 = span(ambient, gens)
         shuffled = list(gens)
         rng.shuffle(shuffled)
         # also throw in random combinations of the generators
         if gens:
-            combo = zero_vec(ambient)
+            combo = (ZERO,) * ambient
             for g in gens:
                 combo = vec_add(combo, vec_scale(rng.randint(-2, 2), g))
             shuffled.append(combo)
-        s2 = Subspace.span(ambient, shuffled)
+        s2 = span(ambient, shuffled)
         assert s1 == s2
 
 
@@ -250,9 +259,9 @@ def test_subspace_pivots_strictly_increase():
     for _ in range(100):
         ambient = rng.randint(1, 6)
         gens = [vec([rng.randint(-3, 3) for _ in range(ambient)]) for _ in range(rng.randint(0, 5))]
-        s = Subspace.span(ambient, gens)
+        s = span(ambient, gens)
         assert list(s.pivots) == sorted(set(s.pivots))
-        cols = s.basis_vectors()
+        cols = basis_vectors(s)
         for col, p in zip(cols, s.pivots):
             assert col[p] == 1
             assert not any(col[:p])
@@ -263,17 +272,17 @@ def test_subspace_pivots_strictly_increase():
 
 
 def test_sum_of_axes():
-    e1 = Subspace.span(2, [vec([1, 0])])
-    e2 = Subspace.span(2, [vec([0, 1])])
+    e1 = span(2, [vec([1, 0])])
+    e2 = span(2, [vec([0, 1])])
     assert e1.add(e2) == Subspace.full(2)
     assert e1.add(Subspace.zero(2)) == e1
 
 
 def test_membership_basics():
-    s = Subspace.span(2, [vec([1, -1])])
-    assert s.contains(zero_vec(2))
-    assert s.contains(vec([2, -2]))
-    assert not s.contains(vec([1, 1]))
+    s = span(2, [vec([1, -1])])
+    assert contains(s, (ZERO,) * 2)
+    assert contains(s, vec([2, -2]))
+    assert not contains(s, vec([1, 1]))
 
 
 def test_reduce_is_idempotent_and_translation_invariant():
@@ -281,36 +290,36 @@ def test_reduce_is_idempotent_and_translation_invariant():
     for _ in range(120):
         ambient = rng.randint(1, 6)
         gens = [vec([rng.randint(-3, 3) for _ in range(ambient)]) for _ in range(rng.randint(0, 4))]
-        s = Subspace.span(ambient, gens)
+        s = span(ambient, gens)
         v = vec([rng.randint(-4, 4) for _ in range(ambient)])
         r = s.reduce(v)
         assert s.reduce(r) == r
         # adding any member does not change the canonical representative
-        member = zero_vec(ambient)
-        for col in s.basis_vectors():
+        member = (ZERO,) * ambient
+        for col in basis_vectors(s):
             member = vec_add(member, vec_scale(rng.randint(-3, 3), col))
         assert s.reduce(vec_add(v, member)) == r
-        assert s.contains(v) == is_zero_vec(r)
-        assert s.contains_subspace(s) and s.contains_subspace(Subspace.span(ambient, [member]))
-        assert s.contains_subspace(Subspace.span(ambient, [member, v])) == s.contains(v)
+        assert contains(s, v) == is_zero_vec(r)
+        assert contains_subspace(s, s) and contains_subspace(s, span(ambient, [member]))
+        assert contains_subspace(s, span(ambient, [member, v])) == contains(s, v)
 
 
 def test_span_rejects_a_vector_of_the_wrong_length():
     with pytest.raises(ValueError, match="vector length 2 != ambient 3"):
-        Subspace.span(3, [vec([1, 2])])
+        span(3, [vec([1, 2])])
     with pytest.raises(ValueError, match="vector length 4 != ambient 3"):
-        Subspace.span(3, [vec([1, 0, 0]), vec([0, 1, 0, 0])])
+        span(3, [vec([1, 0, 0]), vec([0, 1, 0, 0])])
 
 
 def test_span_of_nothing_or_zeros_is_the_zero_subspace():
-    assert Subspace.span(0, []) == Subspace.zero(0)
-    assert Subspace.span(0, [(), ()]) == Subspace.zero(0)
-    assert Subspace.span(4, []) == Subspace.zero(4)
-    z = Subspace.span(4, [zero_vec(4)] * 3)
+    assert span(0, []) == Subspace.zero(0)
+    assert span(0, [(), ()]) == Subspace.zero(0)
+    assert span(4, []) == Subspace.zero(4)
+    z = span(4, [(ZERO,) * 4] * 3)
     assert z == Subspace.zero(4)
-    assert z.dim == 0 and z.basis_vectors() == [] and z.nonzero_columns == ()
+    assert z.dim == 0 and basis_vectors(z) == [] and z.nonzero_columns == ()
     assert z.reduce(vec([1, 0, 2, 0])) == vec([1, 0, 2, 0])
-    assert coordinates(z, zero_vec(4)) == ()
+    assert coordinates(z, (ZERO,) * 4) == ()
     assert coordinates(z, vec([0, 0, 0, 1])) is None
 
 
@@ -375,7 +384,7 @@ def test_sparse_echelon_against_sympy_rref():
     for trial in range(123):
         ambient = trial % 41
         vectors = _echelon_inputs(rng, ambient)
-        s = Subspace.span(ambient, vectors)
+        s = span(ambient, vectors)
         m = sympy.zeros(len(vectors), ambient)
         for r, v in enumerate(vectors):
             for c, x in enumerate(v):
@@ -383,11 +392,11 @@ def test_sparse_echelon_against_sympy_rref():
         rref, pivots = m.rref()
         expect = [tuple(Fraction(int(x.p), int(x.q)) for x in rref.row(r))
                   for r in range(len(pivots))]
-        assert s.basis_vectors() == expect
+        assert basis_vectors(s) == expect
         assert s.pivots == tuple(pivots)
         assert s.nonzero_columns == tuple(
             tuple((i, x) for i, x in enumerate(col) if x) for col in expect)
-        assert s == Subspace.span(ambient, list(reversed(vectors)))
+        assert s == span(ambient, list(reversed(vectors)))
         dependent += len(vectors) > s.dim
         # probes: members of the span, then mostly-zero vectors
         for k in range(6):
@@ -403,7 +412,7 @@ def test_sparse_echelon_against_sympy_rref():
             inside = not any(reduced)
             assert inside or k >= 3
             assert s.reduce(v) == reduced
-            assert s.contains(v) == inside
+            assert contains(s, v) == inside
             assert coordinates(s, v) == (coeffs if inside else None)
             member = tuple(a - b for a, b in zip(v, reduced))
             assert coordinates(s, member) == coeffs
@@ -411,8 +420,8 @@ def test_sparse_echelon_against_sympy_rref():
 
 
 def test_coordinates_roundtrip():
-    s = Subspace.span(3, [vec([1, 2, 0]), vec([0, 1, 1])])
-    v = vec_add(vec_scale(2, s.basis_vectors()[0]), vec_scale(-3, s.basis_vectors()[1]))
+    s = span(3, [vec([1, 2, 0]), vec([0, 1, 1])])
+    v = vec_add(vec_scale(2, basis_vectors(s)[0]), vec_scale(-3, basis_vectors(s)[1]))
     assert coordinates(s, v) == vec([2, -3])
     assert coordinates(s, vec([1, 0, 0])) is None
 
@@ -431,7 +440,8 @@ def test_matrix_compose_matches_apply():
 
 def test_sparse_matrix_holds_its_nonzero_columns():
     a = SparseMatrix(3, 2, (((0, ONE), (2, Fraction(-1, 2))), ()))
-    assert a.columns() == [vec([1, 0, Fraction(-1, 2)]), vec([0, 0, 0])]
+    assert [dense(a.rows, col) for col in a.nonzero_columns] == [
+        vec([1, 0, Fraction(-1, 2)]), vec([0, 0, 0])]
     assert a == from_rows([[1, 0], [0, 0], [Fraction(-1, 2), 0]])
     assert apply(a, vec([2, 5])) == vec([2, 0, -1])
     assert not a.is_zero() and SparseMatrix.zero(3, 2).is_zero()
@@ -463,10 +473,9 @@ def _row_reduce_oracle(a: SparseMatrix, extra=None):
 
     Returns (rows as dicts, [(pivot_row, pivot_col), ...])."""
     rows = [dict() for _ in range(a.rows)]
-    for c, col in enumerate(a.columns()):
-        for r, v in enumerate(col):
-            if v:
-                rows[r][c] = v
+    for c, col in enumerate(a.nonzero_columns):
+        for r, v in col:
+            rows[r][c] = v
     if extra is not None:
         for row, more in zip(rows, extra):
             row.update(more)
@@ -506,7 +515,7 @@ def kernel_oracle(a: SparseMatrix) -> Subspace:
         for r, c in pivot_cols:
             x[c] = -rows[r].get(f, ZERO)
         gens.append(tuple(x))
-    return Subspace.span(a.cols, gens)
+    return span(a.cols, gens)
 
 
 def solve_oracle(a: SparseMatrix, b):
@@ -601,7 +610,7 @@ def test_every_elimination_goes_through_the_echelon_routine(monkeypatch):
         "rank": lambda: rank(fresh()),
         "solve": lambda: solve(fresh(), b),
         "PrefactoredSolver": lambda: PrefactoredSolver(fresh()).solve(pairs(b)),
-        "Subspace.span": lambda: Subspace.span(2, fresh().columns()),
+        "Subspace._spanned": lambda: Subspace._spanned(2, fresh().nonzero_columns),
     }
     for name, run in runs.items():
         before = len(calls)

@@ -7,7 +7,8 @@ cochain kept there stores its pairs in canonical form; the JSON form of
 coordinates; and, on the engine's source, that no float division is left,
 that no module but ``linalg`` builds a dense vector, that cochains and
 classes add nothing to their shared record, that no ``json.dumps`` passes
-``indent``, and that no import is unused.
+``indent``, that no import is unused, and that every definition has a
+caller in ``src/`` or ``bench/``.
 """
 
 import ast
@@ -25,6 +26,7 @@ from masseytc.linalg import GradedVector, SparseMatrix, Subspace, inverse, scala
 from masseytc.massey import MasseyCoset
 from masseytc.models import MODEL_SOURCES
 from oracles import is_canonical
+from test_bench_tracer import BENCH
 from test_cli import STRESS_NIL_SRC
 
 
@@ -47,7 +49,7 @@ def numbers(x, classes: list):
     elif isinstance(x, Subspace):
         yield from numbers((x.basis, x.pivots), classes)
     elif isinstance(x, DegreePart):
-        yield from numbers((x.cocycles, x.boundaries, x.reps), classes)
+        yield from numbers((x.boundaries, x.reps), classes)
     elif isinstance(x, GradedVector):  # a class or a cochain
         classes.append(x)
         yield from numbers((x.degree, x.dim, x.pairs), classes)
@@ -259,3 +261,59 @@ def test_engine_imports_only_what_it_reads():
     src = Path(masseytc.__file__).parent
     found = {path.name: unused_imports(path.read_text()) for path in sorted(src.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def definitions(tree) -> list:
+    """(line, name) of every function, method and class a module defines,
+    dunders left out."""
+    return sorted((node.lineno, node.name) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def referenced_names(tree) -> set:
+    """Every name a module reads: names, attributes, imported names and
+    their aliases, and the parts of each string constant that is a dotted
+    name, such as a patch table's ``("linalg", "solve")``; docstrings are
+    not code and do not count."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."), [node.asname] if node.asname else [])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings
+              and all(part.isidentifier() for part in node.value.split("."))):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_every_definition_in_the_engine_has_a_caller():
+    """The package holds only what the commands, ledger replay and the
+    benchmark call; helpers only the tests call live in tests/oracles.py.
+
+    The check is name-level: a definition passes when code in src/ or
+    bench/ reads its name anywhere, even as a local variable or as an
+    attribute of some other object."""
+    sample = ast.parse('"""f g"""\ndef f():\n    "h"\ndef g(): pass\ndef h(): pass\n'
+                       'class K:\n    def __len__(self): return 0\n'
+                       'def m(): pass\ndef n(): pass\ndef p(): pass\n'
+                       'g()\nx.m\nfrom a import n as q\nT = ("mod", "p.x")\n')
+    assert [name for _, name in definitions(sample)
+            if name not in referenced_names(sample)] == ["f", "h", "K"]
+    src = Path(masseytc.__file__).parent
+    read = set()
+    for path in sorted(src.glob("*.py")) + sorted(BENCH.rglob("*.py")):
+        read |= referenced_names(ast.parse(path.read_text()))
+    found = {path.name: [name for _, name in definitions(ast.parse(path.read_text()))
+                         if name not in read]
+             for path in sorted(src.glob("*.py"))}
+    assert {name: dead for name, dead in found.items() if dead} == {}
