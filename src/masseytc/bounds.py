@@ -133,14 +133,13 @@ def indecomposables(ring: CohomologyRing) -> list:
     decomposables D^d = sum_{0<i<d} H^i H^(d-i): unit vectors off the
     pivots of an echelon basis span a complement of it.
     """
-    out = []
-    for d in range(1, ring.truncation + 1):
-        n = ring.dim(d)
-        if not n:
+    out, dims = [], ring.dims()
+    for d, n in enumerate(dims):
+        if not (d and n):
             continue
         dec = Subspace.zero(n)
         for i in range(1, d):
-            if ring.dim(i) and ring.dim(d - i):
+            if dims[i] and dims[d - i]:
                 dec = dec.add(ring.products(i, d - i))
         pivots = set(dec.pivots)
         out.extend(ring.basis_class(d, j) for j in range(n) if j not in pivots)
@@ -266,9 +265,11 @@ def rudyak_lower_bound(kmap: KunnethMap, facts: dict, best: int) -> tuple:
     beat it.  Returns (possibly improved bound, certificate or None); the
     certificate records beta as its chain of fact keys.
     """
+    top = max((f.weight for f in facts.values()), default=0)
+    if 3 * top + 1 <= best:
+        return best, None  # a triple weighs at most 2 * top + top + 1
     ht = kmap.ht
     pool = [f for _, f in sorted(facts.items())]
-    top = max((f.weight for f in pool), default=0)
     chains = [(f,) for f in pool] + [(f, g) for i, f in enumerate(pool) for g in pool[i:]]
     cert = None
     for betas in chains:

@@ -102,7 +102,7 @@ class CohomologyRing:
         if factors is None:
             self._dims = tuple(self.part(k).reps.dim for k in range(dga.truncation + 1))
         else:
-            self.pairs = PairBasis(dga.truncation, factors[0].dim, factors[1].dim)
+            self.pairs = PairBasis(dga.truncation, factors[0].dims(), factors[1].dims())
             self._dims = tuple(map(self.pairs.dim, range(dga.truncation + 1)))
         self._top = max((k for k, n in enumerate(self._dims) if n), default=0)
         if dga.simply_connected and self.dim(1) != 0:

@@ -18,7 +18,7 @@ costs (-1)^{|x||y|}.
 A :class:`Cochain` is a :class:`~masseytc.linalg.GradedVector`: its degree,
 the dimension of that degree and its nonzero (index, coefficient) pairs.
 Products, differentials, rendering and cochains of polynomials all read
-and return those pairs; ``DGA.cochain`` builds one from dense coordinates.
+and return those pairs.
 
 The tensor square A (x) B (:func:`tensor`) costs what it touches.  Its
 basis is a :class:`PairBasis`: one start per non-empty block, built from
@@ -30,7 +30,7 @@ names are computed per entry or per degree on first read.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import add
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -133,16 +133,14 @@ class Violation:
 class DGA:
     """A finite DGA given by basis names, multiplication table, differentials.
 
-    ``mult`` maps (deg1, idx1, deg2, idx2) to a sparse vector
-    ((idx, coeff), ...) in degree deg1+deg2; absent keys mean zero, and every
-    pair whose degrees sum past the truncation is absent by construction.
-    ``diff[k]`` is the matrix of d : C^k -> C^{k+1} (the top one has 0 rows).
-    Either table may be a lazy read-only view that computes an entry or a
-    degree the first time it is read: the product table of
-    :func:`compile_cdga` and :func:`tensor` is one, and so are the
-    differentials and the basis names of :func:`tensor`; absent keys still
-    mean zero.  A tensor model reads its dimensions off ``pairs``, so its
-    names are rendered only when something reads them.
+    ``mult`` is anything whose ``get((deg1, idx1, deg2, idx2))`` gives the
+    product as a sparse vector ((idx, coeff), ...) in degree deg1+deg2, or
+    None for zero: a dict, or the lazy table of :func:`compile_cdga` and
+    :func:`tensor`, which computes an entry the first time it is read.
+    ``diff[k]`` is the matrix of d : C^k -> C^{k+1} (the top one has 0 rows);
+    the differentials and the basis names of :func:`tensor` are lazy too,
+    built per degree on first read.  A tensor model reads its dimensions off
+    ``pairs``, so its names are rendered only when something reads them.
     Instances are immutable; build them with
     :func:`compile_cdga`, :func:`tensor`, or directly from tables in tests.
     """
@@ -150,7 +148,7 @@ class DGA:
     name: str
     truncation: int
     basis: Sequence  # tuple[str, ...] per degree 0..N
-    mult: Mapping
+    mult: object  # get(key) -> sparse entry or None
     diff: Sequence  # SparseMatrix per degree 0..N
     simply_connected: bool = False
     space_dim: Optional[int] = None
@@ -245,21 +243,23 @@ class DGA:
                 out.append(Violation(
                     "shape", (k,),
                     f"d_{k} is {dk.rows}x{dk.cols}, expected {want_rows}x{self.dim(k)}"))
-        for key, entry in self.mult.items():
-            k1, i1, k2, i2 = key
-            tdeg = k1 + k2
-            if tdeg > n:
-                out.append(Violation("shape", key, f"product stored above truncation {n}"))
-                continue
-            if not (0 <= i1 < self.dim(k1) and 0 <= i2 < self.dim(k2)):
-                out.append(Violation("shape", key, "basis index out of range"))
-                continue
-            for idx, _ in entry:
-                if not (0 <= idx < self.dim(tdeg)):
-                    out.append(Violation(
-                        "shape", key, f"product lands at index {idx} outside degree {tdeg}"))
+        get, table = self.mult.get, {}
+        for k1 in range(n + 1):
+            for k2 in range(n + 1 - k1):
+                tdim = self.dim(k1 + k2)
+                for i1 in range(self.dim(k1)):
+                    for i2 in range(self.dim(k2)):
+                        key = (k1, i1, k2, i2)
+                        entry = table[key] = get(key)
+                        for idx, _ in entry or ():
+                            if not 0 <= idx < tdim:
+                                out.append(Violation(
+                                    "shape", key,
+                                    f"product lands at index {idx} outside degree {k1 + k2}"))
         if out:
             return out
+        # the axioms multiply through the entries just read, held in a dict
+        mul = replace(self, mult=table).mul
 
         for k in range(n):
             if not self.diff[k + 1].compose(self.diff[k]).is_zero():
@@ -273,7 +273,7 @@ class DGA:
             for k in range(n + 1):
                 for i in range(self.dim(k)):
                     e = self.basis_cochain(k, i)
-                    if self.mul(one, e) != e or self.mul(e, one) != e:
+                    if mul(one, e) != e or mul(e, one) != e:
                         out.append(Violation(
                             "unit", (k, self.basis[k][i]), "unit law fails"))
 
@@ -288,14 +288,14 @@ class DGA:
                         y = self.basis_cochain(k2, i2)
                         # Leibniz (only meaningful when the target survives truncation)
                         if lim + 1 <= n:
-                            lhs = self.d(self.mul(x, y))
-                            rhs = self.mul(dx, y).add(self.mul(x, self.d(y)).scale(sign))
+                            lhs = self.d(mul(x, y))
+                            rhs = mul(dx, y).add(mul(x, self.d(y)).scale(sign))
                             if lhs != rhs:
                                 out.append(Violation(
                                     "leibniz", (self.basis[k1][i1], self.basis[k2][i2]),
                                     f"d(x*y) != dx*y + (-1)^{k1} x*dy"))
                         csign = -ONE if (k1 * k2) % 2 else ONE
-                        if self.mul(x, y) != self.mul(y, x).scale(csign):
+                        if mul(x, y) != mul(y, x).scale(csign):
                             out.append(Violation(
                                 "commutativity",
                                 (self.basis[k1][i1], self.basis[k2][i2]),
@@ -307,11 +307,11 @@ class DGA:
                 for k2 in range(n + 1 - k1):
                     for i2 in range(self.dim(k2)):
                         y = self.basis_cochain(k2, i2)
-                        xy = self.mul(x, y)
+                        xy = mul(x, y)
                         for k3 in range(n + 1 - k1 - k2):
                             for i3 in range(self.dim(k3)):
                                 z = self.basis_cochain(k3, i3)
-                                if self.mul(xy, z) != self.mul(x, self.mul(y, z)):
+                                if mul(xy, z) != mul(x, mul(y, z)):
                                     out.append(Violation(
                                         "associativity",
                                         (self.basis[k1][i1], self.basis[k2][i2],
@@ -521,9 +521,10 @@ class PairBasis(Sequence):
     of x (x) y: the cochain square (:func:`tensor`) and the cohomology
     square (``CohomologyRing(dga, factors)``) both read them from here.
 
+    ``dims_a`` and ``dims_b`` list the factors' dimensions by degree.
     Only the non-empty blocks are kept, built from the factors' nonzero
     degrees: in degree k, block p starts at ``start[k, p]``, and pair
-    (p, i, j) sits at ``start[k, p] + i * dim_b(k - p) + j``.  A position
+    (p, i, j) sits at ``start[k, p] + i * dims_b[k - p] + j``.  A position
     maps back to its pair by one bisect over that degree's block starts
     and a divmod (:meth:`pair`).
     ``dim(k)`` counts degree k's pairs, and ``pairs[k]`` lists them,
@@ -531,28 +532,27 @@ class PairBasis(Sequence):
     positions follow (p, i, j), so a product or a cross product comes out
     sorted as it is formed."""
 
-    def __init__(self, n: int, dim_a, dim_b):
-        self._dim_b = db = [dim_b(q) for q in range(n + 1)]
-        nonzero_b = [q for q in range(n + 1) if db[q]]
+    def __init__(self, n: int, dims_a: Sequence, dims_b: Sequence):
+        self._n, self._dim_b = n, dims_b
+        nonzero_b = [(q, width) for q, width in enumerate(dims_b) if width]
         # degree -> (the block starts, the blocks as (p, start, rows, width))
         self.start, self._dims, self._blocks = {}, {}, {}
-        for p in range(n + 1):
-            rows = dim_a(p)
+        for p, rows in enumerate(dims_a):
             if not rows:
                 continue
-            for q in nonzero_b:
+            for q, width in nonzero_b:
                 k = p + q
                 if k > n:
                     break
                 # p ascends, so each degree's blocks arrive in order
                 s = self.start[k, p] = self._dims.get(k, 0)
-                self._dims[k] = s + rows * db[q]
+                self._dims[k] = s + rows * width
                 starts, blocks = self._blocks.setdefault(k, ([], []))
                 starts.append(s)
-                blocks.append((p, s, rows, db[q]))
+                blocks.append((p, s, rows, width))
 
     def __len__(self) -> int:
-        return len(self._dim_b)
+        return self._n + 1
 
     def __getitem__(self, k: int) -> tuple:
         if k < 0:
@@ -613,27 +613,24 @@ class PairBasis(Sequence):
         return tuple((base + i * width + j, scalar(x * y)) for i, x in xs for j, y in ys)
 
 
-class _LazyProducts(Mapping):
-    """A product table as a read-only mapping from (deg1, idx1, deg2, idx2)
-    to the sorted sparse product, for the basis with ``dims[k]`` elements
-    in degree k = 0..N.
+class _LazyProducts:
+    """A product table as a lookup from (deg1, idx1, deg2, idx2) to the
+    sorted sparse product, for the basis with ``dims[k]`` elements in
+    degree k = 0..N.
 
     ``entry(n1, i1, n2, i2)`` computes one entry, () for a zero product,
     and is called only on keys within range; an entry is computed the first
-    time it is read, then memoized.  Absent keys, including keys out of
-    range, read as None from ``get`` and raise KeyError from ``[]``.
-    Iterating, ``items()`` and ``len()`` fill the whole table first; once it
-    is full, ``get`` is the table dict's own.
+    time it is read, then memoized.  As with ``dict.get``, an absent key,
+    including a key out of range, reads as ``default``.
     """
 
     def __init__(self, entry, dims):
         self._entry, self.dims = entry, tuple(dims)
         self._memo = {}
-        self._filled = False
 
     def get(self, key, default=None):
         entry = self._memo.get(key)
-        if entry is None and not self._filled:
+        if entry is None:
             n1, i1, n2, i2 = key
             dims = self.dims
             if (0 <= n1 and 0 <= n2 and n1 + n2 < len(dims)
@@ -644,48 +641,12 @@ class _LazyProducts(Mapping):
             self._memo[key] = entry
         return entry or default
 
-    def _fill(self) -> None:
-        if self._filled:
-            return
-        dims, entry = self.dims, self._entry
-        table = {}
-        for n1 in range(len(dims)):
-            for n2 in range(len(dims) - n1):
-                for i1 in range(dims[n1]):
-                    for i2 in range(dims[n2]):
-                        e = entry(n1, i1, n2, i2)
-                        if e:
-                            table[n1, i1, n2, i2] = e
-        self._memo, self._filled = table, True
-        self.get = table.get
-
-    def __getitem__(self, key):
-        entry = self.get(key)
-        if entry is None:
-            raise KeyError(key)
-        return entry
-
-    def __contains__(self, key) -> bool:
-        return bool(self.get(key))
-
-    def __iter__(self):
-        self._fill()
-        return iter(self._memo)
-
-    def __len__(self) -> int:
-        self._fill()
-        return len(self._memo)
-
-    def items(self):
-        self._fill()
-        return self._memo.items()
-
 
 class _LazyDegrees(Sequence):
     """A read-only sequence indexed by degree 0..N whose item for degree k
     is ``build(k)``, computed the first time it is read and then kept: the
     differentials and the basis names of :func:`tensor`.  Negative indices
-    and slices behave as on a tuple."""
+    behave as on a tuple."""
 
     def __init__(self, build, n: int):
         self._build = build
@@ -694,9 +655,7 @@ class _LazyDegrees(Sequence):
     def __len__(self) -> int:
         return len(self._built)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[d] for d in range(len(self))[k])
+    def __getitem__(self, k: int):
         item = self._built[k]
         if item is None:
             item = self._built[k] = self._build(k % len(self))
@@ -719,7 +678,7 @@ def tensor(a: DGA, b: DGA) -> DGA:
     to ``DGA.validate``.
     """
     n = a.truncation + b.truncation
-    pairs = PairBasis(n, a.dim, b.dim)
+    pairs = PairBasis(n, *(tuple(map(f.dim, range(f.truncation + 1))) for f in (a, b)))
     left, right = a.mult.get, b.mult.get
 
     def product(n1: int, i1: int, n2: int, i2: int) -> tuple:
@@ -751,7 +710,7 @@ def tensor(a: DGA, b: DGA) -> DGA:
         name=f"{a.name}(x){b.name}",
         truncation=n,
         basis=_LazyDegrees(names, n),
-        mult=_LazyProducts(product, [pairs.dim(k) for k in range(n + 1)]),
+        mult=_LazyProducts(product, map(pairs.dim, range(n + 1))),
         diff=_LazyDegrees(differential, n),
         simply_connected=a.simply_connected and b.simply_connected,
         space_dim=(a.space_dim or 0) + (b.space_dim or 0),

@@ -153,15 +153,16 @@ def scan_triples(ring: CohomologyRing, max_degree: int = None) -> list:
     """
     cap = ring.truncation if max_degree is None else min(max_degree, ring.truncation)
     out = []
-    degs = [k for k in range(1, ring.truncation + 1) if ring.dim(k)]
+    dims = ring.dims()
+    degs = [k for k, n in enumerate(dims) if k and n]
     for p in degs:
         for q in degs:
             for r in degs:
                 if p + q + r - 1 > cap:
                     continue
-                for i in range(ring.dim(p)):
-                    for j in range(ring.dim(q)):
-                        for k in range(ring.dim(r)):
+                for i in range(dims[p]):
+                    for j in range(dims[q]):
+                        for k in range(dims[r]):
                             if (p, i, q, j, r, k) > (r, k, q, j, p, i):
                                 continue
                             out.append(massey_triple(

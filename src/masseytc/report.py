@@ -18,8 +18,6 @@ from .bounds import LOWER_RULES, BoundLedger, WeightFact, _class_json, _fact_dic
 from .cohomology import CohClass, CohomologyRing
 from .massey import MasseyCoset
 
-PAYLOAD_KEYS = ("model", "cohomology", "massey", "zcl", "weights", "ledger")
-
 
 def model_section(ring: CohomologyRing) -> dict:
     dga = ring.dga
@@ -39,8 +37,8 @@ def cohomology_section(ring: CohomologyRing) -> dict:
         "connectivity": ring.connectivity(),
         "cup_length": ring.cup_length(),
         "top_degree": ring.top_nonzero_degree(),
-        "basis": {str(k): [ring.class_name(k, i) for i in range(ring.dim(k))]
-                  for k in range(ring.truncation + 1) if ring.dim(k)},
+        "basis": {str(k): [ring.class_name(k, i) for i in range(n)]
+                  for k, n in enumerate(ring.dims()) if n},
         "named_classes": {n: _class_json(c) for n, c in classes.items()},
         "ring_table": _ring_table(ring, classes),
     }

@@ -15,6 +15,10 @@ and are kept here, next to the tests that use them:
   differentials that the closed form replaced, and ``reps_by_reduction``,
   the class basis found by reducing the kernel modulo the boundaries and
   eliminating again, which reading it off the kernel replaced;
+* ``product_table``, a model's nonzero product entries read through
+  ``mult.get``, and ``eager_tensor_tables``, the product table and the
+  differentials of a square built in full, the oracle for ``tensor``'s
+  lazy tables;
 * ``tensor_cochain`` and ``check_kunneth``, the cochain-level check, by
   an elimination of every degree of the square, that each canonical class
   of a square is a cross product of canonical representatives and that
@@ -242,6 +246,67 @@ def tensor_cochain(t: DGA, x: Cochain, y: Cochain) -> Cochain:
         raise ValueError("not a tensor model")
     k = x.degree + y.degree
     return Cochain(k, t.dim(k), t.pairs.cross(x.degree, x.pairs, y.degree, y.pairs))
+
+
+def product_table(dga: DGA) -> dict:
+    """The nonzero entries of a model's product table, read through
+    ``mult.get`` key by key over every in-range pair of basis elements."""
+    n, get, out = dga.truncation, dga.mult.get, {}
+    for n1 in range(n + 1):
+        for n2 in range(n + 1 - n1):
+            for i1 in range(dga.dim(n1)):
+                for i2 in range(dga.dim(n2)):
+                    entry = get((n1, i1, n2, i2))
+                    if entry:
+                        out[n1, i1, n2, i2] = entry
+    return out
+
+
+def eager_tensor_tables(t: DGA) -> tuple:
+    """(mult, diff) of a tensor model built entry by entry, in full: the
+    oracle for the lazy tables of ``tensor``."""
+    (a, b), n, pairs = t.factors, t.truncation, t.pairs
+    pair_index = [{tr: i for i, tr in enumerate(ps)} for ps in pairs]
+    mult = {}
+    for n1 in range(n + 1):
+        for n2 in range(n + 1 - n1):
+            tindex = pair_index[n1 + n2]
+            for i1, (p1, a1, b1) in enumerate(pairs[n1]):
+                q1 = n1 - p1
+                for i2, (p2, a2, b2) in enumerate(pairs[n2]):
+                    q2 = n2 - p2
+                    left = a.mult.get((p1, a1, p2, a2))
+                    if not left:
+                        continue
+                    right = b.mult.get((q1, b1, q2, b2))
+                    if not right:
+                        continue
+                    odd = (q1 * p2) % 2
+                    entry = []
+                    for ia, ca in left:
+                        for jb, cb in right:
+                            c = exact(ca * cb)
+                            entry.append((tindex[(p1 + p2, ia, jb)], -c if odd else c))
+                    entry.sort()
+                    mult[(n1, i1, n2, i2)] = tuple(entry)
+    diff = []
+    for deg in range(n + 1):
+        data = {}
+        tindex = pair_index[deg + 1] if deg + 1 <= n else {}
+        for col, (p, i, j) in enumerate(pairs[deg]):
+            q = deg - p
+            if p + 1 <= a.truncation:
+                for r, v in a.diff[p].nonzero_columns[i]:
+                    key = (tindex[(p + 1, r, j)], col)
+                    data[key] = data.get(key, 0) + v
+            sign = -1 if p % 2 else 1
+            if q + 1 <= b.truncation:
+                for r, v in b.diff[q].nonzero_columns[j]:
+                    key = (tindex[(p, i, r)], col)
+                    data[key] = data.get(key, 0) + sign * v
+        rows = len(pairs[deg + 1]) if deg + 1 <= n else 0
+        diff.append(from_dict(rows, len(pairs[deg]), data))
+    return mult, tuple(diff)
 
 
 def zero_class(ring: CohomologyRing, k: int) -> CohClass:

@@ -717,7 +717,7 @@ def rudyak_scan_oracle(kmap, facts, best):
 
 
 @pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress"])
-def test_rudyak_skip_matches_the_unskipped_scan(rings, kunneth_of, name):
+def test_rudyak_skip_matches_the_unskipped_scan(rings, kunneth_of, monkeypatch, name):
     # from the bound the ledger starts the scan at, and from one below it,
     # where fewer betas are skipped
     if name == "stress":
@@ -728,7 +728,25 @@ def test_rudyak_skip_matches_the_unskipped_scan(rings, kunneth_of, name):
     facts = tc_weight_facts(ring, km, cat_weight_facts(ring))
     start = max(zero_divisors_cup_length(km)[0], weighted_lower_bound(km.ht, facts)[0]) + 1
     for best in (start, start - 1):
-        assert rudyak_lower_bound(km, facts, best) == rudyak_scan_oracle(km, facts, best)
+        want = rudyak_scan_oracle(km, facts, best)
+        if name != "stress":
+            assert rudyak_lower_bound(km, facts, best) == want
+            continue
+        # top weight 1 against a bound of at least 4: no triple can beat it,
+        # so the scan returns before it lists the pool or forms a product
+        assert max(f.weight for f in facts.values()) == 1 and best >= 4
+        cups = []
+        monkeypatch.setattr(km.ht, "cup", lambda *args: cups.append(args))
+        assert rudyak_lower_bound(km, _Unlisted(facts), best) == want
+        monkeypatch.undo()
+        assert cups == []
+
+
+class _Unlisted(dict):
+    """Facts whose pool must not be listed."""
+
+    def items(self):
+        raise AssertionError("the pool was listed")
 
 
 def test_explicit_triple_of_zero_divisors(rings, kunneth_of):

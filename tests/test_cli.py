@@ -25,7 +25,9 @@ from masseytc.cli import (
 )
 from masseytc.cohomology import CohomologyRing
 from masseytc.dga import PairBasis, compile_cdga
-from masseytc.report import PAYLOAD_KEYS
+
+# the six top-level keys of every payload, in order
+PAYLOAD_KEYS = ("model", "cohomology", "massey", "zcl", "weights", "ledger")
 
 S2_FILE_SRC = """\
 algebra s2 {
@@ -612,30 +614,44 @@ def test_the_squares_lay_out_a_block_per_pair_of_nonzero_degrees(capsys, monkeyp
                                                                  tmp_path):
     # a circle truncated at 2000: only degrees 0 and 1 of the model and of
     # its cohomology are nonzero, so each square of the 4000-degree `bounds`
-    # run keeps at most 2 x 2 blocks and reads each factor dimension once
-    # per degree, where a walk over every (k, p) would read millions
+    # run keeps at most 2 x 2 blocks, where a walk over every (k, p) would
+    # lay out millions
     built = []
     init = PairBasis.__init__
 
-    def counted(self, n, dim_a, dim_b):
-        reads = []
-
-        def counting(dim):
-            return lambda k: reads.append(k) or dim(k)
-
-        init(self, n, counting(dim_a), counting(dim_b))
-        nonzero = [sum(1 for k in range(n + 1) if dim(k)) for dim in (dim_a, dim_b)]
-        built.append((n, len(self.start), nonzero[0] * nonzero[1], len(reads)))
+    def counted(self, n, dims_a, dims_b):
+        init(self, n, dims_a, dims_b)
+        nonzero = [sum(1 for d in dims if d) for dims in (dims_a, dims_b)]
+        built.append((n, len(self.start), nonzero[0] * nonzero[1]))
 
     monkeypatch.setattr(PairBasis, "__init__", counted)
-    model = tmp_path / "circle.mtc"
-    model.write_text("algebra circle {\n  truncate 2000\n  space-dim 1\n"
-                     "  generator t degree 1\n}\n")
-    assert main(["bounds", str(model), "--json"]) == 0
+    assert main(["bounds", _circle(tmp_path, 2000), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["ledger"]["zcl"] == 1
     assert len(built) == 2  # the cochain square and the cohomology square
-    for n, blocks, most, reads in built:
-        assert n == 4000 and 0 < blocks <= most == 4 and reads <= 2 * (n + 1)
+    for n, blocks, most in built:
+        assert n == 4000 and 0 < blocks <= most == 4
+
+
+def test_bounds_reads_each_ring_dimension_once_per_pass(capsys, monkeypatch, tmp_path):
+    # every pass over a ring's degrees reads its dims() once, so `bounds`
+    # on a circle calls CohomologyRing.dim as often at truncate 2000 as at 200
+    calls = []
+    dim = CohomologyRing.dim
+    monkeypatch.setattr(CohomologyRing, "dim", lambda self, k: calls.append(k) or dim(self, k))
+    counts = []
+    for n in (200, 2000):
+        calls.clear()
+        assert main(["bounds", _circle(tmp_path, n), "--json"]) == 0
+        capsys.readouterr()
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def _circle(tmp_path, n: int) -> str:
+    model = tmp_path / f"circle{n}.mtc"
+    model.write_text(f"algebra circle {{\n  truncate {n}\n  space-dim 1\n"
+                     "  generator t degree 1\n}\n")
+    return str(model)
 
 
 def test_readme_python_block_runs():

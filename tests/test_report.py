@@ -12,10 +12,9 @@ from masseytc.dga import DGA, compile_cdga
 from masseytc.dsl import parse_model
 from masseytc.massey import scan_triples
 from masseytc.models import MODEL_SOURCES
-from masseytc.report import PAYLOAD_KEYS
 from oracles import ring_table_all_pairs
 from test_bench_tracer import load_bench
-from test_cli import STRESS_NIL_SRC
+from test_cli import PAYLOAD_KEYS, STRESS_NIL_SRC
 
 # the generated models of the massey-cli benchmark workload at seed 1
 MASSEY_CLI_MODELS = load_bench("inputs").massey_inputs(1)[0]

@@ -25,7 +25,7 @@ from masseytc.dsl import parse_model
 from masseytc.linalg import GradedVector, SparseMatrix, Subspace, inverse, scalar
 from masseytc.massey import MasseyCoset
 from masseytc.models import MODEL_SOURCES
-from oracles import is_canonical
+from oracles import is_canonical, product_table
 from test_bench_tracer import BENCH
 from test_cli import STRESS_NIL_SRC
 
@@ -66,7 +66,7 @@ def dga_tables(dga) -> list:
     """The product entries and differentials a model holds: all of them for
     a compiled model, the ones computed so far for a lazy tensor square."""
     if dga.factors is None:
-        return [dict(dga.mult.items()), list(dga.diff)]
+        return [product_table(dga), list(dga.diff)]
     return [dga.mult._memo, [m for m in dga.diff._built if m is not None]]
 
 
@@ -264,11 +264,16 @@ def test_engine_imports_only_what_it_reads():
 
 
 def definitions(tree) -> list:
-    """(line, name) of every function, method and class a module defines,
-    dunders left out."""
-    return sorted((node.lineno, node.name) for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                  and not (node.name.startswith("__") and node.name.endswith("__")))
+    """(line, name) of every function, method and class a module defines
+    and of every name its top level assigns, dunders left out."""
+    found = [(node.lineno, node.name) for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    found += [(node.lineno, name.id) for node in tree.body
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for name in ast.walk(node)
+              if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+    return sorted((line, name) for line, name in found
+                  if not (name.startswith("__") and name.endswith("__")))
 
 
 def referenced_names(tree) -> set:
@@ -283,7 +288,7 @@ def referenced_names(tree) -> set:
                   and isinstance(node.body[0].value, ast.Constant)}
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -300,15 +305,17 @@ def test_every_definition_in_the_engine_has_a_caller():
     """The package holds only what the commands, ledger replay and the
     benchmark call; helpers only the tests call live in tests/oracles.py.
 
-    The check is name-level: a definition passes when code in src/ or
-    bench/ reads its name anywhere, even as a local variable or as an
-    attribute of some other object."""
+    Definitions are functions, methods, classes and module-level
+    constants.  The check is name-level: a definition passes when code in
+    src/ or bench/ reads its name anywhere, even as a local variable or as
+    an attribute of some other object."""
     sample = ast.parse('"""f g"""\ndef f():\n    "h"\ndef g(): pass\ndef h(): pass\n'
                        'class K:\n    def __len__(self): return 0\n'
                        'def m(): pass\ndef n(): pass\ndef p(): pass\n'
-                       'g()\nx.m\nfrom a import n as q\nT = ("mod", "p.x")\n')
+                       'g()\nx.m\nfrom a import n as q\nT = ("mod", "p.x")\n'
+                       'U = 1\nV: int = U\n__version__ = "1"\n')
     assert [name for _, name in definitions(sample)
-            if name not in referenced_names(sample)] == ["f", "h", "K"]
+            if name not in referenced_names(sample)] == ["f", "h", "K", "T", "V"]
     src = Path(masseytc.__file__).parent
     read = set()
     for path in sorted(src.glob("*.py")) + sorted(BENCH.rglob("*.py")):
