@@ -199,17 +199,13 @@ def transfer_weight(ring: CohomologyRing, kmap: KunnethMap,
                       ("transfer", fact.key, k)), None
 
 
-def cat_weight_facts(ring: CohomologyRing, cosets: list = None) -> dict:
-    """Category-weight atoms: R1 basis classes and R3 Massey values.
-
-    ``cosets`` is the Massey scan to draw R3 facts from; by default every
-    triple of basis classes within the truncation.
-    """
+def cat_weight_facts(ring: CohomologyRing, cosets: list) -> dict:
+    """Category-weight atoms: R1 basis classes and R3 Massey values drawn
+    from ``cosets``, a Massey scan of the ring (see
+    :func:`~masseytc.massey.scan_triples`)."""
     facts = {}
     for e in ring.positive_basis():
         _add_fact(facts, "cat", e, 1, "R1", ("basis",))
-    if cosets is None:
-        cosets = scan_triples(ring)
     for coset in cosets:
         if coset.is_nonzero():
             _add_fact(facts, "cat", coset.value, 2, "R3",

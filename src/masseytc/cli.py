@@ -3,7 +3,7 @@
 Usage:  masseytc COMMAND MODEL [options]
 
 Commands
-    validate    check every DGA axiom and list violations
+    validate    list the degrees where d^2 != 0, the one DGA axiom a model can break
     cohomology  Betti numbers, connectivity, cup length, named classes
     massey      one Massey triple product of three named classes
     zcl         cup length of the zero-divisors ideal

@@ -15,6 +15,11 @@ and are kept here, next to the tests that use them:
   differentials that the closed form replaced, and ``reps_by_reduction``,
   the class basis found by reducing the kernel modulo the boundaries and
   eliminating again, which reading it off the kernel replaced;
+* ``axiom_sweep``, the exhaustive check of every DGA axiom within the
+  truncation (shape, product indices in range, d^2 = 0, unit, Leibniz,
+  graded commutativity, associativity) that ``DGA.validate`` ran before
+  it kept d^2 = 0 alone, the one axiom a compiled model can break, and
+  ``unit``, the unit cochain it multiplies by;
 * ``product_table``, a model's nonzero product entries read through
   ``mult.get``, and ``eager_tensor_tables``, the product table and the
   differentials of a square built in full, the oracle for ``tensor``'s
@@ -39,13 +44,13 @@ and are kept here, next to the tests that use them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from masseytc.bounds import bar, indecomposables
 from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap, heaviest_chain
-from masseytc.dga import DGA, Cochain, Presentation, mono_mul
+from masseytc.dga import DGA, Cochain, Presentation, Violation, mono_mul
 from masseytc.linalg import (ONE, ZERO, SparseMatrix, Subspace, Vector, dense, image, kernel,
                              sparse)
 from masseytc.massey import MasseyCoset, massey_triple
@@ -235,6 +240,111 @@ def reps_by_reduction(ring: CohomologyRing, k: int) -> Subspace:
     b = ring.part(k).boundaries
     return Subspace._spanned(ring.dga.dim(k), map(b.reduce_pairs,
                                                   kernel(ring.dga.diff[k]).nonzero_columns))
+
+
+# ------------------------------------------------------------ DGA axioms
+
+
+def unit(dga: DGA) -> Cochain:
+    """The unit 1, the basis cochain of a one-dimensional degree 0."""
+    if dga.dim(0) != 1:
+        raise ValueError("degree 0 is not one-dimensional")
+    return Cochain(0, 1, ((0, ONE),))
+
+
+def axiom_sweep(dga: DGA) -> list:
+    """Check every algebra/complex axiom exhaustively within truncation.
+
+    Returns a list of :class:`Violation`; empty means the tables form a
+    genuine (graded-commutative, unital) finite DGA.
+    """
+    out = []
+    n = dga.truncation
+    if len(dga.basis) != n + 1 or len(dga.diff) != n + 1:
+        out.append(Violation("shape", (), "basis/diff must cover degrees 0..N"))
+        return out
+    for k in range(n + 1):
+        dk = dga.diff[k]
+        want_rows = dga.dim(k + 1)
+        if dk.cols != dga.dim(k) or dk.rows != want_rows:
+            out.append(Violation(
+                "shape", (k,),
+                f"d_{k} is {dk.rows}x{dk.cols}, expected {want_rows}x{dga.dim(k)}"))
+    get, table = dga.mult.get, {}
+    for k1 in range(n + 1):
+        for k2 in range(n + 1 - k1):
+            tdim = dga.dim(k1 + k2)
+            for i1 in range(dga.dim(k1)):
+                for i2 in range(dga.dim(k2)):
+                    key = (k1, i1, k2, i2)
+                    entry = table[key] = get(key)
+                    for idx, _ in entry or ():
+                        if not 0 <= idx < tdim:
+                            out.append(Violation(
+                                "shape", key,
+                                f"product lands at index {idx} outside degree {k1 + k2}"))
+    if out:
+        return out
+    # the axioms multiply through the entries just read, held in a dict
+    mul = replace(dga, mult=table).mul
+
+    for k in range(n):
+        if not dga.diff[k + 1].compose(dga.diff[k]).is_zero():
+            out.append(Violation(
+                "d-squared", (k,), f"d_{k + 1} o d_{k} is nonzero"))
+
+    if dga.dim(0) != 1:
+        out.append(Violation("unit", (0,), f"degree 0 has dimension {dga.dim(0)}"))
+    else:
+        one = unit(dga)
+        for k in range(n + 1):
+            for i in range(dga.dim(k)):
+                e = dga.basis_cochain(k, i)
+                if mul(one, e) != e or mul(e, one) != e:
+                    out.append(Violation(
+                        "unit", (k, dga.basis[k][i]), "unit law fails"))
+
+    for k1 in range(n + 1):
+        for k2 in range(n + 1 - k1):
+            lim = k1 + k2
+            for i1 in range(dga.dim(k1)):
+                x = dga.basis_cochain(k1, i1)
+                dx = dga.d(x)
+                sign = -ONE if k1 % 2 else ONE
+                for i2 in range(dga.dim(k2)):
+                    y = dga.basis_cochain(k2, i2)
+                    # Leibniz (only meaningful when the target survives truncation)
+                    if lim + 1 <= n:
+                        lhs = dga.d(mul(x, y))
+                        rhs = mul(dx, y).add(mul(x, dga.d(y)).scale(sign))
+                        if lhs != rhs:
+                            out.append(Violation(
+                                "leibniz", (dga.basis[k1][i1], dga.basis[k2][i2]),
+                                f"d(x*y) != dx*y + (-1)^{k1} x*dy"))
+                    csign = -ONE if (k1 * k2) % 2 else ONE
+                    if mul(x, y) != mul(y, x).scale(csign):
+                        out.append(Violation(
+                            "commutativity",
+                            (dga.basis[k1][i1], dga.basis[k2][i2]),
+                            f"x*y != (-1)^({k1}*{k2}) y*x"))
+
+    for k1 in range(n + 1):
+        for i1 in range(dga.dim(k1)):
+            x = dga.basis_cochain(k1, i1)
+            for k2 in range(n + 1 - k1):
+                for i2 in range(dga.dim(k2)):
+                    y = dga.basis_cochain(k2, i2)
+                    xy = mul(x, y)
+                    for k3 in range(n + 1 - k1 - k2):
+                        for i3 in range(dga.dim(k3)):
+                            z = dga.basis_cochain(k3, i3)
+                            if mul(xy, z) != mul(x, mul(y, z)):
+                                out.append(Violation(
+                                    "associativity",
+                                    (dga.basis[k1][i1], dga.basis[k2][i2],
+                                     dga.basis[k3][i3]),
+                                    "(x*y)*z != x*(y*z)"))
+    return out
 
 
 # ------------------------------------------------------- cochains and Kunneth

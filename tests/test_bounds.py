@@ -8,6 +8,7 @@ the ledgers must reproduce them exactly and replay from their certificates.
 
 import dataclasses
 import functools
+import inspect
 import json
 import types
 from fractions import Fraction
@@ -41,7 +42,7 @@ from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap, heaviest_c
 from masseytc.dga import Cochain, compile_cdga
 from masseytc.dsl import parse_model
 from masseytc.linalg import Subspace, kernel
-from masseytc.massey import massey_triple
+from masseytc.massey import massey_triple, scan_triples
 from masseytc.models import MODEL_SOURCES
 from conftest import S2_SRC
 from oracles import zcl_by_ideal_search, zero_divisor_ideal
@@ -266,26 +267,34 @@ def pool_shape(facts):
     return sorted((f.cls.degree, f.weight, f.rule) for f in facts.values())
 
 
+def cat_pool(ring):
+    return pool_shape(cat_weight_facts(ring, scan_triples(ring)))
+
+
 def test_cat_fact_pools_frozen(rings):
-    assert pool_shape(cat_weight_facts(rings["spheres8"])) == \
-        [(3, 1, "R1"), (3, 1, "R1"), (8, 2, "R3"), (8, 2, "R3")]
-    assert pool_shape(cat_weight_facts(rings["even7"])) == \
+    assert cat_pool(rings["spheres8"]) == [(3, 1, "R1"), (3, 1, "R1"), (8, 2, "R3"), (8, 2, "R3")]
+    assert cat_pool(rings["even7"]) == \
         [(2, 1, "R1"), (2, 1, "R1"), (5, 2, "R3"), (5, 2, "R3"),
          (7, 1, "R1")] + [(8, 1, "R1")] * 6
-    assert pool_shape(cat_weight_facts(rings["odd11"])) == \
+    assert cat_pool(rings["odd11"]) == \
         [(3, 1, "R1"), (3, 1, "R1"), (8, 2, "R3"), (8, 2, "R3"), (11, 1, "R1")]
-    shape = pool_shape(cat_weight_facts(rings["borromean"]))
+    shape = cat_pool(rings["borromean"])
     assert shape.count((1, 1, "R1")) == 3
     assert shape.count((2, 1, "R1")) == 6
     assert shape.count((2, 2, "R3")) == 9
     assert len(shape) == 18
-    assert pool_shape(cat_weight_facts(rings["point"])) == []
+    assert cat_pool(rings["point"]) == []
 
+
+def test_cat_facts_draw_only_from_the_scan_they_are_given():
+    # build_ledger hands over its capped scan; there is no scan to fall back on
+    cosets = inspect.signature(cat_weight_facts).parameters["cosets"]
+    assert cosets.default is inspect.Parameter.empty
 
 def test_massey_values_become_weight_two_facts(rings):
     # the degree-5 facts of even7 are exactly the two triple-product values
     ring = rings["even7"]
-    facts = cat_weight_facts(ring)
+    facts = cat_weight_facts(ring, scan_triples(ring))
     deg5 = {f.cls.coords: f for f in facts.values() if f.cls.degree == 5}
     u = ring.named_class("u")
     v = ring.named_class("v")
@@ -299,7 +308,7 @@ def test_massey_values_become_weight_two_facts(rings):
 
 def test_transfer_success_even7(rings, kunneth_of):
     ring, km = rings["even7"], kunneth_of("even7")
-    facts = cat_weight_facts(ring)
+    facts = cat_weight_facts(ring, scan_triples(ring))
     u = ring.named_class("u")
     fact = facts[("cat", 5, _normalize_class(u).coords)]
     moved, reason = transfer_weight(ring, km, fact, 2)
@@ -312,7 +321,7 @@ def test_transfer_success_even7(rings, kunneth_of):
 def test_transfer_success_spheres8_window(rings, kunneth_of):
     # degree 8 sits in the k=2 window [6, 9) for a 2-connected model
     ring, km = rings["spheres8"], kunneth_of("spheres8")
-    facts = cat_weight_facts(ring)
+    facts = cat_weight_facts(ring, scan_triples(ring))
     for f in facts.values():
         if f.weight == 2:
             moved, reason = transfer_weight(ring, km, f, 2)
@@ -324,7 +333,7 @@ def test_transfer_named_failures(rings, kunneth_of):
     # mu = alpha * v has category weight 1 + 2 = 3 by the chain of the
     # two pool atoms; the pool itself keeps mu as a weight-1 basis atom
     mu = ring.named_class("mu")
-    facts = cat_weight_facts(ring)
+    facts = cat_weight_facts(ring, scan_triples(ring))
     assert facts[("cat", 7, _normalize_class(mu).coords)].weight == 1
     alpha, v = (facts[("cat", c.degree, _normalize_class(c).coords)]
                 for c in (ring.named_class("alpha"), ring.named_class("v")))
@@ -341,7 +350,7 @@ def test_transfer_named_failures(rings, kunneth_of):
     assert moved is None and "k >= 1" in reason
 
     ring, km = rings["borromean"], kunneth_of("borromean")
-    fact = next(iter(cat_weight_facts(ring).values()))
+    fact = next(iter(cat_weight_facts(ring, scan_triples(ring)).values()))
     moved, reason = transfer_weight(ring, km, fact, 1)
     assert moved is None and "simply connected" in reason
 
@@ -352,11 +361,11 @@ def test_transfer_named_failures(rings, kunneth_of):
 
 def test_tc_fact_pools_frozen(rings, kunneth_of):
     ring, km = rings["spheres8"], kunneth_of("spheres8")
-    shape = pool_shape(tc_weight_facts(ring, km, cat_weight_facts(ring)))
+    shape = pool_shape(tc_weight_facts(ring, km, cat_weight_facts(ring, scan_triples(ring))))
     assert shape == [(3, 1, "R1"), (3, 1, "R1"),
                      (8, 2, "R4-transfer"), (8, 2, "R4-transfer")]
     ring, km = rings["s2"], kunneth_of("s2")
-    assert pool_shape(tc_weight_facts(ring, km, cat_weight_facts(ring))) == [(2, 1, "R1")]
+    assert pool_shape(tc_weight_facts(ring, km, cat_weight_facts(ring, scan_triples(ring)))) == [(2, 1, "R1")]
 
 
 @pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress"])
@@ -382,7 +391,7 @@ def test_weighted_category_bounds(rings):
                 "s3": 1, "s2": 1, "point": 0}
     for name, want in expected.items():
         ring = rings[name]
-        facts = cat_weight_facts(ring)
+        facts = cat_weight_facts(ring, scan_triples(ring))
         best, chain, prod = weighted_lower_bound(ring, facts)
         assert best == want, name
         if chain:
@@ -395,7 +404,7 @@ def test_weighted_tc_bounds(rings, kunneth_of):
                 "s3": 1, "s2": 2, "point": 0}
     for name, want in expected.items():
         ring, km = rings[name], kunneth_of(name)
-        facts = tc_weight_facts(ring, km, cat_weight_facts(ring))
+        facts = tc_weight_facts(ring, km, cat_weight_facts(ring, scan_triples(ring)))
         best, chain, prod = weighted_lower_bound(km.ht, facts)
         assert best == want, name
 
@@ -404,7 +413,7 @@ def test_even7_heaviest_chain_is_bar_u_bar_v_bar_alpha(rings, kunneth_of):
     # weight 5 = 1 + 2 + 2 from one ordinary bar and two transferred ones;
     # no weight-6 product survives (appending bar(beta) cancels exactly)
     ring, km = rings["even7"], kunneth_of("even7")
-    facts = tc_weight_facts(ring, km, cat_weight_facts(ring))
+    facts = tc_weight_facts(ring, km, cat_weight_facts(ring, scan_triples(ring)))
     best, chain, prod = weighted_lower_bound(km.ht, facts)
     rules = sorted(facts[key].rule for key in chain)
     assert rules == ["R1", "R4-transfer", "R4-transfer"]
@@ -494,7 +503,7 @@ def _assert_searches_match_the_oracles(ring, km):
     for goal in (None, zk):
         w, picked, p = heaviest_chain(ht, basis, [1] * len(basis), goal=goal)
         assert (w, tuple(basis[i] for i in picked), p) == (zk, chain, prod)
-    cat = cat_weight_facts(ring)
+    cat = cat_weight_facts(ring, scan_triples(ring))
     for rg, facts in ((ring, cat), (ht, tc_weight_facts(ring, km, cat))):
         best, keys, prod = weighted_lower_bound(rg, facts)
         assert keys
@@ -551,7 +560,7 @@ def test_chain_searches_stop_at_their_ceilings_with_the_same_chain(kunneth_of, n
     assert heaviest_chain(km.ht, bars, [1] * len(bars), goal=2 * cl) == (zcl, picked, prod)
     assert zero_divisors_cup_length(km) == (zcl, tuple(bars[i] for i in picked), prod)
     assert zcl <= 2 * cl
-    cat = cat_weight_facts(ring)
+    cat = cat_weight_facts(ring, scan_triples(ring))
     for rg, facts, length in ((ring, cat, cl), (km.ht, tc_weight_facts(ring, km, cat), zcl)):
         atoms = [f for _, f in sorted(facts.items())]
         classes, weights = [f.cls for f in atoms], [f.weight for f in atoms]
@@ -663,7 +672,7 @@ def test_indeterminacy_spans_are_computed_once_per_ring(dgas, monkeypatch, name)
 
 def test_rudyak_improves_borromean(rings, kunneth_of):
     ring, km = rings["borromean"], kunneth_of("borromean")
-    facts = tc_weight_facts(ring, km, cat_weight_facts(ring))
+    facts = tc_weight_facts(ring, km, cat_weight_facts(ring, scan_triples(ring)))
     best, cert = rudyak_lower_bound(km, facts, 3)
     assert best == 4 and cert is not None
     fa = facts[cert["alpha"]]
@@ -680,7 +689,7 @@ def test_rudyak_improves_borromean(rings, kunneth_of):
 def test_rudyak_cannot_beat_the_weighted_bounds(rings, kunneth_of):
     for name in ("spheres8", "even7"):
         ring, km = rings[name], kunneth_of(name)
-        facts = tc_weight_facts(ring, km, cat_weight_facts(ring))
+        facts = tc_weight_facts(ring, km, cat_weight_facts(ring, scan_triples(ring)))
         current = weighted_lower_bound(km.ht, facts)[0] + 1
         best, cert = rudyak_lower_bound(km, facts, current)
         assert best == current and cert is None
@@ -725,7 +734,7 @@ def test_rudyak_skip_matches_the_unskipped_scan(rings, kunneth_of, monkeypatch, 
         km = KunnethMap(ring, ring)
     else:
         ring, km = rings[name], kunneth_of(name)
-    facts = tc_weight_facts(ring, km, cat_weight_facts(ring))
+    facts = tc_weight_facts(ring, km, cat_weight_facts(ring, scan_triples(ring)))
     start = max(zero_divisors_cup_length(km)[0], weighted_lower_bound(km.ht, facts)[0]) + 1
     for best in (start, start - 1):
         want = rudyak_scan_oracle(km, facts, best)

@@ -19,6 +19,7 @@ from masseytc.cli import (
     cmd_bounds,
     cmd_cohomology,
     cmd_massey,
+    cmd_validate,
     cmd_zcl,
     load_presentation,
     main,
@@ -147,6 +148,37 @@ MASSEY_JSON_DIGESTS = {
         (1, "64f9ec506fcaeaa7930dfba4a6397fb8c8d6d28b24eaea2f6895f8f061c8e98c"),
     ("odd11", "alpha", "alpha", "beta"):
         (0, "08fb26d5acd3c5a6602f7ffb6e1f1e29c8353957f2429cf627504095ccbfe059"),
+}
+
+# A model whose d^2 fails in four degrees, and the exit code and sha256 of
+# the `validate` text and `--json` output of the golden models, of
+# BROKEN_D2_SRC, of this model and of the stress model.
+MULTI_D2_SRC = """\
+algebra twice {
+  truncate 6
+  generator x degree 1
+  generator y degree 2
+  generator z degree 3
+  d x = y
+  d y = x*y
+  d z = y*y
+}
+"""
+VALIDATE_DIGESTS = {
+    "spheres8": (0, "ae9f5704682aaa7c2cad09ad8d3b837020d7e76b0fa69420fbbba1746f98670d",
+                 "59987d52a11cf69420c44a96d0f2cd99556c689add03248f07b1a78f224e8465"),
+    "borromean": (0, "cbd833bab61f40184ee68f39aafe60a7f3de97e5fceb40e64f5e05b430d17e24",
+                  "f73b12f80a28017972dc8379125fbefff5fddddde8681209b3e7a20692822ab7"),
+    "even7": (0, "bd72ff8de8b53479cb0d6bba7ea238020713adfff7c65e938b7f641d8398be46",
+              "45a53ae3d4e994b5d46837e2255b8cbeb41646307ed5487eff8a66369e67859d"),
+    "odd11": (0, "dc3f2f75f80968f4068a2f8cdb8e375d8130e47e42e6208f5d30423e10fb13bb",
+              "1547e8c4f063ec7cfe681c0889035427096c1af775c198bfad79e9321127b435"),
+    "broken": (2, "ab4ae48d20ae696f41648e37e36ca871fdefd66d81a0f227dfaef264e84e2c81",
+               "8b5be0d273151a2cc8cf08931159a3bcda54f6d01e276cfabf253144a01a5bd8"),
+    "twice": (2, "261770f09a7a565c379177fe25b796b0b47b693000c823b00f03b46ef710b3f2",
+              "75c120abd6e3d566e656f90c5501f35f250daa618c32905570e439f930c9e834"),
+    "stressnil": (0, "011a9718150a1f2f204790e0e684f52d65628440ae91888773310cd89e2e92dc",
+                  "f744c4ceb5b17bb6d1900d5ccac96f7bfa0f7ed66b64cdc7bca3a215ac107fba"),
 }
 
 
@@ -587,6 +619,18 @@ def test_massey_json_bytes_are_pinned(query):
     code, payload, _ = cmd_massey(build_parser().parse_args(["massey", *query]))
     assert (code, _sha256(report.render_json(payload))) == MASSEY_JSON_DIGESTS[query]
 
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_DIGESTS))
+def test_validate_output_bytes_are_pinned(tmp_path, name):
+    sources = {"broken": BROKEN_D2_SRC, "twice": MULTI_D2_SRC, "stressnil": STRESS_NIL_SRC}
+    model = name
+    if name in sources:
+        model = tmp_path / f"{name}.mtc"
+        model.write_text(sources[name])
+    code, _, text = cmd_validate(build_parser().parse_args(["validate", str(model)]))
+    jcode, _, out = cmd_validate(build_parser().parse_args(["validate", str(model), "--json"]))
+    assert jcode == code
+    assert (code, _sha256(text), _sha256(out)) == VALIDATE_DIGESTS[name]
 
 @pytest.mark.parametrize("name", ["spheres8", "borromean"])
 def test_bounds_frees_its_rings_without_the_cyclic_collector(capsys, monkeypatch, name):

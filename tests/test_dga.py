@@ -17,6 +17,7 @@ from masseytc.dga import (
     Cochain,
     Generator,
     PairBasis,
+    Presentation,
     PresentationError,
     Violation,
     compile_cdga,
@@ -26,11 +27,11 @@ from masseytc.dga import (
 from masseytc.dsl import parse_model
 from masseytc.linalg import SparseMatrix, kernel
 from masseytc.models import MODEL_SOURCES
-from oracles import (TuplePairBasis, contains_subspace, differentials_by_recursion,
+from oracles import (TuplePairBasis, axiom_sweep, contains_subspace, differentials_by_recursion,
                      eager_tensor_tables, from_dict, product_table, reps_by_reduction,
-                     tensor_cochain)
+                     tensor_cochain, unit)
 from test_bench_tracer import load_bench
-from test_cli import STRESS_NIL_SRC
+from test_cli import BROKEN_D2_SRC, MULTI_D2_SRC, STRESS_NIL_SRC
 from test_cohomology import POLY4_SRC
 
 
@@ -168,7 +169,7 @@ def test_cochain_from_poly(m3e):
 
 
 def test_unit_and_render(m1):
-    one = m1.unit()
+    one = unit(m1)
     for k in range(9):
         for i in range(m1.dim(k)):
             e = m1.basis_cochain(k, i)
@@ -181,7 +182,7 @@ def test_unit_and_render(m1):
 
 def test_golden_models_validate(m1, m3e, s3, s2):
     for dga in (m1, m3e, s3, s2):
-        assert dga.validate() == []
+        assert axiom_sweep(dga) == []
 
 
 def test_presentation_errors():
@@ -220,7 +221,7 @@ def test_validate_flags_broken_tables():
               (0, 0, 2, 0): ((0, Fraction(1)),),
               (2, 0, 0, 0): ((0, Fraction(1)),)},
         diff=(SparseMatrix.zero(1, 1), SparseMatrix.zero(1, 1), SparseMatrix.zero(0, 1)))
-    axioms = {v.axiom for v in broken.validate()}
+    axioms = {v.axiom for v in axiom_sweep(broken)}
     assert {"unit", "commutativity", "associativity"} <= axioms
 
     bad_shape = DGA(
@@ -228,7 +229,7 @@ def test_validate_flags_broken_tables():
         basis=(("1",), ()),
         mult={(0, 0, 0, 0): ((0, Fraction(1)),), (1, 0, 1, 0): ((0, Fraction(1)),)},
         diff=(SparseMatrix.zero(5, 1), SparseMatrix.zero(0, 0)))
-    axioms = {v.axiom for v in bad_shape.validate()}
+    axioms = {v.axiom for v in axiom_sweep(bad_shape)}
     assert axioms == {"shape"}
 
 
@@ -243,25 +244,36 @@ def test_validate_flags_a_product_outside_its_degree():
         mult={(0, 0, 0, 0): one, (0, 0, 1, 0): one, (1, 0, 0, 0): one,
               (0, 0, 2, 0): one, (2, 0, 0, 0): one, (1, 0, 1, 0): ((1, 1),)},
         diff=(SparseMatrix.zero(1, 1), SparseMatrix.zero(1, 1), SparseMatrix.zero(0, 1)))
-    assert dga.validate() == [Violation(
+    assert axiom_sweep(dga) == [Violation(
         "shape", (1, 0, 1, 0), "product lands at index 1 outside degree 2")]
 
 
 def test_tensor_dims_are_convolutions(s3, s2, m1):
     for a, b in [(s3, s3), (s2, s2), (s3, s2), (m1, s3)]:
         t = tensor(a, b)
-        assert t.validate() == []
+        assert axiom_sweep(t) == []
         assert t.truncation == a.truncation + b.truncation
         for deg in range(t.truncation + 1):
             want = sum(a.dim(p) * b.dim(deg - p) for p in range(deg + 1))
             assert t.dim(deg) == want
 
 
+def test_tensor_and_total_dim_read_the_dimension_tuple(monkeypatch, m1, s3):
+    # a model's dimensions are read once, when it is built; the square lays
+    # out its blocks from its factors' tuples
+    calls = []
+    dim = DGA.dim
+    monkeypatch.setattr(DGA, "dim", lambda self, k: calls.append(k) or dim(self, k))
+    t = tensor(m1, s3)
+    assert t.total_dim() == m1.total_dim() * s3.total_dim()
+    assert calls == []
+
+
 def test_tensor_koszul_sign(s3):
     t = tensor(s3, s3)
-    assert t.validate() == []
-    x1 = tensor_cochain(t, s3.basis_cochain(3, 0), s3.unit())   # x (x) 1
-    onex = tensor_cochain(t, s3.unit(), s3.basis_cochain(3, 0))  # 1 (x) x
+    assert axiom_sweep(t) == []
+    x1 = tensor_cochain(t, s3.basis_cochain(3, 0), unit(s3))   # x (x) 1
+    onex = tensor_cochain(t, unit(s3), s3.basis_cochain(3, 0))  # 1 (x) x
     xx = tensor_cochain(t, s3.basis_cochain(3, 0), s3.basis_cochain(3, 0))
     assert t.mul(x1, onex) == xx
     assert t.mul(onex, x1) == xx.scale(-1)
@@ -271,15 +283,15 @@ def test_tensor_koszul_sign(s3):
 
 def test_tensor_differential(s2):
     t = tensor(s2, s2)
-    assert t.validate() == []
-    a1 = tensor_cochain(t, s2.basis_cochain(2, 0), s2.unit())
-    x1 = tensor_cochain(t, s2.basis_cochain(3, 0), s2.unit())
-    onex = tensor_cochain(t, s2.unit(), s2.basis_cochain(3, 0))
+    assert axiom_sweep(t) == []
+    a1 = tensor_cochain(t, s2.basis_cochain(2, 0), unit(s2))
+    x1 = tensor_cochain(t, s2.basis_cochain(3, 0), unit(s2))
+    onex = tensor_cochain(t, unit(s2), s2.basis_cochain(3, 0))
     # d(x (x) 1) = a^2 (x) 1
     assert t.d(x1) == t.mul(a1, a1)
     # d(a (x) x) = a (x) a^2 (even left factor, sign +1)
     ax = t.mul(a1, onex)
-    onea = tensor_cochain(t, s2.unit(), s2.basis_cochain(2, 0))
+    onea = tensor_cochain(t, unit(s2), s2.basis_cochain(2, 0))
     assert t.d(ax) == t.mul(a1, t.mul(onea, onea))
 
 
@@ -478,8 +490,8 @@ def test_pair_layout_matches_the_tuple_oracle_on_the_squares(dgas, name):
 
 
 def test_tensor_validates(s3, s2):
-    assert tensor(s3, s3).validate() == []
-    assert tensor(s2, s2).validate() == []
+    assert axiom_sweep(tensor(s3, s3)) == []
+    assert axiom_sweep(tensor(s2, s2)) == []
 
 
 def test_random_free_models_validate():
@@ -492,7 +504,7 @@ def test_random_free_models_validate():
             gens.append((f"g{i}", rng.randint(1, 4)))
         n = rng.randint(3, 6)
         dga = make(f"rand{compiled}", gens, {}, n, sc=False)
-        assert dga.validate() == []
+        assert axiom_sweep(dga) == []
         assert [dga.dim(k) for k in range(n + 1)] == brute_force_dims(gens, n)
         compiled += 1
     assert compiled == 60
@@ -528,7 +540,7 @@ def random_differential_models():
 def test_random_models_with_differential_validate():
     built = 0
     for dga in random_differential_models():
-        assert dga.validate() == []
+        assert axiom_sweep(dga) == []
         built += 1
     assert built >= 30
 
@@ -560,6 +572,39 @@ def test_the_class_basis_read_off_the_kernel_is_the_reduced_one():
             part = ring.part(k)
             assert part.reps == reps_by_reduction(ring, k), (dga.name, k)
             assert contains_subspace(kernel(dga.diff[k]), part.reps), (dga.name, k)
+
+
+def broken_d2_presentations(seed, count):
+    """Seeded presentations in which every generator of degree 1 to 3 gets
+    a random sum of one or two monomials one degree up as its differential,
+    so d^2 = 0 fails in many of them; compile them with ``check=False``."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        gens = tuple(Generator(f"g{j}", rng.randint(1, 3)) for j in range(rng.randint(2, 4)))
+        n = rng.randint(4, 6)
+        free = compile_cdga(Presentation(f"dd{i}", gens, {}, n, n))
+        diffs = {}
+        for g in free.presentation.canonical_generators():
+            cands = free.monomials[g.degree + 1]
+            picked = rng.sample(cands, min(len(cands), rng.randint(1, 2)))
+            diffs[g.name] = {m: rng.choice([1, -1, 2]) for m in picked}
+        out.append(Presentation(f"dd{i}", gens, diffs, n, n))
+    return out
+
+
+def test_validate_lists_what_the_axiom_sweep_lists():
+    # a compiled model meets every axiom but d^2 = 0 by construction, so
+    # the d^2 check alone reports what the exhaustive sweep reports
+    inputs = load_bench("inputs")
+    texts = [BROKEN_D2_SRC, MULTI_D2_SRC]
+    for seed in (0, 1, 7, 12345):
+        texts += [inputs.stress_nil_model(seed), *inputs.massey_inputs(seed)[0].values()]
+    broken = [compile_cdga(p, check=False) for p in broken_d2_presentations(4127, 80)]
+    models = oracle_models() + [compile_cdga(parse_model(t), check=False) for t in texts]
+    for dga in models + broken:
+        assert dga.validate() == axiom_sweep(dga), dga.name
+    assert sum(1 for dga in broken if dga.validate()) >= 30
 
 
 def test_random_cochain_leibniz_and_bilinearity(m3e):

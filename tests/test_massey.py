@@ -163,7 +163,7 @@ def test_lazy_indeterminacy_and_canonical_equal_the_eager_formula(rings, kunneth
         monkeypatch.setattr(bounds, "massey_triple",
                             lambda r, *cls: rudyak.append((r, triple(r, *cls))) or rudyak[-1][1])
         km = kunneth_of(name)
-        assert rudyak_lower_bound(km, tc_weight_facts(ring, km, cat_weight_facts(ring)), 3)[0] == 4
+        assert rudyak_lower_bound(km, tc_weight_facts(ring, km, cat_weight_facts(ring, scan_triples(ring))), 3)[0] == 4
         assert rudyak and all(r is km.ht for r, _ in rudyak)
         cosets += rudyak
     assert any(c.is_nonzero() for _, c in cosets)

@@ -264,41 +264,54 @@ def test_engine_imports_only_what_it_reads():
 
 
 def definitions(tree) -> list:
-    """(line, name) of every function, method and class a module defines
-    and of every name its top level assigns, dunders left out."""
-    found = [(node.lineno, node.name) for node in ast.walk(tree)
+    """(line, name, is a method) of every function, method and class a
+    module defines and of every name its top level assigns, dunders left
+    out.  A method is a function defined directly in a class body."""
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body}
+    found = [(node.lineno, node.name, id(node) in methods) for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
-    found += [(node.lineno, name.id) for node in tree.body
+    found += [(node.lineno, name.id, False) for node in tree.body
               if isinstance(node, (ast.Assign, ast.AnnAssign))
               for name in ast.walk(node)
               if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
-    return sorted((line, name) for line, name in found
-                  if not (name.startswith("__") and name.endswith("__")))
+    return sorted(d for d in found if not (d[1].startswith("__") and d[1].endswith("__")))
 
 
-def referenced_names(tree) -> set:
-    """Every name a module reads: names, attributes, imported names and
-    their aliases, and the parts of each string constant that is a dotted
-    name, such as a patch table's ``("linalg", "solve")``; docstrings are
+def referenced_names(tree) -> tuple:
+    """(names, attributes) a module reads.  Names are the names it reads,
+    imported names and their aliases, and each string constant that is a
+    name, such as a patch table's ``("linalg", "solve")``.  Attributes are
+    the attributes it reads and the parts of each string constant that is
+    a dotted name, such as ``"CohomologyRing.cup_basis"``.  Docstrings are
     not code and do not count."""
     docstrings = {id(node.body[0].value) for node in ast.walk(tree)
                   if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef,
                                        ast.ClassDef))
                   and node.body and isinstance(node.body[0], ast.Expr)
                   and isinstance(node.body[0].value, ast.Constant)}
-    names = set()
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."), [node.asname] if node.asname else [])
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docstrings
               and all(part.isidentifier() for part in node.value.split("."))):
-            names.update(node.value.split("."))
-    return names
+            parts = node.value.split(".")
+            (attributes if len(parts) > 1 else names).update(parts)
+    return names, attributes
+
+
+def unread(tree, names: set, attributes: set) -> list:
+    """The names of the definitions of a module that nothing reads: a
+    method counts as read only as an attribute or a part of a dotted
+    string, anything else also by name."""
+    return [name for _, name, method in definitions(tree)
+            if name not in attributes and (method or name not in names)]
 
 
 def test_every_definition_in_the_engine_has_a_caller():
@@ -306,21 +319,25 @@ def test_every_definition_in_the_engine_has_a_caller():
     benchmark call; helpers only the tests call live in tests/oracles.py.
 
     Definitions are functions, methods, classes and module-level
-    constants.  The check is name-level: a definition passes when code in
-    src/ or bench/ reads its name anywhere, even as a local variable or as
-    an attribute of some other object."""
+    constants.  A method passes when code in src/ or bench/ reads it as an
+    attribute or names it in a dotted string; a local variable of the same
+    name does not keep it.  Any other definition passes when such code
+    reads its name anywhere, even as an attribute of some other object."""
     sample = ast.parse('"""f g"""\ndef f():\n    "h"\ndef g(): pass\ndef h(): pass\n'
                        'class K:\n    def __len__(self): return 0\n'
                        'def m(): pass\ndef n(): pass\ndef p(): pass\n'
                        'g()\nx.m\nfrom a import n as q\nT = ("mod", "p.x")\n'
-                       'U = 1\nV: int = U\n__version__ = "1"\n')
-    assert [name for _, name in definitions(sample)
-            if name not in referenced_names(sample)] == ["f", "h", "K", "T", "V"]
+                       'U = 1\nV: int = U\n__version__ = "1"\n'
+                       'class L:\n    def r(self): pass\n    def s(self): pass\n'
+                       '    def t(self): pass\n    def u(self): pass\n'
+                       'L().s()\nprint(r, "L.t", "u")\n')
+    assert unread(sample, *referenced_names(sample)) == ["f", "h", "K", "T", "V", "r", "u"]
     src = Path(masseytc.__file__).parent
-    read = set()
+    names, attributes = set(), set()
     for path in sorted(src.glob("*.py")) + sorted(BENCH.rglob("*.py")):
-        read |= referenced_names(ast.parse(path.read_text()))
-    found = {path.name: [name for _, name in definitions(ast.parse(path.read_text()))
-                         if name not in read]
+        read = referenced_names(ast.parse(path.read_text()))
+        names |= read[0]
+        attributes |= read[1]
+    found = {path.name: unread(ast.parse(path.read_text()), names, attributes)
              for path in sorted(src.glob("*.py"))}
     assert {name: dead for name, dead in found.items() if dead} == {}

@@ -22,6 +22,7 @@ from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap
 from masseytc.dga import Cochain, compile_cdga
 from masseytc.dsl import parse_model
 from masseytc.linalg import ONE, ZERO, Subspace, kernel
+from masseytc.massey import scan_triples
 from oracles import (dense_add, dense_scale, from_columns, is_canonical, left_annihilator,
                      right_annihilator, zero_class, zero_divisor_ideal)
 from test_cli import STRESS_NIL_SRC
@@ -207,7 +208,7 @@ def test_zcl_and_weighted_searches_form_no_dense_products(
     # dense cup product nor a Kunneth decomposition may come back into them
     km = _square(kunneth_of, stress_square, name)
     ring = km.ha
-    cat_facts = cat_weight_facts(ring)
+    cat_facts = cat_weight_facts(ring, scan_triples(ring))
     tc_facts = tc_weight_facts(ring, km, cat_facts)
     calls = []
 
