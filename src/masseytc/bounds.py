@@ -59,7 +59,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .cohomology import CohClass, CohomologyRing, KunnethMap, cup_chain, heaviest_chain
-from .linalg import Subspace, inverse
+from .linalg import Subspace, inverse, is_rational
 from .linalg import kernel  # noqa: F401  bench/tests/test_bench_trace.py reads bounds.kernel
 from .massey import massey_triple, scan_triples
 
@@ -322,9 +322,9 @@ class BoundLedger:
     tensor_dims: tuple
     massey_cap: int
     cup_length: int
-    cup_witness: tuple  # ((degree, coords), ...)
+    cup_witness: tuple  # CohClasses of the cup-chain certificate
     zcl: int
-    zcl_witness: tuple
+    zcl_witness: tuple  # CohClasses of the zcl-chain certificate
     cat_lower: int
     cat_upper: int
     tc_lower: int
@@ -334,63 +334,9 @@ class BoundLedger:
     certificates: tuple  # rule dictionaries, see replay_ledger
     # Results the ledger was built from, kept for the report.  Both follow
     # from the fields above (the scan from the ring and massey_cap, the
-    # product from zcl_witness), so they stay out of summary_dict and equality.
+    # product from zcl_witness), so they stay out of report.ledger_section and equality.
     massey_cosets: tuple = field(compare=False, repr=False)
     zcl_product: CohClass = field(compare=False, repr=False)
-
-    def summary_dict(self) -> dict:
-        """The JSON payload without the two fact pools."""
-        return {
-            "model": self.model,
-            "space_dim": self.space_dim,
-            "connectivity": self.connectivity,
-            "dims": list(self.dims),
-            "tensor_dims": list(self.tensor_dims),
-            "massey_cap": self.massey_cap,
-            "cup_length": self.cup_length,
-            "cup_witness": _jsonify(self.cup_witness),
-            "zcl": self.zcl,
-            "zcl_witness": _jsonify(self.zcl_witness),
-            "cat": [self.cat_lower, self.cat_upper],
-            "tc": [self.tc_lower, self.tc_upper],
-            "certificates": _jsonify(self.certificates),
-        }
-
-
-def _is_rational(x) -> bool:
-    """Whether x may be a coordinate: an int (not a bool) or a Fraction."""
-    return type(x) is int or type(x) is Fraction
-
-
-def _class_json(cls: CohClass) -> list:
-    """[degree, coordinates], every coordinate a string, written from the
-    class's nonzero pairs."""
-    coords = ["0"] * cls.dim
-    for i, c in cls.pairs:
-        coords[i] = str(c)
-    return [cls.degree, coords]
-
-
-def _jsonify(x):
-    """The JSON form of a record, with every coefficient a string.  A tuple
-    of scalars is a coordinate vector and a class is [degree, coordinates];
-    every other number (a degree, a weight, a bound, a transfer's k) sits
-    beside a string or a tuple and stays a number."""
-    if isinstance(x, (tuple, list)):
-        if all(map(_is_rational, x)):
-            return [str(v) for v in x]
-        return [_jsonify(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonify(v) for k, v in x.items()}
-    if isinstance(x, CohClass):
-        return _class_json(x)
-    return x
-
-
-def _fact_dict(f: WeightFact) -> dict:
-    degree, coords = _class_json(f.cls)
-    return {"kind": f.kind, "degree": degree, "coords": coords, "weight": f.weight,
-            "rule": f.rule, "inputs": _jsonify(f.inputs)}
 
 
 # Each certificate rule: the kind it bounds (None for either), the side of
@@ -418,7 +364,7 @@ def _recorded_class(rg: CohomologyRing, data, record: str) -> CohClass:
     try:
         deg, coords = data
         if (type(deg) is int and 1 <= deg <= rg.truncation and len(coords) == rg.dim(deg)
-                and all(map(_is_rational, coords))):
+                and all(map(is_rational, coords))):
             return CohClass.from_coords(deg, coords)
     except (TypeError, ValueError):
         pass
@@ -493,9 +439,9 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
         tensor_dims=kmap.ht.dims(),
         massey_cap=cap,
         cup_length=cl,
-        cup_witness=tuple(_class_data(c) for c in cwit),
+        cup_witness=cwit,
         zcl=zk,
-        zcl_witness=tuple(_class_data(c) for c in zwit),
+        zcl_witness=zwit,
         cat_lower=cat_lower,
         cat_upper=cat_upper,
         tc_lower=tc_lower,

@@ -60,6 +60,11 @@ def scalar(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def is_rational(x) -> bool:
+    """Whether x may be a coordinate: an int (not a bool) or a Fraction."""
+    return type(x) is int or type(x) is Fraction
+
+
 def inverse(x):
     """The exact reciprocal of a nonzero rational, as a scalar; the one
     division in the package."""

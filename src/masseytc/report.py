@@ -14,9 +14,33 @@ from __future__ import annotations
 
 import json
 
-from .bounds import LOWER_RULES, BoundLedger, WeightFact, _class_json, _fact_dict, _jsonify
+from .bounds import LOWER_RULES, BoundLedger, WeightFact
 from .cohomology import CohClass, CohomologyRing
+from .linalg import is_rational
 from .massey import MasseyCoset
+
+
+def _class_json(cls: CohClass) -> list:
+    """[degree, coordinates], every coordinate a string, written from the
+    class's nonzero pairs."""
+    coords = ["0"] * cls.dim
+    for i, c in cls.pairs:
+        coords[i] = str(c)
+    return [cls.degree, coords]
+
+
+def _jsonify(x):
+    """The JSON form of a record, with every coefficient a string.  A tuple
+    of scalars is a coordinate vector; every other number (a degree, a
+    weight, a bound, a transfer's k) sits beside a string or a tuple and
+    stays a number."""
+    if isinstance(x, (tuple, list)):
+        if all(map(is_rational, x)):
+            return [str(v) for v in x]
+        return [_jsonify(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _jsonify(v) for k, v in x.items()}
+    return x
 
 
 def model_section(ring: CohomologyRing) -> dict:
@@ -109,12 +133,11 @@ def massey_section(ring: CohomologyRing, cosets) -> list:
     return out
 
 
-def zcl_section(zcl: int, witness, product: CohClass) -> dict:
-    """The zcl block; ``witness`` holds the chain as classes or as the
-    ledger's (degree, coords) records."""
+def zcl_section(zcl: int, witness: tuple, product: CohClass) -> dict:
+    """The zcl block; ``witness`` is the chain of classes."""
     return {
         "zcl": zcl,
-        "witness": _jsonify(tuple(witness)),
+        "witness": [_class_json(c) for c in witness],
         "product": _class_json(product),
     }
 
@@ -125,7 +148,22 @@ def weights_section(ledger: BoundLedger) -> dict:
 
 
 def ledger_section(ledger: BoundLedger) -> dict:
-    return ledger.summary_dict()
+    """The ledger without its two fact pools, in plain JSON types."""
+    return {
+        "model": ledger.model,
+        "space_dim": ledger.space_dim,
+        "connectivity": ledger.connectivity,
+        "dims": list(ledger.dims),
+        "tensor_dims": list(ledger.tensor_dims),
+        "massey_cap": ledger.massey_cap,
+        "cup_length": ledger.cup_length,
+        "cup_witness": [_class_json(c) for c in ledger.cup_witness],
+        "zcl": ledger.zcl,
+        "zcl_witness": [_class_json(c) for c in ledger.zcl_witness],
+        "cat": [ledger.cat_lower, ledger.cat_upper],
+        "tc": [ledger.tc_lower, ledger.tc_upper],
+        "certificates": _jsonify(ledger.certificates),
+    }
 
 
 def build_payload(ring: CohomologyRing, *, massey=None, zcl=None,
@@ -140,10 +178,13 @@ def build_payload(ring: CohomologyRing, *, massey=None, zcl=None,
     }
 
 
-def _fact_json(x) -> dict:
-    if not isinstance(x, WeightFact):
-        raise TypeError(f"{type(x).__name__} is not part of a payload")
-    return _fact_dict(x)
+def _fact_json(f) -> dict:
+    """A weight fact written out: the ``default`` hook of :func:`render_json`."""
+    if not isinstance(f, WeightFact):
+        raise TypeError(f"{type(f).__name__} is not part of a payload")
+    degree, coords = _class_json(f.cls)
+    return {"kind": f.kind, "degree": degree, "coords": coords, "weight": f.weight,
+            "rule": f.rule, "inputs": _jsonify(f.inputs)}
 
 
 def render_json(payload: dict) -> str:

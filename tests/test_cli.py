@@ -570,14 +570,13 @@ def test_text_bounds_never_writes_out_a_fact(capsys, monkeypatch, name):
     # the text names only each pool's size and largest weight, so the
     # dense JSON form of the facts is built for --json alone
     written = []
-    fact_dict = report._fact_dict
+    fact_json = report._fact_json
 
     def recorded(fact):
         written.append(fact)
-        return fact_dict(fact)
+        return fact_json(fact)
 
-    monkeypatch.setattr(report, "_fact_dict", recorded)
-    monkeypatch.setattr(masseytc.bounds, "_fact_dict", recorded)
+    monkeypatch.setattr(report, "_fact_json", recorded)
     code, out, _ = run(capsys, "bounds", name)
     assert code == 0 and "TC weight facts: " in out and written == []
     code, out, _ = run(capsys, "bounds", name, "--json")

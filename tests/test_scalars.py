@@ -18,13 +18,14 @@ from pathlib import Path
 import pytest
 
 import masseytc
-from masseytc.bounds import WeightFact, _class_json, _fact_dict, _jsonify, build_ledger
+from masseytc.bounds import WeightFact, build_ledger
 from masseytc.cohomology import CohClass, CohomologyRing, DegreePart, KunnethMap
 from masseytc.dga import Cochain, compile_cdga
 from masseytc.dsl import parse_model
 from masseytc.linalg import GradedVector, SparseMatrix, Subspace, inverse, scalar
 from masseytc.massey import MasseyCoset
 from masseytc.models import MODEL_SOURCES
+from masseytc.report import _class_json, _fact_json, _jsonify
 from oracles import is_canonical, product_table
 from test_bench_tracer import BENCH
 from test_cli import STRESS_NIL_SRC
@@ -129,11 +130,12 @@ def test_jsonify_writes_coordinates_as_strings_and_keeps_numbers():
         "product": [6, ["2", "0", "1/3"]]}
     witness = ((2, (1, -2)), (3, (Fraction(2, 3),)))
     assert _jsonify(witness) == [[2, ["1", "-2"]], [3, ["2/3"]]]
-    chain = (CohClass.from_coords(2, (0, Fraction(-1, 2), 0, 7)), CohClass(1, 2, ()))
-    assert _jsonify(chain) == [[2, ["0", "-1/2", "0", "7"]], [1, ["0", "0"]]]
+    assert _class_json(CohClass.from_coords(2, (0, Fraction(-1, 2), 0, 7))) == [
+        2, ["0", "-1/2", "0", "7"]]
+    assert _class_json(CohClass(1, 2, ())) == [1, ["0", "0"]]
     fact = WeightFact("tc", CohClass.from_coords(3, (1, Fraction(3, 2))), 2, "R4-transfer",
                       ("transfer", ("cat", 3, (2, 0)), 2))
-    assert _fact_dict(fact) == {
+    assert _fact_json(fact) == {
         "kind": "tc", "degree": 3, "coords": ["1", "3/2"], "weight": 2,
         "rule": "R4-transfer", "inputs": ["transfer", ["cat", 3, ["2", "0"]], 2]}
 
