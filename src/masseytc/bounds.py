@@ -220,13 +220,14 @@ def tc_weight_facts(ring: CohomologyRing, kmap: KunnethMap,
     facts = {}
     for e in ring.positive_basis():
         _add_fact(facts, "tc", bar(kmap, e), 1, "R1", ("bar", _class_data(e)))
+    # a fact of degree l can only move at weight k = l // (r + 1), the one
+    # k whose window k(r+1) <= l < (k+1)(r+1) holds it
+    width = ring.connectivity() + 1
     for _, f in sorted(cat_facts.items()):
-        for k in range(f.weight, 0, -1):
-            transferred, _ = transfer_weight(ring, kmap, f, k)
-            if transferred is not None:
-                _add_fact(facts, "tc", transferred.cls, transferred.weight,
-                          transferred.rule, transferred.inputs)
-                break
+        transferred, _ = transfer_weight(ring, kmap, f, f.cls.degree // width)
+        if transferred is not None:
+            _add_fact(facts, "tc", transferred.cls, transferred.weight,
+                      transferred.rule, transferred.inputs)
     return facts
 
 
@@ -460,9 +461,20 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
 
     This is the independent acceptance path for a ledger: nothing from the
     original search is trusted, each weight is rebuilt from its recorded
-    rule and each certificate's product or triple is recomputed.
+    rule, each certificate's product or triple is recomputed, and every
+    summary field the ledger section prints is checked against the ring
+    or against the certificate that gives it.
     """
     ht = kmap.ht
+    if ledger.model != ring.dga.name:
+        raise ValueError(f"model {ledger.model!r} is not the ring's {ring.dga.name!r}")
+    for name, want in (("dims", ring.dims()), ("tensor_dims", ht.dims())):
+        value = getattr(ledger, name)
+        if value != want or not all(type(v) is int for v in value):
+            raise ValueError(f"{name} {value!r} are not the ring's {want}")
+    cap = ledger.massey_cap
+    if type(cap) is not int or not 0 <= cap <= ring.truncation:
+        raise ValueError(f"massey_cap {cap!r} is not a degree in 0..{ring.truncation}")
     if type(ledger.space_dim) is not int or ledger.space_dim != _space_dim(ring):
         raise ValueError(f"space_dim {ledger.space_dim!r} is not the model's {_space_dim(ring)}")
     if type(ledger.connectivity) is not int or ledger.connectivity != ring.connectivity():
@@ -519,6 +531,9 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             classes = [_recorded_class(rg, x, f"the massey evidence of fact {f.key}")
                        for x in f.inputs[1:]]
             coset = massey_triple(rg, *classes)
+            if coset.target_degree > cap:
+                fail(f, f"Massey triple lands in degree {coset.target_degree}, "
+                        f"above massey_cap {cap}")
             if not coset.is_nonzero():
                 fail(f, "Massey triple is not defined and nonzero")
             if _normalize_class(coset.value) != f.cls:
@@ -576,6 +591,7 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         return reduce(rg.cup, chain, rg.basis_class(0, 0))
 
     found = {(kind, side): [] for kind in ("cat", "tc") for side in ("lower", "upper")}
+    chains = {}  # the replayed chain of each chain rule
     for cert in ledger.certificates:
         if not isinstance(cert, dict):
             raise ValueError(f"certificate {cert!r} is not a rule dictionary")
@@ -602,6 +618,7 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
                 raise ValueError(f"{rule} certificate failed replay")
             if len(chain) != (ledger.cup_length if kind == "cat" else ledger.zcl):
                 raise ValueError(f"{rule} length disagrees with the ledger")
+            chains[rule] = tuple(chain)
         elif rule == "weighted-product":
             facts = cert_facts(rule, kind, cert["factors"], "factors")
             prod = fold_chain(rg, [f.cls for f in facts])
@@ -646,4 +663,10 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
                 raise ValueError(f"replayed {side} bounds disagree with the ledger")
         if lower > upper:
             raise ValueError(f"the {kind} lower bound {lower} exceeds its upper bound {upper}")
+
+    for rule, name in (("cup-chain", "cup_witness"), ("zcl-chain", "zcl_witness")):
+        if rule not in chains:
+            raise ValueError(f"ledger has no {rule} certificate")
+        if getattr(ledger, name) != chains[rule]:
+            raise ValueError(f"{name} is not the chain of the {rule} certificate")
     return True

@@ -140,8 +140,9 @@ class DGA:
     ``diff[k]`` is the matrix of d : C^k -> C^{k+1} (the top one has 0 rows);
     the differentials and the basis names of :func:`tensor` are lazy too,
     built per degree on first read.  The dimensions are read once per model,
-    a tensor model's off ``pairs``, so its names are rendered only when
-    something reads them.
+    off the lazy table when it has one (a tensor model's come from
+    ``pairs``), so a tensor model's names are rendered only when something
+    reads them.
     Instances are immutable; build them with
     :func:`compile_cdga`, :func:`tensor`, or directly from tables in tests.
     """
@@ -161,9 +162,8 @@ class DGA:
 
     def __post_init__(self):
         # the dimension of each degree 0..N, read once per model
-        object.__setattr__(self, "_dims", tuple(
-            map(len, self.basis) if self.pairs is None
-            else map(self.pairs.dim, range(self.truncation + 1))))
+        object.__setattr__(self, "_dims", self.mult.dims if isinstance(self.mult, _LazyProducts)
+                           else tuple(map(len, self.basis)))
 
     def dim(self, k: int) -> int:
         dims = self._dims
@@ -423,7 +423,7 @@ def compile_cdga(p: Presentation, check: bool = True) -> DGA:
         name=p.name,
         truncation=n,
         basis=basis,
-        mult=_LazyProducts(product, [len(ms) for ms in monomials]),
+        mult=_LazyProducts(product, map(len, monomials)),
         diff=diff,
         simply_connected=p.simply_connected,
         space_dim=p.space_dim,
