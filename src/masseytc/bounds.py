@@ -132,15 +132,25 @@ def indecomposables(ring: CohomologyRing) -> list:
     In each degree d these are the e_j whose index j is not a pivot of the
     decomposables D^d = sum_{0<i<d} H^i H^(d-i): unit vectors off the
     pivots of an echelon basis span a complement of it.
+
+    D^d is spanned as sum_u u H^(d-|u|) over the indecomposables u of
+    degree below d found so far, which multiplies one factor per
+    generator instead of every pair of degrees.  Proof that the two spans
+    are equal, by induction on d.  D^1 = 0.  Each u H^(d-|u|) lies in D^d.
+    Conversely H^i = U^i + D^i, with U^i spanned by the indecomposables of
+    degree i, and by induction D^i = sum_u u H^(i-|u|) over |u| < i, so by
+    associativity H^i H^(d-i) lies in sum_{|u|=i} u H^(d-i) +
+    sum_{|u|<i} u H^(i-|u|) H^(d-i), inside sum_u u H^(d-|u|).  The
+    reduced echelon basis of a span is unique, so the pivots read here are
+    those of D^d however it is spanned.
     """
     out, dims = [], ring.dims()
     for d, n in enumerate(dims):
         if not (d and n):
             continue
-        dec = Subspace.zero(n)
-        for i in range(1, d):
-            if dims[i] and dims[d - i]:
-                dec = dec.add(ring.products(i, d - i))
+        dec = Subspace._spanned(n, (
+            ring._cup_nonzero(u.degree, u.pairs, d - u.degree, ((j, 1),))
+            for u in out for j in range(dims[d - u.degree])))
         pivots = set(dec.pivots)
         out.extend(ring.basis_class(d, j) for j in range(n) if j not in pivots)
     return out
@@ -335,7 +345,8 @@ class BoundLedger:
     certificates: tuple  # rule dictionaries, see replay_ledger
     # Results the ledger was built from, kept for the report.  Both follow
     # from the fields above (the scan from the ring and massey_cap, the
-    # product from zcl_witness), so they stay out of report.ledger_section and equality.
+    # product from zcl_witness), so they stay out of report.ledger_section
+    # and equality; replay_ledger recomputes and checks them.
     massey_cosets: tuple = field(compare=False, repr=False)
     zcl_product: CohClass = field(compare=False, repr=False)
 
@@ -463,7 +474,8 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
     original search is trusted, each weight is rebuilt from its recorded
     rule, each certificate's product or triple is recomputed, and every
     summary field the ledger section prints is checked against the ring
-    or against the certificate that gives it.
+    or against the certificate that gives it.  So are the Massey scan and
+    the zcl product that the report prints beside it.
     """
     ht = kmap.ht
     if ledger.model != ring.dga.name:
@@ -591,7 +603,7 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         return reduce(rg.cup, chain, rg.basis_class(0, 0))
 
     found = {(kind, side): [] for kind in ("cat", "tc") for side in ("lower", "upper")}
-    chains = {}  # the replayed chain of each chain rule
+    chains = {}  # the replayed chain of each chain rule, and its product
     for cert in ledger.certificates:
         if not isinstance(cert, dict):
             raise ValueError(f"certificate {cert!r} is not a rule dictionary")
@@ -614,11 +626,12 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             chain = chain_classes(rg, cert["chain"], rule)
             if kind == "tc" and not all(kmap.diagonal_map(c).is_zero() for c in chain):
                 raise ValueError("zcl-chain factor is not a zero-divisor")
-            if fold_chain(rg, chain).is_zero() or bound != len(chain) + 1:
+            prod = fold_chain(rg, chain)
+            if prod.is_zero() or bound != len(chain) + 1:
                 raise ValueError(f"{rule} certificate failed replay")
             if len(chain) != (ledger.cup_length if kind == "cat" else ledger.zcl):
                 raise ValueError(f"{rule} length disagrees with the ledger")
-            chains[rule] = tuple(chain)
+            chains[rule] = (tuple(chain), prod)
         elif rule == "weighted-product":
             facts = cert_facts(rule, kind, cert["factors"], "factors")
             prod = fold_chain(rg, [f.cls for f in facts])
@@ -667,6 +680,11 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
     for rule, name in (("cup-chain", "cup_witness"), ("zcl-chain", "zcl_witness")):
         if rule not in chains:
             raise ValueError(f"ledger has no {rule} certificate")
-        if getattr(ledger, name) != chains[rule]:
+        if getattr(ledger, name) != chains[rule][0]:
             raise ValueError(f"{name} is not the chain of the {rule} certificate")
+    if ledger.zcl_product != chains["zcl-chain"][1]:
+        raise ValueError("zcl_product is not the product of the zcl_witness chain")
+    if ledger.massey_cosets != tuple(scan_triples(ring, cap)):
+        raise ValueError(f"massey_cosets are not the Massey scan of the ring "
+                         f"up to massey_cap {cap}")
     return True

@@ -23,10 +23,11 @@ boundaries of degree k+1 that ``class_of`` reduces by.
 
 Products are held as a sparse table of structure constants: one entry per
 basis pair, holding the product's nonzero (index, coefficient) pairs.  A
-ring multiplies its cached basis representatives once per entry, and the
-ring of a tensor model builds its entries from its factor rings' entries
-by the Koszul rule of :class:`masseytc.dga.PairBasis`, shared with the
-cochain square.
+ring forms each entry once per unordered basis pair: an entry whose mirror
+is already held is read off it by graded commutativity.  Otherwise a base
+ring multiplies its cached basis representatives, and the ring of a
+tensor model builds the entry from its factor rings' entries by the Koszul
+rule of :class:`masseytc.dga.PairBasis`, shared with the cochain square.
 Cup products, cup length, the Kunneth map and zero-divisor computations
 all extend that one table bilinearly, on nonzero pairs only.  A
 :class:`CohClass`, like a cochain, is a
@@ -99,6 +100,7 @@ class CohomologyRing:
         self._products = {}
         self._multiples = {}
         self._indeterminacies = {}  # see massey.massey_indeterminacy
+        self._witnesses = {}  # see massey._product_witness
         if factors is None:
             self._dims = tuple(self.part(k).reps.dim for k in range(dga.truncation + 1))
         else:
@@ -302,13 +304,20 @@ class CohomologyRing:
 
     def cup_basis(self, k1: int, i1: int, k2: int, i2: int) -> tuple:
         """The product of two basis classes as its nonzero (index,
-        coefficient) pairs, in index order; memoized."""
+        coefficient) pairs, in index order; memoized.  On a miss, an entry
+        already held in the mirrored order gives it by graded
+        commutativity, e_i e_j = (-1)^(k1 k2) e_j e_i, which holds on a
+        base ring and on a square alike."""
+        memo = self._cup_memo
         key = (k1, i1, k2, i2)
-        hit = self._cup_memo.get(key)
+        hit = memo.get(key)
         if hit is not None:
             return hit
         deg = k1 + k2
-        if self.dim(deg) == 0:
+        mirror = memo.get((k2, i2, k1, i1))
+        if mirror is not None:
+            entry = tuple((idx, -v) for idx, v in mirror) if k1 * k2 % 2 else mirror
+        elif self.dim(deg) == 0:
             entry = ()
         elif self.factors is None:
             prod = self.dga.mul(
@@ -318,7 +327,7 @@ class CohomologyRing:
         else:
             entry = self.pairs.product(k1, i1, k2, i2, self.factors[0].cup_basis,
                                        self.factors[1].cup_basis)
-        self._cup_memo[key] = entry
+        memo[key] = entry
         return entry
 
     def cup(self, c1: CohClass, c2: CohClass) -> CohClass:
@@ -353,11 +362,12 @@ class CohomologyRing:
         return prod, truncated
 
     def products(self, k1: int, k2: int) -> Subspace:
-        """Span of all products H^k1 * H^k2 in H^(k1+k2); memoized."""
-        hit = self._products.get((k1, k2))
+        """Span of all products H^k1 * H^k2 in H^(k1+k2), which by graded
+        commutativity is also H^k2 * H^k1; memoized per unordered pair."""
+        key = (k1, k2) if k1 <= k2 else (k2, k1)
+        hit = self._products.get(key)
         if hit is None:
-            hit = self._products[(k1, k2)] = self.product_span(
-                k1, Subspace.full(self.dim(k1)), k2)
+            hit = self._products[key] = self.product_span(k1, Subspace.full(self.dim(k1)), k2)
         return hit
 
     def multiples(self, cls: CohClass, k: int) -> Subspace:

@@ -14,6 +14,11 @@ and the canonical representative are computed on first read; a zero value
 needs neither, so a scan that only asks whether its triples are nonzero
 builds the indeterminacy of its nonzero values alone, and triples that
 share alpha, gamma and the degree of beta share one indeterminacy.
+Triples share their witness solves too: the canonical solve of
+rep(x)*rep(y) is memoized on the ring per ordered class pair, so <a,b,c>
+and <a,b,c'> solve d mu = a*b once, and a scan builds each basis class
+once.  The obstruction tests multiply the classes' pairs and build no
+class.
 
 Truncation honesty: when the target degree falls outside the truncation
 window the triple is reported as undefined with an explicit obstruction
@@ -31,7 +36,7 @@ from functools import cached_property
 from typing import Optional
 
 from .cohomology import CohClass, CohomologyRing
-from .dga import Cochain
+from .dga import DGA, Cochain
 from .linalg import Subspace
 from .linalg import kernel  # noqa: F401  bench/tests/test_bench_trace.py reads massey.kernel
 
@@ -89,16 +94,29 @@ def massey_triple(ring: CohomologyRing, alpha: CohClass, beta: CohClass,
         return _undefined(alpha, beta, gamma,
                           f"target degree {target} exceeds truncation {ring.truncation}")
     # every degree is at least 1, so p + q and q + r are at most the target
-    if not ring.cup(alpha, beta).is_zero():
+    if ring._cup_nonzero(p, alpha.pairs, q, beta.pairs):
         return _undefined(alpha, beta, gamma, "alpha*beta is nonzero")
-    if not ring.cup(beta, gamma).is_zero():
+    if ring._cup_nonzero(q, beta.pairs, r, gamma.pairs):
         return _undefined(alpha, beta, gamma, "beta*gamma is nonzero")
 
-    witnesses = _witnesses(ring, *map(ring.representative, (alpha, beta, gamma)))
-    if witnesses is None:
-        raise ValueError("boundary witness missing although the class product vanishes")
-    mu, lam, w = witnesses
+    mu, lam = _product_witness(ring, alpha, beta), _product_witness(ring, beta, gamma)
+    w = _value(ring.dga, ring.representative(alpha), mu, lam, ring.representative(gamma))
     return MasseyCoset(alpha, beta, gamma, True, None, mu, lam, w, ring.class_of(w), ring)
+
+
+def _product_witness(ring: CohomologyRing, x: CohClass, y: CohClass) -> Cochain:
+    """The canonical solution of d mu = rep(x)*rep(y) for classes with
+    x*y = 0; memoized on the ring per ordered class pair, like
+    :func:`massey_indeterminacy`, so triples that share a defining product
+    share its solve."""
+    key = (x.degree, x.pairs, y.degree, y.pairs)
+    hit = ring._witnesses.get(key)
+    if hit is None:
+        hit = ring.solve_boundary(ring.dga.mul(ring.representative(x), ring.representative(y)))
+        if hit is None:
+            raise ValueError("boundary witness missing although the class product vanishes")
+        ring._witnesses[key] = hit
+    return hit
 
 
 def massey_indeterminacy(ring: CohomologyRing, alpha: CohClass,
@@ -123,26 +141,21 @@ def massey_value_from_cocycles(ring: CohomologyRing, a: Cochain, b: Cochain,
     to :func:`massey_triple` to confirm the coset does not move when the
     representatives do.
     """
+    dga = ring.dga
     for x in (a, b, c):
-        if not ring.dga.d(x).is_zero():
+        if not dga.d(x).is_zero():
             raise ValueError(f"degree-{x.degree} representative is not a cocycle")
-    witnesses = _witnesses(ring, a, b, c)
-    if witnesses is None:
+    mu, lam = ring.solve_boundary(dga.mul(a, b)), ring.solve_boundary(dga.mul(b, c))
+    if mu is None or lam is None:
         raise ValueError("a defining product is not a coboundary")
-    w = witnesses[2]
+    w = _value(dga, a, mu, lam, c)
     return w, ring.class_of(w)
 
 
-def _witnesses(ring: CohomologyRing, a: Cochain, b: Cochain, c: Cochain):
-    """(mu, lam, w) for cocycles a, b, c: the canonical solutions of
-    d mu = a*b and d lam = b*c, and w = a*lam + (-1)^(|a|+1) mu*c; None
-    when a*b or b*c is not a coboundary."""
-    dga = ring.dga
-    mu, lam = ring.solve_boundary(dga.mul(a, b)), ring.solve_boundary(dga.mul(b, c))
-    if mu is None or lam is None:
-        return None
+def _value(dga: DGA, a: Cochain, mu: Cochain, lam: Cochain, c: Cochain) -> Cochain:
+    """The value cochain w = a*lam + (-1)^(|a|+1) mu*c."""
     sign = 1 if (a.degree + 1) % 2 == 0 else -1
-    return mu, lam, dga.mul(a, lam).add(dga.mul(mu, c).scale(sign))
+    return dga.mul(a, lam).add(dga.mul(mu, c).scale(sign))
 
 
 def scan_triples(ring: CohomologyRing, max_degree: int = None) -> list:
@@ -153,20 +166,19 @@ def scan_triples(ring: CohomologyRing, max_degree: int = None) -> list:
     """
     cap = ring.truncation if max_degree is None else min(max_degree, ring.truncation)
     out = []
-    dims = ring.dims()
-    degs = [k for k, n in enumerate(dims) if k and n]
-    for p in degs:
-        for q in degs:
-            for r in degs:
+    basis = {}  # degree -> its basis classes, each built once
+    for c in ring.positive_basis():
+        basis.setdefault(c.degree, []).append(c)
+    for p, ps in basis.items():
+        for q, qs in basis.items():
+            for r, rs in basis.items():
                 if p + q + r - 1 > cap:
                     continue
-                for i in range(dims[p]):
-                    for j in range(dims[q]):
-                        for k in range(dims[r]):
-                            if (p, i, q, j, r, k) > (r, k, q, j, p, i):
+                for i, a in enumerate(ps):
+                    for b in qs:
+                        for k, c in enumerate(rs):
+                            if (p, i) > (r, k):  # the mirror (r, k, q, j, p, i) is smaller
                                 continue
-                            out.append(massey_triple(
-                                ring, ring.basis_class(p, i),
-                                ring.basis_class(q, j), ring.basis_class(r, k)))
+                            out.append(massey_triple(ring, a, b, c))
     return out
 

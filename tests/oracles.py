@@ -35,6 +35,12 @@ and are kept here, next to the tests that use them:
   square in closed form, and ``zcl_by_ideal_search``, which picks the zcl
   witness by a second chain search over the ideal's basis, as the engine
   did before it kept the witness of its search over the bars;
+* ``indecomposables_all_pairs``, the indecomposables read off the
+  decomposables D^d spanned by every product H^i H^(d-i), as the engine
+  found them before it spanned D^d from the indecomposables below d, and
+  ``cup_entry_by_hand``, a cup-table entry formed without the ring's
+  memo: one cochain product on a base ring, the Koszul rule over the
+  factors' hand-formed entries on a square;
 * the Massey identity checks (``verify_multi_identities``, the internal and
   external product checks), witness-level values
   (``massey_value_from_witnesses``), the annihilators the identity checks
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from masseytc.bounds import bar, indecomposables
@@ -453,6 +460,38 @@ def span_of_products(ring: CohomologyRing, k1: int, sub1: Subspace, k2: int,
     return Subspace._spanned(ring.dim(k1 + k2), [
         ring.cup(CohClass(k1, sub1.ambient, a), CohClass(k2, sub2.ambient, b)).pairs
         for a in sub1.nonzero_columns for b in sub2.nonzero_columns])
+
+
+def indecomposables_all_pairs(ring: CohomologyRing) -> list:
+    """The basis classes of each degree d off the pivots of D^d, with D^d
+    spanned by every product H^i H^(d-i), 0 < i < d."""
+    out, dims = [], ring.dims()
+    for d, n in enumerate(dims):
+        if not (d and n):
+            continue
+        dec = Subspace.zero(n)
+        for i in range(1, d):
+            if dims[i] and dims[d - i]:
+                dec = dec.add(ring.products(i, d - i))
+        pivots = set(dec.pivots)
+        out.extend(ring.basis_class(d, j) for j in range(n) if j not in pivots)
+    return out
+
+
+def cup_entry_by_hand(ring: CohomologyRing, k1: int, i1: int, k2: int, i2: int) -> tuple:
+    """``cup_basis(k1, i1, k2, i2)`` formed without any memoized entry: the
+    class of the product of the two representatives on a base ring, and
+    the Koszul rule over the factors' entries, formed the same way, on a
+    square."""
+    if not ring.dim(k1 + k2):
+        return ()
+    if ring.factors is None:
+        reps = ring.part(k1).reps.nonzero_columns[i1], ring.part(k2).reps.nonzero_columns[i2]
+        return ring.class_of(ring.dga.mul(Cochain(k1, ring.dga.dim(k1), reps[0]),
+                                          Cochain(k2, ring.dga.dim(k2), reps[1]))).pairs
+    ha, hb = ring.factors
+    return ring.pairs.product(k1, i1, k2, i2, partial(cup_entry_by_hand, ha),
+                              partial(cup_entry_by_hand, hb))
 
 
 class TuplePairBasis(tuple):

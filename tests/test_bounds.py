@@ -1225,6 +1225,23 @@ def _coords_as(convert):
     pytest.param(lambda led: dataclasses.replace(led, zcl_witness=((5, (1, 2)),)),
                  "zcl_witness is not the chain of the zcl-chain certificate",
                  id="zcl-witness-as-a-record"),
+    # the report prints these two beside the ledger section
+    pytest.param(lambda led: dataclasses.replace(led, zcl_product=led.zcl_product.scale(2)),
+                 "zcl_product is not the product of the zcl_witness chain",
+                 id="zcl-product-scaled"),
+    pytest.param(lambda led: dataclasses.replace(led, zcl_product=CohClass(2, 4, ((0, 1),))),
+                 "zcl_product is not the product of the zcl_witness chain",
+                 id="zcl-product-forged"),
+    pytest.param(lambda led: dataclasses.replace(led, zcl_product=led.zcl_product.coords),
+                 "zcl_product is not the product of the zcl_witness chain",
+                 id="zcl-product-as-coordinates"),
+    pytest.param(lambda led: dataclasses.replace(led, massey_cosets=()),
+                 "massey_cosets are not the Massey scan of the ring up to massey_cap 8",
+                 id="massey-cosets-empty"),
+    pytest.param(lambda led: dataclasses.replace(led, massey_cosets=led.massey_cosets[1:]),
+                 "massey_cosets are not the Massey scan", id="massey-cosets-one-dropped"),
+    pytest.param(lambda led: dataclasses.replace(led, massey_cosets=list(led.massey_cosets)),
+                 "massey_cosets are not the Massey scan", id="massey-cosets-as-a-list"),
 ])
 def test_replay_names_non_rational_and_malformed_fields(rings, kunneth_of, ledger_of,
                                                         forge, reason):

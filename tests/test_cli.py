@@ -25,7 +25,7 @@ from masseytc.cli import (
     main,
 )
 from masseytc.cohomology import CohomologyRing
-from masseytc.dga import PairBasis, compile_cdga
+from masseytc.dga import DGA, PairBasis, compile_cdga
 
 # the six top-level keys of every payload, in order
 PAYLOAD_KEYS = ("model", "cohomology", "massey", "zcl", "weights", "ledger")
@@ -109,6 +109,37 @@ STRESS_NIL_DIGESTS = (
     "efb27077fd9ab7aac6b4c05181410b34db4fdeb0db3dc1768662cb5452405951",
     "e4877c75a43dc288bc33c6ca111ebb4a12b8cad7d2e777e098a74fe6c5828cc5",
 )
+
+
+def six_src(n: int) -> str:
+    """The model "six": six degree-2 generators a0..a5 and z of degree 3
+    with d z = a0*a1, truncated at n, with space-dim n."""
+    gens = "".join(f"  generator a{i} degree 2\n" for i in range(6))
+    return (f"algebra six {{\n  truncate {n}\n  space-dim {n}\n  simply-connected true\n"
+            f"{gens}  generator z degree 3\n  d z = a0*a1\n}}\n")
+
+
+def nil4_src(n: int) -> str:
+    """The model "nil4": the Chevalley-Eilenberg complex of the free 2-step
+    nilpotent Lie algebra on 4 generators, x1..x4 and y_ij with
+    d y_ij = x_i*x_j, truncated at n, with space-dim its dimension 10."""
+    pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    return (f"algebra nil4 {{\n  truncate {n}\n  space-dim 10\n"
+            + "".join(f"  generator x{i} degree 1\n" for i in range(1, 5))
+            + "".join(f"  generator y{i}{j} degree 1\n" for i, j in pairs)
+            + "".join(f"  d y{i}{j} = x{i}*x{j}\n" for i, j in pairs) + "}\n")
+
+
+# sha256 of the `bounds --json` and `bounds` text output of two larger
+# models, whose cup tables read mirrored entries and whose decomposables
+# span several degrees, which the golden models barely touch.
+SCALE_MODELS = {"six8": six_src(8), "nil4at4": nil4_src(4)}
+SCALE_DIGESTS = {
+    "six8": ("44c18133114ddc81e00627d303cb6f32797a5616ad482686dc9607c7b7d52baa",
+             "c4fc789cb8300b93b309f7550e48fbc482c1a123750a67bee61a615999a247f6"),
+    "nil4at4": ("a41b40a36bdf6a974118a3fcb5c68387276cad00e302a3c5525b21c689d00085",
+                "c4cd9bc96949ce151cc3ff811e411ea0f6845af1ae42a0d217a12a5d76ca5660"),
+}
 
 # sha256 of the `cohomology --json` and `cohomology` text output of each
 # golden model and of the stress model.
@@ -602,6 +633,15 @@ def test_stress_model_output_bytes_are_pinned(tmp_path):
             _sha256(report.render_json(zpayload))) == STRESS_NIL_DIGESTS
 
 
+@pytest.mark.parametrize("name", sorted(SCALE_DIGESTS))
+def test_scale_model_bounds_bytes_are_pinned(tmp_path, name):
+    path = tmp_path / f"{name}.mtc"
+    path.write_text(SCALE_MODELS[name])
+    code, payload, text = cmd_bounds(build_parser().parse_args(["bounds", str(path)]))
+    assert code == 0
+    assert (_sha256(report.render_json(payload)), _sha256(text)) == SCALE_DIGESTS[name]
+
+
 @pytest.mark.parametrize("name", sorted(COHOMOLOGY_DIGESTS))
 def test_cohomology_output_bytes_are_pinned(tmp_path, name):
     model = name
@@ -688,6 +728,34 @@ def test_bounds_reads_each_ring_dimension_once_per_pass(capsys, monkeypatch, tmp
         capsys.readouterr()
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("source, counts", [
+    pytest.param(STRESS_NIL_SRC, (68, 11), id="stressnil"),
+    pytest.param(six_src(8), (516, 22), id="six8"),
+])
+def test_bounds_forms_each_product_and_witness_solve_once(capsys, monkeypatch, tmp_path,
+                                                          source, counts):
+    # a mirrored cup-table entry is read, not formed, and triples sharing a
+    # defining product share its solve: forming every entry and solve
+    # afresh, these runs made 109 and 1,375 cochain products and 28 and 44
+    # solves
+    calls = {"mul": 0, "solve": 0}
+    mul, solve = DGA.mul, CohomologyRing.solve_boundary
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(DGA, "mul", counted("mul", mul))
+    monkeypatch.setattr(CohomologyRing, "solve_boundary", counted("solve", solve))
+    model = tmp_path / "model.mtc"
+    model.write_text(source)
+    assert main(["bounds", str(model), "--json"]) == 0
+    capsys.readouterr()
+    assert (calls["mul"], calls["solve"]) == counts
 
 
 def _circle(tmp_path, n: int) -> str:
