@@ -59,7 +59,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .cohomology import CohClass, CohomologyRing, KunnethMap, cup_chain, heaviest_chain
-from .linalg import Subspace, inverse, is_rational
+from .linalg import Subspace, _canonical, inverse, is_rational
 from .linalg import kernel  # noqa: F401  bench/tests/test_bench_trace.py reads bounds.kernel
 from .massey import massey_triple, scan_triples
 
@@ -69,8 +69,9 @@ def _normalize_class(cls: CohClass) -> CohClass:
     return cls.scale(inverse(cls.pairs[0][1])) if cls.pairs else cls
 
 
-def _class_data(cls: CohClass) -> tuple:
-    return (cls.degree, cls.coords)
+def chain_product(rg: CohomologyRing, chain) -> CohClass:
+    """The product of a chain of classes of ``rg``; the unit when it is empty."""
+    return reduce(rg.cup, chain) if chain else rg.basis_class(0, 0)
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,9 @@ class WeightFact:
 
     ``cls`` is stored projectively normalized; weights are invariant under
     nonzero scaling, so scalar multiples share one fact.  ``inputs`` is the
-    rule-specific evidence: ("basis",), ("bar", base class data),
-    ("massey", a, b, c) or ("transfer", key, k).  Products of facts are
-    never facts; they appear only as chains of keys in a certificate.
+    rule-specific evidence: ("basis",), ("bar", base class), ("massey", a,
+    b, c) or ("transfer", key, k).  Products of facts are never facts;
+    they appear only as chains of keys in a certificate.
     """
 
     kind: str  # "cat" on the base ring, "tc" on the self-tensor ring
@@ -209,9 +210,9 @@ def transfer_weight(ring: CohomologyRing, kmap: KunnethMap,
                       ("transfer", fact.key, k)), None
 
 
-def cat_weight_facts(ring: CohomologyRing, cosets: list) -> dict:
-    """Category-weight atoms: R1 basis classes and R3 Massey values drawn
-    from ``cosets``, a Massey scan of the ring (see
+def cat_weight_facts(ring: CohomologyRing, cosets: list) -> tuple:
+    """Category-weight atoms, as a pool sorted by key: R1 basis classes and
+    R3 Massey values drawn from ``cosets``, a Massey scan of the ring (see
     :func:`~masseytc.massey.scan_triples`)."""
     facts = {}
     for e in ring.positive_basis():
@@ -219,51 +220,50 @@ def cat_weight_facts(ring: CohomologyRing, cosets: list) -> dict:
     for coset in cosets:
         if coset.is_nonzero():
             _add_fact(facts, "cat", coset.value, 2, "R3",
-                      ("massey", _class_data(coset.alpha),
-                       _class_data(coset.beta), _class_data(coset.gamma)))
-    return facts
+                      ("massey", coset.alpha, coset.beta, coset.gamma))
+    return tuple(f for _, f in sorted(facts.items()))
 
 
 def tc_weight_facts(ring: CohomologyRing, kmap: KunnethMap,
-                    cat_facts: dict) -> dict:
-    """TC-weight atoms on the self-tensor ring: bars and R4 transfers."""
+                    cat_facts: tuple) -> tuple:
+    """TC-weight atoms on the self-tensor ring, as a pool sorted by key:
+    bars and R4 transfers of the ``cat_facts`` pool."""
     facts = {}
     for e in ring.positive_basis():
-        _add_fact(facts, "tc", bar(kmap, e), 1, "R1", ("bar", _class_data(e)))
+        _add_fact(facts, "tc", bar(kmap, e), 1, "R1", ("bar", e))
     # a fact of degree l can only move at weight k = l // (r + 1), the one
     # k whose window k(r+1) <= l < (k+1)(r+1) holds it
     width = ring.connectivity() + 1
-    for _, f in sorted(cat_facts.items()):
+    for f in cat_facts:
         transferred, _ = transfer_weight(ring, kmap, f, f.cls.degree // width)
         if transferred is not None:
             _add_fact(facts, "tc", transferred.cls, transferred.weight,
                       transferred.rule, transferred.inputs)
-    return facts
+    return tuple(f for _, f in sorted(facts.items()))
 
 
-def weighted_lower_bound(ring: CohomologyRing, facts: dict, length: int = None) -> tuple:
+def weighted_lower_bound(ring: CohomologyRing, facts: tuple, length: int = None) -> tuple:
     """Heaviest nonzero product of weighted facts.
 
     Returns (best total weight, chain of fact keys, product class); the
     associated bound is best + 1, and an empty chain has the unit as its
-    product.  This is :func:`heaviest_chain` over the facts in ascending
-    key order, repeats allowed, so the outcome is deterministic.
+    product.  This is :func:`heaviest_chain` over ``facts``, a pool in
+    ascending key order, repeats allowed, so the outcome is deterministic.
     ``length`` is the most factors a nonzero product of facts can have
     (cup length for cat facts, zcl for tc facts, see the module
     docstring); the search stops once a chain weighs ``length`` times the
     largest fact weight.
     """
-    atoms = [f for _, f in sorted(facts.items())]
-    weights = [f.weight for f in atoms]
+    weights = [f.weight for f in facts]
     goal = None if length is None else length * max(weights, default=0)
-    best, picked, prod = heaviest_chain(ring, [f.cls for f in atoms], weights, goal)
-    return best, tuple(atoms[i].key for i in picked), prod
+    best, picked, prod = heaviest_chain(ring, [f.cls for f in facts], weights, goal)
+    return best, tuple(facts[i].key for i in picked), prod
 
 
-def rudyak_lower_bound(kmap: KunnethMap, facts: dict, best: int) -> tuple:
+def rudyak_lower_bound(kmap: KunnethMap, facts: tuple, best: int) -> tuple:
     """Massey rule on the tensor ring, scanning for strict improvements.
 
-    Outer slots run over the pool's facts, which are all bars (plain or
+    Outer slots run over the pool ``facts``, which are all bars (plain or
     transferred).  The middle slot beta runs over the pool's atoms, then
     over the nonzero products of two atoms, whose weight is the sum of the
     two (rule R2).  A beta that cannot beat the bound we already hold even
@@ -272,22 +272,21 @@ def rudyak_lower_bound(kmap: KunnethMap, facts: dict, best: int) -> tuple:
     beat it.  Returns (possibly improved bound, certificate or None); the
     certificate records beta as its chain of fact keys.
     """
-    top = max((f.weight for f in facts.values()), default=0)
+    top = max((f.weight for f in facts), default=0)
     if 3 * top + 1 <= best:
         return best, None  # a triple weighs at most 2 * top + top + 1
     ht = kmap.ht
-    pool = [f for _, f in sorted(facts.items())]
-    chains = [(f,) for f in pool] + [(f, g) for i, f in enumerate(pool) for g in pool[i:]]
+    chains = [(f,) for f in facts] + [(f, g) for i, f in enumerate(facts) for g in facts[i:]]
     cert = None
     for betas in chains:
         weight = sum(f.weight for f in betas)
         if weight + top + 1 <= best:
             continue  # no triple with this middle slot can beat the bound
-        beta = reduce(ht.cup, (f.cls for f in betas))
+        beta = chain_product(ht, [f.cls for f in betas])
         if beta.is_zero():
             continue
-        for ia, alpha in enumerate(pool):
-            for gamma in pool[ia:]:  # mirrored triples agree up to sign
+        for ia, alpha in enumerate(facts):
+            for gamma in facts[ia:]:  # mirrored triples agree up to sign
                 potential = weight + min(alpha.weight, gamma.weight) + 1
                 if potential <= best:
                     continue
@@ -324,7 +323,13 @@ class InconsistentBounds(ValueError):
 
 @dataclass(frozen=True)
 class BoundLedger:
-    """Deterministic record of every bound with replayable certificates."""
+    """Deterministic record of every bound with replayable certificates.
+
+    Each certified value is held once, by a certificate; a bound is the
+    best certificate of its kind and side (None if there is none), and a
+    witness is the chain of the one cup-chain or zcl-chain certificate,
+    whose length is the cup length or zcl.  Every class held is a CohClass.
+    """
 
     model: str
     space_dim: int
@@ -332,23 +337,31 @@ class BoundLedger:
     dims: tuple
     tensor_dims: tuple
     massey_cap: int
-    cup_length: int
-    cup_witness: tuple  # CohClasses of the cup-chain certificate
-    zcl: int
-    zcl_witness: tuple  # CohClasses of the zcl-chain certificate
-    cat_lower: int
-    cat_upper: int
-    tc_lower: int
-    tc_upper: int
     cat_facts: tuple  # WeightFacts sorted by key
     tc_facts: tuple
     certificates: tuple  # rule dictionaries, see replay_ledger
-    # Results the ledger was built from, kept for the report.  Both follow
-    # from the fields above (the scan from the ring and massey_cap, the
-    # product from zcl_witness), so they stay out of report.ledger_section
-    # and equality; replay_ledger recomputes and checks them.
+    # The Massey scan the ledger was built from, kept for the report.  It
+    # follows from the ring and massey_cap, so it stays out of
+    # report.ledger_section and equality; replay_ledger recomputes it.
     massey_cosets: tuple = field(compare=False, repr=False)
-    zcl_product: CohClass = field(compare=False, repr=False)
+
+    def _best(self, kind: str, side: str):
+        bounds = [c["bound"] for c in self.certificates
+                  if c["kind"] == kind and _RULES[c["rule"]][1] == side]
+        return (max if side == "lower" else min)(bounds, default=None)
+
+    def _chain(self, rule: str) -> tuple:
+        (chain,) = (c["chain"] for c in self.certificates if c["rule"] == rule)
+        return chain
+
+    cat_lower = property(lambda self: self._best("cat", "lower"))
+    cat_upper = property(lambda self: self._best("cat", "upper"))
+    tc_lower = property(lambda self: self._best("tc", "lower"))
+    tc_upper = property(lambda self: self._best("tc", "upper"))
+    cup_witness = property(lambda self: self._chain("cup-chain"))
+    zcl_witness = property(lambda self: self._chain("zcl-chain"))
+    cup_length = property(lambda self: len(self.cup_witness))
+    zcl = property(lambda self: len(self.zcl_witness))
 
 
 # Each certificate rule: the kind it bounds (None for either), the side of
@@ -369,15 +382,19 @@ LOWER_RULES = tuple(rule for rule, (_, side, _) in _RULES.items() if side == "lo
 _EVIDENCE_ENTRIES = {"basis": 0, "bar": 1, "massey": 3, "transfer": 2}
 
 
-def _recorded_class(rg: CohomologyRing, data, record: str) -> CohClass:
-    """The class a record gives as (degree, coords), once its degree is in
-    1..N of ``rg`` and it has exactly dim(degree) coordinates, each an int
-    or a Fraction; otherwise a ValueError that names ``record``."""
+def _recorded_class(rg: CohomologyRing, cls, record: str) -> CohClass:
+    """The one check of a class a ledger record holds: a CohClass whose
+    degree is an int in 1..N of ``rg``, whose ``dim`` is dim H^degree and
+    whose pairs each give an index below ``dim`` and an int or a Fraction.
+    Returns it in canonical pairs, as its JSON form writes it; otherwise
+    raises a ValueError that names ``record``."""
     try:
-        deg, coords = data
-        if (type(deg) is int and 1 <= deg <= rg.truncation and len(coords) == rg.dim(deg)
-                and all(map(is_rational, coords))):
-            return CohClass.from_coords(deg, coords)
+        if (type(cls) is CohClass and type(cls.degree) is int
+                and 1 <= cls.degree <= rg.truncation
+                and type(cls.dim) is int and cls.dim == rg.dim(cls.degree)
+                and all(type(i) is int and 0 <= i < cls.dim and is_rational(c)
+                        for i, c in cls.pairs)):
+            return CohClass(cls.degree, cls.dim, _canonical(dict(cls.pairs)))
     except (TypeError, ValueError):
         pass
     raise ValueError(f"{record} is not a class of degree 1..{rg.truncation} "
@@ -389,17 +406,18 @@ def _space_dim(ring: CohomologyRing) -> int:
     return ring.truncation if ring.dga.space_dim is None else ring.dga.space_dim
 
 
-def _lower_block(kind: str, rg: CohomologyRing, length: int, witness: tuple,
-                 facts: dict, certs: list) -> int:
+def _lower_block(kind: str, rg: CohomologyRing, witness: tuple,
+                 facts: tuple, certs: list) -> int:
     """One fibration's lower bound on the ring ``rg`` of ker p*: certify its
-    longest chain in ker p* (cup length or zcl, with its ``witness``) and
+    longest chain in ker p*, the ``witness`` of the cup length or zcl, and
     its heaviest product of ``facts``, and return the larger bound."""
+    length = len(witness)
     certs.append({"rule": "cup-chain" if kind == "cat" else "zcl-chain", "kind": kind,
-                  "bound": length + 1, "chain": tuple(_class_data(c) for c in witness)})
+                  "bound": length + 1, "chain": witness})
     weight, chain, prod = weighted_lower_bound(rg, facts, length)
     if chain:
         certs.append({"rule": "weighted-product", "kind": kind, "bound": weight + 1,
-                      "factors": chain, "product": _class_data(prod)})
+                      "factors": chain, "product": prod})
     return max(length + 1, weight + 1)
 
 
@@ -415,10 +433,10 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
     conn = ring.connectivity()
     certs = []
 
-    cl, cwit, _ = cup_chain(ring)
+    cup_witness = cup_chain(ring)[1]
     cosets = tuple(scan_triples(ring, cap))
     cat_facts = cat_weight_facts(ring, cosets)
-    cat_lower = _lower_block("cat", ring, cl, cwit, cat_facts, certs)
+    cat_lower = _lower_block("cat", ring, cup_witness, cat_facts, certs)
 
     cat_upper = space_dim + 1
     certs.append({"rule": "dimension", "kind": "cat", "bound": cat_upper})
@@ -427,9 +445,9 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
         certs.append({"rule": "james", "kind": "cat", "bound": j})
         cat_upper = min(cat_upper, j)
 
-    zk, zwit, zprod = zero_divisors_cup_length(kmap)
+    zcl_witness = zero_divisors_cup_length(kmap)[1]
     tc_facts = tc_weight_facts(ring, kmap, cat_facts)
-    tc_lower = _lower_block("tc", kmap.ht, zk, zwit, tc_facts, certs)
+    tc_lower = _lower_block("tc", kmap.ht, zcl_witness, tc_facts, certs)
     tc_lower, rud_cert = rudyak_lower_bound(kmap, tc_facts, tc_lower)
     if rud_cert is not None:
         certs.append(rud_cert)
@@ -450,19 +468,10 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
         dims=ring.dims(),
         tensor_dims=kmap.ht.dims(),
         massey_cap=cap,
-        cup_length=cl,
-        cup_witness=cwit,
-        zcl=zk,
-        zcl_witness=zwit,
-        cat_lower=cat_lower,
-        cat_upper=cat_upper,
-        tc_lower=tc_lower,
-        tc_upper=tc_upper,
-        cat_facts=tuple(f for _, f in sorted(cat_facts.items())),
-        tc_facts=tuple(f for _, f in sorted(tc_facts.items())),
+        cat_facts=cat_facts,
+        tc_facts=tc_facts,
         certificates=tuple(certs),
         massey_cosets=cosets,
-        zcl_product=zprod,
     )
 
 
@@ -474,8 +483,8 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
     original search is trusted, each weight is rebuilt from its recorded
     rule, each certificate's product or triple is recomputed, and every
     summary field the ledger section prints is checked against the ring
-    or against the certificate that gives it.  So are the Massey scan and
-    the zcl product that the report prints beside it.
+    or read off the certificates replayed here.  So is the Massey scan
+    that the report prints beside it.
     """
     ht = kmap.ht
     if ledger.model != ring.dga.name:
@@ -491,16 +500,29 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         raise ValueError(f"space_dim {ledger.space_dim!r} is not the model's {_space_dim(ring)}")
     if type(ledger.connectivity) is not int or ledger.connectivity != ring.connectivity():
         raise ValueError("connectivity changed under replay")
-    for name in ("cat_lower", "cat_upper", "tc_lower", "tc_upper", "cup_length", "zcl"):
-        value = getattr(ledger, name)
-        if type(value) is not int:
-            raise ValueError(f"the ledger gives {name} as {value!r}, not an integer")
-    for f in ledger.cat_facts + ledger.tc_facts:  # a key holds both, so check them first
-        if f.kind not in ("cat", "tc"):
-            raise ValueError(f"a fact has kind {f.kind!r}, not 'cat' or 'tc'")
-        if type(f.cls) is not CohClass:
-            raise ValueError(f"a {f.kind} fact holds its class as a {type(f.cls).__name__}, "
-                             "not a CohClass")
+
+    def fail(f, msg):
+        raise ValueError(f"fact {f.key} failed replay: {msg}")
+
+    # a key holds the kind and the class, so check both before any key is formed
+    for kind in ("cat", "tc"):
+        pool = getattr(ledger, f"{kind}_facts")
+        if type(pool) is not tuple:
+            raise ValueError(f"the {kind} pool is a {type(pool).__name__}, not a tuple of facts")
+        for f in pool:
+            if type(f) is not WeightFact:
+                raise ValueError(f"the {kind} pool holds a {type(f).__name__}, not a WeightFact")
+            if f.kind not in ("cat", "tc"):
+                raise ValueError(f"a fact has kind {f.kind!r}, not 'cat' or 'tc'")
+            if type(f.cls) is not CohClass:
+                raise ValueError(f"a {f.kind} fact holds its class as a {type(f.cls).__name__}, "
+                                 "not a CohClass")
+            cls = _recorded_class(ring if f.kind == "cat" else ht, f.cls,
+                                  f"the class of fact {(f.kind, f.cls.degree, f.cls.pairs)}")
+            if cls.is_zero():
+                fail(f, "class is zero")
+            if _normalize_class(cls) != f.cls:
+                fail(f, "class is not stored normalized, as canonical pairs")
     fact_by_key = {f.key: f for f in ledger.cat_facts + ledger.tc_facts}
 
     def fact_at(key):
@@ -508,9 +530,6 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             return fact_by_key.get(key)
         except TypeError:  # an unhashable key names no fact
             return None
-
-    def fail(f, msg):
-        raise ValueError(f"fact {f.key} failed replay: {msg}")
 
     def verify_fact(f: WeightFact, kind: str) -> None:
         if f.kind != kind:
@@ -520,13 +539,8 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         if not isinstance(f.inputs, tuple):
             fail(f, f"evidence {f.inputs!r} is not a tuple")
         rg = ring if kind == "cat" else ht
-        cls = _recorded_class(rg, _class_data(f.cls), f"the class of fact {f.key}")
-        if cls.is_zero():
-            fail(f, "class is zero")
-        if _normalize_class(cls) != f.cls:
-            fail(f, "class is not stored normalized, as canonical pairs")
         tag = f.inputs[0] if f.inputs else None
-        entries = _EVIDENCE_ENTRIES.get(tag)
+        entries = _EVIDENCE_ENTRIES.get(tag) if type(tag) is str else None
         if entries is not None and len(f.inputs) != entries + 1:
             fail(f, f"{tag} evidence needs {entries} entries after its tag, "
                     f"not {len(f.inputs) - 1}")
@@ -593,17 +607,7 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
                              "are not a list of fact keys")
         return [cert_fact(rule, kind, key) for key in keys]
 
-    def chain_classes(rg: CohomologyRing, chain, rule: str) -> list:
-        if not isinstance(chain, (list, tuple)):
-            raise ValueError(f"the chain of the {rule} certificate is not a list of classes")
-        return [_recorded_class(rg, c, f"factor {i} of the {rule} certificate")
-                for i, c in enumerate(chain)]
-
-    def fold_chain(rg: CohomologyRing, chain: list) -> CohClass:
-        return reduce(rg.cup, chain, rg.basis_class(0, 0))
-
-    found = {(kind, side): [] for kind in ("cat", "tc") for side in ("lower", "upper")}
-    chains = {}  # the replayed chain of each chain rule, and its product
+    sides = set()  # the (kind, side) pairs some certificate bounds
     for cert in ledger.certificates:
         if not isinstance(cert, dict):
             raise ValueError(f"certificate {cert!r} is not a rule dictionary")
@@ -623,18 +627,18 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             raise ValueError(f"{rule} certificate gives its bound as {bound!r}, not an integer")
         rg = ring if kind == "cat" else ht
         if rule in ("cup-chain", "zcl-chain"):
-            chain = chain_classes(rg, cert["chain"], rule)
+            chain = cert["chain"]
+            if not isinstance(chain, (list, tuple)):
+                raise ValueError(f"the chain of the {rule} certificate is not a list of classes")
+            chain = [_recorded_class(rg, c, f"factor {i} of the {rule} certificate")
+                     for i, c in enumerate(chain)]
             if kind == "tc" and not all(kmap.diagonal_map(c).is_zero() for c in chain):
                 raise ValueError("zcl-chain factor is not a zero-divisor")
-            prod = fold_chain(rg, chain)
-            if prod.is_zero() or bound != len(chain) + 1:
+            if chain_product(rg, chain).is_zero() or bound != len(chain) + 1:
                 raise ValueError(f"{rule} certificate failed replay")
-            if len(chain) != (ledger.cup_length if kind == "cat" else ledger.zcl):
-                raise ValueError(f"{rule} length disagrees with the ledger")
-            chains[rule] = (tuple(chain), prod)
         elif rule == "weighted-product":
             facts = cert_facts(rule, kind, cert["factors"], "factors")
-            prod = fold_chain(rg, [f.cls for f in facts])
+            prod = chain_product(rg, [f.cls for f in facts])
             if prod.is_zero():
                 raise ValueError("weighted product vanished on replay")
             recorded = _recorded_class(rg, cert["product"],
@@ -648,7 +652,7 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             betas = cert_facts(rule, kind, cert["beta"], "beta keys")
             if not betas:
                 raise ValueError(f"the beta of the {kind} {rule} certificate is an empty chain")
-            coset = massey_triple(ht, fa.cls, fold_chain(ht, [f.cls for f in betas]), fg.cls)
+            coset = massey_triple(ht, fa.cls, chain_product(ht, [f.cls for f in betas]), fg.cls)
             if not coset.is_nonzero():
                 raise ValueError("Massey certificate triple vanished on replay")
             if bound != sum(f.weight for f in betas) + min(fa.weight, fg.weight) + 1:
@@ -663,27 +667,24 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             if type(cert["cat_upper"]) is not int:
                 raise ValueError(f"cat-product certificate gives cat_upper as "
                                  f"{cert['cat_upper']!r}, not an integer")
-            if cert["cat_upper"] != ledger.cat_upper or bound != 2 * ledger.cat_upper - 1:
-                raise ValueError("cat-product certificate failed replay")
-        found[kind, side].append(bound)
+        sides.add((kind, side))
 
+    # every certificate is checked, so the ledger's summary reads off them
     for kind in ("cat", "tc"):
-        lower, upper = getattr(ledger, f"{kind}_lower"), getattr(ledger, f"{kind}_upper")
-        for side, pick, recorded in (("lower", max, lower), ("upper", min, upper)):
-            if not found[kind, side]:
+        for side in ("lower", "upper"):
+            if (kind, side) not in sides:
                 raise ValueError(f"ledger has no {side} certificate for {kind}")
-            if pick(found[kind, side]) != recorded:
-                raise ValueError(f"replayed {side} bounds disagree with the ledger")
+        lower, upper = getattr(ledger, f"{kind}_lower"), getattr(ledger, f"{kind}_upper")
         if lower > upper:
             raise ValueError(f"the {kind} lower bound {lower} exceeds its upper bound {upper}")
-
-    for rule, name in (("cup-chain", "cup_witness"), ("zcl-chain", "zcl_witness")):
-        if rule not in chains:
-            raise ValueError(f"ledger has no {rule} certificate")
-        if getattr(ledger, name) != chains[rule][0]:
-            raise ValueError(f"{name} is not the chain of the {rule} certificate")
-    if ledger.zcl_product != chains["zcl-chain"][1]:
-        raise ValueError("zcl_product is not the product of the zcl_witness chain")
+    for rule in ("cup-chain", "zcl-chain"):
+        count = sum(cert["rule"] == rule for cert in ledger.certificates)
+        if count != 1:
+            raise ValueError(f"ledger has {count} {rule} certificates, not one")
+    for cert in ledger.certificates:  # a cat-product bound doubles the cat upper bound
+        if cert["rule"] == "cat-product" and (cert["cat_upper"] != ledger.cat_upper
+                                              or cert["bound"] != 2 * ledger.cat_upper - 1):
+            raise ValueError("cat-product certificate failed replay")
     if ledger.massey_cosets != tuple(scan_triples(ring, cap)):
         raise ValueError(f"massey_cosets are not the Massey scan of the ring "
                          f"up to massey_cap {cap}")

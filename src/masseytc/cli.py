@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import report
-from .bounds import InconsistentBounds, build_ledger, zero_divisors_cup_length
+from .bounds import InconsistentBounds, build_ledger, chain_product, zero_divisors_cup_length
 from .cohomology import CohomologyRing, KunnethMap
 from .dga import PresentationError, compile_cdga
 from .dsl import ParseError, parse_model
@@ -144,7 +144,8 @@ def cmd_bounds(args):
     payload = report.build_payload(
         ring,
         massey=report.massey_section(ring, ledger.massey_cosets),
-        zcl=report.zcl_section(ledger.zcl, ledger.zcl_witness, ledger.zcl_product),
+        zcl=report.zcl_section(ledger.zcl, ledger.zcl_witness,
+                               chain_product(kmap.ht, ledger.zcl_witness)),
         weights=report.weights_section(ledger),
         ledger=report.ledger_section(ledger),
     )

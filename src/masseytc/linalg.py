@@ -128,11 +128,6 @@ class GradedVector:
     dim: int
     pairs: tuple
 
-    @classmethod
-    def from_coords(cls, degree: int, coords):
-        """The vector with these dense coordinates in this degree."""
-        return cls(degree, len(coords), sparse(coords, len(coords)))
-
     @cached_property
     def coords(self) -> Vector:
         """The dense coordinates, one per basis element of the degree."""

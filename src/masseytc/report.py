@@ -30,10 +30,12 @@ def _class_json(cls: CohClass) -> list:
 
 
 def _jsonify(x):
-    """The JSON form of a record, with every coefficient a string.  A tuple
-    of scalars is a coordinate vector; every other number (a degree, a
-    weight, a bound, a transfer's k) sits beside a string or a tuple and
-    stays a number."""
+    """The JSON form of a record, with every coefficient a string.  A class
+    goes through :func:`_class_json` and a tuple of scalars is a coordinate
+    vector; every other number (a degree, a weight, a bound, a transfer's
+    k) sits beside a string or a tuple and stays a number."""
+    if isinstance(x, CohClass):
+        return _class_json(x)
     if isinstance(x, (tuple, list)):
         if all(map(is_rational, x)):
             return [str(v) for v in x]

@@ -4,8 +4,8 @@ The engine in ``src/`` keeps what its commands, ledger replay and the
 benchmark call.  The checks below verify its constructions on instances
 and are kept here, next to the tests that use them:
 
-* exact-vector and matrix constructors (``vec``, ``from_dict``,
-  ``from_rows``, ``from_columns``), subspace conveniences the engine
+* exact-vector and matrix constructors (``vec``, ``from_coords``,
+  ``from_dict``, ``from_rows``, ``from_columns``), subspace conveniences the engine
   does not need (``span`` and ``contains`` on dense vectors,
   ``basis_vectors``, ``contains_subspace``) and the registry names of the
   built-in models;
@@ -77,6 +77,12 @@ def exact(x):
 def vec(values: Iterable) -> Vector:
     """Coerce an iterable of numbers into an exact rational vector."""
     return tuple(exact(x) for x in values)
+
+
+def from_coords(kind, degree: int, coords):
+    """The graded vector of type ``kind`` (a Cochain or a CohClass) with
+    these dense coordinates in this degree."""
+    return kind(degree, len(coords), sparse(coords, len(coords)))
 
 
 def from_dict(rows: int, cols: int, data: Mapping) -> SparseMatrix:
@@ -666,7 +672,7 @@ def verify_multi_identities(ring: CohomologyRing, alpha: CohClass,
             c = rng.randint(-3, 3)
             if c:
                 coords = [x + c * y for x, y in zip(coords, v)]
-        return CohClass.from_coords(degree, tuple(coords))
+        return from_coords(CohClass, degree, tuple(coords))
 
     prime = random_in(left_annihilator(ring, p, beta), p)
     base2 = massey_triple(ring, prime, beta, gamma)
@@ -688,7 +694,7 @@ def verify_multi_identities(ring: CohomologyRing, alpha: CohClass,
     xi_cls = random_in(Subspace.full(ring.dim(p + q - 1)), p + q - 1)
     xi = ring.representative(xi_cls)
     if p + q - 2 >= 0 and dga.dim(p + q - 2):
-        pre = Cochain.from_coords(p + q - 2,
+        pre = from_coords(Cochain, p + q - 2,
                                   [rng.randint(-2, 2) for _ in range(dga.dim(p + q - 2))])
         xi = xi.add(dga.d(pre))
     w2, val2 = massey_value_from_witnesses(ring, alpha, beta, gamma,

@@ -12,6 +12,7 @@ from masseytc.bounds import (
     bar,
     build_ledger,
     cat_weight_facts,
+    chain_product,
     replay_ledger,
     rudyak_lower_bound,
     transfer_weight,
@@ -28,6 +29,7 @@ from oracles import (
     axiom_sweep,
     check_kunneth,
     from_columns,
+    from_coords,
     massey_value_from_witnesses,
     verify_external_product,
     verify_external_vanishing,
@@ -82,14 +84,14 @@ def test_acceptance_1_wedge_of_spheres_with_two_top_cells(
 
         led = ledger_of("spheres8")
         cat = facts_dict(led, "cat")
-        heavy = [f for f in cat.values() if f.rule == "R3"]
+        heavy = [f for f in led.cat_facts if f.rule == "R3"]
         assert len(heavy) == 2 and all(
             f.weight == 2 and f.cls.degree == 8 for f in heavy)
         for f in heavy:  # connectivity 2, degree 8 = 2*(2+1)+2 fits the window
             moved, reason = transfer_weight(r, kmap, f, 2)
             assert reason is None and moved.weight == 2
         tc = facts_dict(led, "tc")
-        best, chain, prod = weighted_lower_bound(kmap.ht, tc)
+        best, chain, prod = weighted_lower_bound(kmap.ht, led.tc_facts)
         assert best == 4 and not prod.is_zero()
         assert sorted(tc[key].rule for key in chain) == ["R4-transfer",
                                                          "R4-transfer"]
@@ -144,8 +146,7 @@ def test_acceptance_2_three_torsion_free_loops_space(
             assert theta.canonical in cands
 
         led = ledger_of("borromean")
-        tc = facts_dict(led, "tc")
-        improved, rcert = rudyak_lower_bound(kmap, tc, led.zcl + 1)
+        improved, rcert = rudyak_lower_bound(kmap, led.tc_facts, led.zcl + 1)
         assert improved == 4 and rcert is not None
         assert cert(led, "massey-rudyak", "tc")["bound"] == 4
         assert (led.tc_lower, led.tc_upper) == (4, 5)
@@ -185,7 +186,7 @@ def test_acceptance_3_heavy_weight_pair_models(rings, kunneth_of, ledger_of):
             assert zk == 3 and not zprod.is_zero()
 
             led = ledger_of(name)
-            best, _, prod = weighted_lower_bound(kmap.ht, facts_dict(led, "tc"))
+            best, _, prod = weighted_lower_bound(kmap.ht, led.tc_facts)
             assert best == 5 and not prod.is_zero()
             assert cert(led, "weighted-product", "tc")["bound"] == 6
             assert (led.cat_lower, led.cat_upper) == (4, 4)
@@ -253,7 +254,7 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
             degs = [k for k in range(t.truncation + 1) if t.dim(k)]
 
             def rand_cochain(k):
-                return Cochain.from_coords(k, [rng.randint(-3, 3)
+                return from_coords(Cochain, k, [rng.randint(-3, 3)
                                                for _ in range(t.dim(k))])
 
             for _ in range(30):
@@ -280,7 +281,7 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
         # classes finally have more than one cocycle representative
         pad = CohomologyRing(compile_cdga(parse_model(PADDED_SRC)))
         assert pad.dims()[:8] == rings["even7"].dims()[:8]
-        f_bdy = pad.dga.d(Cochain.from_coords(
+        f_bdy = pad.dga.d(from_coords(Cochain, 
             1, [1] + [0] * (pad.dga.dim(1) - 1)))
         alpha, beta = pad.named_class("alpha"), pad.named_class("beta")
         independent = 0
@@ -320,7 +321,7 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
             ring = rings[name]
             n = ring.dim(deg)
             for _ in range(34):
-                trip = [CohClass.from_coords(deg, tuple(rng.randint(-3, 3)
+                trip = [from_coords(CohClass, deg, tuple(rng.randint(-3, 3)
                                             for _ in range(n)))
                         for _ in range(3)]
                 rep = verify_multi_identities(ring, *trip, rng)
@@ -395,7 +396,7 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
         one = ring.basis_class(0, 0)
 
         def h1():
-            return CohClass.from_coords(1, tuple(rng.randint(-3, 3) for _ in range(3)))
+            return from_coords(CohClass, 1, tuple(rng.randint(-3, 3) for _ in range(3)))
 
         for _ in range(30):
             trip = [h1() for _ in range(3)]
@@ -428,7 +429,7 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
         e7one = ring.basis_class(0, 0)
 
         def h2():
-            return CohClass.from_coords(2, (rng.randint(-3, 3), rng.randint(-3, 3)))
+            return from_coords(CohClass, 2, (rng.randint(-3, 3), rng.randint(-3, 3)))
 
         others = [ring.named_class("u"), ring.named_class("v"),
                   ring.named_class("alpha"), ring.named_class("beta"), e7one]
@@ -458,7 +459,7 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
                     ring,
                     massey=report.massey_section(ring, led.massey_cosets),
                     zcl=report.zcl_section(led.zcl, led.zcl_witness,
-                                           led.zcl_product),
+                                           chain_product(kmap.ht, led.zcl_witness)),
                     weights=report.weights_section(led),
                     ledger=report.ledger_section(led),
                 ))

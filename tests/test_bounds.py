@@ -46,7 +46,7 @@ from masseytc.linalg import Subspace, kernel, scalar
 from masseytc.massey import massey_triple, scan_triples
 from masseytc.models import MODEL_SOURCES
 from conftest import S2_SRC
-from oracles import zcl_by_ideal_search, zero_divisor_ideal
+from oracles import from_coords, zcl_by_ideal_search, zero_divisor_ideal
 from test_bench_tracer import load_bench
 from test_cli import STRESS_NIL_SRC
 from test_cohomology import POLY4_SRC, _stress_ring, ideal_powers_length, random_presentations
@@ -265,7 +265,13 @@ def test_cup_chain_agrees_with_ring(rings):
 
 
 def pool_shape(facts):
-    return sorted((f.cls.degree, f.weight, f.rule) for f in facts.values())
+    assert type(facts) is tuple and [f.key for f in facts] == sorted(f.key for f in facts)
+    return sorted((f.cls.degree, f.weight, f.rule) for f in facts)
+
+
+def by_key(facts):
+    """A pool's facts by key."""
+    return {f.key: f for f in facts}
 
 
 def cat_pool(ring):
@@ -296,7 +302,7 @@ def test_massey_values_become_weight_two_facts(rings):
     # the degree-5 facts of even7 are exactly the two triple-product values
     ring = rings["even7"]
     facts = cat_weight_facts(ring, scan_triples(ring))
-    deg5 = {f.cls.coords: f for f in facts.values() if f.cls.degree == 5}
+    deg5 = {f.cls.coords: f for f in facts if f.cls.degree == 5}
     u = ring.named_class("u")
     v = ring.named_class("v")
     assert set(deg5) == {_normalize_class(u).coords, _normalize_class(v).coords}
@@ -309,7 +315,7 @@ def test_massey_values_become_weight_two_facts(rings):
 
 def test_transfer_success_even7(rings, kunneth_of):
     ring, km = rings["even7"], kunneth_of("even7")
-    facts = cat_weight_facts(ring, scan_triples(ring))
+    facts = by_key(cat_weight_facts(ring, scan_triples(ring)))
     u = ring.named_class("u")
     fact = facts[("cat", 5, _normalize_class(u).coords)]
     moved, reason = transfer_weight(ring, km, fact, 2)
@@ -322,8 +328,7 @@ def test_transfer_success_even7(rings, kunneth_of):
 def test_transfer_success_spheres8_window(rings, kunneth_of):
     # degree 8 sits in the k=2 window [6, 9) for a 2-connected model
     ring, km = rings["spheres8"], kunneth_of("spheres8")
-    facts = cat_weight_facts(ring, scan_triples(ring))
-    for f in facts.values():
+    for f in cat_weight_facts(ring, scan_triples(ring)):
         if f.weight == 2:
             moved, reason = transfer_weight(ring, km, f, 2)
             assert reason is None and moved.weight == 2
@@ -334,7 +339,7 @@ def test_transfer_named_failures(rings, kunneth_of):
     # mu = alpha * v has category weight 1 + 2 = 3 by the chain of the
     # two pool atoms; the pool itself keeps mu as a weight-1 basis atom
     mu = ring.named_class("mu")
-    facts = cat_weight_facts(ring, scan_triples(ring))
+    facts = by_key(cat_weight_facts(ring, scan_triples(ring)))
     assert facts[("cat", 7, _normalize_class(mu).coords)].weight == 1
     alpha, v = (facts[("cat", c.degree, _normalize_class(c).coords)]
                 for c in (ring.named_class("alpha"), ring.named_class("v")))
@@ -351,11 +356,11 @@ def test_transfer_named_failures(rings, kunneth_of):
     assert moved is None and "k >= 1" in reason
 
     ring, km = rings["borromean"], kunneth_of("borromean")
-    fact = next(iter(cat_weight_facts(ring, scan_triples(ring)).values()))
+    fact = cat_weight_facts(ring, scan_triples(ring))[0]
     moved, reason = transfer_weight(ring, km, fact, 1)
     assert moved is None and "simply connected" in reason
 
-    tc_fact = WeightFact("tc", fact.cls, 1, "R1", ("bar", (1, fact.cls.coords)))
+    tc_fact = WeightFact("tc", fact.cls, 1, "R1", ("bar", fact.cls))
     moved, reason = transfer_weight(ring, km, tc_fact, 1)
     assert moved is None and "category-weight" in reason
 
@@ -397,7 +402,7 @@ def test_weighted_category_bounds(rings):
         assert best == want, name
         if chain:
             assert not prod.is_zero()
-            assert sum(facts[key].weight for key in chain) == best
+            assert sum(by_key(facts)[key].weight for key in chain) == best
 
 
 def test_weighted_tc_bounds(rings, kunneth_of):
@@ -416,7 +421,7 @@ def test_even7_heaviest_chain_is_bar_u_bar_v_bar_alpha(rings, kunneth_of):
     ring, km = rings["even7"], kunneth_of("even7")
     facts = tc_weight_facts(ring, km, cat_weight_facts(ring, scan_triples(ring)))
     best, chain, prod = weighted_lower_bound(km.ht, facts)
-    rules = sorted(facts[key].rule for key in chain)
+    rules = sorted(by_key(facts)[key].rule for key in chain)
     assert rules == ["R1", "R4-transfer", "R4-transfer"]
     u, v, mu = (ring.named_class(n) for n in ("u", "v", "mu"))
     # bar(alpha) bar(u) bar(v) = -(u x mu + mu x u) and
@@ -466,7 +471,7 @@ def chain_search_oracle(ring, ideal, k):
 def weighted_search_oracle(ring, facts):
     """Oracle: the first heaviest nonzero product of facts in ascending key
     order, by an unpruned recursive search; None for an empty chain."""
-    atoms = [facts[key] for key in sorted(facts)]
+    atoms = sorted(facts, key=lambda f: f.key)
     top = ring.top_nonzero_degree()
     best = [0, (), None]
 
@@ -563,7 +568,7 @@ def test_chain_searches_stop_at_their_ceilings_with_the_same_chain(kunneth_of, n
     assert zcl <= 2 * cl
     cat = cat_weight_facts(ring, scan_triples(ring))
     for rg, facts, length in ((ring, cat, cl), (km.ht, tc_weight_facts(ring, km, cat), zcl)):
-        atoms = [f for _, f in sorted(facts.items())]
+        atoms = sorted(facts, key=lambda f: f.key)
         classes, weights = [f.cls for f in atoms], [f.weight for f in atoms]
         ceiling = length * max(weights)
         best = heaviest_chain(rg, classes, weights)
@@ -676,9 +681,9 @@ def test_rudyak_improves_borromean(rings, kunneth_of):
     facts = tc_weight_facts(ring, km, cat_weight_facts(ring, scan_triples(ring)))
     best, cert = rudyak_lower_bound(km, facts, 3)
     assert best == 4 and cert is not None
-    fa = facts[cert["alpha"]]
-    betas = [facts[key] for key in cert["beta"]]
-    fg = facts[cert["gamma"]]
+    pool = by_key(facts)
+    fa, fg = pool[cert["alpha"]], pool[cert["gamma"]]
+    betas = [pool[key] for key in cert["beta"]]
     # beta is the product of two bars, a chain of weight 1 + 1
     assert (fa.weight, [f.weight for f in betas], fg.weight) == (1, [1, 1], 1)
     assert all(f.rule == "R1" and f.inputs[0] == "bar" for f in betas)
@@ -700,7 +705,7 @@ def rudyak_scan_oracle(kmap, facts, best):
     """Oracle: the Massey rule scan weighing every (beta, alpha, gamma),
     beta running over the atoms and then over every nonzero product of two,
     with no early skip of a beta that cannot beat the bound."""
-    pool = [f for _, f in sorted(facts.items())]
+    pool = sorted(facts, key=lambda f: f.key)
     bars = [f for f in pool if f.inputs and f.inputs[0] in ("bar", "transfer")]
     chains = [(f,) for f in pool]
     chains += [(f, g) for i, f in enumerate(pool) for g in pool[i:]]
@@ -743,8 +748,8 @@ def test_rudyak_skip_matches_the_unskipped_scan(rings, kunneth_of, monkeypatch, 
             assert rudyak_lower_bound(km, facts, best) == want
             continue
         # top weight 1 against a bound of at least 4: no triple can beat it,
-        # so the scan returns before it lists the pool or forms a product
-        assert max(f.weight for f in facts.values()) == 1 and best >= 4
+        # so the scan returns before it lists the pool's pairs or forms a product
+        assert max(f.weight for f in facts) == 1 and best >= 4
         cups = []
         monkeypatch.setattr(km.ht, "cup", lambda *args: cups.append(args))
         assert rudyak_lower_bound(km, _Unlisted(facts), best) == want
@@ -752,10 +757,10 @@ def test_rudyak_skip_matches_the_unskipped_scan(rings, kunneth_of, monkeypatch, 
         assert cups == []
 
 
-class _Unlisted(dict):
-    """Facts whose pool must not be listed."""
+class _Unlisted(tuple):
+    """A pool whose pairs must not be listed: it can only be iterated."""
 
-    def items(self):
+    def __getitem__(self, index):
         raise AssertionError("the pool was listed")
 
 
@@ -886,7 +891,7 @@ def test_replay_rejects_fake_zero_divisor_chain(rings, kunneth_of, ledger_of):
     for c in led.certificates:
         if c["rule"] == "zcl-chain":
             c = dict(c)
-            c["chain"] = ((not_zd.degree, tuple(not_zd.coords)),) * led.zcl
+            c["chain"] = (not_zd,) * led.zcl
         certs.append(c)
     bad = dataclasses.replace(led, certificates=tuple(certs))
     with pytest.raises(ValueError):
@@ -910,6 +915,12 @@ def _add_rudyak(key):
     """A forgery that adds a Massey-Rudyak certificate on one fact."""
     return lambda certs: certs + ({"rule": "massey-rudyak", "kind": "tc", "bound": 6,
                                    "alpha": key, "beta": key, "gamma": key},)
+
+
+def _edit_cat_product(fields):
+    """A forgery that rewrites fields of the cat-product certificate."""
+    return lambda certs: tuple({**c, **fields} if c["rule"] == "cat-product" else c
+                               for c in certs)
 
 
 def _flipped_copy(rule):
@@ -949,6 +960,12 @@ def _flipped_copy(rule):
                  id="cat-product-as-cat"),
     pytest.param(_flipped_copy("james"), "james certificates bound cat, not tc",
                  id="james-as-tc"),
+    # TC <= 7 from a cat upper bound of 4 that no certificate gives, and
+    # TC <= 7 beside the certified cat <= 3
+    pytest.param(_edit_cat_product({"cat_upper": 4, "bound": 7}),
+                 "cat-product certificate failed replay", id="cat-product-of-an-uncertified-cat"),
+    pytest.param(_edit_cat_product({"bound": 7}),
+                 "cat-product certificate failed replay", id="cat-product-bound-not-doubled"),
 ])
 def test_replay_names_the_forgery(rings, kunneth_of, ledger_of, forge, reason):
     led = ledger_of("spheres8")
@@ -1065,15 +1082,15 @@ def _scaled_uncited_basis_fact(led):
 
 @pytest.mark.parametrize("forge, reason", [
     pytest.param(_edit_certs("zcl-chain", lambda c: {
-        **c, "chain": tuple((d, coords[:-1]) for d, coords in c["chain"])}),
+        **c, "chain": tuple(_drop_last_coordinate(x) for x in c["chain"])}),
         "factor 0 of the zcl-chain certificate is not a class",
         id="zcl-factors-drop-a-coordinate"),
     pytest.param(_edit_first_tc_fact(lambda f: dataclasses.replace(
-        f, cls=CohClass.from_coords(99, f.cls.coords))),
+        f, cls=from_coords(CohClass, 99, f.cls.coords))),
         r"the class of fact \('tc', 99, .* is not a class of degree 1\.\.4",
         id="tc-fact-at-degree-99"),
     pytest.param(_edit_certs("cup-chain", lambda c: {
-        **c, "chain": ((1, (Fraction(1),) * 99),) + tuple(c["chain"][1:])}),
+        **c, "chain": (from_coords(CohClass, 1, (Fraction(1),) * 99),) + c["chain"][1:]}),
         "factor 0 of the cup-chain certificate is not a class",
         id="cup-chain-class-of-99-coordinates"),
     pytest.param(_edit_certs("cup-chain", lambda c: {**c, "chain": 5}),
@@ -1084,17 +1101,18 @@ def _scaled_uncited_basis_fact(led):
     pytest.param(lambda led: dataclasses.replace(led, tc_facts=led.tc_facts + (WeightFact(
         "tc", led.tc_facts[0].cls, 1, "R4-transfer", ("transfer", list(led.cat_facts[0].key), 1)),)),
         "transfer evidence names a fact that is not in the fact pool", id="evidence-keys-as-lists"),
-    pytest.param(_edit_evidence("tc_facts", "bar", lambda f: ("bar", (99, f.inputs[1][1]))),
+    pytest.param(_edit_evidence("tc_facts", "bar",
+                                lambda f: ("bar", dataclasses.replace(f.inputs[1], degree=99))),
                  "the bar evidence of fact .* is not a class", id="bar-evidence-at-degree-99"),
     pytest.param(_edit_certs("weighted-product", lambda c: {
-        **c, "product": (c["product"][0], c["product"][1][:-1])}),
+        **c, "product": _drop_last_coordinate(c["product"])}),
         "the product of the (cat|tc) weighted-product certificate is not a class",
         id="product-drops-a-coordinate"),
     pytest.param(lambda led: dataclasses.replace(
         led, certificates=led.certificates + ("cup-chain",)),
         "certificate 'cup-chain' is not a rule dictionary", id="certificate-is-a-string"),
     # the dimension certificate copied to tc: TC <= 3 beside TC >= 4
-    pytest.param(lambda led: dataclasses.replace(led, tc_upper=3, certificates=(
+    pytest.param(lambda led: dataclasses.replace(led, certificates=(
         *led.certificates, {"rule": "dimension", "kind": "tc", "bound": 3})),
         "dimension certificates bound cat, not tc", id="dimension-copied-to-tc"),
     # borromean has no james certificate, whose replay checked connectivity
@@ -1126,12 +1144,19 @@ def _scaled_uncited_basis_fact(led):
         f, cls=(f.cls.degree, f.cls.coords))),
         "a tc fact holds its class as a tuple, not a CohClass",
         id="class-given-as-degree-and-coords"),
+    pytest.param(_edit_certs("weighted-product", lambda c: {
+        **c, "product": (c["product"].degree, c["product"].coords)}),
+        "the product of the (cat|tc) weighted-product certificate is not a class",
+        id="product-given-as-degree-and-coords"),
+    pytest.param(_edit_certs("cup-chain", lambda c: {
+        **c, "chain": tuple(Cochain(x.degree, x.dim, x.pairs) for x in c["chain"])}),
+        "factor 0 of the cup-chain certificate is not a class", id="chain-of-cochains"),
     pytest.param(_edit_first_tc_fact(lambda f: dataclasses.replace(
         f, cls=Cochain(f.cls.degree, f.cls.dim, f.cls.pairs))),
         "a tc fact holds its class as a Cochain, not a CohClass",
         id="class-given-as-a-cochain"),
     # True passed the degree check, as a bool is an int, and replayed as 1
-    pytest.param(_edit_certs("cup-chain", lambda c: {**c, "chain": ((True, (1, 0, 0)),)}),
+    pytest.param(_edit_certs("cup-chain", lambda c: {**c, "chain": (CohClass(True, 3, ((0, 1),)),)}),
                  "factor 0 of the cup-chain certificate is not a class",
                  id="degree-given-as-True"),
 ])
@@ -1142,10 +1167,23 @@ def test_replay_names_malformed_class_records(rings, kunneth_of, ledger_of, forg
         replay_ledger(forge(ledger_of("borromean")), rings["borromean"], kunneth_of("borromean"))
 
 
+def _bound_as_float(*rules):
+    """A forgery that gives the bound of each (rule, kind) certificate as a float."""
+    return lambda led: dataclasses.replace(led, certificates=tuple(
+        {**c, "bound": float(c["bound"])} if (c["rule"], c["kind"]) in rules else c
+        for c in led.certificates))
+
+
+def _drop_last_coordinate(cls):
+    """The class with its last basis class and coordinate cut off."""
+    return CohClass(cls.degree, cls.dim - 1, tuple(p for p in cls.pairs if p[0] < cls.dim - 1))
+
+
 def _coords_as(convert):
-    """A forgery that rewrites every coordinate of the cup-chain classes."""
+    """A forgery that rewrites every coefficient of the cup-chain classes."""
     return _edit_certs("cup-chain", lambda c: {**c, "chain": tuple(
-        (d, tuple(convert(x) for x in coords)) for d, coords in c["chain"])})
+        CohClass(x.degree, x.dim, tuple((i, convert(v)) for i, v in x.pairs))
+        for x in c["chain"])})
 
 
 @pytest.mark.parametrize("forge, reason", [
@@ -1172,20 +1210,21 @@ def _coords_as(convert):
                  r"space_dim 7\.0 is not the model's 7", id="space-dim-as-a-float"),
     pytest.param(lambda led: dataclasses.replace(led, connectivity=1.0),
                  "connectivity changed under replay", id="connectivity-as-a-float"),
-    # these replayed as valid, since 4.0 == 4 and True == 1
-    pytest.param(lambda led: dataclasses.replace(led, cat_upper=4.0, tc_lower=6.0),
-                 r"the ledger gives cat_upper as 4\.0, not an integer",
+    # these replayed as valid, since 4.0 == 4 and True == 1; the bounds,
+    # the cup length and zcl are read off the certificates that hold them
+    pytest.param(_bound_as_float(("james", "cat"), ("weighted-product", "tc")),
+                 r"james certificate gives its bound as 4\.0, not an integer",
                  id="cat-upper-and-tc-lower-as-floats"),
-    pytest.param(lambda led: dataclasses.replace(led, cat_lower=4.0),
-                 r"the ledger gives cat_lower as 4\.0", id="cat-lower-as-a-float"),
-    pytest.param(lambda led: dataclasses.replace(led, tc_lower=6.0),
-                 r"the ledger gives tc_lower as 6\.0", id="tc-lower-as-a-float"),
-    pytest.param(lambda led: dataclasses.replace(led, tc_upper=7.0),
-                 r"the ledger gives tc_upper as 7\.0", id="tc-upper-as-a-float"),
-    pytest.param(lambda led: dataclasses.replace(led, cup_length=2.0),
-                 r"the ledger gives cup_length as 2\.0", id="cup-length-as-a-float"),
-    pytest.param(lambda led: dataclasses.replace(led, zcl=3.0),
-                 r"the ledger gives zcl as 3\.0", id="zcl-as-a-float"),
+    pytest.param(_bound_as_float(("weighted-product", "cat")),
+                 r"weighted-product certificate gives its bound as 4\.0", id="cat-lower-as-a-float"),
+    pytest.param(_bound_as_float(("weighted-product", "tc")),
+                 r"weighted-product certificate gives its bound as 6\.0", id="tc-lower-as-a-float"),
+    pytest.param(_bound_as_float(("cat-product", "tc")),
+                 r"cat-product certificate gives its bound as 7\.0", id="tc-upper-as-a-float"),
+    pytest.param(_bound_as_float(("cup-chain", "cat")),
+                 r"cup-chain certificate gives its bound as 3\.0", id="cup-length-as-a-float"),
+    pytest.param(_bound_as_float(("zcl-chain", "tc")),
+                 r"zcl-chain certificate gives its bound as 4\.0", id="zcl-as-a-float"),
     pytest.param(_edit_certs("cat-product", lambda c: {**c, "cat_upper": 4.0}),
                  r"cat-product certificate gives cat_upper as 4\.0, not an integer",
                  id="cat-product-cat-upper-as-a-float"),
@@ -1213,28 +1252,16 @@ def _coords_as(convert):
     pytest.param(lambda led: dataclasses.replace(led, massey_cap=4),
                  "failed replay: Massey triple lands in degree 5, above massey_cap 4",
                  id="massey-cap-below-an-R3-fact"),
-    pytest.param(lambda led: dataclasses.replace(led, cup_witness=()),
-                 "cup_witness is not the chain of the cup-chain certificate",
-                 id="cup-witness-empty"),
-    pytest.param(lambda led: dataclasses.replace(led, cup_witness="junk"),
-                 "cup_witness is not the chain of the cup-chain certificate",
+    # the witnesses are the chains of the chain certificates
+    pytest.param(_edit_certs("cup-chain", lambda c: {**c, "chain": ()}),
+                 "cup-chain certificate failed replay", id="cup-witness-empty"),
+    pytest.param(_edit_certs("cup-chain", lambda c: {**c, "chain": "junk"}),
+                 "the chain of the cup-chain certificate is not a list of classes",
                  id="cup-witness-as-a-string"),
-    pytest.param(lambda led: dataclasses.replace(led, cup_witness=led.cup_witness[::-1]),
-                 "cup_witness is not the chain of the cup-chain certificate",
-                 id="cup-witness-reversed"),
-    pytest.param(lambda led: dataclasses.replace(led, zcl_witness=((5, (1, 2)),)),
-                 "zcl_witness is not the chain of the zcl-chain certificate",
+    pytest.param(_edit_certs("zcl-chain", lambda c: {**c, "chain": ((5, (1, 2)),)}),
+                 "factor 0 of the zcl-chain certificate is not a class",
                  id="zcl-witness-as-a-record"),
-    # the report prints these two beside the ledger section
-    pytest.param(lambda led: dataclasses.replace(led, zcl_product=led.zcl_product.scale(2)),
-                 "zcl_product is not the product of the zcl_witness chain",
-                 id="zcl-product-scaled"),
-    pytest.param(lambda led: dataclasses.replace(led, zcl_product=CohClass(2, 4, ((0, 1),))),
-                 "zcl_product is not the product of the zcl_witness chain",
-                 id="zcl-product-forged"),
-    pytest.param(lambda led: dataclasses.replace(led, zcl_product=led.zcl_product.coords),
-                 "zcl_product is not the product of the zcl_witness chain",
-                 id="zcl-product-as-coordinates"),
+    # the report prints the Massey scan beside the ledger section
     pytest.param(lambda led: dataclasses.replace(led, massey_cosets=()),
                  "massey_cosets are not the Massey scan of the ring up to massey_cap 8",
                  id="massey-cosets-empty"),
@@ -1251,6 +1278,75 @@ def test_replay_names_non_rational_and_malformed_fields(rings, kunneth_of, ledge
     assert replay_ledger(led, rings["even7"], kunneth_of("even7"))
     with pytest.raises(ValueError, match=reason):
         replay_ledger(forge(led), rings["even7"], kunneth_of("even7"))
+
+
+def _edit_first_tc_class(**fields):
+    """A forgery that rewrites fields of the first tc fact's class."""
+    return _edit_first_tc_fact(lambda f: dataclasses.replace(
+        f, cls=dataclasses.replace(f.cls, **fields)))
+
+
+def _edit_first_tc_tag(tag):
+    """A forgery that replaces the evidence tag of the first tc fact."""
+    return _edit_first_tc_fact(lambda f: dataclasses.replace(f, inputs=(tag,) + f.inputs[1:]))
+
+
+@pytest.mark.parametrize("forge, reason", [
+    pytest.param(_edit_first_tc_tag(["bar"]),
+                 r"failed replay: unknown rule/evidence combination R1/\['bar'\]",
+                 id="evidence-tag-as-a-list"),
+    pytest.param(_edit_first_tc_tag({"bar": 1}),
+                 r"failed replay: unknown rule/evidence combination R1/\{'bar': 1\}",
+                 id="evidence-tag-as-a-dict"),
+    pytest.param(lambda led: dataclasses.replace(led, cat_facts=list(led.cat_facts)),
+                 "the cat pool is a list, not a tuple of facts", id="pool-as-a-list"),
+    pytest.param(lambda led: dataclasses.replace(led, tc_facts=led.tc_facts + (led.tc_facts[0].key,)),
+                 "the tc pool holds a tuple, not a WeightFact", id="pool-entry-is-a-key"),
+    pytest.param(_edit_first_tc_class(degree=[2]),
+                 r"the class of fact \('tc', \[2\], .*\) is not a class of degree 1\.\.16",
+                 id="class-degree-as-a-list"),
+    pytest.param(_edit_first_tc_class(dim="2"),
+                 r"the class of fact \('tc', 2, .*\) is not a class of degree 1\.\.16",
+                 id="class-dim-as-a-string"),
+    pytest.param(_edit_first_tc_class(pairs=((0,),)),
+                 r"the class of fact \('tc', 2, \(\(0,\),\)\) is not a class of degree 1\.\.16",
+                 id="class-pair-without-a-coefficient"),
+])
+def test_replay_names_malformed_fact_records(rings, kunneth_of, ledger_of, forge, reason):
+    # each of these escaped replay as a TypeError, an AttributeError or an
+    # unnamed ValueError before the pools and their classes were checked
+    # ahead of the fact keys
+    with pytest.raises(ValueError, match=reason):
+        replay_ledger(forge(ledger_of("even7")), rings["even7"], kunneth_of("even7"))
+
+
+def _chain_certificates(rule, edit):
+    """A forgery that replaces the certificates of one rule by ``edit`` of them."""
+    return lambda led: dataclasses.replace(led, certificates=tuple(
+        c for c in led.certificates if c["rule"] != rule) + edit(tuple(
+            c for c in led.certificates if c["rule"] == rule)))
+
+
+@pytest.mark.parametrize("forge, reason", [
+    pytest.param(_chain_certificates("cup-chain", lambda certs: certs * 2),
+                 "ledger has 2 cup-chain certificates, not one", id="second-cup-chain"),
+    pytest.param(_chain_certificates("zcl-chain", lambda certs: certs * 2),
+                 "ledger has 2 zcl-chain certificates, not one", id="second-zcl-chain"),
+    pytest.param(_chain_certificates("cup-chain", lambda certs: ()),
+                 "ledger has 0 cup-chain certificates, not one", id="no-cup-chain"),
+    pytest.param(_chain_certificates("zcl-chain", lambda certs: ()),
+                 "ledger has 0 zcl-chain certificates, not one", id="no-zcl-chain"),
+])
+def test_replay_needs_one_chain_certificate_of_each_kind(rings, kunneth_of, ledger_of,
+                                                         forge, reason):
+    # the witnesses and lengths are read off these certificates; a second
+    # cup-chain replayed as valid, and without one the weighted product
+    # still gives even7 a lower bound of each kind
+    bad = forge(ledger_of("even7"))
+    assert {(c["kind"], c["rule"]) for c in bad.certificates} >= {
+        ("cat", "weighted-product"), ("tc", "weighted-product")}
+    with pytest.raises(ValueError, match=reason):
+        replay_ledger(bad, rings["even7"], kunneth_of("even7"))
 
 
 # ------------------------------------------------- one path, two fibrations
@@ -1293,7 +1389,8 @@ def test_both_fibrations_take_one_lower_bound_path(rings, kunneth_of, ledger_of)
 
 
 def _with_space_dim(led, space_dim):
-    """The ledger with its space_dim and every upper bound rewritten to match."""
+    """The ledger with its space_dim and every upper bound certificate
+    rewritten to match."""
     cat_upper = space_dim + 1
     if any(c["rule"] == "james" for c in led.certificates):
         cat_upper = min(cat_upper, james_upper(space_dim, led.connectivity))
@@ -1301,8 +1398,7 @@ def _with_space_dim(led, space_dim):
                  "james": {"bound": cat_upper},
                  "cat-product": {"bound": 2 * cat_upper - 1, "cat_upper": cat_upper}}
     return dataclasses.replace(
-        led, space_dim=space_dim, cat_upper=cat_upper, tc_upper=2 * cat_upper - 1,
-        certificates=tuple({**c, **rewritten.get(c["rule"], {})} for c in led.certificates))
+        led, space_dim=space_dim, certificates=tuple({**c, **rewritten.get(c["rule"], {})} for c in led.certificates))
 
 
 def test_replay_checks_the_recorded_space_dim():

@@ -26,8 +26,8 @@ from masseytc.cli import main
 from masseytc.dga import Cochain, Generator, compile_cdga, normalize_presentation
 from masseytc.dsl import parse_model
 from masseytc.linalg import Subspace, kernel, rank
-from oracles import (check_kunneth, eager_tensor_tables, span_of_products, tensor_cochain,
-                     zero_class, zero_divisor_ideal)
+from oracles import (check_kunneth, eager_tensor_tables, from_coords, span_of_products,
+                     tensor_cochain, zero_class, zero_divisor_ideal)
 from test_cli import STRESS_NIL_SRC
 
 POLY4_SRC = """\
@@ -116,7 +116,7 @@ def test_class_of_is_representative_independent(dgas, rings):
     base = ring.class_of(mu)
     assert not base.is_zero()
     for _ in range(100):
-        w = Cochain.from_coords(6, [rng.randint(-4, 4) for _ in range(m.dim(6))])
+        w = from_coords(Cochain, 6, [rng.randint(-4, 4) for _ in range(m.dim(6))])
         assert ring.class_of(mu.add(m.d(w))) == base
 
 
@@ -207,7 +207,7 @@ def test_cup_checked_flags_a_factor_above_the_truncation():
     ring = CohomologyRing(compile_cdga(parse_model(
         "algebra big {\n  truncate 4\n  generator x degree 3\n"
         "  generator y degree 2\n  alias big = x*y\n}\n")))
-    big, y = ring.class_of(Cochain.from_coords(5, ())), ring.named_class("y")
+    big, y = ring.class_of(from_coords(Cochain, 5, ())), ring.named_class("y")
     assert big.degree == 5 and big.is_zero()
     for left, right in ((big, y), (y, big), (big, big)):
         assert ring.cup_checked(left, right)[1]

@@ -16,6 +16,7 @@ from masseytc.dga import Cochain
 from masseytc.linalg import Subspace
 from masseytc.massey import massey_triple, massey_value_from_cocycles, scan_triples
 from oracles import (
+    from_coords,
     left_annihilator,
     massey_value_from_witnesses,
     right_annihilator,
@@ -92,10 +93,10 @@ def test_borromean_triple_products(rings, dgas):
     assert m1.mu == dga.basis_cochain(1, 5)   # y3 kills x1*x2
     assert m1.lam == dga.basis_cochain(1, 3)  # y1 kills x2*x3
     # value x1*y1 - x3*y3 over the degree-2 monomial basis
-    g1_cochain = Cochain.from_coords(2, [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0])
+    g1_cochain = from_coords(Cochain, 2, [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0])
     assert m1.value == r.class_of(g1_cochain)
     m2 = massey_triple(r, u, w, v)
-    g2_cochain = Cochain.from_coords(2, [0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0])
+    g2_cochain = from_coords(Cochain, 2, [0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0])
     assert m2.value == r.class_of(g2_cochain)
     assert m2.indeterminacy.is_zero()
     assert m1.is_nonzero() and m2.is_nonzero()
@@ -270,9 +271,9 @@ def test_multi_identities_randomized(rings):
         n = r.dim(deg)
         for _ in range(12):
             coords = lambda: tuple(rng.randint(-3, 3) for _ in range(n))
-            alpha = CohClass.from_coords(deg, coords())
-            beta = CohClass.from_coords(deg, coords())
-            gamma = CohClass.from_coords(deg, coords())
+            alpha = from_coords(CohClass, deg, coords())
+            beta = from_coords(CohClass, deg, coords())
+            gamma = from_coords(CohClass, deg, coords())
             # every pairwise product in these degrees vanishes, so defined
             rep = verify_multi_identities(r, alpha, beta, gamma, rng)
             assert all(rep.values()), (name, rep)
@@ -303,7 +304,7 @@ def test_external_vanishing_randomized(rings, kunneth_of):
     one = r.basis_class(0, 0)
 
     def h1():
-        return CohClass.from_coords(1, tuple(rng.randint(-3, 3) for _ in range(3)))
+        return from_coords(CohClass, 1, tuple(rng.randint(-3, 3) for _ in range(3)))
 
     for _ in range(40):
         if rng.random() < 0.5:

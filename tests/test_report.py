@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from masseytc import cli, report
-from masseytc.bounds import zero_divisors_cup_length
+from masseytc.bounds import chain_product, zero_divisors_cup_length
 from masseytc.cohomology import CohomologyRing
 from masseytc.dga import DGA, compile_cdga
 from masseytc.dsl import parse_model
@@ -30,12 +30,13 @@ algebra t3 {
 """
 
 
-def full_payload(name, rings, ledger_of):
-    ring, led = rings[name], ledger_of(name)
+def full_payload(name, rings, kunneth_of, ledger_of):
+    """The payload of ``bounds``, the zcl product folded from the witness."""
+    ring, ht, led = rings[name], kunneth_of(name).ht, ledger_of(name)
     return report.build_payload(
         ring,
         massey=report.massey_section(ring, led.massey_cosets),
-        zcl=report.zcl_section(led.zcl, led.zcl_witness, led.zcl_product),
+        zcl=report.zcl_section(led.zcl, led.zcl_witness, chain_product(ht, led.zcl_witness)),
         weights=report.weights_section(led),
         ledger=report.ledger_section(led),
     )
@@ -152,9 +153,9 @@ def test_undefined_entry_keeps_null_fields(rings):
 
 
 def test_zcl_section_matches_direct_computation(kunneth_of, ledger_of):
-    led = ledger_of("spheres8")
-    z = report.zcl_section(led.zcl, led.zcl_witness, led.zcl_product)
-    k, chain, prod = zero_divisors_cup_length(kunneth_of("spheres8"))
+    led, kmap = ledger_of("spheres8"), kunneth_of("spheres8")
+    z = report.zcl_section(led.zcl, led.zcl_witness, chain_product(kmap.ht, led.zcl_witness))
+    k, chain, prod = zero_divisors_cup_length(kmap)
     assert z["zcl"] == k == 2
     assert len(z["witness"]) == 2
     assert z["product"] == [prod.degree, [str(c) for c in prod.coords]]
@@ -179,15 +180,15 @@ def test_ledger_section_drops_the_fact_pools(ledger_of):
 
 
 @pytest.mark.parametrize("name", ["spheres8", "borromean", "even7"])
-def test_full_report_is_byte_deterministic(name, rings, ledger_of):
-    a = full_payload(name, rings, ledger_of)
-    b = full_payload(name, rings, ledger_of)
+def test_full_report_is_byte_deterministic(name, rings, kunneth_of, ledger_of):
+    a = full_payload(name, rings, kunneth_of, ledger_of)
+    b = full_payload(name, rings, kunneth_of, ledger_of)
     assert report.render_json(a) == report.render_json(b)
     assert report.render_text(a) == report.render_text(b)
 
 
-def test_json_rendering_is_canonical(rings, ledger_of):
-    payload = full_payload("spheres8", rings, ledger_of)
+def test_json_rendering_is_canonical(rings, kunneth_of, ledger_of):
+    payload = full_payload("spheres8", rings, kunneth_of, ledger_of)
     out = report.render_json(payload)
     # one compact line: its only newline is the final one
     assert out.endswith("\n") and out.count("\n") == 1
@@ -197,8 +198,8 @@ def test_json_rendering_is_canonical(rings, ledger_of):
     assert json.dumps(parsed, separators=(",", ":"), sort_keys=True) + "\n" == out
 
 
-def test_text_report_lines(rings, ledger_of):
-    txt = report.render_text(full_payload("spheres8", rings, ledger_of))
+def test_text_report_lines(rings, kunneth_of, ledger_of):
+    txt = report.render_text(full_payload("spheres8", rings, kunneth_of, ledger_of))
     assert "model spheres8: truncation 8, space dimension 8, simply connected" in txt
     assert "H^* dimensions: 1 0 0 2 0 0 0 0 2" in txt
     assert "cat lower 3, cat upper 3" in txt
@@ -215,8 +216,8 @@ def test_text_report_skips_missing_sections(rings):
     assert txt.startswith("model s2:")
 
 
-def test_text_mentions_rudyak_certificate(rings, ledger_of):
-    txt = report.render_text(full_payload("borromean", rings, ledger_of))
+def test_text_mentions_rudyak_certificate(rings, kunneth_of, ledger_of):
+    txt = report.render_text(full_payload("borromean", rings, kunneth_of, ledger_of))
     assert "massey-rudyak -> tc >= 4" in txt
     assert "TC lower 4, TC upper 5" in txt
 

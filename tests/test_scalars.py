@@ -2,13 +2,13 @@
 ``Fraction`` only when it has a denominator, never a float or a bool.
 
 Checks the rule on everything a ring, its square and a ledger keep (the
-Massey scan and the zcl product included), and that every class and
-cochain kept there stores its pairs in canonical form; the JSON form of
-coordinates; and, on the engine's source, that no float division is left,
-that no module but ``linalg`` builds a dense vector, that cochains and
-classes add nothing to their shared record, that no ``json.dumps`` passes
-``indent``, that no import is unused, and that every definition has a
-caller in ``src/`` or ``bench/``.
+Massey scan and the zcl product folded from its witness included), and
+that every class and cochain kept there stores its pairs in canonical
+form; the JSON form of coordinates; and, on the engine's source, that no
+float division is left, that no module but ``linalg`` builds a dense
+vector, that cochains and classes add nothing to their shared record,
+that no ``json.dumps`` passes ``indent``, that no import is unused, and
+that every definition has a caller in ``src/`` or ``bench/``.
 """
 
 import ast
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import masseytc
-from masseytc.bounds import WeightFact, build_ledger
+from masseytc.bounds import WeightFact, build_ledger, chain_product
 from masseytc.cohomology import CohClass, CohomologyRing, DegreePart, KunnethMap
 from masseytc.dga import Cochain, compile_cdga
 from masseytc.dsl import parse_model
@@ -26,7 +26,7 @@ from masseytc.linalg import GradedVector, SparseMatrix, Subspace, inverse, scala
 from masseytc.massey import MasseyCoset
 from masseytc.models import MODEL_SOURCES
 from masseytc.report import _class_json, _fact_json, _jsonify
-from oracles import is_canonical, product_table
+from oracles import from_coords, is_canonical, product_table
 from test_bench_tracer import BENCH
 from test_cli import STRESS_NIL_SRC
 
@@ -90,7 +90,7 @@ def test_every_kept_value_is_an_int_or_a_proper_fraction(name):
     kept = (dga_tables(ring.dga) + dga_tables(kmap.ht.dga) + ring_tables(ring)
             + ring_tables(kmap.ht)
             + [ledger.cat_facts, ledger.tc_facts, ledger.certificates,
-               ledger.massey_cosets, ledger.zcl_product])
+               ledger.massey_cosets, chain_product(kmap.ht, ledger.zcl_witness)])
     classes = []
     values = list(numbers(kept, classes))
     bad = [v for v in values if not is_scalar(v)]
@@ -123,17 +123,19 @@ def test_scalar_and_inverse_follow_the_rule():
 def test_jsonify_writes_coordinates_as_strings_and_keeps_numbers():
     key = ("tc", 3, (1, 0, Fraction(-1, 2)))
     cert = {"rule": "weighted-product", "kind": "tc", "bound": 5,
-            "factors": (key, key), "product": (6, (2, 0, Fraction(1, 3)))}
+            "factors": (key, key), "product": from_coords(CohClass, 6, (2, 0, Fraction(1, 3)))}
     assert _jsonify(cert) == {
         "rule": "weighted-product", "kind": "tc", "bound": 5,
         "factors": [["tc", 3, ["1", "0", "-1/2"]]] * 2,
         "product": [6, ["2", "0", "1/3"]]}
+    # a class is written as the (degree, coords) record a ledger once held
     witness = ((2, (1, -2)), (3, (Fraction(2, 3),)))
-    assert _jsonify(witness) == [[2, ["1", "-2"]], [3, ["2/3"]]]
-    assert _class_json(CohClass.from_coords(2, (0, Fraction(-1, 2), 0, 7))) == [
+    classes = tuple(from_coords(CohClass, d, coords) for d, coords in witness)
+    assert _jsonify(classes) == _jsonify(witness) == [[2, ["1", "-2"]], [3, ["2/3"]]]
+    assert _class_json(from_coords(CohClass, 2, (0, Fraction(-1, 2), 0, 7))) == [
         2, ["0", "-1/2", "0", "7"]]
     assert _class_json(CohClass(1, 2, ())) == [1, ["0", "0"]]
-    fact = WeightFact("tc", CohClass.from_coords(3, (1, Fraction(3, 2))), 2, "R4-transfer",
+    fact = WeightFact("tc", from_coords(CohClass, 3, (1, Fraction(3, 2))), 2, "R4-transfer",
                       ("transfer", ("cat", 3, (2, 0)), 2))
     assert _fact_json(fact) == {
         "kind": "tc", "degree": 3, "coords": ["1", "3/2"], "weight": 2,
