@@ -177,6 +177,13 @@ def zero_divisors_cup_length(kmap: KunnethMap) -> tuple:
 # ------------------------------------------------------------ weight rules
 
 
+def nonzero_products(ring: CohomologyRing, i: int, j: int) -> bool:
+    """Whether some product H^i * H^j is nonzero, read off the cup table
+    up to its first nonzero basis entry."""
+    cup = ring.cup_basis
+    return any(cup(i, a, j, b) for a in range(ring.dim(i)) for b in range(ring.dim(j)))
+
+
 def transfer_weight(ring: CohomologyRing, kmap: KunnethMap,
                     fact: WeightFact, k: int) -> tuple:
     """Try to move a category weight onto the bar of its class (rule R4).
@@ -199,8 +206,9 @@ def transfer_weight(ring: CohomologyRing, kmap: KunnethMap,
     lo, hi = k * (r + 1), (k + 1) * (r + 1)
     if not (lo <= ell < hi):
         return None, f"degree {ell} misses the window [{lo}, {hi}) for weight {k}"
-    for i in range(1, ell):
-        if ring.dim(i) and ring.dim(ell - i) and ring.products(i, ell - i).dim:
+    # H^i * H^(l-i) = H^(l-i) * H^i, so the first nonzero one has i <= l/2
+    for i in range(1, ell // 2 + 1):
+        if nonzero_products(ring, i, ell - i):
             return None, (f"cup products H^{i} * H^{ell - i} are nonzero, "
                           f"so degree {ell} is not product-free")
     b = bar(kmap, fact.cls)
@@ -382,12 +390,13 @@ LOWER_RULES = tuple(rule for rule, (_, side, _) in _RULES.items() if side == "lo
 _EVIDENCE_ENTRIES = {"basis": 0, "bar": 1, "massey": 3, "transfer": 2}
 
 
-def _recorded_class(rg: CohomologyRing, cls, record: str) -> CohClass:
+def _recorded_class(rg: CohomologyRing, cls, record: str, *parts) -> CohClass:
     """The one check of a class a ledger record holds: a CohClass whose
     degree is an int in 1..N of ``rg``, whose ``dim`` is dim H^degree and
     whose pairs each give an index below ``dim`` and an int or a Fraction.
     Returns it in canonical pairs, as its JSON form writes it; otherwise
-    raises a ValueError that names ``record``."""
+    raises a ValueError that names the record, ``record.format(*parts)``,
+    rendered only then, since a fact key renders at the size of its ring."""
     try:
         if (type(cls) is CohClass and type(cls.degree) is int
                 and 1 <= cls.degree <= rg.truncation
@@ -397,7 +406,7 @@ def _recorded_class(rg: CohomologyRing, cls, record: str) -> CohClass:
             return CohClass(cls.degree, cls.dim, _canonical(dict(cls.pairs)))
     except (TypeError, ValueError):
         pass
-    raise ValueError(f"{record} is not a class of degree 1..{rg.truncation} "
+    raise ValueError(f"{record.format(*parts)} is not a class of degree 1..{rg.truncation} "
                      "with one rational coordinate per basis class")
 
 
@@ -500,6 +509,10 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         raise ValueError(f"space_dim {ledger.space_dim!r} is not the model's {_space_dim(ring)}")
     if type(ledger.connectivity) is not int or ledger.connectivity != ring.connectivity():
         raise ValueError("connectivity changed under replay")
+    # the bounds and witnesses are properties that read the certificates
+    if type(ledger.certificates) is not tuple:
+        raise ValueError(f"the certificates field is of type {type(ledger.certificates).__name__}, "
+                         "not a tuple of rule dictionaries")
 
     def fail(f, msg):
         raise ValueError(f"fact {f.key} failed replay: {msg}")
@@ -517,8 +530,8 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             if type(f.cls) is not CohClass:
                 raise ValueError(f"a {f.kind} fact holds its class as a {type(f.cls).__name__}, "
                                  "not a CohClass")
-            cls = _recorded_class(ring if f.kind == "cat" else ht, f.cls,
-                                  f"the class of fact {(f.kind, f.cls.degree, f.cls.pairs)}")
+            cls = _recorded_class(ring if f.kind == "cat" else ht, f.cls, "the class of fact {}",
+                                  (f.kind, f.cls.degree, f.cls.pairs))
             if cls.is_zero():
                 fail(f, "class is zero")
             if _normalize_class(cls) != f.cls:
@@ -548,13 +561,13 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             if f.kind != "cat" or f.weight != 1:
                 fail(f, "R1 basis facts are category weight 1")
         elif f.rule == "R1" and tag == "bar":
-            b = bar(kmap, _recorded_class(ring, f.inputs[1], f"the bar evidence of fact {f.key}"))
+            b = bar(kmap, _recorded_class(ring, f.inputs[1], "the bar evidence of fact {.key}", f))
             if _normalize_class(b) != f.cls or f.weight != 1:
                 fail(f, "bar does not reproduce the recorded class at weight 1")
             if not kmap.diagonal_map(f.cls).is_zero():
                 fail(f, "recorded class is not a zero-divisor")
         elif f.rule == "R3" and tag == "massey":
-            classes = [_recorded_class(rg, x, f"the massey evidence of fact {f.key}")
+            classes = [_recorded_class(rg, x, "the massey evidence of fact {.key}", f)
                        for x in f.inputs[1:]]
             coset = massey_triple(rg, *classes)
             if coset.target_degree > cap:
@@ -630,7 +643,7 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             chain = cert["chain"]
             if not isinstance(chain, (list, tuple)):
                 raise ValueError(f"the chain of the {rule} certificate is not a list of classes")
-            chain = [_recorded_class(rg, c, f"factor {i} of the {rule} certificate")
+            chain = [_recorded_class(rg, c, "factor {} of the {} certificate", i, rule)
                      for i, c in enumerate(chain)]
             if kind == "tc" and not all(kmap.diagonal_map(c).is_zero() for c in chain):
                 raise ValueError("zcl-chain factor is not a zero-divisor")
@@ -641,8 +654,8 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             prod = chain_product(rg, [f.cls for f in facts])
             if prod.is_zero():
                 raise ValueError("weighted product vanished on replay")
-            recorded = _recorded_class(rg, cert["product"],
-                                       f"the product of the {kind} {rule} certificate")
+            recorded = _recorded_class(rg, cert["product"], "the product of the {} {} certificate",
+                                       kind, rule)
             if prod != recorded:
                 raise ValueError("weighted product differs from the record")
             if bound != sum(f.weight for f in facts) + 1:

@@ -55,8 +55,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dga import DGA, Cochain, PairBasis, tensor
-from .linalg import (ONE, GradedVector, PrefactoredSolver, SparseMatrix, Subspace, bilinear,
-                     kernel, scalar)
+from .linalg import (ONE, ZERO, GradedVector, PrefactoredSolver, SparseMatrix, Subspace,
+                     _canonical, _check_indices, bilinear, kernel, scalar)
 
 
 class CohClass(GradedVector):
@@ -97,7 +97,6 @@ class CohomologyRing:
         self._names = {}
         self._cup_memo = {}
         self._cup_chain = None
-        self._products = {}
         self._multiples = {}
         self._indeterminacies = {}  # see massey.massey_indeterminacy
         self._witnesses = {}  # see massey._product_witness
@@ -361,15 +360,6 @@ class CohomologyRing:
                      and not any(c.degree <= self.truncation and c.is_zero() for c in (c1, c2)))
         return prod, truncated
 
-    def products(self, k1: int, k2: int) -> Subspace:
-        """Span of all products H^k1 * H^k2 in H^(k1+k2), which by graded
-        commutativity is also H^k2 * H^k1; memoized per unordered pair."""
-        key = (k1, k2) if k1 <= k2 else (k2, k1)
-        hit = self._products.get(key)
-        if hit is None:
-            hit = self._products[key] = self.product_span(k1, Subspace.full(self.dim(k1)), k2)
-        return hit
-
     def multiples(self, cls: CohClass, k: int) -> Subspace:
         """Span of cls * H^k in H^(|cls|+k), which by graded commutativity
         is also the span of H^k * cls; memoized per class and degree."""
@@ -514,7 +504,6 @@ class KunnethMap:
         self.hb = hb
         self.ht = CohomologyRing(tensor(ha.dga, hb.dga), (ha, hb))
         self.pairs = self.ht.pairs
-        self._multiplication = {}
 
     def cross(self, a: CohClass, b: CohClass) -> CohClass:
         k = a.degree + b.degree
@@ -527,20 +516,17 @@ class KunnethMap:
         """
         return {self.pairs.pair(c.degree, i): v for i, v in c.pairs}
 
-    def multiplication(self, k: int) -> SparseMatrix:
-        """The multiplication map H^k(A (x) A) -> H^k(A), x (x) y -> x cup y,
-        of a self-tensor: column (p, i, j) is e_i cup e_j; memoized."""
+    def diagonal_map(self, c: CohClass) -> CohClass:
+        """Multiplication map on a self-tensor: x (x) y -> x cup y, the sum
+        of the base ring's table entries e_i cup e_j over the class's pairs
+        (p, i, j)."""
         if self.ha is not self.hb:
             raise ValueError("the multiplication map needs both factors to be the same ring")
-        hit = self._multiplication.get(k)
-        if hit is None:
-            cup = self.ha.cup_basis
-            hit = self._multiplication[k] = SparseMatrix(self.ha.dim(k), self.ht.dim(k), tuple(
-                cup(p, i, k - p, j) for p, _, rows, width in self.pairs.blocks(k)
-                for i in range(rows) for j in range(width)))
-        return hit
-
-    def diagonal_map(self, c: CohClass) -> CohClass:
-        """Multiplication map on a self-tensor: x (x) y -> x cup y."""
-        m = self.multiplication(c.degree)
-        return CohClass(c.degree, m.rows, m.apply(c.pairs))
+        k = c.degree
+        _check_indices(c.pairs, self.ht.dim(k))
+        cup, pair, out = self.ha.cup_basis, self.pairs.pair, {}
+        for idx, v in c.pairs:
+            p, i, j = pair(k, idx)
+            for r, x in cup(p, i, k - p, j):
+                out[r] = out.get(r, ZERO) + v * x
+        return CohClass(k, self.ha.dim(k), _canonical(out))

@@ -31,10 +31,11 @@ and are kept here, next to the tests that use them:
 * ``TuplePairBasis``, the pair layout of a square held as a tuple of every
   pair and a position dict per degree, as the engine once built it: the
   oracle for ``PairBasis``'s block arithmetic;
-* ``zero_divisor_ideal``, the kernel of the multiplication map of a
-  square in closed form, and ``zcl_by_ideal_search``, which picks the zcl
-  witness by a second chain search over the ideal's basis, as the engine
-  did before it kept the witness of its search over the bars;
+* ``multiplication``, the multiplication map of a square as one matrix
+  per degree, ``zero_divisor_ideal``, its kernel in closed form, and
+  ``zcl_by_ideal_search``, which picks the zcl witness by a second chain
+  search over the ideal's basis, as the engine did before it kept the
+  witness of its search over the bars;
 * ``indecomposables_all_pairs``, the indecomposables read off the
   decomposables D^d spanned by every product H^i H^(d-i), as the engine
   found them before it spanned D^d from the indecomposables below d, and
@@ -478,7 +479,7 @@ def indecomposables_all_pairs(ring: CohomologyRing) -> list:
         dec = Subspace.zero(n)
         for i in range(1, d):
             if dims[i] and dims[d - i]:
-                dec = dec.add(ring.products(i, d - i))
+                dec = dec.add(ring.product_span(i, Subspace.full(dims[i]), d - i))
         pivots = set(dec.pivots)
         out.extend(ring.basis_class(d, j) for j in range(n) if j not in pivots)
     return out
@@ -864,6 +865,17 @@ def verify_external_vanishing(kmap: KunnethMap,
 # ------------------------------------------------------------ zero-divisors
 
 
+def multiplication(kmap: KunnethMap, k: int) -> SparseMatrix:
+    """The multiplication map H^k(A (x) A) -> H^k(A), x (x) y -> x cup y,
+    of a self-tensor as a matrix: column (p, i, j) is e_i cup e_j, read off
+    the base ring's product table, as the engine held it per degree before
+    ``KunnethMap.diagonal_map`` read the table per pair."""
+    cup = kmap.ha.cup_basis
+    return SparseMatrix(kmap.ha.dim(k), kmap.ht.dim(k), tuple(
+        cup(p, i, k - p, j) for p, _, rows, width in kmap.pairs.blocks(k)
+        for i in range(rows) for j in range(width)))
+
+
 def zero_divisor_ideal(kmap: KunnethMap) -> dict:
     """Kernel of the multiplication map m per positive degree, in closed form.
 
@@ -885,7 +897,7 @@ def zero_divisor_ideal(kmap: KunnethMap) -> dict:
                          f"not of dimension {kmap.ha.dim(0)}")
     out = {}
     for ell in range(1, kmap.ht.truncation + 1):
-        m = kmap.multiplication(ell)
+        m = multiplication(kmap, ell)
         s = m.cols - m.rows  # the pairs before the block (ell, i, 0)
         if s:
             cols = tuple(((t, ONE),) + tuple((s + i, -v) for i, v in m.nonzero_columns[t])

@@ -26,12 +26,14 @@ from masseytc.bounds import (
     InconsistentBounds,
     WeightFact,
     _normalize_class,
+    _recorded_class,
     bar,
     build_ledger,
     cat_weight_facts,
     cup_chain,
     indecomposables,
     james_upper,
+    nonzero_products,
     replay_ledger,
     rudyak_lower_bound,
     tc_weight_facts,
@@ -46,9 +48,9 @@ from masseytc.linalg import Subspace, kernel, scalar
 from masseytc.massey import massey_triple, scan_triples
 from masseytc.models import MODEL_SOURCES
 from conftest import S2_SRC
-from oracles import from_coords, zcl_by_ideal_search, zero_divisor_ideal
+from oracles import from_coords, multiplication, zcl_by_ideal_search, zero_divisor_ideal
 from test_bench_tracer import load_bench
-from test_cli import STRESS_NIL_SRC
+from test_cli import STRESS_NIL_SRC, six_src
 from test_cohomology import POLY4_SRC, _stress_ring, ideal_powers_length, random_presentations
 
 ALL_MODELS = ("spheres8", "borromean", "even7", "odd11", "s3", "s2", "point")
@@ -137,7 +139,7 @@ def _square_of(kunneth_of, name):
 @pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress", "s2"])
 def test_closed_form_ideal_is_the_kernel_of_the_multiplication_map(kunneth_of, name):
     km = _square_of(kunneth_of, name)
-    maps = [km.multiplication(ell) for ell in range(1, km.ht.truncation + 1)]
+    maps = [multiplication(km, ell) for ell in range(1, km.ht.truncation + 1)]
     if name == "stress":
         assert any(type(v) is Fraction for m in maps for col in m.nonzero_columns for _, v in col)
     kernels = {ell: kernel(m) for ell, m in enumerate(maps, 1)}
@@ -148,7 +150,7 @@ def test_closed_form_ideal_is_the_kernel_of_the_multiplication_map(kunneth_of, n
 def test_closed_form_ideal_runs_no_elimination(kunneth_of, monkeypatch, name):
     km = _square_of(kunneth_of, name)
     for ell in range(1, km.ht.truncation + 1):
-        km.multiplication(ell)
+        multiplication(km, ell)
     eliminations = []
     echelon = masseytc.linalg._echelon_columns
 
@@ -626,7 +628,9 @@ def test_cup_length_search_runs_once_per_ring(dgas, monkeypatch):
     assert searched == [ring]
 
 
-def test_full_product_spans_are_computed_once_per_ring(dgas, monkeypatch):
+def test_transfer_tests_form_no_product_span(dgas, monkeypatch):
+    # the product-free test reads the cup table up to its first nonzero
+    # entry, and the indecomposables span D^d from table entries too
     spans = []
     product_span = CohomologyRing.product_span
 
@@ -643,7 +647,33 @@ def test_full_product_spans_are_computed_once_per_ring(dgas, monkeypatch):
              for d in range(1, ring.truncation + 1) for i in range(ring.dim(d))]
     reasons = [transfer_weight(ring, km, f, k)[1] for f in facts for k in (1, 2, 3)]
     assert None in reasons and any(r and "product-free" in r for r in reasons)
-    assert spans and len(spans) == len(set(spans))
+    assert spans == []
+
+
+@pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress", "six8"])
+def test_product_free_verdicts_match_the_product_spans(rings, name):
+    if name == "stress":
+        ring = _stress_ring("general")
+    elif name == "six8":
+        ring = CohomologyRing(compile_cdga(parse_model(six_src(8))))
+    else:
+        ring = rings[name]
+    km = KunnethMap(ring, ring)
+    # every degree's verdict, and transfer_weight's on a fact of that
+    # degree wherever the earlier hypotheses hold
+    width = ring.connectivity() + 1
+    for ell in range(2, ring.truncation + 1):
+        nonzero = [i for i in range(1, ell) if ring.product_span(
+            i, Subspace.full(ring.dim(i)), ell - i).dim > 0]
+        assert [i for i in range(1, ell) if nonzero_products(ring, i, ell - i)] == nonzero
+        if not ring.dim(ell):
+            continue
+        fact = WeightFact("cat", ring.basis_class(ell, 0), ell, "R1", ("class",))
+        reason = transfer_weight(ring, km, fact, ell // width)[1]
+        if reason is None or "product-free" in reason:
+            i = nonzero[0] if nonzero else None
+            assert reason == (i and f"cup products H^{i} * H^{ell - i} are nonzero, "
+                                    f"so degree {ell} is not product-free"), ell
 
 
 @pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11"])
@@ -1269,6 +1299,13 @@ def _coords_as(convert):
                  "massey_cosets are not the Massey scan", id="massey-cosets-one-dropped"),
     pytest.param(lambda led: dataclasses.replace(led, massey_cosets=list(led.massey_cosets)),
                  "massey_cosets are not the Massey scan", id="massey-cosets-as-a-list"),
+    # the bounds and witnesses read the certificates, so they are checked first
+    pytest.param(lambda led: dataclasses.replace(led, certificates=None),
+                 "the certificates field is of type NoneType, not a tuple of rule dictionaries",
+                 id="certificates-none"),
+    pytest.param(lambda led: dataclasses.replace(led, certificates=5),
+                 "the certificates field is of type int, not a tuple of rule dictionaries",
+                 id="certificates-as-an-int"),
 ])
 def test_replay_names_non_rational_and_malformed_fields(rings, kunneth_of, ledger_of,
                                                         forge, reason):
@@ -1278,6 +1315,22 @@ def test_replay_names_non_rational_and_malformed_fields(rings, kunneth_of, ledge
     assert replay_ledger(led, rings["even7"], kunneth_of("even7"))
     with pytest.raises(ValueError, match=reason):
         replay_ledger(forge(led), rings["even7"], kunneth_of("even7"))
+
+
+class _Unprintable:
+    """A record part whose rendering fails."""
+
+    def __format__(self, spec):
+        raise AssertionError("a record part was rendered")
+
+
+def test_recorded_class_renders_its_record_only_on_refusal(rings):
+    ring = rings["even7"]
+    cls = ring.basis_class(2, 0)
+    assert _recorded_class(ring, cls, "the record {} of {}", _Unprintable(), 0) == cls
+    with pytest.raises(ValueError, match=r"^the record \('tc', 2\) of fact 7 is not a class"):
+        _recorded_class(ring, CohClass(2, 5, ((0, 1),)), "the record {} of fact {}",
+                        ("tc", 2), 7)
 
 
 def _edit_first_tc_class(**fields):
@@ -1488,3 +1541,29 @@ def test_a_change_of_generators_keeps_the_certified_cat():
     cats = {led.cat_lower for plane in ("general", "special")
             for _, _, led in _stress_variants(plane)}
     assert len(cats) == 1, cats
+
+
+# T^2 plus a contractible pair (d u = v), which leaves the homotopy type
+# alone; plain T^2 certifies TC >= 3 (tests/test_nilmanifolds.py), and
+# TC(T^2) = 3 (Farber, Discrete Comput. Geom. 2003)
+T2PAIR_SRC = """\
+algebra t2pair {
+  truncate 2
+  space-dim 2
+  generator e1 degree 1
+  generator e2 degree 1
+  generator u degree 1
+  generator v degree 2
+  d u = v
+}
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="top-degree classes that die at truncation N + 1 "
+                   "lengthen the zcl chain; ROADMAP item 4 (honesty at the top degree) mends it")
+def test_a_contractible_pair_keeps_the_torus_bounds():
+    # today t2pair certifies zcl 3 and TC >= 4
+    ring = CohomologyRing(compile_cdga(parse_model(T2PAIR_SRC)))
+    led = build_ledger(ring, KunnethMap(ring, ring))
+    assert led.zcl == 2
+    assert led.tc_lower <= 3

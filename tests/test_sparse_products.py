@@ -170,6 +170,9 @@ def test_multiplication_map_matches_the_dense_oracle(kunneth_of, stress_square, 
         classes = [ht.basis_class(k, i) for i in range(ht.dim(k))]
         for c in classes + [random_class(ht, rng, k) for _ in range(5)]:
             assert km.diagonal_map(c) == dense_diagonal_map(km, c), (k, c.coords)
+        outside = CohClass(k, ht.dim(k) + 1, ((ht.dim(k), ONE),))
+        with pytest.raises(ValueError, match="reach outside"):
+            km.diagonal_map(outside)
     assert zero_divisor_ideal(km) == dense_zero_divisor_ideal(km)
 
 
