@@ -61,7 +61,7 @@ from functools import reduce
 from .cohomology import CohClass, CohomologyRing, KunnethMap, cup_chain, heaviest_chain
 from .linalg import Subspace, _canonical, inverse, is_rational
 from .linalg import kernel  # noqa: F401  bench/tests/test_bench_trace.py reads bounds.kernel
-from .massey import massey_triple, scan_triples
+from .massey import OBSTRUCTIONS, MasseyCoset, massey_triple, scan_triples, undefined_triples
 
 
 def _normalize_class(cls: CohClass) -> CohClass:
@@ -348,9 +348,12 @@ class BoundLedger:
     cat_facts: tuple  # WeightFacts sorted by key
     tc_facts: tuple
     certificates: tuple  # rule dictionaries, see replay_ledger
-    # The Massey scan the ledger was built from, kept for the report.  It
-    # follows from the ring and massey_cap, so it stays out of
-    # report.ledger_section and equality; replay_ledger recomputes it.
+    # how many basis triples up to massey_cap are not defined, per obstruction
+    massey_undefined: dict
+    # The defined triples of the Massey scan the ledger was built from,
+    # kept for the report.  They follow from the ring and massey_cap, so
+    # they stay out of report.ledger_section and equality; replay_ledger
+    # recomputes them.
     massey_cosets: tuple = field(compare=False, repr=False)
 
     def _best(self, kind: str, side: str):
@@ -480,6 +483,7 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
         cat_facts=cat_facts,
         tc_facts=tc_facts,
         certificates=tuple(certs),
+        massey_undefined=undefined_triples(ring, cap),
         massey_cosets=cosets,
     )
 
@@ -492,8 +496,9 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
     original search is trusted, each weight is rebuilt from its recorded
     rule, each certificate's product or triple is recomputed, and every
     summary field the ledger section prints is checked against the ring
-    or read off the certificates replayed here.  So is the Massey scan
-    that the report prints beside it.
+    or read off the certificates replayed here.  So is the Massey listing
+    that the report prints beside it: each defined triple's classes and
+    value, and the count of undefined triples per obstruction.
     """
     ht = kmap.ht
     if ledger.model != ring.dga.name:
@@ -698,7 +703,54 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         if cert["rule"] == "cat-product" and (cert["cat_upper"] != ledger.cat_upper
                                               or cert["bound"] != 2 * ledger.cat_upper - 1):
             raise ValueError("cat-product certificate failed replay")
-    if ledger.massey_cosets != tuple(scan_triples(ring, cap)):
-        raise ValueError(f"massey_cosets are not the Massey scan of the ring "
-                         f"up to massey_cap {cap}")
+    _replay_massey_listing(ledger, ring, cap)
     return True
+
+
+def _replay_massey_listing(ledger: BoundLedger, ring: CohomologyRing, cap: int) -> None:
+    """Check what the report prints of the Massey scan: the listed triples
+    and their values against a rescan of the ring, in its order, and the
+    undefined counts against the ring's."""
+    listed = ledger.massey_cosets
+    if type(listed) is not tuple:
+        raise ValueError(f"massey_cosets is a {type(listed).__name__}, "
+                         "not a tuple of Massey cosets")
+    for c in listed:
+        if type(c) is not MasseyCoset:
+            raise ValueError(f"massey_cosets hold a {type(c).__name__}, not a Massey coset")
+    fresh = scan_triples(ring, cap)
+    got = [(c.alpha, c.beta, c.gamma) for c in listed]
+    want = [(c.alpha, c.beta, c.gamma) for c in fresh]
+    if got != want:
+        i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                 min(len(got), len(want)))
+        if i < len(want) and want[i] not in got[i:]:
+            raise ValueError(f"massey_cosets drop the defined triple {_triple(want[i])} "
+                             f"of the ring's scan up to massey_cap {cap}")
+        if i < len(got) and got[i] not in want:
+            raise ValueError(f"massey_cosets list {_triple(got[i])}, which is not a defined "
+                             f"triple of the ring's scan up to massey_cap {cap}")
+        raise ValueError(f"massey_cosets are not in the order of the ring's scan "
+                         f"at entry {i}")
+    for key, c, f in zip(got, listed, fresh):
+        if c.value != f.value:
+            raise ValueError(f"the value of {_triple(key)} is not the ring's")
+        # each class now equals the ring's, but == takes 1.0 and True for 1
+        for x in key + (c.value,):
+            if not (type(x.degree) is int and type(x.dim) is int
+                    and all(type(i) is int and is_rational(v) for i, v in x.pairs)):
+                raise ValueError(f"the listed Massey triple {_triple(key)} holds a class "
+                                 "whose degree, dim or pairs are not ints and rationals")
+    counts = ledger.massey_undefined
+    if (type(counts) is not dict or list(counts) != list(OBSTRUCTIONS)
+            or not all(type(n) is int for n in counts.values())):
+        raise ValueError(f"massey_undefined {counts!r} are not a count per obstruction "
+                         f"{', '.join(OBSTRUCTIONS)}")
+    want_counts = undefined_triples(ring, cap)
+    if counts != want_counts:
+        raise ValueError(f"massey_undefined {counts} are not the ring's counts {want_counts}")
+
+
+def _triple(classes) -> str:
+    """A listed triple as its three records; any record renders."""
+    return "<{!r}, {!r}, {!r}>".format(*classes)

@@ -17,8 +17,14 @@ share alpha, gamma and the degree of beta share one indeterminacy.
 Triples share their witness solves too: the canonical solve of
 rep(x)*rep(y) is memoized on the ring per ordered class pair, so <a,b,c>
 and <a,b,c'> solve d mu = a*b once, and a scan builds each basis class
-once.  The obstruction tests multiply the classes' pairs and build no
-class.
+once.  A defined triple whose target degree has dim H = 0 is the zero
+class and solves nothing.  The obstruction tests multiply the classes'
+pairs and build no class.
+
+A scan of basis triples walks the cup table: b runs over the basis
+classes with a*b = 0 and c over those with b*c = 0, so only defined
+triples become cosets.  The undefined ones are counted per obstruction,
+read off the same table entries.
 
 Truncation honesty: when the target degree falls outside the truncation
 window the triple is reported as undefined with an explicit obstruction
@@ -45,7 +51,10 @@ from .linalg import kernel  # noqa: F401  bench/tests/test_bench_trace.py reads 
 class MasseyCoset:
     """A triple <alpha, beta, gamma>: its witnesses and value when defined,
     else the obstruction; ``indeterminacy`` and ``canonical`` are computed
-    from ``ring`` on first read."""
+    from ``ring`` on first read.  A defined triple whose target degree has
+    dim H = 0 has the zero class as its value and solves no witness:
+    ``mu``, ``lam`` and ``value_cochain`` hold None, as on an undefined
+    triple."""
 
     alpha: CohClass
     beta: CohClass
@@ -99,6 +108,9 @@ def massey_triple(ring: CohomologyRing, alpha: CohClass, beta: CohClass,
     if ring._cup_nonzero(q, beta.pairs, r, gamma.pairs):
         return _undefined(alpha, beta, gamma, "beta*gamma is nonzero")
 
+    if not ring.dim(target):  # the value lies in H^target = 0: no witness is solved
+        return MasseyCoset(alpha, beta, gamma, True, None, None, None, None,
+                           CohClass(target, 0, ()), ring)
     mu, lam = _product_witness(ring, alpha, beta), _product_witness(ring, beta, gamma)
     w = _value(ring.dga, ring.representative(alpha), mu, lam, ring.representative(gamma))
     return MasseyCoset(alpha, beta, gamma, True, None, mu, lam, w, ring.class_of(w), ring)
@@ -158,27 +170,57 @@ def _value(dga: DGA, a: Cochain, mu: Cochain, lam: Cochain, c: Cochain) -> Cocha
     return dga.mul(a, lam).add(dga.mul(mu, c).scale(sign))
 
 
+# the obstructions a basis triple within the truncation can meet, in the
+# order massey_triple tests them
+OBSTRUCTIONS = ("alpha*beta is nonzero", "beta*gamma is nonzero")
+
+
 def scan_triples(ring: CohomologyRing, max_degree: int = None) -> list:
-    """All Massey triples of basis classes with target degree within bounds.
+    """The defined Massey triples of basis classes with target degree
+    within bounds, as cosets, in the order of :func:`_basis_triples`.
 
     Mirrored triples (<c,b,a> versus <a,b,c>) agree up to sign, so only the
-    lexicographically smaller orientation is computed.
+    lexicographically smaller orientation is computed.  The undefined
+    triples are not built; :func:`undefined_triples` counts them.
     """
+    return [massey_triple(ring, a, b, c) for a, b, c in _basis_triples(
+        ring, max_degree, dict.fromkeys(OBSTRUCTIONS, 0))]
+
+
+def undefined_triples(ring: CohomologyRing, max_degree: int = None) -> dict:
+    """How many basis triples within bounds that :func:`scan_triples` leaves
+    out fail at each obstruction, keyed by the obstruction string."""
+    counts = dict.fromkeys(OBSTRUCTIONS, 0)
+    for _ in _basis_triples(ring, max_degree, counts):
+        pass
+    return counts
+
+
+def _basis_triples(ring: CohomologyRing, max_degree, undefined: dict):
+    """Yield the defined basis triples (a, b, c) with target degree at most
+    the cap and (|a|, a) <= (|c|, c), in ascending (|a|, |b|, |c|, a, b, c)
+    order, walking the cup table: b runs over the classes with a*b = 0 and
+    c over those with b*c = 0.  Each undefined triple is added to its
+    obstruction's count in ``undefined``; an a*b != 0 entry counts the
+    whole run of c at once."""
     cap = ring.truncation if max_degree is None else min(max_degree, ring.truncation)
-    out = []
+    cup, (ab, bc) = ring.cup_basis, OBSTRUCTIONS
     basis = {}  # degree -> its basis classes, each built once
     for c in ring.positive_basis():
         basis.setdefault(c.degree, []).append(c)
     for p, ps in basis.items():
         for q, qs in basis.items():
             for r, rs in basis.items():
-                if p + q + r - 1 > cap:
+                if p + q + r - 1 > cap or r < p:
                     continue
                 for i, a in enumerate(ps):
-                    for b in qs:
-                        for k, c in enumerate(rs):
-                            if (p, i) > (r, k):  # the mirror (r, k, q, j, p, i) is smaller
-                                continue
-                            out.append(massey_triple(ring, a, b, c))
-    return out
-
+                    first = i if r == p else 0  # the mirror (r, k, q, j, p, i) is smaller below
+                    for j, b in enumerate(qs):
+                        if cup(p, i, q, j):
+                            undefined[ab] += len(rs) - first
+                            continue
+                        for k in range(first, len(rs)):
+                            if cup(q, j, r, k):
+                                undefined[bc] += 1
+                            else:
+                                yield a, b, rs[k]

@@ -125,7 +125,8 @@ def massey_entry(coset: MasseyCoset, label: str) -> dict:
 
 
 def massey_section(ring: CohomologyRing, cosets) -> list:
-    """Entries for a scan of basis triples, labelled by their classes."""
+    """Entries for a scan of basis triples, labelled by their classes; the
+    ledger section counts the triples a scan leaves undefined."""
     out = []
     for coset in cosets:
         label = "<{}, {}, {}>".format(*(
@@ -158,6 +159,7 @@ def ledger_section(ledger: BoundLedger) -> dict:
         "dims": list(ledger.dims),
         "tensor_dims": list(ledger.tensor_dims),
         "massey_cap": ledger.massey_cap,
+        "massey_undefined": dict(ledger.massey_undefined),
         "cup_length": ledger.cup_length,
         "cup_witness": [_class_json(c) for c in ledger.cup_witness],
         "zcl": ledger.zcl,
@@ -235,6 +237,10 @@ def render_text(payload: dict) -> str:
                              f"{e['indeterminacy_dim']}")
             else:
                 lines.append(f"  {e['label']}: defined, contains zero")
+        led = payload["ledger"]  # a bounds report lists the defined triples, counts the rest
+        if led is not None and any(led["massey_undefined"].values()):
+            lines.append("  not defined: " + ", ".join(
+                f"{n} ({why})" for why, n in led["massey_undefined"].items()))
     z = payload["zcl"]
     if z is not None:
         lines.append(f"zero-divisors cup length {z['zcl']} "

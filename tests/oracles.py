@@ -42,6 +42,9 @@ and are kept here, next to the tests that use them:
   ``cup_entry_by_hand``, a cup-table entry formed without the ring's
   memo: one cochain product on a base ring, the Koszul rule over the
   factors' hand-formed entries on a square;
+* ``scan_all_triples``, the Massey scan that builds a coset for every
+  basis triple, undefined ones included, as the engine did before it
+  walked the cup table and counted the undefined triples;
 * the Massey identity checks (``verify_multi_identities``, the internal and
   external product checks), witness-level values
   (``massey_value_from_witnesses``), the annihilators the identity checks
@@ -630,6 +633,31 @@ def right_annihilator(ring: CohomologyRing, k: int, cls: CohClass) -> Subspace:
     data = {(idx, i): x for i in range(ring.dim(k))
             for idx, x in ring._cup_nonzero(cls.degree, cls.pairs, k, [(i, ONE)])}
     return kernel(from_dict(ring.dim(k + cls.degree), ring.dim(k), data))
+
+
+def scan_all_triples(ring: CohomologyRing, max_degree: int = None) -> list:
+    """All Massey triples of basis classes with target degree within bounds.
+
+    Mirrored triples (<c,b,a> versus <a,b,c>) agree up to sign, so only the
+    lexicographically smaller orientation is computed.
+    """
+    cap = ring.truncation if max_degree is None else min(max_degree, ring.truncation)
+    out = []
+    basis = {}  # degree -> its basis classes, each built once
+    for c in ring.positive_basis():
+        basis.setdefault(c.degree, []).append(c)
+    for p, ps in basis.items():
+        for q, qs in basis.items():
+            for r, rs in basis.items():
+                if p + q + r - 1 > cap:
+                    continue
+                for i, a in enumerate(ps):
+                    for b in qs:
+                        for k, c in enumerate(rs):
+                            if (p, i) > (r, k):  # the mirror (r, k, q, j, p, i) is smaller
+                                continue
+                            out.append(massey_triple(ring, a, b, c))
+    return out
 
 
 # ------------------------------------------------------- identity checking

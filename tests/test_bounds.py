@@ -1197,6 +1197,16 @@ def test_replay_names_malformed_class_records(rings, kunneth_of, ledger_of, forg
         replay_ledger(forge(ledger_of("borromean")), rings["borromean"], kunneth_of("borromean"))
 
 
+def _coords_to_float(cls):
+    """The class with every coefficient a float: equal by ==, printed otherwise."""
+    return CohClass(cls.degree, cls.dim, tuple((i, float(v)) for i, v in cls.pairs))
+
+
+def _mirrored(coset):
+    """The classes of a triple in the mirrored order, <gamma, beta, alpha>."""
+    return coset.gamma, coset.beta, coset.alpha
+
+
 def _bound_as_float(*rules):
     """A forgery that gives the bound of each (rule, kind) certificate as a float."""
     return lambda led: dataclasses.replace(led, certificates=tuple(
@@ -1291,14 +1301,48 @@ def _coords_as(convert):
     pytest.param(_edit_certs("zcl-chain", lambda c: {**c, "chain": ((5, (1, 2)),)}),
                  "factor 0 of the zcl-chain certificate is not a class",
                  id="zcl-witness-as-a-record"),
-    # the report prints the Massey scan beside the ledger section
+    # the report prints the defined triples of the Massey scan beside the
+    # ledger section, and the section counts the undefined ones
     pytest.param(lambda led: dataclasses.replace(led, massey_cosets=()),
-                 "massey_cosets are not the Massey scan of the ring up to massey_cap 8",
-                 id="massey-cosets-empty"),
+                 r"massey_cosets drop the defined triple <CohClass\(degree=2, .*\)> "
+                 "of the ring's scan up to massey_cap 8", id="massey-cosets-empty"),
     pytest.param(lambda led: dataclasses.replace(led, massey_cosets=led.massey_cosets[1:]),
-                 "massey_cosets are not the Massey scan", id="massey-cosets-one-dropped"),
+                 "massey_cosets drop the defined triple", id="massey-cosets-one-dropped"),
     pytest.param(lambda led: dataclasses.replace(led, massey_cosets=list(led.massey_cosets)),
-                 "massey_cosets are not the Massey scan", id="massey-cosets-as-a-list"),
+                 "massey_cosets is a list, not a tuple of Massey cosets",
+                 id="massey-cosets-as-a-list"),
+    pytest.param(lambda led: dataclasses.replace(led, massey_cosets=led.massey_cosets + (
+        (led.massey_cosets[0].alpha,) * 3,)),
+        "massey_cosets hold a tuple, not a Massey coset", id="massey-cosets-holding-a-triple"),
+    pytest.param(lambda led: dataclasses.replace(led, massey_cosets=led.massey_cosets + (
+        massey_triple(led.massey_cosets[1].ring, *_mirrored(led.massey_cosets[1])),)),
+        "massey_cosets list <.*>, which is not a defined triple of the ring's scan up to "
+        "massey_cap 8", id="massey-cosets-a-mirrored-triple-added"),
+    pytest.param(lambda led: dataclasses.replace(led, massey_cosets=led.massey_cosets[::-1]),
+                 "massey_cosets are not in the order of the ring's scan at entry 0",
+                 id="massey-cosets-reversed"),
+    pytest.param(lambda led: dataclasses.replace(led, massey_cosets=(dataclasses.replace(
+        led.massey_cosets[0], value=led.massey_cosets[1].value),) + led.massey_cosets[1:]),
+        "the value of <.*> is not the ring's", id="massey-coset-value-forged"),
+    pytest.param(lambda led: dataclasses.replace(led, massey_cosets=led.massey_cosets[:1] + (
+        dataclasses.replace(led.massey_cosets[1], value=_coords_to_float(
+            led.massey_cosets[1].value)),) + led.massey_cosets[2:]),
+        "the listed Massey triple <.*> holds a class whose degree, dim or pairs are not ints "
+        "and rationals", id="massey-coset-value-as-floats"),
+    pytest.param(lambda led: dataclasses.replace(led, massey_undefined={
+        **led.massey_undefined, "beta*gamma is nonzero": 4}),
+        r"massey_undefined \{'alpha\*beta is nonzero': 3, 'beta\*gamma is nonzero': 4\} are "
+        "not the ring's counts", id="massey-undefined-forged"),
+    pytest.param(lambda led: dataclasses.replace(led, massey_undefined={}),
+                 "massey_undefined {} are not a count per obstruction", id="massey-undefined-empty"),
+    pytest.param(lambda led: dataclasses.replace(
+        led, massey_undefined=tuple(led.massey_undefined.items())),
+        r"massey_undefined \(\('alpha\*beta is nonzero', 3\), .*\) are not a count per "
+        "obstruction", id="massey-undefined-as-pairs"),
+    pytest.param(lambda led: dataclasses.replace(led, massey_undefined={
+        k: float(n) for k, n in led.massey_undefined.items()}),
+        r"massey_undefined \{'alpha\*beta is nonzero': 3\.0, .*\} are not a count per",
+        id="massey-undefined-as-floats"),
     # the bounds and witnesses read the certificates, so they are checked first
     pytest.param(lambda led: dataclasses.replace(led, certificates=None),
                  "the certificates field is of type NoneType, not a tuple of rule dictionaries",

@@ -12,7 +12,14 @@ and seeded random models:
   against the entry formed by hand on a fresh ring, on base rings and on
   their squares;
 * each coset of a Massey scan, whose witness solves are shared between
-  triples, against ``massey_triple`` on a fresh ring with no shared solve.
+  triples, against ``massey_triple`` on a fresh ring with no shared solve;
+  and the scan itself, which lists the defined triples along the cup
+  table and counts the rest, against ``scan_all_triples``, which builds a
+  coset for every basis triple, at every degree cap (nil4 at truncate 4
+  too).
+
+A triple whose target degree has dim H = 0 is the zero class, formed with
+no witness solve; six at truncate 8 has only such triples.
 """
 
 import itertools
@@ -24,10 +31,11 @@ from masseytc.bounds import indecomposables
 from masseytc.cohomology import CohomologyRing, KunnethMap
 from masseytc.dga import DGA, PairBasis, compile_cdga
 from masseytc.dsl import parse_model
-from masseytc.massey import massey_triple, scan_triples
+from masseytc.massey import (OBSTRUCTIONS, massey_triple, massey_value_from_cocycles,
+                             scan_triples, undefined_triples)
 from masseytc.models import MODEL_SOURCES
-from oracles import cup_entry_by_hand, indecomposables_all_pairs
-from test_cli import six_src
+from oracles import cup_entry_by_hand, indecomposables_all_pairs, scan_all_triples
+from test_cli import nil4_src, six_src
 from test_cohomology import _stress_ring, random_presentations
 from test_nilmanifolds import NILMANIFOLDS
 
@@ -99,25 +107,56 @@ def test_mirrored_cup_entries_equal_the_entries_formed_by_hand(monkeypatch, name
     assert odd or all(k % 2 == 0 or not n for k, n in enumerate(ring.dims()))
 
 
-@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+SCANNED = {**PRESENTATIONS, "nil4at4": parse_model(nil4_src(4))}
+
+
+@pytest.mark.parametrize("name", sorted(SCANNED))
 def test_scanned_cosets_equal_triples_computed_on_a_fresh_ring(name):
-    ring, fresh = _ring(name), _ring(name)
-    scan = scan_triples(ring)
+    ring, fresh = (CohomologyRing(compile_cdga(SCANNED[name])) for _ in range(2))
+    for cap in range(ring.truncation + 1):
+        # the listing is the full scan's defined triples, in its order, and
+        # the counts are its undefined triples per obstruction
+        everything = scan_all_triples(fresh, cap)
+        assert scan_triples(ring, cap) == [c for c in everything if c.defined]
+        assert undefined_triples(ring, cap) == {
+            why: sum(c.obstruction == why for c in everything) for why in OBSTRUCTIONS}
+        assert all(c.defined or c.obstruction in OBSTRUCTIONS for c in everything)
     dims = ring.dims()
     degs = [k for k, n in enumerate(dims) if k and n]
-    # the scan lists the basis triples as it did when it built each class
-    # per triple: the smaller orientation of each mirror pair, in this order
+    # the full scan lists the smaller orientation of each mirror pair of
+    # basis triples, in this order
     assert [(c.alpha.degree, c.alpha.pairs, c.beta.degree, c.beta.pairs, c.gamma.degree,
-             c.gamma.pairs) for c in scan] == [
+             c.gamma.pairs) for c in everything] == [
         (p, ((i, 1),), q, ((j, 1),), r, ((k, 1),))
         for p, q, r in itertools.product(degs, repeat=3) if p + q + r - 1 <= ring.truncation
         for i, j, k in itertools.product(range(dims[p]), range(dims[q]), range(dims[r]))
         if (p, i, q, j, r, k) <= (r, k, q, j, p, i)]
+    scan = scan_triples(ring)
     for coset in scan:
         fresh._witnesses.clear()  # no solve shared with another triple
         alone = massey_triple(fresh, coset.alpha, coset.beta, coset.gamma)
         assert (coset.mu, coset.lam, coset.value_cochain) == (alone.mu, alone.lam,
                                                                 alone.value_cochain)
         assert coset == alone
-    defined = sum(c.defined for c in scan)
-    assert len(ring._witnesses) <= 2 * defined
+    assert len(ring._witnesses) <= 2 * len(scan)
+
+
+def test_triples_with_a_zero_target_solve_no_witness(monkeypatch):
+    # all 22 defined triples of six at truncate 8 land in a degree where
+    # H = 0, so each is the zero class and no d mu = a*b is solved
+    ring = CohomologyRing(compile_cdga(PRESENTATIONS["six8"]))
+    solves = []
+    solve = CohomologyRing.solve_boundary
+    monkeypatch.setattr(CohomologyRing, "solve_boundary",
+                        lambda *a: solves.append(a) or solve(*a))
+    scan = scan_triples(ring)
+    assert len(scan) == 22 and not solves
+    for coset in scan:
+        assert ring.dim(coset.target_degree) == 0 and coset.value.is_zero()
+        assert (coset.mu, coset.lam, coset.value_cochain) == (None, None, None)
+        assert not coset.is_nonzero()
+    # the witnesses exist: solving them gives the same (zero) value
+    for coset in scan:
+        reps = [ring.representative(c) for c in (coset.alpha, coset.beta, coset.gamma)]
+        assert massey_value_from_cocycles(ring, *reps)[1] == coset.value
+    assert solves
