@@ -61,7 +61,7 @@ from functools import reduce
 from .cohomology import CohClass, CohomologyRing, KunnethMap, cup_chain, heaviest_chain
 from .linalg import Subspace, _canonical, inverse, is_rational
 from .linalg import kernel  # noqa: F401  bench/tests/test_bench_trace.py reads bounds.kernel
-from .massey import OBSTRUCTIONS, MasseyCoset, massey_triple, scan_triples, undefined_triples
+from .massey import OBSTRUCTIONS, MasseyCoset, massey_triple, scan_triples
 
 
 def _normalize_class(cls: CohClass) -> CohClass:
@@ -446,7 +446,8 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
     certs = []
 
     cup_witness = cup_chain(ring)[1]
-    cosets = tuple(scan_triples(ring, cap))
+    undefined = dict.fromkeys(OBSTRUCTIONS, 0)
+    cosets = tuple(scan_triples(ring, cap, undefined=undefined))
     cat_facts = cat_weight_facts(ring, cosets)
     cat_lower = _lower_block("cat", ring, cup_witness, cat_facts, certs)
 
@@ -483,7 +484,7 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
         cat_facts=cat_facts,
         tc_facts=tc_facts,
         certificates=tuple(certs),
-        massey_undefined=undefined_triples(ring, cap),
+        massey_undefined=undefined,
         massey_cosets=cosets,
     )
 
@@ -718,7 +719,8 @@ def _replay_massey_listing(ledger: BoundLedger, ring: CohomologyRing, cap: int) 
     for c in listed:
         if type(c) is not MasseyCoset:
             raise ValueError(f"massey_cosets hold a {type(c).__name__}, not a Massey coset")
-    fresh = scan_triples(ring, cap)
+    want_counts = dict.fromkeys(OBSTRUCTIONS, 0)
+    fresh = scan_triples(ring, cap, undefined=want_counts)
     got = [(c.alpha, c.beta, c.gamma) for c in listed]
     want = [(c.alpha, c.beta, c.gamma) for c in fresh]
     if got != want:
@@ -735,6 +737,10 @@ def _replay_massey_listing(ledger: BoundLedger, ring: CohomologyRing, cap: int) 
     for key, c, f in zip(got, listed, fresh):
         if c.value != f.value:
             raise ValueError(f"the value of {_triple(key)} is not the ring's")
+        # the report prints these two, and every listed triple is defined
+        if c.defined is not True or c.obstruction is not None:
+            raise ValueError(f"the listed Massey triple {_triple(key)} reads as undefined "
+                             f"({c.defined!r}, {c.obstruction!r}), but it is defined")
         # each class now equals the ring's, but == takes 1.0 and True for 1
         for x in key + (c.value,):
             if not (type(x.degree) is int and type(x.dim) is int
@@ -746,7 +752,6 @@ def _replay_massey_listing(ledger: BoundLedger, ring: CohomologyRing, cap: int) 
             or not all(type(n) is int for n in counts.values())):
         raise ValueError(f"massey_undefined {counts!r} are not a count per obstruction "
                          f"{', '.join(OBSTRUCTIONS)}")
-    want_counts = undefined_triples(ring, cap)
     if counts != want_counts:
         raise ValueError(f"massey_undefined {counts} are not the ring's counts {want_counts}")
 

@@ -175,25 +175,21 @@ def _value(dga: DGA, a: Cochain, mu: Cochain, lam: Cochain, c: Cochain) -> Cocha
 OBSTRUCTIONS = ("alpha*beta is nonzero", "beta*gamma is nonzero")
 
 
-def scan_triples(ring: CohomologyRing, max_degree: int = None) -> list:
+def scan_triples(ring: CohomologyRing, max_degree: int = None, *,
+                 undefined: dict = None) -> list:
     """The defined Massey triples of basis classes with target degree
     within bounds, as cosets, in the order of :func:`_basis_triples`.
 
     Mirrored triples (<c,b,a> versus <a,b,c>) agree up to sign, so only the
     lexicographically smaller orientation is computed.  The undefined
-    triples are not built; :func:`undefined_triples` counts them.
+    triples are not built: the same walk adds each to its obstruction's
+    count in ``undefined``, a dict keyed by :data:`OBSTRUCTIONS`, when one
+    is given.
     """
+    if undefined is None:
+        undefined = dict.fromkeys(OBSTRUCTIONS, 0)
     return [massey_triple(ring, a, b, c) for a, b, c in _basis_triples(
-        ring, max_degree, dict.fromkeys(OBSTRUCTIONS, 0))]
-
-
-def undefined_triples(ring: CohomologyRing, max_degree: int = None) -> dict:
-    """How many basis triples within bounds that :func:`scan_triples` leaves
-    out fail at each obstruction, keyed by the obstruction string."""
-    counts = dict.fromkeys(OBSTRUCTIONS, 0)
-    for _ in _basis_triples(ring, max_degree, counts):
-        pass
-    return counts
+        ring, max_degree, undefined)]
 
 
 def _basis_triples(ring: CohomologyRing, max_degree, undefined: dict):

@@ -45,7 +45,7 @@ from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap, heaviest_c
 from masseytc.dga import Cochain, compile_cdga
 from masseytc.dsl import parse_model
 from masseytc.linalg import Subspace, kernel, scalar
-from masseytc.massey import massey_triple, scan_triples
+from masseytc.massey import OBSTRUCTIONS, massey_triple, scan_triples
 from masseytc.models import MODEL_SOURCES
 from conftest import S2_SRC
 from oracles import from_coords, multiplication, zcl_by_ideal_search, zero_divisor_ideal
@@ -1329,6 +1329,15 @@ def _coords_as(convert):
             led.massey_cosets[1].value)),) + led.massey_cosets[2:]),
         "the listed Massey triple <.*> holds a class whose degree, dim or pairs are not ints "
         "and rationals", id="massey-coset-value-as-floats"),
+    pytest.param(lambda led: dataclasses.replace(led, massey_cosets=(dataclasses.replace(
+        led.massey_cosets[0], defined=False, obstruction="x"),) + led.massey_cosets[1:]),
+        r"the listed Massey triple <.*> reads as undefined \(False, 'x'\), but it is defined",
+        id="massey-coset-marked-undefined"),
+    pytest.param(lambda led: dataclasses.replace(led, massey_cosets=led.massey_cosets[:1] + (
+        dataclasses.replace(led.massey_cosets[1], obstruction=OBSTRUCTIONS[1]),)
+        + led.massey_cosets[2:]),
+        r"the listed Massey triple <.*> reads as undefined \(True, 'beta\*gamma is "
+        r"nonzero'\), but it is defined", id="massey-coset-obstruction-added"),
     pytest.param(lambda led: dataclasses.replace(led, massey_undefined={
         **led.massey_undefined, "beta*gamma is nonzero": 4}),
         r"massey_undefined \{'alpha\*beta is nonzero': 3, 'beta\*gamma is nonzero': 4\} are "

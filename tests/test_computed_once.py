@@ -32,7 +32,7 @@ from masseytc.cohomology import CohomologyRing, KunnethMap
 from masseytc.dga import DGA, PairBasis, compile_cdga
 from masseytc.dsl import parse_model
 from masseytc.massey import (OBSTRUCTIONS, massey_triple, massey_value_from_cocycles,
-                             scan_triples, undefined_triples)
+                             scan_triples)
 from masseytc.models import MODEL_SOURCES
 from oracles import cup_entry_by_hand, indecomposables_all_pairs, scan_all_triples
 from test_cli import nil4_src, six_src
@@ -117,8 +117,9 @@ def test_scanned_cosets_equal_triples_computed_on_a_fresh_ring(name):
         # the listing is the full scan's defined triples, in its order, and
         # the counts are its undefined triples per obstruction
         everything = scan_all_triples(fresh, cap)
-        assert scan_triples(ring, cap) == [c for c in everything if c.defined]
-        assert undefined_triples(ring, cap) == {
+        counts = dict.fromkeys(OBSTRUCTIONS, 0)
+        assert scan_triples(ring, cap, undefined=counts) == [c for c in everything if c.defined]
+        assert counts == {
             why: sum(c.obstruction == why for c in everything) for why in OBSTRUCTIONS}
         assert all(c.defined or c.obstruction in OBSTRUCTIONS for c in everything)
     dims = ring.dims()
