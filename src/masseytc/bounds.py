@@ -498,8 +498,9 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
     rule, each certificate's product or triple is recomputed, and every
     summary field the ledger section prints is checked against the ring
     or read off the certificates replayed here.  So is the Massey listing
-    that the report prints beside it: each defined triple's classes and
-    value, and the count of undefined triples per obstruction.
+    that the report prints beside it: each defined triple's record and the
+    ring it was computed on, and the count of undefined triples per
+    obstruction.
     """
     ht = kmap.ht
     if ledger.model != ring.dga.name:
@@ -709,9 +710,10 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
 
 
 def _replay_massey_listing(ledger: BoundLedger, ring: CohomologyRing, cap: int) -> None:
-    """Check what the report prints of the Massey scan: the listed triples
-    and their values against a rescan of the ring, in its order, and the
-    undefined counts against the ring's."""
+    """Check what the report prints of the Massey scan: the listed cosets
+    against a rescan of the ring, record by record in its order, the ring
+    each reads its indeterminacy off, and the undefined counts against the
+    ring's."""
     listed = ledger.massey_cosets
     if type(listed) is not tuple:
         raise ValueError(f"massey_cosets is a {type(listed).__name__}, "
@@ -734,14 +736,24 @@ def _replay_massey_listing(ledger: BoundLedger, ring: CohomologyRing, cap: int) 
                              f"triple of the ring's scan up to massey_cap {cap}")
         raise ValueError(f"massey_cosets are not in the order of the ring's scan "
                          f"at entry {i}")
+    rings = {id(ring)}  # the rings of the model that some listed coset was computed on
     for key, c, f in zip(got, listed, fresh):
-        if c.value != f.value:
-            raise ValueError(f"the value of {_triple(key)} is not the ring's")
-        # the report prints these two, and every listed triple is defined
-        if c.defined is not True or c.obstruction is not None:
-            raise ValueError(f"the listed Massey triple {_triple(key)} reads as undefined "
-                             f"({c.defined!r}, {c.obstruction!r}), but it is defined")
-        # each class now equals the ring's, but == takes 1.0 and True for 1
+        # the report prints the recorded fields of a coset, which == compares
+        if c != f:
+            raise ValueError(f"the listed Massey triple {_triple(key)} reads (defined "
+                             f"{c.defined!r}, obstruction {c.obstruction!r}, value "
+                             f"{c.value!r}), not the ring's record")
+        # ... and reads its indeterminacy off the coset's ring
+        if id(c.ring) not in rings:
+            if not (type(c.ring) is CohomologyRing
+                    and c.ring.dga.presentation == ring.dga.presentation):
+                raise ValueError(f"the listed Massey triple {_triple(key)} holds a ring "
+                                 f"that is not one of the model {ring.dga.name!r}")
+            rings.add(id(c.ring))
+        # == takes 1 for True and 1.0 or True for the int 1, so check the types
+        if type(c.defined) is not bool:
+            raise ValueError(f"the listed Massey triple {_triple(key)} gives defined as "
+                             f"{c.defined!r}, not a bool")
         for x in key + (c.value,):
             if not (type(x.degree) is int and type(x.dim) is int
                     and all(type(i) is int and is_rational(v) for i, v in x.pairs)):

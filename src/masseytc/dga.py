@@ -155,7 +155,6 @@ class DGA:
     simply_connected: bool = False
     space_dim: Optional[int] = None
     presentation: Optional[Presentation] = None
-    monomials: Optional[tuple] = None  # per-degree Monomial tuples (compiled models)
     index: Optional[tuple] = None      # per-degree {Monomial: position} (compiled models)
     pairs: Optional[Sequence] = None   # PairBasis (tensor models)
     factors: Optional[tuple] = None    # (A, B) for tensor models
@@ -428,7 +427,6 @@ def compile_cdga(p: Presentation, check: bool = True) -> DGA:
         simply_connected=p.simply_connected,
         space_dim=p.space_dim,
         presentation=p,
-        monomials=monomials,
         index=index,
     )
 

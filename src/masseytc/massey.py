@@ -1,4 +1,4 @@
-"""Triple Massey products with explicit witnesses and indeterminacy.
+"""Triple Massey products and their indeterminacy.
 
 For classes [a], [b], [c] with [a][b] = [b][c] = 0 the product <a,b,c> is
 the coset of
@@ -9,30 +9,24 @@ modulo |a| H^(|b|+|c|-1) + H^(|a|+|b|-1) |c|.  Witness cochains come from
 the deterministic solver, so equal inputs always produce identical
 witnesses and the coset gets a canonical representative: the value reduced
 modulo the indeterminacy subspace.  The product is nonzero (as a coset)
-exactly when that canonical representative is nonzero.  The indeterminacy
-and the canonical representative are computed on first read; a zero value
-needs neither, so a scan that only asks whether its triples are nonzero
-builds the indeterminacy of its nonzero values alone, and triples that
-share alpha, gamma and the degree of beta share one indeterminacy.
-Triples share their witness solves too: the canonical solve of
-rep(x)*rep(y) is memoized on the ring per ordered class pair, so <a,b,c>
-and <a,b,c'> solve d mu = a*b once, and a scan builds each basis class
-once.  A defined triple whose target degree has dim H = 0 is the zero
-class and solves nothing.  The obstruction tests multiply the classes'
-pairs and build no class.
+exactly when that canonical representative is nonzero.
 
-A scan of basis triples walks the cup table: b runs over the basis
-classes with a*b = 0 and c over those with b*c = 0, so only defined
-triples become cosets.  The undefined ones are counted per obstruction,
-read off the same table entries.
+A coset holds what the report prints of it: the three classes, whether
+the triple is defined, its obstruction and the class of w.  The witness
+solves stay on the ring, memoized per ordered class pair, so <a,b,c> and
+<a,b,c'> solve d mu = a*b once; a defined triple whose target degree has
+dim H = 0 is the zero class and solves nothing.  The indeterminacy and the
+canonical representative are computed on first read, the indeterminacy
+memoized on the ring per alpha, gamma and |beta|; a zero value needs
+neither, so a scan builds the indeterminacy of its nonzero values alone.
 
 Truncation honesty: when the target degree falls outside the truncation
 window the triple is reported as undefined with an explicit obstruction
 string instead of silently computing garbage.  The target is the only
-degree that can fall outside it: every degree is at least 1, so the
-defining products [a][b] and [b][c] sit at or below the target degree.
-A triple stops at its first obstruction: a nonzero [a][b] settles it
-before [b][c] is formed.
+degree that can: every degree is at least 1, so the defining products
+[a][b] and [b][c] sit at or below it.  A triple stops at its first
+obstruction: a nonzero [a][b] settles it before [b][c] is formed, and the
+tests multiply the classes' pairs and build no class.
 """
 
 from __future__ import annotations
@@ -47,23 +41,25 @@ from .linalg import Subspace
 from .linalg import kernel  # noqa: F401  bench/tests/test_bench_trace.py reads massey.kernel
 
 
+# the obstructions a basis triple within the truncation can meet, in the
+# order massey_triple tests them
+OBSTRUCTIONS = ("alpha*beta is nonzero", "beta*gamma is nonzero")
+
+
 @dataclass(frozen=True)
 class MasseyCoset:
-    """A triple <alpha, beta, gamma>: its witnesses and value when defined,
-    else the obstruction; ``indeterminacy`` and ``canonical`` are computed
-    from ``ring`` on first read.  A defined triple whose target degree has
-    dim H = 0 has the zero class as its value and solves no witness:
-    ``mu``, ``lam`` and ``value_cochain`` hold None, as on an undefined
-    triple."""
+    """A triple <alpha, beta, gamma> as the report prints it: its value when
+    defined, else the obstruction.  ``==`` compares these records, not
+    ``ring``, off which ``indeterminacy`` and ``canonical`` are computed on
+    first read.  The witness solves behind the value are memoized on the
+    ring; a defined triple whose target degree has dim H = 0 has the zero
+    class as its value and solves none."""
 
     alpha: CohClass
     beta: CohClass
     gamma: CohClass
     defined: bool
     obstruction: Optional[str]
-    mu: Optional[Cochain]
-    lam: Optional[Cochain]
-    value_cochain: Optional[Cochain]
     value: Optional[CohClass]
     ring: Optional[CohomologyRing] = field(default=None, repr=False, compare=False)
 
@@ -89,10 +85,6 @@ class MasseyCoset:
         return self.defined and not self.value.is_zero() and not self.canonical.is_zero()
 
 
-def _undefined(alpha, beta, gamma, obstruction):
-    return MasseyCoset(alpha, beta, gamma, False, obstruction, None, None, None, None)
-
-
 def massey_triple(ring: CohomologyRing, alpha: CohClass, beta: CohClass,
                   gamma: CohClass) -> MasseyCoset:
     p, q, r = alpha.degree, beta.degree, gamma.degree
@@ -100,20 +92,19 @@ def massey_triple(ring: CohomologyRing, alpha: CohClass, beta: CohClass,
         raise ValueError("Massey products need positive-degree classes")
     target = p + q + r - 1
     if target > ring.truncation:
-        return _undefined(alpha, beta, gamma,
-                          f"target degree {target} exceeds truncation {ring.truncation}")
+        return MasseyCoset(alpha, beta, gamma, False,
+                           f"target degree {target} exceeds truncation {ring.truncation}", None)
     # every degree is at least 1, so p + q and q + r are at most the target
     if ring._cup_nonzero(p, alpha.pairs, q, beta.pairs):
-        return _undefined(alpha, beta, gamma, "alpha*beta is nonzero")
+        return MasseyCoset(alpha, beta, gamma, False, OBSTRUCTIONS[0], None)
     if ring._cup_nonzero(q, beta.pairs, r, gamma.pairs):
-        return _undefined(alpha, beta, gamma, "beta*gamma is nonzero")
+        return MasseyCoset(alpha, beta, gamma, False, OBSTRUCTIONS[1], None)
 
     if not ring.dim(target):  # the value lies in H^target = 0: no witness is solved
-        return MasseyCoset(alpha, beta, gamma, True, None, None, None, None,
-                           CohClass(target, 0, ()), ring)
+        return MasseyCoset(alpha, beta, gamma, True, None, CohClass(target, 0, ()), ring)
     mu, lam = _product_witness(ring, alpha, beta), _product_witness(ring, beta, gamma)
     w = _value(ring.dga, ring.representative(alpha), mu, lam, ring.representative(gamma))
-    return MasseyCoset(alpha, beta, gamma, True, None, mu, lam, w, ring.class_of(w), ring)
+    return MasseyCoset(alpha, beta, gamma, True, None, ring.class_of(w), ring)
 
 
 def _product_witness(ring: CohomologyRing, x: CohClass, y: CohClass) -> Cochain:
@@ -170,40 +161,28 @@ def _value(dga: DGA, a: Cochain, mu: Cochain, lam: Cochain, c: Cochain) -> Cocha
     return dga.mul(a, lam).add(dga.mul(mu, c).scale(sign))
 
 
-# the obstructions a basis triple within the truncation can meet, in the
-# order massey_triple tests them
-OBSTRUCTIONS = ("alpha*beta is nonzero", "beta*gamma is nonzero")
-
-
 def scan_triples(ring: CohomologyRing, max_degree: int = None, *,
                  undefined: dict = None) -> list:
-    """The defined Massey triples of basis classes with target degree
-    within bounds, as cosets, in the order of :func:`_basis_triples`.
+    """The defined Massey triples of basis classes (a, b, c) with target
+    degree within bounds, as cosets, in ascending (|a|, |b|, |c|, a, b, c)
+    order.
 
     Mirrored triples (<c,b,a> versus <a,b,c>) agree up to sign, so only the
-    lexicographically smaller orientation is computed.  The undefined
-    triples are not built: the same walk adds each to its obstruction's
-    count in ``undefined``, a dict keyed by :data:`OBSTRUCTIONS`, when one
-    is given.
+    lexicographically smaller orientation, (|a|, a) <= (|c|, c), is
+    computed.  The scan walks the cup table: b runs over the classes with
+    a*b = 0 and c over those with b*c = 0.  The undefined triples are not
+    built: the same walk adds each to its obstruction's count in
+    ``undefined``, a dict keyed by :data:`OBSTRUCTIONS`, when one is given;
+    an a*b != 0 entry counts the whole run of c at once.
     """
     if undefined is None:
         undefined = dict.fromkeys(OBSTRUCTIONS, 0)
-    return [massey_triple(ring, a, b, c) for a, b, c in _basis_triples(
-        ring, max_degree, undefined)]
-
-
-def _basis_triples(ring: CohomologyRing, max_degree, undefined: dict):
-    """Yield the defined basis triples (a, b, c) with target degree at most
-    the cap and (|a|, a) <= (|c|, c), in ascending (|a|, |b|, |c|, a, b, c)
-    order, walking the cup table: b runs over the classes with a*b = 0 and
-    c over those with b*c = 0.  Each undefined triple is added to its
-    obstruction's count in ``undefined``; an a*b != 0 entry counts the
-    whole run of c at once."""
     cap = ring.truncation if max_degree is None else min(max_degree, ring.truncation)
     cup, (ab, bc) = ring.cup_basis, OBSTRUCTIONS
     basis = {}  # degree -> its basis classes, each built once
     for c in ring.positive_basis():
         basis.setdefault(c.degree, []).append(c)
+    out = []
     for p, ps in basis.items():
         for q, qs in basis.items():
             for r, rs in basis.items():
@@ -219,4 +198,5 @@ def _basis_triples(ring: CohomologyRing, max_degree, undefined: dict):
                             if cup(q, j, r, k):
                                 undefined[bc] += 1
                             else:
-                                yield a, b, rs[k]
+                                out.append(massey_triple(ring, a, b, rs[k]))
+    return out

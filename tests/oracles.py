@@ -11,10 +11,12 @@ and are kept here, next to the tests that use them:
   built-in models;
 * ``print_model``, the printer of the model text format, which the parser
   round-trip tests read back;
-* ``differentials_by_recursion``, the recursive compile of a model's
-  differentials that the closed form replaced, and ``reps_by_reduction``,
-  the class basis found by reducing the kernel modulo the boundaries and
-  eliminating again, which reading it off the kernel replaced;
+* ``monomials_of``, a compiled model's monomials per degree read off its
+  monomial index; ``differentials_by_recursion``, the recursive compile of
+  a model's differentials that the closed form replaced, and
+  ``reps_by_reduction``, the class basis found by reducing the kernel
+  modulo the boundaries and eliminating again, which reading it off the
+  kernel replaced;
 * ``axiom_sweep``, the exhaustive check of every DGA axiom within the
   truncation (shape, product indices in range, d^2 = 0, unit, Leibniz,
   graded commutativity, associativity) that ``DGA.validate`` ran before
@@ -47,8 +49,10 @@ and are kept here, next to the tests that use them:
   walked the cup table and counted the undefined triples;
 * the Massey identity checks (``verify_multi_identities``, the internal and
   external product checks), witness-level values
-  (``massey_value_from_witnesses``), the annihilators the identity checks
-  sample from, and ``verify_external_vanishing``, the explicit primitive
+  (``massey_value_from_witnesses``), the witnesses of a coset
+  (``massey_witnesses``: the solves its ring memoizes and the value
+  cochain, none of which a coset holds), the annihilators the identity
+  checks sample from, and ``verify_external_vanishing``, the explicit primitive
   certifying that a cross-product triple contains zero.
 """
 
@@ -64,7 +68,7 @@ from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap, heaviest_c
 from masseytc.dga import DGA, Cochain, Presentation, Violation, mono_mul
 from masseytc.linalg import (ONE, ZERO, SparseMatrix, Subspace, Vector, dense, image, kernel,
                              sparse)
-from masseytc.massey import MasseyCoset, massey_triple
+from masseytc.massey import MasseyCoset, _product_witness, massey_triple
 from masseytc.models import MODEL_SOURCES
 
 
@@ -217,6 +221,12 @@ def _poly_add_scaled(target, src, c) -> None:
             target.pop(m, None)
 
 
+def monomials_of(dga: DGA) -> tuple:
+    """The monomials of a compiled model per degree, in basis order: the
+    keys of its per-degree monomial index."""
+    return tuple(tuple(index) for index in dga.index)
+
+
 def differentials_by_recursion(dga: DGA) -> tuple:
     """The differentials of a compiled model by the recursion
     d(g * rest) = dg * rest + (-1)^|g| g * d(rest), g the first generator
@@ -240,7 +250,7 @@ def differentials_by_recursion(dga: DGA) -> tuple:
             memo[m] = out
         return memo[m]
 
-    n, monomials = dga.truncation, dga.monomials
+    n, monomials = dga.truncation, monomials_of(dga)
     diff = []
     for k in range(n + 1):
         target = {m: i for i, m in enumerate(monomials[k + 1])} if k < n else {}
@@ -622,6 +632,16 @@ def massey_value_from_witnesses(ring: CohomologyRing, alpha: CohClass,
     return w, ring.class_of(w)
 
 
+def massey_witnesses(coset: MasseyCoset) -> tuple:
+    """(mu, lam, w) of a defined triple: the canonical solves of d mu = a*b
+    and d lam = b*c, read from its ring's memo or solved into it, and the
+    value cochain w built from them, whose class is ``coset.value``."""
+    ring, alpha, beta, gamma = coset.ring, coset.alpha, coset.beta, coset.gamma
+    mu, lam = _product_witness(ring, alpha, beta), _product_witness(ring, beta, gamma)
+    w, _ = massey_value_from_witnesses(ring, alpha, beta, gamma, mu, lam)
+    return mu, lam, w
+
+
 def left_annihilator(ring: CohomologyRing, k: int, cls: CohClass) -> Subspace:
     """Classes xi in H^k with xi * cls = 0 (kernel of cup on the right)."""
     data = {(idx, i): x for i in range(ring.dim(k))
@@ -676,6 +696,7 @@ def verify_multi_identities(ring: CohomologyRing, alpha: CohClass,
     base = massey_triple(ring, alpha, beta, gamma)
     if not base.defined:
         raise ValueError(f"need a defined product: {base.obstruction}")
+    base_mu, base_lam, base_w = massey_witnesses(base)
     p, q, r = alpha.degree, beta.degree, gamma.degree
     report = {}
 
@@ -708,7 +729,7 @@ def verify_multi_identities(ring: CohomologyRing, alpha: CohClass,
     summed = massey_triple(ring, alpha.add(prime), beta, gamma)
     report["additive-left"] = (
         base2.defined and summed.defined
-        and summed.value_cochain == base.value_cochain.add(base2.value_cochain)
+        and massey_witnesses(summed)[2] == base_w.add(massey_witnesses(base2)[2])
         and summed.value == base.value.add(base2.value))
 
     gprime = random_in(right_annihilator(ring, r, beta), r)
@@ -727,9 +748,9 @@ def verify_multi_identities(ring: CohomologyRing, alpha: CohClass,
                                   [rng.randint(-2, 2) for _ in range(dga.dim(p + q - 2))])
         xi = xi.add(dga.d(pre))
     w2, val2 = massey_value_from_witnesses(ring, alpha, beta, gamma,
-                                           base.mu.add(xi), base.lam)
+                                           base_mu.add(xi), base_lam)
     c_rep = ring.representative(gamma)
-    shift_ok = w2.sub(base.value_cochain) == dga.mul(xi, c_rep).scale(sign)
+    shift_ok = w2.sub(base_w) == dga.mul(xi, c_rep).scale(sign)
     report["mu-shift"] = (
         shift_ok
         and not base.indeterminacy.reduce_pairs(val2.sub(base.value).pairs)
@@ -738,10 +759,10 @@ def verify_multi_identities(ring: CohomologyRing, alpha: CohClass,
     eta_cls = random_in(Subspace.full(ring.dim(q + r - 1)), q + r - 1)
     eta = ring.representative(eta_cls)
     w3, val3 = massey_value_from_witnesses(ring, alpha, beta, gamma,
-                                           base.mu, base.lam.add(eta))
+                                           base_mu, base_lam.add(eta))
     a_rep = ring.representative(alpha)
     report["lam-shift"] = (
-        w3.sub(base.value_cochain) == dga.mul(a_rep, eta)
+        w3.sub(base_w) == dga.mul(a_rep, eta)
         and not base.indeterminacy.reduce_pairs(val3.sub(base.value).pairs)
         and base.indeterminacy.reduce(val3.coords) == base.canonical.coords)
     return report

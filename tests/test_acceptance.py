@@ -31,6 +31,7 @@ from oracles import (
     from_columns,
     from_coords,
     massey_value_from_witnesses,
+    massey_witnesses,
     verify_external_product,
     verify_external_vanishing,
     verify_internal_product,
@@ -300,6 +301,7 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
         r = rings["borromean"]
         u, v, w = (r.named_class(n) for n in ("u", "v", "w"))
         base = massey_triple(r, u, v, w)
+        mu, lam, _ = massey_witnesses(base)
         n1 = r.dga.dim(1)
         cocycles = kernel(r.dga.diff[1]).nonzero_columns
         for _ in range(40):
@@ -309,7 +311,7 @@ def test_acceptance_5_invariant_suites(rings, dgas, kunneth_of,
                 xi = xi.add(Cochain(1, n1, col).scale(rng.randint(-2, 2)))
                 eta = eta.add(Cochain(1, n1, col).scale(rng.randint(-2, 2)))
             _, val = massey_value_from_witnesses(
-                r, u, v, w, base.mu.add(xi), base.lam.add(eta))
+                r, u, v, w, mu.add(xi), lam.add(eta))
             assert (base.indeterminacy.reduce(val.coords)
                     == base.canonical.coords)
             independent += 1

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import masseytc.bounds
 import masseytc.cohomology
 import masseytc.linalg
 import masseytc.massey
@@ -50,7 +51,7 @@ from masseytc.models import MODEL_SOURCES
 from conftest import S2_SRC
 from oracles import from_coords, multiplication, zcl_by_ideal_search, zero_divisor_ideal
 from test_bench_tracer import load_bench
-from test_cli import STRESS_NIL_SRC, six_src
+from test_cli import SCALE_MODELS, STRESS_NIL_SRC, six_src
 from test_cohomology import POLY4_SRC, _stress_ring, ideal_powers_length, random_presentations
 
 ALL_MODELS = ("spheres8", "borromean", "even7", "odd11", "s3", "s2", "point")
@@ -1207,6 +1208,18 @@ def _mirrored(coset):
     return coset.gamma, coset.beta, coset.alpha
 
 
+def _edit_first_coset(fields):
+    """A forgery that replaces fields of the first listed Massey coset, as
+    ``fields(coset)`` gives them."""
+    return lambda led: dataclasses.replace(led, massey_cosets=(dataclasses.replace(
+        led.massey_cosets[0], **fields(led.massey_cosets[0])),) + led.massey_cosets[1:])
+
+
+def _ring_of(name):
+    """A new ring of a built-in model, apart from the session's rings."""
+    return CohomologyRing(compile_cdga(parse_model(MODEL_SOURCES[name])))
+
+
 def _bound_as_float(*rules):
     """A forgery that gives the bound of each (rule, kind) certificate as a float."""
     return lambda led: dataclasses.replace(led, certificates=tuple(
@@ -1323,7 +1336,8 @@ def _coords_as(convert):
                  id="massey-cosets-reversed"),
     pytest.param(lambda led: dataclasses.replace(led, massey_cosets=(dataclasses.replace(
         led.massey_cosets[0], value=led.massey_cosets[1].value),) + led.massey_cosets[1:]),
-        "the value of <.*> is not the ring's", id="massey-coset-value-forged"),
+        r"the listed Massey triple <.*> reads \(defined True, obstruction None, value "
+        r"CohClass\(degree=5, .*\)\), not the ring's record", id="massey-coset-value-forged"),
     pytest.param(lambda led: dataclasses.replace(led, massey_cosets=led.massey_cosets[:1] + (
         dataclasses.replace(led.massey_cosets[1], value=_coords_to_float(
             led.massey_cosets[1].value)),) + led.massey_cosets[2:]),
@@ -1331,13 +1345,29 @@ def _coords_as(convert):
         "and rationals", id="massey-coset-value-as-floats"),
     pytest.param(lambda led: dataclasses.replace(led, massey_cosets=(dataclasses.replace(
         led.massey_cosets[0], defined=False, obstruction="x"),) + led.massey_cosets[1:]),
-        r"the listed Massey triple <.*> reads as undefined \(False, 'x'\), but it is defined",
-        id="massey-coset-marked-undefined"),
+        r"the listed Massey triple <.*> reads \(defined False, obstruction 'x', value .*\), "
+        "not the ring's record", id="massey-coset-marked-undefined"),
     pytest.param(lambda led: dataclasses.replace(led, massey_cosets=led.massey_cosets[:1] + (
         dataclasses.replace(led.massey_cosets[1], obstruction=OBSTRUCTIONS[1]),)
         + led.massey_cosets[2:]),
-        r"the listed Massey triple <.*> reads as undefined \(True, 'beta\*gamma is "
-        r"nonzero'\), but it is defined", id="massey-coset-obstruction-added"),
+        r"the listed Massey triple <.*> reads \(defined True, obstruction 'beta\*gamma is "
+        r"nonzero', value .*\), not the ring's record", id="massey-coset-obstruction-added"),
+    # == takes 1 for True and 0.5 for Fraction(1, 2), so these equal the
+    # ring's records; both were refused before replay compared records
+    pytest.param(_edit_first_coset(lambda c: dict(alpha=_coords_to_float(c.alpha))),
+                 "the listed Massey triple <.*> holds a class whose degree, dim or pairs are "
+                 "not ints and rationals", id="massey-coset-alpha-as-floats"),
+    pytest.param(_edit_first_coset(lambda c: dict(defined=1)),
+                 "the listed Massey triple <.*> gives defined as 1, not a bool",
+                 id="massey-coset-defined-as-an-int"),
+    # the report reads the indeterminacy off the coset's ring; on these the
+    # replay passed and the report then fell over or read another model
+    pytest.param(_edit_first_coset(lambda c: dict(ring=None)),
+                 "the listed Massey triple <.*> holds a ring that is not one of the model 'even7'",
+                 id="massey-coset-ring-none"),
+    pytest.param(_edit_first_coset(lambda c: dict(ring=_ring_of("odd11"))),
+                 "the listed Massey triple <.*> holds a ring that is not one of the model 'even7'",
+                 id="massey-coset-on-another-model"),
     pytest.param(lambda led: dataclasses.replace(led, massey_undefined={
         **led.massey_undefined, "beta*gamma is nonzero": 4}),
         r"massey_undefined \{'alpha\*beta is nonzero': 3, 'beta\*gamma is nonzero': 4\} are "
@@ -1384,6 +1414,35 @@ def test_recorded_class_renders_its_record_only_on_refusal(rings):
     with pytest.raises(ValueError, match=r"^the record \('tc', 2\) of fact 7 is not a class"):
         _recorded_class(ring, CohClass(2, 5, ((0, 1),)), "the record {} of fact {}",
                         ("tc", 2), 7)
+
+
+def test_the_listing_replays_against_a_new_ring_of_its_model(ledger_of):
+    # the report reads the same indeterminacy off any ring of the model
+    ring = CohomologyRing(compile_cdga(parse_model(MODEL_SOURCES["even7"])))
+    km = KunnethMap(ring, ring)
+    led = ledger_of("even7")
+    assert led.massey_cosets[0].ring is not ring
+    assert replay_ledger(led, ring, km)
+    with pytest.raises(ValueError, match="holds a ring that is not one of the model 'even7'"):
+        replay_ledger(_edit_first_coset(lambda c: dict(ring=_ring_of("spheres8")))(led),
+                      ring, km)
+
+
+@pytest.mark.parametrize("name", ["six8", "nil4at4", "stress"])
+def test_a_valid_replay_renders_no_listing_label(monkeypatch, name):
+    # a listed triple's label is rendered only to name a refusal; rendered
+    # eagerly, a valid nil4 replay at truncate 6 renders some 90,000 labels
+    if name == "stress":
+        ring = _stress_ring("general")
+    else:
+        ring = CohomologyRing(compile_cdga(parse_model(SCALE_MODELS[name])))
+    km = KunnethMap(ring, ring)
+    led = build_ledger(ring, km)
+    assert led.massey_cosets
+    labels = []
+    monkeypatch.setattr(masseytc.bounds, "_triple", lambda classes: labels.append(classes))
+    assert replay_ledger(led, ring, km)
+    assert labels == []
 
 
 def _edit_first_tc_class(**fields):

@@ -28,7 +28,7 @@ from masseytc.dsl import parse_model
 from masseytc.linalg import SparseMatrix, kernel
 from masseytc.models import MODEL_SOURCES
 from oracles import (TuplePairBasis, axiom_sweep, contains_subspace, differentials_by_recursion,
-                     eager_tensor_tables, from_coords, from_dict, product_table,
+                     eager_tensor_tables, from_coords, from_dict, monomials_of, product_table,
                      reps_by_reduction, tensor_cochain, unit)
 from test_bench_tracer import load_bench
 from test_cli import BROKEN_D2_SRC, MULTI_D2_SRC, STRESS_NIL_SRC
@@ -303,7 +303,8 @@ def eager_compiled_table(dga):
     ``compile_cdga``."""
     gens = dga.presentation.canonical_generators()
     odd = [g.degree % 2 for g in gens]
-    index = [{m: i for i, m in enumerate(ms)} for ms in dga.monomials]
+    monomials = monomials_of(dga)
+    index = [{m: i for i, m in enumerate(ms)} for ms in monomials]
 
     def word(m):
         return [g for g, e in enumerate(m) for _ in range(e)]
@@ -312,8 +313,8 @@ def eager_compiled_table(dga):
     n = dga.truncation
     for k1 in range(n + 1):
         for k2 in range(n + 1 - k1):
-            for i1, m1 in enumerate(dga.monomials[k1]):
-                for i2, m2 in enumerate(dga.monomials[k2]):
+            for i1, m1 in enumerate(monomials[k1]):
+                for i2, m2 in enumerate(monomials[k2]):
                     w = word(m1) + word(m2)
                     if any(odd[g] and w.count(g) > 1 for g in w):
                         continue
@@ -586,7 +587,7 @@ def broken_d2_presentations(seed, count):
         free = compile_cdga(Presentation(f"dd{i}", gens, {}, n, n))
         diffs = {}
         for g in free.presentation.canonical_generators():
-            cands = free.monomials[g.degree + 1]
+            cands = monomials_of(free)[g.degree + 1]
             picked = rng.sample(cands, min(len(cands), rng.randint(1, 2)))
             diffs[g.name] = {m: rng.choice([1, -1, 2]) for m in picked}
         out.append(Presentation(f"dd{i}", gens, diffs, n, n))

@@ -5,11 +5,12 @@ solver conventions: free variables zero, columns left to right), so these
 are fixed-point regression oracles, not echoes of the implementation.
 """
 
+import dataclasses
 import random
 
 import pytest
 
-from masseytc import bounds, cohomology, dga, dsl, linalg, massey, models
+from masseytc import bounds, cohomology, dga, dsl, linalg, massey, models, report
 from masseytc.bounds import cat_weight_facts, rudyak_lower_bound, tc_weight_facts
 from masseytc.cohomology import CohClass
 from masseytc.dga import Cochain
@@ -19,6 +20,7 @@ from oracles import (
     from_coords,
     left_annihilator,
     massey_value_from_witnesses,
+    massey_witnesses,
     right_annihilator,
     verify_external_product,
     verify_external_vanishing,
@@ -49,11 +51,22 @@ def test_spheres8_full_table(rings):
         assert m.canonical == m.value
 
 
+def test_a_coset_compares_what_the_report_prints(rings):
+    # the witness solves stay in the ring's memo, so == on two cosets
+    # compares exactly the fields that report.massey_entry prints
+    compared = [f.name for f in dataclasses.fields(massey.MasseyCoset) if f.compare]
+    assert compared == ["alpha", "beta", "gamma", "defined", "obstruction", "value"]
+    r = rings["spheres8"]
+    m = massey_triple(r, r.named_class("a"), r.named_class("a"), r.named_class("b"))
+    assert set(compared) <= set(report.massey_entry(m, "<a, a, b>"))
+
+
 def test_spheres8_witnesses(rings, dgas):
     r = rings["spheres8"]
     m = massey_triple(r, r.named_class("a"), r.named_class("a"), r.named_class("b"))
-    assert m.mu.is_zero()
-    assert m.lam == dgas["spheres8"].basis_cochain(5, 0)  # lam = z
+    mu, lam, _ = massey_witnesses(m)
+    assert mu.is_zero()
+    assert lam == dgas["spheres8"].basis_cochain(5, 0)  # lam = z
     assert m.is_nonzero()
     zero = massey_triple(r, r.named_class("a"), r.named_class("a"), r.named_class("a"))
     assert zero.defined and not zero.is_nonzero()
@@ -65,11 +78,12 @@ def test_even7_products_hit_the_aliases(rings, dgas):
     m = massey_triple(r, alpha, alpha, beta)
     assert m.defined and m.indeterminacy.is_zero()
     assert m.value == r.named_class("u")
-    assert m.mu == dgas["even7"].basis_cochain(3, 0)   # x kills a^2
-    assert m.lam == dgas["even7"].basis_cochain(3, 2)  # z kills a*b
+    mu, lam, _ = massey_witnesses(m)
+    assert mu == dgas["even7"].basis_cochain(3, 0)   # x kills a^2
+    assert lam == dgas["even7"].basis_cochain(3, 2)  # z kills a*b
     m2 = massey_triple(r, beta, beta, alpha)
     assert m2.value == r.named_class("v")
-    assert m2.mu == dgas["even7"].basis_cochain(3, 1)  # y kills b^2
+    assert massey_witnesses(m2)[0] == dgas["even7"].basis_cochain(3, 1)  # y kills b^2
     assert m2.indeterminacy.is_zero()
     assert m.is_nonzero() and m2.is_nonzero()
 
@@ -90,8 +104,9 @@ def test_borromean_triple_products(rings, dgas):
     u, v, w = r.named_class("u"), r.named_class("v"), r.named_class("w")
     m1 = massey_triple(r, u, v, w)
     assert m1.defined and m1.indeterminacy.is_zero()
-    assert m1.mu == dga.basis_cochain(1, 5)   # y3 kills x1*x2
-    assert m1.lam == dga.basis_cochain(1, 3)  # y1 kills x2*x3
+    mu, lam, _ = massey_witnesses(m1)
+    assert mu == dga.basis_cochain(1, 5)   # y3 kills x1*x2
+    assert lam == dga.basis_cochain(1, 3)  # y1 kills x2*x3
     # value x1*y1 - x3*y3 over the degree-2 monomial basis
     g1_cochain = from_coords(Cochain, 2, [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0])
     assert m1.value == r.class_of(g1_cochain)
@@ -224,6 +239,7 @@ def test_witness_perturbations_borromean(rings, dgas):
     dga = dgas["borromean"]
     u, v, w = r.named_class("u"), r.named_class("v"), r.named_class("w")
     base = massey_triple(r, u, v, w)
+    mu, lam, _ = massey_witnesses(base)
     for _ in range(100):
         xi = Cochain(1, dga.dim(1), ())
         eta = Cochain(1, dga.dim(1), ())
@@ -231,7 +247,7 @@ def test_witness_perturbations_borromean(rings, dgas):
             xi = xi.add(dga.basis_cochain(1, i).scale(rng.randint(-3, 3)))
             eta = eta.add(dga.basis_cochain(1, i).scale(rng.randint(-3, 3)))
         w2, val2 = massey_value_from_witnesses(
-            r, u, v, w, base.mu.add(xi), base.lam.add(eta))
+            r, u, v, w, mu.add(xi), lam.add(eta))
         assert base.indeterminacy.reduce(val2.coords) == base.canonical.coords
         assert val2 == base.value  # indeterminacy is zero here
 
@@ -239,10 +255,10 @@ def test_witness_perturbations_borromean(rings, dgas):
 def test_witness_validation(rings, dgas):
     r = rings["borromean"]
     u, v, w = r.named_class("u"), r.named_class("v"), r.named_class("w")
-    base = massey_triple(r, u, v, w)
-    bad = base.mu.add(dgas["borromean"].basis_cochain(1, 4))  # y2 is not closed
+    mu, lam, _ = massey_witnesses(massey_triple(r, u, v, w))
+    bad = mu.add(dgas["borromean"].basis_cochain(1, 4))  # y2 is not closed
     with pytest.raises(ValueError, match="d mu"):
-        massey_value_from_witnesses(r, u, v, w, bad, base.lam)
+        massey_value_from_witnesses(r, u, v, w, bad, lam)
 
 
 def test_multi_identities_fixed_instances(rings):
@@ -336,7 +352,7 @@ def test_value_from_cocycles_matches_stock(rings, dgas):
     base = massey_triple(r, u, v, w)
     wv, val = massey_value_from_cocycles(
         r, r.representative(u), r.representative(v), r.representative(w))
-    assert wv == base.value_cochain and val == base.value
+    assert wv == massey_witnesses(base)[2] and val == base.value
 
 
 def test_value_from_cocycles_rejects_bad_input(rings, dgas):

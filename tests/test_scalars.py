@@ -55,8 +55,8 @@ def numbers(x, classes: list):
         classes.append(x)
         yield from numbers((x.degree, x.dim, x.pairs), classes)
     elif isinstance(x, MasseyCoset):  # all but the defined flag, a bool
-        yield from numbers((x.alpha, x.beta, x.gamma, x.mu, x.lam, x.value_cochain,
-                            x.value, x.indeterminacy, x.canonical), classes)
+        yield from numbers((x.alpha, x.beta, x.gamma, x.value, x.indeterminacy,
+                            x.canonical), classes)
     elif isinstance(x, WeightFact):
         yield from numbers((x.cls, x.weight, x.inputs), classes)
     elif not (isinstance(x, str) or x is None):
@@ -268,13 +268,17 @@ def test_engine_imports_only_what_it_reads():
 
 
 def definitions(tree) -> list:
-    """(line, name, is a method) of every function, method and class a
-    module defines and of every name its top level assigns, dunders left
-    out.  A method is a function defined directly in a class body."""
-    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-               for item in node.body}
+    """(line, name, is a member) of every function, method, class and
+    class-level annotated field a module defines and of every name its top
+    level assigns, dunders left out.  A member is a method, a function
+    defined directly in a class body, or a field, such as a dataclass's."""
+    members = [item for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body]
+    methods = {id(item) for item in members}
     found = [(node.lineno, node.name, id(node) in methods) for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    found += [(item.lineno, item.target.id, True) for item in members
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
     found += [(node.lineno, name.id, False) for node in tree.body
               if isinstance(node, (ast.Assign, ast.AnnAssign))
               for name in ast.walk(node)
@@ -312,8 +316,8 @@ def referenced_names(tree) -> tuple:
 
 def unread(tree, names: set, attributes: set) -> list:
     """The names of the definitions of a module that nothing reads: a
-    method counts as read only as an attribute or a part of a dotted
-    string, anything else also by name."""
+    method or field counts as read only as an attribute or a part of a
+    dotted string, anything else also by name."""
     return [name for _, name, method in definitions(tree)
             if name not in attributes and (method or name not in names)]
 
@@ -322,11 +326,12 @@ def test_every_definition_in_the_engine_has_a_caller():
     """The package holds only what the commands, ledger replay and the
     benchmark call; helpers only the tests call live in tests/oracles.py.
 
-    Definitions are functions, methods, classes and module-level
-    constants.  A method passes when code in src/ or bench/ reads it as an
-    attribute or names it in a dotted string; a local variable of the same
-    name does not keep it.  Any other definition passes when such code
-    reads its name anywhere, even as an attribute of some other object."""
+    Definitions are functions, methods, classes, class-level annotated
+    fields and module-level constants.  A method or field passes when code
+    in src/ or bench/ reads it as an attribute or names it in a dotted
+    string; a local variable or a keyword argument of the same name does
+    not keep it.  Any other definition passes when such code reads its
+    name anywhere, even as an attribute of some other object."""
     sample = ast.parse('"""f g"""\ndef f():\n    "h"\ndef g(): pass\ndef h(): pass\n'
                        'class K:\n    def __len__(self): return 0\n'
                        'def m(): pass\ndef n(): pass\ndef p(): pass\n'
@@ -334,8 +339,11 @@ def test_every_definition_in_the_engine_has_a_caller():
                        'U = 1\nV: int = U\n__version__ = "1"\n'
                        'class L:\n    def r(self): pass\n    def s(self): pass\n'
                        '    def t(self): pass\n    def u(self): pass\n'
-                       'L().s()\nprint(r, "L.t", "u")\n')
-    assert unread(sample, *referenced_names(sample)) == ["f", "h", "K", "T", "V", "r", "u"]
+                       'L().s()\nprint(r, "L.t", "u")\n'
+                       'class M:\n    v: int\n    w: int = 0\n    x: int\n    y: int\n'
+                       'M(w=1).v\nprint(w, "M.x")\n')
+    assert unread(sample, *referenced_names(sample)) == ["f", "h", "K", "T", "V", "r", "u",
+                                                         "w", "y"]
     src = Path(masseytc.__file__).parent
     names, attributes = set(), set()
     for path in sorted(src.glob("*.py")) + sorted(BENCH.rglob("*.py")):
