@@ -28,11 +28,12 @@ plus the Massey rule on the tensor ring: a defined nonzero triple
   TC >= wgt(beta) + min(wgt(alpha), wgt(gamma)) + 1 .
 
 A fact pool holds only atoms: R1 classes, R3 Massey values and R4
-transfers.  R2 lives in chains: a nonzero product of pool facts with
-total weight W certifies cat >= W + 1 (or TC >= W + 1 on the tensor
-ring), and the middle slot beta of the Massey rule is such a chain too.
-Cup-length and zero-divisors cup-length are the all-weights-one special
-case.
+transfers, each made by one function per rule, which replay runs again on
+the recorded evidence and compares with the record.  R2 lives in chains:
+a nonzero product of pool facts with total weight W certifies cat >= W + 1
+(or TC >= W + 1 on the tensor ring), and the middle slot beta of the
+Massey rule is such a chain too.  Cup-length and zero-divisors cup-length
+are the all-weights-one special case.
 
 Each chain search stops at a proven ceiling, which returns the same
 chain, since a search keeps its first heaviest chain:
@@ -96,15 +97,13 @@ class WeightFact:
         return (self.kind, self.cls.degree, self.cls.coords)
 
 
-def _add_fact(facts: dict, kind: str, cls: CohClass, weight: int,
-              rule: str, inputs: tuple) -> None:
-    nc = _normalize_class(cls)
-    if nc.is_zero():
-        return
-    key = (kind, nc.degree, nc.coords)  # hashed once, unless replaced
-    fact = WeightFact(kind, nc, weight, rule, inputs)
-    if facts.setdefault(key, fact).weight < weight:
-        facts[key] = fact
+def _pool(facts) -> tuple:
+    """The heaviest of the non-None ``facts`` per key, the first of equals, sorted by key."""
+    heaviest = {}
+    for f in filter(None, facts):
+        if heaviest.setdefault(f.key, f).weight < f.weight:
+            heaviest[f.key] = f
+    return tuple(f for _, f in sorted(heaviest.items()))
 
 
 # ------------------------------------------------------------ zero-divisors
@@ -184,6 +183,24 @@ def nonzero_products(ring: CohomologyRing, i: int, j: int) -> bool:
     return any(cup(i, a, j, b) for a in range(ring.dim(i)) for b in range(ring.dim(j)))
 
 
+def basis_weight(cls: CohClass) -> WeightFact:
+    """R1 on H: a basis class, as any class of H^+, has category weight 1."""
+    return WeightFact("cat", _normalize_class(cls), 1, "R1", ("basis",))
+
+
+def bar_weight(kmap: KunnethMap, cls: CohClass) -> WeightFact:
+    """R1 on H (x) H: the bar of a class of H^+ has TC weight 1."""
+    return WeightFact("tc", _normalize_class(bar(kmap, cls)), 1, "R1", ("bar", cls))
+
+
+def massey_weight(coset: MasseyCoset) -> "WeightFact | None":
+    """R3: the value of a nonzero Massey coset on H has category weight 2, else None."""
+    if not coset.is_nonzero():
+        return None
+    return WeightFact("cat", _normalize_class(coset.value), 2, "R3",
+                      ("massey", coset.alpha, coset.beta, coset.gamma))
+
+
 def transfer_weight(ring: CohomologyRing, kmap: KunnethMap,
                     fact: WeightFact, k: int) -> tuple:
     """Try to move a category weight onto the bar of its class (rule R4).
@@ -222,32 +239,17 @@ def cat_weight_facts(ring: CohomologyRing, cosets: list) -> tuple:
     """Category-weight atoms, as a pool sorted by key: R1 basis classes and
     R3 Massey values drawn from ``cosets``, a Massey scan of the ring (see
     :func:`~masseytc.massey.scan_triples`)."""
-    facts = {}
-    for e in ring.positive_basis():
-        _add_fact(facts, "cat", e, 1, "R1", ("basis",))
-    for coset in cosets:
-        if coset.is_nonzero():
-            _add_fact(facts, "cat", coset.value, 2, "R3",
-                      ("massey", coset.alpha, coset.beta, coset.gamma))
-    return tuple(f for _, f in sorted(facts.items()))
+    return _pool([*map(basis_weight, ring.positive_basis()), *map(massey_weight, cosets)])
 
 
 def tc_weight_facts(ring: CohomologyRing, kmap: KunnethMap,
                     cat_facts: tuple) -> tuple:
     """TC-weight atoms on the self-tensor ring, as a pool sorted by key:
     bars and R4 transfers of the ``cat_facts`` pool."""
-    facts = {}
-    for e in ring.positive_basis():
-        _add_fact(facts, "tc", bar(kmap, e), 1, "R1", ("bar", e))
-    # a fact of degree l can only move at weight k = l // (r + 1), the one
-    # k whose window k(r+1) <= l < (k+1)(r+1) holds it
+    # a fact of degree l moves only at k = l // (r + 1), whose window holds l
     width = ring.connectivity() + 1
-    for f in cat_facts:
-        transferred, _ = transfer_weight(ring, kmap, f, f.cls.degree // width)
-        if transferred is not None:
-            _add_fact(facts, "tc", transferred.cls, transferred.weight,
-                      transferred.rule, transferred.inputs)
-    return tuple(f for _, f in sorted(facts.items()))
+    moved = (transfer_weight(ring, kmap, f, f.cls.degree // width)[0] for f in cat_facts)
+    return _pool([*(bar_weight(kmap, e) for e in ring.positive_basis()), *moved])
 
 
 def weighted_lower_bound(ring: CohomologyRing, facts: tuple, length: int = None) -> tuple:
@@ -438,8 +440,8 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
     """Compute all bounds for one model and record their certificates."""
     if kmap.ha is not ring or kmap.hb is not ring:
         raise ValueError("the Kunneth map must square the given ring")
-    if massey_cap is not None and massey_cap < 0:
-        raise ValueError(f"the Massey degree cap must be non-negative, not {massey_cap}")
+    if massey_cap is not None and (type(massey_cap) is not int or massey_cap < 0):
+        raise ValueError(f"the Massey degree cap must be a non-negative int, not {massey_cap!r}")
     cap = ring.truncation if massey_cap is None else min(massey_cap, ring.truncation)
     space_dim = _space_dim(ring)
     conn = ring.connectivity()
@@ -502,6 +504,9 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
     ring it was computed on, and the count of undefined triples per
     obstruction.
     """
+    # a BoundLedger reads its bounds off its certificates; a look-alike states them
+    if type(ledger) is not BoundLedger:
+        raise ValueError(f"the ledger is a {type(ledger).__name__}, not a BoundLedger")
     ht = kmap.ht
     if ledger.model != ring.dga.name:
         raise ValueError(f"model {ledger.model!r} is not the ring's {ring.dga.name!r}")
@@ -558,35 +563,30 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
             fail(f, f"weight {f.weight!r} is not an integer")
         if not isinstance(f.inputs, tuple):
             fail(f, f"evidence {f.inputs!r} is not a tuple")
-        rg = ring if kind == "cat" else ht
         tag = f.inputs[0] if f.inputs else None
         entries = _EVIDENCE_ENTRIES.get(tag) if type(tag) is str else None
-        if entries is not None and len(f.inputs) != entries + 1:
+        if entries is None:
+            fail(f, f"unknown rule/evidence combination {f.rule}/{tag}")
+        if len(f.inputs) != entries + 1:
             fail(f, f"{tag} evidence needs {entries} entries after its tag, "
                     f"not {len(f.inputs) - 1}")
-        if f.rule == "R1" and tag == "basis":
-            if f.kind != "cat" or f.weight != 1:
-                fail(f, "R1 basis facts are category weight 1")
-        elif f.rule == "R1" and tag == "bar":
-            b = bar(kmap, _recorded_class(ring, f.inputs[1], "the bar evidence of fact {.key}", f))
-            if _normalize_class(b) != f.cls or f.weight != 1:
-                fail(f, "bar does not reproduce the recorded class at weight 1")
-            if not kmap.diagonal_map(f.cls).is_zero():
-                fail(f, "recorded class is not a zero-divisor")
-        elif f.rule == "R3" and tag == "massey":
-            classes = [_recorded_class(rg, x, "the massey evidence of fact {.key}", f)
-                       for x in f.inputs[1:]]
-            coset = massey_triple(rg, *classes)
+        if tag == "basis":
+            want = basis_weight(f.cls)
+        elif tag == "bar":
+            # a zero-divisor by construction: mu(1 (x) u - u (x) 1) = u - u = 0
+            want = bar_weight(kmap, _recorded_class(ring, f.inputs[1],
+                                                    "the bar evidence of fact {.key}", f))
+        elif tag == "massey":
+            # R3 is a rule on H, so its evidence is read there for either pool
+            coset = massey_triple(ring, *(_recorded_class(
+                ring, x, "the massey evidence of fact {.key}", f) for x in f.inputs[1:]))
             if coset.target_degree > cap:
                 fail(f, f"Massey triple lands in degree {coset.target_degree}, "
                         f"above massey_cap {cap}")
-            if not coset.is_nonzero():
+            want = massey_weight(coset)
+            if want is None:
                 fail(f, "Massey triple is not defined and nonzero")
-            if _normalize_class(coset.value) != f.cls:
-                fail(f, "Massey value differs from the recorded class")
-            if f.weight != 2:
-                fail(f, "R3 facts carry weight exactly 2")
-        elif f.rule == "R4-transfer" and tag == "transfer":
+        else:
             # the source is replayed in its own turn; it must be a cat
             # fact, and a transfer is a tc fact, so no evidence loops
             source = fact_at(f.inputs[1])
@@ -594,13 +594,12 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
                 fail(f, "transfer evidence names a fact that is not in the fact pool")
             if type(f.inputs[2]) is not int:
                 fail(f, f"transfer evidence gives k as {f.inputs[2]!r}, not an integer")
-            transferred, reason = transfer_weight(ring, kmap, source, f.inputs[2])
-            if transferred is None:
+            want, reason = transfer_weight(ring, kmap, source, f.inputs[2])
+            if want is None:
                 fail(f, f"transfer hypotheses fail on replay: {reason}")
-            if transferred.key != f.key or transferred.weight != f.weight:
-                fail(f, "transfer reproduces a different fact")
-        else:
-            fail(f, f"unknown rule/evidence combination {f.rule}/{tag}")
+        if want != f:
+            differ = [name for name, value in vars(f).items() if getattr(want, name) != value]
+            fail(f, f"its {tag} evidence derives a fact with another {', '.join(differ)}")
 
     for kind in ("cat", "tc"):
         pool = getattr(ledger, f"{kind}_facts")

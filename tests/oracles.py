@@ -53,7 +53,11 @@ and are kept here, next to the tests that use them:
   (``massey_witnesses``: the solves its ring memoizes and the value
   cochain, none of which a coset holds), the annihilators the identity
   checks sample from, and ``verify_external_vanishing``, the explicit primitive
-  certifying that a cross-product triple contains zero.
+  certifying that a cross-product triple contains zero;
+* ``fact_from_evidence``, the weight fact that a fact's evidence derives by
+  the engine's rule functions, dispatched on the evidence tag apart from
+  ``replay_ledger``, and ``assert_sound_facts``, which checks every fact of
+  a ledger against it and every TC fact against ker mu.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, Mapping, Sequence
 
-from masseytc.bounds import bar, indecomposables
+from masseytc.bounds import (WeightFact, bar, bar_weight, basis_weight, indecomposables,
+                             massey_weight, transfer_weight)
 from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap, heaviest_chain
 from masseytc.dga import DGA, Cochain, Presentation, Violation, mono_mul
 from masseytc.linalg import (ONE, ZERO, SparseMatrix, Subspace, Vector, dense, image, kernel,
@@ -966,6 +971,35 @@ def zcl_by_ideal_search(kmap: KunnethMap) -> tuple:
              for d in sorted(ideal) for col in ideal[d].nonzero_columns]
     _, picked, prod = heaviest_chain(kmap.ht, basis, [1] * len(basis), goal=k)
     return k, tuple(basis[i] for i in picked), prod
+
+
+# ------------------------------------------------------------- weight facts
+
+
+def fact_from_evidence(ring: CohomologyRing, kmap: KunnethMap, facts: dict,
+                       fact: WeightFact) -> WeightFact:
+    """The fact that ``fact.inputs`` derives by its rule; ``facts`` maps the
+    keys of the ledger's facts to them, for a transfer's source."""
+    tag, *evidence = fact.inputs
+    if tag == "basis":
+        return basis_weight(fact.cls)
+    if tag == "bar":
+        return bar_weight(kmap, *evidence)
+    if tag == "massey":
+        return massey_weight(massey_triple(ring, *evidence))
+    source, k = evidence
+    return transfer_weight(ring, kmap, facts[source], k)[0]
+
+
+def assert_sound_facts(ledger, ring: CohomologyRing, kmap: KunnethMap) -> None:
+    """Every TC fact of ``ledger`` is a zero-divisor, and every fact is the
+    one its evidence derives."""
+    pools = ledger.cat_facts + ledger.tc_facts
+    facts = {f.key: f for f in pools}
+    for f in ledger.tc_facts:
+        assert kmap.diagonal_map(f.cls).is_zero(), f.key
+    for f in pools:
+        assert fact_from_evidence(ring, kmap, facts, f) == f, f.key
 
 
 # ------------------------------------------------------------------ reports

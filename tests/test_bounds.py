@@ -49,7 +49,8 @@ from masseytc.linalg import Subspace, kernel, scalar
 from masseytc.massey import OBSTRUCTIONS, massey_triple, scan_triples
 from masseytc.models import MODEL_SOURCES
 from conftest import S2_SRC
-from oracles import from_coords, multiplication, zcl_by_ideal_search, zero_divisor_ideal
+from oracles import (assert_sound_facts, from_coords, multiplication, zcl_by_ideal_search,
+                     zero_divisor_ideal)
 from test_bench_tracer import load_bench
 from test_cli import SCALE_MODELS, STRESS_NIL_SRC, six_src
 from test_cohomology import POLY4_SRC, _stress_ring, ideal_powers_length, random_presentations
@@ -885,6 +886,14 @@ def test_ledger_massey_cap_is_checked_and_clamped(rings, kunneth_of, ledger_of):
     assert replay_ledger(led, ring, km)
 
 
+@pytest.mark.parametrize("cap", [5.0, 4.5, True, "5"])
+def test_ledger_refuses_a_massey_cap_that_is_not_an_int(rings, kunneth_of, cap):
+    # 5.0, 4.5 and True each built an even7 ledger that replay refused, and
+    # True capped the scan at degree 1, which dropped cat lower from 4 to 3
+    with pytest.raises(ValueError, match=f"must be a non-negative int, not {cap!r}"):
+        build_ledger(rings["even7"], kunneth_of("even7"), massey_cap=cap)
+
+
 def test_ledger_requires_matching_square(rings, kunneth_of):
     with pytest.raises(ValueError):
         build_ledger(rings["s2"], kunneth_of("s3"))
@@ -1003,6 +1012,57 @@ def test_replay_names_the_forgery(rings, kunneth_of, ledger_of, forge, reason):
     bad = dataclasses.replace(led, certificates=forge(led.certificates))
     with pytest.raises(ValueError, match=reason):
         replay_ledger(bad, rings["spheres8"], kunneth_of("spheres8"))
+
+
+def _with_tc_massey_fact(ring, km, led):
+    """The ledger plus a TC-pool R3 fact on <a (x) 1, a (x) 1, b (x) 1> of
+    weight 2 and a weighted-product certificate that cites it.  The value
+    <a, a, b> (x) 1 is nonzero on H (x) H, but mu sends it to <a, a, b>,
+    so it is no zero-divisor and carries no TC weight."""
+    one = ring.basis_class(0, 0)
+    a, b = (km.cross(ring.named_class(x), one) for x in "ab")
+    coset = massey_triple(km.ht, a, a, b)
+    assert coset.is_nonzero() and not km.diagonal_map(coset.value).is_zero()
+    fact = WeightFact("tc", _normalize_class(coset.value), 2, "R3", ("massey", a, a, b))
+    return dataclasses.replace(
+        led, tc_facts=tuple(sorted(led.tc_facts + (fact,), key=lambda f: f.key)),
+        certificates=led.certificates + ({"rule": "weighted-product", "kind": "tc", "bound": 3,
+                                          "factors": (fact.key,), "product": fact.cls},))
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, id=f"tc-massey-fact-{name}") for name in ("spheres8", "even7", "odd11")])
+def test_replay_reads_massey_evidence_on_the_base_ring(rings, kunneth_of, ledger_of, name):
+    # R3 is a rule on H; this forgery replayed as valid while replay read
+    # the evidence of a TC-pool R3 fact on H (x) H
+    bad = _with_tc_massey_fact(rings[name], kunneth_of(name), ledger_of(name))
+    with pytest.raises(ValueError, match=r"the massey evidence of fact \('tc', .* is not a class"):
+        replay_ledger(bad, rings[name], kunneth_of(name))
+
+
+def test_replay_refuses_a_look_alike_ledger(rings, kunneth_of, ledger_of):
+    # a look-alike states its bounds rather than reading them off its
+    # certificates: this one replayed as valid, and the report printed TC
+    # [5, 5] beside certificates that give [4, 5]
+    led = ledger_of("borromean")
+    fields = ("cat_lower", "cat_upper", "tc_upper", "cup_witness", "zcl_witness",
+              "cup_length", "zcl") + tuple(f.name for f in dataclasses.fields(led))
+    fake = types.SimpleNamespace(**{x: getattr(led, x) for x in fields}, tc_lower=5)
+    assert report.ledger_section(led)["tc"] == [4, 5]
+    assert report.ledger_section(fake)["tc"] == [5, 5]
+    with pytest.raises(ValueError, match="the ledger is a SimpleNamespace, not a BoundLedger"):
+        replay_ledger(fake, rings["borromean"], kunneth_of("borromean"))
+
+
+@pytest.mark.parametrize("name", ALL_MODELS + ("stress",))
+def test_every_fact_is_what_its_evidence_derives(rings, kunneth_of, ledger_of, name):
+    # replay checks a fact by deriving it again from its evidence; a bar
+    # is then a zero-divisor by construction, with no check of its own
+    if name == "stress":
+        ring, km, led = _stress_ledger()
+    else:
+        ring, km, led = rings[name], kunneth_of(name), ledger_of(name)
+    assert_sound_facts(led, ring, km)
 
 
 def _edit_evidence(pool, tag, edit):

@@ -15,6 +15,7 @@ from masseytc.bounds import build_ledger, replay_ledger
 from masseytc.cohomology import CohomologyRing, KunnethMap
 from masseytc.dga import compile_cdga
 from masseytc.dsl import parse_model
+from oracles import assert_sound_facts
 from test_bench_tracer import load_bench
 
 
@@ -91,3 +92,12 @@ def test_certified_bounds_respect_the_nilmanifold(name):
     if name in TORI:
         assert ledger.tc_lower == TORI[name] + 1
     assert replay_ledger(ledger, ring, kmap)
+
+
+@pytest.mark.parametrize("name", sorted(NILMANIFOLDS))
+def test_every_fact_is_sound_and_derives_from_its_evidence(name):
+    # each TC fact is a zero-divisor, and each fact is the one its evidence
+    # derives by the engine's rule functions
+    ring = CohomologyRing(compile_cdga(parse_model(NILMANIFOLDS[name])))
+    kmap = KunnethMap(ring, ring)
+    assert_sound_facts(build_ledger(ring, kmap), ring, kmap)
