@@ -19,7 +19,11 @@ read off them.  The ring of a tensor model takes its dimensions from the
 Kunneth pairs and its canonical basis from its factors, the cross
 products r_i (x) s_j (see :class:`KunnethMap`).  So the square eliminates
 d_k only for what a Massey witness needs: the solves in degree k and the
-boundaries of degree k+1 that ``class_of`` reduces by.
+boundaries of degree k+1 that ``class_of`` reduces by.  With the canonical
+solve s, ``solve_boundary``, this is one contraction (i, p, h) onto H: i
+is the canonical representative, p(x) = class_of(x - s(dx)) and
+h(z) = s(z - i p z) on cocycles; ``homotopy`` is h on products of
+representatives, the Massey witnesses.
 
 Products are held as a sparse table of structure constants: one entry per
 basis pair, holding the product's nonzero (index, coefficient) pairs.  A
@@ -99,7 +103,7 @@ class CohomologyRing:
         self._cup_chain = None
         self._multiples = {}
         self._indeterminacies = {}  # see massey.massey_indeterminacy
-        self._witnesses = {}  # see massey._product_witness
+        self._homotopies = {}
         if factors is None:
             self._dims = tuple(self.part(k).reps.dim for k in range(dga.truncation + 1))
         else:
@@ -223,17 +227,27 @@ class CohomologyRing:
         return CohClass(k, self.dim(k), pairs)
 
     def solve_boundary(self, x: Cochain) -> "Cochain | None":
-        """The canonical cochain whose differential is x, or None when x is
-        not a boundary.
-
-        Solves read the elimination of d_k that also gave the cocycles, so
-        repeated Massey-style witness solves cost one reduction each.
-        """
+        """s(x): the canonical cochain whose differential is x, or None when
+        x is not a boundary.  It reads the elimination of d_k that also gave
+        the cocycles, so each solve costs one reduction."""
         k = x.degree - 1
         if not (0 <= k <= self.truncation):
             return None
         pairs = self._solver(k).solve(x.pairs)
         return None if pairs is None else Cochain(k, self.dga.dim(k), pairs)
+
+    def homotopy(self, x: CohClass, y: CohClass) -> Cochain:
+        """h(rep x * rep y) = s(rep x * rep y - rep(x*y)), memoized per ordered
+        class pair; for x*y = 0, the Massey witness mu of d mu = rep x * rep y."""
+        key = (x.degree, x.pairs, y.degree, y.pairs)
+        hit = self._homotopies.get(key)
+        if hit is None:
+            xy, z = self.cup(x, y), self.dga.mul(self.representative(x), self.representative(y))
+            hit = self.solve_boundary(z.sub(self.representative(xy)) if xy.pairs else z)
+            if hit is None:
+                raise ValueError(f"a product less its class is no boundary in degree {z.degree}")
+            self._homotopies[key] = hit
+        return hit
 
     def class_name(self, k: int, i: int) -> str:
         """The basis class e_i of H^k as its rendered representative, such

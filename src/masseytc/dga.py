@@ -256,9 +256,10 @@ def normalize_presentation(
     """Build a Presentation from symbolic term lists.
 
     ``diff_terms`` maps a generator name to a list of (coeff, [factor names]);
-    ``alias_terms`` is a list of (alias, same term shape).  Terms are
-    normalized into canonical-order monomials with Koszul signs, and
-    homogeneity of each differential (degree |g|+1) is enforced here.
+    ``alias_terms`` is a list of (alias, same term shape), each alias named
+    apart from every generator and other alias.  Terms are normalized into
+    canonical-order monomials with Koszul signs, and homogeneity of each
+    differential (degree |g|+1) is enforced here.
     """
     seen = set()
     for g in generators:
@@ -317,6 +318,9 @@ def normalize_presentation(
 
     aliases = []
     for aname, terms in alias_terms:
+        if aname in seen:
+            raise PresentationError(f"duplicate name {aname}")
+        seen.add(aname)
         p = poly_of(terms, f"alias {aname}")
         degs = {mono_degree(m, degrees) for m in p}
         if len(degs) > 1:

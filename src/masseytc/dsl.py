@@ -226,6 +226,8 @@ class _Parser:
                 g = self.expect("IDENT", "a generator name")
                 if g.value in gen_names:
                     raise ParseError(f"duplicate generator {g.value}", g.line, g.col)
+                if g.value in alias_names:
+                    raise ParseError(f"duplicate name {g.value}", g.line, g.col)
                 self.expect_word("degree")
                 deg = self.expect("INT", "a degree")
                 generators.append(Generator(g.value, deg.value))

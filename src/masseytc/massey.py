@@ -5,17 +5,18 @@ the coset of
 
     w = a*lam + (-1)^(|a|+1) mu*c ,   d mu = a*b,  d lam = b*c
 
-modulo |a| H^(|b|+|c|-1) + H^(|a|+|b|-1) |c|.  Witness cochains come from
-the deterministic solver, so equal inputs always produce identical
-witnesses and the coset gets a canonical representative: the value reduced
-modulo the indeterminacy subspace.  The product is nonzero (as a coset)
-exactly when that canonical representative is nonzero.
+modulo |a| H^(|b|+|c|-1) + H^(|a|+|b|-1) |c|.  The witnesses mu = h(a, b)
+and lam = h(b, c) are the ring's homotopy (:meth:`CohomologyRing.homotopy`),
+so w is Kadeishvili's m3(a, b, c) (Lu, Palmieri, Wu and Zhang, J. Pure Appl.
+Algebra 2009, section 3).  The coset's canonical representative is the
+value reduced modulo the indeterminacy; the product is nonzero (as a coset)
+exactly when that representative is nonzero.
 
 A coset holds what the report prints of it: the three classes, whether
-the triple is defined, its obstruction and the class of w.  The witness
-solves stay on the ring, memoized per ordered class pair, so <a,b,c> and
-<a,b,c'> solve d mu = a*b once; a defined triple whose target degree has
-dim H = 0 is the zero class and solves nothing.  The indeterminacy and the
+the triple is defined, its obstruction and the class of w.  The ring
+memoizes h per ordered class pair, so <a,b,c> and <a,b,c'> solve
+d mu = a*b once; a defined triple whose target degree has dim H = 0 is
+the zero class and solves nothing.  The indeterminacy and the
 canonical representative are computed on first read, the indeterminacy
 memoized on the ring per alpha, gamma and |beta|; a zero value needs
 neither, so a scan builds the indeterminacy of its nonzero values alone.
@@ -51,8 +52,8 @@ class MasseyCoset:
     """A triple <alpha, beta, gamma> as the report prints it: its value when
     defined, else the obstruction.  ``==`` compares these records, not
     ``ring``, off which ``indeterminacy`` and ``canonical`` are computed on
-    first read.  The witness solves behind the value are memoized on the
-    ring; a defined triple whose target degree has dim H = 0 has the zero
+    first read.  The witnesses behind the value are the ring's homotopy
+    h; a defined triple whose target degree has dim H = 0 has the zero
     class as its value and solves none."""
 
     alpha: CohClass
@@ -102,24 +103,9 @@ def massey_triple(ring: CohomologyRing, alpha: CohClass, beta: CohClass,
 
     if not ring.dim(target):  # the value lies in H^target = 0: no witness is solved
         return MasseyCoset(alpha, beta, gamma, True, None, CohClass(target, 0, ()), ring)
-    mu, lam = _product_witness(ring, alpha, beta), _product_witness(ring, beta, gamma)
+    mu, lam = ring.homotopy(alpha, beta), ring.homotopy(beta, gamma)
     w = _value(ring.dga, ring.representative(alpha), mu, lam, ring.representative(gamma))
     return MasseyCoset(alpha, beta, gamma, True, None, ring.class_of(w), ring)
-
-
-def _product_witness(ring: CohomologyRing, x: CohClass, y: CohClass) -> Cochain:
-    """The canonical solution of d mu = rep(x)*rep(y) for classes with
-    x*y = 0; memoized on the ring per ordered class pair, like
-    :func:`massey_indeterminacy`, so triples that share a defining product
-    share its solve."""
-    key = (x.degree, x.pairs, y.degree, y.pairs)
-    hit = ring._witnesses.get(key)
-    if hit is None:
-        hit = ring.solve_boundary(ring.dga.mul(ring.representative(x), ring.representative(y)))
-        if hit is None:
-            raise ValueError("boundary witness missing although the class product vanishes")
-        ring._witnesses[key] = hit
-    return hit
 
 
 def massey_indeterminacy(ring: CohomologyRing, alpha: CohClass,

@@ -50,10 +50,14 @@ and are kept here, next to the tests that use them:
 * the Massey identity checks (``verify_multi_identities``, the internal and
   external product checks), witness-level values
   (``massey_value_from_witnesses``), the witnesses of a coset
-  (``massey_witnesses``: the solves its ring memoizes and the value
-  cochain, none of which a coset holds), the annihilators the identity
-  checks sample from, and ``verify_external_vanishing``, the explicit primitive
-  certifying that a cross-product triple contains zero;
+  (``massey_witnesses``: the canonical solves of its defining products,
+  formed afresh by ``product_witness`` apart from the ring's homotopy, and
+  the value cochain, none of which a coset holds), the annihilators the
+  identity checks sample from, and ``verify_external_vanishing``, the
+  explicit primitive certifying that a cross-product triple contains zero;
+* the contraction's side of the ring: ``projection``, its p(x) =
+  class_of(x - s(dx)), and ``m3``, Kadeishvili's triple product built from
+  the ring's homotopy h;
 * ``fact_from_evidence``, the weight fact that a fact's evidence derives by
   the engine's rule functions, dispatched on the evidence tag apart from
   ``replay_ledger``, and ``assert_sound_facts``, which checks every fact of
@@ -73,7 +77,7 @@ from masseytc.cohomology import CohClass, CohomologyRing, KunnethMap, heaviest_c
 from masseytc.dga import DGA, Cochain, Presentation, Violation, mono_mul
 from masseytc.linalg import (ONE, ZERO, SparseMatrix, Subspace, Vector, dense, image, kernel,
                              sparse)
-from masseytc.massey import MasseyCoset, _product_witness, massey_triple
+from masseytc.massey import MasseyCoset, _value, massey_triple
 from masseytc.models import MODEL_SOURCES
 
 
@@ -637,14 +641,40 @@ def massey_value_from_witnesses(ring: CohomologyRing, alpha: CohClass,
     return w, ring.class_of(w)
 
 
+def product_witness(ring: CohomologyRing, x: CohClass, y: CohClass) -> Cochain:
+    """The canonical solve of d mu = rep x * rep y, formed afresh, as the
+    engine found a Massey witness before the ring's homotopy held it."""
+    mu = ring.solve_boundary(ring.dga.mul(ring.representative(x), ring.representative(y)))
+    if mu is None:
+        raise ValueError("rep x * rep y is not a coboundary")
+    return mu
+
+
 def massey_witnesses(coset: MasseyCoset) -> tuple:
     """(mu, lam, w) of a defined triple: the canonical solves of d mu = a*b
-    and d lam = b*c, read from its ring's memo or solved into it, and the
-    value cochain w built from them, whose class is ``coset.value``."""
+    and d lam = b*c, each formed afresh, and the value cochain w built from
+    them, whose class is ``coset.value``."""
     ring, alpha, beta, gamma = coset.ring, coset.alpha, coset.beta, coset.gamma
-    mu, lam = _product_witness(ring, alpha, beta), _product_witness(ring, beta, gamma)
+    mu, lam = product_witness(ring, alpha, beta), product_witness(ring, beta, gamma)
     w, _ = massey_value_from_witnesses(ring, alpha, beta, gamma, mu, lam)
     return mu, lam, w
+
+
+# ---------------------------------------------------------- the contraction
+
+
+def projection(ring: CohomologyRing, x: Cochain) -> CohClass:
+    """p(x) = class_of(x - s(dx)), s the canonical solve: the contraction's
+    projection of any cochain onto H (dx is always a boundary)."""
+    return ring.class_of(x.sub(ring.solve_boundary(ring.dga.d(x))))
+
+
+def m3(ring: CohomologyRing, alpha: CohClass, beta: CohClass, gamma: CohClass) -> CohClass:
+    """Kadeishvili's m3(a, b, c) = p(a * h(b, c) + (-1)^(|a|+1) h(a, b) * c)
+    from the ring's homotopy h, with the engine's value sign."""
+    a, c = ring.representative(alpha), ring.representative(gamma)
+    return projection(ring, _value(ring.dga, a, ring.homotopy(alpha, beta),
+                                   ring.homotopy(beta, gamma), c))
 
 
 def left_annihilator(ring: CohomologyRing, k: int, cls: CohClass) -> Subspace:

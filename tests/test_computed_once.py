@@ -134,13 +134,16 @@ def test_scanned_cosets_equal_triples_computed_on_a_fresh_ring(name):
         for i, j, k in itertools.product(range(dims[p]), range(dims[q]), range(dims[r]))
         if (p, i, q, j, r, k) <= (r, k, q, j, p, i)]
     scan = scan_triples(ring)
-    assert len(ring._witnesses) <= 2 * len(scan)
+    assert len(ring._homotopies) <= 2 * len(scan)
     for coset in scan:
-        fresh._witnesses.clear()  # no solve shared with another triple
+        fresh._homotopies.clear()  # no solve shared with another triple
         alone = massey_triple(fresh, coset.alpha, coset.beta, coset.gamma)
         assert coset == alone
-        # the solves the scan shared are the ones each triple makes alone
-        assert massey_witnesses(coset) == massey_witnesses(alone)
+        # the solves the scan shared are the ones each triple makes alone,
+        # and the canonical solves formed afresh
+        pairs = ((coset.alpha, coset.beta), (coset.beta, coset.gamma))
+        assert ([ring.homotopy(*p) for p in pairs] == [fresh.homotopy(*p) for p in pairs]
+                == list(massey_witnesses(alone)[:2]))
 
 
 def test_triples_with_a_zero_target_solve_no_witness(monkeypatch):
@@ -152,7 +155,7 @@ def test_triples_with_a_zero_target_solve_no_witness(monkeypatch):
     monkeypatch.setattr(CohomologyRing, "solve_boundary",
                         lambda *a: solves.append(a) or solve(*a))
     scan = scan_triples(ring)
-    assert len(scan) == 22 and not solves and not ring._witnesses
+    assert len(scan) == 22 and not solves and not ring._homotopies
     for coset in scan:
         assert ring.dim(coset.target_degree) == 0 and coset.value.is_zero()
         assert not coset.is_nonzero()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from masseytc.cli import main
-from masseytc.dga import PresentationError
+from masseytc.dga import Generator, PresentationError, normalize_presentation
 from masseytc.dsl import ParseError, parse_model
 from conftest import golden_models
 from masseytc.models import MODEL_SOURCES
@@ -151,6 +151,33 @@ def test_parse_errors():
               alias u = x
             }
         """)
+
+
+@pytest.mark.parametrize("first, second, col", [
+    ("generator x degree 2", "alias x = y", 9),
+    ("alias x = y", "generator x degree 2", 13),
+], ids=["alias-after-generator", "generator-after-alias"])
+def test_an_alias_and_a_generator_cannot_share_a_name(tmp_path, capsys, first, second, col):
+    # either order is refused at the second name; an alias declared first
+    # used to shadow the later generator, which no name could then reach
+    text = f"algebra t {{\n  truncate 4\n  generator y degree 1\n  {first}\n  {second}\n}}\n"
+    with pytest.raises(ParseError, match="duplicate name x") as exc:
+        parse_model(text)
+    assert (exc.value.line, exc.value.col) == (5, col)
+    path = tmp_path / "clash.mtc"
+    path.write_text(text)
+    assert main(["massey", str(path), "x", "x", "x"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 5, col {col}: duplicate name x\n"
+
+
+@pytest.mark.parametrize("aliases", [
+    [("x", [(1, ["y"])])],
+    [("u", [(1, ["y"])]), ("u", [(2, ["y"])])],
+], ids=["alias-named-as-a-generator", "two-aliases-of-one-name"])
+def test_a_presentation_built_in_python_refuses_a_shared_name(aliases):
+    gens = [Generator("y", 1), Generator("x", 2)]
+    with pytest.raises(PresentationError, match=f"duplicate name {aliases[-1][0]}"):
+        normalize_presentation("t", gens, {}, 4, alias_terms=aliases)
 
 
 def test_semantic_errors_report_true_degrees():

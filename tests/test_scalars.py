@@ -74,7 +74,7 @@ def dga_tables(dga) -> list:
 def ring_tables(ring) -> list:
     solvers = [(s.image, s._preimages) for s in ring._solvers.values()]
     return [ring._parts, ring._cup_memo, solvers, ring._named, ring._cup_chain,
-            ring._multiples, ring._indeterminacies, ring._witnesses]
+            ring._multiples, ring._indeterminacies, ring._homotopies]
 
 
 @pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress"])
