@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
-from .cohomology import CohClass, CohomologyRing, KunnethMap, cup_chain, heaviest_chain
+from .cohomology import CohClass, CohomologyRing, KunnethMap, heaviest_chain
 from .linalg import Subspace, _canonical, inverse, is_rational
 from .linalg import kernel  # noqa: F401  bench/tests/test_bench_trace.py reads bounds.kernel
 from .massey import OBSTRUCTIONS, MasseyCoset, massey_triple, scan_triples
@@ -169,7 +169,7 @@ def zero_divisors_cup_length(kmap: KunnethMap) -> tuple:
     _unit(kmap)  # refuse a ring the bars do not cover before any search
     bars = [bar(kmap, u) for u in indecomposables(kmap.ha)]
     k, picked, prod = heaviest_chain(kmap.ht, bars, [1] * len(bars),
-                                     goal=2 * cup_chain(kmap.ha)[0])
+                                     goal=2 * kmap.ha.cup_length())
     return k, tuple(bars[i] for i in picked), prod
 
 
@@ -447,7 +447,7 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
     conn = ring.connectivity()
     certs = []
 
-    cup_witness = cup_chain(ring)[1]
+    cup_witness = ring.cup_chain()[1]
     undefined = dict.fromkeys(OBSTRUCTIONS, 0)
     cosets = tuple(scan_triples(ring, cap, undefined=undefined))
     cat_facts = cat_weight_facts(ring, cosets)

@@ -13,9 +13,10 @@ Each degree's boundaries and canonical basis are computed the first time
 something needs them, by :meth:`CohomologyRing.part`.  Each differential
 d_k is eliminated at most once, and that one elimination gives the
 cocycles of degree k, the boundaries of degree k+1 and the boundary
-solves in degree k; a degree with no cochains eliminates nothing.  A base
-ring computes every degree when it is built, since its dimensions are
-read off them.  The ring of a tensor model takes its dimensions from the
+solves in degree k; the matrix keeps it, and its one solver, itself
+(``SparseMatrix.solver``).  A degree with no cochains eliminates nothing.
+A base ring computes every degree when it is built, since its dimensions
+are read off them.  The ring of a tensor model takes its dimensions from the
 Kunneth pairs and its canonical basis from its factors, the cross
 products r_i (x) s_j (see :class:`KunnethMap`).  So the square eliminates
 d_k only for what a Massey witness needs: the solves in degree k and the
@@ -23,7 +24,9 @@ boundaries of degree k+1 that ``class_of`` reduces by.  With the canonical
 solve s, ``solve_boundary``, this is one contraction (i, p, h) onto H: i
 is the canonical representative, p(x) = class_of(x - s(dx)) and
 h(z) = s(z - i p z) on cocycles; ``homotopy`` is h on products of
-representatives, the Massey witnesses.
+representatives, the Massey witnesses.  s(0) = 0 in every degree, those
+outside 0..N included, so h(1, 1) and h on a product of degree N + 2 or
+more are zero.
 
 Products are held as a sparse table of structure constants: one entry per
 basis pair, holding the product's nonzero (index, coefficient) pairs.  A
@@ -51,7 +54,10 @@ zcl witness), and fact weights for the bounds.
 
 Each basis class's name, its rendered representative, is made once per
 ring, since a report labels every Massey triple of a scan by the names
-of its three basis classes.
+of its three basis classes.  The ring likewise keeps each quantity it
+derives in a memo of its own: the spans cls * H^k, the Massey
+indeterminacies alpha * H + H * gamma built from them, the homotopy and
+the cup-length chain.
 """
 
 from __future__ import annotations
@@ -59,8 +65,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dga import DGA, Cochain, PairBasis, tensor
-from .linalg import (ONE, ZERO, GradedVector, PrefactoredSolver, SparseMatrix, Subspace,
-                     _canonical, _check_indices, bilinear, kernel, scalar)
+from .linalg import (ONE, ZERO, GradedVector, SparseMatrix, Subspace, _canonical,
+                     _check_indices, bilinear, kernel, scalar)
 
 
 class CohClass(GradedVector):
@@ -96,13 +102,12 @@ class CohomologyRing:
         self.dga = dga
         self.factors = factors
         self._parts = {}
-        self._solvers = {}
         self._named = {}
         self._names = {}
         self._cup_memo = {}
         self._cup_chain = None
-        self._multiples = {}
-        self._indeterminacies = {}  # see massey.massey_indeterminacy
+        self._product_spans = {}
+        self._indeterminacies = {}
         self._homotopies = {}
         if factors is None:
             self._dims = tuple(self.part(k).reps.dim for k in range(dga.truncation + 1))
@@ -142,7 +147,7 @@ class CohomologyRing:
             if not n:
                 hit = self._parts[k] = DegreePart(_EMPTY, _EMPTY)
                 return hit
-            b = self._solver(k - 1).image if k > 0 and dga.dim(k - 1) else Subspace.zero(n)
+            b = dga.diff[k - 1].solver.image if k > 0 and dga.dim(k - 1) else Subspace.zero(n)
             if any(map(dk.apply, b.nonzero_columns)):
                 raise ValueError(f"boundaries escape cocycles in degree {k}; d^2 != 0?")
             if self.factors is None:
@@ -169,14 +174,6 @@ class CohomologyRing:
                      for x in ha.part(p).reps.nonzero_columns for y in rights]
         return Subspace(n, SparseMatrix(n, len(cols), tuple(cols)),
                         tuple(col[0][0] for col in cols))
-
-    def _solver(self, k: int) -> PrefactoredSolver:
-        """The image of d_k and the solves against it, read off the
-        elimination of d_k that ``kernel`` made or will make; memoized."""
-        hit = self._solvers.get(k)
-        if hit is None:
-            hit = self._solvers[k] = PrefactoredSolver(self.dga.diff[k])
-        return hit
 
     # ------------------------------------------------------------- basics
 
@@ -228,12 +225,14 @@ class CohomologyRing:
 
     def solve_boundary(self, x: Cochain) -> "Cochain | None":
         """s(x): the canonical cochain whose differential is x, or None when
-        x is not a boundary.  It reads the elimination of d_k that also gave
-        the cocycles, so each solve costs one reduction."""
+        x is not a boundary.  It reads d_k's own solver, the elimination that
+        also gave the cocycles, so each solve costs one reduction.  A zero x
+        is the boundary of zero in every degree, those outside 0..N
+        included."""
         k = x.degree - 1
         if not (0 <= k <= self.truncation):
-            return None
-        pairs = self._solver(k).solve(x.pairs)
+            return None if x.pairs else Cochain(k, 0, ())
+        pairs = self.dga.diff[k].solver.solve(x.pairs)
         return None if pairs is None else Cochain(k, self.dga.dim(k), pairs)
 
     def homotopy(self, x: CohClass, y: CohClass) -> Cochain:
@@ -374,22 +373,28 @@ class CohomologyRing:
                      and not any(c.degree <= self.truncation and c.is_zero() for c in (c1, c2)))
         return prod, truncated
 
-    def multiples(self, cls: CohClass, k: int) -> Subspace:
+    def product_span(self, cls: CohClass, k: int) -> Subspace:
         """Span of cls * H^k in H^(|cls|+k), which by graded commutativity
         is also the span of H^k * cls; memoized per class and degree."""
         key = (cls.degree, cls.pairs, k)
-        hit = self._multiples.get(key)
+        hit = self._product_spans.get(key)
         if hit is None:
-            hit = self._multiples[key] = self.product_span(
-                cls.degree, Subspace._spanned(self.dim(cls.degree), [cls.pairs]), k)
+            k1 = cls.degree
+            hit = self._product_spans[key] = Subspace._spanned(self.dim(k1 + k), (
+                self._cup_nonzero(k1, cls.pairs, k, ((i, ONE),)) for i in range(self.dim(k))))
         return hit
 
-    def product_span(self, k1: int, sub: Subspace, k2: int) -> Subspace:
-        """Span of products (subspace of H^k1) * H^k2, inside H^(k1+k2)."""
-        rights = [[(i, ONE)] for i in range(self.dim(k2))]
-        return Subspace._spanned(self.dim(k1 + k2), (
-            self._cup_nonzero(k1, left, k2, r)
-            for left in sub.nonzero_columns for r in rights))
+    def indeterminacy(self, alpha: CohClass, gamma: CohClass, q: int) -> Subspace:
+        """alpha * H^(q+r-1) + H^(p+q-1) * gamma, the indeterminacy of a
+        Massey triple <alpha, beta, gamma> with |beta| = q, inside its target
+        degree; memoized per alpha, gamma and q."""
+        key = (alpha.degree, alpha.pairs, gamma.degree, gamma.pairs, q)
+        hit = self._indeterminacies.get(key)
+        if hit is None:
+            p, r = alpha.degree, gamma.degree
+            hit = self._indeterminacies[key] = self.product_span(alpha, q + r - 1).add(
+                self.product_span(gamma, p + q - 1))
+        return hit
 
     # ------------------------------------------------------------ invariants
 
@@ -408,21 +413,20 @@ class CohomologyRing:
     def cup_length(self) -> int:
         """Longest nonzero product of positive-degree classes, within the
         truncation; a lower bound for the untruncated cup length."""
-        return cup_chain(self)[0]
+        return self.cup_chain()[0]
 
+    def cup_chain(self) -> tuple:
+        """(cup length, witness chain of classes, their product).
 
-def cup_chain(ring: CohomologyRing) -> tuple:
-    """(cup length, witness chain of classes, their product).
-
-    A unit-weight :func:`heaviest_chain` over the basis classes of H^+, so
-    the witness is the first longest chain in ascending basis order.  The
-    search runs once per ring; the cup length reads the same result.
-    """
-    if ring._cup_chain is None:
-        classes = ring.positive_basis()
-        k, picked, prod = heaviest_chain(ring, classes, [1] * len(classes))
-        ring._cup_chain = (k, tuple(classes[i] for i in picked), prod)
-    return ring._cup_chain
+        A unit-weight :func:`heaviest_chain` over the basis classes of H^+,
+        so the witness is the first longest chain in ascending basis order.
+        The search runs once per ring; the cup length reads the same result.
+        """
+        if self._cup_chain is None:
+            classes = self.positive_basis()
+            k, picked, prod = heaviest_chain(self, classes, [1] * len(classes))
+            self._cup_chain = (k, tuple(classes[i] for i in picked), prod)
+        return self._cup_chain
 
 
 def heaviest_chain(ring: CohomologyRing, classes: list, weights: list,

@@ -32,7 +32,9 @@ The other columns keep a pivot below ``a.rows``: their row parts are the
 echelon basis of the image, and, as every column vanishes at every other
 pivot, their tags are preimages that are zero on the dependent columns.
 So the canonical solution of ``a x = b`` is the unique one that is zero
-on every column that depends on the columns before it.
+on every column that depends on the columns before it.  The matrix keeps
+the one :class:`PrefactoredSolver` built on that elimination too, as
+``SparseMatrix.solver``.
 """
 
 from __future__ import annotations
@@ -198,6 +200,12 @@ class SparseMatrix:
         shared by its kernel and every solver built on it."""
         return _tagged_echelon(self)
 
+    @cached_property
+    def solver(self) -> "PrefactoredSolver":
+        """This matrix's one :class:`PrefactoredSolver`: its image and the
+        solves against it."""
+        return PrefactoredSolver(self)
+
     def apply(self, x: tuple) -> tuple:
         """Matrix-vector product, x and the result given as pairs: the one
         sparse linear combination of columns."""
@@ -284,9 +292,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.pivots)
-
-    def is_zero(self) -> bool:
-        return not self.pivots
 
     @property
     def nonzero_columns(self) -> tuple:
@@ -386,7 +391,8 @@ class PrefactoredSolver:
     Keeps ``image``, the canonical basis of the column space of ``a``, and
     the matrix of the preimages of its basis columns, so that each
     ``solve`` costs one reduction against the image and one product.  The
-    elimination is the one :func:`kernel` reads for the same matrix.
+    elimination is the one :func:`kernel` reads for the same matrix, and a
+    matrix keeps one solver of its own as ``SparseMatrix.solver``.
     """
 
     def __init__(self, a: SparseMatrix):

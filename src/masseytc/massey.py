@@ -18,8 +18,9 @@ memoizes h per ordered class pair, so <a,b,c> and <a,b,c'> solve
 d mu = a*b once; a defined triple whose target degree has dim H = 0 is
 the zero class and solves nothing.  The indeterminacy and the
 canonical representative are computed on first read, the indeterminacy
-memoized on the ring per alpha, gamma and |beta|; a zero value needs
-neither, so a scan builds the indeterminacy of its nonzero values alone.
+by the ring (:meth:`CohomologyRing.indeterminacy`), which memoizes it per
+alpha, gamma and |beta|; a zero value needs neither, so a scan builds the
+indeterminacy of its nonzero values alone.
 
 Truncation honesty: when the target degree falls outside the truncation
 window the triple is reported as undefined with an explicit obstruction
@@ -72,7 +73,7 @@ class MasseyCoset:
     def indeterminacy(self) -> Optional[Subspace]:
         if not self.defined:
             return None
-        return massey_indeterminacy(self.ring, self.alpha, self.gamma, self.beta.degree)
+        return self.ring.indeterminacy(self.alpha, self.gamma, self.beta.degree)
 
     @cached_property
     def canonical(self) -> Optional[CohClass]:
@@ -106,19 +107,6 @@ def massey_triple(ring: CohomologyRing, alpha: CohClass, beta: CohClass,
     mu, lam = ring.homotopy(alpha, beta), ring.homotopy(beta, gamma)
     w = _value(ring.dga, ring.representative(alpha), mu, lam, ring.representative(gamma))
     return MasseyCoset(alpha, beta, gamma, True, None, ring.class_of(w), ring)
-
-
-def massey_indeterminacy(ring: CohomologyRing, alpha: CohClass,
-                         gamma: CohClass, q: int) -> Subspace:
-    """alpha * H^(q+r-1) + H^(p+q-1) * gamma inside the target degree;
-    memoized on the ring per alpha, gamma and q, like ``multiples``."""
-    key = (alpha.degree, alpha.pairs, gamma.degree, gamma.pairs, q)
-    hit = ring._indeterminacies.get(key)
-    if hit is None:
-        p, r = alpha.degree, gamma.degree
-        hit = ring._indeterminacies[key] = ring.multiples(alpha, q + r - 1).add(
-            ring.multiples(gamma, p + q - 1))
-    return hit
 
 
 def massey_value_from_cocycles(ring: CohomologyRing, a: Cochain, b: Cochain,

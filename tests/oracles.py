@@ -501,7 +501,8 @@ def indecomposables_all_pairs(ring: CohomologyRing) -> list:
         dec = Subspace.zero(n)
         for i in range(1, d):
             if dims[i] and dims[d - i]:
-                dec = dec.add(ring.product_span(i, Subspace.full(dims[i]), d - i))
+                dec = dec.add(span_of_products(ring, i, Subspace.full(dims[i]), d - i,
+                                                Subspace.full(dims[d - i])))
         pivots = set(dec.pivots)
         out.extend(ring.basis_class(d, j) for j in range(n) if j not in pivots)
     return out

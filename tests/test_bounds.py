@@ -19,7 +19,6 @@ import pytest
 import masseytc.bounds
 import masseytc.cohomology
 import masseytc.linalg
-import masseytc.massey
 from masseytc import report
 from masseytc.bounds import (
     _RULES,
@@ -31,7 +30,6 @@ from masseytc.bounds import (
     bar,
     build_ledger,
     cat_weight_facts,
-    cup_chain,
     indecomposables,
     james_upper,
     nonzero_products,
@@ -49,8 +47,8 @@ from masseytc.linalg import Subspace, kernel, scalar
 from masseytc.massey import OBSTRUCTIONS, massey_triple, scan_triples
 from masseytc.models import MODEL_SOURCES
 from conftest import S2_SRC
-from oracles import (assert_sound_facts, from_coords, multiplication, zcl_by_ideal_search,
-                     zero_divisor_ideal)
+from oracles import (assert_sound_facts, from_coords, multiplication, span_of_products,
+                     zcl_by_ideal_search, zero_divisor_ideal)
 from test_bench_tracer import load_bench
 from test_cli import SCALE_MODELS, STRESS_NIL_SRC, six_src
 from test_cohomology import POLY4_SRC, _stress_ring, ideal_powers_length, random_presentations
@@ -254,7 +252,7 @@ def test_explicit_zcl_chains(rings, kunneth_of):
 def test_cup_chain_agrees_with_ring(rings):
     for name in ALL_MODELS:
         ring = rings[name]
-        k, chain, prod = cup_chain(ring)
+        k, chain, prod = ring.cup_chain()
         assert k == ring.cup_length() == LEDGER_TABLE[name][0]
         assert len(chain) == k
         out = ring.basis_class(0, 0)
@@ -501,7 +499,7 @@ def _assert_searches_match_the_oracles(ring, km):
     positive = {k: Subspace.full(ring.dim(k))
                 for k in range(1, ring.truncation + 1) if ring.dim(k)}
     cl = ideal_powers_length(ring, positive)
-    assert cup_chain(ring) == (cl, *chain_search_oracle(ring, positive, cl))
+    assert ring.cup_chain() == (cl, *chain_search_oracle(ring, positive, cl))
     ideal = zero_divisor_ideal(km)
     zk = ideal_powers_length(ht, ideal)
     chain, prod = chain_search_oracle(ht, ideal, zk)
@@ -564,7 +562,7 @@ def test_chain_searches_stop_at_their_ceilings_with_the_same_chain(kunneth_of, n
     else:
         km = kunneth_of(name)
         ring = km.ha
-    cl = cup_chain(ring)[0]
+    cl = ring.cup_chain()[0]
     bars = [bar(km, u) for u in indecomposables(ring)]
     zcl, picked, prod = heaviest_chain(km.ht, bars, [1] * len(bars))
     assert heaviest_chain(km.ht, bars, [1] * len(bars), goal=2 * cl) == (zcl, picked, prod)
@@ -609,7 +607,7 @@ def test_ceilings_cut_the_products_of_the_stress_ledger(monkeypatch):
 def test_heaviest_chain_of_nothing_is_the_unit(rings):
     ring = rings["spheres8"]
     assert heaviest_chain(ring, [], []) == (0, (), ring.basis_class(0, 0))
-    assert cup_chain(rings["point"]) == (0, (), rings["point"].basis_class(0, 0))
+    assert rings["point"].cup_chain() == (0, (), rings["point"].basis_class(0, 0))
     with pytest.raises(ValueError, match="positive degree"):
         heaviest_chain(ring, [ring.basis_class(0, 0)], [1])
 
@@ -625,7 +623,7 @@ def test_cup_length_search_runs_once_per_ring(dgas, monkeypatch):
     monkeypatch.setattr(masseytc.cohomology, "heaviest_chain", recorded)
     ring = CohomologyRing(dgas["even7"])
     assert ring.cup_length() == 2
-    assert cup_chain(ring)[0] == 2 and ring.cup_length() == 2
+    assert ring.cup_chain()[0] == 2 and ring.cup_length() == 2
     build_ledger(ring, KunnethMap(ring, ring))
     assert searched == [ring]
 
@@ -636,9 +634,9 @@ def test_transfer_tests_form_no_product_span(dgas, monkeypatch):
     spans = []
     product_span = CohomologyRing.product_span
 
-    def recorded(self, k1, sub, k2):
-        spans.append((k1, k2))
-        return product_span(self, k1, sub, k2)
+    def recorded(self, cls, k):
+        spans.append((cls.degree, k))
+        return product_span(self, cls, k)
 
     monkeypatch.setattr(CohomologyRing, "product_span", recorded)
     ring = CohomologyRing(dgas["even7"])
@@ -665,8 +663,8 @@ def test_product_free_verdicts_match_the_product_spans(rings, name):
     # degree wherever the earlier hypotheses hold
     width = ring.connectivity() + 1
     for ell in range(2, ring.truncation + 1):
-        nonzero = [i for i in range(1, ell) if ring.product_span(
-            i, Subspace.full(ring.dim(i)), ell - i).dim > 0]
+        nonzero = [i for i in range(1, ell) if span_of_products(
+            ring, i, Subspace.full(ring.dim(i)), ell - i, Subspace.full(ring.dim(ell - i))).dim > 0]
         assert [i for i in range(1, ell) if nonzero_products(ring, i, ell - i)] == nonzero
         if not ring.dim(ell):
             continue
@@ -682,14 +680,18 @@ def test_product_free_verdicts_match_the_product_spans(rings, name):
 def test_indeterminacy_spans_are_computed_once_per_ring(dgas, monkeypatch, name):
     # every Massey triple of a scan, on the ring or its square, shares the
     # spans alpha * H^k and H^k * gamma with the triples around it
-    spans, inside = [], []
+    # (a span is formed when product_span returns a subspace not seen
+    # before; each is kept, so that no id is reused)
+    spans, inside, formed = [], [], {}
     product_span = CohomologyRing.product_span
-    indeterminacy = masseytc.massey.massey_indeterminacy
+    indeterminacy = CohomologyRing.indeterminacy
 
-    def recorded(self, k1, sub, k2):
-        if inside:
-            spans.append((id(self), k1, sub.basis, k2))
-        return product_span(self, k1, sub, k2)
+    def recorded(self, cls, k):
+        span = product_span(self, cls, k)
+        if inside and id(span) not in formed:
+            formed[id(span)] = span
+            spans.append((id(self), cls.degree, cls.pairs, k))
+        return span
 
     def traced(*args):
         inside.append(True)
@@ -699,7 +701,7 @@ def test_indeterminacy_spans_are_computed_once_per_ring(dgas, monkeypatch, name)
             inside.pop()
 
     monkeypatch.setattr(CohomologyRing, "product_span", recorded)
-    monkeypatch.setattr(masseytc.massey, "massey_indeterminacy", traced)
+    monkeypatch.setattr(CohomologyRing, "indeterminacy", traced)
     ring = CohomologyRing(dgas[name])
     build_ledger(ring, KunnethMap(ring, ring))
     assert spans and len(spans) == len(set(spans))
@@ -1598,7 +1600,7 @@ def test_both_fibrations_take_one_lower_bound_path(rings, kunneth_of, ledger_of)
         cat = cat_weight_facts(ring, led.massey_cosets)
         tc = tc_weight_facts(ring, km, cat)
         for kind, rg, length, facts, lower in (
-                ("cat", ring, cup_chain(ring)[0], cat, led.cat_lower),
+                ("cat", ring, ring.cup_chain()[0], cat, led.cat_lower),
                 ("tc", km.ht, zero_divisors_cup_length(km)[0], tc, led.tc_lower)):
             block = max(length + 1, weighted_lower_bound(rg, facts)[0] + 1)
             assert block == max(c["bound"] for c in led.certificates if c["kind"] == kind

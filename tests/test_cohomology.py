@@ -303,7 +303,9 @@ def test_product_span_even7(rings):
     from masseytc.linalg import Subspace
 
     r = rings["even7"]
-    got = r.product_span(2, Subspace.full(r.dim(2)), 5)
+    got = Subspace.zero(r.dim(7))
+    for i in range(r.dim(2)):
+        got = got.add(r.product_span(r.basis_class(2, i), 5))
     assert got.dim == 1 == r.dim(7)
 
 
@@ -597,7 +599,8 @@ def _ideal_generated_by(ht, gens):
         span = Subspace.zero(ht.dim(ell))
         for d, sub in gens.items():
             if d <= ell:
-                span = span.add(ht.product_span(d, sub, ell - d))
+                span = span.add(span_of_products(ht, d, sub, ell - d,
+                                                 Subspace.full(ht.dim(ell - d))))
         if span.dim:
             out[ell] = span
     return out

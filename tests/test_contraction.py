@@ -9,6 +9,8 @@ truncation is checked:
 * d h(x, y) = rep x * rep y - rep(x*y), whether x*y is zero or not;
 * the side conditions h(x, 1) = h(1, x) = 0, which is h o i = 0, and
   p(h(x, y)) = 0, which the tensor of two contractions uses;
+* h(1, 1) and h(x, y) with |x| + |y| >= N + 2 are zero: each solves in a
+  degree where the model has no cochains;
 * on an exact pair, h is the canonical solve of d mu = rep x * rep y that
   ``oracles.product_witness`` forms afresh, on a ring of its own;
 * Kadeishvili's m3(a, b, c), built from h with the engine's value sign,
@@ -65,6 +67,26 @@ def test_the_homotopy_bounds_a_product_less_its_class(name):
     assert len(ring._homotopies) == len(pairs) + 2 * len(ring.positive_basis())
 
 
+def _high_pairs(ring: CohomologyRing) -> list:
+    """Every pair of basis classes of H^+ with |x| + |y| >= N + 2, so that
+    h(x, y) lies in a degree above the truncation N."""
+    return [(x, y) for x, y in itertools.product(ring.positive_basis(), repeat=2)
+            if x.degree + y.degree >= ring.truncation + 2]
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_the_homotopy_is_zero_where_the_model_has_no_cochains(name):
+    # rep 1 * rep 1 - rep 1 = 0 is the boundary of zero in degree -1, and a
+    # product above N + 1 of zero in its degree less one
+    ring = _ring(name)
+    unit = ring.basis_class(0, 0)
+    h = ring.homotopy(unit, unit)
+    assert h.degree == -1 and h.is_zero()
+    for x, y in _high_pairs(ring):
+        h = ring.homotopy(x, y)
+        assert h.degree == x.degree + y.degree - 1 and h.is_zero()
+
+
 def _triples(ring: CohomologyRing) -> list:
     """Every triple of basis classes of H^+ whose Massey product lies within
     the truncation."""
@@ -90,3 +112,5 @@ def test_the_models_cover_exact_and_inexact_pairs_and_nonzero_values():
         massey_triple(ring, *t) for t in _triples(ring)) if coset.defined]
     assert {True, False} <= set(products) and {True, False} <= set(values)
     assert len(values) > 1000
+    # borromean's degree-2 classes squared lie in degree 4 = N + 2
+    assert _high_pairs(_ring("borromean")) and sum(len(_high_pairs(r)) for r in rings) > 100

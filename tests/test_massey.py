@@ -22,6 +22,7 @@ from oracles import (
     massey_value_from_witnesses,
     massey_witnesses,
     right_annihilator,
+    span_of_products,
     verify_external_product,
     verify_external_vanishing,
     verify_internal_product,
@@ -46,7 +47,7 @@ def test_spheres8_full_table(rings):
     for (n1, n2, n3), coords in want.items():
         m = massey_triple(r, cls[n1], cls[n2], cls[n3])
         assert m.defined, (n1, n2, n3)
-        assert m.indeterminacy.is_zero()
+        assert m.indeterminacy.dim == 0
         assert m.value.coords == coords, (n1, n2, n3)
         assert m.canonical == m.value
 
@@ -76,7 +77,7 @@ def test_even7_products_hit_the_aliases(rings, dgas):
     r = rings["even7"]
     alpha, beta = r.named_class("alpha"), r.named_class("beta")
     m = massey_triple(r, alpha, alpha, beta)
-    assert m.defined and m.indeterminacy.is_zero()
+    assert m.defined and m.indeterminacy.dim == 0
     assert m.value == r.named_class("u")
     mu, lam, _ = massey_witnesses(m)
     assert mu == dgas["even7"].basis_cochain(3, 0)   # x kills a^2
@@ -84,7 +85,7 @@ def test_even7_products_hit_the_aliases(rings, dgas):
     m2 = massey_triple(r, beta, beta, alpha)
     assert m2.value == r.named_class("v")
     assert massey_witnesses(m2)[0] == dgas["even7"].basis_cochain(3, 1)  # y kills b^2
-    assert m2.indeterminacy.is_zero()
+    assert m2.indeterminacy.dim == 0
     assert m.is_nonzero() and m2.is_nonzero()
 
 
@@ -92,9 +93,9 @@ def test_odd11_products_hit_the_aliases(rings):
     r = rings["odd11"]
     alpha, beta = r.named_class("alpha"), r.named_class("beta")
     m = massey_triple(r, alpha, alpha, beta)
-    assert m.value == r.named_class("u") and m.indeterminacy.is_zero()
+    assert m.value == r.named_class("u") and m.indeterminacy.dim == 0
     m2 = massey_triple(r, beta, beta, alpha)
-    assert m2.value == r.named_class("v") and m2.indeterminacy.is_zero()
+    assert m2.value == r.named_class("v") and m2.indeterminacy.dim == 0
     assert m.is_nonzero() and m2.is_nonzero()
 
 
@@ -103,7 +104,7 @@ def test_borromean_triple_products(rings, dgas):
     dga = dgas["borromean"]
     u, v, w = r.named_class("u"), r.named_class("v"), r.named_class("w")
     m1 = massey_triple(r, u, v, w)
-    assert m1.defined and m1.indeterminacy.is_zero()
+    assert m1.defined and m1.indeterminacy.dim == 0
     mu, lam, _ = massey_witnesses(m1)
     assert mu == dga.basis_cochain(1, 5)   # y3 kills x1*x2
     assert lam == dga.basis_cochain(1, 3)  # y1 kills x2*x3
@@ -113,7 +114,7 @@ def test_borromean_triple_products(rings, dgas):
     m2 = massey_triple(r, u, w, v)
     g2_cochain = from_coords(Cochain, 2, [0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0])
     assert m2.value == r.class_of(g2_cochain)
-    assert m2.indeterminacy.is_zero()
+    assert m2.indeterminacy.dim == 0
     assert m1.is_nonzero() and m2.is_nonzero()
     span = Subspace._spanned(r.dim(2), [m1.value.pairs, m2.value.pairs])
     assert span.dim == 2  # the two products are linearly independent
@@ -151,8 +152,8 @@ def test_a_zero_value_settles_is_nonzero_without_the_indeterminacy(rings, monkey
     # alpha * H + H * gamma is built on first read of the indeterminacy or
     # the canonical value, which a zero value does not need
     calls = []
-    indeterminacy = massey.massey_indeterminacy
-    monkeypatch.setattr(massey, "massey_indeterminacy",
+    indeterminacy = cohomology.CohomologyRing.indeterminacy
+    monkeypatch.setattr(cohomology.CohomologyRing, "indeterminacy",
                         lambda *args: calls.append(args) or indeterminacy(*args))
     cosets = [c for name in GOLDEN for c in scan_triples(rings[name])]
     zeros = [c for c in cosets if c.defined and c.value.is_zero()]
@@ -188,8 +189,10 @@ def test_lazy_indeterminacy_and_canonical_equal_the_eager_formula(rings, kunneth
             assert c.indeterminacy is None and c.canonical is None and not c.is_nonzero()
             continue
         p, q, s = c.alpha.degree, c.beta.degree, c.gamma.degree
-        indet = r.product_span(p, Subspace._spanned(r.dim(p), [c.alpha.pairs]), q + s - 1).add(
-            r.product_span(s, Subspace._spanned(r.dim(s), [c.gamma.pairs]), p + q - 1))
+        indet = span_of_products(r, p, Subspace._spanned(r.dim(p), [c.alpha.pairs]), q + s - 1,
+                                 Subspace.full(r.dim(q + s - 1))).add(
+            span_of_products(r, s, Subspace._spanned(r.dim(s), [c.gamma.pairs]), p + q - 1,
+                             Subspace.full(r.dim(p + q - 1))))
         canonical = CohClass(c.value.degree, c.value.dim, indet.reduce_pairs(c.value.pairs))
         assert c.indeterminacy == indet and c.canonical == canonical
         assert c.is_nonzero() == (not canonical.is_zero())
@@ -212,7 +215,7 @@ def test_each_indeterminacy_sum_is_formed_once(monkeypatch):
         defined = [c for c in ledger.massey_cosets if c.defined]
         assert [c.indeterminacy.dim for c in defined]  # as the report reads them
         rings = (ring, kmap.ht)
-        multiples = {id(m) for r in rings for m in r._multiples.values()}
+        multiples = {id(m) for r in rings for m in r._product_spans.values()}
         formed = [(a, b) for a, b in sums if id(a) in multiples and id(b) in multiples]
         memo = [s for r in rings for s in r._indeterminacies.values()]
         assert len(formed) == len({(id(a), id(b)) for a, b in formed}) == len(memo)

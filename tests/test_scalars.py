@@ -7,8 +7,9 @@ that every class and cochain kept there stores its pairs in canonical
 form; the JSON form of coordinates; and, on the engine's source, that no
 float division is left, that no module but ``linalg`` builds a dense
 vector, that cochains and classes add nothing to their shared record,
-that no ``json.dumps`` passes ``indent``, that no import is unused, and
-that every definition has a caller in ``src/`` or ``bench/``.
+that no ``json.dumps`` passes ``indent``, that no import is unused, that
+every definition has a caller in ``src/`` or ``bench/``, and that
+``src/`` assigns a private attribute only on ``self``.
 """
 
 import ast
@@ -72,9 +73,11 @@ def dga_tables(dga) -> list:
 
 
 def ring_tables(ring) -> list:
-    solvers = [(s.image, s._preimages) for s in ring._solvers.values()]
+    dga = ring.dga
+    diffs = dga.diff if dga.factors is None else [m for m in dga.diff._built if m is not None]
+    solvers = [(m.solver.image, m.solver._preimages) for m in diffs if "solver" in vars(m)]
     return [ring._parts, ring._cup_memo, solvers, ring._named, ring._cup_chain,
-            ring._multiples, ring._indeterminacies, ring._homotopies]
+            ring._product_spans, ring._indeterminacies, ring._homotopies]
 
 
 @pytest.mark.parametrize("name", ["spheres8", "borromean", "even7", "odd11", "stress"])
@@ -353,3 +356,41 @@ def test_every_definition_in_the_engine_has_a_caller():
     found = {path.name: unread(ast.parse(path.read_text()), names, attributes)
              for path in sorted(src.glob("*.py"))}
     assert {name: dead for name, dead in found.items() if dead} == {}
+
+
+def foreign_private_writes(tree) -> list:
+    """(line, target) of every assignment to an attribute whose name starts
+    with ``_``, directly or through a subscript, on an object other than
+    ``self``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in (t for top in targets for t in ast.walk(top)
+                       if isinstance(t, (ast.Attribute, ast.Subscript))
+                       and isinstance(t.ctx, ast.Store)):
+            while isinstance(target, ast.Subscript):
+                target = target.value
+            if (isinstance(target, ast.Attribute) and target.attr.startswith("_")
+                    and getattr(target.value, "id", None) != "self"):
+                found.append((node.lineno, ast.unparse(target)))
+    return sorted(found)
+
+
+def test_only_an_object_writes_its_own_private_slots():
+    # a memo lives with the object whose quantity it holds, so no module
+    # fills another object's cache
+    sample = ("self._a = 1\nself._b[k] = 1\nring._c = 1\nring._d[k][j] = 1\n"
+              "x, ring._e = 1, 2\nring._f += 1\nring.g = 1\nring.h[k] = 1\n"
+              "self.i._j = 1\nhit = ring._k[k] = 1\ny = ring._l[k]\n")
+    assert foreign_private_writes(ast.parse(sample)) == [
+        (3, "ring._c"), (4, "ring._d"), (5, "ring._e"), (6, "ring._f"), (9, "self.i._j"),
+        (10, "ring._k")]
+    src = Path(masseytc.__file__).parent
+    found = {path.name: foreign_private_writes(ast.parse(path.read_text()))
+             for path in sorted(src.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
