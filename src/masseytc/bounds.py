@@ -49,6 +49,26 @@ chain, since a search keeps its first heaviest chain:
       a bar or a transfer, lies in ker mu = I with I^(zcl+1) = 0, so a
       nonzero product of facts has at most m factors.
 
+The default Massey scan stops by the same kind of proof.  It walks the
+target degrees d = 2, 3, ... and, after each d below the truncation, stops
+once no unscanned triple can raise cat or TC:
+
+  cat side.  An unscanned triple adds only an R3 fact of weight 2 in
+      degree at least d + 1.  Every fact, scanned or not, has weight per
+      degree at most rho, the largest ratio over the pool so far or
+      2/(d + 1) if that is larger, and a nonzero chain has total degree at
+      most T, the top nonzero degree.  So a chain through an unscanned
+      fact weighs at most 2 + rho (T - d - 1), and none raises cat when
+      that is at most W, the heaviest chain so far, or when cat lower
+      already meets cat upper.
+  TC side.  A cat fact reaches TC only by R4, whose window puts a class
+      of degree l at k = l // (r + 1) and needs its weight 2 >= k.  So no
+      unscanned fact transfers when the model is not simply connected, or
+      r < 1, or d + 1 >= 3 (r + 1); the Rudyak scan reads no Massey value
+      of H.
+
+An explicit cap scans exactly up to it.
+
 Upper bounds are dimensional: cat <= dim + 1 always, cat <= the
 James bound for simply connected models, and TC <= 2 cat - 1.
 """
@@ -352,6 +372,9 @@ class BoundLedger:
     certificates: tuple  # rule dictionaries, see replay_ledger
     # how many basis triples up to massey_cap are not defined, per obstruction
     massey_undefined: dict
+    # (d, W, rho, T) when a default scan stopped at d = massey_cap below the
+    # truncation, else None; see build_ledger
+    massey_stop: tuple
     # The defined triples of the Massey scan the ledger was built from,
     # kept for the report.  They follow from the ring and massey_cap, so
     # they stay out of report.ledger_section and equality; replay_ledger
@@ -420,24 +443,46 @@ def _space_dim(ring: CohomologyRing) -> int:
     return ring.truncation if ring.dga.space_dim is None else ring.dga.space_dim
 
 
-def _lower_block(kind: str, rg: CohomologyRing, witness: tuple,
-                 facts: tuple, certs: list) -> int:
-    """One fibration's lower bound on the ring ``rg`` of ker p*: certify its
-    longest chain in ker p*, the ``witness`` of the cup length or zcl, and
-    its heaviest product of ``facts``, and return the larger bound."""
+def _lower_block(kind: str, witness: tuple, heaviest: tuple, certs: list) -> int:
+    """One fibration's lower bound: certify its longest chain in ker p*,
+    the ``witness`` of the cup length or zcl, and its ``heaviest`` product
+    of facts, as :func:`weighted_lower_bound` returns it, and return the
+    larger bound."""
     length = len(witness)
     certs.append({"rule": "cup-chain" if kind == "cat" else "zcl-chain", "kind": kind,
                   "bound": length + 1, "chain": witness})
-    weight, chain, prod = weighted_lower_bound(rg, facts, length)
+    weight, chain, prod = heaviest
     if chain:
         certs.append({"rule": "weighted-product", "kind": kind, "bound": weight + 1,
                       "factors": chain, "product": prod})
     return max(length + 1, weight + 1)
 
 
+def _stop_ratio(pool: tuple, degree: int) -> Fraction:
+    """rho after a Massey scan up to ``degree``: the largest weight per
+    degree of a fact of the cat ``pool`` or of a triple above it."""
+    return max([Fraction(2, degree + 1), *(Fraction(f.weight, f.cls.degree) for f in pool)])
+
+
+def stop_weight(degree: int, ratio: Fraction, top: int) -> Fraction:
+    """The most a chain through the value of a triple above ``degree`` can
+    weigh, given the largest weight per degree and the top nonzero degree."""
+    return 2 + ratio * (top - degree - 1)
+
+
+def _stop_spares_tc(ring: CohomologyRing, degree: int) -> bool:
+    """Whether no triple above ``degree`` can move a weight onto TC (R4)."""
+    r = ring.connectivity()
+    return not ring.dga.simply_connected or r < 1 or degree + 1 >= 3 * (r + 1)
+
+
 def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
                  massey_cap: int = None) -> BoundLedger:
-    """Compute all bounds for one model and record their certificates."""
+    """Compute all bounds for one model and record their certificates.
+
+    With no ``massey_cap`` the Massey scan stops at the first degree after
+    which no triple can raise a bound (module docstring), and the ledger
+    records the stop as ``massey_stop``; a cap scans exactly up to it."""
     if kmap.ha is not ring or kmap.hb is not ring:
         raise ValueError("the Kunneth map must square the given ring")
     if massey_cap is not None and (type(massey_cap) is not int or massey_cap < 0):
@@ -447,22 +492,54 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
     conn = ring.connectivity()
     certs = []
 
-    cup_witness = ring.cup_chain()[1]
-    undefined = dict.fromkeys(OBSTRUCTIONS, 0)
-    cosets = tuple(scan_triples(ring, cap, undefined=undefined))
-    cat_facts = cat_weight_facts(ring, cosets)
-    cat_lower = _lower_block("cat", ring, cup_witness, cat_facts, certs)
-
-    cat_upper = space_dim + 1
-    certs.append({"rule": "dimension", "kind": "cat", "bound": cat_upper})
+    uppers = [{"rule": "dimension", "kind": "cat", "bound": space_dim + 1}]
     if ring.dga.simply_connected and conn >= 1:
-        j = james_upper(space_dim, conn)
-        certs.append({"rule": "james", "kind": "cat", "bound": j})
-        cat_upper = min(cat_upper, j)
+        uppers.append({"rule": "james", "kind": "cat", "bound": james_upper(space_dim, conn)})
+    cat_upper = min(c["bound"] for c in uppers)
+
+    cup_witness = ring.cup_chain()[1]
+    top = ring.top_nonzero_degree()
+    searched = [None, None]  # the cat pool searched last and its heaviest chain
+    massey_stop = None
+
+    def heaviest(pool):
+        if searched[0] != pool:
+            searched[:] = pool, weighted_lower_bound(ring, pool, len(cup_witness))
+        return searched[1]
+
+    def stop(d, cosets):
+        # the TC side first: it needs no search
+        nonlocal massey_stop
+        if not _stop_spares_tc(ring, d):
+            return False
+        pool = cat_weight_facts(ring, cosets)
+        ratio = _stop_ratio(pool, d)
+
+        def settled(w):  # the cat side, when the heaviest chain weighs w
+            return stop_weight(d, ratio, top) <= w or w + 1 >= cat_upper
+
+        # W <= cup length * the largest weight (module docstring), so the
+        # search runs only when that ceiling could settle the cat side
+        ceiling = len(cup_witness) * max((f.weight for f in pool), default=0)
+        if not (settled(ceiling) and settled(heaviest(pool)[0])):
+            return False
+        massey_stop = d, ratio
+        return True
+
+    undefined = dict.fromkeys(OBSTRUCTIONS, 0)
+    cosets = tuple(scan_triples(ring, cap, undefined=undefined,
+                                stop=stop if massey_cap is None else None))
+    cat_facts = cat_weight_facts(ring, cosets)
+    cat_lower = _lower_block("cat", cup_witness, heaviest(cat_facts), certs)
+    certs += uppers
+    if massey_stop is not None:
+        cap, ratio = massey_stop  # the scan reached only the degree it stopped at
+        massey_stop = cap, cat_lower - 1, ratio, top
 
     zcl_witness = zero_divisors_cup_length(kmap)[1]
     tc_facts = tc_weight_facts(ring, kmap, cat_facts)
-    tc_lower = _lower_block("tc", kmap.ht, zcl_witness, tc_facts, certs)
+    tc_lower = _lower_block("tc", zcl_witness,
+                            weighted_lower_bound(kmap.ht, tc_facts, len(zcl_witness)), certs)
     tc_lower, rud_cert = rudyak_lower_bound(kmap, tc_facts, tc_lower)
     if rud_cert is not None:
         certs.append(rud_cert)
@@ -487,6 +564,7 @@ def build_ledger(ring: CohomologyRing, kmap: KunnethMap,
         tc_facts=tc_facts,
         certificates=tuple(certs),
         massey_undefined=undefined,
+        massey_stop=massey_stop,
         massey_cosets=cosets,
     )
 
@@ -502,7 +580,8 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
     or read off the certificates replayed here.  So is the Massey listing
     that the report prints beside it: each defined triple's record and the
     ring it was computed on, and the count of undefined triples per
-    obstruction.
+    obstruction.  A stop note is recomputed field by field, and both sides
+    of the stop rule are checked again.
     """
     # a BoundLedger reads its bounds off its certificates; a look-alike states them
     if type(ledger) is not BoundLedger:
@@ -704,15 +783,15 @@ def replay_ledger(ledger: BoundLedger, ring: CohomologyRing,
         if cert["rule"] == "cat-product" and (cert["cat_upper"] != ledger.cat_upper
                                               or cert["bound"] != 2 * ledger.cat_upper - 1):
             raise ValueError("cat-product certificate failed replay")
-    _replay_massey_listing(ledger, ring, cap)
+    _replay_massey_stop(ledger, ring, _replay_massey_listing(ledger, ring, cap))
     return True
 
 
-def _replay_massey_listing(ledger: BoundLedger, ring: CohomologyRing, cap: int) -> None:
+def _replay_massey_listing(ledger: BoundLedger, ring: CohomologyRing, cap: int) -> list:
     """Check what the report prints of the Massey scan: the listed cosets
     against a rescan of the ring, record by record in its order, the ring
     each reads its indeterminacy off, and the undefined counts against the
-    ring's."""
+    ring's.  Returns the rescan."""
     listed = ledger.massey_cosets
     if type(listed) is not tuple:
         raise ValueError(f"massey_cosets is a {type(listed).__name__}, "
@@ -765,6 +844,44 @@ def _replay_massey_listing(ledger: BoundLedger, ring: CohomologyRing, cap: int) 
                          f"{', '.join(OBSTRUCTIONS)}")
     if counts != want_counts:
         raise ValueError(f"massey_undefined {counts} are not the ring's counts {want_counts}")
+    return fresh
+
+
+def _replay_massey_stop(ledger: BoundLedger, ring: CohomologyRing, cosets: list) -> None:
+    """Check the stop note of a default scan: each field against the ring,
+    the pool of its rescanned ``cosets`` and the replayed cat bounds, then
+    both sides of the stop rule."""
+    note = ledger.massey_stop
+    if note is None:
+        return
+    if not (type(note) is tuple and [type(x) for x in note] == [int, int, Fraction, int]):
+        raise ValueError(f"massey_stop {note!r} is not a tuple (d, W, rho, T) of an int, "
+                         "an int, a Fraction and an int")
+    d, weight, ratio, top = note
+    cap, lower, upper = ledger.massey_cap, ledger.cat_lower, ledger.cat_upper
+    if cap == ring.truncation:
+        raise ValueError(f"massey_stop {note!r} notes a stop on a full scan, "
+                         f"up to the truncation {cap}")
+    if d != cap:
+        raise ValueError(f"massey_stop degree {d} is not massey_cap {cap}")
+    if weight != lower - 1:
+        raise ValueError(f"massey_stop weight {weight} is not cat lower - 1 = {lower - 1}")
+    want = _stop_ratio(cat_weight_facts(ring, cosets), d)
+    if ratio != want:
+        raise ValueError(f"massey_stop ratio {ratio} is not {want}, the largest weight "
+                         f"per degree of the pool and of a triple above degree {d}")
+    if top != ring.top_nonzero_degree():
+        raise ValueError(f"massey_stop top degree {top} is not the ring's "
+                         f"{ring.top_nonzero_degree()}")
+    if not _stop_spares_tc(ring, d):
+        raise ValueError(f"massey_stop at degree {d} fails its TC side: on this "
+                         f"{ring.connectivity()}-connected model a triple above it "
+                         "can transfer its weight (R4)")
+    most = stop_weight(d, ratio, top)
+    if most > weight and lower != upper:
+        raise ValueError(f"massey_stop at degree {d} fails its cat side: a triple above "
+                         f"it adds at most {most} > {weight}, and cat lower {lower} "
+                         f"is below cat upper {upper}")
 
 
 def _triple(classes) -> str:

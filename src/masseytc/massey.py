@@ -114,10 +114,14 @@ def massey_value_from_cocycles(ring: CohomologyRing, a: Cochain, b: Cochain,
     """Value cochain and class computed from arbitrary cocycle
     representatives, with canonical witness solves.
 
-    Checks the inputs are cocycles and that both products bound; run next
-    to :func:`massey_triple` to confirm the coset does not move when the
-    representatives do.
+    Checks that the target degree lies within the truncation, as
+    :func:`massey_triple` does, that the inputs are cocycles and that both
+    products bound; run next to :func:`massey_triple` to confirm the coset
+    does not move when the representatives do.
     """
+    target = a.degree + b.degree + c.degree - 1
+    if target > ring.truncation:
+        raise ValueError(f"target degree {target} exceeds truncation {ring.truncation}")
     dga = ring.dga
     for x in (a, b, c):
         if not dga.d(x).is_zero():
@@ -136,7 +140,7 @@ def _value(dga: DGA, a: Cochain, mu: Cochain, lam: Cochain, c: Cochain) -> Cocha
 
 
 def scan_triples(ring: CohomologyRing, max_degree: int = None, *,
-                 undefined: dict = None) -> list:
+                 undefined: dict = None, stop=None) -> list:
     """The defined Massey triples of basis classes (a, b, c) with target
     degree within bounds, as cosets, in ascending (|a|, |b|, |c|, a, b, c)
     order.
@@ -148,6 +152,10 @@ def scan_triples(ring: CohomologyRing, max_degree: int = None, *,
     built: the same walk adds each to its obstruction's count in
     ``undefined``, a dict keyed by :data:`OBSTRUCTIONS`, when one is given;
     an a*b != 0 entry counts the whole run of c at once.
+
+    The walk goes by target degree d = 2, 3, ... up to the bound.  After
+    each d below it, ``stop(d, cosets)``, when given, is called with the
+    listing so far, and a true answer ends the scan at degree d.
     """
     if undefined is None:
         undefined = dict.fromkeys(OBSTRUCTIONS, 0)
@@ -156,12 +164,18 @@ def scan_triples(ring: CohomologyRing, max_degree: int = None, *,
     basis = {}  # degree -> its basis classes, each built once
     for c in ring.positive_basis():
         basis.setdefault(c.degree, []).append(c)
-    out = []
-    for p, ps in basis.items():
-        for q, qs in basis.items():
-            for r, rs in basis.items():
-                if p + q + r - 1 > cap or r < p:
+    blocks = {}  # (|a|, |b|, |c|) -> its defined triples, in (a, b, c) order
+
+    def listing():
+        return [c for key in sorted(blocks) for c in blocks[key]]
+
+    for d in range(2, cap + 1):
+        for p, ps in basis.items():
+            for q, qs in basis.items():
+                r = d + 1 - p - q
+                if r < p or r not in basis:
                     continue
+                rs, out = basis[r], blocks.setdefault((p, q, r), [])
                 for i, a in enumerate(ps):
                     first = i if r == p else 0  # the mirror (r, k, q, j, p, i) is smaller below
                     for j, b in enumerate(qs):
@@ -173,4 +187,6 @@ def scan_triples(ring: CohomologyRing, max_degree: int = None, *,
                                 undefined[bc] += 1
                             else:
                                 out.append(massey_triple(ring, a, b, rs[k]))
-    return out
+        if stop is not None and d < cap and stop(d, listing()):
+            break
+    return listing()

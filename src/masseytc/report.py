@@ -13,8 +13,9 @@ equal inputs give byte-identical output.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
-from .bounds import LOWER_RULES, BoundLedger, WeightFact
+from .bounds import LOWER_RULES, BoundLedger, WeightFact, stop_weight
 from .cohomology import CohClass, CohomologyRing
 from .linalg import is_rational
 from .massey import MasseyCoset
@@ -151,8 +152,9 @@ def weights_section(ledger: BoundLedger) -> dict:
 
 
 def ledger_section(ledger: BoundLedger) -> dict:
-    """The ledger without its two fact pools, in plain JSON types."""
-    return {
+    """The ledger without its two fact pools, in plain JSON types.  The
+    ``massey_stop`` key is written only for a scan that stopped early."""
+    section = {
         "model": ledger.model,
         "space_dim": ledger.space_dim,
         "connectivity": ledger.connectivity,
@@ -168,6 +170,10 @@ def ledger_section(ledger: BoundLedger) -> dict:
         "tc": [ledger.tc_lower, ledger.tc_upper],
         "certificates": _jsonify(ledger.certificates),
     }
+    if ledger.massey_stop is not None:
+        d, weight, ratio, top = ledger.massey_stop
+        section["massey_stop"] = {"degree": d, "weight": weight, "ratio": str(ratio), "top": top}
+    return section
 
 
 def build_payload(ring: CohomologyRing, *, massey=None, zcl=None,
@@ -196,6 +202,15 @@ def render_json(payload: dict) -> str:
     ``indent`` CPython encodes through its C encoder."""
     return json.dumps(payload, separators=(",", ":"), sort_keys=True,
                       default=_fact_json) + "\n"
+
+
+def _stop_line(led: dict) -> str:
+    """Why a bounds report lists no triple above the degree its scan stopped at."""
+    s = led["massey_stop"]
+    most = stop_weight(s["degree"], Fraction(s["ratio"]), s["top"])
+    why = (f"a triple above it adds at most {most} <= {s['weight']}" if most <= s["weight"]
+           else f"cat lower meets cat upper {led['cat'][1]}")
+    return f"Massey scan stopped at degree {s['degree']}: {why}"
 
 
 def render_text(payload: dict) -> str:
@@ -241,6 +256,8 @@ def render_text(payload: dict) -> str:
         if led is not None and any(led["massey_undefined"].values()):
             lines.append("  not defined: " + ", ".join(
                 f"{n} ({why})" for why, n in led["massey_undefined"].items()))
+        if led is not None and "massey_stop" in led:
+            lines.append(_stop_line(led))
     z = payload["zcl"]
     if z is not None:
         lines.append(f"zero-divisors cup length {z['zcl']} "

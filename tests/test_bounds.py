@@ -1380,7 +1380,7 @@ def _coords_as(convert):
     # ledger section, and the section counts the undefined ones
     pytest.param(lambda led: dataclasses.replace(led, massey_cosets=()),
                  r"massey_cosets drop the defined triple <CohClass\(degree=2, .*\)> "
-                 "of the ring's scan up to massey_cap 8", id="massey-cosets-empty"),
+                 "of the ring's scan up to massey_cap 5", id="massey-cosets-empty"),
     pytest.param(lambda led: dataclasses.replace(led, massey_cosets=led.massey_cosets[1:]),
                  "massey_cosets drop the defined triple", id="massey-cosets-one-dropped"),
     pytest.param(lambda led: dataclasses.replace(led, massey_cosets=list(led.massey_cosets)),
@@ -1392,7 +1392,7 @@ def _coords_as(convert):
     pytest.param(lambda led: dataclasses.replace(led, massey_cosets=led.massey_cosets + (
         massey_triple(led.massey_cosets[1].ring, *_mirrored(led.massey_cosets[1])),)),
         "massey_cosets list <.*>, which is not a defined triple of the ring's scan up to "
-        "massey_cap 8", id="massey-cosets-a-mirrored-triple-added"),
+        "massey_cap 5", id="massey-cosets-a-mirrored-triple-added"),
     pytest.param(lambda led: dataclasses.replace(led, massey_cosets=led.massey_cosets[::-1]),
                  "massey_cosets are not in the order of the ring's scan at entry 0",
                  id="massey-cosets-reversed"),
@@ -1432,17 +1432,17 @@ def _coords_as(convert):
                  id="massey-coset-on-another-model"),
     pytest.param(lambda led: dataclasses.replace(led, massey_undefined={
         **led.massey_undefined, "beta*gamma is nonzero": 4}),
-        r"massey_undefined \{'alpha\*beta is nonzero': 3, 'beta\*gamma is nonzero': 4\} are "
+        r"massey_undefined \{'alpha\*beta is nonzero': 0, 'beta\*gamma is nonzero': 4\} are "
         "not the ring's counts", id="massey-undefined-forged"),
     pytest.param(lambda led: dataclasses.replace(led, massey_undefined={}),
                  "massey_undefined {} are not a count per obstruction", id="massey-undefined-empty"),
     pytest.param(lambda led: dataclasses.replace(
         led, massey_undefined=tuple(led.massey_undefined.items())),
-        r"massey_undefined \(\('alpha\*beta is nonzero', 3\), .*\) are not a count per "
+        r"massey_undefined \(\('alpha\*beta is nonzero', 0\), .*\) are not a count per "
         "obstruction", id="massey-undefined-as-pairs"),
     pytest.param(lambda led: dataclasses.replace(led, massey_undefined={
         k: float(n) for k, n in led.massey_undefined.items()}),
-        r"massey_undefined \{'alpha\*beta is nonzero': 3\.0, .*\} are not a count per",
+        r"massey_undefined \{'alpha\*beta is nonzero': 0\.0, .*\} are not a count per",
         id="massey-undefined-as-floats"),
     # the bounds and witnesses read the certificates, so they are checked first
     pytest.param(lambda led: dataclasses.replace(led, certificates=None),

@@ -26,6 +26,7 @@ from masseytc.cli import (
 )
 from masseytc.cohomology import CohomologyRing
 from masseytc.dga import DGA, PairBasis, compile_cdga
+from masseytc.massey import OBSTRUCTIONS
 
 # the six top-level keys of every payload, in order
 PAYLOAD_KEYS = ("model", "cohomology", "massey", "zcl", "weights", "ledger")
@@ -61,10 +62,10 @@ BOUNDS_DIGESTS = {
                  "fef3a09f3170acb8053577199b8a624a17f32ea453d3f822dff628152c902aa8"),
     "borromean": ("090cba85467a2ed4d9dff0e23b3aee9113d19b4492220bfe467f67f3ea5ff954",
                   "9f6228e9a780bdb547805d4dddcde7cf034cef9ab96afd8fbed83dae0d0f85d1"),
-    "even7": ("f6ccd62a0cc3a4334ca4a42d0a673a0f77304e6d3ea25285317d643435be9aed",
-              "f684490393c09a87358e226aeb7648c0fef3c6fc4b8adf789875106dab1c380b"),
-    "odd11": ("66493c8ff5ab9bc66319b491c03494dcdd7a1d187f81e4f0863371eb3142e777",
-              "8e47e01b2996a04a7de531a9a4c59100436bf66874124d4e728d0833330f6526"),
+    "even7": ("a6d863bbba3765b465dbc3cb36ced8aa458f2861fed0233572af6521ef7ce395",
+              "b633a2f1a11d17755eba08a03fbbacb141da73bfa0562e0e3778c4b6007d4380"),
+    "odd11": ("9440b38771154395d6e0464dc995cbb528d9dee148ae38867926769b2e1800eb",
+              "35c7116fb1bef17ce7bc964ce9c2d2905ee5bedd6a48c84fe3f5ed00fe9e02c0"),
 }
 ZCL_JSON_DIGESTS = {
     "spheres8": "0f31e268d7c743413edf532ea13c76805f5cf5c2189e8181c764ccad401634d4",
@@ -105,8 +106,8 @@ algebra stressnil {
 }
 """
 STRESS_NIL_DIGESTS = (
-    "825cd49e2728d88e972105531c8822ba2053ad5b0b4b81cac81f50c69ac1a382",
-    "0c747bd31e7dd07fb45b6ef9a12535e36ae2a6431befd07887dfe1955759ee96",
+    "16a5bc4bd5f32dabba29e329deab61c7d33279534c78ac543f5402ee36850df9",
+    "48e6666c575dd6de3d2fd3410dfbe26e7129c7e4a308bb0cd9e8b5751ed49b96",
     "e4877c75a43dc288bc33c6ca111ebb4a12b8cad7d2e777e098a74fe6c5828cc5",
 )
 
@@ -135,10 +136,10 @@ def nil4_src(n: int) -> str:
 # span several degrees, which the golden models barely touch.
 SCALE_MODELS = {"six8": six_src(8), "nil4at4": nil4_src(4)}
 SCALE_DIGESTS = {
-    "six8": ("220a62fd8c898913a6a7d4ccfd2bacc6e76c75b09051708eb10f4b3c19adce20",
-             "215533e70a7e9676530b03936c8f10c689b035fdec19e0ff073410888b105f50"),
-    "nil4at4": ("4ce064639a546cd232aff395419aa65cefc246ed99e717e45923c7869dac312c",
-                "d3cc143dab0aee891c41407593e27b09fda81d572df062ba02fa5c59070f5661"),
+    "six8": ("625482c8aa18dc6cec5cb20a85e7fa02e5200fea4e0a83d99bf352ca4d1b5bab",
+             "fe1d236f2135275421ff9b1db3e20cc374679f499179c76f59919e86ff034268"),
+    "nil4at4": ("a3930f6b64812ee20149a76cc30331977de6a91b5e745a027f6aa8db34f1eb31",
+                "87bbd818f68ab87684eceaef50f85a6de2e62d60e1b3b6f7130766a7d078ce01"),
 }
 
 # sha256 of the `cohomology --json` and `cohomology` text output of each
@@ -635,14 +636,19 @@ def test_stress_model_output_bytes_are_pinned(tmp_path):
 
 def test_stress_model_json_lists_only_the_defined_triples(tmp_path):
     # 94 of the 108 basis triples are not defined; the payload counts them
-    # instead of listing them, which took it from 37,595 bytes to 13,801
+    # instead of listing them, which took it from 37,595 bytes to 13,801.
+    # The default scan stops at degree 2, the 3 triples that can raise a
+    # bound, which takes it to 10,621 bytes
     path = tmp_path / "stressnil.mtc"
     path.write_text(STRESS_NIL_SRC)
-    code, payload, out = cmd_bounds(build_parser().parse_args(["bounds", str(path), "--json"]))
-    assert code == 0 and len(out.encode()) < 15000
-    assert len(payload["massey"]) == 14 and all(e["defined"] for e in payload["massey"])
-    assert payload["ledger"]["massey_undefined"] == {"alpha*beta is nonzero": 77,
-                                                     "beta*gamma is nonzero": 17}
+    for flags, size, listed, undefined in (
+            (["--max-massey-degree", "3"], 13801, 14, (77, 17)),
+            ([], 10621, 3, (12, 3))):
+        argv = ["bounds", str(path), "--json", *flags]
+        code, payload, out = cmd_bounds(build_parser().parse_args(argv))
+        assert code == 0 and len(out.encode()) == size
+        assert len(payload["massey"]) == listed and all(e["defined"] for e in payload["massey"])
+        assert payload["ledger"]["massey_undefined"] == dict(zip(OBSTRUCTIONS, undefined))
 
 
 @pytest.mark.parametrize("name", sorted(SCALE_DIGESTS))
@@ -742,17 +748,21 @@ def test_bounds_reads_each_ring_dimension_once_per_pass(capsys, monkeypatch, tmp
     assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize("source, counts", [
-    pytest.param(STRESS_NIL_SRC, (68, 11), id="stressnil"),
-    pytest.param(six_src(8), (450, 0), id="six8"),
+@pytest.mark.parametrize("source, flags, counts", [
+    pytest.param(STRESS_NIL_SRC, (), (38, 3), id="stressnil"),
+    pytest.param(STRESS_NIL_SRC, ("--max-massey-degree", "3"), (68, 11),
+                 id="stressnil-full-scan"),
+    pytest.param(six_src(8), (), (450, 0), id="six8"),
 ])
 def test_bounds_forms_each_product_and_witness_solve_once(capsys, monkeypatch, tmp_path,
-                                                          source, counts):
+                                                          source, flags, counts):
     # a mirrored cup-table entry is read, not formed, and triples sharing a
     # defining product share its solve: forming every entry and solve
-    # afresh, these runs made 109 and 1,375 cochain products and 28 and 44
-    # solves.  Every defined triple of six at truncate 8 lands where H = 0,
-    # so it solves nothing; solving those made 516 products and 22 solves
+    # afresh, the full scans of stressnil and six at truncate 8 made 109 and
+    # 1,375 cochain products and 28 and 44 solves.  Every defined triple of
+    # six at truncate 8 lands where H = 0, so it solves nothing; solving
+    # those made 516 products and 22 solves.  The default scan of stressnil
+    # stops at degree 2, with 3 of its 14 defined triples
     calls = {"mul": 0, "solve": 0}
     mul, solve = DGA.mul, CohomologyRing.solve_boundary
 
@@ -766,7 +776,7 @@ def test_bounds_forms_each_product_and_witness_solve_once(capsys, monkeypatch, t
     monkeypatch.setattr(CohomologyRing, "solve_boundary", counted("solve", solve))
     model = tmp_path / "model.mtc"
     model.write_text(source)
-    assert main(["bounds", str(model), "--json"]) == 0
+    assert main(["bounds", str(model), "--json", *flags]) == 0
     capsys.readouterr()
     assert (calls["mul"], calls["solve"]) == counts
 

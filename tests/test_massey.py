@@ -199,9 +199,9 @@ def test_lazy_indeterminacy_and_canonical_equal_the_eager_formula(rings, kunneth
 
 
 def test_each_indeterminacy_sum_is_formed_once(monkeypatch):
-    # a bounds run reads the indeterminacy of every defined triple, in the
-    # ring and in the square; triples sharing alpha, gamma and |beta| share
-    # one sum, so each key's Subspace.add runs once
+    # a full-scan bounds run reads the indeterminacy of every defined
+    # triple, in the ring and in the square; triples sharing alpha, gamma
+    # and |beta| share one sum, so each key's Subspace.add runs once
     sums = []
     add = Subspace.add
     monkeypatch.setattr(Subspace, "add", lambda a, b: sums.append((a, b)) or add(a, b))
@@ -211,7 +211,7 @@ def test_each_indeterminacy_sum_is_formed_once(monkeypatch):
             models.MODEL_SOURCES[name])))
         kmap = cohomology.KunnethMap(ring, ring)
         sums.clear()
-        ledger = bounds.build_ledger(ring, kmap)
+        ledger = bounds.build_ledger(ring, kmap, massey_cap=ring.truncation)
         defined = [c for c in ledger.massey_cosets if c.defined]
         assert [c.indeterminacy.dim for c in defined]  # as the report reads them
         rings = (ring, kmap.ht)
@@ -374,6 +374,18 @@ def test_value_from_cocycles_rejects_bad_input(rings, dgas):
     # alpha*v represents the nonzero top class, hence never bounds
     with pytest.raises(ValueError, match="not a coboundary"):
         massey_value_from_cocycles(e7, ra, rv, ra)
+
+
+@pytest.mark.parametrize("names, target", [(("u", "u", "b"), 3), (("b", "b", "b"), 5)])
+def test_value_from_cocycles_refuses_a_target_above_the_truncation(rings, names, target):
+    # both returned the zero class of their target degree, where
+    # massey_triple reports the triple undefined
+    r = rings["borromean"]
+    classes = {"u": r.named_class("u"), "b": r.basis_class(2, 0)}
+    reason = f"target degree {target} exceeds truncation 2"
+    assert massey_triple(r, *(classes[n] for n in names)).obstruction == reason
+    with pytest.raises(ValueError, match=reason):
+        massey_value_from_cocycles(r, *(r.representative(classes[n]) for n in names))
 
 
 def test_internal_product_scalar_instances(rings):
